@@ -28,33 +28,28 @@ from pathlib import Path
 
 from .divided_diff import certify_3convex
 from .divergences import divergence_bounds, f_divergence
-from .elr_bounds import BoundReport, bounds_derivative, bounds_secant, bounds_taylor
+from .elr_bounds import THEOREMS, BoundReport, bounds
 from .expconv import divergence_context, elr_context
 from .functionals import make_functional
 from .fuzzing import bracket_fuzz
 from .registry import resolve_generator, resolve_phi
 from .stolarsky_means import mean_B1, mean_M2
-from .zipf_mandelbrot import zm_distribution, zm_divergence_bounds, zm_ratio_extrema
+from .zipf_mandelbrot import zm_distribution, zm_divergence_bounds
 
 __all__ = ["RunConfig", "run", "main"]
-
-THEOREM_OPS = {"secant": bounds_secant, "derivative": bounds_derivative,
-               "taylor": bounds_taylor}
 
 
 @dataclass
 class RunConfig:
     command: str
     payload: dict
-    output_path: str | None = None
     seed: int = 0
     instances: int = 1000
     tolerance: float = 1e-9
-    fmt: str = "json"
 
 
 class InputError(ValueError):
-    """Bad command input; maps to exit status 1."""
+    """Bad command input; like every ValueError it maps to exit status 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,25 +108,40 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
-def _parse_interval(payload: dict) -> tuple[float, float]:
+def _need_object(payload: dict, key: str, fields: tuple = ()) -> dict:
+    spec = _need(payload, key)
+    if not isinstance(spec, dict) or any(f not in spec for f in fields):
+        carrying = " carrying " + ", ".join(map(repr, fields)) if fields else ""
+        raise InputError(f"{key!r} must be an object{carrying}")
+    return spec
+
+
+def _number(value, what: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be a number, got {value!r}") from None
+
+
+def _parse_interval(payload: dict, required: bool = True):
+    """[m, M] as floats; (None, None) when optional and absent."""
+    if not required and payload.get("interval") is None:
+        return None, None
     interval = _need(payload, "interval")
     if not (isinstance(interval, list) and len(interval) == 2):
         raise InputError('"interval" must be [m, M]')
-    m, M = float(interval[0]), float(interval[1])
+    m, M = (_number(end, "interval end") for end in interval)
     if not m < M:
         raise InputError("interval must satisfy m < M")
     return m, M
 
 
 def _parse_functional(payload: dict):
-    spec = _need(payload, "functional")
-    try:
-        return make_functional(spec.get("nodes", []), spec.get("weights", []))
-    except (ValueError, AttributeError) as exc:
-        raise InputError(f"bad functional: {exc}") from exc
+    spec = _need_object(payload, "functional")
+    return make_functional(spec.get("nodes", []), spec.get("weights", []))
 
 
-def _parse_theorems(payload: dict, allowed=("secant", "derivative", "taylor")):
+def _parse_theorems(payload: dict, allowed=THEOREMS):
     requested = payload.get("theorem")
     if requested is None:
         return list(allowed)
@@ -141,9 +151,7 @@ def _parse_theorems(payload: dict, allowed=("secant", "derivative", "taylor")):
 
 
 def _parse_distributions(payload: dict):
-    spec = _need(payload, "distributions")
-    if not isinstance(spec, dict) or "p" not in spec or "q" not in spec:
-        raise InputError('"distributions" must carry "p" and "q"')
+    spec = _need_object(payload, "distributions", ("p", "q"))
     return spec["p"], spec["q"]
 
 
@@ -155,7 +163,7 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
     payload = config.payload
     functional = _parse_functional(payload)
     m, M = _parse_interval(payload)
-    bundle = resolve_phi(_need(payload, "phi"))
+    bundle = resolve_phi(_need_object(payload, "phi"))
     if not bundle.contains(m, M):
         raise InputError(f"interval [{m}, {M}] escapes the domain of "
                          f"{bundle.name!r}")
@@ -164,7 +172,7 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
         raise InputError(
             f"{bundle.name!r} is not 3-convex on [{m}, {M}] in either "
             f"direction (verdict {cert.verdict!r})")
-    reports = [THEOREM_OPS[name](functional, bundle, m, M, cert)
+    reports = [bounds(name, functional, bundle, m, M, cert)
                for name in _parse_theorems(payload)]
     return 0, {
         "command": "bounds",
@@ -178,24 +186,12 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
     }
 
 
-def _run_divergence(config: RunConfig) -> tuple[int, dict]:
-    payload = config.payload
-    p, q = _parse_distributions(payload)
-    gen = resolve_generator(_need(payload, "phi"))
-    interval = payload.get("interval")
-    m = M = None
-    if interval is not None:
-        m, M = float(interval[0]), float(interval[1])
-    theorems = _parse_theorems(payload, allowed=("derivative", "taylor"))
-    try:
-        value = f_divergence(p, q, gen)
-        reports = [divergence_bounds(p, q, gen, m=m, M=M, theorem=name)
-                   for name in theorems]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return 0, {
-        "command": "divergence",
+def _divergence_report(command: str, payload: dict, gen, value: float,
+                       reports, **extra) -> dict:
+    return {
+        "command": command,
         "inputs": payload,
+        **extra,
         "generator": gen.name,
         "direction": gen.direction,
         "divergence": value,
@@ -204,64 +200,55 @@ def _run_divergence(config: RunConfig) -> tuple[int, dict]:
     }
 
 
+def _run_divergence(config: RunConfig) -> tuple[int, dict]:
+    payload = config.payload
+    p, q = _parse_distributions(payload)
+    gen = resolve_generator(_need_object(payload, "phi"))
+    m, M = _parse_interval(payload, required=False)
+    theorems = _parse_theorems(payload, allowed=("derivative", "taylor"))
+    value = f_divergence(p, q, gen)
+    reports = [divergence_bounds(p, q, gen, m=m, M=M, theorem=name)
+               for name in theorems]
+    return 0, _divergence_report("divergence", payload, gen, value, reports)
+
+
 def _run_zipf(config: RunConfig) -> tuple[int, dict]:
     payload = config.payload
-    spec = _need(payload, "zm")
+    spec = _need_object(payload, "zm", ("a", "b"))
     try:
-        a = zm_distribution(int(spec["a"]["N"]), float(spec["a"]["q"]),
-                            float(spec["a"]["s"]))
-        b = zm_distribution(int(spec["b"]["N"]), float(spec["b"]["q"]),
-                            float(spec["b"]["s"]))
+        a, b = (zm_distribution(int(spec[k]["N"]), float(spec[k]["q"]),
+                                float(spec[k]["s"])) for k in ("a", "b"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad zm specification: {exc}") from exc
-    gen = resolve_generator(_need(payload, "phi"))
+    gen = resolve_generator(_need_object(payload, "phi"))
     theorems = _parse_theorems(payload, allowed=("derivative", "taylor"))
-    try:
-        extrema = zm_ratio_extrema(a, b)
-        value = f_divergence(a.pmf, b.pmf, gen)
-        reports = [zm_divergence_bounds(a, b, gen, theorem=name)
-                   for name in theorems]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return 0, {
-        "command": "zipf",
-        "inputs": payload,
-        "zm_a": a.params(),
-        "zm_b": b.params(),
-        "generator": gen.name,
-        "direction": gen.direction,
-        "divergence": value,
-        "interval": [extrema[0], extrema[1]],
-        "reports": [_bound_report_dict(r) for r in reports],
-    }
+    reports = [zm_divergence_bounds(a, b, gen, theorem=name)
+               for name in theorems]
+    value = f_divergence(a.pmf, b.pmf, gen)
+    return 0, _divergence_report("zipf", payload, gen, value, reports,
+                                 zm_a=a.params(), zm_b=b.params())
 
 
 def _run_means(config: RunConfig) -> tuple[int, dict]:
     payload = config.payload
-    index = int(payload.get("gamma_index", 1))
-    params = _need(payload, "params")
-    s, t = float(params["s"]), float(params["t"])
-    family = _need(payload, "phi").get("name")
+    index = _number(payload.get("gamma_index", 1), "gamma_index", int)
+    params = _need_object(payload, "params", ("s", "t"))
+    s, t = _number(params["s"], "params s"), _number(params["t"], "params t")
+    family = _need_object(payload, "phi").get("name")
     if family not in ("upsilon1", "upsilon2"):
         raise InputError('means needs "phi" with name "upsilon1" or "upsilon2"')
-    try:
-        if index <= 6:
-            functional = _parse_functional(payload)
-            m, M = _parse_interval(payload)
-            ctx = elr_context(index, functional, m, M)
-        else:
-            p, q = _parse_distributions(payload)
-            interval = payload.get("interval")
-            m = M = None
-            if interval is not None:
-                m, M = float(interval[0]), float(interval[1])
-            ctx = divergence_context(index, p, q, m=m, M=M)
-        if ctx.m <= 0:
-            raise InputError("means require an interval inside the positive "
-                             "half line")
-        mean = mean_B1(ctx, s, t) if family == "upsilon1" else mean_M2(ctx, s, t)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if index <= 6:
+        functional = _parse_functional(payload)
+        m, M = _parse_interval(payload)
+        ctx = elr_context(index, functional, m, M)
+    else:
+        p, q = _parse_distributions(payload)
+        m, M = _parse_interval(payload, required=False)
+        ctx = divergence_context(index, p, q, m=m, M=M)
+    if ctx.m <= 0:
+        raise InputError("means require an interval inside the positive "
+                         "half line")
+    mean = mean_B1(ctx, s, t) if family == "upsilon1" else mean_M2(ctx, s, t)
     return 0, {
         "command": "means",
         "inputs": payload,
@@ -275,6 +262,8 @@ def _run_means(config: RunConfig) -> tuple[int, dict]:
 
 
 def _run_verify(config: RunConfig) -> tuple[int, dict]:
+    if config.instances < 1:
+        raise InputError("--instances must be at least 1")
     result = bracket_fuzz(seed=config.seed, instances=config.instances,
                           tolerance=config.tolerance)
     report = {
@@ -351,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # the one exit-1 boundary: parse errors and the library's own input
+    # checks are both ValueErrors; anything else is a bug and propagates
     try:
         payload = _load_payload(args.input)
-        config = RunConfig(command=args.command, payload=payload,
-                           output_path=args.output, seed=args.seed,
-                           instances=args.instances, tolerance=args.tolerance,
-                           fmt=args.fmt)
-        status, report = run(config)
-    except InputError as exc:
+        status, report = run(RunConfig(command=args.command, payload=payload,
+                                       seed=args.seed, instances=args.instances,
+                                       tolerance=args.tolerance))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = dump_report(report)

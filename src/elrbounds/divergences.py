@@ -209,6 +209,8 @@ def _auto_interval(ratios: np.ndarray, m: float | None,
         m = min(float(ratios.min()), 1.0)
     if M is None:
         M = max(float(ratios.max()), 1.0)
+    if not (m <= 1.0 <= M):
+        raise ValueError("theorem requires m <= 1 <= M")
     return float(m), float(M), auto
 
 
@@ -247,8 +249,6 @@ def divergence_bounds(p, q, gen: GeneratorFunction, m: float | None = None,
     if m == M:
         raise ValueError("degenerate interval: all ratios coincide; supply a "
                          "wider [m, M]")
-    if not (m <= 1.0 <= M):
-        raise ValueError("theorem requires m <= 1 <= M")
     if m <= 0.0:
         raise ValueError("ratios must stay strictly positive for generator "
                          "bounds")

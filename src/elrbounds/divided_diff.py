@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partialmethod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +42,10 @@ INDETERMINATE = "indeterminate"
 
 # Absolute floor below which a sampled third derivative counts as zero.
 SIGN_TOL = 1e-12
+
+# Stored one-sided derivatives at the domain ends; the suffix names the end.
+_ENDPOINT_FIELDS = ("d1_plus_at_lo", "d1_minus_at_hi", "d2_plus_at_lo",
+                    "d2_minus_at_hi")
 
 
 @dataclass(frozen=True)
@@ -78,47 +83,38 @@ class FunctionBundle:
         hi = lo if hi is None else hi
         return self.domain_lo <= lo and hi <= self.domain_hi
 
-    def f_at(self, x: float) -> float:
-        key = ("f", x)
-        value = self._memo.get(key)
-        if value is None:
-            value = float(self.f(x))
-            self._memo[key] = value
-        return value
+    def deriv(self, order: int, x: float) -> float:
+        """phi (order 0) or its first or second derivative (order 1, 2) at x.
 
-    def _one_sided(self, x, anchor, stored, two_sided, label):
-        key = (label, x)
+        At ``domain_lo`` the stored right value is used and at ``domain_hi``
+        the stored left value, when there is one; anywhere else the
+        two-sided callable.  Results are memoized under (order, x).
+        """
+        key = (order, x)
         value = self._memo.get(key)
         if value is not None:
             return value
-        if x == anchor and stored is not None:
-            value = float(stored)
-        elif two_sided is not None:
-            value = float(two_sided(x))
-        else:
-            raise ValueError(
-                f"insufficient bundle: {label} of {self.name!r} unavailable "
-                f"at x={x}")
-        self._memo[key] = value
+        if order not in (0, 1, 2):
+            raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
+        stored = None
+        if order and x == self.domain_lo:
+            stored = (self.d1_plus_at_lo, self.d2_plus_at_lo)[order - 1]
+        elif order and x == self.domain_hi:
+            stored = (self.d1_minus_at_hi, self.d2_minus_at_hi)[order - 1]
+        if stored is None:
+            g = (self.f, self.d1, self.d2)[order]
+            if g is None:
+                raise ValueError(
+                    f"insufficient bundle: derivative of order {order} of "
+                    f"{self.name!r} unavailable at x={x}")
+            stored = g(x)
+        value = self._memo[key] = float(stored)
         return value
 
-    def d1_plus(self, x: float) -> float:
-        """Right first derivative at x (stored value at the left endpoint)."""
-        return self._one_sided(x, self.domain_lo, self.d1_plus_at_lo, self.d1,
-                               "right first derivative")
-
-    def d1_minus(self, x: float) -> float:
-        """Left first derivative at x (stored value at the right endpoint)."""
-        return self._one_sided(x, self.domain_hi, self.d1_minus_at_hi, self.d1,
-                               "left first derivative")
-
-    def d2_plus(self, x: float) -> float:
-        return self._one_sided(x, self.domain_lo, self.d2_plus_at_lo, self.d2,
-                               "right second derivative")
-
-    def d2_minus(self, x: float) -> float:
-        return self._one_sided(x, self.domain_hi, self.d2_minus_at_hi, self.d2,
-                               "left second derivative")
+    # public shorthands for deriv()
+    f_at = partialmethod(deriv, 0)
+    d1_plus = partialmethod(deriv, 1)
+    d1_minus = partialmethod(deriv, 1)
 
     def negated(self) -> "FunctionBundle":
         """Bundle of -f, with all derivative data negated."""
@@ -128,21 +124,17 @@ class FunctionBundle:
                 return None
             return lambda x, _g=g: -np.asarray(_g(x)) if np.ndim(x) else -float(_g(x))
 
-        def flipv(v):
-            return None if v is None else -v
-
+        stored = {k: None if getattr(self, k) is None else -getattr(self, k)
+                  for k in _ENDPOINT_FIELDS}
         return replace(
             self,
             f=flip(self.f),
             d1=flip(self.d1),
             d2=flip(self.d2),
             d3=flip(self.d3),
-            d1_plus_at_lo=flipv(self.d1_plus_at_lo),
-            d1_minus_at_hi=flipv(self.d1_minus_at_hi),
-            d2_plus_at_lo=flipv(self.d2_plus_at_lo),
-            d2_minus_at_hi=flipv(self.d2_minus_at_hi),
             name=f"-({self.name})",
             _memo={},
+            **stored,
         )
 
 
@@ -180,24 +172,22 @@ def linear_combination(a: float, first: FunctionBundle, b: float,
             return None
         return lambda x, _g1=g1, _g2=g2: a * np.asarray(_g1(x)) + b * np.asarray(_g2(x))
 
-    def mixv(v1, v2, same_anchor):
-        if v1 is None or v2 is None or not same_anchor:
+    def mixv(key):
+        v1, v2 = getattr(first, key), getattr(second, key)
+        if v1 is None or v2 is None or not shared[key[-2:]]:
             return None
         return a * v1 + b * v2
 
-    lo_shared = first.domain_lo == second.domain_lo == lo
-    hi_shared = first.domain_hi == second.domain_hi == hi
+    shared = {"lo": first.domain_lo == second.domain_lo == lo,
+              "hi": first.domain_hi == second.domain_hi == hi}
     return FunctionBundle(
         domain_lo=lo, domain_hi=hi,
         f=mix(first.f, second.f),
         d1=mix(first.d1, second.d1),
         d2=mix(first.d2, second.d2),
         d3=mix(first.d3, second.d3),
-        d1_plus_at_lo=mixv(first.d1_plus_at_lo, second.d1_plus_at_lo, lo_shared),
-        d1_minus_at_hi=mixv(first.d1_minus_at_hi, second.d1_minus_at_hi, hi_shared),
-        d2_plus_at_lo=mixv(first.d2_plus_at_lo, second.d2_plus_at_lo, lo_shared),
-        d2_minus_at_hi=mixv(first.d2_minus_at_hi, second.d2_minus_at_hi, hi_shared),
         name=f"{a}*{first.name}+{b}*{second.name}",
+        **{key: mixv(key) for key in _ENDPOINT_FIELDS},
     )
 
 
@@ -247,16 +237,15 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
         return (4.0 * float(g(x + h)) - 3.0 * float(g(x)) - float(g(x + 2.0 * h))) / (2.0 * h)
 
     h0 = 1e-6 * (1.0 + abs(lo)) + 1e-9
-    checks = []
-    if lo == bundle.domain_lo and bundle.d1_plus_at_lo is not None:
-        checks.append((bundle.f, lo, h0, bundle.d1_plus_at_lo, "d1 at left endpoint"))
-    if hi == bundle.domain_hi and bundle.d1_minus_at_hi is not None:
-        checks.append((bundle.f, hi, -h0, bundle.d1_minus_at_hi, "d1 at right endpoint"))
-    if lo == bundle.domain_lo and bundle.d2_plus_at_lo is not None and bundle.d1 is not None:
-        checks.append((bundle.d1, lo, h0, bundle.d2_plus_at_lo, "d2 at left endpoint"))
-    if hi == bundle.domain_hi and bundle.d2_minus_at_hi is not None and bundle.d1 is not None:
-        checks.append((bundle.d1, hi, -h0, bundle.d2_minus_at_hi, "d2 at right endpoint"))
-    for g, x, h, stored, label in checks:
+    for g, x, h, stored, label in (
+            (bundle.f, lo, h0, bundle.d1_plus_at_lo, "d1 at left endpoint"),
+            (bundle.f, hi, -h0, bundle.d1_minus_at_hi, "d1 at right endpoint"),
+            (bundle.d1, lo, h0, bundle.d2_plus_at_lo, "d2 at left endpoint"),
+            (bundle.d1, hi, -h0, bundle.d2_minus_at_hi, "d2 at right endpoint")):
+        # a stored value is checked only where the window reaches its end
+        at_end = x == (bundle.domain_lo if h > 0 else bundle.domain_hi)
+        if g is None or stored is None or not at_end:
+            continue
         approx = one_sided(g, x, h)
         if abs(approx - stored) > 1e-5 * (1.0 + abs(stored)):
             raise ValueError(
@@ -326,26 +315,6 @@ class MultiplicityPattern:
         return out
 
 
-def _d1_at(bundle: FunctionBundle, x: float) -> float:
-    if x == bundle.domain_lo:
-        return bundle.d1_plus(x)
-    if x == bundle.domain_hi:
-        return bundle.d1_minus(x)
-    if bundle.d1 is None:
-        raise ValueError(f"insufficient bundle: d1 of {bundle.name!r} unavailable")
-    return float(bundle.d1(x))
-
-
-def _d2_at(bundle: FunctionBundle, x: float) -> float:
-    if x == bundle.domain_lo:
-        return bundle.d2_plus(x)
-    if x == bundle.domain_hi:
-        return bundle.d2_minus(x)
-    if bundle.d2 is None:
-        raise ValueError(f"insufficient bundle: d2 of {bundle.name!r} unavailable")
-    return float(bundle.d2(x))
-
-
 def dd_confluent(bundle: FunctionBundle, pattern: MultiplicityPattern) -> float:
     """Third-order divided difference with repeated points, by closed form.
 
@@ -377,7 +346,7 @@ def dd_confluent(bundle: FunctionBundle, pattern: MultiplicityPattern) -> float:
             x, y = y, x
         ft = float(f(t))
         return (
-            _d1_at(bundle, t) / ((t - x) * (t - y))
+            bundle.deriv(1, t) / ((t - x) * (t - y))
             + ft * (x + y - 2.0 * t) / ((t - x) ** 2 * (t - y) ** 2)
             + float(f(x)) / ((x - t) ** 2 * (x - y))
             + float(f(y)) / ((y - t) ** 2 * (y - x))
@@ -385,13 +354,13 @@ def dd_confluent(bundle: FunctionBundle, pattern: MultiplicityPattern) -> float:
     if sig == (2, 2):
         t, x = by_mult[0][1], by_mult[1][1]
         gap = x - t
-        return ((x - t) * (_d1_at(bundle, x) + _d1_at(bundle, t))
+        return ((x - t) * (bundle.deriv(1, x) + bundle.deriv(1, t))
                 + 2.0 * (float(f(t)) - float(f(x)))) / gap ** 3
     if sig == (3, 1):
         t = by_mult[0][1]
         x = by_mult[1][1]
         gap = x - t
-        taylor2 = float(f(t)) + _d1_at(bundle, t) * gap + 0.5 * _d2_at(bundle, t) * gap ** 2
+        taylor2 = float(f(t)) + bundle.deriv(1, t) * gap + 0.5 * bundle.deriv(2, t) * gap ** 2
         return (float(f(x)) - taylor2) / gap ** 3
     # sig == (4,)
     t = by_mult[0][1]

@@ -36,7 +36,9 @@ __all__ = [
     "BoundReport",
     "ORIENT_DIRECT",
     "ORIENT_REVERSED",
+    "THEOREMS",
     "elr_difference",
+    "bounds",
     "bounds_secant",
     "bounds_derivative",
     "bounds_taylor",
@@ -90,8 +92,8 @@ def _resolve_orientation(direction) -> str:
 
 
 def _endpoint_frame(bundle: FunctionBundle, m: float, M: float):
-    phi_m = bundle.f_at(m)
-    phi_M = bundle.f_at(M)
+    phi_m = bundle.deriv(0, m)
+    phi_M = bundle.deriv(0, M)
     if not (math.isfinite(phi_m) and math.isfinite(phi_M)):
         raise ValueError("function values at the interval endpoints must be finite")
     secant = (phi_M - phi_m) / (M - m)
@@ -102,10 +104,11 @@ def _mid(ms: MomentSet, phi_m: float, phi_M: float, m: float, M: float) -> float
     return ((M - ms.mean) * phi_m + (ms.mean - m) * phi_M) / (M - m) - ms.value
 
 
-def _require(value, what: str, bundle: FunctionBundle):
-    if value is None:
-        raise ValueError(f"insufficient bundle: {what} of {bundle.name!r} unavailable")
-    return value
+def _derivative_moments(ms: MomentSet, bundle: FunctionBundle) -> tuple[float, float]:
+    if ms.d_lo is None or ms.d_hi is None:
+        raise ValueError("insufficient bundle: first derivative moment of "
+                         f"{bundle.name!r} unavailable")
+    return ms.d_lo, ms.d_hi
 
 
 def theorem_triple(theorem: str, functional: DiscreteFunctional,
@@ -116,30 +119,25 @@ def theorem_triple(theorem: str, functional: DiscreteFunctional,
     The raw expression values are what the exponential-convexity
     functionals are built from, so this helper is shared across modules.
     """
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
     ms = precomputed if precomputed is not None else moments(functional, bundle, m, M)
     phi_m, phi_M, secant = _endpoint_frame(bundle, m, M)
     mid = _mid(ms, phi_m, phi_M, m, M)
+    d1p = bundle.deriv(1, m)
+    d1m = bundle.deriv(1, M)
     if theorem == "secant":
-        d1p = bundle.d1_plus(m)
-        d1m = bundle.d1_minus(M)
         lower = ms.cross / (M - m) * (secant - d1p)
         upper = ms.cross / (M - m) * (d1m - secant)
     elif theorem == "derivative":
-        d_lo = _require(ms.d_lo, "first derivative moment", bundle)
-        d_hi = _require(ms.d_hi, "first derivative moment", bundle)
-        d1p = bundle.d1_plus(m)
-        d1m = bundle.d1_minus(M)
+        d_lo, d_hi = _derivative_moments(ms, bundle)
         lower = (ms.mean - m) * (secant - 0.5 * d1p) - 0.5 * d_lo
         upper = 0.5 * d_hi - (M - ms.mean) * (secant - 0.5 * d1m)
-    elif theorem == "taylor":
-        d1p = bundle.d1_plus(m)
-        d1m = bundle.d1_minus(M)
-        d2p = bundle.d2_plus(m)
-        d2m = bundle.d2_minus(M)
+    else:
+        d2p = bundle.deriv(2, m)
+        d2m = bundle.deriv(2, M)
         lower = (M - ms.mean) * (d1m - secant) - 0.5 * d2m * ms.sq_hi
         upper = (ms.mean - m) * (secant - d1p) - 0.5 * d2p * ms.sq_lo
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}")
     return lower, mid, upper
 
 
@@ -151,8 +149,18 @@ def elr_difference(functional: DiscreteFunctional, bundle: FunctionBundle,
     return _mid(ms, phi_m, phi_M, m, M)
 
 
-def _report(theorem: str, functional, bundle, m, M, direction,
-            precomputed=None) -> BoundReport:
+THEOREMS = ("secant", "derivative", "taylor")
+
+
+def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
+           m: float, M: float, direction,
+           precomputed: MomentSet | None = None) -> BoundReport:
+    """Oriented report of the bound pair named ``theorem`` (one of THEOREMS).
+
+    ``direction`` is a ConvexityCertificate or a verdict label; a
+    precomputed MomentSet of the same functional, bundle and interval may
+    be passed to skip the moment pass.
+    """
     orientation = _resolve_orientation(direction)
     lower, mid, upper = theorem_triple(theorem, functional, bundle, m, M,
                                        precomputed=precomputed)
@@ -164,32 +172,21 @@ def bounds_secant(functional: DiscreteFunctional, bundle: FunctionBundle,
                   m: float, M: float, direction,
                   precomputed: MomentSet | None = None) -> BoundReport:
     """Bound pair from the cross moment and endpoint slopes."""
-    return _report("secant", functional, bundle, m, M, direction, precomputed)
+    return bounds("secant", functional, bundle, m, M, direction, precomputed)
 
 
 def bounds_derivative(functional: DiscreteFunctional, bundle: FunctionBundle,
                       m: float, M: float, direction,
                       precomputed: MomentSet | None = None) -> BoundReport:
     """Bound pair from first-derivative moments."""
-    return _report("derivative", functional, bundle, m, M, direction, precomputed)
+    return bounds("derivative", functional, bundle, m, M, direction, precomputed)
 
 
 def bounds_taylor(functional: DiscreteFunctional, bundle: FunctionBundle,
                   m: float, M: float, direction,
                   precomputed: MomentSet | None = None) -> BoundReport:
     """Bound pair from second-order endpoint expansions."""
-    return _report("taylor", functional, bundle, m, M, direction, precomputed)
-
-
-def _derivative_at_mean(bundle: FunctionBundle, mean: float, m: float,
-                        M: float) -> float:
-    if mean == m:
-        return bundle.d1_plus(m)
-    if mean == M:
-        return bundle.d1_minus(M)
-    if bundle.d1 is None:
-        raise ValueError(f"insufficient bundle: d1 of {bundle.name!r} unavailable")
-    return float(bundle.d1(mean))
+    return bounds("taylor", functional, bundle, m, M, direction, precomputed)
 
 
 def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
@@ -205,12 +202,11 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
     phi_m, phi_M, secant = _endpoint_frame(bundle, m, M)
     mean = ms.mean
     mid = ms.value - float(bundle.f(mean))
-    d1p = bundle.d1_plus(m)
-    d1m = bundle.d1_minus(M)
+    d1p = bundle.deriv(1, m)
+    d1m = bundle.deriv(1, M)
     if variant == "derivative":
-        d_lo = _require(ms.d_lo, "first derivative moment", bundle)
-        d_hi = _require(ms.d_hi, "first derivative moment", bundle)
-        dmean = _derivative_at_mean(bundle, mean, m, M)
+        d_lo, d_hi = _derivative_moments(ms, bundle)
+        dmean = bundle.deriv(1, mean)
         lower = ((mean - m) * (secant - 0.5 * (dmean + d1p))
                  - 0.5 * d_hi
                  - (M - mean) * (secant + 0.5 * d1m))
@@ -218,8 +214,8 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
                  - (mean - m) * (secant - 0.5 * d1p)
                  + 0.5 * d_lo)
     elif variant == "taylor":
-        d2p = bundle.d2_plus(m)
-        d2m = bundle.d2_minus(M)
+        d2p = bundle.deriv(2, m)
+        d2m = bundle.deriv(2, M)
         lower = ((M - mean) * (d1m - secant - 0.5 * d2m * (M - mean))
                  - (mean - m) * (secant - d1p)
                  + 0.5 * d2p * ms.sq_lo)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .divided_diff import FunctionBundle
-from .divergences import ratio_functional
+from .divergences import _auto_interval, ratio_functional
 from .elr_bounds import theorem_triple
 from .functionals import DiscreteFunctional
 
@@ -88,14 +88,9 @@ def divergence_context(index: int, p, q, m: float | None = None,
     """Context for indices 7-10; [m, M] defaults to the ratio range
     widened to include 1."""
     functional, ratios = ratio_functional(p, q)
-    if m is None:
-        m = min(float(ratios.min()), 1.0)
-    if M is None:
-        M = max(float(ratios.max()), 1.0)
-    if not (m <= 1.0 <= M):
-        raise ValueError("theorem requires m <= 1 <= M")
-    return GammaContext(index=index, functional=functional, m=float(m),
-                        M=float(M), kind="divergence")
+    m, M, _ = _auto_interval(ratios, m, M)
+    return GammaContext(index=index, functional=functional, m=m, M=M,
+                        kind="divergence")
 
 
 def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:

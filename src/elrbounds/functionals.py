@@ -132,10 +132,9 @@ def node_derivatives(bundle: FunctionBundle, x: np.ndarray, m: float,
                 f"insufficient bundle: d1 of {bundle.name!r} unavailable at "
                 "interior nodes")
         out[interior] = _eval(bundle.d1, x[interior])
-    if at_m.any():
-        out[at_m] = bundle.d1_plus(m)
-    if at_M.any():
-        out[at_M] = bundle.d1_minus(M)
+    for end, at_end in ((m, at_m), (M, at_M)):
+        if at_end.any():
+            out[at_end] = bundle.deriv(1, end)
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 from .divided_diff import FunctionBundle, certify_3convex
-from .elr_bounds import bounds_derivative, bounds_secant, bounds_taylor
+from .elr_bounds import THEOREMS, bounds
 from .functionals import DiscreteFunctional, make_functional, moments
 from .registry import resolve_phi
 
@@ -25,10 +25,6 @@ __all__ = [
     "draw_bundle",
     "bracket_fuzz",
 ]
-
-THEOREMS = ("secant", "derivative", "taylor")
-BOUND_OPS = {"secant": bounds_secant, "derivative": bounds_derivative,
-             "taylor": bounds_taylor}
 
 
 def random_three_convex_bundle(rng: np.random.Generator, lo: float,
@@ -46,17 +42,10 @@ def random_three_convex_bundle(rng: np.random.Generator, lo: float,
     knots = np.concatenate([[lo] * (degree + 1), interior, [hi] * (degree + 1)])
     coef = rng.uniform(0.0, 3.0, n_coef)
     d3 = BSpline(knots, coef, degree, extrapolate=True)
-    return FunctionBundle(
-        domain_lo=lo, domain_hi=hi,
-        f=d3.antiderivative(3),
-        d1=d3.antiderivative(2),
-        d2=d3.antiderivative(1),
-        d3=d3,
-        d1_plus_at_lo=float(d3.antiderivative(2)(lo)),
-        d1_minus_at_hi=float(d3.antiderivative(2)(hi)),
-        d2_plus_at_lo=float(d3.antiderivative(1)(lo)),
-        d2_minus_at_hi=float(d3.antiderivative(1)(hi)),
-        name="spline3convex")
+    d2 = d3.antiderivative(1)
+    d1 = d2.antiderivative(1)
+    return FunctionBundle(domain_lo=lo, domain_hi=hi, f=d1.antiderivative(1),
+                          d1=d1, d2=d2, d3=d3, name="spline3convex")
 
 
 def random_functional(rng: np.random.Generator, m: float, M: float,
@@ -128,8 +117,8 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = 1e-9,
             for target, certificate in ((bundle, cert), (neg, neg_cert)):
                 ms = moments(functional, target, m, M)
                 for theorem in THEOREMS:
-                    report = BOUND_OPS[theorem](functional, target, m, M,
-                                                certificate, precomputed=ms)
+                    report = bounds(theorem, functional, target, m, M,
+                                    certificate, precomputed=ms)
                     excess = report.violation()
                     if excess > tolerance:
                         violations.append({

@@ -15,20 +15,11 @@ from numpy.polynomial import Polynomial
 
 from .divided_diff import FunctionBundle
 from .divergences import GENERATOR_NAMES, GeneratorFunction, generator
-from .stolarsky_means import upsilon1, upsilon2
+from .stolarsky_means import cubic_reference, upsilon1, upsilon2
 
 __all__ = ["resolve_phi", "resolve_generator", "poly_bundle", "BUILTIN_NAMES"]
 
 _REAL_LINE = dict(domain_lo=-math.inf, domain_hi=math.inf)
-
-
-def _cubic() -> FunctionBundle:
-    return FunctionBundle(
-        f=lambda x: np.asarray(x, dtype=float) ** 3,
-        d1=lambda x: 3.0 * np.asarray(x, dtype=float) ** 2,
-        d2=lambda x: 6.0 * np.asarray(x, dtype=float),
-        d3=lambda x: 6.0 * np.ones_like(np.asarray(x, dtype=float)),
-        name="cubic", **_REAL_LINE)
 
 
 def _quartic() -> FunctionBundle:
@@ -66,34 +57,30 @@ def poly_bundle(coefficients) -> FunctionBundle:
                           name=f"poly{tuple(coefficients)}", **_REAL_LINE)
 
 
-BUILTIN_NAMES = ("cubic", "quartic", "exp", "xlogx", "upsilon1", "upsilon2")
+_BUILDERS = {"cubic": cubic_reference, "quartic": _quartic, "exp": _exp,
+             "xlogx": _xlogx}
+_FAMILIES = {"upsilon1": upsilon1, "upsilon2": upsilon2}
+BUILTIN_NAMES = (*_BUILDERS, *_FAMILIES)
+
+
+def _name_and_params(spec: dict) -> tuple[str | None, list[float]]:
+    if not isinstance(spec, dict):
+        raise ValueError("phi specification must be an object")
+    return spec.get("name"), [float(v) for v in spec.get("params", [])]
 
 
 def resolve_phi(spec: dict) -> FunctionBundle:
     """Resolve a phi specification {"name": ..., "params": [...]} or
     {"poly": [...]} to a function bundle."""
-    if not isinstance(spec, dict):
-        raise ValueError("phi specification must be an object")
-    if "poly" in spec:
+    if isinstance(spec, dict) and "poly" in spec:
         return poly_bundle(spec["poly"])
-    name = spec.get("name")
-    params = [float(v) for v in spec.get("params", [])]
-    if name == "cubic":
-        return _cubic()
-    if name == "quartic":
-        return _quartic()
-    if name == "exp":
-        return _exp()
-    if name == "xlogx":
-        return _xlogx()
-    if name == "upsilon1":
+    name, params = _name_and_params(spec)
+    if name in _BUILDERS:
+        return _BUILDERS[name]()
+    if name in _FAMILIES:
         if len(params) != 1:
-            raise ValueError("upsilon1 needs one parameter")
-        return upsilon1(params[0]).bundle
-    if name == "upsilon2":
-        if len(params) != 1:
-            raise ValueError("upsilon2 needs one parameter")
-        return upsilon2(params[0]).bundle
+            raise ValueError(f"{name} needs one parameter")
+        return _FAMILIES[name](params[0]).bundle
     if name in GENERATOR_NAMES:
         return resolve_generator(spec).bundle
     raise ValueError(f"unknown phi name {name!r}")
@@ -101,10 +88,7 @@ def resolve_phi(spec: dict) -> FunctionBundle:
 
 def resolve_generator(spec: dict) -> GeneratorFunction:
     """Resolve a generator specification for divergence commands."""
-    if not isinstance(spec, dict):
-        raise ValueError("phi specification must be an object")
-    name = spec.get("name")
-    params = [float(v) for v in spec.get("params", [])]
+    name, params = _name_and_params(spec)
     if name == "renyi":
         if len(params) != 1:
             raise ValueError("renyi needs one parameter (alpha)")

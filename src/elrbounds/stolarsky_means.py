@@ -201,7 +201,7 @@ def cubic_reference() -> FunctionBundle:
         d1=lambda x: 3.0 * np.asarray(x, dtype=float) ** 2,
         d2=lambda x: 6.0 * np.asarray(x, dtype=float),
         d3=lambda x: 6.0 * np.ones_like(np.asarray(x, dtype=float)),
-        name="x^3")
+        name="cubic")
 
 
 # ---------------------------------------------------------------------------

@@ -207,3 +207,45 @@ class TestEntryPoint:
             [sys.executable, "-m", "elrbounds.cli", "bounds", "--input", "-"],
             input=BOUNDS_INPUT, capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+POSITIVE_FUNCTIONAL = {"nodes": [0.5, 1.2], "weights": [0.4, 0.6]}
+PAIR = {"p": [0.4, 0.6], "q": [0.5, 0.5]}
+ZM_PAIR = {"a": {"N": 2, "q": 0, "s": 1}, "b": {"N": 2, "q": 0, "s": 2}}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("args", [
+        ["bounds", "--input", json.dumps({
+            "functional": {"nodes": [0.5], "weights": [1.0]},
+            "interval": [0, 1], "phi": "cubic"})],
+        ["bounds", "--input", json.dumps({
+            "functional": {"nodes": [0.5], "weights": [1.0]},
+            "interval": ["a", 1], "phi": {"name": "cubic"}})],
+        ["bounds", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "phi": {"name": "renyi"}})],
+        ["divergence", "--input", json.dumps({
+            "distributions": PAIR, "phi": {"name": "kl"}, "interval": [0.5]})],
+        ["divergence", "--input", json.dumps({"distributions": PAIR, "phi": "kl"})],
+        ["zipf", "--input", json.dumps({"zm": ZM_PAIR, "phi": "kl"})],
+        ["means", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "gamma_index": 1, "phi": {"name": "upsilon1"}, "params": {"s": 4}})],
+        ["means", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "gamma_index": "x", "phi": {"name": "upsilon1"},
+            "params": {"s": 4, "t": 3}})],
+        ["verify", "--instances", "-5"],
+    ], ids=["phi-string", "interval-string-end", "renyi-no-params",
+            "divergence-short-interval", "divergence-phi-string",
+            "zipf-phi-string", "means-params-no-t", "means-index-string",
+            "verify-negative-instances"])
+    def test_malformed_input_is_one_error_line(self, args, capsys):
+        status = main(args)
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert "Traceback" not in captured.err

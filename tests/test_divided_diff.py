@@ -212,6 +212,23 @@ class TestBundle:
         with pytest.raises(ValueError, match="insufficient bundle"):
             b.d1_plus(0.5)
 
+    def test_deriv_applies_the_endpoint_rule(self):
+        b = FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=lambda x: x**3,
+                           d1=lambda x: 3 * x**2, d2=lambda x: 6 * x,
+                           d1_plus_at_lo=-1.0, d1_minus_at_hi=-2.0,
+                           d2_plus_at_lo=-3.0, d2_minus_at_hi=-4.0)
+        assert (b.deriv(1, 0.0), b.deriv(1, 1.0)) == (-1.0, -2.0)
+        assert (b.deriv(2, 0.0), b.deriv(2, 1.0)) == (-3.0, -4.0)
+        assert (b.deriv(1, 0.5), b.deriv(2, 0.5)) == (0.75, 3.0)
+        for x in (0.0, 0.5, 1.0):
+            assert b.deriv(0, x) == b.f_at(x) == x**3
+        bare = FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=lambda x: x**3,
+                              d1_plus_at_lo=0.0)
+        assert bare.deriv(1, 0.0) == 0.0
+        for order, x in ((1, 0.5), (1, 1.0), (2, 0.0)):
+            with pytest.raises(ValueError, match="insufficient bundle"):
+                bare.deriv(order, x)
+
     def test_linear_combination_matches_pointwise(self):
         combo = linear_combination(2.0, CUBIC, -1.0, resolve_phi({"name": "quartic"}))
         xs = np.linspace(-1, 2, 7)

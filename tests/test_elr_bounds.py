@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from elrbounds import (
+    THEOREMS,
+    bounds,
     bounds_derivative,
     bounds_secant,
     bounds_taylor,
@@ -142,12 +144,14 @@ class TestReversal:
             k = int(rng.integers(1, 10))
             F = make_functional(rng.uniform(0.0, 1.0, k), np.ones(k) / k)
             neg = CUBIC.negated()
-            for op in ops:
+            for name, op in zip(THEOREMS, ops):
                 a = op(F, CUBIC, 0.0, 1.0, "three_convex")
                 b = op(F, neg, 0.0, 1.0, "neg_three_convex")
                 assert (b.lower, b.mid, b.upper) == (-a.lower, -a.mid, -a.upper)
                 assert b.orientation == "reversed"
                 assert b.violation() <= 1e-12
+                assert bounds(name, F, CUBIC, 0.0, 1.0, "three_convex") == a
+                assert bounds(name, F, neg, 0.0, 1.0, "neg_three_convex") == b
             for variant in ("derivative", "taylor"):
                 a = jensen_gap_bounds(F, CUBIC, 0.0, 1.0, variant, "three_convex")
                 b = jensen_gap_bounds(F, neg, 0.0, 1.0, variant, "neg_three_convex")
