@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .divided_diff import certify_3convex
-from .divergences import divergence_bounds, f_divergence
+from .divergences import DIVERGENCE_THEOREMS, divergence_bounds, f_divergence
 from .elr_bounds import THEOREMS, BoundReport, bounds
 from .expconv import divergence_context, elr_context
 from .functionals import make_functional
@@ -116,11 +116,17 @@ def _need_object(payload: dict, key: str, fields: tuple = ()) -> dict:
     return spec
 
 
-def _number(value, what: str, kind=float):
+def _number(value, what: str, integral: bool = False):
+    """A finite float, or an int when ``integral``: no inf, nan or
+    truncated fraction reaches the library from here."""
     try:
-        return kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{what} must be a number, got {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number) or (integral and not number.is_integer()):
+        kind = "an integer" if integral else "a finite number"
+        raise InputError(f"{what} must be {kind}, got {value!r}")
+    return int(number) if integral else number
 
 
 def _parse_interval(payload: dict, required: bool = True):
@@ -205,7 +211,7 @@ def _run_divergence(config: RunConfig) -> tuple[int, dict]:
     p, q = _parse_distributions(payload)
     gen = resolve_generator(_need_object(payload, "phi"))
     m, M = _parse_interval(payload, required=False)
-    theorems = _parse_theorems(payload, allowed=("derivative", "taylor"))
+    theorems = _parse_theorems(payload, allowed=DIVERGENCE_THEOREMS)
     value = f_divergence(p, q, gen)
     reports = [divergence_bounds(p, q, gen, m=m, M=M, theorem=name)
                for name in theorems]
@@ -216,12 +222,13 @@ def _run_zipf(config: RunConfig) -> tuple[int, dict]:
     payload = config.payload
     spec = _need_object(payload, "zm", ("a", "b"))
     try:
-        a, b = (zm_distribution(int(spec[k]["N"]), float(spec[k]["q"]),
-                                float(spec[k]["s"])) for k in ("a", "b"))
+        a, b = (zm_distribution(_number(spec[k]["N"], "N", integral=True),
+                                _number(spec[k]["q"], "q"),
+                                _number(spec[k]["s"], "s")) for k in ("a", "b"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad zm specification: {exc}") from exc
     gen = resolve_generator(_need_object(payload, "phi"))
-    theorems = _parse_theorems(payload, allowed=("derivative", "taylor"))
+    theorems = _parse_theorems(payload, allowed=DIVERGENCE_THEOREMS)
     reports = [zm_divergence_bounds(a, b, gen, theorem=name)
                for name in theorems]
     value = f_divergence(a.pmf, b.pmf, gen)
@@ -231,7 +238,7 @@ def _run_zipf(config: RunConfig) -> tuple[int, dict]:
 
 def _run_means(config: RunConfig) -> tuple[int, dict]:
     payload = config.payload
-    index = _number(payload.get("gamma_index", 1), "gamma_index", int)
+    index = _number(payload.get("gamma_index", 1), "gamma_index", integral=True)
     params = _need_object(payload, "params", ("s", "t"))
     s, t = _number(params["s"], "params s"), _number(params["t"], "params t")
     family = _need_object(payload, "phi").get("name")
@@ -333,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--instances", type=int, default=1000)
     parser.add_argument("--tolerance", type=float, default=1e-9)
-    parser.add_argument("--format", dest="fmt", choices=["json"],
-                        default="json")
     return parser
 
 

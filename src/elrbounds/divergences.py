@@ -19,18 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, NEG_THREE_CONVEX, THREE_CONVEX
+from .divided_diff import FunctionBundle, NEG_THREE_CONVEX, THREE_CONVEX, _eval
 from .elr_bounds import BoundReport, theorem_triple, _resolve_orientation
-from .functionals import DiscreteFunctional, make_functional
+from .functionals import DiscreteFunctional, check_weights, make_functional
 
 __all__ = [
     "GeneratorFunction",
     "F_3CONVEX",
     "NEG_F_3CONVEX",
     "GENERATOR_NAMES",
+    "DIVERGENCE_THEOREMS",
     "generator",
     "check_probability_vector",
     "f_divergence",
+    "ratio_functional",
     "divergence_bounds",
 ]
 
@@ -38,6 +40,9 @@ F_3CONVEX = "f_3convex"
 NEG_F_3CONVEX = "neg_f_3convex"
 
 GENERATOR_NAMES = ("kl", "hellinger", "renyi", "harmonic", "jeffreys")
+
+# The bound pairs that the divergence corollaries specialize.
+DIVERGENCE_THEOREMS = ("derivative", "taylor")
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,10 @@ class GeneratorFunction:
     value_at_zero: float | None = None
     slope_at_inf: float | None = None
 
+    def __post_init__(self):
+        if self.direction not in (F_3CONVEX, NEG_F_3CONVEX):
+            raise ValueError(f"unknown direction {self.direction!r}")
+
     def convexity_verdict(self) -> str:
         return THREE_CONVEX if self.direction == F_3CONVEX else NEG_THREE_CONVEX
 
@@ -64,12 +73,6 @@ class GeneratorFunction:
 def _positive_bundle(f, d1, d2, d3, name) -> FunctionBundle:
     return FunctionBundle(domain_lo=0.0, domain_hi=math.inf, f=f, d1=d1,
                           d2=d2, d3=d3, name=name)
-
-
-def _renyi_direction(alpha: float) -> str:
-    if 0.0 <= alpha <= 1.0 or alpha >= 2.0:
-        return F_3CONVEX
-    return NEG_F_3CONVEX
 
 
 def generator(name: str, alpha: float | None = None,
@@ -110,7 +113,8 @@ def generator(name: str, alpha: float | None = None,
                 lambda t: a * (a - 1.0) * t ** (a - 2.0),
                 lambda t: a * (a - 1.0) * (a - 2.0) * t ** (a - 3.0),
                 f"t^{a}"),
-            direction=_renyi_direction(a), name="renyi", params=(a,),
+            direction=(F_3CONVEX if 0.0 <= a <= 1.0 or a >= 2.0
+                       else NEG_F_3CONVEX), name="renyi", params=(a,),
             value_at_zero=(0.0 if a > 0 else 1.0 if a == 0 else math.inf),
             slope_at_inf=(0.0 if a < 1 else 1.0 if a == 1 else math.inf))
     if name == "harmonic":
@@ -136,8 +140,6 @@ def generator(name: str, alpha: float | None = None,
     if name == "custom":
         if bundle is None or direction is None:
             raise ValueError("custom generator requires a bundle and a direction")
-        if direction not in (F_3CONVEX, NEG_F_3CONVEX):
-            raise ValueError(f"unknown direction {direction!r}")
         return GeneratorFunction(bundle=bundle, direction=direction,
                                  name="custom", value_at_zero=value_at_zero,
                                  slope_at_inf=slope_at_inf)
@@ -145,15 +147,16 @@ def generator(name: str, alpha: float | None = None,
 
 
 def check_probability_vector(entries, label: str = "distribution") -> np.ndarray:
-    entries = np.asarray(entries, dtype=float).reshape(-1)
-    if entries.size == 0:
-        raise ValueError(f"{label} is empty")
-    if (entries < 0).any():
-        raise ValueError(f"{label} has a negative entry")
-    total = float(entries.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"{label} must sum to 1 (got {total!r})")
-    return entries
+    """The entries as a probability vector; see ``check_weights``."""
+    return check_weights(entries, label)[0]
+
+
+def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    p = check_probability_vector(p, "p")
+    q = check_probability_vector(q, "q")
+    if p.size != q.size:
+        raise ValueError("p and q differ in length")
+    return p, q
 
 
 def f_divergence(p, q, gen: GeneratorFunction) -> float:
@@ -163,15 +166,12 @@ def f_divergence(p, q, gen: GeneratorFunction) -> float:
     a * lim f(t)/t; p_i = 0 uses lim f(t) as t -> 0+.  The result is
     ``math.inf`` when a required limit diverges.
     """
-    p = check_probability_vector(p, "p")
-    q = check_probability_vector(q, "q")
-    if p.size != q.size:
-        raise ValueError("p and q differ in length")
+    p, q = _check_pair(p, q)
     total = 0.0
     regular = (q > 0) & (p > 0)
     if regular.any():
         qs = q[regular]
-        total += float(qs @ np.asarray(gen.bundle.f(p[regular] / qs), dtype=float))
+        total += float(qs @ _eval(gen.bundle.f, p[regular] / qs))
     zero_p = (q > 0) & (p == 0)
     if zero_p.any():
         if gen.value_at_zero is None:
@@ -187,47 +187,45 @@ def f_divergence(p, q, gen: GeneratorFunction) -> float:
     return total
 
 
-def ratio_functional(p, q) -> tuple[DiscreteFunctional, np.ndarray]:
-    """Functional with nodes p_i/q_i and weights q_i (zero-zero pairs
-    dropped); the mean of this functional is 1."""
-    p = check_probability_vector(p, "p")
-    q = check_probability_vector(q, "q")
-    if p.size != q.size:
-        raise ValueError("p and q differ in length")
+def ratio_functional(p, q, m: float | None = None, M: float | None = None
+                     ) -> tuple[DiscreteFunctional, float, float, bool]:
+    """(functional, m, M, auto): the functional with nodes p_i/q_i and
+    weights q_i (zero-zero pairs dropped), whose mean is 1, on [m, M].
+
+    A missing interval end is taken from the ratio range widened to
+    include 1, and ``auto`` says whether one was.  The interval must
+    satisfy m <= 1 <= M and m < M and hold every ratio.
+    """
+    p, q = _check_pair(p, q)
     if ((q == 0) & (p > 0)).any():
         raise ValueError("zero q-mass with positive p-mass puts the ratio "
                          "outside every finite interval")
     keep = q > 0
     ratios = p[keep] / q[keep]
-    return make_functional(ratios, q[keep]), ratios
-
-
-def _auto_interval(ratios: np.ndarray, m: float | None,
-                   M: float | None) -> tuple[float, float, bool]:
     auto = m is None or M is None
-    if m is None:
-        m = min(float(ratios.min()), 1.0)
-    if M is None:
-        M = max(float(ratios.max()), 1.0)
+    m = min(float(ratios.min()), 1.0) if m is None else float(m)
+    M = max(float(ratios.max()), 1.0) if M is None else float(M)
     if not (m <= 1.0 <= M):
         raise ValueError("theorem requires m <= 1 <= M")
-    return float(m), float(M), auto
+    if m == M:
+        raise ValueError("degenerate interval: all ratios coincide; supply a "
+                         "wider [m, M]")
+    outside = (ratios < m) | (ratios > M)
+    if outside.any():
+        raise ValueError(f"ratio outside [m, M]: {float(ratios[outside][0])!r}")
+    return make_functional(ratios, q[keep]), m, M, auto
 
 
 def _spot_check_direction(gen: GeneratorFunction, m: float, M: float) -> None:
     if gen.bundle.d3 is None:
         return
-    grid = np.linspace(m, M, 33)
-    vals = np.asarray(gen.bundle.d3(grid), dtype=float)
-    tol = 1e-12
-    if gen.direction == F_3CONVEX and (vals < -tol).any():
+    convex = gen.direction == F_3CONVEX
+    vals = _eval(gen.bundle.d3, np.linspace(m, M, 33))
+    if ((vals < -1e-12) if convex else (vals > 1e-12)).any():
+        declared, sign = ("convex", "negative") if convex else ("concave", "positive")
         raise ValueError(
-            f"generator {gen.name!r} declared 3-convex but its third "
-            f"derivative is negative on [{m}, {M}]")
-    if gen.direction == NEG_F_3CONVEX and (vals > tol).any():
-        raise ValueError(
-            f"generator {gen.name!r} declared 3-concave but its third "
-            f"derivative is positive on [{m}, {M}]")
+            f"generator {gen.name!r} declared 3-{declared} but its third "
+            f"derivative is {sign} on [{m}, {M}]")
 
 
 def divergence_bounds(p, q, gen: GeneratorFunction, m: float | None = None,
@@ -239,22 +237,12 @@ def divergence_bounds(p, q, gen: GeneratorFunction, m: float | None = None,
     widened to include 1.  Delegates to the generic functional bounds with
     nodes p_i/q_i and weights q_i, whose mean is 1.
     """
-    if theorem not in ("derivative", "taylor"):
+    if theorem not in DIVERGENCE_THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
-    if gen.direction not in (F_3CONVEX, NEG_F_3CONVEX):
-        raise ValueError("theorem hypotheses unmet: generator direction is "
-                         f"{gen.direction!r}")
-    functional, ratios = ratio_functional(p, q)
-    m, M, auto = _auto_interval(ratios, m, M)
-    if m == M:
-        raise ValueError("degenerate interval: all ratios coincide; supply a "
-                         "wider [m, M]")
+    functional, m, M, auto = ratio_functional(p, q, m, M)
     if m <= 0.0:
         raise ValueError("ratios must stay strictly positive for generator "
                          "bounds")
-    if (ratios < m).any() or (ratios > M).any():
-        bad = ratios[(ratios < m) | (ratios > M)][0]
-        raise ValueError(f"ratio outside [m, M]: {bad!r}")
     _spot_check_direction(gen, m, M)
     orientation = _resolve_orientation(gen.convexity_verdict())
     lower, mid, upper = theorem_triple(theorem, functional, gen.bundle, m, M)

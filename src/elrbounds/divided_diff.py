@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partialmethod
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,9 +56,9 @@ class FunctionBundle:
     Any of ``d1``, ``d2``, ``d3`` may be ``None`` when the corresponding
     derivative is not available.  One-sided first and second derivative
     values at the interval endpoints may be stored explicitly; where they
-    are absent the two-sided callables are used instead.  Callables must
-    accept numpy arrays elementwise (plain scalar functions also work, at
-    the cost of a slower fallback path).
+    are absent the two-sided callables are used instead.  Callables should
+    accept numpy arrays elementwise; plain scalar functions also work, at
+    the cost of the slower point-by-point fallback in ``_eval``.
     """
 
     domain_lo: float
@@ -138,6 +139,18 @@ class FunctionBundle:
         )
 
 
+def _eval(g: Callable, x: np.ndarray) -> np.ndarray:
+    """g elementwise on the array x, as floats; a callable that rejects
+    arrays is applied point by point (FunctionBundle's scalar fallback)."""
+    try:
+        vals = np.asarray(g(x), dtype=float)
+        if vals.shape != x.shape:
+            raise TypeError
+    except TypeError:
+        vals = np.array([float(g(v)) for v in x])
+    return vals
+
+
 def bundle_from_callables(f, d1=None, d2=None, d3=None, lo=-math.inf,
                           hi=math.inf, name="phi") -> FunctionBundle:
     """Build a bundle, filling stored endpoint derivatives from the callables.
@@ -212,17 +225,14 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
     span = hi - lo
     xs = np.linspace(lo + 0.05 * span, hi - 0.05 * span, grid_n)
 
-    def central(g, x, h):
-        return (np.asarray(g(x + h)) - np.asarray(g(x - h))) / (2.0 * h)
-
     pairs = [(bundle.f, bundle.d1, "d1"), (bundle.d1, bundle.d2, "d2"),
              (bundle.d2, bundle.d3, "d3")]
     for base, deriv, label in pairs:
         if base is None or deriv is None:
             continue
         h = 6e-6 * (1.0 + np.abs(xs))
-        approx = central(base, xs, h)
-        exact = np.asarray(deriv(xs), dtype=float)
+        approx = (_eval(base, xs + h) - _eval(base, xs - h)) / (2.0 * h)
+        exact = _eval(deriv, xs)
         tol = 1e-6 * (1.0 + np.abs(exact))
         bad = np.abs(approx - exact) > tol
         if bad.any():
@@ -231,10 +241,6 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
                 f"bundle {bundle.name!r}: {label} disagrees with finite "
                 f"difference at x={xs[i]:.6g} ({exact[i]:.6g} vs {approx[i]:.6g})"
             )
-
-    def one_sided(g, x, h):
-        # second-order one-sided slope; h signed toward the interior
-        return (4.0 * float(g(x + h)) - 3.0 * float(g(x)) - float(g(x + 2.0 * h))) / (2.0 * h)
 
     h0 = 1e-6 * (1.0 + abs(lo)) + 1e-9
     for g, x, h, stored, label in (
@@ -246,7 +252,9 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
         at_end = x == (bundle.domain_lo if h > 0 else bundle.domain_hi)
         if g is None or stored is None or not at_end:
             continue
-        approx = one_sided(g, x, h)
+        # second-order one-sided slope; h is signed toward the interior
+        approx = (4.0 * float(g(x + h)) - 3.0 * float(g(x))
+                  - float(g(x + 2.0 * h))) / (2.0 * h)
         if abs(approx - stored) > 1e-5 * (1.0 + abs(stored)):
             raise ValueError(
                 f"bundle {bundle.name!r}: stored {label} {stored:.6g} "
@@ -420,9 +428,10 @@ def certify_3convex(bundle: FunctionBundle, lo: float, hi: float,
 
     xs = np.linspace(lo, hi, grid_n)
     if bundle.d3 is not None:
-        vals = np.asarray(bundle.d3(xs), dtype=float)
-        if vals.shape != xs.shape:
-            vals = np.array([float(bundle.d3(x)) for x in xs])
+        # a singular end (d3 of xlogx at 0) is rejected just below; numpy
+        # need not warn about it first
+        with np.errstate(all="ignore"):
+            vals = _eval(bundle.d3, xs)
         if not np.isfinite(vals).all():
             raise ValueError("third derivative not finite on the grid")
         return _verdict_from_samples(vals, xs, grid_n)
@@ -431,19 +440,14 @@ def certify_3convex(bundle: FunctionBundle, lo: float, hi: float,
     samples: list[float] = []
     locations: list[float] = []
     if bundle.d1 is not None:
-        for ti in range(len(sub)):
-            others = np.delete(sub, ti)
-            for a in range(len(others)):
-                for b in range(a + 1, len(others)):
-                    pat = MultiplicityPattern(
-                        (sub[ti], others[a], others[b]), (2, 1, 1))
-                    samples.append(dd_confluent(bundle, pat))
-                    locations.append(sub[ti])
+        for t in sub:
+            for x, y in combinations(sub[sub != t], 2):
+                pattern = MultiplicityPattern((t, x, y), (2, 1, 1))
+                samples.append(dd_confluent(bundle, pattern))
+                locations.append(t)
     elif len(sub) >= 4:
         fvals = [float(bundle.f(x)) for x in sub]
-        idx = range(len(sub))
-        from itertools import combinations
-        for quad in combinations(idx, 4):
+        for quad in combinations(range(len(sub)), 4):
             samples.append(dd_recursive([(sub[i], fvals[i]) for i in quad]))
             locations.append(float(np.mean([sub[i] for i in quad])))
     if not samples:

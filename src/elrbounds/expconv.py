@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .divided_diff import FunctionBundle
-from .divergences import _auto_interval, ratio_functional
+from .divergences import ratio_functional
 from .elr_bounds import theorem_triple
 from .functionals import DiscreteFunctional
 
@@ -86,9 +86,8 @@ def elr_context(index: int, functional: DiscreteFunctional, m: float,
 def divergence_context(index: int, p, q, m: float | None = None,
                        M: float | None = None) -> GammaContext:
     """Context for indices 7-10; [m, M] defaults to the ratio range
-    widened to include 1."""
-    functional, ratios = ratio_functional(p, q)
-    m, M, _ = _auto_interval(ratios, m, M)
+    widened to include 1 and must hold every ratio."""
+    functional, m, M, _ = ratio_functional(p, q, m, M)
     return GammaContext(index=index, functional=functional, m=m, M=M,
                         kind="divergence")
 

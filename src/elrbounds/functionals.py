@@ -15,11 +15,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divided_diff import FunctionBundle
+from .divided_diff import FunctionBundle, _eval
 
 __all__ = [
     "DiscreteFunctional",
     "MomentSet",
+    "check_weights",
     "make_functional",
     "apply",
     "moments",
@@ -42,26 +43,42 @@ class DiscreteFunctional:
         return self.nodes.size
 
 
+def check_weights(weights, label: str = "weights") -> tuple[np.ndarray, float]:
+    """(flat float array, sum) of weights that form a probability vector:
+    non-empty, finite, nonnegative, summing to 1 within WEIGHT_DRIFT_TOL.
+    ``label`` names the vector in error messages."""
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    if weights.size == 0:
+        raise ValueError(f"{label} has no weights")
+    if (weights < 0).any():
+        raise ValueError(f"negative weight in {label}")
+    total = float(weights.sum())
+    # with no entry negative, the sum is finite unless an entry is not
+    # (or the sum overflows, which the unit-sum check rejects)
+    if not math.isfinite(total) and not np.isfinite(weights).all():
+        raise ValueError(f"non-finite weight in {label}")
+    if abs(total - 1.0) > WEIGHT_DRIFT_TOL:
+        raise ValueError(f"weights of {label} must sum to 1 (got {total!r})")
+    return weights, total
+
+
 def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> DiscreteFunctional:
     """Validate and normalize a discrete functional.
 
-    Raises ``ValueError`` for mismatched lengths, negative weights, or a
-    weight sum off 1 by more than 1e-9; smaller drift is renormalized.
+    Raises ``ValueError`` for mismatched lengths, non-finite nodes, or
+    weights that ``check_weights`` rejects; a weight sum off 1 by at most
+    WEIGHT_DRIFT_TOL is renormalized.
     """
     nodes = np.asarray(nodes, dtype=float).reshape(-1)
-    weights = np.asarray(weights, dtype=float).reshape(-1).copy()
+    weights = np.asarray(weights, dtype=float).reshape(-1)
     if nodes.size != weights.size:
         raise ValueError("nodes and weights differ in length")
     if nodes.size == 0:
         raise ValueError("functional needs at least one node")
     if not np.isfinite(nodes).all():
         raise ValueError("nodes must be finite")
-    if (weights < 0).any():
-        raise ValueError("negative weight in functional")
-    total = float(weights.sum())
-    if abs(total - 1.0) > WEIGHT_DRIFT_TOL:
-        raise ValueError(f"weights must sum to 1 (got {total!r})")
-    weights /= total
+    weights, total = check_weights(weights, "functional")
+    weights = weights / total
     # land the exact real-number mass on 1, so that the exactly-rounded
     # summation in apply() returns 1.0 on the bit; the measured drift is
     # itself rounded, hence the short iteration
@@ -74,17 +91,6 @@ def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> Discret
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return DiscreteFunctional(nodes=nodes, weights=weights)
-
-
-def _eval(g: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate g elementwise, tolerating non-vectorized callables."""
-    try:
-        vals = np.asarray(g(x), dtype=float)
-        if vals.shape != x.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(g(v)) for v in x])
-    return vals
 
 
 def apply(functional: DiscreteFunctional, g: Callable) -> float:

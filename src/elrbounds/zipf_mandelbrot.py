@@ -102,9 +102,6 @@ def zm_divergence_bounds(a: ZipfMandelbrot, b: ZipfMandelbrot,
     degenerate interval and are rejected.
     """
     m, M = zm_ratio_extrema(a, b)
-    if m == M:
-        raise ValueError("degenerate interval: the two laws have identical "
-                         "mass ratios")
     report = divergence_bounds(a.pmf, b.pmf, gen, m=m, M=M, theorem=theorem)
     return replace(report, details={**report.details,
                                     "zm_a": a.params(), "zm_b": b.params()})

@@ -237,10 +237,31 @@ class TestInputContract:
             "gamma_index": "x", "phi": {"name": "upsilon1"},
             "params": {"s": 4, "t": 3}})],
         ["verify", "--instances", "-5"],
+        ["bounds", "--input", json.dumps({
+            "functional": {"nodes": [0.5, 1.0], "weights": [math.nan, 1.0]},
+            "interval": [0, 1], "phi": {"name": "cubic"}})],
+        ["bounds", "--input", '{"functional": {"nodes": [0.5], "weights": [1.0]}, '
+                              '"interval": [0, 1e400], "phi": {"name": "cubic"}}'],
+        ["bounds", "--input", json.dumps({
+            "functional": {"nodes": [0.5], "weights": [1.0]},
+            "interval": [0, 1], "phi": {"name": "xlogx"}})],
+        ["means", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "gamma_index": 1.7, "phi": {"name": "upsilon1"},
+            "params": {"s": 4, "t": 3}})],
+        ["zipf", "--input", json.dumps({
+            "zm": {**ZM_PAIR, "b": {"N": 2.5, "q": 0, "s": 2}},
+            "phi": {"name": "kl"}})],
     ], ids=["phi-string", "interval-string-end", "renyi-no-params",
             "divergence-short-interval", "divergence-phi-string",
             "zipf-phi-string", "means-params-no-t", "means-index-string",
-            "verify-negative-instances"])
+            "verify-negative-instances", "bounds-nan-weight",
+            "bounds-infinite-interval-end", "bounds-xlogx-singular-end",
+            "means-index-fraction", "zipf-N-fraction"])
+    # pytest keeps warnings off the captured stderr; raising them instead
+    # makes a numpy warning line ahead of "error:" fail the case, as it
+    # would show on a terminal
+    @pytest.mark.filterwarnings("error")
     def test_malformed_input_is_one_error_line(self, args, capsys):
         status = main(args)
         captured = capsys.readouterr()

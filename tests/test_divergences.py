@@ -99,6 +99,11 @@ class TestFDivergence:
         with pytest.raises(ValueError, match="sum to 1"):
             f_divergence([0.5, 0.6], [0.5, 0.5], generator("kl"))
 
+    def test_nan_entry_rejected(self):
+        # a NaN entry is an input error, not a pair to skip
+        with pytest.raises(ValueError, match="non-finite weight in p"):
+            f_divergence([math.nan, 1.0], HALF_HALF, generator("kl"))
+
 
 HALF_HALF = [0.5, 0.5]
 
@@ -156,6 +161,11 @@ class TestDivergenceBounds:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError, match="degenerate interval"):
             divergence_bounds(HALF_HALF, HALF_HALF, generator("kl"),
+                              theorem="derivative")
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match="non-finite weight in p"):
+            divergence_bounds([math.nan, 1.0], HALF_HALF, generator("kl"),
                               theorem="derivative")
 
     def test_renyi_boundary_alphas_bracket_both_ways(self):

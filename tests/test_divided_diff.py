@@ -178,6 +178,12 @@ class TestCertify:
         f_only = FunctionBundle(domain_lo=-10, domain_hi=10, f=lambda x: x**3)
         assert certify_3convex(f_only, 0.1, 2.0, 31).verdict == "three_convex"
 
+    def test_scalar_only_callables_supported(self):
+        scalar_exp = FunctionBundle(domain_lo=-10, domain_hi=10, f=math.exp,
+                                    d1=math.exp, d2=math.exp, d3=math.exp)
+        assert certify_3convex(scalar_exp, 0.0, 1.0, 11).verdict == "three_convex"
+        check_bundle(scalar_exp, 0.0, 1.0)
+
     def test_indeterminate_when_no_samples_possible(self):
         f_only = FunctionBundle(domain_lo=-10, domain_hi=10, f=lambda x: x**3)
         cert = certify_3convex(f_only, 0.1, 2.0, 3)

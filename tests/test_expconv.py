@@ -83,6 +83,11 @@ class TestGamma:
         with pytest.raises(ValueError, match="1..10"):
             elr_context(0, F, 0.0, 1.0)
 
+    def test_divergence_context_rejects_ratio_outside_interval(self):
+        # ratios are 0.8 and 1.2; the message prints a plain float
+        with pytest.raises(ValueError, match=r"ratio outside \[m, M\]: 0\.8$"):
+            divergence_context(7, [0.4, 0.6], [0.5, 0.5], m=0.9, M=1.3)
+
 
 class TestExpConvexity:
     def test_order_one_accepts_nonnegative_curve(self):

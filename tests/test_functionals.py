@@ -43,6 +43,11 @@ class TestMakeFunctional:
         with pytest.raises(ValueError, match="at least one node"):
             make_functional([], [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite weight"):
+            make_functional([0.0, 1.0], [bad, 1.0])
+
 
 class TestApply:
     def test_identity(self):
