@@ -269,8 +269,6 @@ def _run_means(config: RunConfig) -> tuple[int, dict]:
 
 
 def _run_verify(config: RunConfig) -> tuple[int, dict]:
-    if config.instances < 1:
-        raise InputError("--instances must be at least 1")
     result = bracket_fuzz(seed=config.seed, instances=config.instances,
                           tolerance=config.tolerance)
     report = {

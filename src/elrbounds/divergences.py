@@ -44,6 +44,8 @@ GENERATOR_NAMES = ("kl", "hellinger", "renyi", "harmonic", "jeffreys")
 # The bound pairs that the divergence corollaries specialize.
 DIVERGENCE_THEOREMS = ("derivative", "taylor")
 
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class GeneratorFunction:
@@ -159,6 +161,21 @@ def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def _ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p_i/q_i of entries of a checked pair with q_i > 0, which must be
+    finite: a tiny q_i can overflow the ratio, and that is an input error,
+    not a numpy warning."""
+    # p_i <= 1 + WEIGHT_DRIFT_TOL, so only a subnormal q_i can overflow
+    if q.min() >= _SMALLEST_NORMAL:
+        return p / q
+    with np.errstate(over="ignore"):
+        ratios = p / q
+    if not np.isfinite(ratios).all():
+        i = int(np.argmin(np.isfinite(ratios)))
+        raise ValueError(f"ratio p_i/q_i overflows: {float(p[i])!r}/{float(q[i])!r}")
+    return ratios
+
+
 def f_divergence(p, q, gen: GeneratorFunction) -> float:
     """sum_i q_i f(p_i/q_i) under the usual zero-mass conventions.
 
@@ -171,7 +188,7 @@ def f_divergence(p, q, gen: GeneratorFunction) -> float:
     regular = (q > 0) & (p > 0)
     if regular.any():
         qs = q[regular]
-        total += float(qs @ _eval(gen.bundle.f, p[regular] / qs))
+        total += float(qs @ _eval(gen.bundle.f, _ratios(p[regular], qs)))
     zero_p = (q > 0) & (p == 0)
     if zero_p.any():
         if gen.value_at_zero is None:
@@ -201,7 +218,7 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
         raise ValueError("zero q-mass with positive p-mass puts the ratio "
                          "outside every finite interval")
     keep = q > 0
-    ratios = p[keep] / q[keep]
+    ratios = _ratios(p[keep], q[keep])
     auto = m is None or M is None
     m = min(float(ratios.min()), 1.0) if m is None else float(m)
     M = max(float(ratios.max()), 1.0) if M is None else float(M)

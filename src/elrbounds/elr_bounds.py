@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .divided_diff import (
     NEG_THREE_CONVEX,
     THREE_CONVEX,
@@ -38,6 +40,7 @@ __all__ = [
     "ORIENT_REVERSED",
     "THEOREMS",
     "elr_difference",
+    "theorem_triples",
     "bounds",
     "bounds_secant",
     "bounds_derivative",
@@ -75,8 +78,17 @@ class BoundReport:
 
     def violation(self) -> float:
         """How far mid escapes the oriented bracket (0 when it holds)."""
-        lo, hi = self.bracket()
-        return max(lo - self.mid, self.mid - hi, 0.0)
+        return float(_excess(self.lower, self.mid, self.upper, self.orientation))
+
+
+def _excess(lower, mid, upper, orientation: str):
+    """Elementwise BoundReport.violation: max(lo - mid, mid - hi, 0.0) of
+    the oriented bracket (lo, hi), where, as in ``max``, a later candidate
+    wins only when it is strictly greater (so NaN propagates the same)."""
+    lo, hi = (lower, upper) if orientation == ORIENT_DIRECT else (upper, lower)
+    below, above = lo - mid, mid - hi
+    worst = np.where(above > below, above, below)
+    return np.where(0.0 > worst, 0.0, worst)
 
 
 def _resolve_orientation(direction) -> str:
@@ -122,6 +134,21 @@ def theorem_triple(theorem: str, functional: DiscreteFunctional,
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
     ms = precomputed if precomputed is not None else moments(functional, bundle, m, M)
+    return _triple(theorem, ms, bundle, m, M)
+
+
+def theorem_triples(ms: MomentSet, bundle: FunctionBundle, m: float,
+                    M: float) -> np.ndarray:
+    """(lower, mid, upper) of every pair in THEOREMS for the moments of a
+    batch (``moments_batch``): an array of shape (len(THEOREMS), 3, B)
+    whose entries equal ``theorem_triple`` of each functional."""
+    return np.array([_triple(theorem, ms, bundle, m, M) for theorem in THEOREMS])
+
+
+def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle, m: float,
+            M: float):
+    """The bound pair formulas, elementwise over the moments: floats for
+    one functional, arrays for a batch."""
     phi_m, phi_M, secant = _endpoint_frame(bundle, m, M)
     mid = _mid(ms, phi_m, phi_M, m, M)
     d1p = bundle.deriv(1, m)

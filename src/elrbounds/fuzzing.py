@@ -1,27 +1,37 @@
 """Randomized falsification harness for the bound chains.
 
 Draws random functionals, intervals and 3-convex (or 3-concave) target
-functions, evaluates every bound pair through the public API and records
-any bracket violation beyond tolerance.  Used by the command line
+functions, evaluates every bound pair for a whole batch of functionals at
+once (``moments_batch`` and ``theorem_triples``) and records any bracket
+violation beyond tolerance.  Used by the command line
 ``verify`` command and by the acceptance suite.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
 
 from .divided_diff import FunctionBundle, certify_3convex
-from .elr_bounds import THEOREMS, bounds
-from .functionals import DiscreteFunctional, make_functional, moments
+from .elr_bounds import THEOREMS, _excess, _resolve_orientation, theorem_triples
+from .functionals import (
+    DiscreteFunctional,
+    FunctionalBatch,
+    make_functionals,
+    moments_batch,
+    row_blocks,
+)
 from .registry import resolve_phi
 
 __all__ = [
     "FuzzReport",
     "random_three_convex_bundle",
     "random_functional",
+    "random_functionals",
     "draw_bundle",
     "bracket_fuzz",
 ]
@@ -52,14 +62,29 @@ def random_functional(rng: np.random.Generator, m: float, M: float,
                       max_nodes: int = 50) -> DiscreteFunctional:
     """Random nodes in [m, M] (endpoints occasionally included) with
     random normalized weights."""
-    k = int(rng.integers(1, max_nodes + 1))
-    nodes = rng.uniform(m, M, k)
-    if k >= 2 and rng.random() < 0.25:
-        nodes[0] = m
-        nodes[1] = M
-    weights = rng.uniform(0.0, 1.0, k) + 1e-12
-    weights /= weights.sum()
-    return make_functional(nodes, weights)
+    return random_functionals(rng, m, M, 1, max_nodes).functional(0)
+
+
+def random_functionals(rng: np.random.Generator, m: float, M: float,
+                       count: int, max_nodes: int = 50) -> FunctionalBatch:
+    """``count`` draws of ``random_functional``, with the same generator
+    calls in the same order, grouped by node count and validated in one
+    pass."""
+    rows: dict[int, list] = {}
+    for index in range(count):
+        k = int(rng.integers(1, max_nodes + 1))
+        nodes = rng.uniform(m, M, k)
+        if k >= 2 and rng.random() < 0.25:
+            nodes[0] = m
+            nodes[1] = M
+        rows.setdefault(k, []).append((index, nodes, rng.uniform(0.0, 1.0, k)))
+    shapes = [(len(group), k) for k, group in rows.items()]
+    order, nodes, weights = zip(*(row for group in rows.values() for row in group))
+    weights = np.concatenate(weights) + 1e-12
+    for block in row_blocks(weights, shapes):
+        block /= block.sum(axis=1, keepdims=True)
+    return make_functionals(np.concatenate(nodes), weights, shapes,
+                            np.array(order))
 
 
 _POOL = ("cubic", "quartic", "exp", "xlogx", "spline")
@@ -93,14 +118,27 @@ class FuzzReport:
         return not self.violations
 
 
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def bracket_fuzz(seed: int, instances: int, tolerance: float = 1e-9,
                  batch: int = 400) -> FuzzReport:
     """Run ``instances`` random bracket checks over all three bound pairs,
     in both the direct and the reversed orientation.
 
-    Returns a report whose violations (sorted by magnitude, largest first)
-    carry enough of the instance to reproduce it.
+    Each batch draws one bundle and ``batch`` functionals and evaluates
+    them together; the reversed orientation is the negated bundle, whose
+    triples are the exact negations of the direct ones.  Returns a report
+    whose violations (sorted by magnitude, largest first) carry enough of
+    the instance to reproduce it.
     """
+    for value, label in ((instances, "instances"), (batch, "batch")):
+        if not (_is_number(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{label} must be an integer >= 1, got {value!r}")
+    if not (_is_number(tolerance, numbers.Real) and math.isfinite(tolerance)
+            and tolerance >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
     done = 0
@@ -109,27 +147,30 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = 1e-9,
         name = _POOL[int(rng.integers(len(_POOL)))]
         m, M = draw_interval(rng, name)
         bundle = draw_bundle(rng, name, m, M)
-        cert = certify_3convex(bundle, m, M, 65)
         neg = bundle.negated()
-        neg_cert = certify_3convex(neg, m, M, 65)
-        for _ in range(take):
-            functional = random_functional(rng, m, M)
-            for target, certificate in ((bundle, cert), (neg, neg_cert)):
-                ms = moments(functional, target, m, M)
-                for theorem in THEOREMS:
-                    report = bounds(theorem, functional, target, m, M,
-                                    certificate, precomputed=ms)
-                    excess = report.violation()
-                    if excess > tolerance:
-                        violations.append({
-                            "theorem": theorem,
-                            "orientation": report.orientation,
-                            "violation": excess,
-                            "phi": target.name,
-                            "interval": [m, M],
-                            "nodes": functional.nodes.tolist(),
-                            "weights": functional.weights.tolist(),
-                        })
+        targets = [(target, _resolve_orientation(certify_3convex(target, m, M, 65)))
+                   for target in (bundle, neg)]
+        functionals = random_functionals(rng, m, M, take)
+        triples = theorem_triples(moments_batch(functionals, bundle, m, M),
+                                  bundle, m, M)
+        # excess[i, o, t]: functional i, orientation o (direct, then
+        # reversed), theorem t, so that argwhere lists records in the
+        # order of one functional at a time
+        excess = np.stack([
+            np.stack([_excess(*(sign * triple), orientation) for triple in triples])
+            for sign, (_, orientation) in zip((1.0, -1.0), targets)]).transpose(2, 0, 1)
+        for index, o, t in np.argwhere(excess > tolerance):
+            target, orientation = targets[o]
+            functional = functionals.functional(index)
+            violations.append({
+                "theorem": THEOREMS[t],
+                "orientation": orientation,
+                "violation": float(excess[index, o, t]),
+                "phi": target.name,
+                "interval": [m, M],
+                "nodes": functional.nodes.tolist(),
+                "weights": functional.weights.tolist(),
+            })
         done += take
     violations.sort(key=lambda v: v["violation"], reverse=True)
     max_violation = violations[0]["violation"] if violations else 0.0

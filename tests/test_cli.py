@@ -252,12 +252,20 @@ class TestInputContract:
         ["zipf", "--input", json.dumps({
             "zm": {**ZM_PAIR, "b": {"N": 2.5, "q": 0, "s": 2}},
             "phi": {"name": "kl"}})],
+        ["verify", "--instances", "10", "--tolerance", "nan"],
+        ["verify", "--instances", "10", "--tolerance", "inf"],
+        ["verify", "--instances", "10", "--tolerance", "-1"],
+        ["divergence", "--input", json.dumps({
+            "distributions": {"p": [0.5, 0.5], "q": [1e-320, 1.0]},
+            "phi": {"name": "kl"}})],
     ], ids=["phi-string", "interval-string-end", "renyi-no-params",
             "divergence-short-interval", "divergence-phi-string",
             "zipf-phi-string", "means-params-no-t", "means-index-string",
             "verify-negative-instances", "bounds-nan-weight",
             "bounds-infinite-interval-end", "bounds-xlogx-singular-end",
-            "means-index-fraction", "zipf-N-fraction"])
+            "means-index-fraction", "zipf-N-fraction",
+            "verify-tolerance-nan", "verify-tolerance-inf",
+            "verify-tolerance-negative", "divergence-ratio-overflow"])
     # pytest keeps warnings off the captured stderr; raising them instead
     # makes a numpy warning line ahead of "error:" fail the case, as it
     # would show on a terminal

@@ -204,3 +204,19 @@ class TestDivergenceBounds:
             direction=F_3CONVEX)
         with pytest.raises(ValueError, match="declared 3-convex"):
             divergence_bounds([0.4, 0.6], [0.5, 0.5], wrong, theorem="derivative")
+
+
+class TestRatioOverflow:
+    """Only a subnormal q_i can overflow p_i/q_i; such a ratio is an input
+    error, and a finite one is computed as before, with no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ratio_rejected(self):
+        with pytest.raises(ValueError, match="overflows: 0.5/1e-320"):
+            f_divergence([0.5, 0.5], [1e-320, 1.0], generator("kl"))
+        with pytest.raises(ValueError, match="overflows"):
+            divergence_bounds([0.5, 0.5], [1e-320, 1.0], generator("kl"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_ratio_of_subnormals_kept(self):
+        assert f_divergence([1e-320, 1.0], [1e-320, 1.0], generator("kl")) == 0.0
