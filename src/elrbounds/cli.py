@@ -27,14 +27,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .divided_diff import certify_3convex
-from .divergences import DIVERGENCE_THEOREMS, divergence_bounds, f_divergence
+from .divergences import DIVERGENCE_THEOREMS, divergence_reports, f_divergence
 from .elr_bounds import THEOREMS, BoundReport, bounds
 from .expconv import divergence_context, elr_context
-from .functionals import make_functional
+from .functionals import make_functional, moments
 from .fuzzing import bracket_fuzz
 from .registry import resolve_generator, resolve_phi
 from .stolarsky_means import mean_B1, mean_M2
-from .zipf_mandelbrot import zm_distribution, zm_divergence_bounds
+from .zipf_mandelbrot import zm_distribution, zm_divergence_reports
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -178,8 +178,10 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
         raise InputError(
             f"{bundle.name!r} is not 3-convex on [{m}, {M}] in either "
             f"direction (verdict {cert.verdict!r})")
-    reports = [bounds(name, functional, bundle, m, M, cert)
-               for name in _parse_theorems(payload)]
+    theorems = _parse_theorems(payload)
+    ms = moments(functional, bundle, m, M)
+    reports = [bounds(name, functional, bundle, m, M, cert, precomputed=ms)
+               for name in theorems]
     return 0, {
         "command": "bounds",
         "inputs": payload,
@@ -213,8 +215,7 @@ def _run_divergence(config: RunConfig) -> tuple[int, dict]:
     m, M = _parse_interval(payload, required=False)
     theorems = _parse_theorems(payload, allowed=DIVERGENCE_THEOREMS)
     value = f_divergence(p, q, gen)
-    reports = [divergence_bounds(p, q, gen, m=m, M=M, theorem=name)
-               for name in theorems]
+    reports = divergence_reports(p, q, gen, m, M, theorems)
     return 0, _divergence_report("divergence", payload, gen, value, reports)
 
 
@@ -229,8 +230,7 @@ def _run_zipf(config: RunConfig) -> tuple[int, dict]:
         raise InputError(f"bad zm specification: {exc}") from exc
     gen = resolve_generator(_need_object(payload, "phi"))
     theorems = _parse_theorems(payload, allowed=DIVERGENCE_THEOREMS)
-    reports = [zm_divergence_bounds(a, b, gen, theorem=name)
-               for name in theorems]
+    reports = zm_divergence_reports(a, b, gen, theorems)
     value = f_divergence(a.pmf, b.pmf, gen)
     return 0, _divergence_report("zipf", payload, gen, value, reports,
                                  zm_a=a.params(), zm_b=b.params())
@@ -327,8 +327,15 @@ def _load_payload(raw: str | None) -> dict:
     return payload
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is an input error (exit 1): argparse's own exit
+        # status 2 would read as a bracket violation
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elrbounds",
         description="Bound pairs for 3-convex functions, f-divergences, "
                     "Zipf-Mandelbrot laws and Stolarsky-type means.")
@@ -342,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # the one exit-1 boundary: parse errors and the library's own input
-    # checks are both ValueErrors; anything else is a bug and propagates
+    # the one exit-1 boundary: usage and parse errors and the library's own
+    # input checks are all ValueErrors; anything else is a bug and propagates
     try:
+        args = build_parser().parse_args(argv)
         payload = _load_payload(args.input)
         status, report = run(RunConfig(command=args.command, payload=payload,
                                        seed=args.seed, instances=args.instances,

@@ -15,13 +15,13 @@ built in, each with analytic derivatives:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .divided_diff import FunctionBundle, NEG_THREE_CONVEX, THREE_CONVEX, _eval
-from .elr_bounds import BoundReport, theorem_triple, _resolve_orientation
-from .functionals import DiscreteFunctional, check_weights, make_functional
+from .elr_bounds import BoundReport, bounds
+from .functionals import DiscreteFunctional, check_weights, make_functional, moments
 
 __all__ = [
     "GeneratorFunction",
@@ -33,6 +33,7 @@ __all__ = [
     "check_probability_vector",
     "f_divergence",
     "ratio_functional",
+    "divergence_reports",
     "divergence_bounds",
 ]
 
@@ -43,8 +44,6 @@ GENERATOR_NAMES = ("kl", "hellinger", "renyi", "harmonic", "jeffreys")
 
 # The bound pairs that the divergence corollaries specialize.
 DIVERGENCE_THEOREMS = ("derivative", "taylor")
-
-_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def generator(name: str, alpha: float | None = None,
 
 def check_probability_vector(entries, label: str = "distribution") -> np.ndarray:
     """The entries as a probability vector; see ``check_weights``."""
-    return check_weights(entries, label)[0]
+    return check_weights(entries, label)
 
 
 def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -165,9 +164,6 @@ def _ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """p_i/q_i of entries of a checked pair with q_i > 0, which must be
     finite: a tiny q_i can overflow the ratio, and that is an input error,
     not a numpy warning."""
-    # p_i <= 1 + WEIGHT_DRIFT_TOL, so only a subnormal q_i can overflow
-    if q.min() >= _SMALLEST_NORMAL:
-        return p / q
     with np.errstate(over="ignore"):
         ratios = p / q
     if not np.isfinite(ratios).all():
@@ -237,7 +233,9 @@ def _spot_check_direction(gen: GeneratorFunction, m: float, M: float) -> None:
     if gen.bundle.d3 is None:
         return
     convex = gen.direction == F_3CONVEX
-    vals = _eval(gen.bundle.d3, np.linspace(m, M, 33))
+    # d3 may overflow at a huge ratio end; only its sign matters here
+    with np.errstate(over="ignore"):
+        vals = _eval(gen.bundle.d3, np.linspace(m, M, 33))
     if ((vals < -1e-12) if convex else (vals > 1e-12)).any():
         declared, sign = ("convex", "negative") if convex else ("concave", "positive")
         raise ValueError(
@@ -245,27 +243,32 @@ def _spot_check_direction(gen: GeneratorFunction, m: float, M: float) -> None:
             f"derivative is {sign} on [{m}, {M}]")
 
 
-def divergence_bounds(p, q, gen: GeneratorFunction, m: float | None = None,
-                      M: float | None = None,
-                      theorem: str = "derivative") -> BoundReport:
-    """Bound pair around the ELR difference of the divergence.
-
-    When the interval is not supplied it is derived from the ratio range,
-    widened to include 1.  Delegates to the generic functional bounds with
-    nodes p_i/q_i and weights q_i, whose mean is 1.
-    """
-    if theorem not in DIVERGENCE_THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}")
+def divergence_reports(p, q, gen: GeneratorFunction, m: float | None = None,
+                       M: float | None = None,
+                       theorems=DIVERGENCE_THEOREMS) -> list[BoundReport]:
+    """The bound pairs named in ``theorems`` around the ELR difference of
+    the divergence: the generic functional bounds of one ratio functional
+    (``ratio_functional``, whose interval it also derives) and one
+    MomentSet, whatever the number of theorems."""
+    unknown = [name for name in theorems if name not in DIVERGENCE_THEOREMS]
+    if unknown:
+        raise ValueError(f"unknown theorem {unknown[0]!r}")
     functional, m, M, auto = ratio_functional(p, q, m, M)
     if m <= 0.0:
         raise ValueError("ratios must stay strictly positive for generator "
                          "bounds")
     _spot_check_direction(gen, m, M)
-    orientation = _resolve_orientation(gen.convexity_verdict())
-    lower, mid, upper = theorem_triple(theorem, functional, gen.bundle, m, M)
-    return BoundReport(
-        lower=lower, upper=upper, mid=mid, orientation=orientation,
-        theorem_tag=f"divergence_{theorem}",
-        details={"m": m, "M": M, "interval_auto_derived": auto,
-                 "generator": gen.name, "params": list(gen.params)},
-    )
+    ms = moments(functional, gen.bundle, m, M)
+    return [replace(bounds(name, functional, gen.bundle, m, M,
+                           gen.convexity_verdict(), precomputed=ms),
+                    theorem_tag=f"divergence_{name}",
+                    details={"m": m, "M": M, "interval_auto_derived": auto,
+                             "generator": gen.name, "params": list(gen.params)})
+            for name in theorems]
+
+
+def divergence_bounds(p, q, gen: GeneratorFunction, m: float | None = None,
+                      M: float | None = None,
+                      theorem: str = "derivative") -> BoundReport:
+    """The bound pair named ``theorem``: divergence_reports of that one."""
+    return divergence_reports(p, q, gen, m, M, (theorem,))[0]

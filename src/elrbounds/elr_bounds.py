@@ -70,6 +70,14 @@ class BoundReport:
     theorem_tag: str
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # an input that overflows a moment or an endpoint value must not
+        # print as a bound (a pair may be finite where a moment is not)
+        if not all(map(math.isfinite, (self.lower, self.mid, self.upper))):
+            raise ValueError(
+                f"{self.theorem_tag} bound pair is not finite: (lower, mid, "
+                f"upper) = ({self.lower!r}, {self.mid!r}, {self.upper!r})")
+
     def bracket(self) -> tuple[float, float]:
         """Bracket endpoints ordered so bracket[0] <= mid <= bracket[1]."""
         if self.orientation == ORIENT_DIRECT:

@@ -47,15 +47,14 @@ class DiscreteFunctional:
         return self.nodes.size
 
 
-def check_weights(weights, label: str = "weights") -> tuple[np.ndarray, float]:
-    """(flat float array, sum) of weights that form a probability vector:
+def check_weights(weights, label: str = "weights") -> np.ndarray:
+    """The flat float array of weights that form a probability vector:
     non-empty, finite, nonnegative, summing to 1 within WEIGHT_DRIFT_TOL.
     ``label`` names the vector in error messages."""
     weights = np.asarray(weights, dtype=float).reshape(-1)
     _check_entries(weights, label)
-    total = float(weights.sum())
-    _check_sums(weights, (total,), label)
-    return weights, total
+    _check_sums(weights, (float(weights.sum()),), label)
+    return weights
 
 
 def _check_entries(weights: np.ndarray, label: str) -> None:
@@ -125,8 +124,8 @@ class FunctionalBatch:
 def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
                      order: np.ndarray | None = None) -> FunctionalBatch:
     """A batch of functionals from flat nodes and weights laid out as
-    FunctionalBatch stores them: validated in one pass, then normalized
-    row by row as ``make_functional`` does."""
+    FunctionalBatch stores them: validated in one pass (finite nodes, the
+    check_weights rule per row), then renormalized row by row."""
     nodes = np.array(nodes, dtype=float)
     weights = np.array(weights, dtype=float)
     if not nodes.shape == weights.shape == (sum(c * k for c, k in shapes),):
@@ -151,7 +150,7 @@ def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> Discret
 
     Raises ``ValueError`` for mismatched lengths, non-finite nodes, or
     weights that ``check_weights`` rejects; a weight sum off 1 by at most
-    WEIGHT_DRIFT_TOL is renormalized.
+    WEIGHT_DRIFT_TOL is renormalized.  The batch of one of make_functionals.
     """
     nodes = np.asarray(nodes, dtype=float).reshape(-1)
     weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -159,15 +158,7 @@ def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> Discret
         raise ValueError("nodes and weights differ in length")
     if nodes.size == 0:
         raise ValueError("functional needs at least one node")
-    if not np.isfinite(nodes).all():
-        raise ValueError("nodes must be finite")
-    weights, total = check_weights(weights, "functional")
-    weights = weights / total
-    _land_on_one(weights)
-    nodes = nodes.copy()
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return DiscreteFunctional(nodes=nodes, weights=weights)
+    return make_functionals(nodes, weights, ((1, nodes.size),)).functional(0)
 
 
 def _land_on_one(weights: np.ndarray) -> None:
@@ -276,19 +267,21 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
         dvals = node_derivatives(bundle, x, m, M)
     except ValueError:
         dvals = None
-    # summands in MomentSet field order, written in place
+    # summands in MomentSet field order, written in place; a moment may
+    # overflow to inf, and BoundReport refuses a pair that is not finite
     terms = np.empty((5 if dvals is None else 7, x.size))
-    lo, hi = x - m, M - x
     terms[0] = x
-    np.multiply(hi, lo, out=terms[1])
-    np.square(lo, out=terms[2])
-    np.square(hi, out=terms[3])
     terms[4] = phi_vals
-    if dvals is not None:
-        np.multiply(lo, dvals, out=terms[5])
-        np.multiply(hi, dvals, out=terms[6])
-    parts = [(w[:, None, :] @ block[..., None])[..., 0, 0]
-             for w, block in zip(row_blocks(weights, shapes), row_blocks(terms, shapes))]
+    with np.errstate(over="ignore"):
+        lo, hi = x - m, M - x
+        np.multiply(hi, lo, out=terms[1])
+        np.square(lo, out=terms[2])
+        np.square(hi, out=terms[3])
+        if dvals is not None:
+            np.multiply(lo, dvals, out=terms[5])
+            np.multiply(hi, dvals, out=terms[6])
+        parts = [(w[:, None, :] @ block[..., None])[..., 0, 0]
+                 for w, block in zip(row_blocks(weights, shapes), row_blocks(terms, shapes))]
     sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     if order is not None:
         sums[:, order] = sums.copy()

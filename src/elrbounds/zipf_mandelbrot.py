@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergences import GeneratorFunction, divergence_bounds
+from .divergences import DIVERGENCE_THEOREMS, GeneratorFunction, divergence_reports
 from .elr_bounds import BoundReport
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "harmonic_sum",
     "zm_distribution",
     "zm_ratio_extrema",
+    "zm_divergence_reports",
     "zm_divergence_bounds",
 ]
 
@@ -92,16 +93,20 @@ def zm_ratio_extrema(a: ZipfMandelbrot, b: ZipfMandelbrot) -> tuple[float, float
     return float(ratio.min()), float(ratio.max())
 
 
+def zm_divergence_reports(a: ZipfMandelbrot, b: ZipfMandelbrot,
+                          gen: GeneratorFunction,
+                          theorems=DIVERGENCE_THEOREMS) -> list[BoundReport]:
+    """The divergence bound pairs named in ``theorems`` between two
+    Zipf-Mandelbrot laws: ``divergence_reports`` of the mass vectors on
+    [m, M] from the ratio extrema, so identical laws are rejected."""
+    m, M = zm_ratio_extrema(a, b)
+    return [replace(report, details={**report.details,
+                                     "zm_a": a.params(), "zm_b": b.params()})
+            for report in divergence_reports(a.pmf, b.pmf, gen, m, M, theorems)]
+
+
 def zm_divergence_bounds(a: ZipfMandelbrot, b: ZipfMandelbrot,
                          gen: GeneratorFunction,
                          theorem: str = "derivative") -> BoundReport:
-    """Divergence bound pair between two Zipf-Mandelbrot laws.
-
-    Delegates to the generic divergence bounds on the materialized mass
-    vectors with [m, M] from the ratio extrema; identical laws give a
-    degenerate interval and are rejected.
-    """
-    m, M = zm_ratio_extrema(a, b)
-    report = divergence_bounds(a.pmf, b.pmf, gen, m=m, M=M, theorem=theorem)
-    return replace(report, details={**report.details,
-                                    "zm_a": a.params(), "zm_b": b.params()})
+    """The bound pair named ``theorem``: zm_divergence_reports of that one."""
+    return zm_divergence_reports(a, b, gen, (theorem,))[0]

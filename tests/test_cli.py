@@ -258,6 +258,12 @@ class TestInputContract:
         ["divergence", "--input", json.dumps({
             "distributions": {"p": [0.5, 0.5], "q": [1e-320, 1.0]},
             "phi": {"name": "kl"}})],
+        ["divergence", "--input", json.dumps({
+            "distributions": {"p": [0.5, 0.5], "q": [1e-300, 1.0]},
+            "phi": {"name": "kl"}})],
+        ["verify", "--instances", "1.5"],
+        ["verify", "--instances", "10", "--tolerance", "-1e-9"],
+        ["verify", "--instances", "10", "--jobs", "2"],
     ], ids=["phi-string", "interval-string-end", "renyi-no-params",
             "divergence-short-interval", "divergence-phi-string",
             "zipf-phi-string", "means-params-no-t", "means-index-string",
@@ -265,7 +271,9 @@ class TestInputContract:
             "bounds-infinite-interval-end", "bounds-xlogx-singular-end",
             "means-index-fraction", "zipf-N-fraction",
             "verify-tolerance-nan", "verify-tolerance-inf",
-            "verify-tolerance-negative", "divergence-ratio-overflow"])
+            "verify-tolerance-negative", "divergence-ratio-overflow",
+            "divergence-bound-overflow", "verify-instances-fraction",
+            "verify-tolerance-exponent", "verify-unknown-flag"])
     # pytest keeps warnings off the captured stderr; raising them instead
     # makes a numpy warning line ahead of "error:" fail the case, as it
     # would show on a terminal
@@ -278,3 +286,47 @@ class TestInputContract:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert "Traceback" not in captured.err
+
+
+class TestOnePass:
+    """A command validates its input and computes its moments once, however
+    many theorems it reports."""
+
+    @staticmethod
+    def count_calls(monkeypatch, names):
+        """Wrap each named elrbounds function in every module namespace
+        that holds it, where its callers look it up; the call counts."""
+        counts = dict.fromkeys(names, 0)
+        modules = [mod for key, mod in sys.modules.items()
+                   if key == "elrbounds" or key.startswith("elrbounds.")]
+        for name in names:
+            home, attr = name.rsplit(".", 1)
+            original = getattr(sys.modules[f"elrbounds.{home}"], attr)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+        return counts
+
+    @pytest.mark.parametrize("command,payload,expected", [
+        ("divergence", {"distributions": PAIR, "phi": {"name": "kl"}},
+         {"divergences.ratio_functional": 1, "functionals.moments": 1}),
+        ("zipf", {"zm": ZM_PAIR, "phi": {"name": "kl"}},
+         {"divergences.ratio_functional": 1, "functionals.moments": 1,
+          "zipf_mandelbrot.zm_ratio_extrema": 1}),
+        ("bounds", json.loads(BOUNDS_INPUT), {"functionals.moments": 1}),
+    ], ids=["divergence", "zipf", "bounds"])
+    def test_every_theorem_from_one_pass(self, monkeypatch, command, payload,
+                                         expected):
+        from elrbounds import cli
+
+        counts = self.count_calls(monkeypatch, expected)
+        status, report = cli.run(cli.RunConfig(command=command, payload=payload))
+        assert status == 0
+        assert len(report["reports"]) == (2 if command != "bounds" else 3)
+        assert counts == expected

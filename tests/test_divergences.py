@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from elrbounds import divergence_bounds, f_divergence, generator
-from elrbounds.divergences import F_3CONVEX, NEG_F_3CONVEX
+from elrbounds.divergences import (
+    DIVERGENCE_THEOREMS,
+    F_3CONVEX,
+    NEG_F_3CONVEX,
+    divergence_reports,
+)
 
 
 class TestGenerators:
@@ -220,3 +225,30 @@ class TestRatioOverflow:
     @pytest.mark.filterwarnings("error")
     def test_finite_ratio_of_subnormals_kept(self):
         assert f_divergence([1e-320, 1.0], [1e-320, 1.0], generator("kl")) == 0.0
+
+
+class TestReports:
+    def test_reports_are_the_batches_of_one(self):
+        p, q = [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]
+        gen = generator("hellinger")
+        reports = divergence_reports(p, q, gen)
+        assert reports == [divergence_bounds(p, q, gen, theorem=theorem)
+                           for theorem in DIVERGENCE_THEOREMS]
+        with pytest.raises(ValueError, match="unknown theorem 'secant'"):
+            divergence_reports(p, q, gen, theorems=("taylor", "secant"))
+
+
+class TestNonFiniteBounds:
+    """A huge but finite ratio can overflow a moment and with it a bound;
+    a pair that is not finite is an input error, a finite one stands."""
+
+    PAIR = ([0.5, 0.5], [1e-300, 1.0])
+
+    def test_overflowing_pair_rejected(self):
+        with pytest.raises(ValueError, match="taylor bound pair is not finite"):
+            divergence_bounds(*self.PAIR, generator("kl"), theorem="taylor")
+
+    def test_finite_pair_kept_when_a_moment_overflows(self):
+        r = divergence_bounds(*self.PAIR, generator("kl"), theorem="derivative")
+        assert all(map(math.isfinite, (r.lower, r.mid, r.upper)))
+        assert r.violation() == 0.0

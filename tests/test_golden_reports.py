@@ -46,6 +46,17 @@ CASES = {
         "distributions": {"p": [0.2, 0.5, 0.3], "q": [0.3, 0.3, 0.4]},
         "gamma_index": 8, "phi": {"name": "upsilon2"},
         "params": {"s": 2, "t": 2}})],
+    # one theorem of each command: the batch-of-one paths
+    "bounds-secant": ["bounds", "--input", json.dumps({
+        "functional": {"nodes": [0.2, 0.5, 0.9], "weights": [0.3, 0.5, 0.2]},
+        "interval": [0, 1], "phi": {"name": "cubic"}, "theorem": "secant"})],
+    "divergence-taylor": ["divergence", "--input", json.dumps({
+        "distributions": {"p": [0.2, 0.5, 0.3], "q": [0.3, 0.3, 0.4]},
+        "phi": {"name": "hellinger"}, "theorem": "taylor"})],
+    "zipf-derivative": ["zipf", "--input", json.dumps({
+        "zm": {"a": {"N": 50, "q": 2.0, "s": 1.2},
+               "b": {"N": 50, "q": 0.5, "s": 0.9}},
+        "phi": {"name": "renyi", "params": [3.0]}, "theorem": "derivative"})],
 }
 
 
