@@ -184,7 +184,9 @@ def f_divergence(p, q, gen: GeneratorFunction) -> float:
     regular = (q > 0) & (p > 0)
     if regular.any():
         qs = q[regular]
-        total += float(qs @ _eval(gen.bundle.f, _ratios(p[regular], qs)))
+        # f may overflow to inf at a huge ratio, which the bounds refuse
+        with np.errstate(over="ignore"):
+            total += float(qs @ _eval(gen.bundle.f, _ratios(p[regular], qs)))
     zero_p = (q > 0) & (p == 0)
     if zero_p.any():
         if gen.value_at_zero is None:

@@ -89,7 +89,10 @@ class FunctionBundle:
 
         At ``domain_lo`` the stored right value is used and at ``domain_hi``
         the stored left value, when there is one; anywhere else the
-        two-sided callable.  Results are memoized under (order, x).
+        two-sided callable, on ``np.float64(x)`` with numpy warnings off:
+        an overflow or a pole then gives inf or nan, which the callers'
+        finiteness checks refuse, and not a Python ``OverflowError``.
+        Results are memoized under (order, x).
         """
         key = (order, x)
         value = self._memo.get(key)
@@ -108,7 +111,8 @@ class FunctionBundle:
                 raise ValueError(
                     f"insufficient bundle: derivative of order {order} of "
                     f"{self.name!r} unavailable at x={x}")
-            stored = g(x)
+            with np.errstate(all="ignore"):
+                stored = g(np.float64(x))
         value = self._memo[key] = float(stored)
         return value
 

@@ -259,7 +259,8 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
         bad = float(x[(x < m) | (x > M)][0])
         raise ValueError(f"node escapes interval [{m}, {M}]: {bad!r}")
 
-    phi_vals = _eval(bundle.f, x)
+    with np.errstate(over="ignore"):
+        phi_vals = _eval(bundle.f, x)
     if not np.isfinite(phi_vals).all():
         bad = float(x[~np.isfinite(phi_vals)][0])
         raise ValueError(f"functional argument is not finite at node {bad!r}")

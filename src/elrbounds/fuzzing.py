@@ -5,6 +5,11 @@ functions, evaluates every bound pair for a whole batch of functionals at
 once (``moments_batch`` and ``theorem_triples``) and records any bracket
 violation beyond tolerance.  Used by the command line
 ``verify`` command and by the acceptance suite.
+
+Besides the named bundles, a target may be a random spline: a cubic
+B-spline with nonnegative coefficients as third derivative, integrated
+three times.  It is built and evaluated as a piecewise polynomial in
+numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .divided_diff import FunctionBundle, certify_3convex
 from .elr_bounds import THEOREMS, _excess, _resolve_orientation, theorem_triples
@@ -37,24 +41,95 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
+class _PiecewisePolynomial:
+    """A piecewise polynomial on the increasing ``breaks``: on
+    [breaks[j], breaks[j+1]] it is the polynomial with coefficients
+    ``coef[j]`` in ascending powers of x - breaks[j].  Beyond the ends the
+    end pieces continue."""
+
+    breaks: np.ndarray
+    coef: np.ndarray
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        # the inner breaks alone place points beyond an end in its piece
+        piece = np.searchsorted(self.breaks[1:-1], x, side="right")
+        return _horner(self.coef[piece], x - self.breaks[piece])
+
+    def antiderivative(self) -> "_PiecewisePolynomial":
+        """The continuous antiderivative with value 0 at breaks[0]."""
+        coef = np.zeros((len(self.coef), self.coef.shape[1] + 1))
+        coef[:, 1:] = self.coef / np.arange(1, self.coef.shape[1] + 1)
+        # each piece starts where the previous one ends
+        ends = _horner(coef, np.diff(self.breaks))
+        coef[1:, 0] = np.cumsum(ends[:-1])
+        return _PiecewisePolynomial(self.breaks, coef)
+
+
+def _horner(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The polynomials with ascending coefficients ``coef[..., :]`` at s."""
+    value = coef[..., -1]
+    for power in range(coef.shape[-1] - 2, -1, -1):
+        value = value * s + coef[..., power]
+    return value
+
+
+def _bspline_pieces(knots: np.ndarray, coef: np.ndarray,
+                   degree: int) -> _PiecewisePolynomial:
+    """The B-spline sum_i coef[i] B_{i,degree} on ``knots`` as a piecewise
+    polynomial over its knot intervals of positive length.
+
+    The Cox-de Boor recurrence
+    B_{i,p} = (x - t_i)/(t_{i+p} - t_i) B_{i,p-1}
+              + (t_{i+p+1} - x)/(t_{i+p+1} - t_{i+1}) B_{i+1,p-1}
+    runs on polynomials in s = x - t_j, for every interval [t_j, t_{j+1})
+    at once; a term over an empty knot span is zero.
+    """
+    starts = np.arange(degree, len(coef))
+    starts = starts[knots[starts] < knots[starts + 1]]
+    left = knots[starts][:, None, None]
+    # basis[:, r] holds the coefficients of B_{j-p+r,p}, r = 0..p, in s
+    basis = np.ones((len(starts), 1, 1))
+    for p in range(1, degree + 1):
+        i = (starts[:, None] - p + np.arange(p + 1))[..., None]
+        # lower[:, r] is B_{j-p+r,p-1} with room for one more power of s;
+        # B_{j-p,p-1} and B_{j+1,p-1} vanish on the interval
+        lower = np.zeros((len(starts), p + 2, p + 1))
+        lower[:, 1:-1, :-1] = basis
+        own, succ = lower[:, :-1], lower[:, 1:]
+        up, down = (np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)
+                    for span in (knots[i + p] - knots[i],
+                                 knots[i + p + 1] - knots[i + 1]))
+        # (s + t_j - t_i) up B_{i,p-1} + (t_{i+p+1} - t_j - s) down B_{i+1,p-1}
+        basis = (left - knots[i]) * up * own + (knots[i + p + 1] - left) * down * succ
+        basis[..., 1:] += up * own[..., :-1] - down * succ[..., :-1]
+    pieces = np.einsum("jr,jrk->jk", coef[starts[:, None] - degree
+                                          + np.arange(degree + 1)], basis)
+    return _PiecewisePolynomial(np.append(knots[starts], knots[starts[-1] + 1]),
+                               pieces)
+
+
 def random_three_convex_bundle(rng: np.random.Generator, lo: float,
                                hi: float) -> FunctionBundle:
     """A bundle whose third derivative is a random nonnegative cubic
     B-spline on [lo, hi], integrated three times.
 
     B-splines with nonnegative coefficients are nonnegative, so the result
-    is 3-convex by construction, with exactly consistent derivative data
-    from the spline antiderivatives.
+    is 3-convex by construction.  The spline is converted once to a
+    piecewise polynomial (``_bspline_pieces``) and integrated exactly three
+    times, each antiderivative continuous with value 0 at lo, so the
+    derivative data are consistent to rounding.
     """
     degree = 3
     n_coef = int(rng.integers(4, 9))
     interior = np.sort(rng.uniform(lo, hi, max(n_coef - degree - 1, 0)))
     knots = np.concatenate([[lo] * (degree + 1), interior, [hi] * (degree + 1)])
     coef = rng.uniform(0.0, 3.0, n_coef)
-    d3 = BSpline(knots, coef, degree, extrapolate=True)
-    d2 = d3.antiderivative(1)
-    d1 = d2.antiderivative(1)
-    return FunctionBundle(domain_lo=lo, domain_hi=hi, f=d1.antiderivative(1),
+    d3 = _bspline_pieces(knots, coef, degree)
+    d2 = d3.antiderivative()
+    d1 = d2.antiderivative()
+    return FunctionBundle(domain_lo=lo, domain_hi=hi, f=d1.antiderivative(),
                           d1=d1, d2=d2, d3=d3, name="spline3convex")
 
 

@@ -9,6 +9,7 @@ derivatives are computed analytically.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -36,16 +37,6 @@ def _exp() -> FunctionBundle:
                           name="exp", **_REAL_LINE)
 
 
-def _xlogx() -> FunctionBundle:
-    return FunctionBundle(
-        domain_lo=0.0, domain_hi=math.inf,
-        f=lambda x: x * np.log(x),
-        d1=lambda x: np.log(x) + 1.0,
-        d2=lambda x: 1.0 / np.asarray(x, dtype=float),
-        d3=lambda x: -1.0 / np.asarray(x, dtype=float) ** 2,
-        name="xlogx")
-
-
 def poly_bundle(coefficients) -> FunctionBundle:
     """Bundle for a polynomial given by ascending coefficients."""
     coefficients = [float(c) for c in coefficients]
@@ -58,7 +49,9 @@ def poly_bundle(coefficients) -> FunctionBundle:
 
 
 _BUILDERS = {"cubic": cubic_reference, "quartic": _quartic, "exp": _exp,
-             "xlogx": _xlogx}
+             # t*log(t) is the kl generator's function
+             "xlogx": lambda: replace(generator("kl").bundle, name="xlogx",
+                                      _memo={})}
 _FAMILIES = {"upsilon1": upsilon1, "upsilon2": upsilon2}
 BUILTIN_NAMES = (*_BUILDERS, *_FAMILIES)
 

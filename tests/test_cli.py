@@ -208,6 +208,16 @@ class TestEntryPoint:
             input=BOUNDS_INPUT, capture_output=True, text=True)
         assert proc.returncode == 0
 
+    def test_import_loads_no_scipy(self):
+        """The CLI imports the fuzzer at module level; its spline is numpy
+        only, so no command pays for a scipy import."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, elrbounds.cli; print(sorted("
+             "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 POSITIVE_FUNCTIONAL = {"nodes": [0.5, 1.2], "weights": [0.4, 0.6]}
 PAIR = {"p": [0.4, 0.6], "q": [0.5, 0.5]}
@@ -264,6 +274,15 @@ class TestInputContract:
         ["verify", "--instances", "1.5"],
         ["verify", "--instances", "10", "--tolerance", "-1e-9"],
         ["verify", "--instances", "10", "--jobs", "2"],
+        ["divergence", "--input", json.dumps({
+            "distributions": {"p": [0.5, 0.5], "q": [1e-300, 1.0]},
+            "phi": {"name": "harmonic"}})],
+        ["divergence", "--input", json.dumps({
+            "distributions": {"p": [0.5, 0.5], "q": [1e-300, 1.0]},
+            "phi": {"name": "jeffreys"}})],
+        ["divergence", "--input", json.dumps({
+            "distributions": {"p": [0.5, 0.5], "q": [1e-300, 1.0]},
+            "phi": {"name": "renyi", "params": [3]}})],
     ], ids=["phi-string", "interval-string-end", "renyi-no-params",
             "divergence-short-interval", "divergence-phi-string",
             "zipf-phi-string", "means-params-no-t", "means-index-string",
@@ -273,7 +292,9 @@ class TestInputContract:
             "verify-tolerance-nan", "verify-tolerance-inf",
             "verify-tolerance-negative", "divergence-ratio-overflow",
             "divergence-bound-overflow", "verify-instances-fraction",
-            "verify-tolerance-exponent", "verify-unknown-flag"])
+            "verify-tolerance-exponent", "verify-unknown-flag",
+            "harmonic-derivative-overflow", "jeffreys-derivative-overflow",
+            "renyi-value-overflow"])
     # pytest keeps warnings off the captured stderr; raising them instead
     # makes a numpy warning line ahead of "error:" fail the case, as it
     # would show on a terminal

@@ -4,7 +4,8 @@
 (``random_functionals``, ``moments_batch``, ``theorem_triples``) and takes
 the reversed orientation as the exact negation of the direct one.  These
 tests hold it to the per-functional loop over the public scalar API, with
-the draw written out as one functional at a time.
+the draw written out as one functional at a time.  The random 3-convex
+spline is held to scipy's ``BSpline`` as a test-only oracle.
 """
 
 from dataclasses import replace
@@ -13,10 +14,15 @@ import numpy as np
 import pytest
 
 from elrbounds import fuzzing
-from elrbounds.divided_diff import certify_3convex
+from elrbounds.divided_diff import certify_3convex, check_bundle
 from elrbounds.elr_bounds import THEOREMS, bounds, theorem_triple, theorem_triples
 from elrbounds.functionals import make_functional, make_functionals, moments, moments_batch
-from elrbounds.fuzzing import bracket_fuzz, random_functional, random_functionals
+from elrbounds.fuzzing import (
+    bracket_fuzz,
+    random_functional,
+    random_functionals,
+    random_three_convex_bundle,
+)
 from elrbounds.registry import resolve_phi
 
 
@@ -148,3 +154,64 @@ def test_batch_layout_must_cover_the_arrays():
     batch = make_functionals(nodes, weights, ((1, 2), (1, 1)), np.array([1, 0]))
     assert batch.functional(0).nodes.tolist() == [0.3]
     assert batch.functional(1).weights.tolist() == [0.5, 0.5]
+
+
+def drawn_spline(rng, lo, hi):
+    """The knots and coefficients that random_three_convex_bundle draws."""
+    n_coef = int(rng.integers(4, 9))
+    interior = np.sort(rng.uniform(lo, hi, n_coef - 4))
+    knots = np.concatenate([[lo] * 4, interior, [hi] * 4])
+    return knots, rng.uniform(0.0, 3.0, n_coef)
+
+
+def spline_draws(seed, count):
+    """(lo, hi, generator state before the draw, bundle) for ``count``
+    spline bundles on random intervals like the fuzzer's."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lo = float(rng.uniform(-5.0, 3.0))
+        hi = lo + float(rng.uniform(0.1, 2.5))
+        state = rng.bit_generator.state
+        yield lo, hi, state, random_three_convex_bundle(rng, lo, hi)
+
+
+def generator_at(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+def test_spline_matches_scipy_bspline():
+    """f, d1, d2, d3 agree with BSpline and its antiderivatives to
+    1e-14 of the largest value, at 2000 points, the knots and both ends."""
+    BSpline = pytest.importorskip("scipy.interpolate").BSpline
+    for lo, hi, state, bundle in spline_draws(5, 500):
+        knots, coef = drawn_spline(generator_at(state), lo, hi)
+        d3 = BSpline(knots, coef, 3, extrapolate=True)
+        d2 = d3.antiderivative(1)
+        d1 = d2.antiderivative(1)
+        x = np.concatenate([np.linspace(lo, hi, 2000), knots, [lo, hi]])
+        for label, mine, oracle in (("f", bundle.f, d1.antiderivative(1)),
+                                    ("d1", bundle.d1, d1), ("d2", bundle.d2, d2),
+                                    ("d3", bundle.d3, d3)):
+            expected = oracle(x)
+            error = np.max(np.abs(mine(x) - expected))
+            assert error <= 1e-14 * np.max(np.abs(expected)), (label, lo, hi)
+
+
+def test_spline_draw_keeps_the_generator_stream():
+    """A seed means the same spline instances: one call makes exactly the
+    draws of the reference, and the spline starts at 0 at lo."""
+    for lo, hi, state, bundle in spline_draws(6, 50):
+        reference = generator_at(state)
+        drawn_spline(reference, lo, hi)
+        after = generator_at(state)
+        random_three_convex_bundle(after, lo, hi)
+        assert after.bit_generator.state == reference.bit_generator.state
+        assert bundle.f(lo) == bundle.d1(lo) == bundle.d2(lo) == 0.0
+
+
+def test_spline_bundles_pass_check_bundle():
+    for lo, hi, _, bundle in spline_draws(7, 50):
+        check_bundle(bundle)
+        assert certify_3convex(bundle, lo, hi, 65).verdict == "three_convex"
