@@ -235,8 +235,9 @@ def _spot_check_direction(gen: GeneratorFunction, m: float, M: float) -> None:
     if gen.bundle.d3 is None:
         return
     convex = gen.direction == F_3CONVEX
-    # d3 may overflow at a huge ratio end; only its sign matters here
-    with np.errstate(over="ignore"):
+    # d3 may overflow, or divide by a square that underflows to 0, at an
+    # extreme ratio end; only its sign matters here, and an infinity has one
+    with np.errstate(over="ignore", divide="ignore"):
         vals = _eval(gen.bundle.d3, np.linspace(m, M, 33))
     if ((vals < -1e-12) if convex else (vals > 1e-12)).any():
         declared, sign = ("convex", "negative") if convex else ("concave", "positive")

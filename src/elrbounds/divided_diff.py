@@ -145,12 +145,13 @@ class FunctionBundle:
 
 def _eval(g: Callable, x: np.ndarray) -> np.ndarray:
     """g elementwise on the array x, as floats; a callable that rejects
-    arrays is applied point by point (FunctionBundle's scalar fallback)."""
+    arrays (a TypeError, or a ValueError from branching on one) is applied
+    point by point, FunctionBundle's scalar fallback."""
     try:
         vals = np.asarray(g(x), dtype=float)
         if vals.shape != x.shape:
             raise TypeError
-    except TypeError:
+    except (TypeError, ValueError):
         vals = np.array([float(g(v)) for v in x])
     return vals
 

@@ -191,9 +191,32 @@ def lyapunov_check(curve: GammaCurve, r: float, s: float,
     return residual <= 1e-9, residual
 
 
-# Parameter gaps below this use the derivative branch of the quotient.
+# Parameter gaps at or below this are the diagonal of a two-parameter
+# quotient; its closed limit rows also snap this close to a singular value.
 EQUAL_PARAM_TOL = 1e-8
 DERIVATIVE_STEP = 1e-5
+
+
+def _positive_value(gamma_at: Callable[[float], float], u: float) -> float:
+    value = gamma_at(u)
+    if value <= 0:
+        raise ValueError("two-parameter quotient requires strictly positive "
+                         f"functional values (got {value!r} at parameter {u!r})")
+    return value
+
+
+def _quotient(gamma_at: Callable[[float], float], s: float, t: float,
+              ratio_map: Callable, diagonal: Callable) -> float:
+    """ratio_map(G(s)/G(t), s - t) for s > t with G = gamma_at, in that order
+    so that exchanging s and t changes no bit; a gap of at most 1e-8 is the
+    diagonal, diagonal(midpoint, G).  Every G value must be strictly positive."""
+    s, t = float(s), float(t)
+    if s < t:
+        s, t = t, s
+    if s - t > EQUAL_PARAM_TOL:
+        return ratio_map(_positive_value(gamma_at, s)
+                         / _positive_value(gamma_at, t), s - t)
+    return diagonal(0.5 * (s + t), lambda u: _positive_value(gamma_at, u))
 
 
 def stolarsky_quotient(curve: GammaCurve, s: float, t: float) -> float:
@@ -203,20 +226,11 @@ def stolarsky_quotient(curve: GammaCurve, s: float, t: float) -> float:
     exp(d log G / ds) at the midpoint, computed by a central difference
     with step 1e-5.  The curve must be strictly positive where sampled.
     """
-    def positive(v: float) -> float:
-        if v <= 0:
-            raise ValueError("Stolarsky quotient requires strictly positive "
-                             "functional values")
-        return v
+    def central_difference(u: float, positive: Callable[[float], float]) -> float:
+        g_hi = positive(u + DERIVATIVE_STEP)
+        g_lo = positive(u - DERIVATIVE_STEP)
+        return math.exp((math.log(g_hi) - math.log(g_lo))
+                        / (2.0 * DERIVATIVE_STEP))
 
-    if s < t:
-        s, t = t, s  # symmetric by definition; make that exact
-    if abs(s - t) > EQUAL_PARAM_TOL:
-        gs = positive(curve.value(s))
-        gt = positive(curve.value(t))
-        return (gs / gt) ** (1.0 / (s - t))
-    mid = 0.5 * (s + t)
-    h = DERIVATIVE_STEP
-    g_hi = positive(curve.value(mid + h))
-    g_lo = positive(curve.value(mid - h))
-    return math.exp((math.log(g_hi) - math.log(g_lo)) / (2.0 * h))
+    return _quotient(curve.value, s, t, lambda ratio, gap: ratio ** (1.0 / gap),
+                     central_difference)

@@ -59,7 +59,10 @@ BUILTIN_NAMES = (*_BUILDERS, *_FAMILIES)
 def _name_and_params(spec: dict) -> tuple[str | None, list[float]]:
     if not isinstance(spec, dict):
         raise ValueError("phi specification must be an object")
-    return spec.get("name"), [float(v) for v in spec.get("params", [])]
+    params = spec.get("params", [])
+    if not isinstance(params, list):
+        raise ValueError("phi params must be a list of numbers")
+    return spec.get("name"), [float(v) for v in params]
 
 
 def resolve_phi(spec: dict) -> FunctionBundle:

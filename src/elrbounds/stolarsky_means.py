@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .divided_diff import FunctionBundle
-from .expconv import GammaContext, gamma
+from .divided_diff import FunctionBundle, _eval
+from .expconv import EQUAL_PARAM_TOL, GammaContext, _quotient, gamma
 
 __all__ = [
     "FamilyMember",
@@ -59,18 +59,24 @@ class FamilyMember:
 # removing a catastrophic cancellation.
 SMALL_T = 0.05
 
-# Diagonal parameters this close to a singular value evaluate the closed
-# limit row at the singular value itself; the general diagonal row loses
-# roughly eps/|gap| of absolute accuracy and becomes meaningless below
-# this threshold.
-SINGULAR_SNAP = 1e-8
+
+def _scale(family: str, t: float, constant: Callable[[], float]) -> float:
+    """A member's scale constant, refused unless finite and nonzero."""
+    try:
+        c = constant()
+    except OverflowError:  # Python's float power raises where numpy gives inf
+        c = math.inf
+    if c == 0.0 or not math.isfinite(c):
+        raise ValueError(f"{family} parameter {t!r} out of range: its scale "
+                         "constant is not finite and nonzero")
+    return c
 
 
 def _u1_reduced(t: float, near: int) -> FunctionBundle:
     """Power-type member with the polynomial part of degree <= 2 that blows
     up at the nearby singular parameter removed (invisible to every
     functional here); expm1 keeps full relative precision in the gap."""
-    c = 1.0 / (t * (t - 1.0) * (t - 2.0))
+    c = _scale("upsilon1", t, lambda: 1.0 / (t * (t - 1.0) * (t - 2.0)))
     if near == 0:
         # x^t - 1, scaled
         f = lambda x: c * np.expm1(t * np.log(x))
@@ -100,7 +106,8 @@ def upsilon1(t: float) -> FamilyMember:
     For parameters within a small window of the singular values 0, 1, 2
     (but not equal to them) the bundle is the quadratic-reduced form of
     the member, which every functional here values identically; the third
-    derivative is x^(t-3) exactly either way.
+    derivative is x^(t-3) exactly either way.  A scale 1/(t(t-1)(t-2))
+    that is not finite and nonzero is refused.
     """
     t = float(t)
     if t == 0.0:
@@ -128,7 +135,7 @@ def upsilon1(t: float) -> FamilyMember:
         near = min((0, 1, 2), key=lambda s0: abs(t - s0))
         bundle = _u1_reduced(t, near)
     else:
-        c = 1.0 / (t * (t - 1.0) * (t - 2.0))
+        c = _scale("upsilon1", t, lambda: 1.0 / (t * (t - 1.0) * (t - 2.0)))
         bundle = FunctionBundle(
             f=lambda x: c * x ** t,
             d1=lambda x: x ** (t - 1.0) / ((t - 1.0) * (t - 2.0)),
@@ -171,7 +178,8 @@ def upsilon2(t: float) -> FamilyMember:
 
     For 0 < |t| below a small threshold the bundle is the quadratic-reduced
     form of the member (identical under every functional here, numerically
-    stable); its third derivative is e^(tx) exactly either way.
+    stable); its third derivative is e^(tx) exactly either way.  A scale
+    1/t^3 that is not finite and nonzero is refused.
     """
     t = float(t)
     if t == 0.0:
@@ -184,6 +192,7 @@ def upsilon2(t: float) -> FamilyMember:
     elif abs(t) <= SMALL_T:
         bundle = _u2_reduced(t)
     else:
+        _scale("upsilon2", t, lambda: 1.0 / t ** 3)
         bundle = FunctionBundle(
             f=lambda x: np.exp(t * x) / t ** 3,
             d1=lambda x: np.exp(t * x) / t ** 2,
@@ -301,9 +310,9 @@ RANGE_SLACK = 1e-9
 
 def _invert_monotone(fn: Callable[[float], float], m: float, M: float,
                      target: float) -> XiResult:
-    """Solve fn(xi) = target on [m, M] for continuous monotone fn."""
-    grid = np.linspace(m, M, 65)
-    vals = np.array([float(fn(x)) for x in grid])
+    """Solve fn(xi) = target on [m, M] for continuous monotone fn, scanned
+    at 65 points by one array call (``_eval``)."""
+    vals = _eval(fn, np.linspace(m, M, 65))
     if not np.isfinite(vals).all():
         raise ValueError("inverse undefined: map not finite on [m, M]")
     scale = max(1.0, float(np.abs(vals).max()))
@@ -336,45 +345,38 @@ def _invert_monotone(fn: Callable[[float], float], m: float, M: float,
     return XiResult(0.5 * (lo + hi), unique=True)
 
 
-def mvt_xi(ctx: GammaContext, bundle: FunctionBundle) -> XiResult:
-    """The mean-value point xi in [m, M] with
-    phi'''(xi)/6 = Gamma(phi)/Gamma(x^3)."""
-    if bundle.d3 is None:
-        raise ValueError(
-            f"insufficient bundle: d3 of {bundle.name!r} unavailable")
-    g_ref = gamma(ctx, cubic_reference())
-    if g_ref == 0.0:
-        raise ValueError("mean-value denominator vanishes")
-    target = 6.0 * gamma(ctx, bundle) / g_ref
-    return _invert_monotone(lambda x: float(bundle.d3(x)), ctx.m, ctx.M, target)
-
-
-def cauchy_xi(ctx: GammaContext, b1: FunctionBundle,
-              b2: FunctionBundle) -> XiResult:
-    """The point xi in [m, M] where the third-derivative ratio of the two
-    bundles equals the ratio of their functional values."""
+def _gamma_pair(ctx: GammaContext, b1: FunctionBundle,
+                b2: FunctionBundle) -> tuple[float, float]:
+    """(Gamma(b1), Gamma(b2)) for a Cauchy mean value: both need a third
+    derivative, and Gamma(b2), computed first, must not vanish."""
     if b1.d3 is None or b2.d3 is None:
         raise ValueError("insufficient bundle: both third derivatives are "
                          "needed for a Cauchy mean value")
     g2 = gamma(ctx, b2)
     if g2 == 0.0:
         raise ValueError("mean-value denominator vanishes")
-    target = gamma(ctx, b1) / g2
-    ratio = lambda x: float(b1.d3(x)) / float(b2.d3(x))
-    return _invert_monotone(ratio, ctx.m, ctx.M, target)
+    return gamma(ctx, b1), g2
+
+
+def mvt_xi(ctx: GammaContext, bundle: FunctionBundle) -> XiResult:
+    """The mean-value point xi in [m, M] with
+    phi'''(xi)/6 = Gamma(phi)/Gamma(x^3)."""
+    g, g_ref = _gamma_pair(ctx, bundle, cubic_reference())
+    return _invert_monotone(bundle.d3, ctx.m, ctx.M, 6.0 * g / g_ref)
+
+
+def cauchy_xi(ctx: GammaContext, b1: FunctionBundle,
+              b2: FunctionBundle) -> XiResult:
+    """The point xi in [m, M] where the third-derivative ratio of the two
+    bundles equals the ratio of their functional values."""
+    g1, g2 = _gamma_pair(ctx, b1, b2)
+    return _invert_monotone(lambda x: b1.d3(x) / b2.d3(x), ctx.m, ctx.M,
+                            g1 / g2)
 
 
 # ---------------------------------------------------------------------------
 # two-parameter means
 # ---------------------------------------------------------------------------
-
-def _positive_gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
-    value = gamma(ctx, bundle)
-    if value <= 0:
-        raise ValueError("mean requires strictly positive functional values "
-                         f"(got {value!r} on {bundle.name!r})")
-    return value
-
 
 def mean_B1(ctx: GammaContext, s: float, t: float) -> float:
     """Two-parameter mean of [m, M] from the power-type family.
@@ -383,53 +385,38 @@ def mean_B1(ctx: GammaContext, s: float, t: float) -> float:
     diagonal the closed limit formulas apply, with the diagonal log terms
     carried by analytically constructed product bundles.
     """
-    s, t = float(s), float(t)
-    if s < t:
-        s, t = t, s  # the quotient is symmetric; fix the order so the
-        # exchange symmetry holds exactly in floating point
-    if 0.0 < s - t <= SINGULAR_SNAP:
-        s = t = 0.5 * (s + t)  # the ratio branch cannot resolve the gap
-    if s != t:
-        gs = _positive_gamma(ctx, upsilon1(s).bundle)
-        gt = _positive_gamma(ctx, upsilon1(t).bundle)
-        return (gs / gt) ** (1.0 / (s - t))
-    nearest = min((0.0, 1.0, 2.0), key=lambda s0: abs(s - s0))
-    if 0.0 < abs(s - nearest) <= SINGULAR_SNAP:
-        s = nearest  # the general diagonal row is ill-conditioned here
-    if s == 0.0:
-        exponent = (gamma(ctx, _u1_phi0_squared())
-                    / _positive_gamma(ctx, upsilon1(0.0).bundle) + 1.5)
-    elif s == 1.0:
-        exponent = (gamma(ctx, _u1_phi0_phi1())
-                    / _positive_gamma(ctx, upsilon1(1.0).bundle))
-    elif s == 2.0:
-        exponent = (gamma(ctx, _u1_phi0_phi2())
-                    / _positive_gamma(ctx, upsilon1(2.0).bundle) - 1.5)
-    else:
-        exponent = (2.0 * gamma(ctx, _u1_log_product(s))
-                    / _positive_gamma(ctx, upsilon1(s).bundle)
-                    - (3.0 * s ** 2 - 6.0 * s + 2.0)
-                    / (s * (s - 1.0) * (s - 2.0)))
-    return math.exp(exponent)
+    def diagonal(s: float, positive: Callable[[float], float]) -> float:
+        nearest = min((0.0, 1.0, 2.0), key=lambda s0: abs(s - s0))
+        if 0.0 < abs(s - nearest) <= EQUAL_PARAM_TOL:
+            s = nearest  # the general diagonal row is ill-conditioned here
+        g = positive(s)
+        if s == 0.0:
+            exponent = gamma(ctx, _u1_phi0_squared()) / g + 1.5
+        elif s == 1.0:
+            exponent = gamma(ctx, _u1_phi0_phi1()) / g
+        elif s == 2.0:
+            exponent = gamma(ctx, _u1_phi0_phi2()) / g - 1.5
+        else:
+            exponent = (2.0 * gamma(ctx, _u1_log_product(s)) / g
+                        - (3.0 * s ** 2 - 6.0 * s + 2.0)
+                        / (s * (s - 1.0) * (s - 2.0)))
+        return math.exp(exponent)
+
+    return _quotient(lambda u: gamma(ctx, upsilon1(u).bundle), s, t,
+                     lambda ratio, gap: ratio ** (1.0 / gap), diagonal)
 
 
 def mean_M2(ctx: GammaContext, s: float, t: float) -> float:
     """Two-parameter mean of [m, M] from the exponential-type family:
     log(Gamma(phi_s)/Gamma(phi_t))/(s-t) off the diagonal, with the closed
     limit rows on it."""
-    s, t = float(s), float(t)
-    if s < t:
-        s, t = t, s
-    if 0.0 < s - t <= SINGULAR_SNAP:
-        s = t = 0.5 * (s + t)  # the ratio branch cannot resolve the gap
-    if s != t:
-        gs = _positive_gamma(ctx, upsilon2(s).bundle)
-        gt = _positive_gamma(ctx, upsilon2(t).bundle)
-        return math.log(gs / gt) / (s - t)
-    if 0.0 < abs(s) <= SINGULAR_SNAP:
-        s = 0.0  # the general diagonal row is ill-conditioned here
-    if s == 0.0:
-        return (gamma(ctx, _u2_id_phi0())
-                / (4.0 * _positive_gamma(ctx, upsilon2(0.0).bundle)))
-    return (gamma(ctx, _u2_id_product(s))
-            / _positive_gamma(ctx, upsilon2(s).bundle) - 3.0 / s)
+    def diagonal(s: float, positive: Callable[[float], float]) -> float:
+        if 0.0 < abs(s) <= EQUAL_PARAM_TOL:
+            s = 0.0  # the general diagonal row is ill-conditioned here
+        g = positive(s)
+        if s == 0.0:
+            return gamma(ctx, _u2_id_phi0()) / (4.0 * g)
+        return gamma(ctx, _u2_id_product(s)) / g - 3.0 / s
+
+    return _quotient(lambda u: gamma(ctx, upsilon2(u).bundle), s, t,
+                     lambda ratio, gap: math.log(ratio) / gap, diagonal)

@@ -37,22 +37,14 @@ def _terms(N: int, q: float, s: float) -> np.ndarray:
     return (ranks + q) ** (-s)
 
 
-def _accumulate_descending(terms: np.ndarray) -> float:
-    # fixed left-to-right accumulation, largest term first, for
-    # platform-reproducible normalizers
-    total = 0.0
-    for v in terms:
-        total += float(v)
-    return total
-
-
 def harmonic_sum(N: int, q: float, s: float) -> float:
     """The normalizer: sum over i = 1..N of (i + q)^(-s).
 
     Terms decrease in i, so natural order is descending magnitude; the
-    accumulation order is fixed for reproducibility.
+    accumulation order is fixed for reproducibility: cumsum adds strictly
+    left to right, where np.sum would add pairwise.
     """
-    return _accumulate_descending(_terms(N, q, s))
+    return float(np.cumsum(_terms(N, q, s))[-1])
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,7 @@ class ZipfMandelbrot:
 def zm_distribution(N: int, q: float, s: float) -> ZipfMandelbrot:
     """Materialize the law with parameters (N, q, s)."""
     terms = _terms(N, q, s)
-    normalizer = _accumulate_descending(terms)
+    normalizer = float(np.cumsum(terms)[-1])  # as in harmonic_sum
     pmf = terms / normalizer
     pmf.flags.writeable = False
     return ZipfMandelbrot(N=int(N), q=float(q), s=float(s),

@@ -92,6 +92,17 @@ class TestDivergence:
         assert all(r["orientation"] == "reversed" for r in report["reports"])
         assert report["interval"][0] <= 1.0 <= report["interval"][1]
 
+    # kl's d3 = -1/t^2 is -inf where t^2 underflows; its sign is still right
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_ratio_end_warns_nothing(self, capsys):
+        payload = {"distributions": {"p": [1e-300, 1.0], "q": [0.5, 0.5]},
+                   "phi": {"name": "kl"}}
+        status = main(["divergence", "--input", json.dumps(payload)])
+        captured = capsys.readouterr()
+        assert status == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["command"] == "divergence"
+
 
 class TestZipf:
     def test_reversed_orientation_for_kl(self, capsys):
@@ -283,6 +294,28 @@ class TestInputContract:
         ["divergence", "--input", json.dumps({
             "distributions": {"p": [0.5, 0.5], "q": [1e-300, 1.0]},
             "phi": {"name": "renyi", "params": [3]}})],
+        ["means", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "gamma_index": 1, "phi": {"name": "upsilon2"},
+            "params": {"s": 1e300, "t": 3}})],
+        ["means", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "gamma_index": 1, "phi": {"name": "upsilon1"},
+            "params": {"s": 1e300, "t": 3}})],
+        ["means", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "gamma_index": 1, "phi": {"name": "upsilon1"},
+            "params": {"s": 4, "t": 5e-324}})],
+        ["means", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "gamma_index": 1, "phi": {"name": "upsilon2"},
+            "params": {"s": 1e300, "t": 1e300}})],
+        ["bounds", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "phi": {"name": "upsilon1", "params": 3}})],
+        ["bounds", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "phi": {"name": "upsilon1", "params": "3"}})],
     ], ids=["phi-string", "interval-string-end", "renyi-no-params",
             "divergence-short-interval", "divergence-phi-string",
             "zipf-phi-string", "means-params-no-t", "means-index-string",
@@ -294,7 +327,10 @@ class TestInputContract:
             "divergence-bound-overflow", "verify-instances-fraction",
             "verify-tolerance-exponent", "verify-unknown-flag",
             "harmonic-derivative-overflow", "jeffreys-derivative-overflow",
-            "renyi-value-overflow"])
+            "renyi-value-overflow", "upsilon2-scale-overflow",
+            "upsilon1-scale-zero", "upsilon1-scale-infinite",
+            "upsilon2-diagonal-scale-overflow", "phi-params-int",
+            "phi-params-string"])
     # pytest keeps warnings off the captured stderr; raising them instead
     # makes a numpy warning line ahead of "error:" fail the case, as it
     # would show on a terminal

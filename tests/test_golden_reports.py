@@ -20,6 +20,10 @@ from elrbounds.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+MEANS_FUNCTIONAL = {
+    "functional": {"nodes": [0.5, 0.9, 1.4], "weights": [0.3, 0.4, 0.3]},
+    "interval": [0.2, 2.0]}
+
 CASES = {
     "verify-seed42": ["verify", "--seed", "42", "--instances", "2000"],
     "readme-bounds": ["bounds", "--input", json.dumps({
@@ -46,6 +50,28 @@ CASES = {
         "distributions": {"p": [0.2, 0.5, 0.3], "q": [0.3, 0.3, 0.4]},
         "gamma_index": 8, "phi": {"name": "upsilon2"},
         "params": {"s": 2, "t": 2}})],
+    # each branch of the two-parameter means: off the diagonal, on it, at
+    # a singular parameter, within the diagonal threshold of it, and in a
+    # divergence context
+    "means-upsilon2-index3": ["means", "--input", json.dumps({
+        **MEANS_FUNCTIONAL, "gamma_index": 3, "phi": {"name": "upsilon2"},
+        "params": {"s": 2, "t": 0.5}})],
+    "means-diagonal-index2": ["means", "--input", json.dumps({
+        **MEANS_FUNCTIONAL, "gamma_index": 2, "phi": {"name": "upsilon1"},
+        "params": {"s": 3.7, "t": 3.7}})],
+    "means-diagonal-singular-index5": ["means", "--input", json.dumps({
+        **MEANS_FUNCTIONAL, "gamma_index": 5, "phi": {"name": "upsilon1"},
+        "params": {"s": 1, "t": 1}})],
+    "means-diagonal-zero-index4": ["means", "--input", json.dumps({
+        **MEANS_FUNCTIONAL, "gamma_index": 4, "phi": {"name": "upsilon2"},
+        "params": {"s": 0, "t": 0}})],
+    "means-near-diagonal-index1": ["means", "--input", json.dumps({
+        **MEANS_FUNCTIONAL, "gamma_index": 1, "phi": {"name": "upsilon1"},
+        "params": {"s": 2.5, "t": 2.500000005}})],
+    "means-divergence-index7": ["means", "--input", json.dumps({
+        "distributions": {"p": [0.2, 0.5, 0.3], "q": [0.3, 0.3, 0.4]},
+        "gamma_index": 7, "phi": {"name": "upsilon1"},
+        "params": {"s": 4, "t": -1}})],
     # one theorem of each command: the batch-of-one paths
     "bounds-secant": ["bounds", "--input", json.dumps({
         "functional": {"nodes": [0.2, 0.5, 0.9], "weights": [0.3, 0.5, 0.2]},

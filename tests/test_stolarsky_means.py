@@ -7,6 +7,7 @@ from elrbounds import (
     GammaCurve,
     cauchy_xi,
     check_bundle,
+    divergence_context,
     elr_context,
     make_functional,
     mean_B1,
@@ -18,6 +19,7 @@ from elrbounds import (
 )
 from elrbounds.registry import poly_bundle
 from elrbounds.stolarsky_means import (
+    BISECT_WIDTH,
     _invert_monotone,
     _u1_log_product,
     _u1_phi0_phi1,
@@ -92,6 +94,16 @@ class TestMeanValuePoints:
         result = mvt_xi(WORKED, poly_bundle([0.0, 0.0, 0.0, 0.0, 1.0]))
         assert result.unique
         assert result.xi == pytest.approx(0.375, abs=1e-9)
+
+    def test_scalar_only_third_derivative(self):
+        # a branch on the argument rejects an array with a ValueError; the
+        # inversion's array scan then falls back to scalar calls
+        from elrbounds.divided_diff import bundle_from_callables
+        quartic = bundle_from_callables(
+            lambda x: x ** 4, lambda x: 4 * x ** 3, lambda x: 12 * x ** 2,
+            lambda x: 24.0 * x if x > 0 else 0.0, lo=0.0, hi=1.0)
+        result = mvt_xi(WORKED, quartic)
+        assert result.xi == mvt_xi(WORKED, poly_bundle([0, 0, 0, 0, 1])).xi
 
     def test_cubic_reference_is_non_unique_midpoint(self):
         result = mvt_xi(WORKED, cubic_reference())
@@ -221,3 +233,36 @@ class TestMeans:
         # a point mass at the right endpoint makes every slack vanish
         with pytest.raises(ValueError, match="strictly positive"):
             mean_B1(endpoint_ctx, 4.0, 3.0)
+
+
+class TestCauchyIdentity:
+    """The means are Cauchy mean-value points: the third-derivative ratio
+    of phi_s to phi_t is x^(s-t) for the power family and e^((s-t)x) for
+    the exponential one, so inverting it against Gamma(phi_s)/Gamma(phi_t)
+    gives the mean."""
+
+    def test_mean_is_cauchy_point(self):
+        # the first 2000 instances of acceptance criterion 7
+        rng = np.random.default_rng(88)
+        worst = 0.0
+        for _ in range(2000):
+            if rng.random() < 0.8:
+                index = int(rng.integers(1, 7))
+                m = float(rng.uniform(0.1, 1.2))
+                M = m + float(rng.uniform(0.4, 2.0))
+                k = int(rng.integers(2, 10))
+                width = M - m
+                nodes = rng.uniform(m + 0.05 * width, M - 0.05 * width, k)
+                w = rng.uniform(0.2, 1.0, k)
+                ctx = elr_context(index, make_functional(nodes, w / w.sum()), m, M)
+            else:
+                index = int(rng.integers(7, 11))
+                k = int(rng.integers(3, 8))
+                ctx = divergence_context(index, rng.dirichlet(np.ones(k) * 3.0),
+                                         rng.dirichlet(np.ones(k) * 3.0))
+            s, t = (float(v) for v in rng.uniform(-2.0, 5.0, 2))
+            family, mean = ((upsilon1, mean_B1) if rng.random() < 0.5
+                            else (upsilon2, mean_M2))
+            xi = cauchy_xi(ctx, family(s).bundle, family(t).bundle)
+            worst = max(worst, abs(mean(ctx, s, t) - xi.xi))
+        assert worst <= BISECT_WIDTH
