@@ -27,14 +27,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .divided_diff import certify_3convex
-from .divergences import DIVERGENCE_THEOREMS, divergence_reports, f_divergence
+from .divergences import DIVERGENCE_THEOREMS, divergence_pass
 from .elr_bounds import THEOREMS, BoundReport, bounds
 from .expconv import divergence_context, elr_context
 from .functionals import make_functional, moments
 from .fuzzing import bracket_fuzz
-from .registry import resolve_generator, resolve_phi
+from .registry import number, resolve_generator, resolve_phi
 from .stolarsky_means import mean_B1, mean_M2
-from .zipf_mandelbrot import zm_distribution, zm_divergence_reports
+from .zipf_mandelbrot import zm_distribution, zm_divergence_pass
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -116,19 +116,6 @@ def _need_object(payload: dict, key: str, fields: tuple = ()) -> dict:
     return spec
 
 
-def _number(value, what: str, integral: bool = False):
-    """A finite float, or an int when ``integral``: no inf, nan or
-    truncated fraction reaches the library from here."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number) or (integral and not number.is_integer()):
-        kind = "an integer" if integral else "a finite number"
-        raise InputError(f"{what} must be {kind}, got {value!r}")
-    return int(number) if integral else number
-
-
 def _parse_interval(payload: dict, required: bool = True):
     """[m, M] as floats; (None, None) when optional and absent."""
     if not required and payload.get("interval") is None:
@@ -136,7 +123,7 @@ def _parse_interval(payload: dict, required: bool = True):
     interval = _need(payload, "interval")
     if not (isinstance(interval, list) and len(interval) == 2):
         raise InputError('"interval" must be [m, M]')
-    m, M = (_number(end, "interval end") for end in interval)
+    m, M = (number(end, "interval end") for end in interval)
     if not m < M:
         raise InputError("interval must satisfy m < M")
     return m, M
@@ -214,8 +201,7 @@ def _run_divergence(config: RunConfig) -> tuple[int, dict]:
     gen = resolve_generator(_need_object(payload, "phi"))
     m, M = _parse_interval(payload, required=False)
     theorems = _parse_theorems(payload, allowed=DIVERGENCE_THEOREMS)
-    value = f_divergence(p, q, gen)
-    reports = divergence_reports(p, q, gen, m, M, theorems)
+    value, reports = divergence_pass(p, q, gen, m, M, theorems)
     return 0, _divergence_report("divergence", payload, gen, value, reports)
 
 
@@ -223,24 +209,23 @@ def _run_zipf(config: RunConfig) -> tuple[int, dict]:
     payload = config.payload
     spec = _need_object(payload, "zm", ("a", "b"))
     try:
-        a, b = (zm_distribution(_number(spec[k]["N"], "N", integral=True),
-                                _number(spec[k]["q"], "q"),
-                                _number(spec[k]["s"], "s")) for k in ("a", "b"))
+        a, b = (zm_distribution(number(spec[k]["N"], "N", integral=True),
+                                number(spec[k]["q"], "q"),
+                                number(spec[k]["s"], "s")) for k in ("a", "b"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad zm specification: {exc}") from exc
     gen = resolve_generator(_need_object(payload, "phi"))
     theorems = _parse_theorems(payload, allowed=DIVERGENCE_THEOREMS)
-    reports = zm_divergence_reports(a, b, gen, theorems)
-    value = f_divergence(a.pmf, b.pmf, gen)
+    value, reports = zm_divergence_pass(a, b, gen, theorems)
     return 0, _divergence_report("zipf", payload, gen, value, reports,
                                  zm_a=a.params(), zm_b=b.params())
 
 
 def _run_means(config: RunConfig) -> tuple[int, dict]:
     payload = config.payload
-    index = _number(payload.get("gamma_index", 1), "gamma_index", integral=True)
+    index = number(payload.get("gamma_index", 1), "gamma_index", integral=True)
     params = _need_object(payload, "params", ("s", "t"))
-    s, t = _number(params["s"], "params s"), _number(params["t"], "params t")
+    s, t = number(params["s"], "params s"), number(params["t"], "params t")
     family = _need_object(payload, "phi").get("name")
     if family not in ("upsilon1", "upsilon2"):
         raise InputError('means needs "phi" with name "upsilon1" or "upsilon2"')

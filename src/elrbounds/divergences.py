@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, NEG_THREE_CONVEX, THREE_CONVEX, _eval
+from .divided_diff import FunctionBundle, NEG_THREE_CONVEX, SIGN_TOL, THREE_CONVEX, _eval
 from .elr_bounds import BoundReport, bounds
 from .functionals import DiscreteFunctional, check_weights, make_functional, moments
 
@@ -33,6 +33,7 @@ __all__ = [
     "check_probability_vector",
     "f_divergence",
     "ratio_functional",
+    "divergence_pass",
     "divergence_reports",
     "divergence_bounds",
 ]
@@ -107,13 +108,15 @@ def generator(name: str, alpha: float | None = None,
         if alpha is None:
             raise ValueError("renyi generator requires alpha")
         a = float(alpha)
+        if not math.isfinite(a * (a - 1.0) * (a - 2.0)):
+            raise ValueError(f"renyi alpha {alpha!r} overflows its third derivative")
+        # the k-th derivative c*t^(a-k), identically 0 when c is: t^(a-k)
+        # may be inf at t = 0, and 0*inf is a nan
+        power = lambda k, c: (lambda t: c * t ** (a - k)) if c else np.zeros_like
         return GeneratorFunction(
             bundle=_positive_bundle(
-                lambda t: t ** a,
-                lambda t: a * t ** (a - 1.0),
-                lambda t: a * (a - 1.0) * t ** (a - 2.0),
-                lambda t: a * (a - 1.0) * (a - 2.0) * t ** (a - 3.0),
-                f"t^{a}"),
+                lambda t: t ** a, power(1.0, a), power(2.0, a * (a - 1.0)),
+                power(3.0, a * (a - 1.0) * (a - 2.0)), f"t^{a}"),
             direction=(F_3CONVEX if 0.0 <= a <= 1.0 or a >= 2.0
                        else NEG_F_3CONVEX), name="renyi", params=(a,),
             value_at_zero=(0.0 if a > 0 else 1.0 if a == 0 else math.inf),
@@ -184,9 +187,7 @@ def f_divergence(p, q, gen: GeneratorFunction) -> float:
     regular = (q > 0) & (p > 0)
     if regular.any():
         qs = q[regular]
-        # f may overflow to inf at a huge ratio, which the bounds refuse
-        with np.errstate(over="ignore"):
-            total += float(qs @ _eval(gen.bundle.f, _ratios(p[regular], qs)))
+        total += float(qs @ _eval(gen.bundle.f, _ratios(p[regular], qs)))
     zero_p = (q > 0) & (p == 0)
     if zero_p.any():
         if gen.value_at_zero is None:
@@ -203,21 +204,22 @@ def f_divergence(p, q, gen: GeneratorFunction) -> float:
 
 
 def ratio_functional(p, q, m: float | None = None, M: float | None = None
-                     ) -> tuple[DiscreteFunctional, float, float, bool]:
-    """(functional, m, M, auto): the functional with nodes p_i/q_i and
-    weights q_i (zero-zero pairs dropped), whose mean is 1, on [m, M].
+                     ) -> tuple[DiscreteFunctional, float, float, np.ndarray]:
+    """(functional, m, M, masses): the functional with nodes p_i/q_i and
+    weights q_i (zero-zero pairs dropped), whose mean is 1, on [m, M], and
+    those q_i as given, unrenormalized.
 
     A missing interval end is taken from the ratio range widened to
-    include 1, and ``auto`` says whether one was.  The interval must
-    satisfy m <= 1 <= M and m < M and hold every ratio.
+    include 1.  The interval must satisfy m <= 1 <= M and m < M and hold
+    every ratio.
     """
     p, q = _check_pair(p, q)
     if ((q == 0) & (p > 0)).any():
         raise ValueError("zero q-mass with positive p-mass puts the ratio "
                          "outside every finite interval")
     keep = q > 0
-    ratios = _ratios(p[keep], q[keep])
-    auto = m is None or M is None
+    masses = q[keep]
+    ratios = _ratios(p[keep], masses)
     m = min(float(ratios.min()), 1.0) if m is None else float(m)
     M = max(float(ratios.max()), 1.0) if M is None else float(M)
     if not (m <= 1.0 <= M):
@@ -228,50 +230,57 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
     outside = (ratios < m) | (ratios > M)
     if outside.any():
         raise ValueError(f"ratio outside [m, M]: {float(ratios[outside][0])!r}")
-    return make_functional(ratios, q[keep]), m, M, auto
+    return make_functional(ratios, masses), m, M, masses
 
 
 def _spot_check_direction(gen: GeneratorFunction, m: float, M: float) -> None:
     if gen.bundle.d3 is None:
         return
     convex = gen.direction == F_3CONVEX
-    # d3 may overflow, or divide by a square that underflows to 0, at an
-    # extreme ratio end; only its sign matters here, and an infinity has one
-    with np.errstate(over="ignore", divide="ignore"):
-        vals = _eval(gen.bundle.d3, np.linspace(m, M, 33))
-    if ((vals < -1e-12) if convex else (vals > 1e-12)).any():
+    # only the sign of d3 matters here, and an infinite d3 has one
+    vals = _eval(gen.bundle.d3, np.linspace(m, M, 33))
+    if ((vals < -SIGN_TOL) if convex else (vals > SIGN_TOL)).any():
         declared, sign = ("convex", "negative") if convex else ("concave", "positive")
         raise ValueError(
             f"generator {gen.name!r} declared 3-{declared} but its third "
             f"derivative is {sign} on [{m}, {M}]")
 
 
-def divergence_reports(p, q, gen: GeneratorFunction, m: float | None = None,
-                       M: float | None = None,
-                       theorems=DIVERGENCE_THEOREMS) -> list[BoundReport]:
-    """The bound pairs named in ``theorems`` around the ELR difference of
-    the divergence: the generic functional bounds of one ratio functional
-    (``ratio_functional``, whose interval it also derives) and one
-    MomentSet, whatever the number of theorems."""
+def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
+                    M: float | None = None, theorems=DIVERGENCE_THEOREMS
+                    ) -> tuple[float, list[BoundReport]]:
+    """(divergence, reports): the divergence and the bound pairs named in
+    ``theorems`` from one ratio functional (``ratio_functional``, which
+    checks the pair and derives the interval) and one MomentSet.  Every
+    kept ratio is positive, so the divergence is f_divergence's sum."""
     unknown = [name for name in theorems if name not in DIVERGENCE_THEOREMS]
     if unknown:
         raise ValueError(f"unknown theorem {unknown[0]!r}")
-    functional, m, M, auto = ratio_functional(p, q, m, M)
+    auto = m is None or M is None
+    functional, m, M, masses = ratio_functional(p, q, m, M)
     if m <= 0.0:
         raise ValueError("ratios must stay strictly positive for generator "
                          "bounds")
     _spot_check_direction(gen, m, M)
+    value = float(masses @ _eval(gen.bundle.f, functional.nodes))
     ms = moments(functional, gen.bundle, m, M)
-    return [replace(bounds(name, functional, gen.bundle, m, M,
-                           gen.convexity_verdict(), precomputed=ms),
-                    theorem_tag=f"divergence_{name}",
-                    details={"m": m, "M": M, "interval_auto_derived": auto,
-                             "generator": gen.name, "params": list(gen.params)})
-            for name in theorems]
+    return value, [replace(bounds(name, functional, gen.bundle, m, M,
+                                  gen.convexity_verdict(), precomputed=ms),
+                           theorem_tag=f"divergence_{name}",
+                           details={"m": m, "M": M, "interval_auto_derived": auto,
+                                    "generator": gen.name, "params": list(gen.params)})
+                   for name in theorems]
+
+
+def divergence_reports(p, q, gen: GeneratorFunction, m: float | None = None,
+                       M: float | None = None,
+                       theorems=DIVERGENCE_THEOREMS) -> list[BoundReport]:
+    """The bound pairs of ``divergence_pass``, without the divergence."""
+    return divergence_pass(p, q, gen, m, M, theorems)[1]
 
 
 def divergence_bounds(p, q, gen: GeneratorFunction, m: float | None = None,
                       M: float | None = None,
                       theorem: str = "derivative") -> BoundReport:
-    """The bound pair named ``theorem``: divergence_reports of that one."""
-    return divergence_reports(p, q, gen, m, M, (theorem,))[0]
+    """The bound pair named ``theorem``: divergence_pass of that one."""
+    return divergence_pass(p, q, gen, m, M, (theorem,))[1][0]

@@ -89,10 +89,9 @@ class FunctionBundle:
 
         At ``domain_lo`` the stored right value is used and at ``domain_hi``
         the stored left value, when there is one; anywhere else the
-        two-sided callable, on ``np.float64(x)`` with numpy warnings off:
-        an overflow or a pole then gives inf or nan, which the callers'
-        finiteness checks refuse, and not a Python ``OverflowError``.
-        Results are memoized under (order, x).
+        two-sided callable, on ``np.float64(x)`` under ``_eval``'s
+        floating-point rule, so that an overflow gives inf and not a Python
+        ``OverflowError``.  Results are memoized under (order, x).
         """
         key = (order, x)
         value = self._memo.get(key)
@@ -111,7 +110,7 @@ class FunctionBundle:
                 raise ValueError(
                     f"insufficient bundle: derivative of order {order} of "
                     f"{self.name!r} unavailable at x={x}")
-            with np.errstate(all="ignore"):
+            with np.errstate(over="ignore", divide="ignore"):
                 stored = g(np.float64(x))
         value = self._memo[key] = float(stored)
         return value
@@ -143,10 +142,13 @@ class FunctionBundle:
         )
 
 
+@np.errstate(over="ignore", divide="ignore")
 def _eval(g: Callable, x: np.ndarray) -> np.ndarray:
     """g elementwise on the array x, as floats; a callable that rejects
     arrays (a TypeError, or a ValueError from branching on one) is applied
-    point by point, FunctionBundle's scalar fallback."""
+    point by point, FunctionBundle's scalar fallback.  The floating-point
+    rule: an overflow or a pole is an inf, for the callers' finiteness
+    checks to refuse, while an invalid operation still warns."""
     try:
         vals = np.asarray(g(x), dtype=float)
         if vals.shape != x.shape:
@@ -433,10 +435,8 @@ def certify_3convex(bundle: FunctionBundle, lo: float, hi: float,
 
     xs = np.linspace(lo, hi, grid_n)
     if bundle.d3 is not None:
-        # a singular end (d3 of xlogx at 0) is rejected just below; numpy
-        # need not warn about it first
-        with np.errstate(all="ignore"):
-            vals = _eval(bundle.d3, xs)
+        # a singular end (d3 of xlogx at 0) is an inf, rejected just below
+        vals = _eval(bundle.d3, xs)
         if not np.isfinite(vals).all():
             raise ValueError("third derivative not finite on the grid")
         return _verdict_from_samples(vals, xs, grid_n)

@@ -209,14 +209,18 @@ def _quotient(gamma_at: Callable[[float], float], s: float, t: float,
               ratio_map: Callable, diagonal: Callable) -> float:
     """ratio_map(G(s)/G(t), s - t) for s > t with G = gamma_at, in that order
     so that exchanging s and t changes no bit; a gap of at most 1e-8 is the
-    diagonal, diagonal(midpoint, G).  Every G value must be strictly positive."""
+    diagonal, diagonal(midpoint, G).  Every G value must be strictly positive,
+    and a quotient that overflows (an ill-conditioned G) is refused."""
     s, t = float(s), float(t)
     if s < t:
         s, t = t, s
-    if s - t > EQUAL_PARAM_TOL:
-        return ratio_map(_positive_value(gamma_at, s)
-                         / _positive_value(gamma_at, t), s - t)
-    return diagonal(0.5 * (s + t), lambda u: _positive_value(gamma_at, u))
+    try:
+        if s - t > EQUAL_PARAM_TOL:
+            return ratio_map(_positive_value(gamma_at, s)
+                             / _positive_value(gamma_at, t), s - t)
+        return diagonal(0.5 * (s + t), lambda u: _positive_value(gamma_at, u))
+    except OverflowError:
+        raise ValueError(f"two-parameter quotient at ({s!r}, {t!r}) overflows") from None
 
 
 def stolarsky_quotient(curve: GammaCurve, s: float, t: float) -> float:

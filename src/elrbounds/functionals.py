@@ -51,19 +51,33 @@ def check_weights(weights, label: str = "weights") -> np.ndarray:
     """The flat float array of weights that form a probability vector:
     non-empty, finite, nonnegative, summing to 1 within WEIGHT_DRIFT_TOL.
     ``label`` names the vector in error messages."""
-    weights = np.asarray(weights, dtype=float).reshape(-1)
+    weights = _floats(weights, label)
     _check_entries(weights, label)
     _check_sums(weights, (float(weights.sum()),), label)
     return weights
 
 
+def _floats(entries, label: str) -> np.ndarray:
+    """The entries as a flat float array; a non-numeric entry is a
+    ValueError naming the vector."""
+    try:
+        return np.asarray(entries, dtype=float).reshape(-1)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{label} must be a list of numbers") from exc
+
+
 def _check_entries(weights: np.ndarray, label: str) -> None:
     """The entrywise part of the check_weights rule, which must come before
-    any sum: numpy warns when it adds inf and -inf."""
+    any sum: numpy warns when it adds inf and -inf, or overflows."""
     if weights.size == 0:
         raise ValueError(f"{label} has no weights")
     if (weights < 0).any():
         raise ValueError(f"negative weight in {label}")
+    if (weights > 1.0 + WEIGHT_DRIFT_TOL).any():
+        if not np.isfinite(weights).all():
+            raise ValueError(f"non-finite weight in {label}")
+        raise ValueError(f"weights of {label} must sum to 1 (got a weight "
+                         f"{float(weights.max())!r})")
 
 
 def _check_sums(weights: np.ndarray, sums, label: str) -> None:
@@ -152,8 +166,7 @@ def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> Discret
     weights that ``check_weights`` rejects; a weight sum off 1 by at most
     WEIGHT_DRIFT_TOL is renormalized.  The batch of one of make_functionals.
     """
-    nodes = np.asarray(nodes, dtype=float).reshape(-1)
-    weights = np.asarray(weights, dtype=float).reshape(-1)
+    nodes, weights = _floats(nodes, "nodes"), _floats(weights, "weights")
     if nodes.size != weights.size:
         raise ValueError("nodes and weights differ in length")
     if nodes.size == 0:
@@ -259,8 +272,7 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
         bad = float(x[(x < m) | (x > M)][0])
         raise ValueError(f"node escapes interval [{m}, {M}]: {bad!r}")
 
-    with np.errstate(over="ignore"):
-        phi_vals = _eval(bundle.f, x)
+    phi_vals = _eval(bundle.f, x)
     if not np.isfinite(phi_vals).all():
         bad = float(x[~np.isfinite(phi_vals)][0])
         raise ValueError(f"functional argument is not finite at node {bad!r}")
@@ -269,11 +281,12 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
     except ValueError:
         dvals = None
     # summands in MomentSet field order, written in place; a moment may
-    # overflow to inf, and BoundReport refuses a pair that is not finite
+    # overflow to inf, or be a nan where an end node meets an infinite
+    # derivative (0 * inf), and BoundReport refuses a pair that is not finite
     terms = np.empty((5 if dvals is None else 7, x.size))
     terms[0] = x
     terms[4] = phi_vals
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = x - m, M - x
         np.multiply(hi, lo, out=terms[1])
         np.square(lo, out=terms[2])

@@ -40,6 +40,9 @@ __all__ = [
     "bracket_fuzz",
 ]
 
+# Most nodes of a random functional.
+MAX_NODES = 50
+
 
 @dataclass(frozen=True, eq=False)
 class _PiecewisePolynomial:
@@ -133,21 +136,21 @@ def random_three_convex_bundle(rng: np.random.Generator, lo: float,
                           d1=d1, d2=d2, d3=d3, name="spline3convex")
 
 
-def random_functional(rng: np.random.Generator, m: float, M: float,
-                      max_nodes: int = 50) -> DiscreteFunctional:
-    """Random nodes in [m, M] (endpoints occasionally included) with
-    random normalized weights."""
-    return random_functionals(rng, m, M, 1, max_nodes).functional(0)
+def random_functional(rng: np.random.Generator, m: float,
+                      M: float) -> DiscreteFunctional:
+    """Random nodes in [m, M] (1 to MAX_NODES of them, endpoints
+    occasionally included) with random normalized weights."""
+    return random_functionals(rng, m, M, 1).functional(0)
 
 
 def random_functionals(rng: np.random.Generator, m: float, M: float,
-                       count: int, max_nodes: int = 50) -> FunctionalBatch:
+                       count: int) -> FunctionalBatch:
     """``count`` draws of ``random_functional``, with the same generator
     calls in the same order, grouped by node count and validated in one
     pass."""
     rows: dict[int, list] = {}
     for index in range(count):
-        k = int(rng.integers(1, max_nodes + 1))
+        k = int(rng.integers(1, MAX_NODES + 1))
         nodes = rng.uniform(m, M, k)
         if k >= 2 and rng.random() < 0.25:
             nodes[0] = m

@@ -18,9 +18,23 @@ from .divided_diff import FunctionBundle
 from .divergences import GENERATOR_NAMES, GeneratorFunction, generator
 from .stolarsky_means import cubic_reference, upsilon1, upsilon2
 
-__all__ = ["resolve_phi", "resolve_generator", "poly_bundle", "BUILTIN_NAMES"]
+__all__ = ["number", "resolve_phi", "resolve_generator", "poly_bundle",
+           "BUILTIN_NAMES"]
 
 _REAL_LINE = dict(domain_lo=-math.inf, domain_hi=math.inf)
+
+
+def number(value, what: str, integral: bool = False):
+    """A finite float, or an int when ``integral``: no inf, nan or
+    truncated fraction reaches the library from outside values."""
+    try:
+        result = float(value)
+    except (TypeError, ValueError, OverflowError):
+        result = math.nan
+    if not math.isfinite(result) or (integral and not result.is_integer()):
+        kind = "an integer" if integral else "a finite number"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return int(result) if integral else result
 
 
 def _quartic() -> FunctionBundle:
@@ -38,10 +52,14 @@ def _exp() -> FunctionBundle:
 
 
 def poly_bundle(coefficients) -> FunctionBundle:
-    """Bundle for a polynomial given by ascending coefficients."""
-    coefficients = [float(c) for c in coefficients]
-    if not coefficients:
-        raise ValueError("polynomial needs at least one coefficient")
+    """Bundle for a polynomial given by a non-empty list of finite
+    ascending coefficients."""
+    if not (isinstance(coefficients, list) and coefficients):
+        raise ValueError("poly must be a non-empty list of coefficients")
+    coefficients = [number(c, "poly coefficient") for c in coefficients]
+    # k^3 bounds the factor that the third derivative puts on coefficient k
+    if not all(math.isfinite(c * k ** 3) for k, c in enumerate(coefficients)):
+        raise ValueError("poly coefficients overflow its derivatives")
     p = Polynomial(coefficients)
     d1, d2, d3 = p.deriv(1), p.deriv(2), p.deriv(3)
     return FunctionBundle(f=p, d1=d1, d2=d2, d3=d3,
@@ -56,13 +74,15 @@ _FAMILIES = {"upsilon1": upsilon1, "upsilon2": upsilon2}
 BUILTIN_NAMES = (*_BUILDERS, *_FAMILIES)
 
 
-def _name_and_params(spec: dict) -> tuple[str | None, list[float]]:
+def _name_and_params(spec: dict) -> tuple[str, list[float]]:
     if not isinstance(spec, dict):
         raise ValueError("phi specification must be an object")
-    params = spec.get("params", [])
+    name, params = spec.get("name"), spec.get("params", [])
+    if not isinstance(name, str):
+        raise ValueError(f"phi name must be a string, got {name!r}")
     if not isinstance(params, list):
         raise ValueError("phi params must be a list of numbers")
-    return spec.get("name"), [float(v) for v in params]
+    return name, [number(v, "phi param") for v in params]
 
 
 def resolve_phi(spec: dict) -> FunctionBundle:

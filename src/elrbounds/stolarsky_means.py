@@ -58,6 +58,8 @@ class FamilyMember:
 # blows up at the singular parameter changes no functional value while
 # removing a catastrophic cancellation.
 SMALL_T = 0.05
+# Most terms that _series sums before it stops.
+SERIES_TERMS = 80
 
 
 def _scale(family: str, t: float, constant: Callable[[], float]) -> float:
@@ -145,13 +147,14 @@ def upsilon1(t: float) -> FamilyMember:
     return FamilyMember(t=t, bundle=bundle, family_tag="upsilon1")
 
 
-def _series(x, first_term, ratio, start: int, max_terms: int = 80):
-    """Sum a series whose k-th term is term * ratio(k) times the previous."""
+def _series(x, first_term, ratio, start: int):
+    """Sum a series whose k-th term is term * ratio(k) times the previous,
+    over at most SERIES_TERMS terms."""
     x = np.asarray(x, dtype=float)
     term = first_term(x)
     acc = np.zeros_like(term)
     k = start
-    for _ in range(max_terms):
+    for _ in range(SERIES_TERMS):
         acc = acc + term
         nxt = term * ratio(x, k)
         k += 1

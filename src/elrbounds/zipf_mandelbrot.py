@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divergences import DIVERGENCE_THEOREMS, GeneratorFunction, divergence_reports
+from .divergences import DIVERGENCE_THEOREMS, GeneratorFunction, divergence_pass
 from .elr_bounds import BoundReport
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "harmonic_sum",
     "zm_distribution",
     "zm_ratio_extrema",
-    "zm_divergence_reports",
+    "zm_divergence_pass",
     "zm_divergence_bounds",
 ]
 
@@ -66,7 +66,12 @@ def zm_distribution(N: int, q: float, s: float) -> ZipfMandelbrot:
     """Materialize the law with parameters (N, q, s)."""
     terms = _terms(N, q, s)
     normalizer = float(np.cumsum(terms)[-1])  # as in harmonic_sum
+    law = f"Zipf-Mandelbrot law (N={N}, q={q}, s={s})"
+    if not normalizer > 0.0:
+        raise ValueError(f"{law} has no positive normalizer: its terms underflow")
     pmf = terms / normalizer
+    if not pmf[-1] > 0.0:  # the least mass
+        raise ValueError(f"{law} has a mass that underflows to 0 at rank {N}")
     pmf.flags.writeable = False
     return ZipfMandelbrot(N=int(N), q=float(q), s=float(s),
                           normalizer=normalizer, pmf=pmf)
@@ -85,20 +90,20 @@ def zm_ratio_extrema(a: ZipfMandelbrot, b: ZipfMandelbrot) -> tuple[float, float
     return float(ratio.min()), float(ratio.max())
 
 
-def zm_divergence_reports(a: ZipfMandelbrot, b: ZipfMandelbrot,
-                          gen: GeneratorFunction,
-                          theorems=DIVERGENCE_THEOREMS) -> list[BoundReport]:
-    """The divergence bound pairs named in ``theorems`` between two
-    Zipf-Mandelbrot laws: ``divergence_reports`` of the mass vectors on
-    [m, M] from the ratio extrema, so identical laws are rejected."""
+def zm_divergence_pass(a: ZipfMandelbrot, b: ZipfMandelbrot,
+                       gen: GeneratorFunction, theorems=DIVERGENCE_THEOREMS
+                       ) -> tuple[float, list[BoundReport]]:
+    """(divergence, reports) between two Zipf-Mandelbrot laws:
+    ``divergence_pass`` of the mass vectors on [m, M] from the ratio
+    extrema, so identical laws are rejected."""
     m, M = zm_ratio_extrema(a, b)
-    return [replace(report, details={**report.details,
-                                     "zm_a": a.params(), "zm_b": b.params()})
-            for report in divergence_reports(a.pmf, b.pmf, gen, m, M, theorems)]
+    value, reports = divergence_pass(a.pmf, b.pmf, gen, m, M, theorems)
+    laws = {"zm_a": a.params(), "zm_b": b.params()}
+    return value, [replace(r, details={**r.details, **laws}) for r in reports]
 
 
 def zm_divergence_bounds(a: ZipfMandelbrot, b: ZipfMandelbrot,
                          gen: GeneratorFunction,
                          theorem: str = "derivative") -> BoundReport:
-    """The bound pair named ``theorem``: zm_divergence_reports of that one."""
-    return zm_divergence_reports(a, b, gen, (theorem,))[0]
+    """The bound pair named ``theorem``: zm_divergence_pass of that one."""
+    return zm_divergence_pass(a, b, gen, (theorem,))[1][0]

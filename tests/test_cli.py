@@ -233,6 +233,14 @@ class TestEntryPoint:
 POSITIVE_FUNCTIONAL = {"nodes": [0.5, 1.2], "weights": [0.4, 0.6]}
 PAIR = {"p": [0.4, 0.6], "q": [0.5, 0.5]}
 ZM_PAIR = {"a": {"N": 2, "q": 0, "s": 1}, "b": {"N": 2, "q": 0, "s": 2}}
+SUBNORMAL_PAIR = {"p": [5e-324, 1.0], "q": [0.5, 0.5]}
+# the interval's square overflows in harmonic's d1 at the nodes
+# Gamma of this interval is ill-conditioned enough to overflow a mean
+NARROW_MEANS = {"functional": {"nodes": [0.5000000499999999], "weights": [1.0]},
+                "interval": [0.5, 0.5000001], "gamma_index": 1,
+                "phi": {"name": "upsilon1"}}
+HUGE_RATIO_INTERVAL = {"distributions": {"p": [0.5, 0.5], "q": [1e-300, 1.0]},
+                       "phi": {"name": "harmonic"}, "interval": [0.1, 1e301]}
 
 
 class TestInputContract:
@@ -316,6 +324,51 @@ class TestInputContract:
         ["bounds", "--input", json.dumps({
             "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
             "phi": {"name": "upsilon1", "params": "3"}})],
+        ["bounds", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "phi": {"poly": None}})],
+        ["bounds", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "phi": {"name": "upsilon1", "params": [None]}})],
+        ["bounds", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "phi": {"name": {"a": 1}}})],
+        ["bounds", "--input", json.dumps({
+            "functional": {"nodes": {"a": 1}, "weights": [1.0]},
+            "interval": [0.2, 2.0], "phi": {"name": "cubic"}})],
+        ["divergence", "--input", json.dumps({
+            "distributions": {"p": {"a": 1}, "q": [0.5, 0.5]},
+            "phi": {"name": "kl"}})],
+        ["divergence", "--input", '{"distributions": {"p": [0.4, 0.6], '
+                                  '"q": [0.5, 0.5]}, "phi": {"name": "renyi", '
+                                  '"params": [Infinity]}}'],
+        ["zipf", "--input", json.dumps({
+            "zm": {"a": {"N": 5, "q": 1e300, "s": 2},
+                   "b": {"N": 5, "q": 0, "s": 2}},
+            "phi": {"name": "kl"}})],
+        ["divergence", "--input", json.dumps({
+            "distributions": SUBNORMAL_PAIR, "phi": {"name": "jeffreys"}})],
+        ["divergence", "--input", json.dumps({
+            "distributions": SUBNORMAL_PAIR, "phi": {"name": "jeffreys"},
+            "interval": [5e-324, 3]})],
+        ["divergence", "--input", json.dumps(HUGE_RATIO_INTERVAL)],
+        ["divergence", "--input", json.dumps({
+            "distributions": {"p": [1.7e308, 1.7e308], "q": [0, 1.7e308]},
+            "phi": {"name": "kl"}})],
+        ["divergence", "--input", json.dumps({
+            "distributions": {"p": [1.0], "q": [1.0]}, "interval": [0.5, 2],
+            "phi": {"name": "renyi", "params": [1e300]}})],
+        ["zipf", "--input", json.dumps({
+            "zm": {"a": {"N": 5, "q": 0.5, "s": 2},
+                   "b": {"N": 5, "q": 0, "s": 1000}},
+            "phi": {"name": "kl"}})],
+        ["bounds", "--input", json.dumps({
+            "functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+            "phi": {"poly": [3, 0, 0, 1.7e308]}})],
+        ["means", "--input", json.dumps({**NARROW_MEANS,
+                                         "params": {"s": 3, "t": 3}})],
+        ["means", "--input", json.dumps({**NARROW_MEANS,
+                                         "params": {"s": 3.0000001, "t": 3}})],
     ], ids=["phi-string", "interval-string-end", "renyi-no-params",
             "divergence-short-interval", "divergence-phi-string",
             "zipf-phi-string", "means-params-no-t", "means-index-string",
@@ -330,7 +383,14 @@ class TestInputContract:
             "renyi-value-overflow", "upsilon2-scale-overflow",
             "upsilon1-scale-zero", "upsilon1-scale-infinite",
             "upsilon2-diagonal-scale-overflow", "phi-params-int",
-            "phi-params-string"])
+            "phi-params-string", "poly-null", "phi-params-null",
+            "phi-name-object", "functional-nodes-object",
+            "divergence-p-object", "renyi-params-infinite",
+            "zipf-normalizer-underflow", "jeffreys-subnormal-mass",
+            "jeffreys-subnormal-interval-end", "harmonic-huge-interval",
+            "weight-sum-overflow", "renyi-alpha-overflow",
+            "zipf-mass-underflow", "poly-derivative-overflow",
+            "means-diagonal-overflow", "means-quotient-overflow"])
     # pytest keeps warnings off the captured stderr; raising them instead
     # makes a numpy warning line ahead of "error:" fail the case, as it
     # would show on a terminal
@@ -343,6 +403,30 @@ class TestInputContract:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_derivative_moment_is_no_warning(self, capsys):
+        """Only the taylor pair of the huge interval overflows; the
+        derivative pair alone is a report."""
+        payload = {**HUGE_RATIO_INTERVAL, "theorem": "derivative"}
+        status = main(["divergence", "--input", json.dumps(payload)])
+        captured = capsys.readouterr()
+        assert status == 0
+        assert captured.err == ""
+        assert [r["theorem"] for r in json.loads(captured.out)["reports"]] == [
+            "divergence_derivative"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_renyi_derivative_is_zero_at_zero(self, capsys):
+        """t^1 has d3 = 0 everywhere, also at t = 0, where 0 * t^-2 is no
+        value: the bundle is 3-convex on [0, 1]."""
+        payload = {"functional": {"nodes": [0.0], "weights": [1.0]},
+                   "interval": [0, 1], "phi": {"name": "renyi", "params": [1]}}
+        status = main(["bounds", "--input", json.dumps(payload)])
+        captured = capsys.readouterr()
+        assert status == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["convexity"]["verdict"] == "three_convex"
 
 
 class TestOnePass:
@@ -387,3 +471,21 @@ class TestOnePass:
         assert status == 0
         assert len(report["reports"]) == (2 if command != "bounds" else 3)
         assert counts == expected
+
+    @pytest.mark.parametrize("command,payload", [
+        ("divergence", {"distributions": PAIR, "phi": {"name": "kl"}}),
+        ("zipf", {"zm": ZM_PAIR, "phi": {"name": "kl"}}),
+    ], ids=["divergence", "zipf"])
+    def test_pair_validated_once_and_no_second_divergence(self, monkeypatch,
+                                                          command, payload):
+        """The divergence value comes from the pass that builds the bounds:
+        one check of each vector of the pair, and no f_divergence."""
+        from elrbounds import cli
+
+        names = ("divergences.check_probability_vector",
+                 "divergences.f_divergence")
+        counts = self.count_calls(monkeypatch, names)
+        status, report = cli.run(cli.RunConfig(command=command, payload=payload))
+        assert status == 0
+        assert math.isfinite(report["divergence"])
+        assert counts == dict(zip(names, (2, 0)))
