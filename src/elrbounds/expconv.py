@@ -63,6 +63,11 @@ class GammaContext:
     m: float
     M: float
     kind: str
+    # Gamma of each bundle seen here, by id(bundle); an entry holds its
+    # bundle, so the id cannot be reused while the entry lives (bundles
+    # may hold unhashable callables, so they are no keys themselves)
+    _gammas: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.index not in THEOREM_BY_INDEX:
@@ -97,12 +102,17 @@ def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
 
     Defined as (mid - lower) for odd indices and (upper - mid) for even
     ones, taken from the bound pair named by the index, which makes the
-    value nonnegative whenever the bundle is 3-convex on [m, M].
+    value nonnegative whenever the bundle is 3-convex on [m, M].  It is
+    computed once per bundle and context.
     """
-    theorem = THEOREM_BY_INDEX[ctx.index]
-    lower, mid, upper = theorem_triple(theorem, ctx.functional, bundle,
-                                       ctx.m, ctx.M)
-    return mid - lower if ctx.index % 2 == 1 else upper - mid
+    entry = ctx._gammas.get(id(bundle))
+    if entry is None:
+        theorem = THEOREM_BY_INDEX[ctx.index]
+        lower, mid, upper = theorem_triple(theorem, ctx.functional, bundle,
+                                           ctx.m, ctx.M)
+        value = mid - lower if ctx.index % 2 == 1 else upper - mid
+        entry = ctx._gammas[id(bundle)] = (bundle, value)
+    return entry[1]
 
 
 @dataclass

@@ -15,11 +15,20 @@ Mean-value extraction inverts the third derivative (or a ratio of two)
 on [m, M]; the resulting two-parameter quotients are monotone means of
 the segment.  Diagonal (s = t) cases are evaluated by the closed limit
 formulas, which involve analytically constructed product bundles.
+
+The inverse lives on the map it inverts: a member's third derivative is a
+``_Power`` (x^a) or ``_Exp`` (e^(tx)) callable, monotone by theorem, with a
+closed-form ``inverse`` and a quotient of the same kind, so a mean-value
+point of members is found without root-finding; any other third
+derivative is scanned and bisected.  Members of one family with one
+parameter share a live bundle, and ``expconv.gamma`` keeps one value per
+bundle in its context, so an op computes each Gamma once.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -50,6 +59,62 @@ class FamilyMember:
     t: float
     bundle: FunctionBundle
     family_tag: str
+
+
+class _Power:
+    """x^a, the third derivative of an upsilon1 member (a = t - 3): monotone
+    on x > 0, so it is inverted in closed form, and the quotient of two is
+    one more.  Plain slotted classes: as dataclasses the two added about
+    1.5 ms to this module's import, nearly doubling it."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: float):
+        self.a = a
+
+    def __call__(self, x):
+        return x ** self.a
+
+    def inverse(self, y: float) -> float:
+        return y ** (1.0 / self.a)
+
+    def __truediv__(self, other: _Power) -> _Power:
+        return _Power(self.a - other.a)
+
+
+class _Exp:
+    """e^(tx), the third derivative of an upsilon2 member: monotone, so it
+    is inverted in closed form, and the quotient of two is one more."""
+
+    __slots__ = ("t",)
+
+    def __init__(self, t: float):
+        self.t = t
+
+    def __call__(self, x):
+        return np.exp(self.t * x)
+
+    def inverse(self, y: float) -> float:
+        return math.log(y) / self.t
+
+    def __truediv__(self, other: _Exp) -> _Exp:
+        return _Exp(self.t - other.t)
+
+
+_CLOSED_FORM = (_Power, _Exp)
+
+# The live bundle of each family member (family, t) and of the cubic
+# reference: members built while some caller or GammaContext holds the
+# bundle share it, and with it their Gamma values; a bundle no one holds is
+# dropped, so no endpoint memo outlives its use.
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared(key: tuple, build: Callable[[], FunctionBundle]) -> FunctionBundle:
+    bundle = _LIVE.get(key)
+    if bundle is None:
+        bundle = _LIVE[key] = build()
+    return bundle
 
 
 # Window around a singular family parameter inside which members switch
@@ -98,7 +163,7 @@ def _u1_reduced(t: float, near: int) -> FunctionBundle:
             math.log1p(0.5 * delta) + delta * np.log(x))
         d2 = lambda x: 2.0 * c * np.expm1(
             math.log1p(0.5 * delta * (3.0 + delta)) + delta * np.log(x))
-    return FunctionBundle(f=f, d1=d1, d2=d2, d3=lambda x: x ** (t - 3.0),
+    return FunctionBundle(f=f, d1=d1, d2=d2, d3=_Power(t - 3.0),
                           name=f"upsilon1[{t}]", **_POSITIVE)
 
 
@@ -108,10 +173,16 @@ def upsilon1(t: float) -> FamilyMember:
     For parameters within a small window of the singular values 0, 1, 2
     (but not equal to them) the bundle is the quadratic-reduced form of
     the member, which every functional here values identically; the third
-    derivative is x^(t-3) exactly either way.  A scale 1/(t(t-1)(t-2))
-    that is not finite and nonzero is refused.
+    derivative is x^(t-3) exactly either way, a ``_Power`` off the singular
+    values.  A scale 1/(t(t-1)(t-2)) that is not finite and nonzero is
+    refused.  Members of one t share their bundle while it is live.
     """
     t = float(t)
+    return FamilyMember(t=t, bundle=_shared(("upsilon1", t), lambda: _u1_bundle(t)),
+                        family_tag="upsilon1")
+
+
+def _u1_bundle(t: float) -> FunctionBundle:
     if t == 0.0:
         bundle = FunctionBundle(
             f=lambda x: 0.5 * np.log(x),
@@ -142,9 +213,9 @@ def upsilon1(t: float) -> FamilyMember:
             f=lambda x: c * x ** t,
             d1=lambda x: x ** (t - 1.0) / ((t - 1.0) * (t - 2.0)),
             d2=lambda x: x ** (t - 2.0) / (t - 2.0),
-            d3=lambda x: x ** (t - 3.0),
+            d3=_Power(t - 3.0),
             name=f"upsilon1[{t}]", **_POSITIVE)
-    return FamilyMember(t=t, bundle=bundle, family_tag="upsilon1")
+    return bundle
 
 
 def _series(x, first_term, ratio, start: int):
@@ -172,7 +243,7 @@ def _u2_reduced(t: float) -> FunctionBundle:
                            lambda x, k: t * x / k, start=3)
     d2 = lambda x: _series(x, lambda x: np.asarray(x, dtype=float) * 1.0,
                            lambda x, k: t * x / (k - 1), start=3)
-    return FunctionBundle(f=f, d1=d1, d2=d2, d3=lambda x: np.exp(t * x),
+    return FunctionBundle(f=f, d1=d1, d2=d2, d3=_Exp(t),
                           name=f"upsilon2[{t}]", **_POSITIVE)
 
 
@@ -181,10 +252,16 @@ def upsilon2(t: float) -> FamilyMember:
 
     For 0 < |t| below a small threshold the bundle is the quadratic-reduced
     form of the member (identical under every functional here, numerically
-    stable); its third derivative is e^(tx) exactly either way.  A scale
-    1/t^3 that is not finite and nonzero is refused.
+    stable); its third derivative is e^(tx) exactly either way, an ``_Exp``
+    for t != 0.  A scale 1/t^3 that is not finite and nonzero is refused.
+    Members of one t share their bundle while it is live.
     """
     t = float(t)
+    return FamilyMember(t=t, bundle=_shared(("upsilon2", t), lambda: _u2_bundle(t)),
+                        family_tag="upsilon2")
+
+
+def _u2_bundle(t: float) -> FunctionBundle:
     if t == 0.0:
         bundle = FunctionBundle(
             f=lambda x: x ** 3 / 6.0,
@@ -200,13 +277,18 @@ def upsilon2(t: float) -> FamilyMember:
             f=lambda x: np.exp(t * x) / t ** 3,
             d1=lambda x: np.exp(t * x) / t ** 2,
             d2=lambda x: np.exp(t * x) / t,
-            d3=lambda x: np.exp(t * x),
+            d3=_Exp(t),
             name=f"upsilon2[{t}]", **_POSITIVE)
-    return FamilyMember(t=t, bundle=bundle, family_tag="upsilon2")
+    return bundle
 
 
 def cubic_reference() -> FunctionBundle:
-    """x^3, the reference whose third-order data is constant 6."""
+    """x^3, the reference whose third-order data is constant 6; callers share
+    the bundle while it is live."""
+    return _shared(("cubic",), _cubic)
+
+
+def _cubic() -> FunctionBundle:
     return FunctionBundle(
         domain_lo=-math.inf, domain_hi=math.inf,
         f=lambda x: np.asarray(x, dtype=float) ** 3,
@@ -313,9 +395,12 @@ RANGE_SLACK = 1e-9
 
 def _invert_monotone(fn: Callable[[float], float], m: float, M: float,
                      target: float) -> XiResult:
-    """Solve fn(xi) = target on [m, M] for continuous monotone fn, scanned
-    at 65 points by one array call (``_eval``)."""
-    vals = _eval(fn, np.linspace(m, M, 65))
+    """Solve fn(xi) = target on [m, M] for continuous monotone fn.  A
+    closed-form map (``_Power``, ``_Exp``) is monotone by theorem: it is
+    evaluated at m and M only and inverted exactly.  Any other map is
+    scanned at 65 points by one array call (``_eval``) and bisected."""
+    closed = isinstance(fn, _CLOSED_FORM)
+    vals = _eval(fn, np.array([m, M]) if closed else np.linspace(m, M, 65))
     if not np.isfinite(vals).all():
         raise ValueError("inverse undefined: map not finite on [m, M]")
     scale = max(1.0, float(np.abs(vals).max()))
@@ -336,6 +421,8 @@ def _invert_monotone(fn: Callable[[float], float], m: float, M: float,
         return XiResult(m if lo_val <= hi_val else M, unique=True)
     if target >= vmax:
         return XiResult(M if lo_val <= hi_val else m, unique=True)
+    if closed:
+        return XiResult(min(max(fn.inverse(target), m), M), unique=True)
     increasing = lo_val < hi_val
     lo, hi = m, M
     while hi - lo > BISECT_WIDTH:
@@ -373,13 +460,29 @@ def cauchy_xi(ctx: GammaContext, b1: FunctionBundle,
     """The point xi in [m, M] where the third-derivative ratio of the two
     bundles equals the ratio of their functional values."""
     g1, g2 = _gamma_pair(ctx, b1, b2)
-    return _invert_monotone(lambda x: b1.d3(x) / b2.d3(x), ctx.m, ctx.M,
-                            g1 / g2)
+    d3, d3_ref = b1.d3, b2.d3
+    if type(d3) is type(d3_ref) and isinstance(d3, _CLOSED_FORM):
+        ratio = d3 / d3_ref
+    else:
+        ratio = lambda x: d3(x) / d3_ref(x)
+    return _invert_monotone(ratio, ctx.m, ctx.M, g1 / g2)
 
 
 # ---------------------------------------------------------------------------
 # two-parameter means
 # ---------------------------------------------------------------------------
+
+def _inside(ctx: GammaContext, mean: float) -> float:
+    """The mean, refused unless it lies in [m, M] within RANGE_SLACK *
+    max(1, |m|, |M|): as a Cauchy mean-value point it lies in [m, M], so a
+    mean outside says the functional values are too inaccurate on this
+    interval."""
+    slack = RANGE_SLACK * max(1.0, abs(ctx.m), abs(ctx.M))
+    if not ctx.m - slack <= mean <= ctx.M + slack:
+        raise ValueError(f"mean {mean!r} escapes [{ctx.m!r}, {ctx.M!r}]: the "
+                         "functional values are too inaccurate on this interval")
+    return mean
+
 
 def mean_B1(ctx: GammaContext, s: float, t: float) -> float:
     """Two-parameter mean of [m, M] from the power-type family.
@@ -405,8 +508,8 @@ def mean_B1(ctx: GammaContext, s: float, t: float) -> float:
                         / (s * (s - 1.0) * (s - 2.0)))
         return math.exp(exponent)
 
-    return _quotient(lambda u: gamma(ctx, upsilon1(u).bundle), s, t,
-                     lambda ratio, gap: ratio ** (1.0 / gap), diagonal)
+    return _inside(ctx, _quotient(lambda u: gamma(ctx, upsilon1(u).bundle), s, t,
+                                  lambda ratio, gap: ratio ** (1.0 / gap), diagonal))
 
 
 def mean_M2(ctx: GammaContext, s: float, t: float) -> float:
@@ -421,5 +524,5 @@ def mean_M2(ctx: GammaContext, s: float, t: float) -> float:
             return gamma(ctx, _u2_id_phi0()) / (4.0 * g)
         return gamma(ctx, _u2_id_product(s)) / g - 3.0 / s
 
-    return _quotient(lambda u: gamma(ctx, upsilon2(u).bundle), s, t,
-                     lambda ratio, gap: math.log(ratio) / gap, diagonal)
+    return _inside(ctx, _quotient(lambda u: gamma(ctx, upsilon2(u).bundle), s, t,
+                                  lambda ratio, gap: math.log(ratio) / gap, diagonal))

@@ -369,6 +369,8 @@ class TestInputContract:
                                          "params": {"s": 3, "t": 3}})],
         ["means", "--input", json.dumps({**NARROW_MEANS,
                                          "params": {"s": 3.0000001, "t": 3}})],
+        ["means", "--input", json.dumps({**NARROW_MEANS,
+                                         "params": {"s": 3.1, "t": 3}})],
     ], ids=["phi-string", "interval-string-end", "renyi-no-params",
             "divergence-short-interval", "divergence-phi-string",
             "zipf-phi-string", "means-params-no-t", "means-index-string",
@@ -390,7 +392,8 @@ class TestInputContract:
             "jeffreys-subnormal-interval-end", "harmonic-huge-interval",
             "weight-sum-overflow", "renyi-alpha-overflow",
             "zipf-mass-underflow", "poly-derivative-overflow",
-            "means-diagonal-overflow", "means-quotient-overflow"])
+            "means-diagonal-overflow", "means-quotient-overflow",
+            "means-mean-outside-interval"])
     # pytest keeps warnings off the captured stderr; raising them instead
     # makes a numpy warning line ahead of "error:" fail the case, as it
     # would show on a terminal

@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from elrbounds import (
     check_bundle,
     divergence_context,
     elr_context,
+    gamma,
     make_functional,
     mean_B1,
     mean_M2,
@@ -19,6 +23,7 @@ from elrbounds import (
 )
 from elrbounds.registry import poly_bundle
 from elrbounds.stolarsky_means import (
+    _CLOSED_FORM,
     BISECT_WIDTH,
     _invert_monotone,
     _u1_log_product,
@@ -266,3 +271,140 @@ class TestCauchyIdentity:
             xi = cauchy_xi(ctx, family(s).bundle, family(t).bundle)
             worst = max(worst, abs(mean(ctx, s, t) - xi.xi))
         assert worst <= BISECT_WIDTH
+
+
+def criterion_7_draws(count):
+    """The first ``count`` (context, s, t, family) draws of acceptance
+    criterion 7."""
+    rng = np.random.default_rng(88)
+    for _ in range(count):
+        if rng.random() < 0.8:
+            index = int(rng.integers(1, 7))
+            m = float(rng.uniform(0.1, 1.2))
+            M = m + float(rng.uniform(0.4, 2.0))
+            k = int(rng.integers(2, 10))
+            width = M - m
+            nodes = rng.uniform(m + 0.05 * width, M - 0.05 * width, k)
+            w = rng.uniform(0.2, 1.0, k)
+            ctx = elr_context(index, make_functional(nodes, w / w.sum()), m, M)
+        else:
+            index = int(rng.integers(7, 11))
+            k = int(rng.integers(3, 8))
+            ctx = divergence_context(index, rng.dirichlet(np.ones(k) * 3.0),
+                                     rng.dirichlet(np.ones(k) * 3.0))
+        s, t = (float(v) for v in rng.uniform(-2.0, 5.0, 2))
+        family = upsilon1 if rng.random() < 0.5 else upsilon2
+        yield ctx, s, t, family
+
+
+def general(bundle):
+    """The bundle with its third derivative behind a plain closure, which
+    carries no closed-form inverse."""
+    d3 = bundle.d3
+    return replace(bundle, d3=lambda x: d3(x))
+
+
+class TestClosedFormInversion:
+    """Members' third derivatives x^a and e^(tx) invert in closed form; any
+    other map takes the scan and bisection."""
+
+    def test_matches_general_path(self):
+        for ctx, s, t, family in criterion_7_draws(2000):
+            b_s, b_t = family(s).bundle, family(t).bundle
+            for closed, scanned in (
+                    (cauchy_xi(ctx, b_s, b_t),
+                     cauchy_xi(ctx, general(b_s), general(b_t))),
+                    (mvt_xi(ctx, b_s), mvt_xi(ctx, general(b_s)))):
+                assert closed.unique == scanned.unique, (s, t, family)
+                assert abs(closed.xi - scanned.xi) <= BISECT_WIDTH, (s, t, family)
+
+    def test_closed_form_maps_pass_the_scan(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            m = float(rng.uniform(0.05, 3.0))
+            M = m + float(rng.uniform(1e-3, 5.0))
+            s, t = (float(v) for v in rng.uniform(-3.0, 6.0, 2))
+            for family in (upsilon1, upsilon2):
+                d3_s, d3_t = family(s).bundle.d3, family(t).bundle.d3
+                for fn in (d3_s, d3_s / d3_t):
+                    assert isinstance(fn, _CLOSED_FORM)
+                    mid = float(fn(0.5 * (m + M)))
+                    # a non-monotone scan raises "inverse undefined"
+                    scanned = _invert_monotone(lambda x: fn(x), m, M, mid)
+                    closed = _invert_monotone(fn, m, M, mid)
+                    assert scanned.unique == closed.unique
+
+    def test_only_members_carry_an_inverse(self):
+        for t in (-1.5, 0.03, 0.98, 2.04, 3.0, 4.7):
+            assert isinstance(upsilon1(t).bundle.d3, _CLOSED_FORM)
+            assert isinstance(upsilon2(t).bundle.d3, _CLOSED_FORM)
+        member = upsilon1(4.0).bundle
+        for bundle in (upsilon1(0.0).bundle, upsilon1(1.0).bundle,
+                       upsilon1(2.0).bundle, upsilon2(0.0).bundle,
+                       cubic_reference(), poly_bundle([0.0, 0.0, 0.0, 0.0, 1.0]),
+                       general(member), member.negated()):
+            assert not isinstance(bundle.d3, _CLOSED_FORM), bundle.name
+
+    def test_third_derivatives_are_bit_identical(self):
+        xs = np.linspace(0.2, 3.0, 29)
+        for t in (-2.0, -0.5, 0.0, 0.04, 0.7, 1.0, 1.02, 1.5, 2.0, 3.0, 4.2):
+            expected = 1.0 / xs if t == 2.0 else xs ** (t - 3.0)
+            assert np.array_equal(upsilon1(t).bundle.d3(xs), expected), t
+            assert upsilon1(t).bundle.d3(1.7) == (1.0 / 1.7 if t == 2.0
+                                                  else 1.7 ** (t - 3.0)), t
+        for t in (-2.0, -0.3, -0.01, 0.004, 0.3, 1.0, 2.5):
+            assert np.array_equal(upsilon2(t).bundle.d3(xs), np.exp(t * xs)), t
+
+
+class TestGammaReuse:
+    """Gamma is computed once per bundle and context, and family members of
+    one parameter share a bundle while it is live."""
+
+    def test_bench_shaped_op_computes_each_gamma_once(self, monkeypatch):
+        import elrbounds.expconv as expconv
+        calls = []
+        triple = expconv.theorem_triple
+
+        def counted(*args):
+            calls.append(args[2].name)
+            return triple(*args)
+
+        monkeypatch.setattr(expconv, "theorem_triple", counted)
+        for family, mean in ((upsilon1, mean_B1), (upsilon2, mean_M2)):
+            calls.clear()
+            ctx = elr_context(2, make_functional([0.5, 1.2], [0.4, 0.6]), 0.2, 2.0)
+            mean(ctx, 3.7, -1.2)
+            member_s, member_t = family(3.7), family(-1.2)
+            cauchy_xi(ctx, member_s.bundle, member_t.bundle)
+            mvt_xi(ctx, member_s.bundle)
+            assert len(calls) == 3, calls
+
+    def test_same_name_different_function(self):
+        member = upsilon1(4.0).bundle
+        doubled = replace(member, f=lambda x: 2.0 * member.f(x),
+                          d1=lambda x: 2.0 * member.d1(x),
+                          d2=lambda x: 2.0 * member.d2(x),
+                          d3=lambda x: 2.0 * member.d3(x), _memo={})
+        assert doubled.name == member.name
+        ctx = elr_context(1, make_functional([0.5, 1.2], [0.4, 0.6]), 0.2, 2.0)
+        single = gamma(ctx, member)
+        assert gamma(ctx, doubled) == pytest.approx(2.0 * single, rel=1e-12)
+        assert gamma(ctx, member) == single
+
+    def test_poly_bundle_through_the_cache(self):
+        quartic = poly_bundle([0.0, 0.0, 0.0, 0.0, 1.0])
+        ctx = elr_context(1, make_functional([0.5], [1.0]), 0.0, 1.0)
+        first = mvt_xi(ctx, quartic)
+        assert mvt_xi(ctx, quartic) == first
+        assert first.xi == pytest.approx(0.375, abs=1e-9)
+
+    def test_no_bundle_outlives_its_contexts(self):
+        ctx = elr_context(1, make_functional([0.5, 1.2], [0.4, 0.6]), 0.2, 2.0)
+        mean_B1(ctx, 4.3, 2.6)
+        shared = upsilon1(4.3).bundle
+        assert shared is upsilon1(4.3).bundle and shared._memo
+        alive = weakref.ref(shared)
+        del ctx, shared
+        gc.collect()
+        assert alive() is None
+        assert upsilon1(4.3).bundle._memo == {}
