@@ -56,30 +56,36 @@ class InputError(ValueError):
 # deterministic JSON emission
 # ---------------------------------------------------------------------------
 
-def _dump(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps(str) returns
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _dump(obj, pad: str = "") -> str:
+    """``obj`` as indented JSON whose items sit at ``pad`` plus two spaces;
+    floats have 17 significant digits, and nan and +-inf are strings."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return format(obj, ".17g")
+        return '"nan"' if math.isnan(obj) else '"inf"' if obj > 0 else '"-inf"'
+    if isinstance(obj, str):
+        return _encode_str(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_dump(v, indent + 1)}"
-            for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
+        inner = pad + "  "
+        items = [f"{inner}{_encode_str(str(k))}: {_dump(v, inner)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{pad}  {_dump(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        inner = pad + "  "
+        items = [inner + _dump(v, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+        return _LITERALS[obj]
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return '"nan"'
-        if math.isinf(obj):
-            return '"inf"' if obj > 0 else '"-inf"'
-        return format(obj, ".17g")
     return json.dumps(obj)
 
 

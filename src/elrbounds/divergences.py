@@ -15,13 +15,13 @@ built in, each with analytic derivatives:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .divided_diff import FunctionBundle, NEG_THREE_CONVEX, SIGN_TOL, THREE_CONVEX, _eval
-from .elr_bounds import BoundReport, bounds
-from .functionals import DiscreteFunctional, check_weights, make_functional, moments
+from .elr_bounds import BoundReport, _resolve_orientation, theorem_triple
+from .functionals import DiscreteFunctional, _normalize, check_weights, moments
 
 __all__ = [
     "GeneratorFunction",
@@ -230,7 +230,13 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
     outside = (ratios < m) | (ratios > M)
     if outside.any():
         raise ValueError(f"ratio outside [m, M]: {float(ratios[outside][0])!r}")
-    return make_functional(ratios, masses), m, M, masses
+    # The kept masses need only make_functional's normalization: _check_pair
+    # has checked every q_i, and dropping exact zeros leaves the real sum of
+    # q, which it has checked to lie within WEIGHT_DRIFT_TOL of 1, unchanged.
+    ratios.flags.writeable = False
+    weights = _normalize(masses.copy(), ((1, masses.size),),
+                         (masses.sum(keepdims=True),))
+    return DiscreteFunctional(nodes=ratios, weights=weights), m, M, masses
 
 
 def _spot_check_direction(gen: GeneratorFunction, m: float, M: float) -> None:
@@ -251,8 +257,9 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
                     ) -> tuple[float, list[BoundReport]]:
     """(divergence, reports): the divergence and the bound pairs named in
     ``theorems`` from one ratio functional (``ratio_functional``, which
-    checks the pair and derives the interval) and one MomentSet.  Every
-    kept ratio is positive, so the divergence is f_divergence's sum."""
+    checks the pair and derives the interval), one evaluation of f at its
+    nodes and one MomentSet.  Every kept ratio is positive, so the
+    divergence is f_divergence's sum."""
     unknown = [name for name in theorems if name not in DIVERGENCE_THEOREMS]
     if unknown:
         raise ValueError(f"unknown theorem {unknown[0]!r}")
@@ -262,14 +269,19 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
         raise ValueError("ratios must stay strictly positive for generator "
                          "bounds")
     _spot_check_direction(gen, m, M)
-    value = float(masses @ _eval(gen.bundle.f, functional.nodes))
-    ms = moments(functional, gen.bundle, m, M)
-    return value, [replace(bounds(name, functional, gen.bundle, m, M,
-                                  gen.convexity_verdict(), precomputed=ms),
-                           theorem_tag=f"divergence_{name}",
-                           details={"m": m, "M": M, "interval_auto_derived": auto,
-                                    "generator": gen.name, "params": list(gen.params)})
-                   for name in theorems]
+    phi_vals = _eval(gen.bundle.f, functional.nodes)
+    ms = moments(functional, gen.bundle, m, M, phi_vals=phi_vals)
+    orientation = _resolve_orientation(gen.convexity_verdict())
+    reports = []
+    for name in theorems:
+        lower, mid, upper = theorem_triple(name, functional, gen.bundle, m, M,
+                                           precomputed=ms)
+        reports.append(BoundReport(
+            lower=lower, upper=upper, mid=mid, orientation=orientation,
+            theorem_tag=f"divergence_{name}",
+            details={"m": m, "M": M, "interval_auto_derived": auto,
+                     "generator": gen.name, "params": list(gen.params)}))
+    return float(masses @ phi_vals), reports
 
 
 def divergence_reports(p, q, gen: GeneratorFunction, m: float | None = None,

@@ -147,16 +147,23 @@ def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
     if not np.isfinite(nodes).all():
         raise ValueError("nodes must be finite")
     _check_entries(weights, "functional")
-    blocks = row_blocks(weights, shapes)
-    sums = [block.sum(axis=1) for block in blocks]
+    sums = [block.sum(axis=1) for block in row_blocks(weights, shapes)]
     _check_sums(weights, np.concatenate(sums).tolist(), "functional")
-    for block, block_sums in zip(blocks, sums):
+    nodes.flags.writeable = False
+    return FunctionalBatch(nodes, _normalize(weights, shapes, sums),
+                           tuple(shapes), order)
+
+
+def _normalize(weights: np.ndarray, shapes, sums) -> np.ndarray:
+    """The checked flat weights, laid out as in FunctionalBatch, made
+    exact: each row divided in place by its sum (``sums`` holds the row
+    sums of each block), landed on 1, and the array made read-only."""
+    for block, block_sums in zip(row_blocks(weights, shapes), sums):
         block /= block_sums[:, None]
         for row in block:
             _land_on_one(row)
-    nodes.flags.writeable = False
     weights.flags.writeable = False
-    return FunctionalBatch(nodes, weights, tuple(shapes), order)
+    return weights
 
 
 def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> DiscreteFunctional:
@@ -249,22 +256,26 @@ def moments_batch(batch: FunctionalBatch, bundle: FunctionBundle, m: float,
 
 
 def moments(functional: DiscreteFunctional, bundle: FunctionBundle, m: float,
-            M: float) -> MomentSet:
-    """All moment quantities of the functional against the bundle on [m, M]."""
+            M: float, *, phi_vals: np.ndarray | None = None) -> MomentSet:
+    """All moment quantities of the functional against the bundle on [m, M];
+    ``phi_vals`` is f at the nodes, when the caller has evaluated it."""
     sums = _moment_sums(functional.nodes, functional.weights,
-                        ((1, functional.nodes.size),), None, bundle, m, M)
+                        ((1, functional.nodes.size),), None, bundle, m, M,
+                        phi_vals)
     return MomentSet(*sums[:, 0].tolist())
 
 
 def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
-                 bundle: FunctionBundle, m: float, M: float) -> np.ndarray:
+                 bundle: FunctionBundle, m: float, M: float,
+                 phi_vals: np.ndarray | None = None) -> np.ndarray:
     """(quantity, functional) array of the MomentSet fields of the batch
     with these FunctionalBatch fields, without the derivative moments when
     the bundle cannot supply them.
 
-    The bundle is evaluated once over the nodes of the whole batch; each
-    block then reduces with one stacked product, which computes every row
-    exactly as ``w @ v`` computes one functional.
+    The bundle is evaluated once over the nodes of the whole batch (f only
+    when ``phi_vals`` does not already hold it); each block then reduces
+    with one stacked product, which computes every row exactly as
+    ``w @ v`` computes one functional.
     """
     if not m < M:
         raise ValueError("degenerate interval: m must lie strictly below M")
@@ -272,7 +283,8 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
         bad = float(x[(x < m) | (x > M)][0])
         raise ValueError(f"node escapes interval [{m}, {M}]: {bad!r}")
 
-    phi_vals = _eval(bundle.f, x)
+    if phi_vals is None:
+        phi_vals = _eval(bundle.f, x)
     if not np.isfinite(phi_vals).all():
         bad = float(x[~np.isfinite(phi_vals)][0])
         raise ValueError(f"functional argument is not finite at node {bad!r}")

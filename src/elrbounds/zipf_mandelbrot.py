@@ -9,7 +9,7 @@ taken from the elementwise ratio extrema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,8 +98,10 @@ def zm_divergence_pass(a: ZipfMandelbrot, b: ZipfMandelbrot,
     extrema, so identical laws are rejected."""
     m, M = zm_ratio_extrema(a, b)
     value, reports = divergence_pass(a.pmf, b.pmf, gen, m, M, theorems)
-    laws = {"zm_a": a.params(), "zm_b": b.params()}
-    return value, [replace(r, details={**r.details, **laws}) for r in reports]
+    for report in reports:
+        # each report of the pass holds details of its own
+        report.details.update(zm_a=a.params(), zm_b=b.params())
+    return value, reports
 
 
 def zm_divergence_bounds(a: ZipfMandelbrot, b: ZipfMandelbrot,

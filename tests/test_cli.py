@@ -2,10 +2,15 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from elrbounds.cli import main
+from elrbounds.cli import dump_report, main
 
 BOUNDS_INPUT = json.dumps({
     "functional": {"nodes": [0.5], "weights": [1.0]},
@@ -492,3 +497,120 @@ class TestOnePass:
         assert status == 0
         assert math.isfinite(report["divergence"])
         assert counts == dict(zip(names, (2, 0)))
+
+    @pytest.mark.parametrize("command,payload", [
+        ("divergence", {"distributions": PAIR, "phi": {"name": "kl"}}),
+        ("zipf", {"zm": ZM_PAIR, "phi": {"name": "kl"}}),
+    ], ids=["divergence", "zipf"])
+    def test_generator_evaluated_once_at_the_ratios(self, monkeypatch,
+                                                    command, payload):
+        """One f evaluation at the ratio nodes gives both the divergence and
+        A(f), and the ratio functional is built by normalization alone,
+        without make_functional's second check of the pair."""
+        from elrbounds import cli
+
+        names = ("divergences.check_probability_vector",
+                 "divergences.f_divergence", "divergences.ratio_functional",
+                 "functionals.moments", "functionals.make_functional",
+                 "functionals.make_functionals")
+        counts = self.count_calls(monkeypatch, names)
+        node_evaluations = []
+        resolve = cli.resolve_generator
+
+        def counting_generator(spec):
+            gen = resolve(spec)
+            f = gen.bundle.f
+
+            def counted(t):
+                if np.ndim(t):  # the nodes, not an endpoint through deriv
+                    node_evaluations.append(np.size(t))
+                return f(t)
+
+            return replace(gen, bundle=replace(gen.bundle, f=counted, _memo={}))
+
+        monkeypatch.setattr(cli, "resolve_generator", counting_generator)
+        status, report = cli.run(cli.RunConfig(command=command, payload=payload))
+        assert status == 0
+        assert math.isfinite(report["divergence"])
+        assert node_evaluations == [2]
+        assert counts == dict(zip(names, (2, 0, 1, 1, 0, 0)))
+
+
+def _reference_dump(obj, indent: int = 0) -> str:
+    """The report writer as first defined, one json.dumps per string and per
+    key: the oracle that cli.dump_report must match byte for byte."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {_reference_dump(v, indent + 1)}"
+            for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{pad}  {_reference_dump(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return '"nan"'
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        return format(obj, ".17g")
+    return json.dumps(obj)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     1.7976931348623157e308, 0.1, 1e16, 1e-5]))
+_SCALARS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=-(10 ** 30), max_value=10 ** 30),
+    st.text(),  # non-ASCII, control characters and surrogates among them
+)
+_KEYS = st.one_of(st.text(), st.integers(), _FLOATS, st.booleans(), st.none())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4)),
+    max_leaves=30)
+
+
+class TestReportWriter:
+    """dump_report is the reference writer's bytes, at less cost."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150, suppress_health_check=list(HealthCheck))
+    @given(_VALUES)
+    def test_matches_reference_writer(self, value):
+        assert dump_report(value) == _reference_dump(value) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], {}],
+        {"é": "ünïcödé ✓   \ud800", 1: None, 2.5: True, None: False,
+         False: -0.0, math.nan: math.inf},
+        [np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
+         np.float64(0.1), 10 ** 40, -(10 ** 40)],
+    ], ids=["empty-dict", "empty-list", "empty-tuple", "empty-children",
+            "nested-empty", "keys-and-strings", "numpy-and-big-ints"])
+    def test_edge_values(self, value):
+        assert dump_report(value) == _reference_dump(value) + "\n"
+
+    def test_goldens_round_trip(self):
+        """Every golden report reads back and is written to its own bytes."""
+        goldens = sorted((Path(__file__).parent / "golden").glob("*.out"))
+        assert goldens
+        for path in goldens:
+            text = path.read_text()
+            assert dump_report(json.loads(text)) == text, path.name

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from elrbounds import divergence_bounds, f_divergence, generator
+from elrbounds import (
+    apply,
+    divergence_bounds,
+    f_divergence,
+    generator,
+    make_functional,
+    zm_distribution,
+)
 from elrbounds.divergences import (
     DIVERGENCE_THEOREMS,
     F_3CONVEX,
     NEG_F_3CONVEX,
     divergence_reports,
+    ratio_functional,
 )
 
 
@@ -252,3 +260,43 @@ class TestNonFiniteBounds:
         r = divergence_bounds(*self.PAIR, generator("kl"), theorem="derivative")
         assert all(map(math.isfinite, (r.lower, r.mid, r.upper)))
         assert r.violation() == 0.0
+
+
+class TestRatioNormalization:
+    """ratio_functional checks its pair once and then runs only the
+    normalization of make_functional, with the same result to the bit."""
+
+    @staticmethod
+    def assert_is_make_functional(p, q):
+        keep = np.asarray(q) > 0
+        ratios = np.asarray(p)[keep] / np.asarray(q)[keep]
+        # an explicit interval, which the pairs whose ratios all coincide need
+        functional, _, _, masses = ratio_functional(p, q, 0.0, ratios.max() + 1.0)
+        reference = make_functional(ratios, masses)
+        assert functional.nodes.tobytes() == reference.nodes.tobytes()
+        assert functional.weights.tobytes() == reference.weights.tobytes()
+        assert not functional.weights.flags.writeable
+        assert not functional.nodes.flags.writeable
+        assert apply(functional, lambda x: 1.0) == 1.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_pairs_with_zero_masses(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            k = int(rng.integers(2, 40))
+            p = rng.dirichlet(np.full(k, rng.uniform(0.05, 3.0)))
+            q = rng.dirichlet(np.full(k, rng.uniform(0.05, 3.0)))
+            # zero-zero pairs, which are dropped, and p_i = 0 < q_i
+            both = rng.random(k) < 0.3
+            both[int(rng.integers(k))] = False
+            p[both] = q[both] = 0.0
+            p[(rng.random(k) < 0.2) & ~both] = 0.0
+            p, q = p / p.sum(), q / q.sum()
+            self.assert_is_make_functional(p, q)
+
+    @pytest.mark.parametrize("N", [2, 10, 100, 1000, 10_000])
+    def test_zipf_mandelbrot_laws(self, N):
+        a = zm_distribution(N, 0.5, 1.1)
+        b = zm_distribution(N, 3.0, 2.3)
+        self.assert_is_make_functional(a.pmf, b.pmf)
+        self.assert_is_make_functional(b.pmf, a.pmf)
