@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable
 
@@ -22,7 +23,7 @@ import numpy as np
 from .divided_diff import FunctionBundle
 from .divergences import ratio_functional
 from .elr_bounds import theorem_triple
-from .functionals import DiscreteFunctional
+from .functionals import DiscreteFunctional, MomentBasis, moment_basis
 
 __all__ = [
     "GammaContext",
@@ -56,7 +57,13 @@ MAX_SUBSETS = 200
 class GammaContext:
     """Where a functional of the family acts: a discrete functional on
     [m, M] for indices 1-6, a ratio functional built from a distribution
-    pair for indices 7-10."""
+    pair for indices 7-10.
+
+    A context computes once, at its first Gamma, the moments that do not
+    depend on the bundle (``basis``: the node check, mean, cross, sq_lo and
+    sq_hi), and once per bundle its Gamma; ``dataclasses.replace`` gives a
+    context that starts both afresh.
+    """
 
     index: int
     functional: DiscreteFunctional
@@ -79,6 +86,11 @@ class GammaContext:
                 f"{self.kind!r}")
         if not self.m < self.M:
             raise ValueError("degenerate interval: m must lie strictly below M")
+
+    @cached_property
+    def basis(self) -> MomentBasis:
+        """The bundle-free moments of the functional on [m, M]."""
+        return moment_basis(self.functional, self.m, self.M)
 
 
 def elr_context(index: int, functional: DiscreteFunctional, m: float,
@@ -103,13 +115,16 @@ def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
     Defined as (mid - lower) for odd indices and (upper - mid) for even
     ones, taken from the bound pair named by the index, which makes the
     value nonnegative whenever the bundle is 3-convex on [m, M].  It is
-    computed once per bundle and context.
+    computed once per bundle and context, from the context's basis and the
+    rows its theorem reads: f at the nodes, and phi' there only for the
+    derivative pair (indices 3, 4, 7 and 8).
     """
     entry = ctx._gammas.get(id(bundle))
     if entry is None:
         theorem = THEOREM_BY_INDEX[ctx.index]
+        ms = ctx.basis.moments(bundle, derivative=theorem == "derivative")
         lower, mid, upper = theorem_triple(theorem, ctx.functional, bundle,
-                                           ctx.m, ctx.M)
+                                           ctx.m, ctx.M, ms)
         value = mid - lower if ctx.index % 2 == 1 else upper - mid
         entry = ctx._gammas[id(bundle)] = (bundle, value)
     return entry[1]
@@ -117,12 +132,12 @@ def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
 
 @dataclass
 class GammaCurve:
-    """The map t -> Gamma(phi_t) over a parameterized bundle family."""
+    """The map t -> Gamma(phi_t) over a parameterized bundle family; each
+    value is kept by the context, under the bundle ``family(t)`` returns."""
 
     context: GammaContext
     family: Callable[[float], FunctionBundle]
     t_grid: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, dtype=float).reshape(-1)
@@ -130,10 +145,7 @@ class GammaCurve:
             raise ValueError("t_grid must be strictly increasing")
 
     def value(self, t: float) -> float:
-        t = float(t)
-        if t not in self._cache:
-            self._cache[t] = gamma(self.context, self.family(t))
-        return self._cache[t]
+        return gamma(self.context, self.family(float(t)))
 
 
 @dataclass(frozen=True)

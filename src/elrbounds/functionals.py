@@ -4,7 +4,8 @@ The functional is a finite weighted average: nonnegative weights summing
 to one attached to real nodes.  Every bound in this package is expressed
 through a handful of moments of the node values against a function bundle
 (mean, endpoint cross products, squared endpoint distances, and first
-derivative moments), collected here in one pass.
+derivative moments), collected here in one pass, or, for many bundles
+against one functional, from a bundle-free basis computed once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "apply",
     "moments",
     "moments_batch",
+    "MomentBasis",
+    "moment_basis",
 ]
 
 # Weight sums drifting from 1 by at most this much are renormalized;
@@ -178,7 +181,8 @@ def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> Discret
         raise ValueError("nodes and weights differ in length")
     if nodes.size == 0:
         raise ValueError("functional needs at least one node")
-    return make_functionals(nodes, weights, ((1, nodes.size),)).functional(0)
+    batch = make_functionals(nodes, weights, ((1, nodes.size),))
+    return DiscreteFunctional(nodes=batch.nodes, weights=batch.weights)
 
 
 def _land_on_one(weights: np.ndarray) -> None:
@@ -265,6 +269,48 @@ def moments(functional: DiscreteFunctional, bundle: FunctionBundle, m: float,
     return MomentSet(*sums[:, 0].tolist())
 
 
+@dataclass(frozen=True)
+class MomentBasis:
+    """The part of a functional's moments on [m, M] that does not depend on
+    the bundle (``moment_basis``): the checked nodes, their weights as one
+    row, x - m and M - x at the nodes, and the sums mean, cross, sq_lo and
+    sq_hi of MomentSet.  Any bundle's moments then cost only the rows that
+    read phi."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    m: float
+    M: float
+    lo: np.ndarray
+    hi: np.ndarray
+    sums: tuple
+
+    def moments(self, bundle: FunctionBundle, derivative: bool) -> MomentSet:
+        """The MomentSet of the bundle, equal to ``moments`` bit for bit;
+        with ``derivative`` false phi' is not evaluated and d_lo and d_hi
+        are None."""
+        x = self.nodes
+        phi_vals = _phi_values(bundle, x)
+        dvals = _derivative_values(bundle, x, self.m, self.M) if derivative else None
+        terms = np.empty((1 if dvals is None else 3, x.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _phi_rows(phi_vals, dvals, self.lo, self.hi, terms)
+            sums = _row_sums(self.weights, terms[:, None])
+        return MomentSet(*self.sums, *sums[:, 0].tolist())
+
+
+def moment_basis(functional: DiscreteFunctional, m: float, M: float) -> MomentBasis:
+    """The bundle-free moments of the functional on [m, M], computed once;
+    a node outside [m, M] is refused here as in ``moments``."""
+    x, weights = functional.nodes, functional.weights[None]
+    _check_nodes(x, m, M)
+    terms = np.empty((4, x.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = _basis_rows(x, m, M, terms)
+        sums = _row_sums(weights, terms[:, None])
+    return MomentBasis(x, weights, m, M, lo, hi, tuple(sums[:, 0].tolist()))
+
+
 def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
                  bundle: FunctionBundle, m: float, M: float,
                  phi_vals: np.ndarray | None = None) -> np.ndarray:
@@ -273,42 +319,82 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
     the bundle cannot supply them.
 
     The bundle is evaluated once over the nodes of the whole batch (f only
-    when ``phi_vals`` does not already hold it); each block then reduces
-    with one stacked product, which computes every row exactly as
-    ``w @ v`` computes one functional.
+    when ``phi_vals`` does not already hold it); the rows of both writers
+    fill one array, whose blocks then reduce once each.
     """
+    _check_nodes(x, m, M)
+    phi_vals = _phi_values(bundle, x, phi_vals)
+    dvals = _derivative_values(bundle, x, m, M)
+    terms = np.empty((5 if dvals is None else 7, x.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = _basis_rows(x, m, M, terms)
+        _phi_rows(phi_vals, dvals, lo, hi, terms[4:])
+        parts = [_row_sums(w, block) for w, block in
+                 zip(row_blocks(weights, shapes), row_blocks(terms, shapes))]
+    sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    if order is not None:
+        sums[:, order] = sums.copy()
+    return sums
+
+
+def _check_nodes(x: np.ndarray, m: float, M: float) -> None:
+    """Every node lies in [m, M], and m < M."""
     if not m < M:
         raise ValueError("degenerate interval: m must lie strictly below M")
     if x.min() < m or x.max() > M:
         bad = float(x[(x < m) | (x > M)][0])
         raise ValueError(f"node escapes interval [{m}, {M}]: {bad!r}")
 
+
+def _phi_values(bundle: FunctionBundle, x: np.ndarray,
+                phi_vals: np.ndarray | None = None) -> np.ndarray:
+    """f at the nodes (evaluated unless given), which must be finite."""
     if phi_vals is None:
         phi_vals = _eval(bundle.f, x)
     if not np.isfinite(phi_vals).all():
         bad = float(x[~np.isfinite(phi_vals)][0])
         raise ValueError(f"functional argument is not finite at node {bad!r}")
+    return phi_vals
+
+
+def _derivative_values(bundle: FunctionBundle, x: np.ndarray, m: float,
+                       M: float) -> np.ndarray | None:
+    """phi' at the nodes, or None when the bundle cannot supply it."""
     try:
-        dvals = node_derivatives(bundle, x, m, M)
+        return node_derivatives(bundle, x, m, M)
     except ValueError:
-        dvals = None
-    # summands in MomentSet field order, written in place; a moment may
-    # overflow to inf, or be a nan where an end node meets an infinite
-    # derivative (0 * inf), and BoundReport refuses a pair that is not finite
-    terms = np.empty((5 if dvals is None else 7, x.size))
-    terms[0] = x
-    terms[4] = phi_vals
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = x - m, M - x
-        np.multiply(hi, lo, out=terms[1])
-        np.square(lo, out=terms[2])
-        np.square(hi, out=terms[3])
-        if dvals is not None:
-            np.multiply(lo, dvals, out=terms[5])
-            np.multiply(hi, dvals, out=terms[6])
-        parts = [(w[:, None, :] @ block[..., None])[..., 0, 0]
-                 for w, block in zip(row_blocks(weights, shapes), row_blocks(terms, shapes))]
-    sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    if order is not None:
-        sums[:, order] = sums.copy()
-    return sums
+        return None
+
+
+# The row writers and the stacked product below run under the caller's
+# np.errstate(over="ignore", invalid="ignore"): a moment may overflow to
+# inf, or be a nan where an end node meets an infinite derivative
+# (0 * inf), and BoundReport refuses a pair that is not finite.
+
+def _basis_rows(x: np.ndarray, m: float, M: float,
+                out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The summands of mean, cross, sq_lo and sq_hi written to out[0:4];
+    returns x - m and M - x."""
+    out[0] = x
+    lo, hi = x - m, M - x
+    np.multiply(hi, lo, out=out[1])
+    np.square(lo, out=out[2])
+    np.square(hi, out=out[3])
+    return lo, hi
+
+
+def _phi_rows(phi_vals: np.ndarray, dvals: np.ndarray | None, lo: np.ndarray,
+              hi: np.ndarray, out: np.ndarray) -> None:
+    """The summands of value, and of d_lo and d_hi when phi' is given,
+    written to out[0], out[1] and out[2]."""
+    out[0] = phi_vals
+    if dvals is not None:
+        np.multiply(lo, dvals, out=out[1])
+        np.multiply(hi, dvals, out=out[2])
+
+
+def _row_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(row, functional) sums of ``rows`` (row, functional, k) under the
+    weights ``w`` (functional, k) of a block: one stacked product, which
+    computes every row exactly as ``w @ v`` computes one functional."""
+    return (w[:, None, :] @ rows[..., None])[..., 0, 0]

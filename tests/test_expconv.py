@@ -1,3 +1,7 @@
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +18,14 @@ from elrbounds import (
     upsilon1,
     upsilon2,
 )
-from elrbounds.divided_diff import linear_combination
-from elrbounds.registry import resolve_phi
+import elrbounds.elr_bounds as elr_bounds
+import elrbounds.functionals as functionals
+from elrbounds import stolarsky_means
+from elrbounds.cli import main as cli_main
+from elrbounds.divided_diff import FunctionBundle, bundle_from_callables, linear_combination
+from elrbounds.elr_bounds import theorem_triple
+from elrbounds.expconv import THEOREM_BY_INDEX
+from elrbounds.registry import poly_bundle, resolve_phi
 
 CUBIC = resolve_phi({"name": "cubic"})
 QUARTIC = resolve_phi({"name": "quartic"})
@@ -87,6 +97,168 @@ class TestGamma:
         # ratios are 0.8 and 1.2; the message prints a plain float
         with pytest.raises(ValueError, match=r"ratio outside \[m, M\]: 0\.8$"):
             divergence_context(7, [0.4, 0.6], [0.5, 0.5], m=0.9, M=1.3)
+
+
+def _full_pass_gamma(ctx, bundle):
+    """Gamma from the one-shot moment pass: theorem_triple with no
+    precomputed moments."""
+    lower, mid, upper = theorem_triple(THEOREM_BY_INDEX[ctx.index], ctx.functional,
+                                       bundle, ctx.m, ctx.M)
+    return mid - lower if ctx.index % 2 == 1 else upper - mid
+
+
+def _outcome(compute):
+    try:
+        return np.float64(compute()).tobytes()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _criterion_7_contexts(count):
+    """The contexts and member bundles of criterion 7's first draws, each
+    context at every index of its kind."""
+    rng = np.random.default_rng(88)
+    for _ in range(count):
+        if rng.random() < 0.8:
+            m = float(rng.uniform(0.1, 1.2))
+            M = m + float(rng.uniform(0.4, 2.0))
+            k = int(rng.integers(2, 10))
+            width = M - m
+            nodes = rng.uniform(m + 0.05 * width, M - 0.05 * width, k)
+            w = rng.uniform(0.2, 1.0, k)
+            rng.integers(1, 7)  # the draw's index; all six are checked
+            F = make_functional(nodes, w / w.sum())
+            contexts = [elr_context(i, F, m, M) for i in range(1, 7)]
+        else:
+            k = int(rng.integers(3, 8))
+            p = rng.dirichlet(np.ones(k) * 3.0)
+            q = rng.dirichlet(np.ones(k) * 3.0)
+            rng.integers(7, 11)  # the draw's index; all four are checked
+            contexts = [divergence_context(i, p, q) for i in range(7, 11)]
+        s, t = (float(v) for v in rng.uniform(-2.0, 5.0, 2))
+        family = upsilon1 if rng.random() < 0.5 else upsilon2
+        yield contexts, (family(s).bundle, family(t).bundle)
+
+
+def _counting_d1(calls):
+    """x^4/24 whose d1 records the size of each evaluation at an array of
+    nodes."""
+    def d1(x):
+        if np.ndim(x):
+            calls.append(np.size(x))
+        return x ** 3 / 6.0
+
+    return bundle_from_callables(lambda x: x ** 4 / 24.0, d1, lambda x: 0.5 * x ** 2,
+                                 lambda x: x, name="counted")
+
+
+class TestMomentBasis:
+    """A context computes the bundle-free moments once, and each Gamma only
+    the rows its theorem reads, with the bits of the one-shot pass."""
+
+    def test_bit_identical_on_criterion_7_draws(self):
+        checked = 0
+        for contexts, bundles in _criterion_7_contexts(2000):
+            for ctx in contexts:
+                for bundle in bundles:
+                    assert (_outcome(lambda: gamma(ctx, bundle))
+                            == _outcome(lambda: _full_pass_gamma(ctx, bundle))), \
+                        (ctx.index, bundle.name)
+                    checked += 1
+        assert checked > 20_000
+
+    def test_bit_identical_on_other_bundles(self):
+        member = upsilon1(3.7).bundle
+        bundles = [
+            stolarsky_means._u1_log_product(3.7), stolarsky_means._u1_phi0_squared(),
+            stolarsky_means._u1_phi0_phi1(), stolarsky_means._u1_phi0_phi2(),
+            stolarsky_means._u2_id_phi0(), stolarsky_means._u2_id_product(1.3),
+            stolarsky_means._u2_id_product(0.01),
+            poly_bundle([0.5, -1.0, 0.0, 2.0, 1.0]), stolarsky_means.cubic_reference(),
+            member.negated(), upsilon2(-0.7).bundle.negated(),
+            bundle_from_callables(math.exp, math.exp, math.exp, math.exp, name="scalar exp"),
+            bundle_from_callables(lambda x: x ** 5, lambda x: 5.0 * x ** 4,
+                                  lambda x: 20.0 * x ** 3, lambda x: 60.0 * x ** 2,
+                                  lo=0.0, hi=10.0),
+        ]
+        for contexts, _ in _criterion_7_contexts(60):
+            for ctx in contexts:
+                for bundle in bundles:
+                    assert (_outcome(lambda: gamma(ctx, bundle))
+                            == _outcome(lambda: _full_pass_gamma(ctx, bundle))), \
+                        (ctx.index, bundle.name)
+        # nodes on the interval ends take phi' one-sided
+        F = make_functional([0.0, 0.4, 1.0], [0.25, 0.5, 0.25])
+        for index in range(1, 7):
+            for bundle in bundles[7:9] + bundles[11:]:
+                ctx = elr_context(index, F, 0.0, 1.0)
+                assert (_outcome(lambda: gamma(ctx, bundle))
+                        == _outcome(lambda: _full_pass_gamma(ctx, bundle))), index
+
+    def test_bundle_free_rows_reduced_once_per_context(self, monkeypatch):
+        writes, one_shot = [], []
+        basis_rows = functionals._basis_rows
+        monkeypatch.setattr(functionals, "_basis_rows",
+                            lambda *args: writes.append(1) or basis_rows(*args))
+        monkeypatch.setattr(elr_bounds, "moments",
+                            lambda *args, **kw: one_shot.append(1))
+        for index in (1, 3, 5):
+            writes.clear()
+            ctx = elr_context(index, make_functional([0.5, 1.2, 1.6], [0.3, 0.3, 0.4]),
+                              0.2, 2.0)
+            assert writes == []
+            for t in (-1.5, 0.0, 0.7, 2.0, 3.3):
+                gamma(ctx, upsilon1(t).bundle)
+                gamma(ctx, upsilon2(t).bundle)
+            assert len(writes) == 1
+            fresh = replace(ctx)
+            assert gamma(fresh, CUBIC) == gamma(ctx, CUBIC)
+            gamma(fresh, QUARTIC)
+            assert len(writes) == 2
+        assert one_shot == []
+
+    def test_derivative_at_the_nodes_only_for_the_derivative_pair(self):
+        contexts = [elr_context(i, make_functional([0.3, 0.6, 0.9], [0.2, 0.5, 0.3]),
+                                0.1, 1.2) for i in range(1, 7)]
+        contexts += [divergence_context(i, [0.2, 0.5, 0.3], [0.4, 0.3, 0.3])
+                     for i in range(7, 11)]
+        for ctx in contexts:
+            calls = []
+            gamma(ctx, _counting_d1(calls))
+            # one evaluation at the interior nodes (a ratio node may sit
+            # on an interval end, where phi' is the stored one-sided value)
+            assert len(calls) == (ctx.index in (3, 4, 7, 8)), ctx.index
+
+    def test_errors_at_the_first_gamma_with_the_one_shot_text(self):
+        escaping = make_functional([0.5, 1.5], [0.5, 0.5])
+        pole = bundle_from_callables(lambda x: 1.0 / (x - 0.5), name="pole")
+        no_d1 = FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=lambda x: x ** 3,
+                               d2=lambda x: 6.0 * x, d1_plus_at_lo=0.0,
+                               d1_minus_at_hi=3.0, name="cube without d1")
+        inside = make_functional([0.25, 0.5], [0.5, 0.5])
+        cases = [(escaping, CUBIC, range(1, 7), r"node escapes interval \[0\.0, 1\.0\]: 1\.5"),
+                 (inside, pole, range(1, 7), r"not finite at node 0\.5"),
+                 (inside, no_d1, (3, 4), r"first derivative moment of 'cube without d1'")]
+        for functional, bundle, indices, message in cases:
+            for index in indices:
+                ctx = elr_context(index, functional, 0.0, 1.0)
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=message) as got:
+                        gamma(ctx, bundle)
+                    with pytest.raises(ValueError) as want:
+                        _full_pass_gamma(ctx, bundle)
+                    assert str(got.value) == str(want.value)
+        # the secant and taylor pairs never read phi' at the nodes
+        for index in (1, 2, 5, 6):
+            ctx = elr_context(index, inside, 0.0, 1.0)
+            assert gamma(ctx, no_d1) == _full_pass_gamma(ctx, no_d1)
+
+    def test_means_positive_interval_message_comes_first(self, capsys):
+        payload = {"functional": {"nodes": [5.0], "weights": [1.0]},
+                   "interval": [-1.0, 1.0], "gamma_index": 1,
+                   "phi": {"name": "upsilon1"}, "params": {"s": 4, "t": 3}}
+        assert cli_main(["means", "--input", json.dumps(payload)]) == 1
+        assert "positive half line" in capsys.readouterr().err
 
 
 class TestExpConvexity:
