@@ -85,35 +85,49 @@ class FunctionBundle:
         return self.domain_lo <= lo and hi <= self.domain_hi
 
     def deriv(self, order: int, x: float) -> float:
-        """phi (order 0) or its first or second derivative (order 1, 2) at x.
+        """phi (order 0) or its first or second derivative (order 1, 2) at
+        x: the one-read case of ``derivs``."""
+        value = self._memo.get((order, x))
+        return self.derivs(((order, x),))[0] if value is None else value
+
+    def derivs(self, reads) -> list[float]:
+        """phi (order 0) or its first or second derivative (order 1, 2) at x
+        for each (order, x) of ``reads``, as floats.
 
         At ``domain_lo`` the stored right value is used and at ``domain_hi``
         the stored left value, when there is one; anywhere else the
         two-sided callable, on ``np.float64(x)`` under ``_eval``'s
         floating-point rule, so that an overflow gives inf and not a Python
-        ``OverflowError``.  Results are memoized under (order, x).
+        ``OverflowError``.  Results are memoized under (order, x), and the
+        values not memoized are read in one call under that rule.  A value
+        the bundle cannot supply stops the read with a ValueError.
         """
-        key = (order, x)
-        value = self._memo.get(key)
-        if value is not None:
-            return value
-        if order not in (0, 1, 2):
-            raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
-        stored = None
-        if order and x == self.domain_lo:
-            stored = (self.d1_plus_at_lo, self.d2_plus_at_lo)[order - 1]
-        elif order and x == self.domain_hi:
-            stored = (self.d1_minus_at_hi, self.d2_minus_at_hi)[order - 1]
-        if stored is None:
-            g = (self.f, self.d1, self.d2)[order]
-            if g is None:
-                raise ValueError(
-                    f"insufficient bundle: derivative of order {order} of "
-                    f"{self.name!r} unavailable at x={x}")
-            with np.errstate(over="ignore", divide="ignore"):
+        values = list(map(self._memo.get, reads))
+        return self._fill(reads, values) if None in values else values
+
+    @np.errstate(over="ignore", divide="ignore")
+    def _fill(self, reads, values: list) -> list[float]:
+        """``values`` with each None replaced by its read: the one home of
+        the endpoint rule, run under ``_eval``'s floating-point rule."""
+        for i, (order, x) in enumerate(reads):
+            if values[i] is not None:
+                continue
+            if order not in (0, 1, 2):
+                raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
+            stored = None
+            if order and x == self.domain_lo:
+                stored = (self.d1_plus_at_lo, self.d2_plus_at_lo)[order - 1]
+            elif order and x == self.domain_hi:
+                stored = (self.d1_minus_at_hi, self.d2_minus_at_hi)[order - 1]
+            if stored is None:
+                g = (self.f, self.d1, self.d2)[order]
+                if g is None:
+                    raise ValueError(
+                        f"insufficient bundle: derivative of order {order} of "
+                        f"{self.name!r} unavailable at x={x}")
                 stored = g(np.float64(x))
-        value = self._memo[key] = float(stored)
-        return value
+            values[i] = self._memo[order, x] = float(stored)
+        return values
 
     # public shorthands for deriv()
     f_at = partialmethod(deriv, 0)

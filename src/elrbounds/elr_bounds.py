@@ -111,13 +111,22 @@ def _resolve_orientation(direction) -> str:
         f"theorem hypotheses unmet: 3-convexity direction is {direction!r}")
 
 
-def _endpoint_frame(bundle: FunctionBundle, m: float, M: float):
-    phi_m = bundle.deriv(0, m)
-    phi_M = bundle.deriv(0, M)
-    if not (math.isfinite(phi_m) and math.isfinite(phi_M)):
+def _endpoint_values(bundle: FunctionBundle, reads: tuple) -> list[float]:
+    """``bundle.derivs(reads)`` for reads that start with phi at m and at M,
+    which must be finite; a phi that is not is refused before a derivative
+    the bundle lacks."""
+    try:
+        values = bundle.derivs(reads)
+    except (ValueError, ArithmeticError):  # a missing derivative, or a math error
+        _finite_ends(bundle.derivs(reads[:2]))
+        raise
+    _finite_ends(values)
+    return values
+
+
+def _finite_ends(values: list[float]) -> None:
+    if not (math.isfinite(values[0]) and math.isfinite(values[1])):
         raise ValueError("function values at the interval endpoints must be finite")
-    secant = (phi_M - phi_m) / (M - m)
-    return phi_m, phi_M, secant
 
 
 def _mid(ms: MomentSet, phi_m: float, phi_M: float, m: float, M: float) -> float:
@@ -157,10 +166,12 @@ def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle, m: float,
             M: float):
     """The bound pair formulas, elementwise over the moments: floats for
     one functional, arrays for a batch."""
-    phi_m, phi_M, secant = _endpoint_frame(bundle, m, M)
+    reads = ((0, m), (0, M), (1, m), (1, M))
+    if theorem == "taylor":
+        reads += ((2, m), (2, M))
+    phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, reads)
+    secant = (phi_M - phi_m) / (M - m)
     mid = _mid(ms, phi_m, phi_M, m, M)
-    d1p = bundle.deriv(1, m)
-    d1m = bundle.deriv(1, M)
     if theorem == "secant":
         lower = ms.cross / (M - m) * (secant - d1p)
         upper = ms.cross / (M - m) * (d1m - secant)
@@ -169,8 +180,7 @@ def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle, m: float,
         lower = (ms.mean - m) * (secant - 0.5 * d1p) - 0.5 * d_lo
         upper = 0.5 * d_hi - (M - ms.mean) * (secant - 0.5 * d1m)
     else:
-        d2p = bundle.deriv(2, m)
-        d2m = bundle.deriv(2, M)
+        d2p, d2m = d2
         lower = (M - ms.mean) * (d1m - secant) - 0.5 * d2m * ms.sq_hi
         upper = (ms.mean - m) * (secant - d1p) - 0.5 * d2p * ms.sq_lo
     return lower, mid, upper
@@ -180,7 +190,7 @@ def elr_difference(functional: DiscreteFunctional, bundle: FunctionBundle,
                    m: float, M: float) -> float:
     """The ELR difference D bracketed by every bound pair."""
     ms = moments(functional, bundle, m, M)
-    phi_m, phi_M, _ = _endpoint_frame(bundle, m, M)
+    phi_m, phi_M = _endpoint_values(bundle, ((0, m), (0, M)))
     return _mid(ms, phi_m, phi_M, m, M)
 
 
@@ -234,7 +244,8 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
     """
     orientation = _resolve_orientation(direction)
     ms = moments(functional, bundle, m, M)
-    phi_m, phi_M, secant = _endpoint_frame(bundle, m, M)
+    phi_m, phi_M = _endpoint_values(bundle, ((0, m), (0, M)))
+    secant = (phi_M - phi_m) / (M - m)
     mean = ms.mean
     mid = ms.value - float(bundle.f(mean))
     d1p = bundle.deriv(1, m)

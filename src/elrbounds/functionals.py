@@ -232,25 +232,6 @@ class MomentSet:
     d_hi: float | None = None  # A[(M-f) phi'(f)]
 
 
-def node_derivatives(bundle: FunctionBundle, x: np.ndarray, m: float,
-                     M: float) -> np.ndarray:
-    """phi' at the nodes: two-sided in the interior, one-sided at m and M."""
-    out = np.empty_like(x)
-    at_m = x == m
-    at_M = x == M
-    interior = ~(at_m | at_M)
-    if interior.any():
-        if bundle.d1 is None:
-            raise ValueError(
-                f"insufficient bundle: d1 of {bundle.name!r} unavailable at "
-                "interior nodes")
-        out[interior] = _eval(bundle.d1, x[interior])
-    for end, at_end in ((m, at_m), (M, at_M)):
-        if at_end.any():
-            out[at_end] = bundle.deriv(1, end)
-    return out
-
-
 def moments_batch(batch: FunctionalBatch, bundle: FunctionBundle, m: float,
                   M: float) -> MomentSet:
     """All moment quantities of each functional of the batch against the
@@ -273,9 +254,11 @@ def moments(functional: DiscreteFunctional, bundle: FunctionBundle, m: float,
 class MomentBasis:
     """The part of a functional's moments on [m, M] that does not depend on
     the bundle (``moment_basis``): the checked nodes, their weights as one
-    row, x - m and M - x at the nodes, and the sums mean, cross, sq_lo and
-    sq_hi of MomentSet.  Any bundle's moments then cost only the rows that
-    read phi."""
+    row, x - m and M - x at the nodes, the sums mean, cross, sq_lo and
+    sq_hi of MomentSet, and where the nodes sit (``places``, from
+    ``_node_places``: None when no node is on m or M).  Any bundle's
+    moments then cost only the rows that read phi, and phi' at nodes that
+    are all interior is one evaluation, with no masks."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -284,6 +267,7 @@ class MomentBasis:
     lo: np.ndarray
     hi: np.ndarray
     sums: tuple
+    places: tuple | None
 
     def moments(self, bundle: FunctionBundle, derivative: bool) -> MomentSet:
         """The MomentSet of the bundle, equal to ``moments`` bit for bit;
@@ -291,7 +275,7 @@ class MomentBasis:
         are None."""
         x = self.nodes
         phi_vals = _phi_values(bundle, x)
-        dvals = _derivative_values(bundle, x, self.m, self.M) if derivative else None
+        dvals = _derivative_values(bundle, x, self.places) if derivative else None
         terms = np.empty((1 if dvals is None else 3, x.size))
         with np.errstate(over="ignore", invalid="ignore"):
             _phi_rows(phi_vals, dvals, self.lo, self.hi, terms)
@@ -308,7 +292,8 @@ def moment_basis(functional: DiscreteFunctional, m: float, M: float) -> MomentBa
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = _basis_rows(x, m, M, terms)
         sums = _row_sums(weights, terms[:, None])
-    return MomentBasis(x, weights, m, M, lo, hi, tuple(sums[:, 0].tolist()))
+    return MomentBasis(x, weights, m, M, lo, hi, tuple(sums[:, 0].tolist()),
+                       _node_places(x, m, M))
 
 
 def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
@@ -324,7 +309,7 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
     """
     _check_nodes(x, m, M)
     phi_vals = _phi_values(bundle, x, phi_vals)
-    dvals = _derivative_values(bundle, x, m, M)
+    dvals = _derivative_values(bundle, x, _node_places(x, m, M))
     terms = np.empty((5 if dvals is None else 7, x.size))
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = _basis_rows(x, m, M, terms)
@@ -357,11 +342,34 @@ def _phi_values(bundle: FunctionBundle, x: np.ndarray,
     return phi_vals
 
 
-def _derivative_values(bundle: FunctionBundle, x: np.ndarray, m: float,
-                       M: float) -> np.ndarray | None:
-    """phi' at the nodes, or None when the bundle cannot supply it."""
+def _node_places(x: np.ndarray, m: float, M: float) -> tuple | None:
+    """Where the nodes sit on [m, M]: None when every node is interior, or
+    the mask of the interior nodes and each end that holds a node with the
+    mask of the nodes on it."""
+    at_m = x == m
+    at_M = x == M
+    ends = [(end, at_end) for end, at_end in ((m, at_m), (M, at_M)) if at_end.any()]
+    return (~(at_m | at_M), ends) if ends else None
+
+
+def _derivative_values(bundle: FunctionBundle, x: np.ndarray,
+                       places: tuple | None) -> np.ndarray | None:
+    """phi' at the nodes, two-sided in the interior and one-sided
+    (one ``derivs`` read) at the ends, given the ``places`` of the nodes
+    (``_node_places``); None when the bundle cannot supply it."""
     try:
-        return node_derivatives(bundle, x, m, M)
+        if places is None:
+            return None if bundle.d1 is None else _eval(bundle.d1, x)
+        interior, ends = places
+        out = np.empty_like(x)
+        if interior.any():
+            if bundle.d1 is None:
+                return None
+            out[interior] = _eval(bundle.d1, x[interior])
+        values = bundle.derivs([(1, end) for end, _ in ends])
+        for (_, at_end), value in zip(ends, values):
+            out[at_end] = value
+        return out
     except ValueError:
         return None
 

@@ -395,23 +395,36 @@ RANGE_SLACK = 1e-9
 
 def _invert_monotone(fn: Callable[[float], float], m: float, M: float,
                      target: float) -> XiResult:
-    """Solve fn(xi) = target on [m, M] for continuous monotone fn.  A
-    closed-form map (``_Power``, ``_Exp``) is monotone by theorem: it is
-    evaluated at m and M only and inverted exactly.  Any other map is
-    scanned at 65 points by one array call (``_eval``) and bisected."""
+    """Solve fn(xi) = target on [m, M] for continuous monotone fn.
+
+    A closed-form map (``_Power``, ``_Exp``) is monotone by theorem: it is
+    evaluated at m and M only, by one array call (``_eval``, whose bits a
+    scalar power need not share), checked on those two floats and
+    inverted exactly.  Any other map is scanned at 65 points by one array
+    call, reduced to the same floats (its values at m and M, its scale
+    max(1, max |fn|) and its spread max fn - min fn), checked for
+    monotonicity on the scan, and bisected.
+    """
     closed = isinstance(fn, _CLOSED_FORM)
-    vals = _eval(fn, np.array([m, M]) if closed else np.linspace(m, M, 65))
-    if not np.isfinite(vals).all():
+    if closed:
+        lo_val, hi_val = _eval(fn, np.array([m, M])).tolist()
+        spread, scale = abs(hi_val - lo_val), max(1.0, abs(lo_val), abs(hi_val))
+    else:
+        vals = _eval(fn, np.linspace(m, M, 65))
+        top, bottom = float(vals.max()), float(vals.min())
+        lo_val, hi_val = float(vals[0]), float(vals[-1])
+        spread, scale = top - bottom, max(1.0, top, -bottom)
+    # the spread is nan or inf exactly when a value is not finite
+    if not math.isfinite(spread):
         raise ValueError("inverse undefined: map not finite on [m, M]")
-    scale = max(1.0, float(np.abs(vals).max()))
-    if vals.max() - vals.min() <= 1e-12 * scale:
-        if abs(target - vals[0]) > RANGE_SLACK * scale:
+    if spread <= 1e-12 * scale:
+        if abs(target - lo_val) > RANGE_SLACK * scale:
             raise ValueError("MVT violated: constant map misses the target")
         return XiResult(0.5 * (m + M), unique=False)
-    diffs = np.diff(vals)
-    if not ((diffs >= -1e-13 * scale).all() or (diffs <= 1e-13 * scale).all()):
-        raise ValueError("inverse undefined: map is not monotone on [m, M]")
-    lo_val, hi_val = vals[0], vals[-1]
+    if not closed:
+        diffs = np.diff(vals)
+        if not ((diffs >= -1e-13 * scale).all() or (diffs <= 1e-13 * scale).all()):
+            raise ValueError("inverse undefined: map is not monotone on [m, M]")
     vmin, vmax = min(lo_val, hi_val), max(lo_val, hi_val)
     if target < vmin - RANGE_SLACK * scale or target > vmax + RANGE_SLACK * scale:
         raise ValueError(

@@ -1,17 +1,25 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from elrbounds import (
     THEOREMS,
+    FunctionBundle,
     bounds,
     bounds_derivative,
     bounds_secant,
     bounds_taylor,
     certify_3convex,
+    elr_context,
     elr_difference,
+    gamma,
     jensen_gap_bounds,
     make_functional,
 )
+from elrbounds.elr_bounds import theorem_triple, theorem_triples
+from elrbounds.functionals import make_functionals, moments, moments_batch
 from elrbounds.fuzzing import bracket_fuzz
 from elrbounds.registry import resolve_phi
 
@@ -180,3 +188,116 @@ class TestBracketFuzzSmall:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError, match="degenerate interval"):
             bounds_secant(POINT_MASS, CUBIC, 0.5, 0.5, "three_convex")
+
+
+def _counting_bundle(calls, **fields):
+    """x^4/24 on [0, 3] whose callables record each scalar evaluation as
+    (order, x); ``fields`` replace callables or add stored end values."""
+    def counted(order, g):
+        def call(x):
+            if np.ndim(x) == 0:
+                calls.append((order, float(x)))
+            return g(x)
+        return call
+
+    callables = dict(f=counted(0, lambda x: x ** 4 / 24.0),
+                     d1=counted(1, lambda x: x ** 3 / 6.0),
+                     d2=counted(2, lambda x: 0.5 * x ** 2), d3=lambda x: x)
+    callables.update(fields)
+    return FunctionBundle(domain_lo=0.0, domain_hi=3.0, name="counted", **callables)
+
+
+class TestEndpointRead:
+    """A bound pair reads phi and its derivatives at m and M in one
+    ``FunctionBundle.derivs`` call, each value once per bundle, with the
+    values, errors and error order of one ``deriv`` call per value."""
+
+    FUNCTIONAL = make_functional([0.8, 1.4, 2.1], [0.3, 0.5, 0.2])
+
+    def test_reader_returns_the_values_of_deriv(self):
+        stored = dict(d1_plus_at_lo=-9.0, d1_minus_at_hi=9.5, d2_plus_at_lo=-4.0,
+                      d2_minus_at_hi=4.5)
+        orders, points = (0, 1, 2), (0.0, 1.3, 3.0, 0.5)
+        for fields in ({}, stored):
+            bundle = _counting_bundle([], **fields)
+            warm = replace(bundle, _memo={})
+            warm.deriv(1, 1.3)  # part of a read may come from the memo
+            for reader in (bundle, warm):
+                values = reader.derivs([(order, x) for order in orders for x in points])
+                expected = [replace(bundle, _memo={}).deriv(order, x)
+                            for order in orders for x in points]
+                assert values == expected
+                assert all(type(v) is float for v in values)
+        assert values[4] == -9.0 and values[10] == 4.5  # (1, lo), (2, hi)
+
+    def test_each_end_value_read_once_per_bundle(self, monkeypatch):
+        entered = []
+        fill = FunctionBundle._fill
+        monkeypatch.setattr(FunctionBundle, "_fill",
+                            lambda *args: entered.append(1) or fill(*args))
+        read = {"secant": {0, 1}, "derivative": {0, 1}, "taylor": {0, 1, 2}}
+        for theorem in THEOREMS:
+            calls = []
+            bundle = _counting_bundle(calls)
+            ms = moments(self.FUNCTIONAL, bundle, 0.5, 2.5)
+            entered.clear()
+            first = theorem_triple(theorem, self.FUNCTIONAL, bundle, 0.5, 2.5, ms)
+            assert sorted(calls) == sorted((order, x) for order in read[theorem]
+                                           for x in (0.5, 2.5)), theorem
+            assert len(entered) == 1  # one floating-point block for the read
+            calls.clear()
+            assert theorem_triple(theorem, self.FUNCTIONAL, bundle, 0.5, 2.5, ms) == first
+            assert calls == [] and len(entered) == 1
+
+    def test_second_gamma_of_a_bundle_hits_the_memo(self):
+        calls = []
+        bundle = _counting_bundle(calls)
+        ctx = elr_context(5, self.FUNCTIONAL, 0.5, 2.5)
+        value = gamma(ctx, bundle)
+        assert len(calls) == 6
+        for again in (ctx, replace(ctx), elr_context(6, self.FUNCTIONAL, 0.5, 2.5),
+                      elr_context(1, self.FUNCTIONAL, 0.5, 2.5)):
+            gamma(again, bundle)
+        assert gamma(replace(ctx), bundle) == value
+        assert len(calls) == 6
+
+    def test_error_texts_in_their_order(self):
+        m, M = 0.25, 2.5
+        pole = lambda x: 1.0 / (x - 2.5)
+        cases = [
+            # phi not finite at an end comes before any missing derivative
+            (dict(f=pole, d1=None), ("secant",),
+             "function values at the interval endpoints must be finite"),
+            (dict(f=pole, d2=None), ("taylor",),
+             "function values at the interval endpoints must be finite"),
+            (dict(f=pole, d1=lambda x: 1.0 / float(x - 2.5)), THEOREMS,
+             "function values at the interval endpoints must be finite"),
+            (dict(d1=None), THEOREMS,
+             "insufficient bundle: derivative of order 1 of 'counted' unavailable "
+             "at x=0.25"),
+            (dict(d2=None), ("taylor",),
+             "insufficient bundle: derivative of order 2 of 'counted' unavailable "
+             "at x=0.25"),
+        ]
+        for fields, theorems, message in cases:
+            for theorem in theorems:
+                with pytest.raises(ValueError) as err:
+                    theorem_triple(theorem, make_functional([1.0], [1.0]),
+                                   _counting_bundle([], **fields), m, M)
+                assert str(err.value) == message, (fields, theorem)
+        # stored end values but no d1: the derivative pair lacks its moments
+        bare = _counting_bundle([], d1=None, d1_plus_at_lo=0.0, d1_minus_at_hi=4.5)
+        with pytest.raises(ValueError) as err:
+            theorem_triple("derivative", make_functional([1.0], [1.0]), bare, 0.0, 3.0)
+        assert str(err.value) == ("insufficient bundle: first derivative moment of "
+                                  "'counted' unavailable")
+
+    def test_batch_formulas_still_warn_on_overflow(self):
+        # finite reads (1e308 at both ends), overflowing bound formulas
+        huge = FunctionBundle(domain_lo=-math.inf, domain_hi=math.inf,
+                              f=lambda x: 1e308 + 0.0 * x, d1=lambda x: 0.0 * x,
+                              d2=lambda x: 0.0 * x, name="huge")
+        batch = make_functionals([5.0, 4.0], [1.0, 1.0], ((2, 1),))
+        ms = moments_batch(batch, huge, 0.0, 10.0)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            theorem_triples(ms, huge, 0.0, 10.0)

@@ -370,3 +370,96 @@ class TestStolarskyQuotient:
         curve = GammaCurve(WORKED, lambda t: SQUARE, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="strictly positive"):
             stolarsky_quotient(curve, 2.0, 1.0)
+
+
+def _moment_bits(ms):
+    return [None if v is None else np.float64(v).tobytes() for v in
+            (ms.mean, ms.cross, ms.sq_lo, ms.sq_hi, ms.value, ms.d_lo, ms.d_hi)]
+
+
+class TestNodePlaces:
+    """The basis records once which nodes sit on m or M; phi' at the nodes
+    then has the bits of the one-shot pass, whatever the places."""
+
+    M_LO, M_HI = 0.2, 2.0
+    NODES = {"neither": [0.5, 1.1, 1.6], "at m": [0.2, 0.7, 1.3],
+             "at M": [0.7, 1.3, 2.0], "at both": [0.2, 1.1, 2.0],
+             "only ends": [0.2, 2.0], "one at m": [0.2]}
+
+    @classmethod
+    def _contexts(cls):
+        for label, nodes in cls.NODES.items():
+            weights = np.linspace(1.0, 2.0, len(nodes))
+            F = make_functional(nodes, weights / weights.sum())
+            yield label, [elr_context(i, F, cls.M_LO, cls.M_HI) for i in (3, 4)]
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            k = int(rng.integers(2, 8))
+            p, q = rng.dirichlet(np.ones(k) * 3.0), rng.dirichlet(np.ones(k) * 3.0)
+            yield "divergence", [divergence_context(i, p, q) for i in (7, 8)]
+
+    @staticmethod
+    def _bundles(m, M):
+        stored = FunctionBundle(domain_lo=m, domain_hi=M, f=lambda x: x ** 4,
+                                d1=lambda x: 4.0 * x ** 3, d2=lambda x: 12.0 * x ** 2,
+                                d1_plus_at_lo=-9.0, d1_minus_at_hi=9.0,
+                                name="stored one-sided")
+        return [upsilon1(3.7).bundle, upsilon1(0.02).bundle, upsilon2(-0.7).bundle,
+                upsilon2(0.01).bundle, stolarsky_means._u2_id_product(0.01),
+                poly_bundle([0.5, -1.0, 0.0, 2.0, 1.0]), stored,
+                bundle_from_callables(math.exp, math.exp, math.exp, math.exp,
+                                      name="scalar exp")]
+
+    def test_phi_prime_matches_the_one_shot_pass(self):
+        for label, contexts in self._contexts():
+            basis = contexts[0].basis
+            x, m, M = basis.nodes, contexts[0].m, contexts[0].M
+            on_end = bool(((x == m) | (x == M)).any())
+            assert (basis.places is None) == (not on_end), label
+            if label == "divergence":
+                assert x.min() == m  # the smallest ratio is m
+            for bundle in self._bundles(m, M):
+                want = functionals.moments(contexts[0].functional, bundle, m, M)
+                got = basis.moments(bundle, True)
+                assert _moment_bits(got) == _moment_bits(want), (label, bundle.name)
+                for ctx in contexts:
+                    assert (_outcome(lambda: gamma(ctx, bundle))
+                            == _outcome(lambda: _full_pass_gamma(ctx, bundle))), \
+                        (label, ctx.index, bundle.name)
+
+    def test_places_found_once_per_context(self, monkeypatch):
+        found = []
+        places = functionals._node_places
+        monkeypatch.setattr(functionals, "_node_places",
+                            lambda *args: found.append(1) or places(*args))
+        for label, contexts in self._contexts():
+            found.clear()
+            for ctx in contexts:
+                for t in (-1.5, 0.7, 3.3):
+                    gamma(ctx, upsilon1(t).bundle)
+                    gamma(ctx, upsilon2(t).bundle)
+            assert len(found) == len(contexts), label
+
+    def test_bundle_without_d1_fails_at_the_first_derivative_gamma(self):
+        m, M = self.M_LO, self.M_HI
+        bare = FunctionBundle(domain_lo=0.0, domain_hi=5.0, f=lambda x: x ** 3,
+                              d2=lambda x: 6.0 * x, name="no d1")
+        stored = FunctionBundle(domain_lo=m, domain_hi=M, f=lambda x: x ** 3,
+                                d2=lambda x: 6.0 * x, d1_plus_at_lo=3.0 * m * m,
+                                d1_minus_at_hi=3.0 * M * M, name="stored d1 only")
+        texts = {"no d1": "insufficient bundle: derivative of order 1 of 'no d1' "
+                          "unavailable at x=0.2",
+                 "stored d1 only": "insufficient bundle: first derivative moment "
+                                   "of 'stored d1 only' unavailable"}
+        for label, contexts in self._contexts():
+            if label == "divergence":
+                continue
+            for bundle in (bare, stored):
+                # stored end values are phi' at nodes that are all on the ends
+                fails = bundle is bare or any(m < v < M for v in self.NODES[label])
+                for ctx in contexts:
+                    for _ in range(2):
+                        got = _outcome(lambda: gamma(ctx, bundle))
+                        assert got == _outcome(lambda: _full_pass_gamma(ctx, bundle))
+                        if fails:
+                            assert got == f"ValueError: {texts[bundle.name]}", label

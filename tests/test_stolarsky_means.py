@@ -21,10 +21,14 @@ from elrbounds import (
     upsilon1,
     upsilon2,
 )
+from elrbounds import stolarsky_means
+from elrbounds.divided_diff import _eval
 from elrbounds.registry import poly_bundle
 from elrbounds.stolarsky_means import (
     _CLOSED_FORM,
     BISECT_WIDTH,
+    RANGE_SLACK,
+    XiResult,
     _invert_monotone,
     _u1_log_product,
     _u1_phi0_phi1,
@@ -408,3 +412,138 @@ class TestGammaReuse:
         gc.collect()
         assert alive() is None
         assert upsilon1(4.3).bundle._memo == {}
+
+
+def _array_invert_monotone(fn, m, M, target):
+    """The inversion as it was before its checks ran on floats, kept as the
+    oracle: the closed-form maps and the scan share every numpy check.  Its
+    one edit prints the attained range as plain floats, where it printed
+    np.float64 reprs."""
+    closed = isinstance(fn, _CLOSED_FORM)
+    vals = _eval(fn, np.array([m, M]) if closed else np.linspace(m, M, 65))
+    if not np.isfinite(vals).all():
+        raise ValueError("inverse undefined: map not finite on [m, M]")
+    scale = max(1.0, float(np.abs(vals).max()))
+    if vals.max() - vals.min() <= 1e-12 * scale:
+        if abs(target - vals[0]) > RANGE_SLACK * scale:
+            raise ValueError("MVT violated: constant map misses the target")
+        return XiResult(0.5 * (m + M), unique=False)
+    diffs = np.diff(vals)
+    if not ((diffs >= -1e-13 * scale).all() or (diffs <= 1e-13 * scale).all()):
+        raise ValueError("inverse undefined: map is not monotone on [m, M]")
+    lo_val, hi_val = vals[0], vals[-1]
+    vmin, vmax = min(lo_val, hi_val), max(lo_val, hi_val)
+    if target < vmin - RANGE_SLACK * scale or target > vmax + RANGE_SLACK * scale:
+        raise ValueError(
+            f"MVT violated: target {target!r} escapes the attained range "
+            f"[{float(vmin)!r}, {float(vmax)!r}]")
+    if target <= vmin:
+        return XiResult(m if lo_val <= hi_val else M, unique=True)
+    if target >= vmax:
+        return XiResult(M if lo_val <= hi_val else m, unique=True)
+    if closed:
+        return XiResult(min(max(fn.inverse(target), m), M), unique=True)
+    increasing = lo_val < hi_val
+    lo, hi = m, M
+    while hi - lo > BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        v = float(fn(mid))
+        if (v < target) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return XiResult(0.5 * (lo + hi), unique=True)
+
+
+def _inverted(invert, fn, m, M, target):
+    """(xi bits, unique) of one inversion, or its error text."""
+    try:
+        xi, unique = invert(fn, m, M, target)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return np.float64(xi).tobytes(), unique
+
+
+class TestTwoFloatInversion:
+    """The inversion checks a closed-form map on its two end values as
+    floats, and reduces a scan to the same floats, with the results and
+    messages of the array oracle."""
+
+    def test_criterion_7_draws_match_the_array_oracle(self, monkeypatch):
+        draws = list(criterion_7_draws(2000))
+        got = []
+        for ctx, s, t, family in draws:
+            got.append((cauchy_xi(ctx, family(s).bundle, family(t).bundle),
+                        mvt_xi(ctx, family(s).bundle)))
+        monkeypatch.setattr(stolarsky_means, "_invert_monotone", _array_invert_monotone)
+        for (ctx, s, t, family), (cauchy, mvt) in zip(draws, got):
+            want = (cauchy_xi(replace(ctx), family(s).bundle, family(t).bundle),
+                    mvt_xi(replace(ctx), family(s).bundle))
+            for result, expected in zip((cauchy, mvt), want):
+                assert result.unique == expected.unique, (s, t, family)
+                assert (np.float64(result.xi).tobytes()
+                        == np.float64(expected.xi).tobytes()), (s, t, family)
+
+    def test_constant_quotient_is_the_non_unique_midpoint(self):
+        for ctx in (POSITIVE, WORKED):
+            member = upsilon1(2.5).bundle
+            result = cauchy_xi(ctx, member, member)
+            assert result == XiResult(0.5 * (ctx.m + ctx.M), unique=False)
+            ratio = member.d3 / member.d3
+            assert (_inverted(_invert_monotone, ratio, ctx.m, ctx.M, 1.0)
+                    == _inverted(_array_invert_monotone, ratio, ctx.m, ctx.M, 1.0))
+
+    @staticmethod
+    def _maps():
+        """Increasing and decreasing closed-form maps, each behind a closure
+        that takes the scan, and negative scanned maps."""
+        maps = [stolarsky_means._Power(1.7), stolarsky_means._Power(-2.3),
+                stolarsky_means._Exp(0.9), stolarsky_means._Exp(-1.4)]
+        return maps + [lambda x, fn=fn: fn(x) for fn in maps] + [
+            lambda x: -3.0 * np.exp(x), lambda x: -4.0 / x]
+
+    def test_targets_at_and_around_the_attained_range(self):
+        m, M = 0.3, 2.1
+        for fn in self._maps():
+            ends = _eval(fn, np.array([m, M])).tolist()
+            scale = max(1.0, *map(abs, ends))
+            vmin, vmax = min(ends), max(ends)
+            targets = [vmin, vmax, 0.5 * (vmin + vmax)]
+            for edge, outward in ((vmin, -1.0), (vmax, 1.0)):
+                targets += [edge + outward * 0.5 * RANGE_SLACK * scale,
+                            edge + outward * 2.0 * RANGE_SLACK * scale]
+            for target in targets:
+                got = _inverted(_invert_monotone, fn, m, M, target)
+                assert got == _inverted(_array_invert_monotone, fn, m, M, target), target
+            # at the attained ends xi is an interval end; beyond the slack it
+            # is refused, naming the range in plain floats
+            increasing = ends[0] < ends[1]
+            assert _invert_monotone(fn, m, M, vmin).xi == (m if increasing else M)
+            assert _invert_monotone(fn, m, M, vmax).xi == (M if increasing else m)
+            beyond = vmax + 2.0 * RANGE_SLACK * scale
+            with pytest.raises(ValueError) as err:
+                _invert_monotone(fn, m, M, beyond)
+            assert str(err.value) == (f"MVT violated: target {beyond!r} escapes the "
+                                      f"attained range [{vmin!r}, {vmax!r}]")
+
+    def test_maps_that_are_not_finite(self):
+        # e^(800x) and x^2000 overflow at M, x^-1200 at m
+        overflowing = [stolarsky_means._Exp(800.0), stolarsky_means._Power(2000.0),
+                       stolarsky_means._Power(-1200.0)]
+        odd = [lambda x: np.where(x > 1.0, np.nan, x),
+               lambda x: np.full_like(x, -np.inf),
+               lambda x: np.where(x > 1.0, np.inf, -np.inf)]
+        for fn in overflowing + [lambda x, fn=fn: fn(x) for fn in overflowing] + odd:
+            for target in (1.0, 0.0):
+                got = _inverted(_invert_monotone, fn, 0.5, 1.5, target)
+                assert got == "ValueError: inverse undefined: map not finite on [m, M]"
+                assert got == _inverted(_array_invert_monotone, fn, 0.5, 1.5, target)
+
+    def test_scan_checks_in_the_oracle_order(self):
+        # nearly constant and wobbling: the constant check comes first
+        wobble = lambda x: 1.0 + 1e-14 * np.sin(40.0 * x)
+        bump = lambda x: (x - 0.5) ** 2
+        for fn, target in ((wobble, 1.0), (wobble, 1.1), (bump, 0.1),
+                           (lambda x: x, 2.0), (lambda x: -x ** 3, -0.2)):
+            got = _inverted(_invert_monotone, fn, 0.0, 1.0, target)
+            assert got == _inverted(_array_invert_monotone, fn, 0.0, 1.0, target)
