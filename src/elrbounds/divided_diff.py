@@ -88,7 +88,7 @@ class FunctionBundle:
         """phi (order 0) or its first or second derivative (order 1, 2) at
         x: the one-read case of ``derivs``."""
         value = self._memo.get((order, x))
-        return self.derivs(((order, x),))[0] if value is None else value
+        return self._fill(((order, x),), [None])[0] if value is None else value
 
     def derivs(self, reads) -> list[float]:
         """phi (order 0) or its first or second derivative (order 1, 2) at x

@@ -160,11 +160,25 @@ def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
 def _normalize(weights: np.ndarray, shapes, sums) -> np.ndarray:
     """The checked flat weights, laid out as in FunctionalBatch, made
     exact: each row divided in place by its sum (``sums`` holds the row
-    sums of each block), landed on 1, and the array made read-only."""
+    sums of each block), landed on 1, and the array made read-only.
+
+    Landing puts the exact real-number mass of a row on 1, so that the
+    exactly-rounded summation in apply() returns 1.0 on the bit; the
+    measured drift is itself rounded, hence up to four adjustments, each
+    at the row's current largest weight."""
     for block, block_sums in zip(row_blocks(weights, shapes), sums):
         block /= block_sums[:, None]
-        for row in block:
-            _land_on_one(row)
+    # slices of one memoryview yield plain floats, with no numpy view per
+    # row; most rows already sum to 1 on the bit and need no adjustment
+    flat, stop = memoryview(weights), 0
+    for count, k in shapes:
+        for _ in range(count):
+            start, stop = stop, stop + k
+            for _ in range(4):
+                drift = math.fsum(flat[start:stop]) - 1.0
+                if drift == 0.0:
+                    break
+                flat[start + int(weights[start:stop].argmax())] -= drift
     weights.flags.writeable = False
     return weights
 
@@ -183,18 +197,6 @@ def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> Discret
         raise ValueError("functional needs at least one node")
     batch = make_functionals(nodes, weights, ((1, nodes.size),))
     return DiscreteFunctional(nodes=batch.nodes, weights=batch.weights)
-
-
-def _land_on_one(weights: np.ndarray) -> None:
-    """Land the exact real-number mass of the weights on 1, in place, so
-    that the exactly-rounded summation in apply() returns 1.0 on the bit;
-    the measured drift is itself rounded, hence the short iteration."""
-    for _ in range(4):
-        # a memoryview yields plain floats without building a list
-        drift = math.fsum(memoryview(weights)) - 1.0
-        if drift == 0.0:
-            break
-        weights[weights.argmax()] -= drift
 
 
 def apply(functional: DiscreteFunctional, g: Callable) -> float:

@@ -27,7 +27,6 @@ from .functionals import (
     FunctionalBatch,
     make_functionals,
     moments_batch,
-    row_blocks,
 )
 from .registry import resolve_phi
 
@@ -145,24 +144,43 @@ def random_functional(rng: np.random.Generator, m: float,
 
 def random_functionals(rng: np.random.Generator, m: float, M: float,
                        count: int) -> FunctionalBatch:
-    """``count`` draws of ``random_functional``, with the same generator
-    calls in the same order, grouped by node count and validated in one
-    pass."""
+    """``count`` draws of ``random_functional``, with the same draws from
+    the generator in the same order, grouped by node count and validated
+    in one pass.
+
+    Each row draws one bounded integer, its node count k, then 2k + 1
+    doubles in one call (2 when k = 1): k nodes, the end-pin coin (not
+    drawn when k = 1) and k weights.  numpy's ``uniform(lo, hi, k)`` is
+    ``lo + (hi - lo) * random(k)``, so the nodes and weights are those of
+    separate ``uniform`` calls, bit for bit.  An interval with m > M or a
+    non-finite length is refused before any draw.
+    """
+    if not (_is_number(count, numbers.Integral) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    m, M = float(m), float(M)
+    span = M - m
+    if not 0.0 <= span < math.inf:
+        raise ValueError(f"interval [{m!r}, {M!r}] must have m <= M and a "
+                         "finite length")
     rows: dict[int, list] = {}
     for index in range(count):
         k = int(rng.integers(1, MAX_NODES + 1))
-        nodes = rng.uniform(m, M, k)
-        if k >= 2 and rng.random() < 0.25:
-            nodes[0] = m
-            nodes[1] = M
-        rows.setdefault(k, []).append((index, nodes, rng.uniform(0.0, 1.0, k)))
-    shapes = [(len(group), k) for k, group in rows.items()]
-    order, nodes, weights = zip(*(row for group in rows.values() for row in group))
-    weights = np.concatenate(weights) + 1e-12
-    for block in row_blocks(weights, shapes):
-        block /= block.sum(axis=1, keepdims=True)
-    return make_functionals(np.concatenate(nodes), weights, shapes,
-                            np.array(order))
+        rows.setdefault(k, []).append((index, rng.random(2 * k + (k >= 2))))
+    shapes, order, nodes, weights = [], [], [], []
+    for k, group in rows.items():
+        indices, draws = zip(*group)
+        u = np.array(draws)
+        block = m + span * u[:, :k]
+        if k >= 2:
+            block[u[:, k] < 0.25, :2] = m, M
+        w = u[:, -k:] + 1e-12
+        w /= w.sum(axis=1, keepdims=True)
+        shapes.append((len(group), k))
+        order += indices
+        nodes.append(block.ravel())
+        weights.append(w.ravel())
+    return make_functionals(np.concatenate(nodes), np.concatenate(weights),
+                            shapes, np.array(order))
 
 
 _POOL = ("cubic", "quartic", "exp", "xlogx", "spline")

@@ -8,6 +8,7 @@ the draw written out as one functional at a time.  The random 3-convex
 spline is held to scipy's ``BSpline`` as a test-only oracle.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from elrbounds import fuzzing
 from elrbounds.divided_diff import certify_3convex, check_bundle
 from elrbounds.elr_bounds import THEOREMS, bounds, theorem_triple, theorem_triples
 from elrbounds.functionals import make_functional, make_functionals, moments, moments_batch
+from elrbounds.functionals import row_blocks
 from elrbounds.fuzzing import (
     bracket_fuzz,
     random_functional,
@@ -215,3 +217,140 @@ def test_spline_bundles_pass_check_bundle():
     for lo, hi, _, bundle in spline_draws(7, 50):
         check_bundle(bundle)
         assert certify_3convex(bundle, lo, hi, 65).verdict == "three_convex"
+
+
+# The draw contract of random_functionals: one bounded integer per row,
+# then one call for the row's 2k + 1 doubles (2 when k = 1), which must be
+# the draws of drawn_functional's separate uniform and random calls.
+
+def expected_layout(reference):
+    """The shapes and order of a batch holding the reference functionals,
+    grouped by node count in order of first appearance."""
+    groups = {}
+    for index, functional in enumerate(reference):
+        groups.setdefault(functional.size, []).append(index)
+    shapes = tuple((len(group), k) for k, group in groups.items())
+    return shapes, [index for group in groups.values() for index in group]
+
+
+def assert_batch_is_reference(seed, m, M, count, max_nodes=fuzzing.MAX_NODES):
+    """random_functionals against count calls of drawn_functional from the
+    same generator state: the same bits, layout and state after."""
+    batch_rng, reference_rng = (np.random.default_rng([seed, count]) for _ in range(2))
+    batch = random_functionals(batch_rng, m, M, count)
+    reference = [drawn_functional(reference_rng, m, M, max_nodes) for _ in range(count)]
+    shapes, order = expected_layout(reference)
+    assert batch.shapes == shapes
+    assert batch.order.tolist() == order
+    in_order = [reference[index] for index in order]
+    assert batch.nodes.tobytes() == np.concatenate([F.nodes for F in in_order]).tobytes()
+    assert batch.weights.tobytes() == np.concatenate([F.weights for F in in_order]).tobytes()
+    assert batch_rng.bit_generator.state == reference_rng.bit_generator.state
+    return batch
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 400])
+@pytest.mark.parametrize("name", fuzzing._POOL)
+@pytest.mark.parametrize("seed", range(50))
+def test_batch_draws_are_the_per_call_draws(seed, name, count):
+    m, M = fuzzing.draw_interval(np.random.default_rng(seed), name)
+    assert_batch_is_reference(seed, m, M, count)
+
+
+def test_one_and_two_node_rows_keep_the_draws(monkeypatch):
+    """k = 1 rows draw no end-pin coin; k = 2 rows draw it and are pinned
+    to (m, M) a quarter of the time."""
+    monkeypatch.setattr(fuzzing, "MAX_NODES", 2)
+    m, M = -0.75, 2.5
+    pinned = 0
+    for seed in range(20):
+        batch = assert_batch_is_reference(seed, m, M, 60, max_nodes=2)
+        assert {k for _, k in batch.shapes} == {1, 2}
+        pinned += sum(F.nodes.tolist() == [m, M] for F in
+                      map(batch.functional, range(len(batch))))
+    assert pinned > 100
+    monkeypatch.setattr(fuzzing, "MAX_NODES", 1)
+    batch = assert_batch_is_reference(3, m, M, 50, max_nodes=1)
+    assert batch.shapes == ((50, 1),)
+
+
+def test_uniform_is_the_affine_map_of_random():
+    """The canary for the single draw: numpy's Generator.uniform(lo, hi, k)
+    is lo + (hi - lo) * random(k) bit for bit.  A numpy whose formula
+    differs would change every fuzz instance of a seed."""
+    intervals = [(0.0, 1.0), (-5.0, 3.0), (0.05, 3.0), (-0.75, 2.5), (1e-300, 1e300)]
+    intervals += [fuzzing.draw_interval(np.random.default_rng(seed), name)
+                  for seed in range(20) for name in fuzzing._POOL]
+    for seed, (lo, hi) in enumerate(intervals):
+        for k in (1, 2, 50, 101):
+            uniform_rng, random_rng = (np.random.default_rng([seed, k]) for _ in range(2))
+            drawn = uniform_rng.uniform(lo, hi, k)
+            assert drawn.tobytes() == (lo + (hi - lo) * random_rng.random(k)).tobytes()
+            assert uniform_rng.bit_generator.state == random_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.0, True, "3", None])
+def test_count_must_be_a_positive_integer(count):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="count"):
+        random_functionals(rng, 0.0, 1.0, count)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("m, M", [
+    (1.0, 0.5), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan),
+    (-1e308, 1e308),
+])
+def test_bad_interval_refused_before_any_draw(m, M):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="interval"):
+        random_functionals(rng, m, M, 5)
+    assert rng.bit_generator.state == state
+
+
+def test_point_interval_still_draws():
+    batch = random_functionals(np.random.default_rng(4), 0.5, 0.5, 9)
+    assert (batch.nodes == 0.5).all()
+
+
+def landed_row_by_row(weights, shapes):
+    """make_functionals' normalization as a loop over numpy row views:
+    each row divided by its sum, then up to four adjustments of its fsum
+    drift at the row's current argmax."""
+    weights = np.array(weights, dtype=float)
+    for block in row_blocks(weights, shapes):
+        block /= block.sum(axis=1)[:, None]
+        for row in block:
+            for _ in range(4):
+                drift = math.fsum(row) - 1.0
+                if drift == 0.0:
+                    break
+                row[row.argmax()] -= drift
+    return weights
+
+
+def test_landing_matches_the_row_by_row_loop():
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(30):
+        shapes = random_functionals(rng, 0.0, 1.0, 400).shapes
+        weights = rng.uniform(0.0, 1.0, sum(c * k for c, k in shapes)) + 1e-12
+        for block in row_blocks(weights, shapes):
+            block /= block.sum(axis=1, keepdims=True)
+        cases.append((weights, shapes))
+    # rows whose largest weight is tied, with and without a drift to land
+    ties = [np.array(row) / sum(row) for row in
+            ([1.0] * 3, [0.3, 0.3, 0.1, 0.2], [1.0] * 49, [0.25, 0.5, 0.25])]
+    assert sum(math.fsum(row) != 1.0 for row in ties) == 2
+    cases.append((np.concatenate(ties), tuple((1, row.size) for row in ties)))
+    adjusted = 0
+    for weights, shapes in cases:
+        expected = landed_row_by_row(weights, shapes)
+        landed = make_functionals(np.zeros(weights.size), weights, shapes).weights
+        assert landed.tobytes() == expected.tobytes()
+        for block in row_blocks(weights, shapes):
+            rows = block / block.sum(axis=1)[:, None]
+            adjusted += sum(math.fsum(row) != 1.0 for row in rows)
+    assert adjusted > 1000
