@@ -129,13 +129,15 @@ class FunctionalBatch:
 
     def functional(self, index: int) -> DiscreteFunctional:
         """The functional at ``index`` of the sequence."""
+        if not 0 <= index < len(self):
+            raise IndexError(f"index {index} is out of range for a batch of "
+                             f"{len(self)} functionals")
         row = index if self.order is None else int(np.flatnonzero(self.order == index)[0])
         for nodes, weights in zip(row_blocks(self.nodes, self.shapes),
                                   row_blocks(self.weights, self.shapes)):
             if row < len(nodes):
                 return DiscreteFunctional(nodes=nodes[row], weights=weights[row])
             row -= len(nodes)
-        raise IndexError(index)
 
 
 def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,

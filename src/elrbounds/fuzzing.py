@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .functionals import (
     FunctionalBatch,
     make_functionals,
     moments_batch,
+    row_blocks,
 )
 from .registry import resolve_phi
 
@@ -148,12 +150,24 @@ def random_functionals(rng: np.random.Generator, m: float, M: float,
     the generator in the same order, grouped by node count and validated
     in one pass.
 
-    Each row draws one bounded integer, its node count k, then 2k + 1
-    doubles in one call (2 when k = 1): k nodes, the end-pin coin (not
-    drawn when k = 1) and k weights.  numpy's ``uniform(lo, hi, k)`` is
+    Each row draws one bounded integer, its node count k, as
+    ``rng.integers(1, MAX_NODES + 1)`` does, then 2k + 1 doubles (2 when
+    k = 1) as ``rng.random`` does: k nodes, the end-pin coin (not drawn
+    when k = 1) and k weights.  numpy's ``uniform(lo, hi, k)`` is
     ``lo + (hi - lo) * random(k)``, so the nodes and weights are those of
-    separate ``uniform`` calls, bit for bit.  An interval with m > M or a
-    non-finite length is refused before any draw.
+    separate ``uniform`` calls, bit for bit.
+
+    The batch makes no generator call per row: it replays PCG64's stream
+    from raw 64-bit words, taken in one block of count * (MAX_NODES + 3)
+    + 2 * MAX_NODES + 2 words (a little above a batch's mean) and in more
+    chunks if the batch outgrows it.  A node count is Lemire's bounded
+    draw on a 32-bit half-word: the low half of a fresh word, whose high
+    half numpy buffers for the next count (``has_uint32``).  A double is
+    ``(word >> 11) * 2**-53``.  The generator is left where the per-row
+    calls leave it, its buffered half-word included.  So ``rng`` must be
+    a Generator on ``np.random.PCG64``, as ``default_rng`` makes.  Any
+    other generator, a count that is not an integer >= 1 and an interval
+    with m > M or a non-finite length are refused before any draw.
     """
     if not (_is_number(count, numbers.Integral) and count >= 1):
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
@@ -162,25 +176,72 @@ def random_functionals(rng: np.random.Generator, m: float, M: float,
     if not 0.0 <= span < math.inf:
         raise ValueError(f"interval [{m!r}, {M!r}] must have m <= M and a "
                          "finite length")
-    rows: dict[int, list] = {}
+    bit_generator = getattr(rng, "bit_generator", None)
+    if type(bit_generator) is not np.random.PCG64:
+        raise ValueError("random_functionals replays PCG64's stream: rng must "
+                         f"be a Generator on np.random.PCG64, got {rng!r}")
+    entry = bit_generator.state
+    buffered, half = entry["has_uint32"], entry["uinteger"]
+    bound = MAX_NODES  # read per call, so that a patched value holds
+    threshold = (2**32 - bound) % bound
+    room = 2 * bound + 2  # the words of one count and the most doubles
+    per_row = bound + 3  # a little above the mean words of a row
+    raw = bit_generator.random_raw(count * per_row + room)
+    words, size, pos = memoryview(raw), raw.size, 0
+    rows: dict[int, list] = defaultdict(list)  # row indices by k, in order
+    starts = []  # each row's first double word
     for index in range(count):
-        k = int(rng.integers(1, MAX_NODES + 1))
-        rows.setdefault(k, []).append((index, rng.random(2 * k + (k >= 2))))
-    shapes, order, nodes, weights = [], [], [], []
-    for k, group in rows.items():
-        indices, draws = zip(*group)
-        u = np.array(draws)
-        block = m + span * u[:, :k]
-        if k >= 2:
-            block[u[:, k] < 0.25, :2] = m, M
-        w = u[:, -k:] + 1e-12
-        w /= w.sum(axis=1, keepdims=True)
-        shapes.append((len(group), k))
-        order += indices
-        nodes.append(block.ravel())
-        weights.append(w.ravel())
-    return make_functionals(np.concatenate(nodes), np.concatenate(weights),
-                            shapes, np.array(order))
+        while True:
+            if size - pos < room:
+                raw = np.concatenate((raw, bit_generator.random_raw(
+                    room + (count - index) * per_row)))
+                words, size = memoryview(raw), raw.size
+            if bound == 1:  # numpy draws nothing for a range of one value
+                k = 1
+                break
+            if buffered:
+                buffered, low = 0, half
+            else:
+                word = words[pos]
+                pos += 1
+                buffered, low, half = 1, word & 0xFFFFFFFF, word >> 32
+            scaled = low * bound
+            if scaled & 0xFFFFFFFF >= threshold:
+                k = 1 + (scaled >> 32)
+                break
+        rows[k].append(index)
+        starts.append(pos)
+        pos += 2 * k + (k >= 2)
+    bit_generator.state = entry
+    bit_generator.advance(pos)
+    after = bit_generator.state
+    after["has_uint32"], after["uinteger"] = buffered, half
+    bit_generator.state = after
+
+    order = np.array([index for group in rows.values() for index in group])
+    sizes = np.array([k for k, group in rows.items() for _ in group])
+    first = np.array(starts)[order]
+    ends = np.cumsum(sizes)
+    row_start = ends - sizes
+    # each row's k node words, then (k >= 2) its coin and its k weights
+    node_words = np.repeat(first - row_start, sizes) + np.arange(ends[-1])
+    pairs = sizes >= 2
+    weight_words = node_words + np.repeat(sizes + pairs, sizes)
+    nodes = m + span * _doubles(raw[node_words])
+    pinned = row_start[pairs][_doubles(raw[(first + sizes)[pairs]]) < 0.25]
+    nodes[pinned] = m
+    nodes[pinned + 1] = M
+    weights = _doubles(raw[weight_words]) + 1e-12
+    shapes = [(len(group), k) for k, group in rows.items()]
+    for block in row_blocks(weights, shapes):
+        block /= block.sum(axis=1, keepdims=True)
+    return make_functionals(nodes, weights, shapes, order)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) that ``Generator.random`` makes of raw PCG64
+    words."""
+    return (words >> 11) * 2.0**-53
 
 
 _POOL = ("cubic", "quartic", "exp", "xlogx", "spline")

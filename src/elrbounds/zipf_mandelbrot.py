@@ -9,6 +9,7 @@ taken from the elementwise ratio extrema.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ __all__ = [
 def _terms(N: int, q: float, s: float) -> np.ndarray:
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError("N must be a positive integer")
+    for value, label in ((q, "shift q"), (s, "exponent s")):
+        if not math.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value!r}")
     if q < 0:
         raise ValueError("shift q must be nonnegative")
     if s <= 0:

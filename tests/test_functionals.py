@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elrbounds import apply, make_functional, moments
+from elrbounds.functionals import make_functionals
 from elrbounds.registry import resolve_phi
 
 CUBIC = resolve_phi({"name": "cubic"})
@@ -178,3 +179,18 @@ class TestMoments:
         # d_lo = sum w*(x-m)*phi'(x): interior uses 2x, endpoints the stored
         expected_dlo = 0.5 * 0.5 * 1.0 + 0.25 * 1.0 * 9.0
         assert ms.d_lo == pytest.approx(expected_dlo, abs=1e-14)
+
+
+class TestFunctionalBatchIndex:
+    NODES, WEIGHTS, SHAPES = [1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.5, 0.5, 0.5, 0.5], ((1, 1), (2, 2))
+
+    @pytest.mark.parametrize("order", [None, [2, 0, 1]], ids=["sequence", "ordered"])
+    def test_index_outside_the_batch_refused(self, order):
+        batch = make_functionals(self.NODES, self.WEIGHTS, self.SHAPES,
+                                 None if order is None else np.array(order))
+        for index in (-1, -3, 3, 10):
+            with pytest.raises(IndexError, match=rf"index {index} .* batch of 3"):
+                batch.functional(index)
+        rows = [[1.0], [2.0, 3.0], [4.0, 5.0]]
+        expected = rows if order is None else [rows[order.index(i)] for i in range(3)]
+        assert [batch.functional(i).nodes.tolist() for i in range(3)] == expected

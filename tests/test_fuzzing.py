@@ -354,3 +354,103 @@ def test_landing_matches_the_row_by_row_loop():
             rows = block / block.sum(axis=1)[:, None]
             adjusted += sum(math.fsum(row) != 1.0 for row in rows)
     assert adjusted > 1000
+
+
+# Canaries for the replayed stream: random_functionals reads PCG64's raw
+# words itself, so each case is held to numpy's own per-row calls from the
+# same entry state, bits and generator state after (buffered half-word too).
+
+def assert_batch_from_state(state, m, M, count, max_nodes=fuzzing.MAX_NODES):
+    batch_rng, reference_rng = generator_at(state), generator_at(state)
+    batch = random_functionals(batch_rng, m, M, count)
+    reference = [drawn_functional(reference_rng, m, M, max_nodes) for _ in range(count)]
+    shapes, order = expected_layout(reference)
+    assert batch.shapes == shapes
+    assert batch.order.tolist() == order
+    in_order = [reference[index] for index in order]
+    assert batch.nodes.tobytes() == np.concatenate([F.nodes for F in in_order]).tobytes()
+    assert batch.weights.tobytes() == np.concatenate([F.weights for F in in_order]).tobytes()
+    assert batch_rng.bit_generator.state == reference_rng.bit_generator.state
+    return batch_rng.bit_generator.state
+
+
+def with_buffer(seed, uinteger):
+    state = np.random.default_rng(seed).bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, uinteger
+    return state
+
+
+def test_buffered_zero_half_word_takes_the_rejection_branch():
+    """A half-word of 0 is rejected (Lemire's leftover 0 is below the
+    threshold), so the first count comes from the next word's low half."""
+    for seed in range(5):
+        state = with_buffer(seed, 0)
+        probe = generator_at(state)
+        probe.integers(1, fuzzing.MAX_NODES + 1)
+        assert probe.bit_generator.state["state"] != state["state"]
+        for count in (1, 2, 30):
+            assert_batch_from_state(state, -1.0, 2.0, count)
+
+
+def test_one_node_rows_draw_no_count(monkeypatch):
+    """With MAX_NODES == 1 numpy draws no count: each row takes its two
+    doubles alone and the buffered half-word survives the batch."""
+    monkeypatch.setattr(fuzzing, "MAX_NODES", 1)
+    for state in (np.random.default_rng(12).bit_generator.state, with_buffer(12, 77)):
+        after = assert_batch_from_state(state, 0.0, 1.0, 40, max_nodes=1)
+        doubles = generator_at(state)
+        doubles.random(80)
+        assert after == doubles.bit_generator.state
+        assert (after["has_uint32"], after["uinteger"]) == (
+            state["has_uint32"], state["uinteger"])
+
+
+@pytest.mark.parametrize("pre_draws", [1, 3, 7])
+def test_entry_with_a_buffered_half_word(pre_draws):
+    """An odd number of 32-bit draws before the batch leaves a half-word
+    buffered, which the batch's first count must use."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for _ in range(pre_draws):
+            rng.integers(5)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1
+        for count in (1, 2, 9, 400):
+            assert_batch_from_state(state, -2.0, 0.5, count)
+
+
+def test_batch_that_outgrows_the_first_block():
+    """The first block holds count * (MAX_NODES + 3) + 2 * MAX_NODES + 2
+    words and is refilled when fewer than 2 * MAX_NODES + 2 are left at a
+    row; batches that need it keep the stream."""
+    count, room = 400, 2 * fuzzing.MAX_NODES + 2
+    block = count * (fuzzing.MAX_NODES + 3) + room
+    outgrown = 0
+    for seed in range(20):
+        state = np.random.default_rng([seed, 15]).bit_generator.state
+        draws, words = generator_at(state), 0
+        for index in range(count):
+            last_row_at = words
+            k = int(draws.integers(1, fuzzing.MAX_NODES + 1))
+            draws.random(2 * k + (k >= 2))
+            # a fresh word for every other count: none was rejected
+            words += (index % 2 == 0) + 2 * k + (k >= 2)
+        advanced = generator_at(state)
+        advanced.bit_generator.advance(words)
+        assert advanced.bit_generator.state["state"] == draws.bit_generator.state["state"]
+        outgrown += block - last_row_at < room
+        assert_batch_from_state(state, 0.25, 4.0, count)
+    assert outgrown >= 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.random.Generator(np.random.PCG64DXSM(3)),
+    lambda: np.random.Generator(np.random.Philox(3)),
+    lambda: np.random.Generator(np.random.MT19937(3)),
+    lambda: np.random.RandomState(3),
+], ids=["PCG64DXSM", "Philox", "MT19937", "RandomState"])
+def test_other_bit_generators_refused_before_any_draw(make):
+    rng = make()
+    with pytest.raises(ValueError, match="PCG64"):
+        random_functionals(rng, 0.0, 1.0, 5)
+    assert rng.random(3).tolist() == make().random(3).tolist()

@@ -69,6 +69,16 @@ class TestDistribution:
         with pytest.raises(ValueError, match="nonnegative"):
             zm_distribution(3, -0.5, 1.0)
 
+    @pytest.mark.parametrize("q, s, label", [
+        (math.nan, 1.0, "shift q"), (math.inf, 1.0, "shift q"), (-math.inf, 1.0, "shift q"),
+        (0.0, math.nan, "exponent s"), (0.0, math.inf, "exponent s"),
+        (1.0, -math.inf, "exponent s"),
+    ])
+    def test_non_finite_parameters_rejected(self, q, s, label):
+        for call in (zm_distribution, harmonic_sum):
+            with pytest.raises(ValueError, match=f"{label} must be finite"):
+                call(10, q, s)
+
 
 class TestRatioExtrema:
     def test_identical_laws(self):
