@@ -235,7 +235,7 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
     # q, which it has checked to lie within WEIGHT_DRIFT_TOL of 1, unchanged.
     ratios.flags.writeable = False
     weights = _normalize(masses.copy(), ((1, masses.size),),
-                         (masses.sum(keepdims=True),))
+                         masses.sum(keepdims=True))
     return DiscreteFunctional(nodes=ratios, weights=weights), m, M, masses
 
 

@@ -56,7 +56,11 @@ def check_weights(weights, label: str = "weights") -> np.ndarray:
     ``label`` names the vector in error messages."""
     weights = _floats(weights, label)
     _check_entries(weights, label)
-    _check_sums(weights, (float(weights.sum()),), label)
+    # one float compare: an array compare would cost more than the rest
+    # of this check, which every divergence and means op makes
+    total = float(weights.sum())
+    if not abs(total - 1.0) <= WEIGHT_DRIFT_TOL:
+        _refuse_sum(weights, total, label)
     return weights
 
 
@@ -83,16 +87,24 @@ def _check_entries(weights: np.ndarray, label: str) -> None:
                          f"{float(weights.max())!r})")
 
 
-def _check_sums(weights: np.ndarray, sums, label: str) -> None:
-    """The rest of the check_weights rule, given the sum of each vector
-    whose entries make up the flat ``weights``."""
-    for total in sums:
-        if not abs(total - 1.0) <= WEIGHT_DRIFT_TOL:
-            # with no entry negative, a sum is finite unless an entry is
-            # not (or the sum overflows, which is a sum off 1)
-            if not np.isfinite(weights).all():
-                raise ValueError(f"non-finite weight in {label}")
-            raise ValueError(f"weights of {label} must sum to 1 (got {total!r})")
+def _check_sums(weights: np.ndarray, sums: np.ndarray, label: str) -> None:
+    """The sum part of the check_weights rule on each vector whose entries
+    make up the flat ``weights``, given the array of their sums: one
+    comparison over all sums, and the first that fails is refused."""
+    within = abs(sums - 1.0) <= WEIGHT_DRIFT_TOL
+    first = int(within.argmin())
+    if not within[first]:
+        _refuse_sum(weights, float(sums[first]), label)
+
+
+def _refuse_sum(weights: np.ndarray, total: float, label: str) -> None:
+    """The check_weights error for a vector of ``weights`` whose sum
+    ``total`` is off 1."""
+    # with no entry negative, a sum is finite unless an entry is not (or
+    # the sum overflows, which is a sum off 1)
+    if not np.isfinite(weights).all():
+        raise ValueError(f"non-finite weight in {label}")
+    raise ValueError(f"weights of {label} must sum to 1 (got {total!r})")
 
 
 def row_blocks(values: np.ndarray, shapes) -> list[np.ndarray]:
@@ -144,45 +156,158 @@ def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
                      order: np.ndarray | None = None) -> FunctionalBatch:
     """A batch of functionals from flat nodes and weights laid out as
     FunctionalBatch stores them: validated in one pass (finite nodes, the
-    check_weights rule per row), then renormalized row by row."""
+    check_weights rule per row, an ``order`` that is a permutation of the
+    row indices), then renormalized row by row."""
     nodes = np.array(nodes, dtype=float)
     weights = np.array(weights, dtype=float)
     if not nodes.shape == weights.shape == (sum(c * k for c, k in shapes),):
         raise ValueError("nodes, weights and block shapes differ in size")
+    if order is not None:
+        order = np.asarray(order)
+        count = sum(c for c, _ in shapes)
+        if not (order.shape == (count,) and order.dtype.kind in "iu"
+                and (np.sort(order) == np.arange(count)).all()):
+            raise ValueError(f"order must be a permutation of range({count})")
     if not np.isfinite(nodes).all():
         raise ValueError("nodes must be finite")
     _check_entries(weights, "functional")
-    sums = [block.sum(axis=1) for block in row_blocks(weights, shapes)]
-    _check_sums(weights, np.concatenate(sums).tolist(), "functional")
+    sums = np.concatenate([block.sum(axis=1) for block in row_blocks(weights, shapes)])
+    _check_sums(weights, sums, "functional")
     nodes.flags.writeable = False
     return FunctionalBatch(nodes, _normalize(weights, shapes, sums),
                            tuple(shapes), order)
 
 
-def _normalize(weights: np.ndarray, shapes, sums) -> np.ndarray:
+# Batches of at least this many rows land their weights with exact int64
+# row sums (_land_batch); below it the fsum loop (_land_rows) is faster.
+# The measured break-even of make_functionals on rows of 1 to 50 nodes.
+LIMB_LANDING_ROWS = 48
+
+# r < 2**52 is split in halves of 26 bits, so that a row sum of a limb
+# cannot overflow int64 below 2**37 entries
+_HALF = 26
+_HALF_MASK = (1 << _HALF) - 1
+
+
+def _normalize(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
     """The checked flat weights, laid out as in FunctionalBatch, made
-    exact: each row divided in place by its sum (``sums`` holds the row
-    sums of each block), landed on 1, and the array made read-only.
+    exact: each row divided in place by its sum (``sums`` holds one per
+    row, in layout order), landed on 1, and the array made read-only.
 
     Landing puts the exact real-number mass of a row on 1, so that the
     exactly-rounded summation in apply() returns 1.0 on the bit; the
-    measured drift is itself rounded, hence up to four adjustments, each
-    at the row's current largest weight."""
-    for block, block_sums in zip(row_blocks(weights, shapes), sums):
-        block /= block_sums[:, None]
-    # slices of one memoryview yield plain floats, with no numpy view per
-    # row; most rows already sum to 1 on the bit and need no adjustment
-    flat, stop = memoryview(weights), 0
-    for count, k in shapes:
-        for _ in range(count):
-            start, stop = stop, stop + k
-            for _ in range(4):
-                drift = math.fsum(flat[start:stop]) - 1.0
-                if drift == 0.0:
-                    break
-                flat[start + int(weights[start:stop].argmax())] -= drift
+    measured drift, fsum(row) - 1, is itself rounded, hence up to four
+    adjustments, each at the row's current first largest weight.
+
+    A batch of fewer than LIMB_LANDING_ROWS rows runs that rule as a
+    Python loop over its rows (_land_rows).  A larger one divides all
+    rows at once and runs it over the whole batch on int64 limbs
+    (_land_batch): w is h * 2**-52 + r * 2**-104 exactly, the limbs add
+    exactly in any order, and fsum(row) is then fl(A * 2**-52 + B * 2**-104)
+    from the carried limb sums A and B, one correctly rounded add of two
+    exact doubles.  Rows holding a weight with a bit below 2**-104 (the
+    tail of a steep Zipf law, say) take the loop instead.  Both paths give
+    the same bits."""
+    if len(sums) < LIMB_LANDING_ROWS:
+        spans, stop = [], 0
+        for count, k in shapes:
+            for _ in range(count):
+                start, stop = stop, stop + k
+                spans.append((start, stop))
+        for (start, stop), total in zip(spans, sums.tolist()):
+            weights[start:stop] /= total
+        _land_rows(weights, spans)
+    else:
+        sizes = np.repeat([k for _, k in shapes], [count for count, _ in shapes])
+        weights /= np.repeat(sums, sizes)
+        _land_batch(weights, sizes)
     weights.flags.writeable = False
     return weights
+
+
+def _land_rows(weights: np.ndarray, spans) -> None:
+    """The landing rule of _normalize on the rows weights[start:stop] for
+    (start, stop) in ``spans``."""
+    # slices of one memoryview yield plain floats, with no numpy view per
+    # row; most rows already sum to 1 on the bit and need no adjustment
+    flat = memoryview(weights)
+    for start, stop in spans:
+        for _ in range(4):
+            drift = math.fsum(flat[start:stop]) - 1.0
+            if drift == 0.0:
+                break
+            flat[start + int(weights[start:stop].argmax())] -= drift
+
+
+def _land_batch(weights: np.ndarray, sizes: np.ndarray) -> None:
+    """The landing rule of _normalize on every row of the flat divided
+    weights, whose rows have the entry counts ``sizes``, in whole-batch
+    numpy on the limbs of the weights; the rows the limbs cannot hold go
+    to _land_rows."""
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    limbs, held = _limbs(weights)
+    totals = np.add.reduceat(limbs, starts, axis=1)
+    drift = _limb_sums(totals) - 1.0
+    loose = []  # the rows the limbs cannot hold
+    if not held.all():
+        loose = np.unique(np.searchsorted(stops, np.flatnonzero(~held), side="right"))
+        drift[loose] = 0.0  # the loop measures these rows itself
+    rows = np.flatnonzero(drift)
+    drift = drift[rows]
+    for _ in range(4):
+        if not rows.size:
+            break
+        at = _first_argmax(weights, starts, sizes, rows)
+        weights[at] -= drift
+        # the limbs hold every landed weight: a drift is a multiple of
+        # 2**-53, so a held weight less it is a multiple of 2**-104 again
+        landed = _limbs(weights[at])[0]
+        totals[:, rows] += landed - limbs[:, at]
+        limbs[:, at] = landed
+        drift = _limb_sums(totals[:, rows]) - 1.0
+        rows, drift = rows[drift != 0.0], drift[drift != 0.0]
+    _land_rows(weights, zip(starts[loose].tolist(), stops[loose].tolist()))
+
+
+def _limbs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (3, n) int64 limbs of the weights w in [0, 2): h = floor(w * 2**52)
+    and the high and low half of r = (w - h * 2**-52) * 2**104; and the
+    mask of the weights they hold exactly, those whose r is an integer
+    (no bit of w below 2**-104)."""
+    h = np.floor(w * 2.0**52)
+    # both steps are exact: w - h * 2**-52 is the bits of w below 2**-52
+    r = (w - h * 2.0**-52) * 2.0**104
+    whole = r.astype(np.int64)
+    limbs = np.empty((3, w.size), dtype=np.int64)
+    limbs[0] = h
+    np.right_shift(whole, _HALF, out=limbs[1])
+    np.bitwise_and(whole, _HALF_MASK, out=limbs[2])
+    return limbs, whole == r
+
+
+def _limb_sums(totals: np.ndarray) -> np.ndarray:
+    """fsum of each row from the row sums ``totals`` (3, rows) of its
+    limbs: the carries make A * 2**-52 + B * 2**-104 with B < 2**52, and
+    both terms are exact doubles (A < 2**53 for a sum near 1), so one add
+    rounds the exact sum correctly, half to even, as fsum does."""
+    high = totals[1] + (totals[2] >> _HALF)
+    low = ((high & _HALF_MASK) << _HALF) | (totals[2] & _HALF_MASK)
+    return (totals[0] + (high >> _HALF)) * 2.0**-52 + low * 2.0**-104
+
+
+def _first_argmax(weights: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+    """The flat index of the first largest weight of each of ``rows``,
+    as ``argmax`` picks it."""
+    size = sizes[rows]
+    ends = np.cumsum(size)
+    offsets = ends - size
+    flat = np.repeat(starts[rows] - offsets, size) + np.arange(ends[-1])
+    values = weights[flat]
+    hits = np.flatnonzero(values == np.repeat(np.maximum.reduceat(values, offsets), size))
+    # each row holds a hit; the first at or after its offset is its first
+    return flat[hits[np.searchsorted(hits, offsets)]]
 
 
 def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> DiscreteFunctional:

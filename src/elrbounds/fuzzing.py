@@ -233,8 +233,10 @@ def random_functionals(rng: np.random.Generator, m: float, M: float,
     nodes[pinned + 1] = M
     weights = _doubles(raw[weight_words]) + 1e-12
     shapes = [(len(group), k) for k, group in rows.items()]
-    for block in row_blocks(weights, shapes):
-        block /= block.sum(axis=1, keepdims=True)
+    # numpy's pairwise row sums, block by block (np.add.reduceat adds in
+    # another order), then one elementwise division
+    weights /= np.repeat(np.concatenate(
+        [block.sum(axis=1) for block in row_blocks(weights, shapes)]), sizes)
     return make_functionals(nodes, weights, shapes, order)
 
 

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elrbounds import apply, make_functional, moments
-from elrbounds.functionals import make_functionals
+from elrbounds.functionals import make_functionals, moments_batch
 from elrbounds.registry import resolve_phi
 
 CUBIC = resolve_phi({"name": "cubic"})
@@ -194,3 +196,57 @@ class TestFunctionalBatchIndex:
         rows = [[1.0], [2.0, 3.0], [4.0, 5.0]]
         expected = rows if order is None else [rows[order.index(i)] for i in range(3)]
         assert [batch.functional(i).nodes.tolist() for i in range(3)] == expected
+
+
+class TestBatchOrder:
+    """make_functionals refuses an order that is not a permutation of the
+    row indices before any work: [0, 0] used to make moments_batch report
+    functional 0 for both rows and functional(1) fail inside numpy, and
+    [0, 5] used to fail inside the moment sums."""
+
+    # two 2-node rows, with means 0.5 and 0.575
+    NODES, WEIGHTS, SHAPES = [0.25, 0.75, 0.4, 0.75], [0.5] * 4, ((2, 2),)
+
+    @pytest.mark.parametrize("order", [
+        [0, 0], [1, 1], [0, 5], [-1, 0], [0], [0, 1, 2], [[0, 1]], [0.0, 1.0],
+    ])
+    def test_order_that_is_not_a_permutation_refused(self, order):
+        with pytest.raises(ValueError, match=re.escape("order must be a permutation of range(2)")):
+            make_functionals(self.NODES, self.WEIGHTS, self.SHAPES, np.array(order))
+
+    def test_order_refused_before_the_weights_are_read(self):
+        with pytest.raises(ValueError, match="order must be a permutation"):
+            make_functionals(self.NODES, [0.5, 0.5, 0.5, np.nan], self.SHAPES, [0, 0])
+
+    def test_permutation_accepted(self):
+        cubic = resolve_phi({"name": "cubic"})
+        for order, means in (([0, 1], [0.5, 0.575]), ([1, 0], [0.575, 0.5])):
+            batch = make_functionals(self.NODES, self.WEIGHTS, self.SHAPES, order)
+            assert moments_batch(batch, cubic, 0.0, 1.0).mean.tolist() == means
+            assert batch.functional(order[0]).nodes.tolist() == [0.25, 0.75]
+
+
+class TestBatchSumMessages:
+    """The row sums of a batch are checked in one comparison, with the
+    message of the check_weights rule for the first row that fails."""
+
+    ROWS = np.tile([0.25, 0.5, 0.25], (400, 1))
+
+    def check(self, rows):
+        make_functionals(np.zeros(rows.size), rows.ravel(), ((len(rows), 3),))
+
+    def test_first_row_off_one_is_named(self):
+        rows = self.ROWS.copy()
+        rows[299] *= 1.0 + 1e-6
+        rows[350] *= 1.0 + 2e-6
+        expected = f"weights of functional must sum to 1 (got {float(rows[299].sum())!r})"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            self.check(rows)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weight_wins(self, bad):
+        rows = self.ROWS.copy()
+        rows[299] *= 1.0 + 1e-6
+        rows[350, 1] = bad
+        with pytest.raises(ValueError, match="^non-finite weight in functional$"):
+            self.check(rows)

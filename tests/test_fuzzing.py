@@ -10,11 +10,13 @@ spline is held to scipy's ``BSpline`` as a test-only oracle.
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from elrbounds import fuzzing
+from elrbounds import functionals, fuzzing
+from elrbounds.divergences import ratio_functional
 from elrbounds.divided_diff import certify_3convex, check_bundle
 from elrbounds.elr_bounds import THEOREMS, bounds, theorem_triple, theorem_triples
 from elrbounds.functionals import make_functional, make_functionals, moments, moments_batch
@@ -26,6 +28,7 @@ from elrbounds.fuzzing import (
     random_three_convex_bundle,
 )
 from elrbounds.registry import resolve_phi
+from elrbounds.zipf_mandelbrot import zm_distribution
 
 
 def drawn_functional(rng, m, M, max_nodes=50):
@@ -454,3 +457,145 @@ def test_other_bit_generators_refused_before_any_draw(make):
     with pytest.raises(ValueError, match="PCG64"):
         random_functionals(rng, 0.0, 1.0, 5)
     assert rng.random(3).tolist() == make().random(3).tolist()
+
+
+# The batch path of the landing: a batch of LIMB_LANDING_ROWS rows or more
+# lands its weights on exact int64 limb sums (functionals._land_batch),
+# held here to landed_row_by_row bit for bit on rows that reach each of
+# its branches.
+
+def normalized_rows(weights, shapes):
+    for block in row_blocks(weights, shapes):
+        block /= block.sum(axis=1, keepdims=True)
+    return weights
+
+
+def assert_batch_lands_row_by_row(weights, shapes):
+    assert sum(count for count, _ in shapes) >= functionals.LIMB_LANDING_ROWS
+    landed = make_functionals(np.zeros(weights.size), weights, shapes).weights
+    assert landed.tobytes() == landed_row_by_row(weights, shapes).tobytes()
+
+
+def adjustments_row_by_row(weights, shapes):
+    """How many adjustments landed_row_by_row makes on each row."""
+    counts = []
+    for block in row_blocks(np.array(weights), shapes):
+        for row in block / block.sum(axis=1)[:, None]:
+            count = 0
+            while count < 4 and math.fsum(row) != 1.0:
+                row[row.argmax()] -= math.fsum(row) - 1.0
+                count += 1
+            counts.append(count)
+    return np.array(counts)
+
+
+def rows_the_limbs_cannot_hold(weights, shapes):
+    """Whether each row holds a weight with a bit below 2**-104."""
+    held = functionals._limbs(weights)[1]
+    return np.concatenate([~block.all(axis=1) for block in row_blocks(held, shapes)])
+
+
+def random_rows(rng, count=400):
+    shapes = random_functionals(rng, 0.0, 1.0, count).shapes
+    weights = rng.uniform(0.0, 1.0, sum(c * k for c, k in shapes)) + 1e-12
+    return weights, shapes
+
+
+def test_batch_landing_leaves_rows_the_limbs_cannot_hold_to_the_loop():
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        weights, shapes = random_rows(rng)
+        tiny = rng.random(weights.size) < 0.02
+        weights[tiny] *= 10.0 ** rng.uniform(-32.0, -28.0, tiny.sum())
+        normalized_rows(weights, shapes)
+        loose = rows_the_limbs_cannot_hold(weights, shapes)
+        assert 0 < loose.sum() < loose.size
+        assert (adjustments_row_by_row(weights, shapes)[loose] > 0).any()
+        assert_batch_lands_row_by_row(weights, shapes)
+    # steep Zipf-Mandelbrot laws, whose tails fall below 2**-104
+    laws = [zm_distribution(40, q, s).pmf for q, s in
+            zip(rng.uniform(0.0, 5.0, 60), rng.uniform(8.0, 30.0, 60))]
+    weights, shapes = np.concatenate(laws), ((60, 40),)
+    loose = rows_the_limbs_cannot_hold(weights, shapes)
+    assert 0 < loose.sum() < loose.size
+    assert_batch_lands_row_by_row(weights, shapes)
+
+
+def test_batch_landing_on_rows_whose_plain_limb_sums_overflow_int64():
+    """Rows of 5000 entries and more: their r limbs (up to 2**52 each)
+    sum past int64, which the 26-bit halves do not."""
+    rng = np.random.default_rng(17)
+    shapes = ((6, 5000), (2, 12_000), (60, 7))
+    weights = normalized_rows(rng.uniform(0.0, 1.0, 54_420) + 1e-12, shapes)
+    limbs = functionals._limbs(weights)[0]
+    r = (limbs[1] << 26) | limbs[2]
+    r_sums = [sum(row.tolist()) for block in row_blocks(r, shapes[:2]) for row in block]
+    assert max(r_sums) > 2**63
+    assert (adjustments_row_by_row(weights, shapes)[:8] > 0).any()
+    assert_batch_lands_row_by_row(weights, shapes)
+
+
+def test_batch_landing_on_rows_that_take_two_rounds():
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        weights, shapes = random_rows(rng)
+        normalized_rows(weights, shapes)
+        assert set(adjustments_row_by_row(weights, shapes).tolist()) == {0, 1, 2}
+        assert_batch_lands_row_by_row(weights, shapes)
+
+
+def test_batch_landing_at_a_tied_largest_weight():
+    """Rows whose largest weight is tied land at its first place, as
+    argmax picks it."""
+    rng = np.random.default_rng(19)
+    tied_and_adjusted = 0
+    for _ in range(5):
+        weights, shapes = random_rows(rng)
+        tied = []
+        for block in row_blocks(weights, shapes):
+            for row in block[:4]:
+                if row.size >= 2:
+                    row[rng.choice(row.size, min(row.size, 3), replace=False)] = row.max()
+                tied.append(row.size >= 2)
+            tied += [False] * (len(block) - len(block[:4]))
+        normalized_rows(weights, shapes)
+        tied_and_adjusted += (adjustments_row_by_row(weights, shapes)[np.array(tied)] > 0).sum()
+        assert_batch_lands_row_by_row(weights, shapes)
+    assert tied_and_adjusted > 50
+
+
+def test_one_row_callers_land_as_the_loop_on_criterion_4_pairs():
+    """ratio_functional and make_functional land a single row by the loop,
+    on the first 2000 pairs of acceptance criterion 4."""
+    rng = np.random.default_rng(77)
+    for _ in range(2000):
+        k = int(rng.integers(2, 9))
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+        functional, _, _, masses = ratio_functional(p, q)
+        expected = landed_row_by_row(masses, ((1, masses.size),))
+        assert functional.weights.tobytes() == expected.tobytes()
+        assert make_functional(p, q).weights.tobytes() == \
+            landed_row_by_row(q, ((1, k),)).tobytes()
+
+
+@pytest.mark.parametrize("row, expected", [
+    ([1.0, 2**-53], 1.0),
+    ([1.0, 2**-53, 2**-105], 1.0 + 2**-52),
+    ([1.0, -2**-54], 1.0),
+])
+def test_fsum_and_one_add_round_ties_to_even(row, expected):
+    """The canary for the limb sums, which take fsum(row) as one float add
+    fl(A * 2**-52 + B * 2**-104) of the exact row sum split at 2**-52:
+    on a tie, or just past one, math.fsum and that add must both round
+    half to even.  A Python whose fsum rounds otherwise would move the
+    landed bits of every batch."""
+    A, B = divmod(sum(map(Fraction, row)) * 2**104, 2**52)
+    assert math.fsum(row) == float(A) * 2.0**-52 + float(B) * 2.0**-104 == expected
+    limbs, held = functionals._limbs(np.array(row))
+    # 2**-105 lies below the limbs, which leave its row to fsum
+    assert held.all() == (B.denominator == 1)
+    if held.all():
+        B = int(B)
+        canonical = np.array([[A], [B >> 26], [B & (2**26 - 1)]])
+        assert functionals._limb_sums(canonical)[0] == expected
+        assert functionals._limb_sums(limbs.sum(axis=1, keepdims=True))[0] == expected
