@@ -48,10 +48,6 @@ class RunConfig:
     tolerance: float = 1e-9
 
 
-class InputError(ValueError):
-    """Bad command input; like every ValueError it maps to exit status 1."""
-
-
 # ---------------------------------------------------------------------------
 # deterministic JSON emission
 # ---------------------------------------------------------------------------
@@ -110,7 +106,7 @@ def _bound_report_dict(report: BoundReport) -> dict:
 
 def _need(payload: dict, key: str):
     if key not in payload:
-        raise InputError(f"missing required field {key!r}")
+        raise ValueError(f"missing required field {key!r}")
     return payload[key]
 
 
@@ -118,7 +114,7 @@ def _need_object(payload: dict, key: str, fields: tuple = ()) -> dict:
     spec = _need(payload, key)
     if not isinstance(spec, dict) or any(f not in spec for f in fields):
         carrying = " carrying " + ", ".join(map(repr, fields)) if fields else ""
-        raise InputError(f"{key!r} must be an object{carrying}")
+        raise ValueError(f"{key!r} must be an object{carrying}")
     return spec
 
 
@@ -128,10 +124,10 @@ def _parse_interval(payload: dict, required: bool = True):
         return None, None
     interval = _need(payload, "interval")
     if not (isinstance(interval, list) and len(interval) == 2):
-        raise InputError('"interval" must be [m, M]')
+        raise ValueError('"interval" must be [m, M]')
     m, M = (number(end, "interval end") for end in interval)
     if not m < M:
-        raise InputError("interval must satisfy m < M")
+        raise ValueError("interval must satisfy m < M")
     return m, M
 
 
@@ -145,7 +141,7 @@ def _parse_theorems(payload: dict, allowed=THEOREMS):
     if requested is None:
         return list(allowed)
     if requested not in allowed:
-        raise InputError(f"unknown theorem {requested!r}")
+        raise ValueError(f"unknown theorem {requested!r}")
     return [requested]
 
 
@@ -164,11 +160,11 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
     m, M = _parse_interval(payload)
     bundle = resolve_phi(_need_object(payload, "phi"))
     if not bundle.contains(m, M):
-        raise InputError(f"interval [{m}, {M}] escapes the domain of "
+        raise ValueError(f"interval [{m}, {M}] escapes the domain of "
                          f"{bundle.name!r}")
     cert = certify_3convex(bundle, m, M, 201)
     if not cert.is_directed:
-        raise InputError(
+        raise ValueError(
             f"{bundle.name!r} is not 3-convex on [{m}, {M}] in either "
             f"direction (verdict {cert.verdict!r})")
     theorems = _parse_theorems(payload)
@@ -219,7 +215,7 @@ def _run_zipf(config: RunConfig) -> tuple[int, dict]:
                                 number(spec[k]["q"], "q"),
                                 number(spec[k]["s"], "s")) for k in ("a", "b"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad zm specification: {exc}") from exc
+        raise ValueError(f"bad zm specification: {exc}") from exc
     gen = resolve_generator(_need_object(payload, "phi"))
     theorems = _parse_theorems(payload, allowed=DIVERGENCE_THEOREMS)
     value, reports = zm_divergence_pass(a, b, gen, theorems)
@@ -234,7 +230,7 @@ def _run_means(config: RunConfig) -> tuple[int, dict]:
     s, t = number(params["s"], "params s"), number(params["t"], "params t")
     family = _need_object(payload, "phi").get("name")
     if family not in ("upsilon1", "upsilon2"):
-        raise InputError('means needs "phi" with name "upsilon1" or "upsilon2"')
+        raise ValueError('means needs "phi" with name "upsilon1" or "upsilon2"')
     if index <= 6:
         functional = _parse_functional(payload)
         m, M = _parse_interval(payload)
@@ -244,7 +240,7 @@ def _run_means(config: RunConfig) -> tuple[int, dict]:
         m, M = _parse_interval(payload, required=False)
         ctx = divergence_context(index, p, q, m=m, M=M)
     if ctx.m <= 0:
-        raise InputError("means require an interval inside the positive "
+        raise ValueError("means require an interval inside the positive "
                          "half line")
     mean = mean_B1(ctx, s, t) if family == "upsilon1" else mean_M2(ctx, s, t)
     return 0, {
@@ -287,7 +283,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one command; returns (exit status, report)."""
     runner = _RUNNERS.get(config.command)
     if runner is None:
-        raise InputError(f"unknown command {config.command!r}")
+        raise ValueError(f"unknown command {config.command!r}")
     return runner(config)
 
 
@@ -305,16 +301,16 @@ def _load_payload(raw: str | None) -> dict:
     else:
         path = Path(raw)
         if not path.exists():
-            raise InputError(f"input file not found: {raw}")
+            raise ValueError(f"input file not found: {raw}")
         text = path.read_text()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(
+        raise ValueError(
             f"malformed input at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
     if not isinstance(payload, dict):
-        raise InputError("input must be a JSON object")
+        raise ValueError("input must be a JSON object")
     return payload
 
 
@@ -322,7 +318,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # a usage error is an input error (exit 1): argparse's own exit
         # status 2 would read as a bracket violation
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

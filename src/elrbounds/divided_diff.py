@@ -263,17 +263,17 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
                 f"difference at x={xs[i]:.6g} ({exact[i]:.6g} vs {approx[i]:.6g})"
             )
 
-    h0 = 1e-6 * (1.0 + abs(lo)) + 1e-9
-    for g, x, h, stored, label in (
-            (bundle.f, lo, h0, bundle.d1_plus_at_lo, "d1 at left endpoint"),
-            (bundle.f, hi, -h0, bundle.d1_minus_at_hi, "d1 at right endpoint"),
-            (bundle.d1, lo, h0, bundle.d2_plus_at_lo, "d2 at left endpoint"),
-            (bundle.d1, hi, -h0, bundle.d2_minus_at_hi, "d2 at right endpoint")):
+    for g, x, toward, stored, label in (
+            (bundle.f, lo, 1.0, bundle.d1_plus_at_lo, "d1 at left endpoint"),
+            (bundle.f, hi, -1.0, bundle.d1_minus_at_hi, "d1 at right endpoint"),
+            (bundle.d1, lo, 1.0, bundle.d2_plus_at_lo, "d2 at left endpoint"),
+            (bundle.d1, hi, -1.0, bundle.d2_minus_at_hi, "d2 at right endpoint")):
         # a stored value is checked only where the window reaches its end
-        at_end = x == (bundle.domain_lo if h > 0 else bundle.domain_hi)
+        at_end = x == (bundle.domain_lo if toward > 0 else bundle.domain_hi)
         if g is None or stored is None or not at_end:
             continue
-        # second-order one-sided slope; h is signed toward the interior
+        # second-order one-sided slope; h is sized from x, signed inward
+        h = toward * (1e-6 * (1.0 + abs(x)) + 1e-9)
         approx = (4.0 * float(g(x + h)) - 3.0 * float(g(x))
                   - float(g(x + 2.0 * h))) / (2.0 * h)
         if abs(approx - stored) > 1e-5 * (1.0 + abs(stored)):

@@ -111,10 +111,12 @@ def _resolve_orientation(direction) -> str:
         f"theorem hypotheses unmet: 3-convexity direction is {direction!r}")
 
 
-def _endpoint_values(bundle: FunctionBundle, reads: tuple) -> list[float]:
-    """``bundle.derivs(reads)`` for reads that start with phi at m and at M,
-    which must be finite; a phi that is not is refused before a derivative
-    the bundle lacks."""
+def _endpoint_values(bundle: FunctionBundle, m: float, M: float,
+                     order: int) -> list[float]:
+    """phi and its derivatives up to ``order`` at m and at M, in that order,
+    in one ``bundle.derivs`` read; phi at the ends must be finite, and a phi
+    that is not is refused before a derivative the bundle lacks."""
+    reads = ((0, m), (0, M), (1, m), (1, M), (2, m), (2, M))[:2 * order + 2]
     try:
         values = bundle.derivs(reads)
     except (ValueError, ArithmeticError):  # a missing derivative, or a math error
@@ -166,10 +168,7 @@ def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle, m: float,
             M: float):
     """The bound pair formulas, elementwise over the moments: floats for
     one functional, arrays for a batch."""
-    reads = ((0, m), (0, M), (1, m), (1, M))
-    if theorem == "taylor":
-        reads += ((2, m), (2, M))
-    phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, reads)
+    phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, m, M, 1 + (theorem == "taylor"))
     secant = (phi_M - phi_m) / (M - m)
     mid = _mid(ms, phi_m, phi_M, m, M)
     if theorem == "secant":
@@ -190,7 +189,7 @@ def elr_difference(functional: DiscreteFunctional, bundle: FunctionBundle,
                    m: float, M: float) -> float:
     """The ELR difference D bracketed by every bound pair."""
     ms = moments(functional, bundle, m, M)
-    phi_m, phi_M = _endpoint_values(bundle, ((0, m), (0, M)))
+    phi_m, phi_M = _endpoint_values(bundle, m, M, 0)
     return _mid(ms, phi_m, phi_M, m, M)
 
 
@@ -242,14 +241,14 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
     the displayed composite expressions are taken as normative and are not
     simplified algebraically.
     """
+    if variant not in ("derivative", "taylor"):
+        raise ValueError(f"unknown Jensen-gap variant {variant!r}")
     orientation = _resolve_orientation(direction)
     ms = moments(functional, bundle, m, M)
-    phi_m, phi_M = _endpoint_values(bundle, ((0, m), (0, M)))
+    phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, m, M, 1 + (variant == "taylor"))
     secant = (phi_M - phi_m) / (M - m)
     mean = ms.mean
     mid = ms.value - float(bundle.f(mean))
-    d1p = bundle.deriv(1, m)
-    d1m = bundle.deriv(1, M)
     if variant == "derivative":
         d_lo, d_hi = _derivative_moments(ms, bundle)
         dmean = bundle.deriv(1, mean)
@@ -259,17 +258,14 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
         upper = ((M - mean) * (0.5 * (dmean + d1m) - secant)
                  - (mean - m) * (secant - 0.5 * d1p)
                  + 0.5 * d_lo)
-    elif variant == "taylor":
-        d2p = bundle.deriv(2, m)
-        d2m = bundle.deriv(2, M)
+    else:
+        d2p, d2m = d2
         lower = ((M - mean) * (d1m - secant - 0.5 * d2m * (M - mean))
                  - (mean - m) * (secant - d1p)
                  + 0.5 * d2p * ms.sq_lo)
         upper = ((mean - m) * (secant - d1p - 0.5 * d2p * (mean - m))
                  - (M - mean) * (d1m - secant)
                  + 0.5 * d2m * ms.sq_hi)
-    else:
-        raise ValueError(f"unknown Jensen-gap variant {variant!r}")
     return BoundReport(lower=lower, upper=upper, mid=mid,
                        orientation=orientation,
                        theorem_tag=f"jensen_gap_{variant}")

@@ -69,7 +69,6 @@ class GammaContext:
     functional: DiscreteFunctional
     m: float
     M: float
-    kind: str
     # Gamma of each bundle seen here, by id(bundle); an entry holds its
     # bundle, so the id cannot be reused while the entry lives (bundles
     # may hold unhashable callables, so they are no keys themselves)
@@ -79,11 +78,6 @@ class GammaContext:
     def __post_init__(self):
         if self.index not in THEOREM_BY_INDEX:
             raise ValueError("functional index must be in 1..10")
-        expected = "elr" if self.index <= 6 else "divergence"
-        if self.kind != expected:
-            raise ValueError(
-                f"index {self.index} requires a {expected} context, got "
-                f"{self.kind!r}")
         if not self.m < self.M:
             raise ValueError("degenerate interval: m must lie strictly below M")
 
@@ -96,8 +90,10 @@ class GammaContext:
 def elr_context(index: int, functional: DiscreteFunctional, m: float,
                 M: float) -> GammaContext:
     """Context for indices 1-6."""
-    return GammaContext(index=index, functional=functional, m=float(m),
-                        M=float(M), kind="elr")
+    m, M = float(m), float(M)
+    if index in (7, 8, 9, 10):
+        raise ValueError(f"index {index} requires a divergence context, got 'elr'")
+    return GammaContext(index=index, functional=functional, m=m, M=M)
 
 
 def divergence_context(index: int, p, q, m: float | None = None,
@@ -105,8 +101,9 @@ def divergence_context(index: int, p, q, m: float | None = None,
     """Context for indices 7-10; [m, M] defaults to the ratio range
     widened to include 1 and must hold every ratio."""
     functional, m, M, _ = ratio_functional(p, q, m, M)
-    return GammaContext(index=index, functional=functional, m=m, M=M,
-                        kind="divergence")
+    if index in (1, 2, 3, 4, 5, 6):
+        raise ValueError(f"index {index} requires a elr context, got 'divergence'")
+    return GammaContext(index=index, functional=functional, m=m, M=M)
 
 
 def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
@@ -170,8 +167,7 @@ def exp_convexity_check(curve: GammaCurve, n: int,
         raise ValueError("grid too small for the requested order")
     if n < 1:
         raise ValueError("order must be at least 1")
-    total = math.comb(grid.size, n)
-    if total <= MAX_SUBSETS:
+    if math.comb(grid.size, n) <= MAX_SUBSETS:
         subsets = list(combinations(range(grid.size), n))
     else:
         rng = np.random.default_rng(0) if rng is None else rng

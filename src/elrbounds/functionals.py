@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,14 +61,17 @@ def check_weights(weights, label: str = "weights") -> np.ndarray:
     # of this check, which every divergence and means op makes
     total = float(weights.sum())
     if not abs(total - 1.0) <= WEIGHT_DRIFT_TOL:
-        _refuse_sum(weights, total, label)
+        _refuse_sum(weights, repr(total), label)
     return weights
 
 
 def _floats(entries, label: str) -> np.ndarray:
-    """The entries as a flat float array; a non-numeric entry is a
-    ValueError naming the vector."""
+    """The entries as a flat float array; a non-numeric entry, or a bool
+    given as or in a list (JSON true and false), is a ValueError naming
+    the vector."""
     try:
+        if type(entries) is bool or type(entries) is list and bool in map(type, entries):
+            raise TypeError
         return np.asarray(entries, dtype=float).reshape(-1)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{label} must be a list of numbers") from exc
@@ -81,10 +85,7 @@ def _check_entries(weights: np.ndarray, label: str) -> None:
     if (weights < 0).any():
         raise ValueError(f"negative weight in {label}")
     if (weights > 1.0 + WEIGHT_DRIFT_TOL).any():
-        if not np.isfinite(weights).all():
-            raise ValueError(f"non-finite weight in {label}")
-        raise ValueError(f"weights of {label} must sum to 1 (got a weight "
-                         f"{float(weights.max())!r})")
+        _refuse_sum(weights, f"a weight {float(weights.max())!r}", label)
 
 
 def _check_sums(weights: np.ndarray, sums: np.ndarray, label: str) -> None:
@@ -94,17 +95,17 @@ def _check_sums(weights: np.ndarray, sums: np.ndarray, label: str) -> None:
     within = abs(sums - 1.0) <= WEIGHT_DRIFT_TOL
     first = int(within.argmin())
     if not within[first]:
-        _refuse_sum(weights, float(sums[first]), label)
+        _refuse_sum(weights, repr(float(sums[first])), label)
 
 
-def _refuse_sum(weights: np.ndarray, total: float, label: str) -> None:
-    """The check_weights error for a vector of ``weights`` whose sum
-    ``total`` is off 1."""
+def _refuse_sum(weights: np.ndarray, got: str, label: str) -> None:
+    """The check_weights error for a vector of ``weights`` whose sum is off
+    1, as ``got`` shows (the sum, or a weight above 1)."""
     # with no entry negative, a sum is finite unless an entry is not (or
     # the sum overflows, which is a sum off 1)
     if not np.isfinite(weights).all():
         raise ValueError(f"non-finite weight in {label}")
-    raise ValueError(f"weights of {label} must sum to 1 (got {total!r})")
+    raise ValueError(f"weights of {label} must sum to 1 (got {got})")
 
 
 def row_blocks(values: np.ndarray, shapes) -> list[np.ndarray]:
@@ -171,11 +172,25 @@ def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
     if not np.isfinite(nodes).all():
         raise ValueError("nodes must be finite")
     _check_entries(weights, "functional")
-    sums = np.concatenate([block.sum(axis=1) for block in row_blocks(weights, shapes)])
+    sums = _weight_sums(weights, shapes)
     _check_sums(weights, sums, "functional")
     nodes.flags.writeable = False
     return FunctionalBatch(nodes, _normalize(weights, shapes, sums),
                            tuple(shapes), order)
+
+
+def _weight_sums(weights: np.ndarray, shapes) -> np.ndarray:
+    """numpy's pairwise sum of each row, one block at a time (np.add.reduceat
+    adds in another order)."""
+    return np.concatenate([block.sum(axis=1) for block in row_blocks(weights, shapes)])
+
+
+def _divide_rows(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
+    """Each row divided in place by its entry of ``sums``, in one division;
+    returns each row's entry count."""
+    sizes = np.repeat([k for _, k in shapes], [count for count, _ in shapes])
+    weights /= np.repeat(sums, sizes)
+    return sizes
 
 
 # Batches of at least this many rows land their weights with exact int64
@@ -209,18 +224,13 @@ def _normalize(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
     tail of a steep Zipf law, say) take the loop instead.  Both paths give
     the same bits."""
     if len(sums) < LIMB_LANDING_ROWS:
-        spans, stop = [], 0
-        for count, k in shapes:
-            for _ in range(count):
-                start, stop = stop, stop + k
-                spans.append((start, stop))
+        stops = list(accumulate(k for count, k in shapes for _ in range(count)))
+        spans = list(zip([0, *stops], stops))
         for (start, stop), total in zip(spans, sums.tolist()):
             weights[start:stop] /= total
         _land_rows(weights, spans)
     else:
-        sizes = np.repeat([k for _, k in shapes], [count for count, _ in shapes])
-        weights /= np.repeat(sums, sizes)
-        _land_batch(weights, sizes)
+        _land_batch(weights, _divide_rows(weights, shapes, sums))
     weights.flags.writeable = False
     return weights
 
@@ -332,11 +342,7 @@ def apply(functional: DiscreteFunctional, g: Callable) -> float:
     Raises ``ValueError`` if g is not finite at some node, carrying the
     offending node in the message.
     """
-    vals = _eval(g, functional.nodes)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = float(functional.nodes[~finite][0])
-        raise ValueError(f"functional argument is not finite at node {bad!r}")
+    vals = _node_values(g, functional.nodes)
     # exactly-rounded summation keeps A(1) == 1 on the bit
     return math.fsum(functional.weights * vals)
 
@@ -391,8 +397,6 @@ class MomentBasis:
 
     nodes: np.ndarray
     weights: np.ndarray
-    m: float
-    M: float
     lo: np.ndarray
     hi: np.ndarray
     sums: tuple
@@ -403,7 +407,7 @@ class MomentBasis:
         with ``derivative`` false phi' is not evaluated and d_lo and d_hi
         are None."""
         x = self.nodes
-        phi_vals = _phi_values(bundle, x)
+        phi_vals = _node_values(bundle.f, x)
         dvals = _derivative_values(bundle, x, self.places) if derivative else None
         terms = np.empty((1 if dvals is None else 3, x.size))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -421,7 +425,7 @@ def moment_basis(functional: DiscreteFunctional, m: float, M: float) -> MomentBa
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = _basis_rows(x, m, M, terms)
         sums = _row_sums(weights, terms[:, None])
-    return MomentBasis(x, weights, m, M, lo, hi, tuple(sums[:, 0].tolist()),
+    return MomentBasis(x, weights, lo, hi, tuple(sums[:, 0].tolist()),
                        _node_places(x, m, M))
 
 
@@ -437,7 +441,7 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
     fill one array, whose blocks then reduce once each.
     """
     _check_nodes(x, m, M)
-    phi_vals = _phi_values(bundle, x, phi_vals)
+    phi_vals = _node_values(bundle.f, x, phi_vals)
     dvals = _derivative_values(bundle, x, _node_places(x, m, M))
     terms = np.empty((5 if dvals is None else 7, x.size))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -460,15 +464,17 @@ def _check_nodes(x: np.ndarray, m: float, M: float) -> None:
         raise ValueError(f"node escapes interval [{m}, {M}]: {bad!r}")
 
 
-def _phi_values(bundle: FunctionBundle, x: np.ndarray,
-                phi_vals: np.ndarray | None = None) -> np.ndarray:
-    """f at the nodes (evaluated unless given), which must be finite."""
-    if phi_vals is None:
-        phi_vals = _eval(bundle.f, x)
-    if not np.isfinite(phi_vals).all():
-        bad = float(x[~np.isfinite(phi_vals)][0])
+def _node_values(g: Callable, x: np.ndarray,
+                 values: np.ndarray | None = None) -> np.ndarray:
+    """g at the nodes x (evaluated unless given as ``values``), which must
+    be finite: the first node where it is not is named."""
+    if values is None:
+        values = _eval(g, x)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(x[~finite][0])
         raise ValueError(f"functional argument is not finite at node {bad!r}")
-    return phi_vals
+    return values
 
 
 def _node_places(x: np.ndarray, m: float, M: float) -> tuple | None:

@@ -26,9 +26,10 @@ from .elr_bounds import THEOREMS, _excess, _resolve_orientation, theorem_triples
 from .functionals import (
     DiscreteFunctional,
     FunctionalBatch,
+    _divide_rows,
+    _weight_sums,
     make_functionals,
     moments_batch,
-    row_blocks,
 )
 from .registry import resolve_phi
 
@@ -233,10 +234,7 @@ def random_functionals(rng: np.random.Generator, m: float, M: float,
     nodes[pinned + 1] = M
     weights = _doubles(raw[weight_words]) + 1e-12
     shapes = [(len(group), k) for k, group in rows.items()]
-    # numpy's pairwise row sums, block by block (np.add.reduceat adds in
-    # another order), then one elementwise division
-    weights /= np.repeat(np.concatenate(
-        [block.sum(axis=1) for block in row_blocks(weights, shapes)]), sizes)
+    _divide_rows(weights, shapes, _weight_sums(weights, shapes))
     return make_functionals(nodes, weights, shapes, order)
 
 
@@ -290,11 +288,12 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = 1e-9,
     them together; the reversed orientation is the negated bundle, whose
     triples are the exact negations of the direct ones.  Returns a report
     whose violations (sorted by magnitude, largest first) carry enough of
-    the instance to reproduce it.
+    the instance to reproduce it.  ``seed`` must be an integer >= 0.
     """
-    for value, label in ((instances, "instances"), (batch, "batch")):
-        if not (_is_number(value, numbers.Integral) and value >= 1):
-            raise ValueError(f"{label} must be an integer >= 1, got {value!r}")
+    for value, label, least in ((seed, "seed", 0), (instances, "instances", 1),
+                                (batch, "batch", 1)):
+        if not (_is_number(value, numbers.Integral) and value >= least):
+            raise ValueError(f"{label} must be an integer >= {least}, got {value!r}")
     if not (_is_number(tolerance, numbers.Real) and math.isfinite(tolerance)
             and tolerance >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")

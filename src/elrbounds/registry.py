@@ -25,10 +25,10 @@ _REAL_LINE = dict(domain_lo=-math.inf, domain_hi=math.inf)
 
 
 def number(value, what: str, integral: bool = False):
-    """A finite float, or an int when ``integral``: no inf, nan or
+    """A finite float, or an int when ``integral``: no inf, nan, bool or
     truncated fraction reaches the library from outside values."""
     try:
-        result = float(value)
+        result = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         result = math.nan
     if not math.isfinite(result) or (integral and not result.is_integer()):

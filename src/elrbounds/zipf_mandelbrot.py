@@ -27,9 +27,15 @@ __all__ = [
 ]
 
 
+# Most ranks of a law (its terms take 80 MB)
+MAX_RANKS = 10**7
+
+
 def _terms(N: int, q: float, s: float) -> np.ndarray:
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError("N must be a positive integer")
+    if N > MAX_RANKS:
+        raise ValueError(f"N must be at most {MAX_RANKS} ranks, got {N}")
     for value, label in ((q, "shift q"), (s, "exponent s")):
         if not math.isfinite(value):
             raise ValueError(f"{label} must be finite, got {value!r}")

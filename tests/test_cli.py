@@ -437,6 +437,86 @@ class TestInputContract:
         assert json.loads(captured.out)["convexity"]["verdict"] == "three_convex"
 
 
+def _law_pair(N):
+    return {"zm": {"a": {"N": N, "q": 0, "s": 1}, "b": {"N": N, "q": 0, "s": 2}},
+            "phi": {"name": "kl"}}
+
+
+BOUNDS_PAYLOAD = {"functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+                  "phi": {"name": "cubic"}}
+MEANS_PAYLOAD = {"functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
+                 "phi": {"name": "upsilon1"}, "params": {"s": 2.5, "t": 3.5}}
+
+
+class TestRefusedFields:
+    """A JSON boolean where a number belongs, a Zipf law above the rank
+    limit and a negative seed each exit 1 with one error line that names
+    the field."""
+
+    @pytest.mark.parametrize("args,field", [
+        (["zipf", "--input", json.dumps(_law_pair(10**13))],
+         "N must be at most 10000000 ranks, got 10000000000000"),
+        (["zipf", "--input", json.dumps(_law_pair(10**7 + 1))],
+         "N must be at most 10000000 ranks, got 10000001"),
+        (["zipf", "--input", json.dumps({**_law_pair(2), "zm": {
+            "a": {"N": True, "q": 0, "s": 1}, "b": {"N": 2, "q": 0, "s": 2}}})],
+         "N must be an integer, got True"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD, "functional": {
+            "nodes": [0.5, 1.2], "weights": [True, False]}})],
+         "weights must be a list of numbers"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD, "functional": {
+            "nodes": [True, 1.2], "weights": [0.4, 0.6]}})],
+         "nodes must be a list of numbers"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD, "functional": {
+            "nodes": [0.5], "weights": [1.0]}, "interval": [False, True]})],
+         "interval end must be a finite number, got False"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD,
+                                           "phi": {"poly": [0, 0, 0, True]}})],
+         "poly coefficient must be a finite number, got True"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD, "phi": {
+            "name": "upsilon1", "params": [True]}})],
+         "phi param must be a finite number, got True"),
+        (["means", "--input", json.dumps({**MEANS_PAYLOAD, "gamma_index": True})],
+         "gamma_index must be an integer, got True"),
+        (["means", "--input", json.dumps({**MEANS_PAYLOAD,
+                                          "params": {"s": True, "t": 3.5}})],
+         "params s must be a finite number, got True"),
+        (["divergence", "--input", json.dumps({"distributions": {
+            "p": [True], "q": [1.0]}, "interval": [0.5, 2], "phi": {"name": "kl"}})],
+         "p must be a list of numbers"),
+        (["divergence", "--input", json.dumps({"distributions": {
+            "p": [1.0], "q": True}, "interval": [0.5, 2], "phi": {"name": "kl"}})],
+         "q must be a list of numbers"),
+        (["means", "--input", json.dumps({**MEANS_PAYLOAD, "gamma_index": 7,
+                                          "distributions": {"p": [True], "q": [1.0]}})],
+         "p must be a list of numbers"),
+        (["verify", "--seed", "-1", "--instances", "1"],
+         "seed must be an integer >= 0, got -1"),
+    ], ids=["zipf-N-1e13", "zipf-N-limit-plus-1", "zipf-N-true",
+            "bounds-weights-booleans", "bounds-nodes-boolean",
+"bounds-interval-booleans",
+            "bounds-poly-boolean", "phi-params-boolean", "means-index-true",
+            "means-s-true", "divergence-p-true", "divergence-q-true",
+            "means-p-true", "verify-seed-negative"])
+    @pytest.mark.filterwarnings("error")
+    def test_one_error_line_naming_the_field(self, args, field, capsys):
+        status = main(args)
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert field in lines[0]
+
+    def test_numbers_in_place_of_the_booleans_run(self, capsys):
+        for command, payload in (
+                ("bounds", BOUNDS_PAYLOAD), ("means", MEANS_PAYLOAD),
+                ("zipf", _law_pair(2)),
+                ("means", {**MEANS_PAYLOAD, "gamma_index": 7,
+                           "distributions": {"p": [1], "q": [1.0]}})):
+            assert run_main([command, "--input", json.dumps(payload)], capsys)[0] == 0
+
+
 class TestOnePass:
     """A command validates its input and computes its moments once, however
     many theorems it reports."""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from elrbounds.divergences import (
     DIVERGENCE_THEOREMS,
     F_3CONVEX,
     NEG_F_3CONVEX,
+    divergence_pass,
     divergence_reports,
     ratio_functional,
 )
@@ -217,6 +219,22 @@ class TestDivergenceBounds:
             direction=F_3CONVEX)
         with pytest.raises(ValueError, match="declared 3-convex"):
             divergence_bounds([0.4, 0.6], [0.5, 0.5], wrong, theorem="derivative")
+
+    def test_declaration_without_third_derivative_is_not_spot_checked(self):
+        """With no d3 to sample the pass takes the declared direction on
+        trust: the kl bundle without d3 gives kl's pass, and a wrong
+        declaration reverses the orientation instead of being refused."""
+        kl = generator("kl")
+        bare = replace(kl.bundle, d3=None, _memo={})
+        p, q = [0.4, 0.6], [0.5, 0.5]
+        value, reports = divergence_pass(p, q, kl)
+        for direction, orientation in ((NEG_F_3CONVEX, "reversed"),
+                                       (F_3CONVEX, "direct")):
+            custom = generator("custom", bundle=bare, direction=direction)
+            got_value, got = divergence_pass(p, q, custom)
+            assert got_value == value
+            assert [(r.lower, r.mid, r.upper, r.orientation) for r in got] == [
+                (r.lower, r.mid, r.upper, orientation) for r in reports]
 
 
 class TestRatioOverflow:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +251,33 @@ class TestBundle:
                                d1=lambda x: 2.9 * x**2)
         with pytest.raises(ValueError, match="disagrees"):
             check_bundle(wrong)
+
+    # x^3 on windows far from 0 at one end: the one-sided step at each end
+    # is sized from that end, 1e-6 * (1 + |x|) + 1e-9
+    FAR_WINDOWS = [(-1e5, 0.0), (0.0, 1e6)]
+
+    @staticmethod
+    def far_cube(lo, hi):
+        return bundle_from_callables(lambda x: x**3, lambda x: 3 * x**2,
+                                     lambda x: 6 * x, lambda x: 6 + 0 * x,
+                                     lo=lo, hi=hi, name="cube")
+
+    @pytest.mark.parametrize("lo,hi", FAR_WINDOWS)
+    def test_check_bundle_accepts_far_windows(self, lo, hi):
+        check_bundle(self.far_cube(lo, hi))
+
+    @pytest.mark.parametrize("lo,hi", FAR_WINDOWS)
+    @pytest.mark.parametrize("key,label", [
+        ("d1_plus_at_lo", "d1 at left endpoint"),
+        ("d1_minus_at_hi", "d1 at right endpoint"),
+        ("d2_plus_at_lo", "d2 at left endpoint"),
+        ("d2_minus_at_hi", "d2 at right endpoint")])
+    def test_check_bundle_refuses_stored_value_off_1e4(self, lo, hi, key, label):
+        cube = self.far_cube(lo, hi)
+        stored = getattr(cube, key)
+        off = replace(cube, **{key: stored + 1e-4 * (1.0 + abs(stored))}, _memo={})
+        with pytest.raises(ValueError, match=f"stored {label} .* disagrees"):
+            check_bundle(off)
 
     def test_memoized_scalars_match_callables(self):
         b = resolve_phi({"name": "exp"})

@@ -143,6 +143,24 @@ class TestJensenGap:
         with pytest.raises(ValueError, match="variant"):
             jensen_gap_bounds(POINT_MASS, CUBIC, 0.0, 1.0, "secant", "three_convex")
 
+    def test_variant_checked_first(self):
+        # before the direction, as theorem_triple checks its theorem first
+        with pytest.raises(ValueError, match="unknown Jensen-gap variant 'secant'"):
+            jensen_gap_bounds(POINT_MASS, CUBIC, 0.0, 1.0, "secant", "neither")
+
+    @pytest.mark.parametrize("variant,top", [("derivative", 1), ("taylor", 2)])
+    def test_endpoint_data_in_one_read(self, variant, top, monkeypatch):
+        """phi, phi' (and phi'' for taylor) at m and M come from one derivs
+        read, the one theorem_triple makes; only phi' at the mean is read
+        apart, for the derivative variant."""
+        bundle = replace(CUBIC, _memo={})
+        reads = []
+        monkeypatch.setattr(type(bundle), "derivs", lambda self, r: (
+            reads.append(list(r)) or FunctionBundle._fill(self, r, [None] * len(r))))
+        F = make_functional([0.3, 0.8], [0.5, 0.5])
+        jensen_gap_bounds(F, bundle, 0.0, 1.0, variant, "three_convex")
+        assert reads == [[(order, x) for order in range(top + 1) for x in (0.0, 1.0)]]
+
 
 class TestReversal:
     def test_negation_is_exact_for_every_operation(self):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -92,6 +93,30 @@ class TestGamma:
             divergence_context(3, [0.4, 0.6], [0.5, 0.5])
         with pytest.raises(ValueError, match="1..10"):
             elr_context(0, F, 0.0, 1.0)
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_context_messages_by_index(self, index):
+        """Each constructor refuses an index out of 1..10 first, then an
+        index of the other kind, then an empty interval."""
+        F = make_functional([0.5], [1.0])
+        builds = {"elr": (lambda: elr_context(index, F, 0.0, 1.0), range(1, 7)),
+                  "divergence": (lambda: divergence_context(
+                      index, [0.4, 0.6], [0.5, 0.5]), range(7, 11))}
+        for kind, (build, own) in builds.items():
+            if index in own:
+                assert build().index == index
+                continue
+            if index in (0, 11):
+                expected = "functional index must be in 1..10"
+            else:
+                other = "divergence" if kind == "elr" else "elr"
+                expected = f"index {index} requires a {other} context, got {kind!r}"
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == expected
+        if index in range(1, 7):
+            with pytest.raises(ValueError, match="^degenerate interval"):
+                elr_context(index, F, 1.0, 1.0)
 
     def test_divergence_context_rejects_ratio_outside_interval(self):
         # ratios are 0.8 and 1.2; the message prints a plain float
@@ -307,6 +332,22 @@ class TestExpConvexity:
             for n in (1, 2, 3, 4):
                 result = exp_convexity_check(curve, n)
                 assert result.passed, (name, n, result.min_eigenvalue)
+
+    def test_sampled_subsets_when_more_than_200(self):
+        """C(12, 4) = 495 subsets: 200 are drawn, by default from
+        default_rng(0), and their least eigenvalue is one of all 495."""
+        ctx = elr_context(1, make_functional([0.4, 1.1], [0.5, 0.5]), 0.2, 1.5)
+        curve = GammaCurve(ctx, lambda t: upsilon2(t).bundle, np.linspace(-2.0, 2.0, 12))
+        result = exp_convexity_check(curve, 4)
+        assert result.passed and result.subsets_checked == 200
+        assert result == exp_convexity_check(curve, 4, np.random.default_rng(0))
+        other = exp_convexity_check(curve, 4, np.random.default_rng(1))
+        assert other.subsets_checked == 200
+        least = math.inf
+        for subset in itertools.combinations(curve.t_grid, 4):
+            gram = [[curve.value(0.5 * (a + b)) for b in subset] for a in subset]
+            least = min(least, float(np.linalg.eigvalsh(gram)[0]))
+        assert least <= min(result.min_eigenvalue, other.min_eigenvalue)
 
     def test_grid_too_small_rejected(self):
         curve = GammaCurve(WORKED, lambda t: upsilon1(t).bundle, np.array([3.0]))

@@ -151,6 +151,21 @@ def test_bad_arguments_rejected(kwargs):
         bracket_fuzz(**args)
 
 
+@pytest.mark.parametrize("seed", [None, True, False, 1.5, "7", -1,
+                                  np.int64(-1), [1]])
+def test_bad_seed_refused_before_any_draw(seed, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made for a bad seed")
+
+    monkeypatch.setattr(fuzzing.np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+        bracket_fuzz(seed, 10)
+
+
+def test_numpy_integer_seed_is_the_int_seed():
+    assert bracket_fuzz(np.uint32(3), 50) == bracket_fuzz(3, 50)
+
+
 def test_batch_layout_must_cover_the_arrays():
     nodes = np.array([0.1, 0.2, 0.3])
     weights = np.array([0.5, 0.5, 1.0])

@@ -14,6 +14,7 @@ import io
 import json
 import warnings
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -184,3 +185,42 @@ FLAG = st.sampled_from(["0", "1", "-1", "1.5", "x", "nan", "inf", "1e-9",
 def test_verify_flags_meet_contract(seed, instances, tolerance):
     _check_contract(["verify", "--seed", seed, "--instances", instances,
                      "--tolerance", tolerance])
+
+
+def _law(N):
+    return {"N": N, "q": 0, "s": 1}
+
+
+GOOD_BOUNDS = {"functional": {"nodes": [0.5, 1.2], "weights": [0.4, 0.6]},
+               "interval": [0.2, 2.0], "phi": {"name": "cubic"}}
+GOOD_MEANS = {**GOOD_BOUNDS, "phi": {"name": "upsilon2"},
+              "params": {"s": 1, "t": 2}}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("zipf", {"zm": {"a": _law(10**13), "b": _law(10**13)}, "phi": {"name": "kl"}}),
+    ("zipf", {"zm": {"a": _law(10**7 + 1), "b": _law(2)}, "phi": {"name": "kl"}}),
+    ("zipf", {"zm": {"a": _law(2), "b": {"N": 2, "q": False, "s": 2}},
+              "phi": {"name": "kl"}}),
+    ("bounds", {**GOOD_BOUNDS, "functional": {"nodes": [0.5, 1.2],
+                                              "weights": [True, False]}}),
+    ("bounds", {**GOOD_BOUNDS, "functional": {"nodes": [0.5], "weights": [1]},
+                "interval": [False, True]}),
+    ("bounds", {**GOOD_BOUNDS, "phi": {"poly": [0, 0, 0, True]}}),
+    ("divergence", {"distributions": {"p": [True], "q": [1.0]},
+                    "interval": [0.5, 2], "phi": {"name": "kl"}}),
+    ("means", {**GOOD_MEANS, "gamma_index": True}),
+    ("means", {**GOOD_MEANS, "params": {"s": True, "t": 2}}),
+], ids=["zipf-N-1e13", "zipf-N-limit-plus-1", "zipf-q-false",
+        "bounds-weights-booleans", "bounds-interval-booleans",
+        "bounds-poly-boolean", "divergence-p-true", "means-index-true",
+        "means-s-true"])
+def test_refused_payloads_meet_contract(command, payload, capsys):
+    """Booleans where numbers belong, in payloads that run when they are
+    read as 1 and 0, and laws above the rank limit exit 1 under the
+    contract."""
+    argv = [command, "--input", json.dumps(payload)]
+    _check_contract(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1

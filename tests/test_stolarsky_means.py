@@ -24,6 +24,7 @@ from elrbounds import (
 from elrbounds import stolarsky_means
 from elrbounds.divided_diff import _eval
 from elrbounds.registry import poly_bundle
+from elrbounds.registry import resolve_phi
 from elrbounds.stolarsky_means import (
     _CLOSED_FORM,
     BISECT_WIDTH,
@@ -92,6 +93,14 @@ class TestFamilies:
                        _u1_phi0_squared(), _u1_phi0_phi1(), _u1_phi0_phi2(),
                        _u2_id_product(1.3), _u2_id_phi0()):
             check_bundle(bundle, 0.2, 2.5)
+
+    def test_registry_resolves_family_members(self):
+        for name, family in (("upsilon1", upsilon1), ("upsilon2", upsilon2)):
+            member = family(2.5)
+            assert resolve_phi({"name": name, "params": [2.5]}) is member.bundle
+            for params in ([], [1.0, 2.0]):
+                with pytest.raises(ValueError, match=f"^{name} needs one parameter$"):
+                    resolve_phi({"name": name, "params": params})
 
     def test_family_tags(self):
         assert upsilon1(3.0).family_tag == "upsilon1"
@@ -213,6 +222,17 @@ class TestMeans:
                 assert mean_M2(POSITIVE, s + offset, s) == pytest.approx(diag, rel=1e-4)
             for offset in (1e-3, -1e-3):
                 assert mean_M2(POSITIVE, s + offset, s) == pytest.approx(diag, rel=1e-2)
+
+    @pytest.mark.parametrize("near", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("s,t", [(5e-9, 5e-9), (-9e-9, -9e-9), (4e-9, -2e-9)])
+    def test_power_diagonal_snaps_to_a_singular_value(self, near, s, t):
+        """A diagonal midpoint within 1e-8 of 0, 1 or 2 takes that value's
+        closed row, bit for bit."""
+        assert mean_B1(POSITIVE, near + s, near + t) == mean_B1(POSITIVE, near, near)
+
+    @pytest.mark.parametrize("s,t", [(5e-9, 5e-9), (-1e-8, -1e-8), (4e-9, -2e-9)])
+    def test_exponential_diagonal_snaps_to_zero(self, s, t):
+        assert mean_M2(POSITIVE, s, t) == mean_M2(POSITIVE, 0.0, 0.0)
 
     def test_monotonicity_in_parameters(self):
         assert mean_B1(POSITIVE, 3.0, 4.0) <= mean_B1(POSITIVE, 4.0, 5.0) + 1e-9

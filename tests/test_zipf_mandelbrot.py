@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from elrbounds import zipf_mandelbrot
 
 from elrbounds import (
     divergence_bounds,
@@ -78,6 +81,20 @@ class TestDistribution:
         for call in (zm_distribution, harmonic_sum):
             with pytest.raises(ValueError, match=f"{label} must be finite"):
                 call(10, q, s)
+
+
+    @pytest.mark.parametrize("N", [10**13, 10**7 + 1,
+                                   np.int64(10**13)])
+    def test_more_ranks_than_the_limit_refused_before_allocating(self, N, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a law above the rank limit allocated its ranks")
+
+        monkeypatch.setattr(zipf_mandelbrot, "np", SimpleNamespace(
+            **{**vars(np), "arange": no_allocation}))
+        for call in (zm_distribution, harmonic_sum):
+            with pytest.raises(ValueError, match=f"N must be at most 10000000 "
+                                                 f"ranks, got {N}$"):
+                call(N, 0.0, 1.0)
 
 
 class TestRatioExtrema:
