@@ -20,9 +20,6 @@ from .elr_bounds import (
     THEOREMS,
     BoundReport,
     bounds,
-    bounds_derivative,
-    bounds_secant,
-    bounds_taylor,
     elr_difference,
     jensen_gap_bounds,
 )
@@ -82,9 +79,6 @@ __all__ = [
     "ZipfMandelbrot",
     "apply",
     "bounds",
-    "bounds_derivative",
-    "bounds_secant",
-    "bounds_taylor",
     "bundle_from_callables",
     "cauchy_xi",
     "certify_3convex",

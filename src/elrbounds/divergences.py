@@ -34,7 +34,6 @@ __all__ = [
     "f_divergence",
     "ratio_functional",
     "divergence_pass",
-    "divergence_reports",
     "divergence_bounds",
 ]
 
@@ -274,21 +273,13 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
     orientation = _resolve_orientation(gen.convexity_verdict())
     reports = []
     for name in theorems:
-        lower, mid, upper = theorem_triple(name, functional, gen.bundle, m, M,
-                                           precomputed=ms)
+        lower, mid, upper = theorem_triple(name, ms, gen.bundle, m, M)
         reports.append(BoundReport(
             lower=lower, upper=upper, mid=mid, orientation=orientation,
             theorem_tag=f"divergence_{name}",
             details={"m": m, "M": M, "interval_auto_derived": auto,
                      "generator": gen.name, "params": list(gen.params)}))
     return float(masses @ phi_vals), reports
-
-
-def divergence_reports(p, q, gen: GeneratorFunction, m: float | None = None,
-                       M: float | None = None,
-                       theorems=DIVERGENCE_THEOREMS) -> list[BoundReport]:
-    """The bound pairs of ``divergence_pass``, without the divergence."""
-    return divergence_pass(p, q, gen, m, M, theorems)[1]
 
 
 def divergence_bounds(p, q, gen: GeneratorFunction, m: float | None = None,

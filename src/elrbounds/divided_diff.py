@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partialmethod
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -43,6 +42,9 @@ INDETERMINATE = "indeterminate"
 
 # Absolute floor below which a sampled third derivative counts as zero.
 SIGN_TOL = 1e-12
+
+# Sample points of check_bundle's comparison with finite differences.
+CHECK_POINTS = 41
 
 # Stored one-sided derivatives at the domain ends; the suffix names the end.
 _ENDPOINT_FIELDS = ("d1_plus_at_lo", "d1_minus_at_hi", "d2_plus_at_lo",
@@ -128,11 +130,6 @@ class FunctionBundle:
                 stored = g(np.float64(x))
             values[i] = self._memo[order, x] = float(stored)
         return values
-
-    # public shorthands for deriv()
-    f_at = partialmethod(deriv, 0)
-    d1_plus = partialmethod(deriv, 1)
-    d1_minus = partialmethod(deriv, 1)
 
     def negated(self) -> "FunctionBundle":
         """Bundle of -f, with all derivative data negated."""
@@ -226,10 +223,11 @@ def linear_combination(a: float, first: FunctionBundle, b: float,
 
 
 def check_bundle(bundle: FunctionBundle, lo: float | None = None,
-                 hi: float | None = None, grid_n: int = 41) -> None:
+                 hi: float | None = None) -> None:
     """Verify derivative data against finite differences; raise on failure.
 
-    Interior first derivatives must agree with a central difference of f to
+    At CHECK_POINTS points spread over the window's inner 90%, interior
+    first derivatives must agree with a central difference of f to
     1e-6*(1+|d1|); stored one-sided endpoint values must agree with
     one-sided second-order differences to 1e-5 relative.  Higher
     derivatives, when present, are checked against central differences of
@@ -244,7 +242,7 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
         raise ValueError("sampling window escapes the bundle domain")
 
     span = hi - lo
-    xs = np.linspace(lo + 0.05 * span, hi - 0.05 * span, grid_n)
+    xs = np.linspace(lo + 0.05 * span, hi - 0.05 * span, CHECK_POINTS)
 
     pairs = [(bundle.f, bundle.d1, "d1"), (bundle.d1, bundle.d2, "d2"),
              (bundle.d2, bundle.d3, "d3")]

@@ -40,11 +40,8 @@ __all__ = [
     "ORIENT_REVERSED",
     "THEOREMS",
     "elr_difference",
-    "theorem_triples",
+    "theorem_triple",
     "bounds",
-    "bounds_secant",
-    "bounds_derivative",
-    "bounds_taylor",
     "jensen_gap_bounds",
 ]
 
@@ -142,32 +139,17 @@ def _derivative_moments(ms: MomentSet, bundle: FunctionBundle) -> tuple[float, f
     return ms.d_lo, ms.d_hi
 
 
-def theorem_triple(theorem: str, functional: DiscreteFunctional,
-                   bundle: FunctionBundle, m: float, M: float,
-                   precomputed: MomentSet | None = None) -> tuple[float, float, float]:
-    """(lower, mid, upper) for one bound pair, without orientation logic.
+def theorem_triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
+                   m: float, M: float):
+    """(lower, mid, upper) of the bound pair named ``theorem`` (one of
+    THEOREMS) for the moments ``ms`` of the bundle on [m, M], without
+    orientation logic: floats for one functional (``moments``), arrays
+    for a batch (``moments_batch``).
 
     The raw expression values are what the exponential-convexity
-    functionals are built from, so this helper is shared across modules.
+    functionals are built from, so this kernel is shared across modules.
     """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}")
-    ms = precomputed if precomputed is not None else moments(functional, bundle, m, M)
-    return _triple(theorem, ms, bundle, m, M)
-
-
-def theorem_triples(ms: MomentSet, bundle: FunctionBundle, m: float,
-                    M: float) -> np.ndarray:
-    """(lower, mid, upper) of every pair in THEOREMS for the moments of a
-    batch (``moments_batch``): an array of shape (len(THEOREMS), 3, B)
-    whose entries equal ``theorem_triple`` of each functional."""
-    return np.array([_triple(theorem, ms, bundle, m, M) for theorem in THEOREMS])
-
-
-def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle, m: float,
-            M: float):
-    """The bound pair formulas, elementwise over the moments: floats for
-    one functional, arrays for a batch."""
+    _check_theorem(theorem)
     phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, m, M, 1 + (theorem == "taylor"))
     secant = (phi_M - phi_m) / (M - m)
     mid = _mid(ms, phi_m, phi_M, m, M)
@@ -183,6 +165,11 @@ def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle, m: float,
         lower = (M - ms.mean) * (d1m - secant) - 0.5 * d2m * ms.sq_hi
         upper = (ms.mean - m) * (secant - d1p) - 0.5 * d2p * ms.sq_lo
     return lower, mid, upper
+
+
+def _check_theorem(theorem: str) -> None:
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
 
 
 def elr_difference(functional: DiscreteFunctional, bundle: FunctionBundle,
@@ -206,31 +193,11 @@ def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
     be passed to skip the moment pass.
     """
     orientation = _resolve_orientation(direction)
-    lower, mid, upper = theorem_triple(theorem, functional, bundle, m, M,
-                                       precomputed=precomputed)
+    _check_theorem(theorem)
+    ms = precomputed if precomputed is not None else moments(functional, bundle, m, M)
+    lower, mid, upper = theorem_triple(theorem, ms, bundle, m, M)
     return BoundReport(lower=lower, upper=upper, mid=mid,
                        orientation=orientation, theorem_tag=theorem)
-
-
-def bounds_secant(functional: DiscreteFunctional, bundle: FunctionBundle,
-                  m: float, M: float, direction,
-                  precomputed: MomentSet | None = None) -> BoundReport:
-    """Bound pair from the cross moment and endpoint slopes."""
-    return bounds("secant", functional, bundle, m, M, direction, precomputed)
-
-
-def bounds_derivative(functional: DiscreteFunctional, bundle: FunctionBundle,
-                      m: float, M: float, direction,
-                      precomputed: MomentSet | None = None) -> BoundReport:
-    """Bound pair from first-derivative moments."""
-    return bounds("derivative", functional, bundle, m, M, direction, precomputed)
-
-
-def bounds_taylor(functional: DiscreteFunctional, bundle: FunctionBundle,
-                  m: float, M: float, direction,
-                  precomputed: MomentSet | None = None) -> BoundReport:
-    """Bound pair from second-order endpoint expansions."""
-    return bounds("taylor", functional, bundle, m, M, direction, precomputed)
 
 
 def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,

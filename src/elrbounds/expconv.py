@@ -13,6 +13,7 @@ for 7/8, taylor pair for 9/10).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -23,7 +24,7 @@ import numpy as np
 from .divided_diff import FunctionBundle
 from .divergences import ratio_functional
 from .elr_bounds import theorem_triple
-from .functionals import DiscreteFunctional, MomentBasis, moment_basis
+from .functionals import DiscreteFunctional, MomentBasis, _is_number, moment_basis
 
 __all__ = [
     "GammaContext",
@@ -76,8 +77,7 @@ class GammaContext:
                           compare=False)
 
     def __post_init__(self):
-        if self.index not in THEOREM_BY_INDEX:
-            raise ValueError("functional index must be in 1..10")
+        _check_index(self.index)
         if not self.m < self.M:
             raise ValueError("degenerate interval: m must lie strictly below M")
 
@@ -87,10 +87,17 @@ class GammaContext:
         return moment_basis(self.functional, self.m, self.M)
 
 
+def _check_index(index) -> None:
+    # a bool is no index, though True == 1
+    if not (_is_number(index, numbers.Real) and index in THEOREM_BY_INDEX):
+        raise ValueError("functional index must be in 1..10")
+
+
 def elr_context(index: int, functional: DiscreteFunctional, m: float,
                 M: float) -> GammaContext:
     """Context for indices 1-6."""
     m, M = float(m), float(M)
+    _check_index(index)
     if index in (7, 8, 9, 10):
         raise ValueError(f"index {index} requires a divergence context, got 'elr'")
     return GammaContext(index=index, functional=functional, m=m, M=M)
@@ -101,6 +108,7 @@ def divergence_context(index: int, p, q, m: float | None = None,
     """Context for indices 7-10; [m, M] defaults to the ratio range
     widened to include 1 and must hold every ratio."""
     functional, m, M, _ = ratio_functional(p, q, m, M)
+    _check_index(index)
     if index in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"index {index} requires a elr context, got 'divergence'")
     return GammaContext(index=index, functional=functional, m=m, M=M)
@@ -120,8 +128,7 @@ def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
     if entry is None:
         theorem = THEOREM_BY_INDEX[ctx.index]
         ms = ctx.basis.moments(bundle, derivative=theorem == "derivative")
-        lower, mid, upper = theorem_triple(theorem, ctx.functional, bundle,
-                                           ctx.m, ctx.M, ms)
+        lower, mid, upper = theorem_triple(theorem, ms, bundle, ctx.m, ctx.M)
         value = mid - lower if ctx.index % 2 == 1 else upper - mid
         entry = ctx._gammas[id(bundle)] = (bundle, value)
     return entry[1]
@@ -152,15 +159,15 @@ class ExpConvexityResult:
     subsets_checked: int
 
 
-def exp_convexity_check(curve: GammaCurve, n: int,
-                        rng: np.random.Generator | None = None) -> ExpConvexityResult:
+def exp_convexity_check(curve: GammaCurve, n: int) -> ExpConvexityResult:
     """Test n-exponential convexity of the curve in the Jensen sense.
 
     For sampled n-point subsets of the grid the Gram matrix
     G[j, k] = Gamma(phi at (t_j + t_k)/2) must be positive semidefinite;
     all subsets are checked when there are at most 200, otherwise 200 are
-    drawn at random.  A subset passes when its smallest eigenvalue is at
-    least -1e-10 times max(1, spectral norm).
+    drawn by ``np.random.default_rng(0)``, so a check repeats exactly.  A
+    subset passes when its smallest eigenvalue is at least -1e-10 times
+    max(1, spectral norm).
     """
     grid = curve.t_grid
     if grid.size < n:
@@ -170,7 +177,7 @@ def exp_convexity_check(curve: GammaCurve, n: int,
     if math.comb(grid.size, n) <= MAX_SUBSETS:
         subsets = list(combinations(range(grid.size), n))
     else:
-        rng = np.random.default_rng(0) if rng is None else rng
+        rng = np.random.default_rng(0)
         subsets = [tuple(sorted(rng.choice(grid.size, size=n, replace=False)))
                    for _ in range(MAX_SUBSETS)]
     passed = True

@@ -11,7 +11,9 @@ against one functional, from a bundle-free basis computed once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -65,15 +67,39 @@ def check_weights(weights, label: str = "weights") -> np.ndarray:
     return weights
 
 
+def _is_number(value, kind) -> bool:
+    """Whether a value from outside is a number of ``kind`` (a ``numbers``
+    ABC): a bool (JSON true and false) is not, nor is a string."""
+    return _is_number_type(type(value), kind)
+
+
+@cache
+def _is_number_type(cls: type, kind) -> bool:
+    """``_is_number`` of the values of type ``cls``, kept per type: an
+    isinstance against an ABC costs about 0.5 us, and a vector asks it of
+    each entry's type."""
+    return issubclass(cls, kind) and not issubclass(cls, bool)
+
+
 def _floats(entries, label: str) -> np.ndarray:
-    """The entries as a flat float array; a non-numeric entry, or a bool
-    given as or in a list (JSON true and false), is a ValueError naming
-    the vector."""
+    """The entries as a flat float array, from a number, a list or tuple
+    of numbers (``_is_number``) or a numeric array of at most one
+    dimension; anything else (a bool or a string, alone or as an entry, a
+    nested or ragged list) is a ValueError naming the vector."""
     try:
-        if type(entries) is bool or type(entries) is list and bool in map(type, entries):
+        if isinstance(entries, (list, tuple)):
+            if not all(_is_number_type(t, numbers.Real) for t in set(map(type, entries))):
+                raise TypeError
+        elif isinstance(entries, np.ndarray):
+            if entries.dtype.kind not in "iuf":
+                raise TypeError
+        elif not _is_number(entries, numbers.Real):
             raise TypeError
-        return np.asarray(entries, dtype=float).reshape(-1)
-    except (TypeError, OverflowError) as exc:
+        values = np.asarray(entries, dtype=float)
+        if values.ndim > 1:
+            raise TypeError
+        return values.reshape(-1)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{label} must be a list of numbers") from exc
 
 
@@ -443,6 +469,10 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
     _check_nodes(x, m, M)
     phi_vals = _node_values(bundle.f, x, phi_vals)
     dvals = _derivative_values(bundle, x, _node_places(x, m, M))
+    # terms and the basis rows come after the bundle's evaluations, on
+    # purpose: with them first, a 400-row spline moments_batch took
+    # 2.0-2.1 ms instead of 1.0-1.4 ms (best of 9 x 200 calls), likely as
+    # the live array sits in the way of the spline's temporaries
     terms = np.empty((5 if dvals is None else 7, x.size))
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = _basis_rows(x, m, M, terms)

@@ -2,8 +2,8 @@
 
 Draws random functionals, intervals and 3-convex (or 3-concave) target
 functions, evaluates every bound pair for a whole batch of functionals at
-once (``moments_batch`` and ``theorem_triples``) and records any bracket
-violation beyond tolerance.  Used by the command line
+once (``moments_batch``, then ``theorem_triple`` on its arrays) and
+records any bracket violation beyond tolerance.  Used by the command line
 ``verify`` command and by the acceptance suite.
 
 Besides the named bundles, a target may be a random spline: a cubic
@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divided_diff import FunctionBundle, certify_3convex
-from .elr_bounds import THEOREMS, _excess, _resolve_orientation, theorem_triples
+from .elr_bounds import THEOREMS, _excess, _resolve_orientation, theorem_triple
 from .functionals import (
     DiscreteFunctional,
     FunctionalBatch,
     _divide_rows,
+    _is_number,
     _weight_sums,
     make_functionals,
     moments_batch,
@@ -44,6 +45,9 @@ __all__ = [
 
 # Most nodes of a random functional.
 MAX_NODES = 50
+
+# Functionals drawn per bundle by bracket_fuzz.
+BATCH = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,23 +279,17 @@ class FuzzReport:
         return not self.violations
 
 
-def _is_number(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def bracket_fuzz(seed: int, instances: int, tolerance: float = 1e-9,
-                 batch: int = 400) -> FuzzReport:
+def bracket_fuzz(seed: int, instances: int, tolerance: float = 1e-9) -> FuzzReport:
     """Run ``instances`` random bracket checks over all three bound pairs,
     in both the direct and the reversed orientation.
 
-    Each batch draws one bundle and ``batch`` functionals and evaluates
+    Each batch draws one bundle and BATCH functionals and evaluates
     them together; the reversed orientation is the negated bundle, whose
     triples are the exact negations of the direct ones.  Returns a report
     whose violations (sorted by magnitude, largest first) carry enough of
     the instance to reproduce it.  ``seed`` must be an integer >= 0.
     """
-    for value, label, least in ((seed, "seed", 0), (instances, "instances", 1),
-                                (batch, "batch", 1)):
+    for value, label, least in ((seed, "seed", 0), (instances, "instances", 1)):
         if not (_is_number(value, numbers.Integral) and value >= least):
             raise ValueError(f"{label} must be an integer >= {least}, got {value!r}")
     if not (_is_number(tolerance, numbers.Real) and math.isfinite(tolerance)
@@ -301,7 +299,7 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = 1e-9,
     violations: list[dict] = []
     done = 0
     while done < instances:
-        take = min(batch, instances - done)
+        take = min(BATCH, instances - done)
         name = _POOL[int(rng.integers(len(_POOL)))]
         m, M = draw_interval(rng, name)
         bundle = draw_bundle(rng, name, m, M)
@@ -309,8 +307,9 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = 1e-9,
         targets = [(target, _resolve_orientation(certify_3convex(target, m, M, 65)))
                    for target in (bundle, neg)]
         functionals = random_functionals(rng, m, M, take)
-        triples = theorem_triples(moments_batch(functionals, bundle, m, M),
-                                  bundle, m, M)
+        ms = moments_batch(functionals, bundle, m, M)
+        triples = np.array([theorem_triple(theorem, ms, bundle, m, M)
+                            for theorem in THEOREMS])
         # excess[i, o, t]: functional i, orientation o (direct, then
         # reversed), theorem t, so that argwhere lists records in the
         # order of one functional at a time

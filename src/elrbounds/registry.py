@@ -9,6 +9,7 @@ derivatives are computed analytically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from numpy.polynomial import Polynomial
 
 from .divided_diff import FunctionBundle
 from .divergences import GENERATOR_NAMES, GeneratorFunction, generator
+from .functionals import _is_number
 from .stolarsky_means import cubic_reference, upsilon1, upsilon2
 
 __all__ = ["number", "resolve_phi", "resolve_generator", "poly_bundle",
@@ -25,11 +27,11 @@ _REAL_LINE = dict(domain_lo=-math.inf, domain_hi=math.inf)
 
 
 def number(value, what: str, integral: bool = False):
-    """A finite float, or an int when ``integral``: no inf, nan, bool or
-    truncated fraction reaches the library from outside values."""
+    """A finite float, or an int when ``integral``: no inf, nan, bool,
+    string or truncated fraction reaches the library from outside values."""
     try:
-        result = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
+        result = float(value) if _is_number(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
         result = math.nan
     if not math.isfinite(result) or (integral and not result.is_integer()):
         kind = "an integer" if integral else "a finite number"

@@ -10,12 +10,14 @@ taken from the elementwise ratio extrema.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divergences import DIVERGENCE_THEOREMS, GeneratorFunction, divergence_pass
 from .elr_bounds import BoundReport
+from .functionals import _is_number
 
 __all__ = [
     "ZipfMandelbrot",
@@ -32,7 +34,7 @@ MAX_RANKS = 10**7
 
 
 def _terms(N: int, q: float, s: float) -> np.ndarray:
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if not _is_number(N, numbers.Integral) or N < 1:
         raise ValueError("N must be a positive integer")
     if N > MAX_RANKS:
         raise ValueError(f"N must be at most {MAX_RANKS} ranks, got {N}")

@@ -14,9 +14,7 @@ import numpy as np
 from elrbounds import (
     GammaCurve,
     MultiplicityPattern,
-    bounds_derivative,
-    bounds_secant,
-    bounds_taylor,
+    bounds,
     cauchy_xi,
     dd_confluent,
     divergence_bounds,
@@ -93,12 +91,12 @@ def test_criterion_3_golden_brackets():
     F = make_functional([0.5], [1.0])
     cubic = resolve_phi({"name": "cubic"})
     expected = {
-        bounds_secant: (0.25, 0.375, 0.5),
-        bounds_derivative: (0.3125, 0.375, 0.4375),
-        bounds_taylor: (0.25, 0.375, 0.5),
+        "secant": (0.25, 0.375, 0.5),
+        "derivative": (0.3125, 0.375, 0.4375),
+        "taylor": (0.25, 0.375, 0.5),
     }
-    for op, (lo, mid, hi) in expected.items():
-        r = op(F, cubic, 0.0, 1.0, "three_convex")
+    for theorem, (lo, mid, hi) in expected.items():
+        r = bounds(theorem, F, cubic, 0.0, 1.0, "three_convex")
         assert abs(r.lower - lo) <= 1e-12
         assert abs(r.mid - mid) <= 1e-12
         assert abs(r.upper - hi) <= 1e-12

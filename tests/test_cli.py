@@ -449,9 +449,9 @@ MEANS_PAYLOAD = {"functional": POSITIVE_FUNCTIONAL, "interval": [0.2, 2.0],
 
 
 class TestRefusedFields:
-    """A JSON boolean where a number belongs, a Zipf law above the rank
-    limit and a negative seed each exit 1 with one error line that names
-    the field."""
+    """A JSON boolean or string where a number belongs, a nested or ragged
+    list where a vector belongs, a Zipf law above the rank limit and a
+    negative seed each exit 1 with one error line that names the field."""
 
     @pytest.mark.parametrize("args,field", [
         (["zipf", "--input", json.dumps(_law_pair(10**13))],
@@ -492,12 +492,42 @@ class TestRefusedFields:
          "p must be a list of numbers"),
         (["verify", "--seed", "-1", "--instances", "1"],
          "seed must be an integer >= 0, got -1"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD, "functional": {
+            "nodes": [[0.5], [1.2]], "weights": [[True], [0.0]]}})],
+         "nodes must be a list of numbers"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD, "functional": {
+            "nodes": [0.5, 1.2], "weights": [[0.4, 0.6]]}})],
+         "weights must be a list of numbers"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD, "functional": {
+            "nodes": [0.5, 1.2], "weights": [[0.4], 0.6]}})],
+         "weights must be a list of numbers"),
+        (["divergence", "--input", json.dumps({"distributions": {
+            "p": [[0.5], [0.5]], "q": [0.5, 0.5]}, "phi": {"name": "kl"}})],
+         "p must be a list of numbers"),
+        (["divergence", "--input", json.dumps({"distributions": {
+            "p": [0.5, 0.5], "q": [[0.5, 0.0], 0.5]}, "phi": {"name": "kl"}})],
+         "q must be a list of numbers"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD, "functional": {
+            "nodes": [0.5, 1.2], "weights": ["0.5", "0.5"]}})],
+         "weights must be a list of numbers"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD, "functional": {
+            "nodes": [0.5], "weights": [1.0]}, "interval": ["0", "1"]})],
+         "interval end must be a finite number, got '0'"),
+        (["bounds", "--input", json.dumps({**BOUNDS_PAYLOAD,
+                                           "phi": {"poly": ["0", "0", "0", "1"]}})],
+         "poly coefficient must be a finite number, got '0'"),
+        (["zipf", "--input", json.dumps({**_law_pair(2), "zm": {
+            "a": {"N": "100", "q": 0, "s": 1}, "b": {"N": 2, "q": 0, "s": 2}}})],
+         "N must be an integer, got '100'"),
     ], ids=["zipf-N-1e13", "zipf-N-limit-plus-1", "zipf-N-true",
             "bounds-weights-booleans", "bounds-nodes-boolean",
 "bounds-interval-booleans",
             "bounds-poly-boolean", "phi-params-boolean", "means-index-true",
             "means-s-true", "divergence-p-true", "divergence-q-true",
-            "means-p-true", "verify-seed-negative"])
+            "means-p-true", "verify-seed-negative", "bounds-vectors-nested",
+            "bounds-weights-nested", "bounds-weights-ragged", "divergence-p-nested",
+            "divergence-q-ragged", "bounds-weights-strings", "bounds-interval-strings",
+            "bounds-poly-strings", "zipf-N-string"])
     @pytest.mark.filterwarnings("error")
     def test_one_error_line_naming_the_field(self, args, field, capsys):
         status = main(args)

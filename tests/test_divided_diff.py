@@ -214,10 +214,10 @@ class TestBundle:
     def test_one_sided_accessors_prefer_stored_values(self):
         b = FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=lambda x: abs(x),
                            d1_plus_at_lo=1.0, d1_minus_at_hi=1.0)
-        assert b.d1_plus(0.0) == 1.0
-        assert b.d1_minus(1.0) == 1.0
+        assert b.deriv(1, 0.0) == 1.0
+        assert b.deriv(1, 1.0) == 1.0
         with pytest.raises(ValueError, match="insufficient bundle"):
-            b.d1_plus(0.5)
+            b.deriv(1, 0.5)
 
     def test_deriv_applies_the_endpoint_rule(self):
         b = FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=lambda x: x**3,
@@ -228,7 +228,7 @@ class TestBundle:
         assert (b.deriv(2, 0.0), b.deriv(2, 1.0)) == (-3.0, -4.0)
         assert (b.deriv(1, 0.5), b.deriv(2, 0.5)) == (0.75, 3.0)
         for x in (0.0, 0.5, 1.0):
-            assert b.deriv(0, x) == b.f_at(x) == x**3
+            assert b.deriv(0, x) == x**3
         bare = FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=lambda x: x**3,
                               d1_plus_at_lo=0.0)
         assert bare.deriv(1, 0.0) == 0.0
@@ -281,7 +281,7 @@ class TestBundle:
 
     def test_memoized_scalars_match_callables(self):
         b = resolve_phi({"name": "exp"})
-        assert b.f_at(0.3) == b.f_at(0.3) == pytest.approx(math.exp(0.3))
+        assert b.deriv(0, 0.3) == b.deriv(0, 0.3) == pytest.approx(math.exp(0.3))
 
 
 class TestPolynomialExactness:

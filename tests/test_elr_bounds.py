@@ -8,9 +8,6 @@ from elrbounds import (
     THEOREMS,
     FunctionBundle,
     bounds,
-    bounds_derivative,
-    bounds_secant,
-    bounds_taylor,
     certify_3convex,
     elr_context,
     elr_difference,
@@ -18,7 +15,7 @@ from elrbounds import (
     jensen_gap_bounds,
     make_functional,
 )
-from elrbounds.elr_bounds import theorem_triple, theorem_triples
+from elrbounds.elr_bounds import theorem_triple
 from elrbounds.functionals import make_functionals, moments, moments_batch
 from elrbounds.fuzzing import bracket_fuzz
 from elrbounds.registry import resolve_phi
@@ -44,18 +41,18 @@ class TestElrDifference:
 
 class TestSecant:
     def test_worked_instance(self):
-        r = bounds_secant(POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
         assert (r.lower, r.mid, r.upper) == pytest.approx((0.25, 0.375, 0.5), abs=1e-12)
         assert r.orientation == "direct"
         assert r.violation() == 0.0
 
     def test_endpoint_masses_collapse(self):
-        r = bounds_secant(ENDPOINTS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("secant", ENDPOINTS, CUBIC, 0.0, 1.0, "three_convex")
         assert (r.lower, r.mid, r.upper) == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
 
     def test_negated_function_reverses_and_negates(self):
-        direct = bounds_secant(POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
-        flipped = bounds_secant(POINT_MASS, CUBIC.negated(), 0.0, 1.0, "neg_three_convex")
+        direct = bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
+        flipped = bounds("secant", POINT_MASS, CUBIC.negated(), 0.0, 1.0, "neg_three_convex")
         assert flipped.orientation == "reversed"
         assert flipped.lower == -direct.lower
         assert flipped.mid == -direct.mid
@@ -65,28 +62,28 @@ class TestSecant:
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError, match="theorem hypotheses unmet"):
-            bounds_secant(POINT_MASS, CUBIC, 0.0, 1.0, "neither")
+            bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0, "neither")
 
     def test_certificate_accepted_as_direction(self):
         cert = certify_3convex(CUBIC, 0.0, 1.0, 33)
-        r = bounds_secant(POINT_MASS, CUBIC, 0.0, 1.0, cert)
+        r = bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0, cert)
         assert r.orientation == "direct"
 
 
 class TestDerivative:
     def test_worked_instance(self):
-        r = bounds_derivative(POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("derivative", POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
         assert (r.lower, r.mid, r.upper) == pytest.approx((0.3125, 0.375, 0.4375), abs=1e-12)
 
     def test_endpoint_masses_zero_mid(self):
         # the derivative-moment terms do not vanish for endpoint masses:
         # A[(f-m)phi'(f)] = 1.5 here, so lower = 0.5*1 - 0.75 = -0.25 and
         # upper = 0 - 0.5*(1 - 1.5) = 0.25 by direct evaluation
-        r = bounds_derivative(ENDPOINTS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("derivative", ENDPOINTS, CUBIC, 0.0, 1.0, "three_convex")
         assert (r.lower, r.mid, r.upper) == pytest.approx((-0.25, 0.0, 0.25), abs=1e-15)
 
     def test_quadratic_lower_bound_is_tight(self):
-        r = bounds_derivative(POINT_MASS, SQUARE, 0.0, 1.0, "three_convex")
+        r = bounds("derivative", POINT_MASS, SQUARE, 0.0, 1.0, "three_convex")
         assert r.lower == pytest.approx(0.25, abs=1e-14)
         assert r.mid == pytest.approx(0.25, abs=1e-14)
         assert r.violation() <= 1e-15
@@ -96,22 +93,22 @@ class TestDerivative:
         bare = FunctionBundle(domain_lo=-5, domain_hi=5, f=lambda x: x**3,
                               d1_plus_at_lo=75.0, d1_minus_at_hi=75.0)
         with pytest.raises(ValueError, match="insufficient bundle"):
-            bounds_derivative(POINT_MASS, bare, 0.0, 1.0, "three_convex")
+            bounds("derivative", POINT_MASS, bare, 0.0, 1.0, "three_convex")
 
 
 class TestTaylor:
     def test_worked_instance(self):
-        r = bounds_taylor(POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("taylor", POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
         assert (r.lower, r.mid, r.upper) == pytest.approx((0.25, 0.375, 0.5), abs=1e-12)
 
     def test_endpoint_masses_zero_mid(self):
         # direct evaluation: lower = 0.5*(3-1) - 3*0.5 = -0.5 and
         # upper = 0.5*(1-0) - 0 = 0.5; only the mid collapses
-        r = bounds_taylor(ENDPOINTS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("taylor", ENDPOINTS, CUBIC, 0.0, 1.0, "three_convex")
         assert (r.lower, r.mid, r.upper) == pytest.approx((-0.5, 0.0, 0.5), abs=1e-15)
 
     def test_quartic_mid(self):
-        r = bounds_taylor(POINT_MASS, QUARTIC, 0.0, 1.0, "three_convex")
+        r = bounds("taylor", POINT_MASS, QUARTIC, 0.0, 1.0, "three_convex")
         assert r.mid == pytest.approx(0.4375, abs=1e-14)
         assert r.lower <= r.mid <= r.upper
 
@@ -165,14 +162,13 @@ class TestJensenGap:
 class TestReversal:
     def test_negation_is_exact_for_every_operation(self):
         rng = np.random.default_rng(19)
-        ops = [bounds_secant, bounds_derivative, bounds_taylor]
         for _ in range(25):
             k = int(rng.integers(1, 10))
             F = make_functional(rng.uniform(0.0, 1.0, k), np.ones(k) / k)
             neg = CUBIC.negated()
-            for name, op in zip(THEOREMS, ops):
-                a = op(F, CUBIC, 0.0, 1.0, "three_convex")
-                b = op(F, neg, 0.0, 1.0, "neg_three_convex")
+            for name in THEOREMS:
+                a = bounds(name, F, CUBIC, 0.0, 1.0, "three_convex")
+                b = bounds(name, F, neg, 0.0, 1.0, "neg_three_convex")
                 assert (b.lower, b.mid, b.upper) == (-a.lower, -a.mid, -a.upper)
                 assert b.orientation == "reversed"
                 assert b.violation() <= 1e-12
@@ -191,9 +187,10 @@ class TestScalarChainConsistency:
         for _ in range(25):
             x = float(rng.uniform(0.02, 0.98))
             F = make_functional([x], [1.0])
-            scalar = ((M - x) * CUBIC.f_at(m) + (x - m) * CUBIC.f_at(M)) / (M - m) - x**3
-            for op in (bounds_secant, bounds_derivative, bounds_taylor):
-                r = op(F, CUBIC, m, M, "three_convex")
+            scalar = ((M - x) * CUBIC.deriv(0, m)
+                      + (x - m) * CUBIC.deriv(0, M)) / (M - m) - x**3
+            for theorem in THEOREMS:
+                r = bounds(theorem, F, CUBIC, m, M, "three_convex")
                 assert r.mid == pytest.approx(scalar, abs=1e-13)
 
 
@@ -205,7 +202,7 @@ class TestBracketFuzzSmall:
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError, match="degenerate interval"):
-            bounds_secant(POINT_MASS, CUBIC, 0.5, 0.5, "three_convex")
+            bounds("secant", POINT_MASS, CUBIC, 0.5, 0.5, "three_convex")
 
 
 def _counting_bundle(calls, **fields):
@@ -259,12 +256,12 @@ class TestEndpointRead:
             bundle = _counting_bundle(calls)
             ms = moments(self.FUNCTIONAL, bundle, 0.5, 2.5)
             entered.clear()
-            first = theorem_triple(theorem, self.FUNCTIONAL, bundle, 0.5, 2.5, ms)
+            first = theorem_triple(theorem, ms, bundle, 0.5, 2.5)
             assert sorted(calls) == sorted((order, x) for order in read[theorem]
                                            for x in (0.5, 2.5)), theorem
             assert len(entered) == 1  # one floating-point block for the read
             calls.clear()
-            assert theorem_triple(theorem, self.FUNCTIONAL, bundle, 0.5, 2.5, ms) == first
+            assert theorem_triple(theorem, ms, bundle, 0.5, 2.5) == first
             assert calls == [] and len(entered) == 1
 
     def test_second_gamma_of_a_bundle_hits_the_memo(self):
@@ -299,14 +296,16 @@ class TestEndpointRead:
         ]
         for fields, theorems, message in cases:
             for theorem in theorems:
+                bundle = _counting_bundle([], **fields)
                 with pytest.raises(ValueError) as err:
-                    theorem_triple(theorem, make_functional([1.0], [1.0]),
-                                   _counting_bundle([], **fields), m, M)
+                    theorem_triple(theorem, moments(make_functional([1.0], [1.0]),
+                                                    bundle, m, M), bundle, m, M)
                 assert str(err.value) == message, (fields, theorem)
         # stored end values but no d1: the derivative pair lacks its moments
         bare = _counting_bundle([], d1=None, d1_plus_at_lo=0.0, d1_minus_at_hi=4.5)
         with pytest.raises(ValueError) as err:
-            theorem_triple("derivative", make_functional([1.0], [1.0]), bare, 0.0, 3.0)
+            theorem_triple("derivative", moments(make_functional([1.0], [1.0]), bare,
+                                                 0.0, 3.0), bare, 0.0, 3.0)
         assert str(err.value) == ("insufficient bundle: first derivative moment of "
                                   "'counted' unavailable")
 
@@ -318,4 +317,4 @@ class TestEndpointRead:
         batch = make_functionals([5.0, 4.0], [1.0, 1.0], ((2, 1),))
         ms = moments_batch(batch, huge, 0.0, 10.0)
         with pytest.raises(RuntimeWarning, match="overflow"):
-            theorem_triples(ms, huge, 0.0, 10.0)
+            [theorem_triple(theorem, ms, huge, 0.0, 10.0) for theorem in THEOREMS]

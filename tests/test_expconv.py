@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from elrbounds import (
+    GammaContext,
     GammaCurve,
-    bounds_secant,
+    bounds,
     divergence_context,
     elr_context,
     exp_convexity_check,
@@ -49,7 +50,8 @@ class TestGamma:
             assert gamma(worked_ctx(index), SQUARE) == pytest.approx(0.0, abs=1e-13), index
 
     def test_matches_bound_reports(self):
-        r = bounds_secant(make_functional([0.5], [1.0]), CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("secant", make_functional([0.5], [1.0]), CUBIC, 0.0, 1.0,
+                   "three_convex")
         assert gamma(worked_ctx(1), CUBIC) == pytest.approx(r.mid - r.lower, abs=1e-15)
         assert gamma(worked_ctx(2), CUBIC) == pytest.approx(r.upper - r.mid, abs=1e-15)
 
@@ -94,6 +96,19 @@ class TestGamma:
         with pytest.raises(ValueError, match="1..10"):
             elr_context(0, F, 0.0, 1.0)
 
+    @pytest.mark.parametrize("index", [True, False, "1", 1.5])
+    def test_index_that_is_no_number_refused(self, index):
+        F = make_functional([0.5], [1.0])
+        for build in (lambda: elr_context(index, F, 0.0, 1.0),
+                      lambda: divergence_context(index, [0.4, 0.6], [0.5, 0.5]),
+                      lambda: GammaContext(index=index, functional=F, m=0.0, M=1.0)):
+            with pytest.raises(ValueError, match="^functional index must be in 1..10$"):
+                build()
+
+    def test_numpy_index_accepted(self):
+        ctx = elr_context(np.int64(2), make_functional([0.5], [1.0]), 0.0, 1.0)
+        assert gamma(ctx, CUBIC) == gamma(worked_ctx(2), CUBIC)
+
     @pytest.mark.parametrize("index", range(12))
     def test_context_messages_by_index(self, index):
         """Each constructor refuses an index out of 1..10 first, then an
@@ -125,10 +140,11 @@ class TestGamma:
 
 
 def _full_pass_gamma(ctx, bundle):
-    """Gamma from the one-shot moment pass: theorem_triple with no
-    precomputed moments."""
-    lower, mid, upper = theorem_triple(THEOREM_BY_INDEX[ctx.index], ctx.functional,
-                                       bundle, ctx.m, ctx.M)
+    """Gamma from the one-shot moment pass: theorem_triple on the
+    ``moments`` of the context's functional."""
+    ms = functionals.moments(ctx.functional, bundle, ctx.m, ctx.M)
+    lower, mid, upper = theorem_triple(THEOREM_BY_INDEX[ctx.index], ms, bundle,
+                                       ctx.m, ctx.M)
     return mid - lower if ctx.index % 2 == 1 else upper - mid
 
 
@@ -334,20 +350,24 @@ class TestExpConvexity:
                 assert result.passed, (name, n, result.min_eigenvalue)
 
     def test_sampled_subsets_when_more_than_200(self):
-        """C(12, 4) = 495 subsets: 200 are drawn, by default from
-        default_rng(0), and their least eigenvalue is one of all 495."""
+        """C(12, 4) = 495 subsets: 200 are drawn from default_rng(0), so a
+        check repeats, and their least eigenvalue is one of all 495."""
         ctx = elr_context(1, make_functional([0.4, 1.1], [0.5, 0.5]), 0.2, 1.5)
         curve = GammaCurve(ctx, lambda t: upsilon2(t).bundle, np.linspace(-2.0, 2.0, 12))
         result = exp_convexity_check(curve, 4)
         assert result.passed and result.subsets_checked == 200
-        assert result == exp_convexity_check(curve, 4, np.random.default_rng(0))
-        other = exp_convexity_check(curve, 4, np.random.default_rng(1))
-        assert other.subsets_checked == 200
-        least = math.inf
-        for subset in itertools.combinations(curve.t_grid, 4):
+        assert result == exp_convexity_check(curve, 4)
+
+        def least_eigenvalue(subset):
             gram = [[curve.value(0.5 * (a + b)) for b in subset] for a in subset]
-            least = min(least, float(np.linalg.eigvalsh(gram)[0]))
-        assert least <= min(result.min_eigenvalue, other.min_eigenvalue)
+            return float(np.linalg.eigvalsh(gram)[0])
+
+        rng = np.random.default_rng(0)
+        drawn = [curve.t_grid[sorted(rng.choice(12, size=4, replace=False))]
+                 for _ in range(200)]
+        assert result.min_eigenvalue == min(map(least_eigenvalue, drawn))
+        least = min(map(least_eigenvalue, itertools.combinations(curve.t_grid, 4)))
+        assert least <= result.min_eigenvalue
 
     def test_grid_too_small_rejected(self):
         curve = GammaCurve(WORKED, lambda t: upsilon1(t).bundle, np.array([3.0]))

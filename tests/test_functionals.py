@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elrbounds import apply, make_functional, moments
-from elrbounds.functionals import make_functionals, moments_batch
+from elrbounds.functionals import check_weights, make_functionals, moments_batch
 from elrbounds.registry import resolve_phi
 
 CUBIC = resolve_phi({"name": "cubic"})
@@ -50,6 +50,50 @@ class TestMakeFunctional:
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite weight"):
             make_functional([0.0, 1.0], [bad, 1.0])
+
+
+class TestVectorEntries:
+    """A vector from outside is a flat list or tuple of numbers, a numeric
+    array of at most one dimension, or one number; a bool or a string,
+    alone or as an entry, and a nested or ragged list are refused with
+    the vector's label."""
+
+    REFUSED = [[[0.5], [0.5]], [[0.5, 0.5]], [[0.5], 0.5], [[0.5, 0.0], [1.0]],
+               ["0.5", "0.5"], "1.0", [True, False], True, (0.5, "0.5"),
+               np.array([[0.5, 0.5]]), np.array(["0.5", "0.5"]),
+               np.array([True, False])]
+
+    @pytest.mark.parametrize("weights", REFUSED)
+    def test_check_weights_refuses(self, weights):
+        with pytest.raises(ValueError, match="^p must be a list of numbers$"):
+            check_weights(weights, "p")
+
+    @pytest.mark.parametrize("weights", REFUSED)
+    def test_make_functional_refuses_weights(self, weights):
+        with pytest.raises(ValueError, match="^weights must be a list of numbers$"):
+            make_functional([0.5, 0.7], weights)
+
+    @pytest.mark.parametrize("nodes", REFUSED)
+    def test_make_functional_refuses_nodes(self, nodes):
+        with pytest.raises(ValueError, match="^nodes must be a list of numbers$"):
+            make_functional(nodes, [0.5, 0.5])
+
+    def test_nested_booleans_are_not_flat_weights(self):
+        with pytest.raises(ValueError, match="^weights must be a list of numbers$"):
+            make_functional([0.5, 1.2], [[True, 0.0]])
+
+    @pytest.mark.parametrize("weights", [
+        [0.5, 0.5], (0.5, 0.5), [1, 0], [np.float64(0.5), 0.5],
+        np.array([0.5, 0.5]), np.array([1, 0])])
+    def test_flat_vectors_accepted(self, weights):
+        assert check_weights(weights).tolist() == [float(w) for w in weights]
+        F = make_functional(np.array([0.2, 0.7]), weights)
+        assert F.weights.tolist() == [float(w) for w in weights]
+
+    def test_scalars_accepted(self):
+        assert check_weights(1.0).tolist() == [1.0]
+        F = make_functional(0.25, np.float64(1.0))
+        assert (F.nodes.tolist(), F.weights.tolist()) == ([0.25], [1.0])
 
 
 class TestApply:

@@ -1,8 +1,9 @@
 """The batched falsifier against the scalar API it replaces.
 
 ``bracket_fuzz`` evaluates a whole batch of functionals at once
-(``random_functionals``, ``moments_batch``, ``theorem_triples``) and takes
-the reversed orientation as the exact negation of the direct one.  These
+(``random_functionals``, ``moments_batch``, ``theorem_triple`` on arrays)
+and takes the reversed orientation as the exact negation of the direct
+one.  These
 tests hold it to the per-functional loop over the public scalar API, with
 the draw written out as one functional at a time.  The random 3-convex
 spline is held to scipy's ``BSpline`` as a test-only oracle.
@@ -18,7 +19,7 @@ import pytest
 from elrbounds import functionals, fuzzing
 from elrbounds.divergences import ratio_functional
 from elrbounds.divided_diff import certify_3convex, check_bundle
-from elrbounds.elr_bounds import THEOREMS, bounds, theorem_triple, theorem_triples
+from elrbounds.elr_bounds import THEOREMS, bounds, theorem_triple
 from elrbounds.functionals import make_functional, make_functionals, moments, moments_batch
 from elrbounds.functionals import row_blocks
 from elrbounds.fuzzing import (
@@ -91,7 +92,7 @@ def test_violations_match_the_scalar_loop(monkeypatch):
 
     monkeypatch.setattr(fuzzing, "draw_bundle", broken_cubic)
     for seed in (1, 2):
-        report = bracket_fuzz(seed, 900, tolerance=1e-9, batch=400)
+        report = bracket_fuzz(seed, 900, tolerance=1e-9)
         expected = reference_fuzz(seed, 900, 1e-9, 400)
         assert len(expected) > 50
         assert {v["orientation"] for v in expected} == {"direct", "reversed"}
@@ -110,15 +111,17 @@ def test_batched_triples_equal_scalar_triples(name):
     functionals = [batch.functional(i) for i in range(len(batch))]
     assert any(m in F.nodes and M in F.nodes for F in functionals)
     ms = moments_batch(batch, bundle, m, M)
-    triples = theorem_triples(ms, bundle, m, M)
+    triples = np.array([theorem_triple(theorem, ms, bundle, m, M) for theorem in THEOREMS])
     assert triples.shape == (len(THEOREMS), 3, len(batch))
     for i, F in enumerate(functionals):
         scalar_ms = moments(F, bundle, m, M)
         assert all(getattr(ms, f)[i] == getattr(scalar_ms, f)
                    for f in vars(scalar_ms))
         for t, theorem in enumerate(THEOREMS):
-            assert tuple(triples[t, :, i]) == theorem_triple(theorem, F, bundle, m, M)
-            assert tuple(-triples[t, :, i]) == theorem_triple(theorem, F, neg, m, M)
+            assert tuple(triples[t, :, i]) == theorem_triple(
+                theorem, moments(F, bundle, m, M), bundle, m, M)
+            assert tuple(-triples[t, :, i]) == theorem_triple(
+                theorem, moments(F, neg, m, M), neg, m, M)
 
 
 def test_batch_draw_matches_single_draws():
@@ -141,7 +144,7 @@ def test_batch_draw_matches_single_draws():
 
 @pytest.mark.parametrize("kwargs", [
     {"instances": -5}, {"instances": 0}, {"instances": 2.0},
-    {"instances": True}, {"batch": 0}, {"batch": -1},
+    {"instances": True},
     {"tolerance": float("nan")}, {"tolerance": float("inf")},
     {"tolerance": -1e-9}, {"tolerance": "1e-9"},
 ])

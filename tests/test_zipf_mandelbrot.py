@@ -41,6 +41,15 @@ class TestHarmonicSum:
 
 
 class TestDistribution:
+    @pytest.mark.parametrize("N", [True, False, "100", 2.0])
+    def test_rank_count_must_be_an_integer(self, N):
+        for build in (zm_distribution, harmonic_sum):
+            with pytest.raises(ValueError, match="^N must be a positive integer$"):
+                build(N, 0.0, 1.0)
+
+    def test_numpy_rank_count_accepted(self):
+        assert zm_distribution(np.int64(3), 0.0, 1.0).N == 3
+
     def test_two_point_zipf(self):
         z = zm_distribution(2, 0.0, 1.0)
         assert z.pmf == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
