@@ -144,7 +144,7 @@ def test_batch_draw_matches_single_draws():
 
 @pytest.mark.parametrize("kwargs", [
     {"instances": -5}, {"instances": 0}, {"instances": 2.0},
-    {"instances": True},
+    {"instances": True}, {"instances": "10"}, {"instances": None},
     {"tolerance": float("nan")}, {"tolerance": float("inf")},
     {"tolerance": -1e-9}, {"tolerance": "1e-9"},
 ])
