@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .divided_diff import certify_3convex
@@ -329,28 +329,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_RUNNERS))
     parser.add_argument("--input", help="JSON object, file path, or - for stdin")
     parser.add_argument("--output", help="report path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--instances", type=int, default=1000)
-    parser.add_argument("--tolerance", type=float, default=1e-9)
+    # RunConfig's fields after command and payload: the run options and their defaults
+    for option in fields(RunConfig)[2:]:
+        parser.add_argument(f"--{option.name}", type=type(option.default),
+                            default=option.default)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     # the one exit-1 boundary: usage and parse errors and the library's own
-    # input checks are all ValueErrors; anything else is a bug and propagates
+    # input checks are all ValueErrors, an input or report path that cannot
+    # be used is an OSError; anything else is a bug and propagates
     try:
         args = build_parser().parse_args(argv)
         payload = _load_payload(args.input)
         status, report = run(RunConfig(command=args.command, payload=payload,
                                        seed=args.seed, instances=args.instances,
                                        tolerance=args.tolerance))
+        text = dump_report(report)
+        if args.output:
+            Path(args.output).write_text(text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = dump_report(report)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
+    except OSError as exc:
+        print(f"error: cannot use path {exc.filename!r}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
+    if not args.output:
         sys.stdout.write(text)
     return status
 

@@ -51,7 +51,7 @@ _ENDPOINT_FIELDS = ("d1_plus_at_lo", "d1_minus_at_hi", "d2_plus_at_lo",
                     "d2_minus_at_hi")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionBundle:
     """A scalar function on an interval together with derivative data.
 
@@ -74,9 +74,10 @@ class FunctionBundle:
     d2_plus_at_lo: float | None = None
     d2_minus_at_hi: float | None = None
     name: str = "phi"
-    # scalar evaluation memo; callables can be costly (splines), and the
-    # bound chains hit the same endpoint values many times
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    # memo of deriv/derivs, the one way to read phi, phi' or phi'' at a point
+    # (callables can be costly, and the bound chains reread the ends); no
+    # constructor takes it, so replace() starts an empty one
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.domain_lo < self.domain_hi:
@@ -148,7 +149,6 @@ class FunctionBundle:
             d2=flip(self.d2),
             d3=flip(self.d3),
             name=f"-({self.name})",
-            _memo={},
             **stored,
         )
 
@@ -242,6 +242,8 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
         raise ValueError("sampling window escapes the bundle domain")
 
     span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError("sampling window too wide: its length overflows")
     xs = np.linspace(lo + 0.05 * span, hi - 0.05 * span, CHECK_POINTS)
 
     pairs = [(bundle.f, bundle.d1, "d1"), (bundle.d1, bundle.d2, "d2"),
@@ -360,9 +362,9 @@ def dd_confluent(bundle: FunctionBundle, pattern: MultiplicityPattern) -> float:
             raise ValueError(f"pattern point {p} escapes the bundle domain")
 
     sig = pattern.signature
-    f = bundle.f
     if sig == (1, 1, 1, 1):
-        return dd_recursive([(p, float(f(p))) for p in pattern.points])
+        fs = bundle.derivs([(0, p) for p in pattern.points])
+        return dd_recursive(zip(pattern.points, fs))
 
     by_mult = sorted(zip(pattern.multiplicities, pattern.points), reverse=True)
     if sig == (2, 1, 1):
@@ -371,24 +373,24 @@ def dd_confluent(bundle: FunctionBundle, pattern: MultiplicityPattern) -> float:
         # evaluate with the farther simple point dividing first
         if abs(t - x) < abs(t - y):
             x, y = y, x
-        ft = float(f(t))
+        ft, d1t, fx, fy = bundle.derivs([(0, t), (1, t), (0, x), (0, y)])
         return (
-            bundle.deriv(1, t) / ((t - x) * (t - y))
+            d1t / ((t - x) * (t - y))
             + ft * (x + y - 2.0 * t) / ((t - x) ** 2 * (t - y) ** 2)
-            + float(f(x)) / ((x - t) ** 2 * (x - y))
-            + float(f(y)) / ((y - t) ** 2 * (y - x))
+            + fx / ((x - t) ** 2 * (x - y))
+            + fy / ((y - t) ** 2 * (y - x))
         )
     if sig == (2, 2):
         t, x = by_mult[0][1], by_mult[1][1]
         gap = x - t
-        return ((x - t) * (bundle.deriv(1, x) + bundle.deriv(1, t))
-                + 2.0 * (float(f(t)) - float(f(x)))) / gap ** 3
+        d1x, d1t, ft, fx = bundle.derivs([(1, x), (1, t), (0, t), (0, x)])
+        return ((x - t) * (d1x + d1t) + 2.0 * (ft - fx)) / gap ** 3
     if sig == (3, 1):
         t = by_mult[0][1]
         x = by_mult[1][1]
         gap = x - t
-        taylor2 = float(f(t)) + bundle.deriv(1, t) * gap + 0.5 * bundle.deriv(2, t) * gap ** 2
-        return (float(f(x)) - taylor2) / gap ** 3
+        ft, d1t, d2t, fx = bundle.derivs([(0, t), (1, t), (2, t), (0, x)])
+        return (fx - (ft + d1t * gap + 0.5 * d2t * gap ** 2)) / gap ** 3
     # sig == (4,)
     t = by_mult[0][1]
     if bundle.d3 is None:
@@ -444,6 +446,8 @@ def certify_3convex(bundle: FunctionBundle, lo: float, hi: float,
         raise ValueError("grid_n must be at least 3")
     if not bundle.contains(lo, hi) or not lo < hi:
         raise ValueError("certification interval escapes the bundle domain")
+    if not math.isfinite(hi - lo):
+        raise ValueError("certification interval too wide: its length overflows")
 
     xs = np.linspace(lo, hi, grid_n)
     if bundle.d3 is not None:
@@ -463,7 +467,7 @@ def certify_3convex(bundle: FunctionBundle, lo: float, hi: float,
                 samples.append(dd_confluent(bundle, pattern))
                 locations.append(t)
     elif len(sub) >= 4:
-        fvals = [float(bundle.f(x)) for x in sub]
+        fvals = bundle.derivs([(0, float(x)) for x in sub])
         for quad in combinations(range(len(sub)), 4):
             samples.append(dd_recursive([(sub[i], fvals[i]) for i in quad]))
             locations.append(float(np.mean([sub[i] for i in quad])))

@@ -215,7 +215,7 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
     phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, m, M, 1 + (variant == "taylor"))
     secant = (phi_M - phi_m) / (M - m)
     mean = ms.mean
-    mid = ms.value - float(bundle.f(mean))
+    mid = ms.value - bundle.deriv(0, mean)
     if variant == "derivative":
         d_lo, d_hi = _derivative_moments(ms, bundle)
         dmean = bundle.deriv(1, mean)

@@ -70,9 +70,7 @@ class GammaContext:
     functional: DiscreteFunctional
     m: float
     M: float
-    # Gamma of each bundle seen here, by id(bundle); an entry holds its
-    # bundle, so the id cannot be reused while the entry lives (bundles
-    # may hold unhashable callables, so they are no keys themselves)
+    # Gamma of each bundle seen here; a bundle hashes by identity
     _gammas: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -124,14 +122,14 @@ def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
     rows its theorem reads: f at the nodes, and phi' there only for the
     derivative pair (indices 3, 4, 7 and 8).
     """
-    entry = ctx._gammas.get(id(bundle))
-    if entry is None:
+    value = ctx._gammas.get(bundle)
+    if value is None:
         theorem = THEOREM_BY_INDEX[ctx.index]
         ms = ctx.basis.moments(bundle, derivative=theorem == "derivative")
         lower, mid, upper = theorem_triple(theorem, ms, bundle, ctx.m, ctx.M)
         value = mid - lower if ctx.index % 2 == 1 else upper - mid
-        entry = ctx._gammas[id(bundle)] = (bundle, value)
-    return entry[1]
+        ctx._gammas[bundle] = value
+    return value
 
 
 @dataclass

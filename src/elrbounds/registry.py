@@ -70,8 +70,7 @@ def poly_bundle(coefficients) -> FunctionBundle:
 
 _BUILDERS = {"cubic": cubic_reference, "quartic": _quartic, "exp": _exp,
              # t*log(t) is the kl generator's function
-             "xlogx": lambda: replace(generator("kl").bundle, name="xlogx",
-                                      _memo={})}
+             "xlogx": lambda: replace(generator("kl").bundle, name="xlogx")}
 _FAMILIES = {"upsilon1": upsilon1, "upsilon2": upsilon2}
 BUILTIN_NAMES = (*_BUILDERS, *_FAMILIES)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from elrbounds.cli import dump_report, main
+from elrbounds.cli import RunConfig, build_parser, dump_report, main
 
 BOUNDS_INPUT = json.dumps({
     "functional": {"nodes": [0.5], "weights": [1.0]},
@@ -235,6 +235,33 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "[]"
 
 
+    def test_parser_defaults_are_run_config_defaults(self):
+        args = build_parser().parse_args(["verify"])
+        config = RunConfig(command="verify", payload={})
+        assert ((args.seed, args.instances, args.tolerance)
+                == (config.seed, config.instances, config.tolerance) == (0, 1000, 1e-9))
+
+
+class TestUnusablePath:
+    """An input or report path that cannot be read or written is one
+    "error:" line naming the path, with exit 1."""
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--instances", "1", "--output", "{missing}/out.json"],
+        ["verify", "--instances", "1", "--output", "{dir}"],
+        ["bounds", "--input", "{dir}"],
+    ], ids=["output-in-missing-dir", "output-is-dir", "input-is-dir"])
+    def test_one_error_line_naming_the_path(self, args, tmp_path, capsys):
+        paths = {"missing": tmp_path / "absent", "dir": tmp_path}
+        args = [a.format(**paths) for a in args]
+        status = main(args)
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert args[-1] in lines[0]
+
+
 POSITIVE_FUNCTIONAL = {"nodes": [0.5, 1.2], "weights": [0.4, 0.6]}
 PAIR = {"p": [0.4, 0.6], "q": [0.5, 0.5]}
 ZM_PAIR = {"a": {"N": 2, "q": 0, "s": 1}, "b": {"N": 2, "q": 0, "s": 2}}
@@ -376,6 +403,12 @@ class TestInputContract:
                                          "params": {"s": 3.0000001, "t": 3}})],
         ["means", "--input", json.dumps({**NARROW_MEANS,
                                          "params": {"s": 3.1, "t": 3}})],
+        ["bounds", "--input", json.dumps({
+            "functional": {"nodes": [0.5], "weights": [1.0]},
+            "interval": [-1e308, 1e308], "phi": {"poly": [0, 1]}})],
+        ["bounds", "--input", json.dumps({
+            "functional": {"nodes": [0.5], "weights": [1.0]},
+            "interval": [-1e308, 1e308], "phi": {"name": "cubic"}})],
     ], ids=["phi-string", "interval-string-end", "renyi-no-params",
             "divergence-short-interval", "divergence-phi-string",
             "zipf-phi-string", "means-params-no-t", "means-index-string",
@@ -398,7 +431,8 @@ class TestInputContract:
             "weight-sum-overflow", "renyi-alpha-overflow",
             "zipf-mass-underflow", "poly-derivative-overflow",
             "means-diagonal-overflow", "means-quotient-overflow",
-            "means-mean-outside-interval"])
+            "means-mean-outside-interval", "poly-interval-length-overflow",
+            "cubic-interval-length-overflow"])
     # pytest keeps warnings off the captured stderr; raising them instead
     # makes a numpy warning line ahead of "error:" fail the case, as it
     # would show on a terminal
@@ -636,7 +670,7 @@ class TestOnePass:
                     node_evaluations.append(np.size(t))
                 return f(t)
 
-            return replace(gen, bundle=replace(gen.bundle, f=counted, _memo={}))
+            return replace(gen, bundle=replace(gen.bundle, f=counted))
 
         monkeypatch.setattr(cli, "resolve_generator", counting_generator)
         status, report = cli.run(cli.RunConfig(command=command, payload=payload))

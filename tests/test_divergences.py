@@ -224,7 +224,7 @@ class TestDivergenceBounds:
         trust: the kl bundle without d3 gives kl's pass, and a wrong
         declaration reverses the orientation instead of being refused."""
         kl = generator("kl")
-        bare = replace(kl.bundle, d3=None, _memo={})
+        bare = replace(kl.bundle, d3=None)
         p, q = [0.4, 0.6], [0.5, 0.5]
         value, reports = divergence_pass(p, q, kl)
         for direction, orientation in ((NEG_F_3CONVEX, "reversed"),

@@ -148,6 +148,26 @@ class TestConfluent:
             assert confluent == pytest.approx(recursive, rel=1e-5), entry.name
 
 
+    @pytest.mark.parametrize("points,mult", [
+        ((0.1, 0.7, 1.3, 2.0), (1, 1, 1, 1)), ((0.4, 1.1, 1.9), (2, 1, 1)),
+        ((0.4, 1.6), (2, 2)), ((0.4, 1.6), (3, 1))])
+    def test_point_reads_go_through_derivs(self, points, mult):
+        """phi, phi' and phi'' at the pattern points are the bundle's
+        memoized reads on float64, so a second difference calls nothing."""
+        arguments = []
+
+        def seen(g):
+            return lambda x: arguments.append(type(x)) or g(x)
+
+        bundle = FunctionBundle(domain_lo=-10, domain_hi=10, f=seen(lambda x: x**4),
+                                d1=seen(lambda x: 4 * x**3), d2=seen(lambda x: 12 * x**2))
+        pattern = MultiplicityPattern(points, mult)
+        first = dd_confluent(bundle, pattern)
+        assert arguments and set(arguments) == {np.float64}
+        count = len(arguments)
+        assert dd_confluent(bundle, pattern) == first and len(arguments) == count
+
+
 class TestCertify:
     def test_cube_is_three_convex(self):
         cert = certify_3convex(CUBIC, 0.1, 2.0, 101)
@@ -184,6 +204,25 @@ class TestCertify:
                                     d1=math.exp, d2=math.exp, d3=math.exp)
         assert certify_3convex(scalar_exp, 0.0, 1.0, 11).verdict == "three_convex"
         check_bundle(scalar_exp, 0.0, 1.0)
+
+    def test_quadruple_fallback_reads_through_derivs(self):
+        arguments = []
+        f_only = FunctionBundle(domain_lo=-10, domain_hi=10,
+                                f=lambda x: arguments.append(type(x)) or x**3)
+        first = certify_3convex(f_only, 0.1, 2.0, 31)
+        assert arguments and set(arguments) == {np.float64}
+        count = len(arguments)
+        assert certify_3convex(f_only, 0.1, 2.0, 31) == first
+        assert len(arguments) == count
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bundle", [CUBIC, poly_bundle([0.0, 1.0])],
+                             ids=["cubic", "identity"])
+    def test_overflowing_length_refused_before_sampling(self, bundle):
+        with pytest.raises(ValueError, match="certification interval too wide"):
+            certify_3convex(bundle, -1e308, 1e308, 65)
+        with pytest.raises(ValueError, match="sampling window too wide"):
+            check_bundle(bundle, -1e308, 1e308)
 
     def test_indeterminate_when_no_samples_possible(self):
         f_only = FunctionBundle(domain_lo=-10, domain_hi=10, f=lambda x: x**3)
@@ -275,13 +314,34 @@ class TestBundle:
     def test_check_bundle_refuses_stored_value_off_1e4(self, lo, hi, key, label):
         cube = self.far_cube(lo, hi)
         stored = getattr(cube, key)
-        off = replace(cube, **{key: stored + 1e-4 * (1.0 + abs(stored))}, _memo={})
+        off = replace(cube, **{key: stored + 1e-4 * (1.0 + abs(stored))})
         with pytest.raises(ValueError, match=f"stored {label} .* disagrees"):
             check_bundle(off)
 
     def test_memoized_scalars_match_callables(self):
         b = resolve_phi({"name": "exp"})
         assert b.deriv(0, 0.3) == b.deriv(0, 0.3) == pytest.approx(math.exp(0.3))
+
+    def test_replace_starts_a_memo_of_its_own(self):
+        cube = poly_bundle([0.0, 0.0, 0.0, 1.0])
+        assert cube.deriv(0, 2.0) == 8.0
+        shifted = replace(cube, f=lambda x: x ** 3 + 100)
+        assert shifted._memo == {}
+        assert shifted.deriv(0, 2.0) == 108.0 and cube.deriv(0, 2.0) == 8.0
+        assert cube.negated().deriv(0, 2.0) == -8.0
+
+    def test_no_constructor_takes_a_memo(self):
+        cube = poly_bundle([0.0, 0.0, 0.0, 1.0])
+        memo = {"_memo": {}}
+        with pytest.raises(ValueError, match="_memo"):
+            replace(cube, **memo)
+        with pytest.raises(TypeError, match="_memo"):
+            FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=abs, **memo)
+
+    def test_bundles_compare_and_hash_by_identity(self):
+        a, b = poly_bundle([0, 1]), poly_bundle([0, 1])
+        assert a == a and a != b and replace(a) != a
+        assert {a: "a", b: "b"}[a] == "a" and hash(a) == hash(a)
 
 
 class TestPolynomialExactness:

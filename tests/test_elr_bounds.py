@@ -38,6 +38,13 @@ class TestElrDifference:
     def test_point_mass_square(self):
         assert elr_difference(POINT_MASS, SQUARE, 0.0, 1.0) == pytest.approx(0.25, abs=1e-15)
 
+    def test_replaced_bundle_reads_its_own_ends(self):
+        """A bundle made by replace does not read its parent's memoized
+        endpoint values."""
+        F = make_functional([0.5, 1.5], [0.5, 0.5])
+        assert elr_difference(F, CUBIC, 0.0, 2.0) == 2.25
+        assert elr_difference(F, replace(CUBIC, f=lambda x: x**3 + 100), 0.0, 2.0) == 2.25
+
 
 class TestSecant:
     def test_worked_instance(self):
@@ -148,15 +155,26 @@ class TestJensenGap:
     @pytest.mark.parametrize("variant,top", [("derivative", 1), ("taylor", 2)])
     def test_endpoint_data_in_one_read(self, variant, top, monkeypatch):
         """phi, phi' (and phi'' for taylor) at m and M come from one derivs
-        read, the one theorem_triple makes; only phi' at the mean is read
-        apart, for the derivative variant."""
-        bundle = replace(CUBIC, _memo={})
+        read, the one theorem_triple makes; only phi (and phi' for the
+        derivative variant) at the mean are read apart, through deriv."""
+        bundle = replace(CUBIC)
         reads = []
         monkeypatch.setattr(type(bundle), "derivs", lambda self, r: (
             reads.append(list(r)) or FunctionBundle._fill(self, r, [None] * len(r))))
         F = make_functional([0.3, 0.8], [0.5, 0.5])
         jensen_gap_bounds(F, bundle, 0.0, 1.0, variant, "three_convex")
         assert reads == [[(order, x) for order in range(top + 1) for x in (0.0, 1.0)]]
+
+    @pytest.mark.parametrize("variant", ["derivative", "taylor"])
+    def test_phi_at_the_mean_is_a_memoized_read(self, variant):
+        calls = []
+        bundle = _counting_bundle(calls)
+        F = make_functional([0.8, 1.4], [0.5, 0.5])
+        first = jensen_gap_bounds(F, bundle, 0.5, 2.5, variant, "three_convex")
+        assert (0, 1.1) in calls
+        calls.clear()
+        assert jensen_gap_bounds(F, bundle, 0.5, 2.5, variant, "three_convex") == first
+        assert calls == []
 
 
 class TestReversal:
@@ -235,11 +253,11 @@ class TestEndpointRead:
         orders, points = (0, 1, 2), (0.0, 1.3, 3.0, 0.5)
         for fields in ({}, stored):
             bundle = _counting_bundle([], **fields)
-            warm = replace(bundle, _memo={})
+            warm = replace(bundle)
             warm.deriv(1, 1.3)  # part of a read may come from the memo
             for reader in (bundle, warm):
                 values = reader.derivs([(order, x) for order in orders for x in points])
-                expected = [replace(bundle, _memo={}).deriv(order, x)
+                expected = [replace(bundle).deriv(order, x)
                             for order in orders for x in points]
                 assert values == expected
                 assert all(type(v) is float for v in values)

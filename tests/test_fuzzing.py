@@ -88,7 +88,7 @@ def test_violations_match_the_scalar_loop(monkeypatch):
         # the true right slope at lo is 3 lo^2; a larger stored one breaks
         # the brackets that read it
         return replace(cubic, domain_lo=lo, d1_plus_at_lo=3.0 * lo * lo + 0.5,
-                       name="broken cubic", _memo={})
+                       name="broken cubic")
 
     monkeypatch.setattr(fuzzing, "draw_bundle", broken_cubic)
     for seed in (1, 2):

@@ -12,6 +12,7 @@ from elrbounds import (
     check_bundle,
     divergence_context,
     elr_context,
+    elr_difference,
     gamma,
     make_functional,
     mean_B1,
@@ -408,12 +409,25 @@ class TestGammaReuse:
         doubled = replace(member, f=lambda x: 2.0 * member.f(x),
                           d1=lambda x: 2.0 * member.d1(x),
                           d2=lambda x: 2.0 * member.d2(x),
-                          d3=lambda x: 2.0 * member.d3(x), _memo={})
+                          d3=lambda x: 2.0 * member.d3(x))
         assert doubled.name == member.name
         ctx = elr_context(1, make_functional([0.5, 1.2], [0.4, 0.6]), 0.2, 2.0)
         single = gamma(ctx, member)
         assert gamma(ctx, doubled) == pytest.approx(2.0 * single, rel=1e-12)
         assert gamma(ctx, member) == single
+
+    def test_replaced_copy_leaves_the_shared_member_intact(self):
+        """Evaluating a replaced copy of the live member does not change
+        the member's own values."""
+        member = upsilon1(4.3).bundle
+        shifted = replace(member, f=lambda x: member.f(x) + 0.5)
+        F = make_functional([0.5, 1.2, 1.9], [0.3, 0.4, 0.3])
+        ctx = elr_context(1, F, 0.2, 2.0)
+        gamma(ctx, shifted)
+        elr_difference(F, shifted, 0.2, 2.0)
+        assert upsilon1(4.3).bundle is member
+        assert gamma(elr_context(1, F, 0.2, 2.0), member) == 0.06871357637588131
+        assert elr_difference(F, member, 0.2, 2.0) == 0.16278533741788861
 
     def test_poly_bundle_through_the_cache(self):
         quartic = poly_bundle([0.0, 0.0, 0.0, 0.0, 1.0])
