@@ -15,6 +15,7 @@ built in, each with analytic derivatives:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,15 @@ def _positive_bundle(f, d1, d2, d3, name) -> FunctionBundle:
                           d2=d2, d3=d3, name=name)
 
 
+# The 3-convexity direction that the closed-form third derivative of each
+# named generator's bundle proves on (0, inf): the signs of the docstring's
+# d3, and for renyi the sign of a(a-1)(a-2), the constant of c*t^(a-3)
+# (d3 is identically 0 for a in {0, 1, 2}).  Keyed by the bundle, not the
+# name: a custom or hand-built generator, or a replace()d bundle, has no
+# entry whatever it is called, and _spot_check_direction samples it.
+_PROVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def generator(name: str, alpha: float | None = None,
               bundle: FunctionBundle | None = None,
               direction: str | None = None,
@@ -84,7 +94,7 @@ def generator(name: str, alpha: float | None = None,
     """Build a named generator; ``renyi`` needs ``alpha``, ``custom`` needs
     a full bundle plus a declared direction."""
     if name == "kl":
-        return GeneratorFunction(
+        gen = GeneratorFunction(
             bundle=_positive_bundle(
                 lambda t: t * np.log(t),
                 lambda t: np.log(t) + 1.0,
@@ -93,8 +103,8 @@ def generator(name: str, alpha: float | None = None,
                 "t*log(t)"),
             direction=NEG_F_3CONVEX, name="kl",
             value_at_zero=0.0, slope_at_inf=math.inf)
-    if name == "hellinger":
-        return GeneratorFunction(
+    elif name == "hellinger":
+        gen = GeneratorFunction(
             bundle=_positive_bundle(
                 lambda t: 0.5 * (1.0 - np.sqrt(t)) ** 2,
                 lambda t: 0.5 * (1.0 - 1.0 / np.sqrt(t)),
@@ -103,7 +113,7 @@ def generator(name: str, alpha: float | None = None,
                 "(1-sqrt(t))^2/2"),
             direction=NEG_F_3CONVEX, name="hellinger",
             value_at_zero=0.5, slope_at_inf=0.5)
-    if name == "renyi":
+    elif name == "renyi":
         if alpha is None:
             raise ValueError("renyi generator requires alpha")
         a = float(alpha)
@@ -112,7 +122,7 @@ def generator(name: str, alpha: float | None = None,
         # the k-th derivative c*t^(a-k), identically 0 when c is: t^(a-k)
         # may be inf at t = 0, and 0*inf is a nan
         power = lambda k, c: (lambda t: c * t ** (a - k)) if c else np.zeros_like
-        return GeneratorFunction(
+        gen = GeneratorFunction(
             bundle=_positive_bundle(
                 lambda t: t ** a, power(1.0, a), power(2.0, a * (a - 1.0)),
                 power(3.0, a * (a - 1.0) * (a - 2.0)), f"t^{a}"),
@@ -120,8 +130,8 @@ def generator(name: str, alpha: float | None = None,
                        else NEG_F_3CONVEX), name="renyi", params=(a,),
             value_at_zero=(0.0 if a > 0 else 1.0 if a == 0 else math.inf),
             slope_at_inf=(0.0 if a < 1 else 1.0 if a == 1 else math.inf))
-    if name == "harmonic":
-        return GeneratorFunction(
+    elif name == "harmonic":
+        gen = GeneratorFunction(
             bundle=_positive_bundle(
                 lambda t: 2.0 * t / (1.0 + t),
                 lambda t: 2.0 / (1.0 + t) ** 2,
@@ -130,8 +140,8 @@ def generator(name: str, alpha: float | None = None,
                 "2t/(1+t)"),
             direction=F_3CONVEX, name="harmonic",
             value_at_zero=0.0, slope_at_inf=0.0)
-    if name == "jeffreys":
-        return GeneratorFunction(
+    elif name == "jeffreys":
+        gen = GeneratorFunction(
             bundle=_positive_bundle(
                 lambda t: (t - 1.0) * np.log(t),
                 lambda t: np.log(t) + 1.0 - 1.0 / t,
@@ -140,13 +150,16 @@ def generator(name: str, alpha: float | None = None,
                 "(t-1)*log(t)"),
             direction=NEG_F_3CONVEX, name="jeffreys",
             value_at_zero=math.inf, slope_at_inf=math.inf)
-    if name == "custom":
+    elif name == "custom":
         if bundle is None or direction is None:
             raise ValueError("custom generator requires a bundle and a direction")
         return GeneratorFunction(bundle=bundle, direction=direction,
                                  name="custom", value_at_zero=value_at_zero,
                                  slope_at_inf=slope_at_inf)
-    raise ValueError(f"unknown generator {name!r}")
+    else:
+        raise ValueError(f"unknown generator {name!r}")
+    _PROVED[gen.bundle] = gen.direction
+    return gen
 
 
 def check_probability_vector(entries, label: str = "distribution") -> np.ndarray:
@@ -162,16 +175,19 @@ def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p_i/q_i of entries of a checked pair with q_i > 0, which must be
-    finite: a tiny q_i can overflow the ratio, and that is an input error,
-    not a numpy warning."""
+def _ratios(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
+    """p_i/q_i of entries of a checked pair with q_i > 0, and the largest;
+    they must be finite: a tiny q_i can overflow the ratio, and that is an
+    input error, not a numpy warning."""
     with np.errstate(over="ignore"):
         ratios = p / q
-    if not np.isfinite(ratios).all():
-        i = int(np.argmin(np.isfinite(ratios)))
+    # each ratio is >= 0 and none is a nan, so they are finite when the
+    # largest is, and the first inf is the first largest
+    hi = float(ratios.max())
+    if hi == math.inf:
+        i = int(ratios.argmax())
         raise ValueError(f"ratio p_i/q_i overflows: {float(p[i])!r}/{float(q[i])!r}")
-    return ratios
+    return ratios, hi
 
 
 def f_divergence(p, q, gen: GeneratorFunction) -> float:
@@ -186,7 +202,7 @@ def f_divergence(p, q, gen: GeneratorFunction) -> float:
     regular = (q > 0) & (p > 0)
     if regular.any():
         qs = q[regular]
-        total += float(qs @ _eval(gen.bundle.f, _ratios(p[regular], qs)))
+        total += float(qs @ _eval(gen.bundle.f, _ratios(p[regular], qs)[0]))
     zero_p = (q > 0) & (p == 0)
     if zero_p.any():
         if gen.value_at_zero is None:
@@ -213,21 +229,25 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
     every ratio.
     """
     p, q = _check_pair(p, q)
-    if ((q == 0) & (p > 0)).any():
-        raise ValueError("zero q-mass with positive p-mass puts the ratio "
-                         "outside every finite interval")
-    keep = q > 0
-    masses = q[keep]
-    ratios = _ratios(p[keep], masses)
-    m = min(float(ratios.min()), 1.0) if m is None else float(m)
-    M = max(float(ratios.max()), 1.0) if M is None else float(M)
+    if np.fmin.reduce(q) > 0.0:  # no zero mass to drop, as in every Dirichlet draw
+        masses = q.copy()  # q may be the caller's own array
+    else:
+        if ((q == 0) & (p > 0)).any():
+            raise ValueError("zero q-mass with positive p-mass puts the ratio "
+                             "outside every finite interval")
+        keep = q > 0
+        masses, p = q[keep], p[keep]
+    ratios, hi = _ratios(p, masses)
+    lo = float(ratios.min())
+    m = min(lo, 1.0) if m is None else float(m)
+    M = max(hi, 1.0) if M is None else float(M)
     if not (m <= 1.0 <= M):
         raise ValueError("theorem requires m <= 1 <= M")
     if m == M:
         raise ValueError("degenerate interval: all ratios coincide; supply a "
                          "wider [m, M]")
-    outside = (ratios < m) | (ratios > M)
-    if outside.any():
+    if lo < m or hi > M:
+        outside = (ratios < m) | (ratios > M)
         raise ValueError(f"ratio outside [m, M]: {float(ratios[outside][0])!r}")
     # The kept masses need only make_functional's normalization: _check_pair
     # has checked every q_i, and dropping exact zeros leaves the real sum of
@@ -239,7 +259,9 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
 
 
 def _spot_check_direction(gen: GeneratorFunction, m: float, M: float) -> None:
-    if gen.bundle.d3 is None:
+    """Sample d3 at 33 points of [m, M] against the declared direction,
+    unless the bundle has none or a proof of that direction (_PROVED)."""
+    if gen.bundle.d3 is None or _PROVED.get(gen.bundle) == gen.direction:
         return
     convex = gen.direction == F_3CONVEX
     # only the sign of d3 matters here, and an infinite d3 has one

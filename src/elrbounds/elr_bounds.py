@@ -89,11 +89,15 @@ class BoundReport:
 def _excess(lower, mid, upper, orientation: str):
     """Elementwise BoundReport.violation: max(lo - mid, mid - hi, 0.0) of
     the oriented bracket (lo, hi), where, as in ``max``, a later candidate
-    wins only when it is strictly greater (so NaN propagates the same)."""
+    wins only when it is strictly greater (so NaN propagates the same).
+    Arrays take np.where, numbers the same choices without numpy."""
     lo, hi = (lower, upper) if orientation == ORIENT_DIRECT else (upper, lower)
     below, above = lo - mid, mid - hi
-    worst = np.where(above > below, above, below)
-    return np.where(0.0 > worst, 0.0, worst)
+    if isinstance(below, np.ndarray):
+        worst = np.where(above > below, above, below)
+        return np.where(0.0 > worst, 0.0, worst)
+    worst = above if above > below else below
+    return 0.0 if 0.0 > worst else worst
 
 
 def _resolve_orientation(direction) -> str:
@@ -196,8 +200,16 @@ def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
     _check_theorem(theorem)
     ms = precomputed if precomputed is not None else moments(functional, bundle, m, M)
     lower, mid, upper = theorem_triple(theorem, ms, bundle, m, M)
-    return BoundReport(lower=lower, upper=upper, mid=mid,
-                       orientation=orientation, theorem_tag=theorem)
+    try:
+        return BoundReport(lower=lower, upper=upper, mid=mid,
+                           orientation=orientation, theorem_tag=theorem)
+    except ValueError:
+        # a pair that is not finite because the functional's own moments on
+        # [m, M] overflow is refused for the interval, its cause
+        if not all(map(math.isfinite, (ms.cross, ms.sq_lo, ms.sq_hi))):
+            raise ValueError(f"interval [{m}, {M}] is too wide: the moments "
+                             "of the functional on it overflow") from None
+        raise
 
 
 def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,

@@ -447,6 +447,22 @@ class TestInputContract:
         assert "Traceback" not in captured.err
 
     @pytest.mark.filterwarnings("error")
+    def test_interval_whose_moments_overflow_is_named(self, capsys):
+        """A linear phi has every bound 0, but on [-1e200, 1e200] the
+        moments of the functional overflow: the interval is the cause."""
+        payload = {"functional": {"nodes": [0.5], "weights": [1.0]},
+                   "interval": [-1e200, 1e200], "phi": {"poly": [0, 1]}}
+        status = main(["bounds", "--input", json.dumps(payload)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == ("error: interval [-1e+200, 1e+200] is too wide: "
+                                "the moments of the functional on it overflow\n")
+        payload["interval"] = [-1e150, 1e150]
+        assert main(["bounds", "--input", json.dumps(payload)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_derivative_moment_is_no_warning(self, capsys):
         """Only the taylor pair of the huge interval overflows; the
         derivative pair alone is a report."""

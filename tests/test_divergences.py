@@ -13,9 +13,11 @@ from elrbounds import (
     zm_distribution,
 )
 from elrbounds.divergences import (
+    _PROVED,
     DIVERGENCE_THEOREMS,
     F_3CONVEX,
     NEG_F_3CONVEX,
+    GeneratorFunction,
     divergence_pass,
     ratio_functional,
 )
@@ -317,3 +319,84 @@ class TestRatioNormalization:
         b = zm_distribution(N, 3.0, 2.3)
         self.assert_is_make_functional(a.pmf, b.pmf)
         self.assert_is_make_functional(b.pmf, a.pmf)
+
+
+class TestProvedDirection:
+    """A named generator's direction is proved from its closed-form d3 and
+    recorded for its bundle; the spot check samples only a bundle with no
+    proof of the declared direction, whatever the generator is called."""
+
+    GRID = np.logspace(-8.0, 8.0, 801)
+    NAMED = [("kl", None), ("hellinger", None), ("harmonic", None),
+             ("jeffreys", None)] + [
+        ("renyi", alpha) for alpha in (-2.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 7.5)]
+
+    @staticmethod
+    def sampled_d3(monkeypatch):
+        """The d3 callables that the divergence pass samples."""
+        from elrbounds import divergences
+
+        sampled, evaluate = [], divergences._eval
+
+        def recording(g, x):
+            sampled.append(g)
+            return evaluate(g, x)
+
+        monkeypatch.setattr(divergences, "_eval", recording)
+        return sampled
+
+    @pytest.mark.parametrize("name,alpha", NAMED,
+                             ids=[f"{n}-{a}" if a is not None else n for n, a in NAMED])
+    def test_proof_agrees_with_d3_on_a_log_grid(self, name, alpha):
+        gen = generator(name, alpha=alpha)
+        assert _PROVED[gen.bundle] == gen.direction
+        d3 = gen.bundle.d3(self.GRID)
+        assert not np.isnan(d3).any()
+        if gen.direction == F_3CONVEX:
+            assert (d3 >= 0.0).all()
+        else:
+            assert (d3 <= 0.0).all()
+
+    def test_named_generator_is_not_sampled(self, monkeypatch):
+        sampled = self.sampled_d3(monkeypatch)
+        gen = generator("kl")
+        divergence_pass([0.4, 0.6], [0.5, 0.5], gen)
+        assert gen.bundle.d3 not in sampled
+        # the proof is of the bundle: a custom generator on it declaring the
+        # proved direction is not sampled either
+        custom = generator("custom", bundle=gen.bundle, direction=NEG_F_3CONVEX)
+        divergence_pass([0.4, 0.6], [0.5, 0.5], custom)
+        assert gen.bundle.d3 not in sampled
+
+    def test_replaced_bundle_is_sampled(self, monkeypatch):
+        sampled = self.sampled_d3(monkeypatch)
+        kl = generator("kl")
+        copy = replace(kl.bundle)
+        assert copy not in _PROVED
+        divergence_pass([0.4, 0.6], [0.5, 0.5], replace(kl, bundle=copy))
+        assert sampled.count(copy.d3) == 1
+
+    def test_hand_built_kl_with_the_wrong_direction_is_refused(self):
+        wrong = GeneratorFunction(bundle=generator("kl").bundle,
+                                  direction=F_3CONVEX, name="kl")
+        with pytest.raises(ValueError, match="generator 'kl' declared 3-convex "
+                                             "but its third derivative is negative"):
+            divergence_pass([0.4, 0.6], [0.5, 0.5], wrong)
+
+    def test_replaced_named_bundle_with_the_wrong_direction_is_refused(self):
+        harmonic = generator("harmonic")
+        wrong = replace(harmonic, bundle=replace(harmonic.bundle),
+                        direction=NEG_F_3CONVEX)
+        with pytest.raises(ValueError, match="generator 'harmonic' declared "
+                                             "3-concave but its third derivative "
+                                             "is positive"):
+            divergence_pass([0.4, 0.6], [0.5, 0.5], wrong)
+
+    def test_record_does_not_keep_a_bundle_alive(self):
+        import gc
+
+        gen = generator("jeffreys")
+        count = len(_PROVED)
+        del gen
+        gc.collect()
+        assert len(_PROVED) == count - 1

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from elrbounds import (
     jensen_gap_bounds,
     make_functional,
 )
-from elrbounds.elr_bounds import theorem_triple
+from elrbounds.elr_bounds import BoundReport, theorem_triple
 from elrbounds.functionals import make_functionals, moments, moments_batch
 from elrbounds.fuzzing import bracket_fuzz
 from elrbounds.registry import resolve_phi
@@ -336,3 +337,60 @@ class TestEndpointRead:
         ms = moments_batch(batch, huge, 0.0, 10.0)
         with pytest.raises(RuntimeWarning, match="overflow"):
             [theorem_triple(theorem, ms, huge, 0.0, 10.0) for theorem in THEOREMS]
+
+
+class TestExcessPaths:
+    """BoundReport.violation reads _excess on floats without numpy; the
+    rule is the one bracket_fuzz applies to arrays, to the bit."""
+
+    VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def same(a: float, b: float) -> bool:
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+    @pytest.mark.parametrize("orientation", ["direct", "reversed"])
+    def test_floats_match_one_element_arrays(self, orientation):
+        from itertools import product
+
+        from elrbounds.elr_bounds import _excess
+
+        for lower, mid, upper in product(self.VALUES, repeat=3):
+            scalar = _excess(lower, mid, upper, orientation)
+            with np.errstate(invalid="ignore"):  # inf - inf, as in bracket_fuzz
+                array = _excess(*(np.array([v]) for v in (lower, mid, upper)),
+                                orientation)
+            assert isinstance(scalar, float)
+            assert self.same(scalar, float(array[0])), (lower, mid, upper)
+
+    def test_violation_is_the_float_path(self):
+        for orientation in ("direct", "reversed"):
+            r = BoundReport(lower=1.0, upper=3.0, mid=2.0, orientation=orientation,
+                            theorem_tag="t")
+            assert r.violation() == (0.0 if orientation == "direct" else 1.0)
+            assert type(r.violation()) is float
+
+
+class TestWideInterval:
+    """An interval so wide that the functional's own moments on it
+    overflow is refused for the interval, not for the pair it spoils."""
+
+    LINEAR = resolve_phi({"poly": [0, 1]})
+    NODE = make_functional([0.5], [1.0])
+
+    @pytest.mark.parametrize("half", [1e200, 8e307])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_moments_name_the_interval(self, half):
+        for theorem in THEOREMS:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"interval [{-half}, {half}] is too wide: the moments of "
+                    "the functional on it overflow")):
+                bounds(theorem, self.NODE, self.LINEAR, -half, half, "three_convex")
+
+    @pytest.mark.filterwarnings("error")
+    def test_wide_but_finite_interval_is_reported(self):
+        for theorem in THEOREMS:
+            r = bounds(theorem, self.NODE, self.LINEAR, -1e150, 1e150, "three_convex")
+            assert all(map(math.isfinite, (r.lower, r.mid, r.upper)))

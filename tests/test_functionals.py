@@ -294,3 +294,33 @@ class TestBatchSumMessages:
         rows[350, 1] = bad
         with pytest.raises(ValueError, match="^non-finite weight in functional$"):
             self.check(rows)
+
+
+class TestEntryRulePrecedence:
+    """The entrywise weight rule refuses the first broken rule in a fixed
+    order, negative before non-finite before a sum off 1, with the same
+    message through every entry point."""
+
+    CASES = [
+        ([np.nan, -1.0], "negative weight in {}"),
+        ([np.nan, 2.0], "non-finite weight in {}"),
+        ([np.nan], "non-finite weight in {}"),
+        ([-np.inf], "negative weight in {}"),
+        ([np.inf, 0.0], "non-finite weight in {}"),
+        ([0.5, 0.5 + 2e-9], "weights of {} must sum to 1 (got 1.0000000020000002)"),
+        ([2.0, 0.0], "weights of {} must sum to 1 (got a weight 2.0)"),
+    ]
+    ENTRY_POINTS = {
+        "check_weights": ("weights", check_weights),
+        "make_functional": ("functional", lambda w: make_functional([0.5] * len(w), w)),
+        "make_functionals": ("functional", lambda w: make_functionals(
+            np.full(len(w), 0.5), np.array(w), ((1, len(w)),))),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("weights,message", CASES,
+                             ids=[repr(w) for w, _ in CASES])
+    def test_message(self, entry, weights, message):
+        label, call = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(label))}$"):
+            call(weights)
