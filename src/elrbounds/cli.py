@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .divided_diff import certify_3convex
 from .divergences import DIVERGENCE_THEOREMS, divergence_pass
-from .elr_bounds import THEOREMS, BoundReport, bounds
+from .elr_bounds import THEOREMS, BoundReport, _check_domain, bounds
 from .expconv import divergence_context, elr_context
 from .functionals import make_functional, moments
 from .fuzzing import bracket_fuzz
@@ -159,9 +159,7 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
     functional = _parse_functional(payload)
     m, M = _parse_interval(payload)
     bundle = resolve_phi(_need_object(payload, "phi"))
-    if not bundle.contains(m, M):
-        raise ValueError(f"interval [{m}, {M}] escapes the domain of "
-                         f"{bundle.name!r}")
+    _check_domain(bundle, m, M)
     cert = certify_3convex(bundle, m, M, 201)
     if not cert.is_directed:
         raise ValueError(

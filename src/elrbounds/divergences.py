@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divided_diff import FunctionBundle, NEG_THREE_CONVEX, SIGN_TOL, THREE_CONVEX, _eval
-from .elr_bounds import BoundReport, _resolve_orientation, theorem_triple
+from .elr_bounds import BoundReport, _pair_report, _resolve_orientation, theorem_triple
 from .functionals import DiscreteFunctional, _normalize, check_weights, moments
 
 __all__ = [
@@ -293,14 +293,11 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
     phi_vals = _eval(gen.bundle.f, functional.nodes)
     ms = moments(functional, gen.bundle, m, M, phi_vals=phi_vals)
     orientation = _resolve_orientation(gen.convexity_verdict())
-    reports = []
-    for name in theorems:
-        lower, mid, upper = theorem_triple(name, ms, gen.bundle, m, M)
-        reports.append(BoundReport(
-            lower=lower, upper=upper, mid=mid, orientation=orientation,
-            theorem_tag=f"divergence_{name}",
-            details={"m": m, "M": M, "interval_auto_derived": auto,
-                     "generator": gen.name, "params": list(gen.params)}))
+    reports = [_pair_report(ms, m, M, theorem_triple(name, ms, gen.bundle, m, M),
+                            orientation, f"divergence_{name}",
+                            {"m": m, "M": M, "interval_auto_derived": auto,
+                             "generator": gen.name, "params": list(gen.params)})
+               for name in theorems]
     return float(masses @ phi_vals), reports
 
 

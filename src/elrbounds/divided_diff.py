@@ -12,7 +12,7 @@ sign of the third derivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -74,10 +74,6 @@ class FunctionBundle:
     d2_plus_at_lo: float | None = None
     d2_minus_at_hi: float | None = None
     name: str = "phi"
-    # memo of deriv/derivs, the one way to read phi, phi' or phi'' at a point
-    # (callables can be costly, and the bound chains reread the ends); no
-    # constructor takes it, so replace() starts an empty one
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.domain_lo < self.domain_hi:
@@ -90,31 +86,22 @@ class FunctionBundle:
     def deriv(self, order: int, x: float) -> float:
         """phi (order 0) or its first or second derivative (order 1, 2) at
         x: the one-read case of ``derivs``."""
-        value = self._memo.get((order, x))
-        return self._fill(((order, x),), [None])[0] if value is None else value
+        return self.derivs(((order, x),))[0]
 
+    @np.errstate(over="ignore", divide="ignore")
     def derivs(self, reads) -> list[float]:
         """phi (order 0) or its first or second derivative (order 1, 2) at x
-        for each (order, x) of ``reads``, as floats.
+        for each (order, x) of ``reads``, as floats, read in that order.
 
         At ``domain_lo`` the stored right value is used and at ``domain_hi``
         the stored left value, when there is one; anywhere else the
         two-sided callable, on ``np.float64(x)`` under ``_eval``'s
         floating-point rule, so that an overflow gives inf and not a Python
-        ``OverflowError``.  Results are memoized under (order, x), and the
-        values not memoized are read in one call under that rule.  A value
-        the bundle cannot supply stops the read with a ValueError.
+        ``OverflowError``.  A value the bundle cannot supply stops the read
+        with a ValueError.
         """
-        values = list(map(self._memo.get, reads))
-        return self._fill(reads, values) if None in values else values
-
-    @np.errstate(over="ignore", divide="ignore")
-    def _fill(self, reads, values: list) -> list[float]:
-        """``values`` with each None replaced by its read: the one home of
-        the endpoint rule, run under ``_eval``'s floating-point rule."""
-        for i, (order, x) in enumerate(reads):
-            if values[i] is not None:
-                continue
+        values = []
+        for order, x in reads:
             if order not in (0, 1, 2):
                 raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
             stored = None
@@ -129,7 +116,7 @@ class FunctionBundle:
                         f"insufficient bundle: derivative of order {order} of "
                         f"{self.name!r} unavailable at x={x}")
                 stored = g(np.float64(x))
-            values[i] = self._memo[order, x] = float(stored)
+            values.append(float(stored))
         return values
 
     def negated(self) -> "FunctionBundle":

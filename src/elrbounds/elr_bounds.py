@@ -112,11 +112,19 @@ def _resolve_orientation(direction) -> str:
         f"theorem hypotheses unmet: 3-convexity direction is {direction!r}")
 
 
+def _check_domain(bundle: FunctionBundle, m: float, M: float) -> None:
+    if not bundle.contains(m, M):
+        raise ValueError(f"interval [{m}, {M}] escapes the domain of "
+                         f"{bundle.name!r}")
+
+
 def _endpoint_values(bundle: FunctionBundle, m: float, M: float,
                      order: int) -> list[float]:
     """phi and its derivatives up to ``order`` at m and at M, in that order,
-    in one ``bundle.derivs`` read; phi at the ends must be finite, and a phi
-    that is not is refused before a derivative the bundle lacks."""
+    in one ``bundle.derivs`` read of an [m, M] inside the bundle's domain;
+    phi at the ends must be finite, and a phi that is not is refused before
+    a derivative the bundle lacks."""
+    _check_domain(bundle, m, M)
     reads = ((0, m), (0, M), (1, m), (1, M), (2, m), (2, M))[:2 * order + 2]
     try:
         values = bundle.derivs(reads)
@@ -134,6 +142,22 @@ def _finite_ends(values: list[float]) -> None:
 
 def _mid(ms: MomentSet, phi_m: float, phi_M: float, m: float, M: float) -> float:
     return ((M - ms.mean) * phi_m + (ms.mean - m) * phi_M) / (M - m) - ms.value
+
+
+def _pair_report(ms: MomentSet, m: float, M: float, triple, orientation: str,
+                 theorem_tag: str, details: dict) -> BoundReport:
+    """The BoundReport of a (lower, mid, upper) triple from the moments
+    ``ms`` on [m, M]; a pair that is not finite because those moments
+    overflow is refused for the interval, its cause."""
+    lower, mid, upper = triple
+    try:
+        return BoundReport(lower=lower, upper=upper, mid=mid, orientation=orientation,
+                           theorem_tag=theorem_tag, details=details)
+    except ValueError:
+        if not all(map(math.isfinite, (ms.cross, ms.sq_lo, ms.sq_hi))):
+            raise ValueError(f"interval [{m}, {M}] is too wide: the moments "
+                             "of the functional on it overflow") from None
+        raise
 
 
 def _derivative_moments(ms: MomentSet, bundle: FunctionBundle) -> tuple[float, float]:
@@ -199,17 +223,8 @@ def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
     orientation = _resolve_orientation(direction)
     _check_theorem(theorem)
     ms = precomputed if precomputed is not None else moments(functional, bundle, m, M)
-    lower, mid, upper = theorem_triple(theorem, ms, bundle, m, M)
-    try:
-        return BoundReport(lower=lower, upper=upper, mid=mid,
-                           orientation=orientation, theorem_tag=theorem)
-    except ValueError:
-        # a pair that is not finite because the functional's own moments on
-        # [m, M] overflow is refused for the interval, its cause
-        if not all(map(math.isfinite, (ms.cross, ms.sq_lo, ms.sq_hi))):
-            raise ValueError(f"interval [{m}, {M}] is too wide: the moments "
-                             "of the functional on it overflow") from None
-        raise
+    return _pair_report(ms, m, M, theorem_triple(theorem, ms, bundle, m, M),
+                        orientation, theorem, {})
 
 
 def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,

@@ -106,7 +106,7 @@ _CLOSED_FORM = (_Power, _Exp)
 # The live bundle of each family member (family, t) and of the cubic
 # reference: members built while some caller or GammaContext holds the
 # bundle share it, and with it their Gamma values; a bundle no one holds is
-# dropped, so no endpoint memo outlives its use.
+# dropped.
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 

@@ -463,6 +463,27 @@ class TestInputContract:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args,interval", [
+        (["divergence", "--input", json.dumps({
+            "distributions": {"p": [0.5, 0.5], "q": [1e-300, 1.0]},
+            "phi": {"name": "kl"}})],
+         "[0.5, 4.9999999999999995e+299]"),
+        (["zipf", "--input", json.dumps({
+            "zm": {"a": {"N": 10, "q": 0, "s": 1}, "b": {"N": 10, "q": 0, "s": 300}},
+            "phi": {"name": "kl"}})],
+         "[0.34141715214740553, 3.4141715214740556e+298]"),
+    ], ids=["divergence", "zipf"])
+    def test_pair_whose_moments_overflow_names_the_interval(self, args, interval,
+                                                            capsys):
+        """The taylor pair of a huge auto-derived interval is refused for
+        the interval, in the words of ``bounds``."""
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: interval {interval} is too wide: the "
+                                "moments of the functional on it overflow\n")
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_derivative_moment_is_no_warning(self, capsys):
         """Only the taylor pair of the huge interval overflows; the
         derivative pair alone is a report."""

@@ -153,7 +153,7 @@ class TestConfluent:
         ((0.4, 1.6), (2, 2)), ((0.4, 1.6), (3, 1))])
     def test_point_reads_go_through_derivs(self, points, mult):
         """phi, phi' and phi'' at the pattern points are the bundle's
-        memoized reads on float64, so a second difference calls nothing."""
+        reads, on float64."""
         arguments = []
 
         def seen(g):
@@ -162,10 +162,8 @@ class TestConfluent:
         bundle = FunctionBundle(domain_lo=-10, domain_hi=10, f=seen(lambda x: x**4),
                                 d1=seen(lambda x: 4 * x**3), d2=seen(lambda x: 12 * x**2))
         pattern = MultiplicityPattern(points, mult)
-        first = dd_confluent(bundle, pattern)
+        dd_confluent(bundle, pattern)
         assert arguments and set(arguments) == {np.float64}
-        count = len(arguments)
-        assert dd_confluent(bundle, pattern) == first and len(arguments) == count
 
 
 class TestCertify:
@@ -209,11 +207,8 @@ class TestCertify:
         arguments = []
         f_only = FunctionBundle(domain_lo=-10, domain_hi=10,
                                 f=lambda x: arguments.append(type(x)) or x**3)
-        first = certify_3convex(f_only, 0.1, 2.0, 31)
+        certify_3convex(f_only, 0.1, 2.0, 31)
         assert arguments and set(arguments) == {np.float64}
-        count = len(arguments)
-        assert certify_3convex(f_only, 0.1, 2.0, 31) == first
-        assert len(arguments) == count
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bundle", [CUBIC, poly_bundle([0.0, 1.0])],
@@ -322,21 +317,12 @@ class TestBundle:
         b = resolve_phi({"name": "exp"})
         assert b.deriv(0, 0.3) == b.deriv(0, 0.3) == pytest.approx(math.exp(0.3))
 
-    def test_replace_starts_a_memo_of_its_own(self):
+    def test_replaced_bundle_reads_its_own_f(self):
         cube = poly_bundle([0.0, 0.0, 0.0, 1.0])
         assert cube.deriv(0, 2.0) == 8.0
         shifted = replace(cube, f=lambda x: x ** 3 + 100)
-        assert shifted._memo == {}
         assert shifted.deriv(0, 2.0) == 108.0 and cube.deriv(0, 2.0) == 8.0
         assert cube.negated().deriv(0, 2.0) == -8.0
-
-    def test_no_constructor_takes_a_memo(self):
-        cube = poly_bundle([0.0, 0.0, 0.0, 1.0])
-        memo = {"_memo": {}}
-        with pytest.raises(ValueError, match="_memo"):
-            replace(cube, **memo)
-        with pytest.raises(TypeError, match="_memo"):
-            FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=abs, **memo)
 
     def test_bundles_compare_and_hash_by_identity(self):
         a, b = poly_bundle([0, 1]), poly_bundle([0, 1])

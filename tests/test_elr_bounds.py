@@ -13,6 +13,7 @@ from elrbounds import (
     elr_context,
     elr_difference,
     gamma,
+    generator,
     jensen_gap_bounds,
     make_functional,
 )
@@ -160,22 +161,15 @@ class TestJensenGap:
         derivative variant) at the mean are read apart, through deriv."""
         bundle = replace(CUBIC)
         reads = []
+        derivs = FunctionBundle.derivs
         monkeypatch.setattr(type(bundle), "derivs", lambda self, r: (
-            reads.append(list(r)) or FunctionBundle._fill(self, r, [None] * len(r))))
+            reads.append(list(r)) or derivs(self, r)))
         F = make_functional([0.3, 0.8], [0.5, 0.5])
         jensen_gap_bounds(F, bundle, 0.0, 1.0, variant, "three_convex")
-        assert reads == [[(order, x) for order in range(top + 1) for x in (0.0, 1.0)]]
-
-    @pytest.mark.parametrize("variant", ["derivative", "taylor"])
-    def test_phi_at_the_mean_is_a_memoized_read(self, variant):
-        calls = []
-        bundle = _counting_bundle(calls)
-        F = make_functional([0.8, 1.4], [0.5, 0.5])
-        first = jensen_gap_bounds(F, bundle, 0.5, 2.5, variant, "three_convex")
-        assert (0, 1.1) in calls
-        calls.clear()
-        assert jensen_gap_bounds(F, bundle, 0.5, 2.5, variant, "three_convex") == first
-        assert calls == []
+        mean = moments(F, bundle, 0.0, 1.0).mean
+        apart = [[(0, mean)], [(1, mean)]][:1 + (variant == "derivative")]
+        assert reads == [[(order, x) for order in range(top + 1)
+                          for x in (0.0, 1.0)]] + apart
 
 
 class TestReversal:
@@ -243,7 +237,7 @@ def _counting_bundle(calls, **fields):
 
 class TestEndpointRead:
     """A bound pair reads phi and its derivatives at m and M in one
-    ``FunctionBundle.derivs`` call, each value once per bundle, with the
+    ``FunctionBundle.derivs`` call, each value once per triple, with the
     values, errors and error order of one ``deriv`` call per value."""
 
     FUNCTIONAL = make_functional([0.8, 1.4, 2.1], [0.3, 0.5, 0.2])
@@ -254,46 +248,61 @@ class TestEndpointRead:
         orders, points = (0, 1, 2), (0.0, 1.3, 3.0, 0.5)
         for fields in ({}, stored):
             bundle = _counting_bundle([], **fields)
-            warm = replace(bundle)
-            warm.deriv(1, 1.3)  # part of a read may come from the memo
-            for reader in (bundle, warm):
-                values = reader.derivs([(order, x) for order in orders for x in points])
-                expected = [replace(bundle).deriv(order, x)
-                            for order in orders for x in points]
-                assert values == expected
-                assert all(type(v) is float for v in values)
+            values = bundle.derivs([(order, x) for order in orders for x in points])
+            expected = [replace(bundle).deriv(order, x)
+                        for order in orders for x in points]
+            assert values == expected
+            assert all(type(v) is float for v in values)
         assert values[4] == -9.0 and values[10] == 4.5  # (1, lo), (2, hi)
 
     def test_each_end_value_read_once_per_bundle(self, monkeypatch):
         entered = []
-        fill = FunctionBundle._fill
-        monkeypatch.setattr(FunctionBundle, "_fill",
-                            lambda *args: entered.append(1) or fill(*args))
+        derivs = FunctionBundle.derivs
+        monkeypatch.setattr(FunctionBundle, "derivs",
+                            lambda *args: entered.append(1) or derivs(*args))
         read = {"secant": {0, 1}, "derivative": {0, 1}, "taylor": {0, 1, 2}}
         for theorem in THEOREMS:
             calls = []
             bundle = _counting_bundle(calls)
             ms = moments(self.FUNCTIONAL, bundle, 0.5, 2.5)
             entered.clear()
-            first = theorem_triple(theorem, ms, bundle, 0.5, 2.5)
+            theorem_triple(theorem, ms, bundle, 0.5, 2.5)
             assert sorted(calls) == sorted((order, x) for order in read[theorem]
                                            for x in (0.5, 2.5)), theorem
             assert len(entered) == 1  # one floating-point block for the read
-            calls.clear()
-            assert theorem_triple(theorem, ms, bundle, 0.5, 2.5) == first
-            assert calls == [] and len(entered) == 1
 
     def test_second_gamma_of_a_bundle_hits_the_memo(self):
+        """The memo is the context's own Gamma per bundle: a second gamma
+        on one context reads nothing."""
         calls = []
         bundle = _counting_bundle(calls)
         ctx = elr_context(5, self.FUNCTIONAL, 0.5, 2.5)
         value = gamma(ctx, bundle)
         assert len(calls) == 6
-        for again in (ctx, replace(ctx), elr_context(6, self.FUNCTIONAL, 0.5, 2.5),
+        assert gamma(ctx, bundle) == value and len(calls) == 6
+        for again in (replace(ctx), elr_context(6, self.FUNCTIONAL, 0.5, 2.5),
                       elr_context(1, self.FUNCTIONAL, 0.5, 2.5)):
             gamma(again, bundle)
         assert gamma(replace(ctx), bundle) == value
-        assert len(calls) == 6
+
+    @pytest.mark.filterwarnings("error")
+    def test_interval_outside_the_domain_refused_before_any_read(self):
+        """kl's t*log(t) on [-1, 2] would read log(-1); the counted bundle
+        on [0, 3] reads nothing at its ends."""
+        calls = []
+        F = make_functional([0.5, 1.0], [0.5, 0.5])
+        for bundle in (generator("kl").bundle, _counting_bundle(calls)):
+            message = re.escape(f"interval [-1.0, 2.0] escapes the domain of "
+                                f"{bundle.name!r}")
+            for theorem in THEOREMS:
+                with pytest.raises(ValueError, match=message):
+                    bounds(theorem, F, bundle, -1.0, 2.0, "neg_three_convex")
+            for variant in ("derivative", "taylor"):
+                with pytest.raises(ValueError, match=message):
+                    jensen_gap_bounds(F, bundle, -1.0, 2.0, variant, "neg_three_convex")
+            with pytest.raises(ValueError, match=message):
+                elr_difference(F, bundle, -1.0, 2.0)
+        assert calls == []
 
     def test_error_texts_in_their_order(self):
         m, M = 0.25, 2.5
