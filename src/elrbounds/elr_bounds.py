@@ -147,17 +147,24 @@ def _mid(ms: MomentSet, phi_m: float, phi_M: float, m: float, M: float) -> float
 def _pair_report(ms: MomentSet, m: float, M: float, triple, orientation: str,
                  theorem_tag: str, details: dict) -> BoundReport:
     """The BoundReport of a (lower, mid, upper) triple from the moments
-    ``ms`` on [m, M]; a pair that is not finite because those moments
-    overflow is refused for the interval, its cause."""
+    ``ms`` on [m, M]; a pair that is not finite is refused, for the
+    interval when that is the cause (_refuse_overflow)."""
     lower, mid, upper = triple
     try:
         return BoundReport(lower=lower, upper=upper, mid=mid, orientation=orientation,
                            theorem_tag=theorem_tag, details=details)
     except ValueError:
-        if not all(map(math.isfinite, (ms.cross, ms.sq_lo, ms.sq_hi))):
-            raise ValueError(f"interval [{m}, {M}] is too wide: the moments "
-                             "of the functional on it overflow") from None
+        _refuse_overflow(ms, m, M)
         raise
+
+
+def _refuse_overflow(ms: MomentSet, m: float, M: float) -> None:
+    """The diagnosis of a value built from the moments ``ms`` on [m, M]
+    that is not finite: when those moments overflow, the interval is
+    refused as its cause."""
+    if not all(map(math.isfinite, (ms.cross, ms.sq_lo, ms.sq_hi))):
+        raise ValueError(f"interval [{m}, {M}] is too wide: the moments "
+                         "of the functional on it overflow") from None
 
 
 def _derivative_moments(ms: MomentSet, bundle: FunctionBundle) -> tuple[float, float]:
@@ -203,6 +210,7 @@ def _check_theorem(theorem: str) -> None:
 def elr_difference(functional: DiscreteFunctional, bundle: FunctionBundle,
                    m: float, M: float) -> float:
     """The ELR difference D bracketed by every bound pair."""
+    _check_domain(bundle, m, M)
     ms = moments(functional, bundle, m, M)
     phi_m, phi_M = _endpoint_values(bundle, m, M, 0)
     return _mid(ms, phi_m, phi_M, m, M)
@@ -218,10 +226,12 @@ def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
 
     ``direction`` is a ConvexityCertificate or a verdict label; a
     precomputed MomentSet of the same functional, bundle and interval may
-    be passed to skip the moment pass.
+    be passed to skip the moment pass.  The interval must lie in the
+    bundle's domain before any node is evaluated.
     """
     orientation = _resolve_orientation(direction)
     _check_theorem(theorem)
+    _check_domain(bundle, m, M)
     ms = precomputed if precomputed is not None else moments(functional, bundle, m, M)
     return _pair_report(ms, m, M, theorem_triple(theorem, ms, bundle, m, M),
                         orientation, theorem, {})
@@ -238,6 +248,7 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
     if variant not in ("derivative", "taylor"):
         raise ValueError(f"unknown Jensen-gap variant {variant!r}")
     orientation = _resolve_orientation(direction)
+    _check_domain(bundle, m, M)
     ms = moments(functional, bundle, m, M)
     phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, m, M, 1 + (variant == "taylor"))
     secant = (phi_M - phi_m) / (M - m)

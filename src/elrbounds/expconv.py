@@ -23,7 +23,7 @@ import numpy as np
 
 from .divided_diff import FunctionBundle
 from .divergences import ratio_functional
-from .elr_bounds import theorem_triple
+from .elr_bounds import _refuse_overflow, theorem_triple
 from .functionals import DiscreteFunctional, MomentBasis, _is_number, moment_basis
 
 __all__ = [
@@ -120,7 +120,8 @@ def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
     value nonnegative whenever the bundle is 3-convex on [m, M].  It is
     computed once per bundle and context, from the context's basis and the
     rows its theorem reads: f at the nodes, and phi' there only for the
-    derivative pair (indices 3, 4, 7 and 8).
+    derivative pair (indices 3, 4, 7 and 8).  A value that is not finite
+    is refused, for the interval when the moments on it overflow.
     """
     value = ctx._gammas.get(bundle)
     if value is None:
@@ -128,6 +129,10 @@ def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
         ms = ctx.basis.moments(bundle, derivative=theorem == "derivative")
         lower, mid, upper = theorem_triple(theorem, ms, bundle, ctx.m, ctx.M)
         value = mid - lower if ctx.index % 2 == 1 else upper - mid
+        if not math.isfinite(value):
+            _refuse_overflow(ms, ctx.m, ctx.M)
+            raise ValueError(f"Gamma_{ctx.index} of {bundle.name!r} is not "
+                             f"finite: {value!r}")
         ctx._gammas[bundle] = value
     return value
 

@@ -229,6 +229,11 @@ def _divide_rows(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
 # The measured break-even of make_functionals on rows of 1 to 50 nodes.
 LIMB_LANDING_ROWS = 48
 
+# In a smaller batch, a row of at least this many entries lands on its own
+# exact int64 total (_land_held); below it the fsum loop is faster.  The
+# measured break-even of the two on rows of Zipf-Mandelbrot masses.
+LIMB_LANDING_ENTRIES = 512
+
 # r < 2**52 is split in halves of 26 bits, so that a row sum of a limb
 # cannot overflow int64 below 2**37 entries
 _HALF = 26
@@ -245,21 +250,27 @@ def _normalize(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
     measured drift, fsum(row) - 1, is itself rounded, hence up to four
     adjustments, each at the row's current first largest weight.
 
-    A batch of fewer than LIMB_LANDING_ROWS rows runs that rule as a
-    Python loop over its rows (_land_rows).  A larger one divides all
-    rows at once and runs it over the whole batch on int64 limbs
-    (_land_batch): w is h * 2**-52 + r * 2**-104 exactly, the limbs add
-    exactly in any order, and fsum(row) is then fl(A * 2**-52 + B * 2**-104)
-    from the carried limb sums A and B, one correctly rounded add of two
-    exact doubles.  Rows holding a weight with a bit below 2**-104 (the
-    tail of a steep Zipf law, say) take the loop instead.  Both paths give
-    the same bits."""
+    The path is chosen by the batch's row count and each row's length.
+    A batch of fewer than LIMB_LANDING_ROWS rows divides row by row; each
+    of its rows shorter than LIMB_LANDING_ENTRIES runs the rule as a
+    Python loop of fsum passes (_land_rows), and each longer one on its
+    own exact total (_land_held), with one split into int64 limbs and no
+    second pass over the row.  A batch of LIMB_LANDING_ROWS rows or more
+    divides all rows at once and runs the rule over the whole batch on
+    the limbs (_land_batch).  The limbs are exact: w is
+    h * 2**-52 + r * 2**-104, they add exactly in any order, and fsum(row)
+    is then fl(A * 2**-52 + B * 2**-104) from the carried limb sums A and
+    B, one correctly rounded add of two exact doubles (_limb_sums).  Rows
+    holding a weight with a bit below 2**-104 (the tail of a steep Zipf
+    law, say) take the loop instead.  Every path gives the same bits."""
     if len(sums) < LIMB_LANDING_ROWS:
         stops = list(accumulate(k for count, k in shapes for _ in range(count)))
         spans = list(zip([0, *stops], stops))
         for (start, stop), total in zip(spans, sums.tolist()):
             weights[start:stop] /= total
-        _land_rows(weights, spans)
+        _land_rows(weights, [(start, stop) for start, stop in spans
+                             if stop - start < LIMB_LANDING_ENTRIES
+                             or not _land_held(weights[start:stop])])
     else:
         _land_batch(weights, _divide_rows(weights, shapes, sums))
     weights.flags.writeable = False
@@ -278,6 +289,29 @@ def _land_rows(weights: np.ndarray, spans) -> None:
             if drift == 0.0:
                 break
             flat[start + int(weights[start:stop].argmax())] -= drift
+
+
+def _land_held(row: np.ndarray) -> bool:
+    """The landing rule of _normalize on one divided row, in place, on its
+    exact total: the row split once into limbs, each adjustment an argmax
+    and an exact update of the total, with no second pass over the row;
+    False, with the row untouched, when the limbs cannot hold it."""
+    limbs, held = _limbs(row)
+    if np.count_nonzero(held) < row.size:
+        return False
+    # Python ints: _limb_sums on three numpy scalars costs 8 times more
+    totals = limbs.sum(axis=1).tolist()
+    for _ in range(4):
+        drift = _limb_sums(totals) - 1.0
+        if drift == 0.0:
+            break
+        at = int(row.argmax())
+        old = float(row[at])
+        row[at] = new = old - drift
+        # both weights are held (see _land_batch), whole numbers of
+        # 2**-104, so the low limb's total takes the change exactly
+        totals[2] += int(new * 2.0**104) - int(old * 2.0**104)
+    return True
 
 
 def _land_batch(weights: np.ndarray, sizes: np.ndarray) -> None:
@@ -316,9 +350,11 @@ def _limbs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and the high and low half of r = (w - h * 2**-52) * 2**104; and the
     mask of the weights they hold exactly, those whose r is an integer
     (no bit of w below 2**-104)."""
-    h = np.floor(w * 2.0**52)
-    # both steps are exact: w - h * 2**-52 is the bits of w below 2**-52
-    r = (w - h * 2.0**-52) * 2.0**104
+    r = w * 2.0**52
+    h = np.floor(r)
+    # every step is exact: w * 2**52 - h is the bits of w below 2**-52
+    r -= h
+    r *= 2.0**52
     whole = r.astype(np.int64)
     limbs = np.empty((3, w.size), dtype=np.int64)
     limbs[0] = h
@@ -329,9 +365,11 @@ def _limbs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _limb_sums(totals: np.ndarray) -> np.ndarray:
     """fsum of each row from the row sums ``totals`` (3, rows) of its
-    limbs: the carries make A * 2**-52 + B * 2**-104 with B < 2**52, and
-    both terms are exact doubles (A < 2**53 for a sum near 1), so one add
-    rounds the exact sum correctly, half to even, as fsum does."""
+    limbs, or of one row from a list of three Python ints: whatever the
+    width or sign of each sum, the carries make A * 2**-52 + B * 2**-104
+    with B < 2**52, and both terms are exact doubles (A < 2**53 for a sum
+    near 1), so one add rounds the exact sum correctly, half to even, as
+    fsum does."""
     high = totals[1] + (totals[2] >> _HALF)
     low = ((high & _HALF_MASK) << _HALF) | (totals[2] & _HALF_MASK)
     return (totals[0] + (high >> _HALF)) * 2.0**-52 + low * 2.0**-104

@@ -472,11 +472,17 @@ class TestInputContract:
             "zm": {"a": {"N": 10, "q": 0, "s": 1}, "b": {"N": 10, "q": 0, "s": 300}},
             "phi": {"name": "kl"}})],
          "[0.34141715214740553, 3.4141715214740556e+298]"),
-    ], ids=["divergence", "zipf"])
+        *((["means", "--input", json.dumps({
+            "distributions": {"p": [0.5, 0.5], "q": [1e-300, 1.0]},
+            "gamma_index": index, "phi": {"name": "upsilon1"},
+            "params": {"s": 0.5, "t": 0.7}})],
+          "[0.5, 4.9999999999999995e+299]") for index in (9, 10)),
+    ], ids=["divergence", "zipf", "means_9", "means_10"])
     def test_pair_whose_moments_overflow_names_the_interval(self, args, interval,
                                                             capsys):
-        """The taylor pair of a huge auto-derived interval is refused for
-        the interval, in the words of ``bounds``."""
+        """The taylor pair of a huge auto-derived interval, and the Gamma
+        built from it, are refused for the interval, in the words of
+        ``bounds``."""
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

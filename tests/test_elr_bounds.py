@@ -287,21 +287,24 @@ class TestEndpointRead:
 
     @pytest.mark.filterwarnings("error")
     def test_interval_outside_the_domain_refused_before_any_read(self):
-        """kl's t*log(t) on [-1, 2] would read log(-1); the counted bundle
-        on [0, 3] reads nothing at its ends."""
+        """kl's t*log(t) on [-1, 2] would read log(-1), at an end or at the
+        node -0.5; the counted bundle on [0, 3] reads nothing, at its ends
+        or at the nodes."""
         calls = []
-        F = make_functional([0.5, 1.0], [0.5, 0.5])
-        for bundle in (generator("kl").bundle, _counting_bundle(calls)):
-            message = re.escape(f"interval [-1.0, 2.0] escapes the domain of "
-                                f"{bundle.name!r}")
-            for theorem in THEOREMS:
+        counted = _counting_bundle(calls, f=lambda x: calls.append(x) or x ** 4 / 24.0)
+        for nodes in ([0.5, 1.0], [-0.5, 1.0]):
+            F = make_functional(nodes, [0.5, 0.5])
+            for bundle in (generator("kl").bundle, counted):
+                message = re.escape(f"interval [-1.0, 2.0] escapes the domain of "
+                                    f"{bundle.name!r}")
+                for theorem in THEOREMS:
+                    with pytest.raises(ValueError, match=message):
+                        bounds(theorem, F, bundle, -1.0, 2.0, "neg_three_convex")
+                for variant in ("derivative", "taylor"):
+                    with pytest.raises(ValueError, match=message):
+                        jensen_gap_bounds(F, bundle, -1.0, 2.0, variant, "neg_three_convex")
                 with pytest.raises(ValueError, match=message):
-                    bounds(theorem, F, bundle, -1.0, 2.0, "neg_three_convex")
-            for variant in ("derivative", "taylor"):
-                with pytest.raises(ValueError, match=message):
-                    jensen_gap_bounds(F, bundle, -1.0, 2.0, variant, "neg_three_convex")
-            with pytest.raises(ValueError, match=message):
-                elr_difference(F, bundle, -1.0, 2.0)
+                    elr_difference(F, bundle, -1.0, 2.0)
         assert calls == []
 
     def test_error_texts_in_their_order(self):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from elrbounds import (
     elr_context,
     exp_convexity_check,
     gamma,
+    generator,
     lyapunov_check,
     make_functional,
     stolarsky_quotient,
@@ -132,6 +134,34 @@ class TestGamma:
         if index in range(1, 7):
             with pytest.raises(ValueError, match="^degenerate interval"):
                 elr_context(index, F, 1.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_moments_name_the_interval(self):
+        """On this pair the interval is [0.5, 5e299] and sq_lo and sq_hi
+        overflow: the taylor indices refuse for the interval, and the
+        derivative indices, which read neither, keep their values."""
+        kl, u1 = generator("kl").bundle, upsilon1(0.5).bundle
+        expected = {7: (-172.19388197455345, 0.47140452079103173),
+                    8: (-1.721938819745534e+302, 4.714045207910317e+299)}
+        for index in (7, 8, 9, 10):
+            ctx = divergence_context(index, [0.5, 0.5], [1e-300, 1.0])
+            for bundle in (kl, u1):
+                if index in expected:
+                    assert gamma(ctx, bundle) == expected[index][bundle is u1]
+                    continue
+                with pytest.raises(ValueError, match=re.escape(
+                        f"interval [0.5, {ctx.M}] is too wide: the moments "
+                        "of the functional on it overflow")):
+                    gamma(ctx, bundle)
+                assert bundle not in ctx._gammas
+
+    def test_value_that_is_not_finite_refused(self):
+        """upsilon1(0.5) has an infinite slope at 0, so secant's lower
+        bound on [0, 1] is -inf while every moment is finite."""
+        ctx = elr_context(1, make_functional([0.25, 0.5], [0.5, 0.5]), 0.0, 1.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "Gamma_1 of 'upsilon1[0.5]' is not finite: inf")):
+            gamma(ctx, upsilon1(0.5).bundle)
 
     def test_divergence_context_rejects_ratio_outside_interval(self):
         # ratios are 0.8 and 1.2; the message prints a plain float

@@ -1,11 +1,14 @@
+import math
 import re
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elrbounds import apply, make_functional, moments
+from elrbounds import apply, functionals, make_functional, moments
 from elrbounds.functionals import check_weights, make_functionals, moments_batch
 from elrbounds.registry import resolve_phi
 
@@ -324,3 +327,141 @@ class TestEntryRulePrecedence:
         label, call = self.ENTRY_POINTS[entry]
         with pytest.raises(ValueError, match=f"^{re.escape(message.format(label))}$"):
             call(weights)
+
+
+def loop_landed(row):
+    """The row landed by the fsum loop (functionals._land_rows)."""
+    row = np.array(row, dtype=float)
+    functionals._land_rows(row, [(0, row.size)])
+    return row
+
+
+def loop_adjustments(row):
+    """How many adjustments the fsum loop makes on the row."""
+    row, count = np.array(row, dtype=float), 0
+    while count < 4 and math.fsum(row) != 1.0:
+        row[row.argmax()] -= math.fsum(row) - 1.0
+        count += 1
+    return count
+
+
+def divided(weights):
+    weights = np.asarray(weights, dtype=float)
+    return weights / weights.sum()
+
+
+class TestLongRowLanding:
+    """A row of at least LIMB_LANDING_ENTRIES entries, in a batch of fewer
+    than LIMB_LANDING_ROWS rows, lands on its exact limb total
+    (functionals._land_held), held here to the fsum loop bit for bit."""
+
+    N = functionals.LIMB_LANDING_ENTRIES
+
+    def assert_lands_as_the_loop(self, row):
+        landed = np.array(row, dtype=float)
+        assert functionals._land_held(landed)
+        assert landed.tobytes() == loop_landed(row).tobytes()
+        return landed
+
+    def rows_by_adjustments(self, rng):
+        """Held rows of N entries grouped by the adjustments the loop makes:
+        divided rows need 0 to 2; rows with a tied largest weight whose sum
+        lies in [1.5, 2) reach 3."""
+        found = {}
+        while len(found) < 3:
+            row = divided(rng.random(self.N))
+            found.setdefault(loop_adjustments(row), row)
+        while 3 not in found:
+            row = rng.random(self.N)
+            row[rng.random(self.N) < 4 / self.N] = row.max()
+            row *= rng.uniform(1.5, 2.0) / row.sum()
+            if math.fsum(row) < 2.0:
+                found.setdefault(loop_adjustments(row), row)
+        return found
+
+    def test_rows_needing_zero_to_three_adjustments(self):
+        found = self.rows_by_adjustments(np.random.default_rng(22))
+        assert sorted(found) == [0, 1, 2, 3]
+        for row in found.values():
+            self.assert_lands_as_the_loop(row)
+
+    def test_row_the_loop_leaves_after_four_adjustments(self):
+        """No nonnegative row with a sum below 2 was seen to need a fourth
+        adjustment (about three million random rows); a weight below 0,
+        which no checked row holds, builds one: the largest weight is 1
+        while the total lies just below 1, so each adjustment rounds back."""
+        row = np.zeros(self.N)
+        row[:2] = 1.0, -(2.0**-54 + 2.0**-70)
+        assert loop_adjustments(row) == 4
+        assert math.fsum(self.assert_lands_as_the_loop(row)) != 1.0
+
+    def test_tied_first_largest_weight(self):
+        """Adjustments land at the first of the tied largest weights, and
+        at the next one when the first drops below it, as argmax picks."""
+        rng = np.random.default_rng(23)
+        moved = Counter()
+        for _ in range(60):
+            row = rng.random(self.N + int(rng.integers(0, 600)))
+            row[rng.choice(row.size, 3, replace=False)] = row.max()
+            row = divided(row)
+            tied = np.flatnonzero(row == row.max())
+            changed = np.flatnonzero(self.assert_lands_as_the_loop(row) != row)
+            assert set(changed) <= set(tied)
+            moved[changed.size] += 1
+        assert moved[1] > 3 and moved[2] > 3
+
+    @pytest.mark.parametrize("size, held", [(N - 1, False), (N, True)],
+                             ids=["below", "at"])
+    def test_break_even_chooses_the_path(self, monkeypatch, size, held):
+        rng = np.random.default_rng(24)
+        calls = []
+        land_held = functionals._land_held
+        monkeypatch.setattr(functionals, "_land_held",
+                            lambda row: calls.append(row.size) or land_held(row))
+        for _ in range(20):
+            weights = divided(rng.random(size))
+            landed = make_functional(np.zeros(size), weights).weights
+            assert landed.tobytes() == loop_landed(divided(weights)).tobytes()
+        assert calls == ([size] * 20 if held else [])
+
+    def test_row_with_a_bit_below_the_limbs_falls_back(self):
+        rng = np.random.default_rng(25)
+        weights = rng.random(2 * self.N)
+        weights[7] = 2.0**-110
+        weights = divided(weights)
+        row = divided(weights)
+        assert not functionals._limbs(row)[1].all()
+        untouched = row.copy()
+        assert not functionals._land_held(untouched)
+        assert untouched.tobytes() == row.tobytes()
+        landed = make_functional(np.zeros(row.size), weights).weights
+        assert landed.tobytes() == loop_landed(row).tobytes()
+
+    def test_landed_rows_sum_to_one(self):
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            size = int(10.0 ** rng.uniform(np.log10(self.N), 4.5))
+            weights = (np.arange(1.0, size + 1) + rng.uniform(0, 5)) ** -rng.uniform(0.2, 3)
+            landed = make_functional(np.zeros(size), weights / weights.sum()).weights
+            assert math.fsum(landed) == 1.0
+
+    def test_exact_total_rounds_as_fsum(self):
+        """fsum of held random rows, from their limb totals as Python ints,
+        on sums across [0.5, 2), half of them with one more entry that puts
+        the exact total on a tie between two doubles, or 2**-104 off it."""
+        rng = np.random.default_rng(27)
+        ties = 0
+        for _ in range(200):
+            row = rng.random(int(rng.integers(1, 1000)))
+            row *= rng.uniform(0.5, 1.99) / row.sum()
+            if rng.random() < 0.5:
+                total = sum(map(Fraction, row.tolist()))
+                near = float(total)
+                tie = Fraction(near) + Fraction(math.ulp(near)) / 2
+                off = Fraction(int(rng.integers(-1, 2)), 2**104)
+                row = np.append(row, float(tie - total + off))
+                ties += 1
+            limbs, held = functionals._limbs(row)
+            assert held.all() and math.fsum(row) < 2.0
+            assert functionals._limb_sums(limbs.sum(axis=1).tolist()) == math.fsum(row)
+        assert ties > 50
