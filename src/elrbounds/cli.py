@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .divided_diff import certify_3convex
 from .divergences import DIVERGENCE_THEOREMS, divergence_pass
-from .elr_bounds import THEOREMS, BoundReport, _check_domain, bounds
+from .elr_bounds import THEOREMS, BoundReport, _pair_reports, _resolve_orientation
 from .expconv import divergence_context, elr_context
 from .functionals import make_functional, moments
 from .fuzzing import bracket_fuzz
@@ -159,16 +159,14 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
     functional = _parse_functional(payload)
     m, M = _parse_interval(payload)
     bundle = resolve_phi(_need_object(payload, "phi"))
-    _check_domain(bundle, m, M)
     cert = certify_3convex(bundle, m, M, 201)
     if not cert.is_directed:
         raise ValueError(
             f"{bundle.name!r} is not 3-convex on [{m}, {M}] in either "
             f"direction (verdict {cert.verdict!r})")
     theorems = _parse_theorems(payload)
-    ms = moments(functional, bundle, m, M)
-    reports = [bounds(name, functional, bundle, m, M, cert, precomputed=ms)
-               for name in theorems]
+    reports = _pair_reports(moments(functional, bundle, m, M), bundle, m, M,
+                            theorems, _resolve_orientation(cert))
     return 0, {
         "command": "bounds",
         "inputs": payload,

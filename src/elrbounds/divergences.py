@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divided_diff import FunctionBundle, NEG_THREE_CONVEX, SIGN_TOL, THREE_CONVEX, _eval
-from .elr_bounds import BoundReport, _pair_report, _resolve_orientation, theorem_triple
+from .elr_bounds import BoundReport, _pair_reports, _resolve_orientation
 from .functionals import DiscreteFunctional, _normalize, check_weights, moments
 
 __all__ = [
@@ -81,18 +81,14 @@ def _positive_bundle(f, d1, d2, d3, name) -> FunctionBundle:
 # named generator's bundle proves on (0, inf): the signs of the docstring's
 # d3, and for renyi the sign of a(a-1)(a-2), the constant of c*t^(a-3)
 # (d3 is identically 0 for a in {0, 1, 2}).  Keyed by the bundle, not the
-# name: a custom or hand-built generator, or a replace()d bundle, has no
-# entry whatever it is called, and _spot_check_direction samples it.
+# name: a hand-built generator on another bundle, or a replace()d bundle,
+# has no entry whatever it is called, and _spot_check_direction samples it.
 _PROVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def generator(name: str, alpha: float | None = None,
-              bundle: FunctionBundle | None = None,
-              direction: str | None = None,
-              value_at_zero: float | None = None,
-              slope_at_inf: float | None = None) -> GeneratorFunction:
-    """Build a named generator; ``renyi`` needs ``alpha``, ``custom`` needs
-    a full bundle plus a declared direction."""
+def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
+    """Build a named generator; ``renyi`` needs ``alpha``.  A custom
+    generator is a ``GeneratorFunction`` built by hand."""
     if name == "kl":
         gen = GeneratorFunction(
             bundle=_positive_bundle(
@@ -150,12 +146,6 @@ def generator(name: str, alpha: float | None = None,
                 "(t-1)*log(t)"),
             direction=NEG_F_3CONVEX, name="jeffreys",
             value_at_zero=math.inf, slope_at_inf=math.inf)
-    elif name == "custom":
-        if bundle is None or direction is None:
-            raise ValueError("custom generator requires a bundle and a direction")
-        return GeneratorFunction(bundle=bundle, direction=direction,
-                                 name="custom", value_at_zero=value_at_zero,
-                                 slope_at_inf=slope_at_inf)
     else:
         raise ValueError(f"unknown generator {name!r}")
     _PROVED[gen.bundle] = gen.direction
@@ -289,15 +279,14 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
     if m <= 0.0:
         raise ValueError("ratios must stay strictly positive for generator "
                          "bounds")
+    gen.bundle._check_interval(m, M)
     _spot_check_direction(gen, m, M)
     phi_vals = _eval(gen.bundle.f, functional.nodes)
     ms = moments(functional, gen.bundle, m, M, phi_vals=phi_vals)
-    orientation = _resolve_orientation(gen.convexity_verdict())
-    reports = [_pair_report(ms, m, M, theorem_triple(name, ms, gen.bundle, m, M),
-                            orientation, f"divergence_{name}",
+    reports = _pair_reports(ms, gen.bundle, m, M, theorems,
+                            _resolve_orientation(gen.convexity_verdict()), "divergence_",
                             {"m": m, "M": M, "interval_auto_derived": auto,
                              "generator": gen.name, "params": list(gen.params)})
-               for name in theorems]
     return float(masses @ phi_vals), reports
 
 

@@ -83,6 +83,14 @@ class FunctionBundle:
         hi = lo if hi is None else hi
         return self.domain_lo <= lo and hi <= self.domain_hi
 
+    def _check_interval(self, m: float, M: float) -> None:
+        """The one domain rule of every pass over [m, M]: m < M, inside the
+        domain, checked before the pass reads the bundle anywhere."""
+        if not m < M:
+            raise ValueError("degenerate interval: m must lie strictly below M")
+        if not self.contains(m, M):
+            raise ValueError(f"interval [{m}, {M}] escapes the domain of {self.name!r}")
+
     def deriv(self, order: int, x: float) -> float:
         """phi (order 0) or its first or second derivative (order 1, 2) at
         x: the one-read case of ``derivs``."""
@@ -218,15 +226,15 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
     1e-6*(1+|d1|); stored one-sided endpoint values must agree with
     one-sided second-order differences to 1e-5 relative.  Higher
     derivatives, when present, are checked against central differences of
-    the next lower one at the interior tolerance.
+    the next lower one at the interior tolerance.  The window must be
+    finite, with lo < hi inside the domain.
     """
     lo = bundle.domain_lo if lo is None else lo
     hi = bundle.domain_hi if hi is None else hi
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("check_bundle needs a finite sampling window for an "
                          "unbounded domain")
-    if not bundle.contains(lo, hi):
-        raise ValueError("sampling window escapes the bundle domain")
+    bundle._check_interval(lo, hi)
 
     span = hi - lo
     if not math.isfinite(span):
@@ -431,8 +439,7 @@ def certify_3convex(bundle: FunctionBundle, lo: float, hi: float,
     """
     if grid_n < 3:
         raise ValueError("grid_n must be at least 3")
-    if not bundle.contains(lo, hi) or not lo < hi:
-        raise ValueError("certification interval escapes the bundle domain")
+    bundle._check_interval(lo, hi)
     if not math.isfinite(hi - lo):
         raise ValueError("certification interval too wide: its length overflows")
 

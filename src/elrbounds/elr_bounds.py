@@ -112,19 +112,13 @@ def _resolve_orientation(direction) -> str:
         f"theorem hypotheses unmet: 3-convexity direction is {direction!r}")
 
 
-def _check_domain(bundle: FunctionBundle, m: float, M: float) -> None:
-    if not bundle.contains(m, M):
-        raise ValueError(f"interval [{m}, {M}] escapes the domain of "
-                         f"{bundle.name!r}")
-
-
 def _endpoint_values(bundle: FunctionBundle, m: float, M: float,
                      order: int) -> list[float]:
     """phi and its derivatives up to ``order`` at m and at M, in that order,
     in one ``bundle.derivs`` read of an [m, M] inside the bundle's domain;
     phi at the ends must be finite, and a phi that is not is refused before
     a derivative the bundle lacks."""
-    _check_domain(bundle, m, M)
+    bundle._check_interval(m, M)
     reads = ((0, m), (0, M), (1, m), (1, M), (2, m), (2, M))[:2 * order + 2]
     try:
         values = bundle.derivs(reads)
@@ -142,6 +136,18 @@ def _finite_ends(values: list[float]) -> None:
 
 def _mid(ms: MomentSet, phi_m: float, phi_M: float, m: float, M: float) -> float:
     return ((M - ms.mean) * phi_m + (ms.mean - m) * phi_M) / (M - m) - ms.value
+
+
+def _pair_reports(ms: MomentSet, bundle: FunctionBundle, m: float, M: float,
+                  theorems, orientation: str, tag: str = "",
+                  details: dict | None = None) -> list[BoundReport]:
+    """The report step of every bound pass: the BoundReport, tagged ``tag``
+    plus its name, of each bound pair named in ``theorems`` from the one
+    MomentSet ``ms`` of the bundle on [m, M], each with its own copy of
+    ``details``."""
+    return [_pair_report(ms, m, M, theorem_triple(name, ms, bundle, m, M),
+                         orientation, tag + name, dict(details or {}))
+            for name in theorems]
 
 
 def _pair_report(ms: MomentSet, m: float, M: float, triple, orientation: str,
@@ -209,32 +215,29 @@ def _check_theorem(theorem: str) -> None:
 
 def elr_difference(functional: DiscreteFunctional, bundle: FunctionBundle,
                    m: float, M: float) -> float:
-    """The ELR difference D bracketed by every bound pair."""
-    _check_domain(bundle, m, M)
+    """The ELR difference D bracketed by every bound pair; a D that is not
+    finite is refused, for the interval when the moments on it overflow."""
     ms = moments(functional, bundle, m, M)
     phi_m, phi_M = _endpoint_values(bundle, m, M, 0)
-    return _mid(ms, phi_m, phi_M, m, M)
+    value = _mid(ms, phi_m, phi_M, m, M)
+    if not math.isfinite(value):
+        _refuse_overflow(ms, m, M)
+        raise ValueError(f"ELR difference of {bundle.name!r} is not finite: {value!r}")
+    return value
 
 
 THEOREMS = ("secant", "derivative", "taylor")
 
 
 def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
-           m: float, M: float, direction,
-           precomputed: MomentSet | None = None) -> BoundReport:
-    """Oriented report of the bound pair named ``theorem`` (one of THEOREMS).
-
-    ``direction`` is a ConvexityCertificate or a verdict label; a
-    precomputed MomentSet of the same functional, bundle and interval may
-    be passed to skip the moment pass.  The interval must lie in the
-    bundle's domain before any node is evaluated.
-    """
+           m: float, M: float, direction) -> BoundReport:
+    """Oriented report of the bound pair named ``theorem`` (one of THEOREMS)
+    from one moment pass; ``direction`` is a ConvexityCertificate or a
+    verdict label."""
     orientation = _resolve_orientation(direction)
     _check_theorem(theorem)
-    _check_domain(bundle, m, M)
-    ms = precomputed if precomputed is not None else moments(functional, bundle, m, M)
-    return _pair_report(ms, m, M, theorem_triple(theorem, ms, bundle, m, M),
-                        orientation, theorem, {})
+    return _pair_reports(moments(functional, bundle, m, M), bundle, m, M,
+                         (theorem,), orientation)[0]
 
 
 def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
@@ -248,7 +251,6 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
     if variant not in ("derivative", "taylor"):
         raise ValueError(f"unknown Jensen-gap variant {variant!r}")
     orientation = _resolve_orientation(direction)
-    _check_domain(bundle, m, M)
     ms = moments(functional, bundle, m, M)
     phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, m, M, 1 + (variant == "taylor"))
     secant = (phi_M - phi_m) / (M - m)
@@ -271,6 +273,5 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
         upper = ((mean - m) * (secant - d1p - 0.5 * d2p * (mean - m))
                  - (M - mean) * (d1m - secant)
                  + 0.5 * d2m * ms.sq_hi)
-    return BoundReport(lower=lower, upper=upper, mid=mid,
-                       orientation=orientation,
-                       theorem_tag=f"jensen_gap_{variant}")
+    return _pair_report(ms, m, M, (lower, mid, upper), orientation,
+                        f"jensen_gap_{variant}", {})

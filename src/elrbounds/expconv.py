@@ -120,11 +120,13 @@ def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
     value nonnegative whenever the bundle is 3-convex on [m, M].  It is
     computed once per bundle and context, from the context's basis and the
     rows its theorem reads: f at the nodes, and phi' there only for the
-    derivative pair (indices 3, 4, 7 and 8).  A value that is not finite
-    is refused, for the interval when the moments on it overflow.
+    derivative pair (indices 3, 4, 7 and 8), after [m, M] passes the
+    bundle's domain rule.  A value that is not finite is refused, for the
+    interval when the moments on it overflow.
     """
     value = ctx._gammas.get(bundle)
     if value is None:
+        bundle._check_interval(ctx.m, ctx.M)
         theorem = THEOREM_BY_INDEX[ctx.index]
         ms = ctx.basis.moments(bundle, derivative=theorem == "derivative")
         lower, mid, upper = theorem_triple(theorem, ms, bundle, ctx.m, ctx.M)

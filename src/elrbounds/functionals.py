@@ -507,8 +507,10 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
 
     The bundle is evaluated once over the nodes of the whole batch (f only
     when ``phi_vals`` does not already hold it); the rows of both writers
-    fill one array, whose blocks then reduce once each.
+    fill one array, whose blocks then reduce once each; the bundle's
+    domain rule comes first.
     """
+    bundle._check_interval(m, M)
     extremes = _check_nodes(x, m, M)
     phi_vals = _node_values(bundle.f, x, phi_vals)
     dvals = _derivative_values(bundle, x, _node_places(x, m, M, *extremes))

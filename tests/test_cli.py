@@ -65,6 +65,15 @@ class TestBounds:
         status = main(["bounds", "--input", json.dumps(payload)])
         assert status == 1
 
+    def test_interval_outside_the_domain_is_named(self, capsys):
+        payload = {"functional": {"nodes": [0.5, 1.0], "weights": [0.5, 0.5]},
+                   "interval": [-1, 2], "phi": {"name": "kl"}}
+        status = main(["bounds", "--input", json.dumps(payload)])
+        captured = capsys.readouterr()
+        assert (status, captured.out) == (1, "")
+        assert captured.err == ("error: interval [-1.0, 2.0] escapes the domain "
+                                "of 't*log(t)'\n")
+
     def test_malformed_json_is_line_numbered_error(self, capsys):
         status = main(["bounds", "--input", '{"functional": [,}'])
         err = capsys.readouterr().err
@@ -666,6 +675,21 @@ class TestOnePass:
         assert status == 0
         assert len(report["reports"]) == (2 if command != "bounds" else 3)
         assert counts == expected
+
+    @pytest.mark.parametrize("theorem", [None, "secant", "derivative", "taylor"])
+    def test_bounds_makes_one_moment_pass(self, monkeypatch, theorem):
+        """One moments call, then one theorem_triple per reported theorem."""
+        from elrbounds import cli
+
+        payload = json.loads(BOUNDS_INPUT)
+        if theorem is not None:
+            payload["theorem"] = theorem
+        names = ("functionals.moments", "elr_bounds.theorem_triple")
+        counts = self.count_calls(monkeypatch, names)
+        status, report = cli.run(cli.RunConfig(command="bounds", payload=payload))
+        assert status == 0
+        assert len(report["reports"]) == (3 if theorem is None else 1)
+        assert counts == dict(zip(names, (1, len(report["reports"]))))
 
     @pytest.mark.parametrize("command,payload", [
         ("divergence", {"distributions": PAIR, "phi": {"name": "kl"}}),

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,8 @@ from elrbounds.divergences import (
     divergence_pass,
     ratio_functional,
 )
+
+from counting import counted, counting_bundle
 
 
 class TestGenerators:
@@ -214,12 +217,32 @@ class TestDivergenceBounds:
                     assert r.violation() <= 1e-9, (gen.name, gen.params)
 
     def test_mismatched_declaration_rejected(self):
-        wrong = generator(
-            "custom",
+        wrong = GeneratorFunction(
             bundle=generator("kl").bundle,
-            direction=F_3CONVEX)
+            direction=F_3CONVEX, name="custom")
         with pytest.raises(ValueError, match="declared 3-convex"):
             divergence_bounds([0.4, 0.6], [0.5, 0.5], wrong, theorem="derivative")
+
+    @pytest.mark.filterwarnings("error")
+    def test_interval_outside_the_domain_refused_before_any_read(self):
+        """A custom generator on kl's t*log(t) or the counted bundle, both
+        on [0.5, 4]: an interval that leaves it below (the derived [0.25,
+        1.75]) or above ([0.5, 5]) is refused before the spot check samples
+        d3 or f is read at the ratios."""
+        calls = []
+        cases = [([0.125, 0.875], None, None, "[0.25, 1.75]"),
+                 ([0.75, 0.25], 0.5, 5.0, "[0.5, 5.0]")]
+        for bundle, direction in (
+                (counted(generator("kl").bundle, calls, arrays=True), NEG_F_3CONVEX),
+                (counting_bundle(calls, arrays=True), F_3CONVEX)):
+            custom = GeneratorFunction(
+                bundle=replace(bundle, domain_lo=0.5, domain_hi=4.0),
+                direction=direction, name="custom")
+            for p, m, M, interval in cases:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"interval {interval} escapes the domain of {bundle.name!r}")):
+                    divergence_pass(p, [0.5, 0.5], custom, m, M)
+        assert calls == []
 
     def test_declaration_without_third_derivative_is_not_spot_checked(self):
         """With no d3 to sample the pass takes the declared direction on
@@ -231,7 +254,7 @@ class TestDivergenceBounds:
         value, reports = divergence_pass(p, q, kl)
         for direction, orientation in ((NEG_F_3CONVEX, "reversed"),
                                        (F_3CONVEX, "direct")):
-            custom = generator("custom", bundle=bare, direction=direction)
+            custom = GeneratorFunction(bundle=bare, direction=direction, name="custom")
             got_value, got = divergence_pass(p, q, custom)
             assert got_value == value
             assert [(r.lower, r.mid, r.upper, r.orientation) for r in got] == [
@@ -390,7 +413,8 @@ class TestProvedDirection:
         assert gen.bundle.d3 not in sampled
         # the proof is of the bundle: a custom generator on it declaring the
         # proved direction is not sampled either
-        custom = generator("custom", bundle=gen.bundle, direction=NEG_F_3CONVEX)
+        custom = GeneratorFunction(bundle=gen.bundle, direction=NEG_F_3CONVEX,
+                                   name="custom")
         divergence_pass([0.4, 0.6], [0.5, 0.5], custom)
         assert gen.bundle.d3 not in sampled
 

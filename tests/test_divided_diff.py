@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +15,13 @@ from elrbounds import (
     check_bundle,
     dd_confluent,
     dd_recursive,
+    generator,
     linear_combination,
 )
+from elrbounds.fuzzing import random_three_convex_bundle
 from elrbounds.registry import poly_bundle, resolve_phi
 
+from counting import counted, counting_bundle
 from oracle_functions import SMOOTH_FUNCTIONS, recursive_oracle
 
 
@@ -231,6 +235,40 @@ class TestCertify:
     def test_interval_outside_domain_rejected(self):
         with pytest.raises(ValueError, match="domain"):
             certify_3convex(XLOGX, -0.5, 1.0, 11)
+
+    @pytest.mark.filterwarnings("error")
+    def test_interval_outside_the_domain_refused_before_any_read(self):
+        """kl's t*log(t) and the counted bundle on [0, 3] are neither
+        certified nor checked on [-1, 2]: nothing is read or sampled."""
+        calls = []
+        for bundle in (counted(generator("kl").bundle, calls, arrays=True),
+                       counting_bundle(calls, arrays=True)):
+            message = re.escape(f"interval [-1.0, 2.0] escapes the domain of "
+                                f"{bundle.name!r}")
+            with pytest.raises(ValueError, match=message):
+                certify_3convex(bundle, -1.0, 2.0, 11)
+            with pytest.raises(ValueError, match=message):
+                check_bundle(bundle, -1.0, 2.0)
+        assert calls == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_window_refused_before_any_sample(self):
+        """A reversed or one-point window is refused by both, even inside
+        the domain; the reversed window of a fuzzer spline on [0, 1] would
+        otherwise be sampled at 1.05 and -0.05, outside it."""
+        calls = []
+        spline = random_three_convex_bundle(np.random.default_rng(3), 0.0, 1.0)
+        for bundle in (counted(generator("kl").bundle, calls, arrays=True),
+                       counting_bundle(calls, arrays=True),
+                       counted(spline, calls, arrays=True)):
+            for lo, hi in ((1.0, 0.0), (0.5, 0.5)):
+                for run in (lambda: check_bundle(bundle, lo, hi),
+                            lambda: certify_3convex(bundle, lo, hi, 11)):
+                    with pytest.raises(ValueError) as err:
+                        run()
+                    assert str(err.value) == ("degenerate interval: m must lie "
+                                              "strictly below M")
+        assert calls == []
 
 
 class TestBundle:

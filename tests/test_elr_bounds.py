@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from elrbounds.elr_bounds import BoundReport, theorem_triple
 from elrbounds.functionals import make_functionals, moments, moments_batch
 from elrbounds.fuzzing import bracket_fuzz
 from elrbounds.registry import resolve_phi
+
+from counting import counted, counting_bundle
 
 CUBIC = resolve_phi({"name": "cubic"})
 QUARTIC = resolve_phi({"name": "quartic"})
@@ -218,23 +221,6 @@ class TestBracketFuzzSmall:
             bounds("secant", POINT_MASS, CUBIC, 0.5, 0.5, "three_convex")
 
 
-def _counting_bundle(calls, **fields):
-    """x^4/24 on [0, 3] whose callables record each scalar evaluation as
-    (order, x); ``fields`` replace callables or add stored end values."""
-    def counted(order, g):
-        def call(x):
-            if np.ndim(x) == 0:
-                calls.append((order, float(x)))
-            return g(x)
-        return call
-
-    callables = dict(f=counted(0, lambda x: x ** 4 / 24.0),
-                     d1=counted(1, lambda x: x ** 3 / 6.0),
-                     d2=counted(2, lambda x: 0.5 * x ** 2), d3=lambda x: x)
-    callables.update(fields)
-    return FunctionBundle(domain_lo=0.0, domain_hi=3.0, name="counted", **callables)
-
-
 class TestEndpointRead:
     """A bound pair reads phi and its derivatives at m and M in one
     ``FunctionBundle.derivs`` call, each value once per triple, with the
@@ -247,7 +233,7 @@ class TestEndpointRead:
                       d2_minus_at_hi=4.5)
         orders, points = (0, 1, 2), (0.0, 1.3, 3.0, 0.5)
         for fields in ({}, stored):
-            bundle = _counting_bundle([], **fields)
+            bundle = counting_bundle([], **fields)
             values = bundle.derivs([(order, x) for order in orders for x in points])
             expected = [replace(bundle).deriv(order, x)
                         for order in orders for x in points]
@@ -263,7 +249,7 @@ class TestEndpointRead:
         read = {"secant": {0, 1}, "derivative": {0, 1}, "taylor": {0, 1, 2}}
         for theorem in THEOREMS:
             calls = []
-            bundle = _counting_bundle(calls)
+            bundle = counting_bundle(calls)
             ms = moments(self.FUNCTIONAL, bundle, 0.5, 2.5)
             entered.clear()
             theorem_triple(theorem, ms, bundle, 0.5, 2.5)
@@ -275,7 +261,7 @@ class TestEndpointRead:
         """The memo is the context's own Gamma per bundle: a second gamma
         on one context reads nothing."""
         calls = []
-        bundle = _counting_bundle(calls)
+        bundle = counting_bundle(calls)
         ctx = elr_context(5, self.FUNCTIONAL, 0.5, 2.5)
         value = gamma(ctx, bundle)
         assert len(calls) == 6
@@ -288,23 +274,31 @@ class TestEndpointRead:
     @pytest.mark.filterwarnings("error")
     def test_interval_outside_the_domain_refused_before_any_read(self):
         """kl's t*log(t) on [-1, 2] would read log(-1), at an end or at the
-        node -0.5; the counted bundle on [0, 3] reads nothing, at its ends
-        or at the nodes."""
+        node -0.5; no bound pass or moment pass reads it or the counted
+        bundle on [0, 3] anywhere, at the ends, the nodes or a batch's."""
         calls = []
-        counted = _counting_bundle(calls, f=lambda x: calls.append(x) or x ** 4 / 24.0)
+        bundles = (counted(generator("kl").bundle, calls, arrays=True),
+                   counting_bundle(calls, arrays=True))
         for nodes in ([0.5, 1.0], [-0.5, 1.0]):
             F = make_functional(nodes, [0.5, 0.5])
-            for bundle in (generator("kl").bundle, counted):
+            batch = make_functionals(np.array(nodes + [1.5, 1.0]), np.full(4, 0.5),
+                                     ((2, 2),))
+            for bundle in bundles:
+                passes = [
+                    *(partial(bounds, theorem, F, bundle, -1.0, 2.0, "neg_three_convex")
+                      for theorem in THEOREMS),
+                    *(partial(jensen_gap_bounds, F, bundle, -1.0, 2.0, variant,
+                              "neg_three_convex") for variant in ("derivative", "taylor")),
+                    partial(elr_difference, F, bundle, -1.0, 2.0),
+                    partial(moments, F, bundle, -1.0, 2.0),
+                    partial(moments, F, bundle, -1.0, 2.0, phi_vals=np.ones(2)),
+                    partial(moments_batch, batch, bundle, -1.0, 2.0),
+                ]
                 message = re.escape(f"interval [-1.0, 2.0] escapes the domain of "
                                     f"{bundle.name!r}")
-                for theorem in THEOREMS:
+                for run in passes:
                     with pytest.raises(ValueError, match=message):
-                        bounds(theorem, F, bundle, -1.0, 2.0, "neg_three_convex")
-                for variant in ("derivative", "taylor"):
-                    with pytest.raises(ValueError, match=message):
-                        jensen_gap_bounds(F, bundle, -1.0, 2.0, variant, "neg_three_convex")
-                with pytest.raises(ValueError, match=message):
-                    elr_difference(F, bundle, -1.0, 2.0)
+                        run()
         assert calls == []
 
     def test_error_texts_in_their_order(self):
@@ -327,13 +321,13 @@ class TestEndpointRead:
         ]
         for fields, theorems, message in cases:
             for theorem in theorems:
-                bundle = _counting_bundle([], **fields)
+                bundle = counting_bundle([], **fields)
                 with pytest.raises(ValueError) as err:
                     theorem_triple(theorem, moments(make_functional([1.0], [1.0]),
                                                     bundle, m, M), bundle, m, M)
                 assert str(err.value) == message, (fields, theorem)
         # stored end values but no d1: the derivative pair lacks its moments
-        bare = _counting_bundle([], d1=None, d1_plus_at_lo=0.0, d1_minus_at_hi=4.5)
+        bare = counting_bundle([], d1=None, d1_plus_at_lo=0.0, d1_minus_at_hi=4.5)
         with pytest.raises(ValueError) as err:
             theorem_triple("derivative", moments(make_functional([1.0], [1.0]), bare,
                                                  0.0, 3.0), bare, 0.0, 3.0)
@@ -400,6 +394,31 @@ class TestWideInterval:
                     f"interval [{-half}, {half}] is too wide: the moments of "
                     "the functional on it overflow")):
                 bounds(theorem, self.NODE, self.LINEAR, -half, half, "three_convex")
+
+    @pytest.mark.parametrize("half", [1e200, 8e307])
+    @pytest.mark.filterwarnings("error")
+    def test_jensen_gap_and_elr_difference_name_the_interval(self, half):
+        message = re.escape(f"interval [{-half}, {half}] is too wide: the moments "
+                            "of the functional on it overflow")
+        with pytest.raises(ValueError, match=message):
+            jensen_gap_bounds(self.NODE, self.LINEAR, -half, half, "taylor",
+                              "three_convex")
+        with pytest.raises(ValueError, match=message):
+            elr_difference(self.NODE, self.LINEAR, -half, half)
+
+    @pytest.mark.filterwarnings("error")
+    def test_elr_difference_that_is_not_finite_refused(self):
+        """Every moment is finite, but the secant term of phi = 1.7e308 on
+        [0, 4] overflows."""
+        with pytest.raises(ValueError) as err:
+            elr_difference(make_functional([2.0], [1.0]), resolve_phi({"poly": [1.7e308]}),
+                           0.0, 4.0)
+        assert str(err.value) == "ELR difference of 'poly(1.7e+308,)' is not finite: inf"
+
+    def test_precomputed_moments_are_no_option(self):
+        ms = moments(self.NODE, CUBIC, 0.0, 1.0)
+        with pytest.raises(TypeError):
+            bounds("secant", self.NODE, CUBIC, 0.0, 1.0, "three_convex", precomputed=ms)
 
     @pytest.mark.filterwarnings("error")
     def test_wide_but_finite_interval_is_reported(self):

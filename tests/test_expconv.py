@@ -11,6 +11,8 @@ from elrbounds import (
     GammaContext,
     GammaCurve,
     bounds,
+    cauchy_xi,
+    cubic_reference,
     divergence_context,
     elr_context,
     exp_convexity_check,
@@ -18,6 +20,8 @@ from elrbounds import (
     generator,
     lyapunov_check,
     make_functional,
+    mean_B1,
+    mvt_xi,
     stolarsky_quotient,
     upsilon1,
     upsilon2,
@@ -30,6 +34,8 @@ from elrbounds.divided_diff import FunctionBundle, bundle_from_callables, linear
 from elrbounds.elr_bounds import theorem_triple
 from elrbounds.expconv import THEOREM_BY_INDEX
 from elrbounds.registry import poly_bundle, resolve_phi
+
+from counting import counted, counting_bundle
 
 CUBIC = resolve_phi({"name": "cubic"})
 QUARTIC = resolve_phi({"name": "quartic"})
@@ -162,6 +168,36 @@ class TestGamma:
         with pytest.raises(ValueError, match=re.escape(
                 "Gamma_1 of 'upsilon1[0.5]' is not finite: inf")):
             gamma(ctx, upsilon1(0.5).bundle)
+
+    @pytest.mark.filterwarnings("error")
+    def test_interval_outside_the_domain_refused_before_any_read(self):
+        """On an elr context over [-1, 2] Gamma, both mean-value points and
+        mean_B1 refuse kl's t*log(t) and the counted bundle on [0, 3]
+        before reading them, and mean_B1 its upsilon1 members, which would
+        warn on x^s at -1 or at the node -0.5."""
+        calls = []
+        bundles = (counted(generator("kl").bundle, calls, arrays=True),
+                   counting_bundle(calls, arrays=True))
+        for nodes in ([0.5, 1.0], [-0.5, 1.0]):
+            F = make_functional(nodes, [0.5, 0.5])
+            for index in range(1, 7):
+                ctx = elr_context(index, F, -1.0, 2.0)
+                for bundle in bundles:
+                    message = re.escape(f"interval [-1.0, 2.0] escapes the domain "
+                                        f"of {bundle.name!r}")
+                    for run in (lambda: gamma(ctx, bundle),
+                                lambda: mvt_xi(ctx, bundle),
+                                lambda: cauchy_xi(ctx, bundle, cubic_reference()),
+                                lambda: cauchy_xi(ctx, cubic_reference(), bundle)):
+                        with pytest.raises(ValueError, match=message):
+                            run()
+                    assert bundle not in ctx._gammas
+                for s, t, first in ((0.5, 1.5, 1.5), (0.5, 0.5, 0.5)):
+                    with pytest.raises(ValueError, match=re.escape(
+                            "interval [-1.0, 2.0] escapes the domain of "
+                            f"'upsilon1[{first}]'")):
+                        mean_B1(ctx, s, t)
+        assert calls == []
 
     def test_divergence_context_rejects_ratio_outside_interval(self):
         # ratios are 0.8 and 1.2; the message prints a plain float

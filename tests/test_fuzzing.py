@@ -61,10 +61,8 @@ def reference_fuzz(seed, instances, tolerance, batch):
         for _ in range(take):
             functional = drawn_functional(rng, m, M)
             for target, certificate in ((bundle, cert), (neg, neg_cert)):
-                ms = moments(functional, target, m, M)
                 for theorem in THEOREMS:
-                    report = bounds(theorem, functional, target, m, M,
-                                    certificate, precomputed=ms)
+                    report = bounds(theorem, functional, target, m, M, certificate)
                     excess = report.violation()
                     if excess > tolerance:
                         violations.append({
