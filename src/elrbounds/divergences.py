@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, NEG_THREE_CONVEX, SIGN_TOL, THREE_CONVEX, _eval
+from .divided_diff import (FunctionBundle, NEG_THREE_CONVEX, THREE_CONVEX, _eval,
+                           certify_3convex)
 from .elr_bounds import BoundReport, _pair_reports, _resolve_orientation
 from .functionals import DiscreteFunctional, _normalize, check_weights, moments
 
@@ -82,7 +83,7 @@ def _positive_bundle(f, d1, d2, d3, name) -> FunctionBundle:
 # d3, and for renyi the sign of a(a-1)(a-2), the constant of c*t^(a-3)
 # (d3 is identically 0 for a in {0, 1, 2}).  Keyed by the bundle, not the
 # name: a hand-built generator on another bundle, or a replace()d bundle,
-# has no entry whatever it is called, and _spot_check_direction samples it.
+# has no entry whatever it is called, and _spot_check_direction certifies it.
 _PROVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -249,14 +250,13 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
 
 
 def _spot_check_direction(gen: GeneratorFunction, m: float, M: float) -> None:
-    """Sample d3 at 33 points of [m, M] against the declared direction,
-    unless the bundle has none or a proof of that direction (_PROVED)."""
-    if gen.bundle.d3 is None or _PROVED.get(gen.bundle) == gen.direction:
+    """certify_3convex at 33 points of [m, M] must find the declared direction
+    (three_convex of -f if 3-concave), unless _PROVED holds a proof of it."""
+    if _PROVED.get(gen.bundle) == gen.direction:
         return
     convex = gen.direction == F_3CONVEX
-    # only the sign of d3 matters here, and an infinite d3 has one
-    vals = _eval(gen.bundle.d3, np.linspace(m, M, 33))
-    if ((vals < -SIGN_TOL) if convex else (vals > SIGN_TOL)).any():
+    bundle = gen.bundle if convex else gen.bundle.negated()
+    if certify_3convex(bundle, m, M, 33).verdict != THREE_CONVEX:
         declared, sign = ("convex", "negative") if convex else ("concave", "positive")
         raise ValueError(
             f"generator {gen.name!r} declared 3-{declared} but its third "

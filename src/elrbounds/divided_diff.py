@@ -85,11 +85,13 @@ class FunctionBundle:
 
     def _check_interval(self, m: float, M: float) -> None:
         """The one domain rule of every pass over [m, M]: m < M, inside the
-        domain, checked before the pass reads the bundle anywhere."""
+        domain, of finite length, before the pass reads the bundle anywhere."""
         if not m < M:
             raise ValueError("degenerate interval: m must lie strictly below M")
         if not self.contains(m, M):
             raise ValueError(f"interval [{m}, {M}] escapes the domain of {self.name!r}")
+        if not math.isfinite(M - m):
+            raise ValueError(f"interval [{m}, {M}] is too wide: its length overflows")
 
     def deriv(self, order: int, x: float) -> float:
         """phi (order 0) or its first or second derivative (order 1, 2) at
@@ -237,8 +239,6 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
     bundle._check_interval(lo, hi)
 
     span = hi - lo
-    if not math.isfinite(span):
-        raise ValueError("sampling window too wide: its length overflows")
     xs = np.linspace(lo + 0.05 * span, hi - 0.05 * span, CHECK_POINTS)
 
     pairs = [(bundle.f, bundle.d1, "d1"), (bundle.d1, bundle.d2, "d2"),
@@ -440,8 +440,6 @@ def certify_3convex(bundle: FunctionBundle, lo: float, hi: float,
     if grid_n < 3:
         raise ValueError("grid_n must be at least 3")
     bundle._check_interval(lo, hi)
-    if not math.isfinite(hi - lo):
-        raise ValueError("certification interval too wide: its length overflows")
 
     xs = np.linspace(lo, hi, grid_n)
     if bundle.d3 is not None:

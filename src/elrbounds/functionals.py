@@ -43,10 +43,26 @@ WEIGHT_DRIFT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DiscreteFunctional:
-    """Nonnegative weights summing to one attached to real nodes."""
+    """Nonnegative weights summing to one attached to real nodes.  Built by
+    hand, it is refused with make_functional's messages unless it already
+    is one, in flat numeric arrays; it is never renormalized."""
 
     nodes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        nodes, weights = self.nodes, self.weights
+        for label, values in (("nodes", nodes), ("weights", weights)):
+            if not (isinstance(values, np.ndarray) and values.ndim == 1
+                    and values.dtype.kind in "iuf"):
+                raise ValueError(f"{label} must be a flat array of numbers")
+        if nodes.size != weights.size:
+            raise ValueError("nodes and weights differ in length")
+        if nodes.size == 0:
+            raise ValueError("functional needs at least one node")
+        if not np.isfinite(nodes).all():
+            raise ValueError("nodes must be finite")
+        check_weights(weights, "functional")
 
     @property
     def size(self) -> int:
@@ -411,6 +427,7 @@ def apply(functional: DiscreteFunctional, g: Callable) -> float:
     Raises ``ValueError`` if g is not finite at some node, carrying the
     offending node in the message.
     """
+    _check_functional(functional)
     vals = _node_values(g, functional.nodes)
     # exactly-rounded summation keeps A(1) == 1 on the bit
     return math.fsum(functional.weights * vals)
@@ -448,6 +465,7 @@ def moments(functional: DiscreteFunctional, bundle: FunctionBundle, m: float,
             M: float, *, phi_vals: np.ndarray | None = None) -> MomentSet:
     """All moment quantities of the functional against the bundle on [m, M];
     ``phi_vals`` is f at the nodes, when the caller has evaluated it."""
+    _check_functional(functional)
     sums = _moment_sums(functional.nodes, functional.weights,
                         ((1, functional.nodes.size),), None, bundle, m, M,
                         phi_vals)
@@ -488,6 +506,7 @@ class MomentBasis:
 def moment_basis(functional: DiscreteFunctional, m: float, M: float) -> MomentBasis:
     """The bundle-free moments of the functional on [m, M], computed once;
     a node outside [m, M] is refused here as in ``moments``."""
+    _check_functional(functional)
     x, weights = functional.nodes, functional.weights[None]
     extremes = _check_nodes(x, m, M)
     terms = np.empty((4, x.size))
@@ -528,6 +547,14 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
     if order is not None:
         sums[:, order] = sums.copy()
     return sums
+
+
+def _check_functional(functional: DiscreteFunctional) -> None:
+    """Refuse anything but a DiscreteFunctional: a FunctionalBatch would
+    otherwise be read as one functional of all its rows."""
+    if not isinstance(functional, DiscreteFunctional):
+        raise ValueError("expected a DiscreteFunctional, got "
+                         f"{type(functional).__name__}")
 
 
 def _check_nodes(x: np.ndarray, m: float, M: float) -> tuple[float, float]:

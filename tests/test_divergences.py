@@ -244,21 +244,41 @@ class TestDivergenceBounds:
                     divergence_pass(p, [0.5, 0.5], custom, m, M)
         assert calls == []
 
-    def test_declaration_without_third_derivative_is_not_spot_checked(self):
-        """With no d3 to sample the pass takes the declared direction on
-        trust: the kl bundle without d3 gives kl's pass, and a wrong
-        declaration reverses the orientation instead of being refused."""
+    def test_declaration_without_third_derivative_is_certified(self):
+        """With no d3 the declared direction goes to certify_3convex's
+        divided differences: on kl's bundle without d3 the 3-concave
+        declaration gives kl's pass bit for bit, and the 3-convex one,
+        whose brackets the divergence would escape, is refused."""
         kl = generator("kl")
         bare = replace(kl.bundle, d3=None)
-        p, q = [0.4, 0.6], [0.5, 0.5]
+        p, q = [0.1, 0.2, 0.7], [0.5, 0.3, 0.2]
         value, reports = divergence_pass(p, q, kl)
-        for direction, orientation in ((NEG_F_3CONVEX, "reversed"),
-                                       (F_3CONVEX, "direct")):
-            custom = GeneratorFunction(bundle=bare, direction=direction, name="custom")
-            got_value, got = divergence_pass(p, q, custom)
-            assert got_value == value
-            assert [(r.lower, r.mid, r.upper, r.orientation) for r in got] == [
-                (r.lower, r.mid, r.upper, orientation) for r in reports]
+        right = GeneratorFunction(bundle=bare, direction=NEG_F_3CONVEX, name="custom")
+        got_value, got = divergence_pass(p, q, right)
+        assert got_value.hex() == value.hex()
+        assert [(r.lower.hex(), r.mid.hex(), r.upper.hex(), r.orientation)
+                for r in got] == [(r.lower.hex(), r.mid.hex(), r.upper.hex(),
+                                   r.orientation) for r in reports]
+        wrong = GeneratorFunction(bundle=bare, direction=F_3CONVEX, name="custom")
+        with pytest.raises(ValueError, match=re.escape(
+                "generator 'custom' declared 3-convex but its third derivative "
+                "is negative on [0.2, 3.4999999999999996]")):
+            divergence_pass(p, q, wrong)
+
+    @pytest.mark.filterwarnings("error")
+    def test_third_derivative_not_finite_is_refused(self):
+        """A d3 sample that is inf (kl's -1/t^2 overflows at the ratio
+        2e-200) or nan has no sign to check against the declaration: an
+        unproved generator is refused there as certify_3convex refuses it,
+        while named kl, whose direction is proved, is not sampled."""
+        kl = generator("kl")
+        with_nan = lambda t: np.where(t > 1.1, np.nan, -1.0 / t ** 2)
+        for d3, p in ((kl.bundle.d3, [1e-200, 1.0 - 1e-200]), (with_nan, [0.4, 0.6])):
+            custom = GeneratorFunction(bundle=replace(kl.bundle, d3=d3),
+                                       direction=NEG_F_3CONVEX, name="custom")
+            with pytest.raises(ValueError, match="^third derivative not finite on the grid$"):
+                divergence_pass(p, [0.5, 0.5], custom)
+            divergence_pass(p, [0.5, 0.5], kl)
 
 
 class TestRatioOverflow:
@@ -381,18 +401,19 @@ class TestProvedDirection:
         ("renyi", alpha) for alpha in (-2.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 7.5)]
 
     @staticmethod
-    def sampled_d3(monkeypatch):
-        """The d3 callables that the divergence pass samples."""
-        from elrbounds import divergences
+    def sampled_grids(monkeypatch):
+        """The grids on which certify_3convex samples a d3: its evaluations
+        through divided_diff._eval, which no other read of the pass makes."""
+        from elrbounds import divided_diff
 
-        sampled, evaluate = [], divergences._eval
+        grids, evaluate = [], divided_diff._eval
 
         def recording(g, x):
-            sampled.append(g)
+            grids.append(x)
             return evaluate(g, x)
 
-        monkeypatch.setattr(divergences, "_eval", recording)
-        return sampled
+        monkeypatch.setattr(divided_diff, "_eval", recording)
+        return grids
 
     @pytest.mark.parametrize("name,alpha", NAMED,
                              ids=[f"{n}-{a}" if a is not None else n for n, a in NAMED])
@@ -407,24 +428,24 @@ class TestProvedDirection:
             assert (d3 <= 0.0).all()
 
     def test_named_generator_is_not_sampled(self, monkeypatch):
-        sampled = self.sampled_d3(monkeypatch)
+        sampled = self.sampled_grids(monkeypatch)
         gen = generator("kl")
         divergence_pass([0.4, 0.6], [0.5, 0.5], gen)
-        assert gen.bundle.d3 not in sampled
+        assert sampled == []
         # the proof is of the bundle: a custom generator on it declaring the
         # proved direction is not sampled either
         custom = GeneratorFunction(bundle=gen.bundle, direction=NEG_F_3CONVEX,
                                    name="custom")
         divergence_pass([0.4, 0.6], [0.5, 0.5], custom)
-        assert gen.bundle.d3 not in sampled
+        assert sampled == []
 
     def test_replaced_bundle_is_sampled(self, monkeypatch):
-        sampled = self.sampled_d3(monkeypatch)
+        sampled = self.sampled_grids(monkeypatch)
         kl = generator("kl")
         copy = replace(kl.bundle)
         assert copy not in _PROVED
         divergence_pass([0.4, 0.6], [0.5, 0.5], replace(kl, bundle=copy))
-        assert sampled.count(copy.d3) == 1
+        assert [grid.tolist() for grid in sampled] == [np.linspace(0.8, 1.2, 33).tolist()]
 
     def test_hand_built_kl_with_the_wrong_direction_is_refused(self):
         wrong = GeneratorFunction(bundle=generator("kl").bundle,

@@ -15,9 +15,20 @@ from elrbounds import (
     check_bundle,
     dd_confluent,
     dd_recursive,
+    elr_context,
+    gamma,
     generator,
     linear_combination,
+    make_functional,
+    moments,
 )
+from elrbounds.divergences import (
+    F_3CONVEX,
+    NEG_F_3CONVEX,
+    GeneratorFunction,
+    divergence_pass,
+)
+from elrbounds.elr_bounds import theorem_triple
 from elrbounds.fuzzing import random_three_convex_bundle
 from elrbounds.registry import poly_bundle, resolve_phi
 
@@ -218,10 +229,39 @@ class TestCertify:
     @pytest.mark.parametrize("bundle", [CUBIC, poly_bundle([0.0, 1.0])],
                              ids=["cubic", "identity"])
     def test_overflowing_length_refused_before_sampling(self, bundle):
-        with pytest.raises(ValueError, match="certification interval too wide"):
+        message = re.escape("interval [-1e+308, 1e+308] is too wide: its length "
+                            "overflows")
+        with pytest.raises(ValueError, match=message):
             certify_3convex(bundle, -1e308, 1e308, 65)
-        with pytest.raises(ValueError, match="sampling window too wide"):
+        with pytest.raises(ValueError, match=message):
             check_bundle(bundle, -1e308, 1e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_length_refused_by_every_pass(self):
+        """The length rule is the bundle's domain rule: the moment pass,
+        Gamma, theorem_triple and an explicit-interval divergence pass
+        refuse [-1e308, 1e308] (the divergence pass [0.5, inf], as its
+        ratios must stay positive) before reading the bundle."""
+        calls = []
+        F = make_functional([0.5, 0.9], [0.5, 0.5])
+        ms = moments(F, CUBIC, 0.0, 1.0)
+        message = re.escape("interval [-1e+308, 1e+308] is too wide: its length "
+                            "overflows")
+        for bundle in (counted(CUBIC, calls, arrays=True),
+                       counted(poly_bundle([0.0, 1.0]), calls, arrays=True)):
+            for run in (lambda: moments(F, bundle, -1e308, 1e308),
+                        lambda: gamma(elr_context(1, F, -1e308, 1e308), bundle),
+                        lambda: gamma(elr_context(3, F, -1e308, 1e308), bundle),
+                        lambda: theorem_triple("taylor", ms, bundle, -1e308, 1e308)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    run()
+        kl = counted(generator("kl").bundle, calls, arrays=True)
+        for direction in (F_3CONVEX, NEG_F_3CONVEX):
+            custom = GeneratorFunction(bundle=kl, direction=direction, name="custom")
+            with pytest.raises(ValueError, match=re.escape(
+                    "interval [0.5, inf] is too wide: its length overflows")):
+                divergence_pass([0.4, 0.6], [0.5, 0.5], custom, 0.5, math.inf)
+        assert calls == []
 
     def test_indeterminate_when_no_samples_possible(self):
         f_only = FunctionBundle(domain_lo=-10, domain_hi=10, f=lambda x: x**3)

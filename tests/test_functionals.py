@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elrbounds import apply, functionals, make_functional, moments
+from elrbounds import apply, bounds, functionals, make_functional, moments
 from elrbounds.functionals import check_weights, make_functionals, moments_batch
 from elrbounds.registry import resolve_phi
 
@@ -228,6 +228,56 @@ class TestMoments:
         # d_lo = sum w*(x-m)*phi'(x): interior uses 2x, endpoints the stored
         expected_dlo = 0.5 * 0.5 * 1.0 + 0.25 * 1.0 * 9.0
         assert ms.d_lo == pytest.approx(expected_dlo, abs=1e-14)
+
+
+class TestHandBuiltFunctional:
+    """A DiscreteFunctional built by hand is refused, with make_functional's
+    messages, unless it is already a probability functional; it is never
+    renormalized, and a FunctionalBatch is not read as one functional."""
+
+    NODES = np.array([0.5, 0.9])
+
+    @pytest.mark.parametrize("nodes, weights, message", [
+        (NODES, [1.5, 0.5], "weights of functional must sum to 1 (got a weight 1.5)"),
+        (NODES, [-0.5, 1.5], "negative weight in functional"),
+        (NODES, [0.5, 0.25], "weights of functional must sum to 1 (got 0.75)"),
+        (NODES, [np.nan, 1.0], "non-finite weight in functional"),
+        ([0.5, np.inf], [0.5, 0.5], "nodes must be finite"),
+        (NODES, [1.0], "nodes and weights differ in length"),
+        ([], [], "functional needs at least one node"),
+    ], ids=["sum-two", "negative", "sum-short", "nan-weight", "inf-node",
+            "lengths", "empty"])
+    def test_refused_with_make_functional_messages(self, nodes, weights, message):
+        for build in (make_functional, lambda x, w: functionals.DiscreteFunctional(
+                np.array(x, dtype=float), np.array(w, dtype=float))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(nodes, weights)
+
+    @pytest.mark.parametrize("nodes, weights, label", [
+        ([0.5, 0.9], np.array([0.5, 0.5]), "nodes"),
+        (NODES, [0.5, 0.5], "weights"),
+        (NODES[None], np.array([[0.5, 0.5]]), "nodes"),
+        (NODES, np.array([True, False]), "weights"),
+    ], ids=["list-nodes", "list-weights", "two-dimensional", "bool-weights"])
+    def test_only_flat_numeric_arrays(self, nodes, weights, label):
+        with pytest.raises(ValueError, match=f"^{label} must be a flat array of numbers$"):
+            functionals.DiscreteFunctional(nodes, weights)
+
+    def test_accepted_as_given(self):
+        weights = np.array([0.5, 0.5 + 4e-10])
+        F = functionals.DiscreteFunctional(self.NODES, weights)
+        assert F.weights is weights and F.nodes is self.NODES
+
+    def test_batch_is_not_one_functional(self):
+        batch = make_functionals([0.5, 0.9, 0.2, 0.4], [0.5, 0.5, 0.25, 0.75],
+                                 ((2, 2),))
+        message = "^expected a DiscreteFunctional, got FunctionalBatch$"
+        for run in (lambda: moments(batch, CUBIC, 0.0, 1.0),
+                    lambda: functionals.moment_basis(batch, 0.0, 1.0),
+                    lambda: apply(batch, lambda x: x),
+                    lambda: bounds("derivative", batch, CUBIC, 0.0, 1.0, "three_convex")):
+            with pytest.raises(ValueError, match=message):
+                run()
 
 
 class TestFunctionalBatchIndex:
