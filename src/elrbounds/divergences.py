@@ -23,7 +23,8 @@ import numpy as np
 from .divided_diff import (FunctionBundle, NEG_THREE_CONVEX, THREE_CONVEX, _eval,
                            certify_3convex)
 from .elr_bounds import BoundReport, _pair_reports, _resolve_orientation
-from .functionals import DiscreteFunctional, _normalize, check_weights, moments
+from .functionals import (DiscreteFunctional, _functional, _land_row, check_weights,
+                          moments)
 
 __all__ = [
     "GeneratorFunction",
@@ -240,13 +241,13 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
     if lo < m or hi > M:
         outside = (ratios < m) | (ratios > M)
         raise ValueError(f"ratio outside [m, M]: {float(ratios[outside][0])!r}")
-    # The kept masses need only make_functional's normalization: _check_pair
-    # has checked every q_i, and dropping exact zeros leaves the real sum of
-    # q, which it has checked to lie within WEIGHT_DRIFT_TOL of 1, unchanged.
-    ratios.flags.writeable = False
-    weights = _normalize(masses.copy(), ((1, masses.size),),
-                         masses.sum(keepdims=True))
-    return DiscreteFunctional(nodes=ratios, weights=weights), m, M, masses
+    # The kept masses need only make_functional's landing: _check_pair has
+    # checked every q_i, and dropping exact zeros leaves the real sum of q,
+    # which it has checked to lie within WEIGHT_DRIFT_TOL of 1, unchanged;
+    # every ratio is finite and the masses are positive.
+    weights = masses.copy()
+    _land_row(weights, float(masses.sum()))
+    return _functional(ratios, weights), m, M, masses
 
 
 def _spot_check_direction(gen: GeneratorFunction, m: float, M: float) -> None:

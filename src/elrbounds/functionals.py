@@ -14,7 +14,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,28 +44,53 @@ WEIGHT_DRIFT_TOL = 1e-9
 class DiscreteFunctional:
     """Nonnegative weights summing to one attached to real nodes.  Built by
     hand, it is refused with make_functional's messages unless it already
-    is one, in flat numeric arrays; it is never renormalized."""
+    is one, in flat numeric arrays, stored as float64 (a float64 array as
+    given); it is never renormalized.  The package's builders check their
+    fields themselves and skip this check (``_functional``)."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes, weights = self.nodes, self.weights
-        for label, values in (("nodes", nodes), ("weights", weights)):
+        for label in ("nodes", "weights"):
+            values = getattr(self, label)
             if not (isinstance(values, np.ndarray) and values.ndim == 1
                     and values.dtype.kind in "iuf"):
                 raise ValueError(f"{label} must be a flat array of numbers")
-        if nodes.size != weights.size:
-            raise ValueError("nodes and weights differ in length")
-        if nodes.size == 0:
-            raise ValueError("functional needs at least one node")
-        if not np.isfinite(nodes).all():
-            raise ValueError("nodes must be finite")
-        check_weights(weights, "functional")
+            object.__setattr__(self, label, values.astype(float, copy=False))
+        _check_fields(self.nodes, self.weights)
 
     @property
     def size(self) -> int:
         return self.nodes.size
+
+
+def _functional(nodes: np.ndarray, weights: np.ndarray) -> DiscreteFunctional:
+    """The functional of checked fields (``_check_fields``, or a checked
+    batch's rows), made read-only, without __post_init__'s check."""
+    nodes.flags.writeable = weights.flags.writeable = False
+    functional = object.__new__(DiscreteFunctional)
+    object.__setattr__(functional, "nodes", nodes)
+    object.__setattr__(functional, "weights", weights)
+    return functional
+
+
+def _check_fields(nodes: np.ndarray, weights: np.ndarray) -> float:
+    """The field rules of one functional on flat float arrays, in the order
+    of their messages: equal lengths, at least one node, finite nodes, then
+    the check_weights rule on the weights; returns the weights' sum."""
+    if nodes.size != weights.size:
+        raise ValueError("nodes and weights differ in length")
+    if nodes.size == 0:
+        raise ValueError("functional needs at least one node")
+    _check_finite(nodes)
+    return _weight_total(weights, "functional")
+
+
+def _check_finite(nodes: np.ndarray) -> None:
+    """The node rule of a functional and of every row of a batch."""
+    if not np.isfinite(nodes).all():
+        raise ValueError("nodes must be finite")
 
 
 def check_weights(weights, label: str = "weights") -> np.ndarray:
@@ -74,13 +98,19 @@ def check_weights(weights, label: str = "weights") -> np.ndarray:
     non-empty, finite, nonnegative, summing to 1 within WEIGHT_DRIFT_TOL.
     ``label`` names the vector in error messages."""
     weights = _floats(weights, label)
+    _weight_total(weights, label)
+    return weights
+
+
+def _weight_total(weights: np.ndarray, label: str) -> float:
+    """The check_weights rule on a flat float array; returns its sum."""
     _check_entries(weights, label)
     # one float compare: an array compare would cost more than the rest
     # of this check, which every divergence and means op makes
     total = float(weights.sum())
     if not abs(total - 1.0) <= WEIGHT_DRIFT_TOL:
         _refuse_sum(weights, repr(total), label)
-    return weights
+    return total
 
 
 def _is_number(value, kind) -> bool:
@@ -196,7 +226,7 @@ class FunctionalBatch:
         for nodes, weights in zip(row_blocks(self.nodes, self.shapes),
                                   row_blocks(self.weights, self.shapes)):
             if row < len(nodes):
-                return DiscreteFunctional(nodes=nodes[row], weights=weights[row])
+                return _functional(nodes[row], weights[row])
             row -= len(nodes)
 
 
@@ -216,8 +246,7 @@ def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
         if not (order.shape == (count,) and order.dtype.kind in "iu"
                 and (np.sort(order) == np.arange(count)).all()):
             raise ValueError(f"order must be a permutation of range({count})")
-    if not np.isfinite(nodes).all():
-        raise ValueError("nodes must be finite")
+    _check_finite(nodes)
     _check_entries(weights, "functional")
     sums = _weight_sums(weights, shapes)
     _check_sums(weights, sums, "functional")
@@ -267,12 +296,13 @@ def _normalize(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
     adjustments, each at the row's current first largest weight.
 
     The path is chosen by the batch's row count and each row's length.
-    A batch of fewer than LIMB_LANDING_ROWS rows divides row by row; each
-    of its rows shorter than LIMB_LANDING_ENTRIES runs the rule as a
-    Python loop of fsum passes (_land_rows), and each longer one on its
-    own exact total (_land_held), with one split into int64 limbs and no
-    second pass over the row.  A batch of LIMB_LANDING_ROWS rows or more
-    divides all rows at once and runs the rule over the whole batch on
+    A batch of fewer than LIMB_LANDING_ROWS rows divides and lands row by
+    row (_land_row, which make_functional and ratio_functional run on
+    their one row): each row shorter than LIMB_LANDING_ENTRIES runs the
+    rule as a Python loop of fsum passes (_land_rows), and each longer one
+    on its own exact total (_land_held), with one split into int64 limbs
+    and no second pass over the row.  A batch of LIMB_LANDING_ROWS rows or
+    more divides all rows at once and runs the rule over the whole batch on
     the limbs (_land_batch).  The limbs are exact: w is
     h * 2**-52 + r * 2**-104, they add exactly in any order, and fsum(row)
     is then fl(A * 2**-52 + B * 2**-104) from the carried limb sums A and
@@ -280,17 +310,24 @@ def _normalize(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
     holding a weight with a bit below 2**-104 (the tail of a steep Zipf
     law, say) take the loop instead.  Every path gives the same bits."""
     if len(sums) < LIMB_LANDING_ROWS:
-        stops = list(accumulate(k for count, k in shapes for _ in range(count)))
-        spans = list(zip([0, *stops], stops))
-        for (start, stop), total in zip(spans, sums.tolist()):
-            weights[start:stop] /= total
-        _land_rows(weights, [(start, stop) for start, stop in spans
-                             if stop - start < LIMB_LANDING_ENTRIES
-                             or not _land_held(weights[start:stop])])
+        start = 0
+        for k, total in zip([k for count, k in shapes for _ in range(count)],
+                            sums.tolist()):
+            _land_row(weights[start:start + k], total)
+            start += k
     else:
         _land_batch(weights, _divide_rows(weights, shapes, sums))
     weights.flags.writeable = False
     return weights
+
+
+def _land_row(row: np.ndarray, total: float) -> None:
+    """A checked row of weights summing to ``total``, divided by it and
+    landed in place: _land_held from LIMB_LANDING_ENTRIES entries on, when
+    the limbs hold the row, else the fsum loop."""
+    row /= total
+    if row.size < LIMB_LANDING_ENTRIES or not _land_held(row):
+        _land_rows(row, ((0, row.size),))
 
 
 def _land_rows(weights: np.ndarray, spans) -> None:
@@ -410,15 +447,14 @@ def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> Discret
 
     Raises ``ValueError`` for mismatched lengths, non-finite nodes, or
     weights that ``check_weights`` rejects; a weight sum off 1 by at most
-    WEIGHT_DRIFT_TOL is renormalized.  The batch of one of make_functionals.
+    WEIGHT_DRIFT_TOL is renormalized, bit for bit as make_functionals
+    renormalizes a batch of one; the given arrays are copied.
     """
     nodes, weights = _floats(nodes, "nodes"), _floats(weights, "weights")
-    if nodes.size != weights.size:
-        raise ValueError("nodes and weights differ in length")
-    if nodes.size == 0:
-        raise ValueError("functional needs at least one node")
-    batch = make_functionals(nodes, weights, ((1, nodes.size),))
-    return DiscreteFunctional(nodes=batch.nodes, weights=batch.weights)
+    total = _check_fields(nodes, weights)
+    weights = weights.copy()
+    _land_row(weights, total)
+    return _functional(nodes.copy(), weights)
 
 
 def apply(functional: DiscreteFunctional, g: Callable) -> float:

@@ -22,6 +22,7 @@ from elrbounds.divergences import (
     divergence_pass,
     ratio_functional,
 )
+from elrbounds.functionals import make_functionals
 
 from counting import counted, counting_bundle
 
@@ -388,6 +389,32 @@ class TestRatioNormalization:
         b = zm_distribution(N, 3.0, 2.3)
         self.assert_is_make_functional(a.pmf, b.pmf)
         self.assert_is_make_functional(b.pmf, a.pmf)
+
+
+class TestRatioOneRowPath:
+    """ratio_functional lands its weights on the one-row path, bit for bit
+    as make_functionals lands the kept masses as a batch of one."""
+
+    @staticmethod
+    def assert_is_the_batch_of_one(p, q):
+        functional, _, _, masses = ratio_functional(p, q)
+        batch = make_functionals(functional.nodes, masses, ((1, masses.size),))
+        assert functional.weights.tobytes() == batch.weights.tobytes()
+
+    def test_dirichlet_pairs(self):
+        rng = np.random.default_rng(252)
+        for _ in range(300):
+            k = int(rng.integers(2, 60))
+            alpha = rng.uniform(0.2, 3.0)
+            self.assert_is_the_batch_of_one(rng.dirichlet(np.full(k, alpha)),
+                                            rng.dirichlet(np.full(k, alpha)))
+
+    @pytest.mark.parametrize("N", [2, 100, 511, 512, 1000, 3000])
+    def test_zipf_mandelbrot_pairs(self, N):
+        a = zm_distribution(N, 0.5, 1.1)
+        b = zm_distribution(N, 3.0, 2.3)
+        self.assert_is_the_batch_of_one(a.pmf, b.pmf)
+        self.assert_is_the_batch_of_one(b.pmf, a.pmf)
 
 
 class TestProvedDirection:

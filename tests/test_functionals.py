@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elrbounds import apply, bounds, functionals, make_functional, moments
+from elrbounds.divergences import ratio_functional
 from elrbounds.functionals import check_weights, make_functionals, moments_batch
 from elrbounds.registry import resolve_phi
 
@@ -268,6 +269,17 @@ class TestHandBuiltFunctional:
         F = functionals.DiscreteFunctional(self.NODES, weights)
         assert F.weights is weights and F.nodes is self.NODES
 
+    def test_float32_fields_give_float64_moments(self):
+        """The fields are stored as float64, so a float32 functional has
+        the moments of its float64 copy, bit for bit: kept as float32, its
+        cross moment was a float32 product while value and d_lo were not."""
+        nodes = np.array([0.1, 0.37, 0.93], dtype=np.float32)
+        weights = np.array([0.25, 0.5, 0.25], dtype=np.float32)
+        single = functionals.DiscreteFunctional(nodes, weights)
+        double = functionals.DiscreteFunctional(nodes.astype(float), weights.astype(float))
+        assert single.nodes.dtype == single.weights.dtype == np.float64
+        assert moments(single, CUBIC, 0.0, 1.0) == moments(double, CUBIC, 0.0, 1.0)
+
     def test_batch_is_not_one_functional(self):
         batch = make_functionals([0.5, 0.9, 0.2, 0.4], [0.5, 0.5, 0.25, 0.75],
                                  ((2, 2),))
@@ -515,3 +527,85 @@ class TestLongRowLanding:
             assert held.all() and math.fsum(row) < 2.0
             assert functionals._limb_sums(limbs.sum(axis=1).tolist()) == math.fsum(row)
         assert ties > 50
+
+
+class TestOneRowPath:
+    """make_functional checks and lands its one row itself: its nodes and
+    weights are those of make_functionals' batch of one, bit for bit."""
+
+    @staticmethod
+    def assert_is_the_batch_of_one(nodes, weights):
+        F = make_functional(nodes, weights)
+        batch = make_functionals(nodes, weights, ((1, len(weights)),))
+        assert F.nodes.tobytes() == batch.nodes.tobytes()
+        assert F.weights.tobytes() == batch.weights.tobytes()
+        assert not (F.nodes.flags.writeable or F.weights.flags.writeable)
+
+    def test_random_rows(self):
+        """Rows of 1 to 3000 entries on both sides of the limb break-even,
+        uniform and Zipf-like (whose tails hold bits below the limbs), in
+        lists, arrays and strided views; a divided row needs at most two
+        adjustments (none of 1.75 million random rows needed three)."""
+        rng = np.random.default_rng(250)
+        sizes = [1, 2, 511, 512, 513, 3000, *rng.integers(1, 3001, 80).tolist()]
+        adjustments = Counter()
+        for size in sizes:
+            if rng.random() < 0.5:
+                raw = rng.random(size) ** rng.uniform(1.0, 4.0)
+            else:
+                raw = (np.arange(1.0, size + 1) + rng.uniform(0, 5)) ** -rng.uniform(0.2, 3)
+            weights = divided(raw)
+            adjustments[loop_adjustments(divided(weights))] += 1
+            nodes = rng.uniform(-5.0, 5.0, 2 * size)
+            self.assert_is_the_batch_of_one(nodes[::2], weights)
+            self.assert_is_the_batch_of_one(nodes[:size].tolist(), weights.tolist())
+        assert adjustments[0] and adjustments[1] and adjustments[2]
+
+    @pytest.mark.parametrize("size", [40, functionals.LIMB_LANDING_ENTRIES],
+                             ids=["loop", "limbs"])
+    def test_row_needing_three_adjustments(self, size):
+        """The one-row landing (functionals._land_row) on rows the loop
+        adjusts three times: a tied largest weight and a sum in [1.5, 2),
+        which no checked row has, so the row is landed with a total of 1."""
+        rng = np.random.default_rng(251)
+        while True:
+            row = rng.random(size)
+            row[rng.random(size) < 4 / size] = row.max()
+            row *= rng.uniform(1.5, 2.0) / row.sum()
+            if math.fsum(row) < 2.0 and loop_adjustments(row) == 3:
+                break
+        landed = row.copy()
+        functionals._land_row(landed, 1.0)
+        assert landed.tobytes() == loop_landed(row).tobytes()
+
+
+class TestOneCheckPerConstruction:
+    """The weight rule runs once per vector per construction: its one home,
+    _check_entries, is called once for each vector a builder takes in, and
+    never for a batch's row, which make_functionals has checked."""
+
+    @pytest.fixture
+    def labels(self, monkeypatch):
+        labels = []
+        check = functionals._check_entries
+        monkeypatch.setattr(functionals, "_check_entries",
+                            lambda weights, label: labels.append(label) or check(weights, label))
+        return labels
+
+    def test_make_functional(self, labels):
+        make_functional([0.2, 0.5, 0.9], [0.25, 0.5, 0.25])
+        assert labels == ["functional"]
+
+    def test_ratio_functional(self, labels):
+        ratio_functional([0.2, 0.3, 0.5], [0.4, 0.4, 0.2])
+        assert labels == ["p", "q"]
+
+    def test_batch_row(self, labels):
+        batch = make_functionals([0.5, 0.9, 0.2, 0.4], [0.5, 0.5, 0.25, 0.75], ((2, 2),))
+        labels.clear()
+        assert batch.functional(1).weights.tolist() == [0.25, 0.75]
+        assert labels == []
+
+    def test_hand_built(self, labels):
+        functionals.DiscreteFunctional(np.array([0.5, 0.9]), np.array([0.5, 0.5]))
+        assert labels == ["functional"]

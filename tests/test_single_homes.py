@@ -1,11 +1,14 @@
 """Rules that have one home in the source: the sampled sign rule of a third
 derivative lives in divided_diff (``SIGN_TOL`` and ``certify_3convex``),
-and the refusal of an interval whose length overflows is written once, in
-``FunctionBundle._check_interval``.  A second copy of either, in any
+the refusal of an interval whose length overflows is written once, in
+``FunctionBundle._check_interval``, and each node rule of a functional
+once, in the field check of functionals.py.  A second copy of any, in any
 module of the package, fails here."""
 
 import re
 from pathlib import Path
+
+import pytest
 
 import elrbounds
 
@@ -27,3 +30,12 @@ def test_length_overflow_is_refused_in_one_place():
     copies = [name for name, text in SOURCES.items()
               for _ in re.finditer("length overflows", text)]
     assert copies == ["divided_diff.py"]
+
+
+@pytest.mark.parametrize("message", ["nodes must be finite",
+                                     "nodes and weights differ in length",
+                                     "functional needs at least one node"])
+def test_functional_field_rule_is_written_once(message):
+    copies = [name for name, text in SOURCES.items()
+              for _ in re.finditer(re.escape(message), text)]
+    assert copies == ["functionals.py"]
