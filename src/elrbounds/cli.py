@@ -26,9 +26,8 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .divided_diff import certify_3convex
 from .divergences import DIVERGENCE_THEOREMS, divergence_pass
-from .elr_bounds import THEOREMS, BoundReport, _pair_reports, _resolve_orientation
+from .elr_bounds import THEOREMS, BoundReport, _certified, _pair_reports, _resolve_orientation
 from .expconv import divergence_context, elr_context
 from .functionals import make_functional, moments
 from .fuzzing import bracket_fuzz
@@ -159,11 +158,7 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
     functional = _parse_functional(payload)
     m, M = _parse_interval(payload)
     bundle = resolve_phi(_need_object(payload, "phi"))
-    cert = certify_3convex(bundle, m, M, 201)
-    if not cert.is_directed:
-        raise ValueError(
-            f"{bundle.name!r} is not 3-convex on [{m}, {M}] in either "
-            f"direction (verdict {cert.verdict!r})")
+    cert = _certified(bundle, m, M)
     theorems = _parse_theorems(payload)
     reports = _pair_reports(moments(functional, bundle, m, M), bundle, m, M,
                             theorems, _resolve_orientation(cert))

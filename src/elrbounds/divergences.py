@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divided_diff import (FunctionBundle, NEG_THREE_CONVEX, THREE_CONVEX, _eval,
-                           certify_3convex)
-from .elr_bounds import BoundReport, _pair_reports, _resolve_orientation
+from .divided_diff import FunctionBundle, THREE_CONVEX, _eval, certify_3convex
+from .elr_bounds import ORIENT_DIRECT, ORIENT_REVERSED, BoundReport, _pair_reports
 from .functionals import (DiscreteFunctional, _functional, _land_row, check_weights,
                           moments)
 
@@ -69,9 +68,6 @@ class GeneratorFunction:
     def __post_init__(self):
         if self.direction not in (F_3CONVEX, NEG_F_3CONVEX):
             raise ValueError(f"unknown direction {self.direction!r}")
-
-    def convexity_verdict(self) -> str:
-        return THREE_CONVEX if self.direction == F_3CONVEX else NEG_THREE_CONVEX
 
 
 def _positive_bundle(f, d1, d2, d3, name) -> FunctionBundle:
@@ -284,8 +280,8 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
     _spot_check_direction(gen, m, M)
     phi_vals = _eval(gen.bundle.f, functional.nodes)
     ms = moments(functional, gen.bundle, m, M, phi_vals=phi_vals)
-    reports = _pair_reports(ms, gen.bundle, m, M, theorems,
-                            _resolve_orientation(gen.convexity_verdict()), "divergence_",
+    orientation = ORIENT_DIRECT if gen.direction == F_3CONVEX else ORIENT_REVERSED
+    reports = _pair_reports(ms, gen.bundle, m, M, theorems, orientation, "divergence_",
                             {"m": m, "M": M, "interval_auto_derived": auto,
                              "generator": gen.name, "params": list(gen.params)})
     return float(masses @ phi_vals), reports

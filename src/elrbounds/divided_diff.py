@@ -51,6 +51,12 @@ _ENDPOINT_FIELDS = ("d1_plus_at_lo", "d1_minus_at_hi", "d2_plus_at_lo",
                     "d2_minus_at_hi")
 
 
+def _check_order(m: float, M: float) -> None:
+    """The one rule that an interval [m, M] is not degenerate."""
+    if not m < M:
+        raise ValueError("degenerate interval: m must lie strictly below M")
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionBundle:
     """A scalar function on an interval together with derivative data.
@@ -86,8 +92,7 @@ class FunctionBundle:
     def _check_interval(self, m: float, M: float) -> None:
         """The one domain rule of every pass over [m, M]: m < M, inside the
         domain, of finite length, before the pass reads the bundle anywhere."""
-        if not m < M:
-            raise ValueError("degenerate interval: m must lie strictly below M")
+        _check_order(m, M)
         if not self.contains(m, M):
             raise ValueError(f"interval [{m}, {M}] escapes the domain of {self.name!r}")
         if not math.isfinite(M - m):

@@ -31,6 +31,7 @@ from .divided_diff import (
     THREE_CONVEX,
     ConvexityCertificate,
     FunctionBundle,
+    certify_3convex,
 )
 from .functionals import DiscreteFunctional, MomentSet, moments
 
@@ -100,16 +101,24 @@ def _excess(lower, mid, upper, orientation: str):
     return 0.0 if 0.0 > worst else worst
 
 
-def _resolve_orientation(direction) -> str:
-    """Map a certificate or direction label to a chain orientation."""
-    if isinstance(direction, ConvexityCertificate):
-        direction = direction.verdict
-    if direction == THREE_CONVEX:
+def _certified(bundle: FunctionBundle, m: float, M: float) -> ConvexityCertificate:
+    """The hypothesis of every bound pair: certify_3convex of the bundle at
+    201 points of [m, M], refused unless it finds a direction."""
+    cert = certify_3convex(bundle, m, M, 201)
+    if not cert.is_directed:
+        raise ValueError(f"{bundle.name!r} is not 3-convex on [{m}, {M}] "
+                         f"in either direction (verdict {cert.verdict!r})")
+    return cert
+
+
+def _resolve_orientation(cert: ConvexityCertificate) -> str:
+    """The chain orientation of a certificate's verdict."""
+    if cert.verdict == THREE_CONVEX:
         return ORIENT_DIRECT
-    if direction == NEG_THREE_CONVEX:
+    if cert.verdict == NEG_THREE_CONVEX:
         return ORIENT_REVERSED
     raise ValueError(
-        f"theorem hypotheses unmet: 3-convexity direction is {direction!r}")
+        f"theorem hypotheses unmet: 3-convexity direction is {cert.verdict!r}")
 
 
 def _endpoint_values(bundle: FunctionBundle, m: float, M: float,
@@ -230,27 +239,24 @@ THEOREMS = ("secant", "derivative", "taylor")
 
 
 def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
-           m: float, M: float, direction) -> BoundReport:
-    """Oriented report of the bound pair named ``theorem`` (one of THEOREMS)
-    from one moment pass; ``direction`` is a ConvexityCertificate or a
-    verdict label."""
-    orientation = _resolve_orientation(direction)
+           m: float, M: float) -> BoundReport:
+    """Report of the bound pair named ``theorem`` (one of THEOREMS) from one
+    moment pass, oriented by the bundle's certificate on [m, M]."""
     _check_theorem(theorem)
+    orientation = _resolve_orientation(_certified(bundle, m, M))
     return _pair_reports(moments(functional, bundle, m, M), bundle, m, M,
                          (theorem,), orientation)[0]
 
 
 def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
-                      m: float, M: float, variant: str, direction) -> BoundReport:
-    """Bounds on the Jensen gap A(phi(f)) - phi(A(f)).
-
-    The two variants reuse the ``derivative`` and ``taylor`` bound data;
-    the displayed composite expressions are taken as normative and are not
-    simplified algebraically.
-    """
+                      m: float, M: float, variant: str) -> BoundReport:
+    """Bounds on the Jensen gap A(phi(f)) - phi(A(f)) = D(delta) - D(A), for
+    delta the point mass at the mean of f: the ``derivative`` or ``taylor``
+    pair's lower(delta) - upper(A) and upper(delta) - lower(A), written out
+    unsimplified and oriented by the bundle's certificate on [m, M]."""
     if variant not in ("derivative", "taylor"):
         raise ValueError(f"unknown Jensen-gap variant {variant!r}")
-    orientation = _resolve_orientation(direction)
+    orientation = _resolve_orientation(_certified(bundle, m, M))
     ms = moments(functional, bundle, m, M)
     phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, m, M, 1 + (variant == "taylor"))
     secant = (phi_M - phi_m) / (M - m)
@@ -261,7 +267,7 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
         dmean = bundle.deriv(1, mean)
         lower = ((mean - m) * (secant - 0.5 * (dmean + d1p))
                  - 0.5 * d_hi
-                 - (M - mean) * (secant + 0.5 * d1m))
+                 + (M - mean) * (secant - 0.5 * d1m))
         upper = ((M - mean) * (0.5 * (dmean + d1m) - secant)
                  - (mean - m) * (secant - 0.5 * d1p)
                  + 0.5 * d_lo)

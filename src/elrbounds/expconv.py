@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divided_diff import FunctionBundle
+from .divided_diff import FunctionBundle, _check_order
 from .divergences import ratio_functional
 from .elr_bounds import _refuse_overflow, theorem_triple
 from .functionals import DiscreteFunctional, MomentBasis, _is_number, moment_basis
@@ -76,8 +76,7 @@ class GammaContext:
 
     def __post_init__(self):
         _check_index(self.index)
-        if not self.m < self.M:
-            raise ValueError("degenerate interval: m must lie strictly below M")
+        _check_order(self.m, self.M)
 
     @cached_property
     def basis(self) -> MomentBasis:

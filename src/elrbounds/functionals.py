@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, _eval
+from .divided_diff import FunctionBundle, _check_order, _eval
 
 __all__ = [
     "DiscreteFunctional",
@@ -596,8 +596,7 @@ def _check_functional(functional: DiscreteFunctional) -> None:
 def _check_nodes(x: np.ndarray, m: float, M: float) -> tuple[float, float]:
     """Every node lies in [m, M], and m < M; returns the least and the
     largest node."""
-    if not m < M:
-        raise ValueError("degenerate interval: m must lie strictly below M")
+    _check_order(m, M)
     least, most = x.min(), x.max()
     if least < m or most > M:
         bad = float(x[(x < m) | (x > M)][0])

@@ -96,7 +96,7 @@ def test_criterion_3_golden_brackets():
         "taylor": (0.25, 0.375, 0.5),
     }
     for theorem, (lo, mid, hi) in expected.items():
-        r = bounds(theorem, F, cubic, 0.0, 1.0, "three_convex")
+        r = bounds(theorem, F, cubic, 0.0, 1.0)
         assert abs(r.lower - lo) <= 1e-12
         assert abs(r.mid - mid) <= 1e-12
         assert abs(r.upper - hi) <= 1e-12

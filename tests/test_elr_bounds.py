@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -18,6 +19,7 @@ from elrbounds import (
     jensen_gap_bounds,
     make_functional,
 )
+from elrbounds.cli import main
 from elrbounds.elr_bounds import BoundReport, theorem_triple
 from elrbounds.functionals import make_functionals, moments, moments_batch
 from elrbounds.fuzzing import bracket_fuzz
@@ -28,6 +30,11 @@ from counting import counted, counting_bundle
 CUBIC = resolve_phi({"name": "cubic"})
 QUARTIC = resolve_phi({"name": "quartic"})
 SQUARE = resolve_phi({"poly": [0.0, 0.0, 1.0]})
+
+# d3 = 24x changes sign on [-1, 1], so no direction can be certified there
+UNDIRECTED = resolve_phi({"poly": [0, 0, 0, 0, 1]})
+UNDIRECTED_MESSAGE = ("'poly(0.0, 0.0, 0.0, 0.0, 1.0)' is not 3-convex on [-1.0, 1.0] "
+                      "in either direction (verdict 'neither')")
 
 POINT_MASS = make_functional([0.5], [1.0])
 ENDPOINTS = make_functional([0.0, 1.0], [0.5, 0.5])
@@ -53,18 +60,18 @@ class TestElrDifference:
 
 class TestSecant:
     def test_worked_instance(self):
-        r = bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0)
         assert (r.lower, r.mid, r.upper) == pytest.approx((0.25, 0.375, 0.5), abs=1e-12)
         assert r.orientation == "direct"
         assert r.violation() == 0.0
 
     def test_endpoint_masses_collapse(self):
-        r = bounds("secant", ENDPOINTS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("secant", ENDPOINTS, CUBIC, 0.0, 1.0)
         assert (r.lower, r.mid, r.upper) == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
 
     def test_negated_function_reverses_and_negates(self):
-        direct = bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
-        flipped = bounds("secant", POINT_MASS, CUBIC.negated(), 0.0, 1.0, "neg_three_convex")
+        direct = bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0)
+        flipped = bounds("secant", POINT_MASS, CUBIC.negated(), 0.0, 1.0)
         assert flipped.orientation == "reversed"
         assert flipped.lower == -direct.lower
         assert flipped.mid == -direct.mid
@@ -73,29 +80,28 @@ class TestSecant:
         assert lo <= flipped.mid <= hi
 
     def test_unknown_direction_rejected(self):
-        with pytest.raises(ValueError, match="theorem hypotheses unmet"):
-            bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0, "neither")
+        with pytest.raises(ValueError, match=f"^{re.escape(UNDIRECTED_MESSAGE)}$"):
+            bounds("secant", POINT_MASS, UNDIRECTED, -1.0, 1.0)
 
     def test_certificate_accepted_as_direction(self):
-        cert = certify_3convex(CUBIC, 0.0, 1.0, 33)
-        r = bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0, cert)
+        r = bounds("secant", POINT_MASS, CUBIC, 0.0, 1.0)
         assert r.orientation == "direct"
 
 
 class TestDerivative:
     def test_worked_instance(self):
-        r = bounds("derivative", POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("derivative", POINT_MASS, CUBIC, 0.0, 1.0)
         assert (r.lower, r.mid, r.upper) == pytest.approx((0.3125, 0.375, 0.4375), abs=1e-12)
 
     def test_endpoint_masses_zero_mid(self):
         # the derivative-moment terms do not vanish for endpoint masses:
         # A[(f-m)phi'(f)] = 1.5 here, so lower = 0.5*1 - 0.75 = -0.25 and
         # upper = 0 - 0.5*(1 - 1.5) = 0.25 by direct evaluation
-        r = bounds("derivative", ENDPOINTS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("derivative", ENDPOINTS, CUBIC, 0.0, 1.0)
         assert (r.lower, r.mid, r.upper) == pytest.approx((-0.25, 0.0, 0.25), abs=1e-15)
 
     def test_quadratic_lower_bound_is_tight(self):
-        r = bounds("derivative", POINT_MASS, SQUARE, 0.0, 1.0, "three_convex")
+        r = bounds("derivative", POINT_MASS, SQUARE, 0.0, 1.0)
         assert r.lower == pytest.approx(0.25, abs=1e-14)
         assert r.mid == pytest.approx(0.25, abs=1e-14)
         assert r.violation() <= 1e-15
@@ -105,34 +111,34 @@ class TestDerivative:
         bare = FunctionBundle(domain_lo=-5, domain_hi=5, f=lambda x: x**3,
                               d1_plus_at_lo=75.0, d1_minus_at_hi=75.0)
         with pytest.raises(ValueError, match="insufficient bundle"):
-            bounds("derivative", POINT_MASS, bare, 0.0, 1.0, "three_convex")
+            bounds("derivative", POINT_MASS, bare, 0.0, 1.0)
 
 
 class TestTaylor:
     def test_worked_instance(self):
-        r = bounds("taylor", POINT_MASS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("taylor", POINT_MASS, CUBIC, 0.0, 1.0)
         assert (r.lower, r.mid, r.upper) == pytest.approx((0.25, 0.375, 0.5), abs=1e-12)
 
     def test_endpoint_masses_zero_mid(self):
         # direct evaluation: lower = 0.5*(3-1) - 3*0.5 = -0.5 and
         # upper = 0.5*(1-0) - 0 = 0.5; only the mid collapses
-        r = bounds("taylor", ENDPOINTS, CUBIC, 0.0, 1.0, "three_convex")
+        r = bounds("taylor", ENDPOINTS, CUBIC, 0.0, 1.0)
         assert (r.lower, r.mid, r.upper) == pytest.approx((-0.5, 0.0, 0.5), abs=1e-15)
 
     def test_quartic_mid(self):
-        r = bounds("taylor", POINT_MASS, QUARTIC, 0.0, 1.0, "three_convex")
+        r = bounds("taylor", POINT_MASS, QUARTIC, 0.0, 1.0)
         assert r.mid == pytest.approx(0.4375, abs=1e-14)
         assert r.lower <= r.mid <= r.upper
 
 
 class TestJensenGap:
     def test_point_mass_gap_vanishes(self):
-        r = jensen_gap_bounds(POINT_MASS, CUBIC, 0.0, 1.0, "derivative", "three_convex")
+        r = jensen_gap_bounds(POINT_MASS, CUBIC, 0.0, 1.0, "derivative")
         assert r.mid == pytest.approx(0.0, abs=1e-15)
-        assert (r.lower, r.upper) == pytest.approx((-1.125, 0.125), abs=1e-12)
+        assert (r.lower, r.upper) == pytest.approx((-0.125, 0.125), abs=1e-12)
 
     def test_variance_identity(self):
-        r = jensen_gap_bounds(ENDPOINTS, SQUARE, 0.0, 1.0, "derivative", "three_convex")
+        r = jensen_gap_bounds(ENDPOINTS, SQUARE, 0.0, 1.0, "derivative")
         assert r.mid == pytest.approx(0.25, abs=1e-15)
 
     def test_any_point_mass_has_zero_gap(self):
@@ -141,21 +147,21 @@ class TestJensenGap:
             x = float(rng.uniform(0.05, 0.95))
             F = make_functional([x], [1.0])
             for variant in ("derivative", "taylor"):
-                r = jensen_gap_bounds(F, CUBIC, 0.0, 1.0, variant, "three_convex")
+                r = jensen_gap_bounds(F, CUBIC, 0.0, 1.0, variant)
                 assert r.mid == pytest.approx(0.0, abs=1e-14)
 
     def test_taylor_variant_brackets_on_worked_instance(self):
-        r = jensen_gap_bounds(POINT_MASS, CUBIC, 0.0, 1.0, "taylor", "three_convex")
+        r = jensen_gap_bounds(POINT_MASS, CUBIC, 0.0, 1.0, "taylor")
         assert r.lower <= r.mid <= r.upper
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
-            jensen_gap_bounds(POINT_MASS, CUBIC, 0.0, 1.0, "secant", "three_convex")
+            jensen_gap_bounds(POINT_MASS, CUBIC, 0.0, 1.0, "secant")
 
     def test_variant_checked_first(self):
         # before the direction, as theorem_triple checks its theorem first
         with pytest.raises(ValueError, match="unknown Jensen-gap variant 'secant'"):
-            jensen_gap_bounds(POINT_MASS, CUBIC, 0.0, 1.0, "secant", "neither")
+            jensen_gap_bounds(POINT_MASS, CUBIC, 0.0, 1.0, "secant")
 
     @pytest.mark.parametrize("variant,top", [("derivative", 1), ("taylor", 2)])
     def test_endpoint_data_in_one_read(self, variant, top, monkeypatch):
@@ -168,11 +174,77 @@ class TestJensenGap:
         monkeypatch.setattr(type(bundle), "derivs", lambda self, r: (
             reads.append(list(r)) or derivs(self, r)))
         F = make_functional([0.3, 0.8], [0.5, 0.5])
-        jensen_gap_bounds(F, bundle, 0.0, 1.0, variant, "three_convex")
+        jensen_gap_bounds(F, bundle, 0.0, 1.0, variant)
         mean = moments(F, bundle, 0.0, 1.0).mean
         apart = [[(0, mean)], [(1, mean)]][:1 + (variant == "derivative")]
         assert reads == [[(order, x) for order in range(top + 1)
                           for x in (0.0, 1.0)]] + apart
+
+
+class TestCertifiedOrientation:
+    """bounds and jensen_gap_bounds orient each pair from the bundle's own
+    certificate on [m, M], the one the CLI's bounds command prints, and
+    refuse a bundle that has no direction there."""
+
+    XLOGX = resolve_phi({"name": "xlogx"})
+    F = make_functional([0.7, 1.1, 1.8], [0.3, 0.4, 0.3])
+
+    def test_undirected_bundle_refused_by_every_pass(self, capsys):
+        match = f"^{re.escape(UNDIRECTED_MESSAGE)}$"
+        for theorem in THEOREMS:
+            with pytest.raises(ValueError, match=match):
+                bounds(theorem, POINT_MASS, UNDIRECTED, -1.0, 1.0)
+        for variant in ("derivative", "taylor"):
+            with pytest.raises(ValueError, match=match):
+                jensen_gap_bounds(POINT_MASS, UNDIRECTED, -1.0, 1.0, variant)
+        payload = {"functional": {"nodes": [0.5], "weights": [1.0]},
+                   "interval": [-1, 1], "phi": {"poly": [0, 0, 0, 0, 1]}}
+        assert main(["bounds", "--input", json.dumps(payload)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {UNDIRECTED_MESSAGE}\n")
+
+    def test_name_checked_before_the_certificate(self):
+        with pytest.raises(ValueError, match="^unknown theorem 'simpson'$"):
+            bounds("simpson", POINT_MASS, UNDIRECTED, -1.0, 1.0)
+        with pytest.raises(ValueError, match="^unknown Jensen-gap variant 'secant'$"):
+            jensen_gap_bounds(POINT_MASS, UNDIRECTED, -1.0, 1.0, "secant")
+
+    def test_three_concave_bundle_is_reversed(self):
+        """x*log(x) is 3-concave on [0.5, 2]: a "three_convex" label once
+        gave its taylor pair (0.225, 0.166, -0.078), a bracket missing its
+        mid by 0.244; its certificate reverses the chain."""
+        assert certify_3convex(self.XLOGX, 0.5, 2.0, 201).verdict == "neg_three_convex"
+        r = bounds("taylor", self.F, self.XLOGX, 0.5, 2.0)
+        assert r.orientation == "reversed"
+        assert (r.lower, r.mid, r.upper) == (0.22495052249762965, 0.16610612743005088,
+                                             -0.07760918776970072)
+        assert r.violation() == 0.0
+        for variant in ("derivative", "taylor"):
+            r = jensen_gap_bounds(self.F, self.XLOGX, 0.5, 2.0, variant)
+            assert r.orientation == "reversed"
+            assert r.violation() == 0.0, variant
+
+    def test_jensen_gap_brackets_certified_draws(self):
+        """Both variants bracket the gap for 3-convex and 3-concave bundles
+        on random intervals under functionals of 1-7 nodes."""
+        positive = [generator("kl").bundle, generator("hellinger").bundle,
+                    generator("renyi", 1.5).bundle]
+        anywhere = [resolve_phi({"poly": [0, -1, 0, 5]}), CUBIC, resolve_phi({"name": "exp"})]
+        rng = np.random.default_rng(26)
+        for _ in range(1500):
+            on_positive = bool(rng.integers(2))
+            pool = positive if on_positive else anywhere
+            bundle = pool[int(rng.integers(len(pool)))]
+            if rng.integers(2):
+                bundle = bundle.negated()
+            m = float(rng.uniform(0.05, 2.0) if on_positive else rng.uniform(-3.0, 2.0))
+            M = m + float(rng.uniform(0.05, 4.0))
+            k = int(rng.integers(1, 8))
+            weights = rng.uniform(0.05, 1.0, k)
+            F = make_functional(rng.uniform(m, M, k), weights / weights.sum())
+            for variant in ("derivative", "taylor"):
+                r = jensen_gap_bounds(F, bundle, m, M, variant)
+                assert r.violation() == 0.0, (variant, bundle.name, m, M, F)
 
 
 class TestReversal:
@@ -183,16 +255,16 @@ class TestReversal:
             F = make_functional(rng.uniform(0.0, 1.0, k), np.ones(k) / k)
             neg = CUBIC.negated()
             for name in THEOREMS:
-                a = bounds(name, F, CUBIC, 0.0, 1.0, "three_convex")
-                b = bounds(name, F, neg, 0.0, 1.0, "neg_three_convex")
+                a = bounds(name, F, CUBIC, 0.0, 1.0)
+                b = bounds(name, F, neg, 0.0, 1.0)
                 assert (b.lower, b.mid, b.upper) == (-a.lower, -a.mid, -a.upper)
                 assert b.orientation == "reversed"
                 assert b.violation() <= 1e-12
-                assert bounds(name, F, CUBIC, 0.0, 1.0, "three_convex") == a
-                assert bounds(name, F, neg, 0.0, 1.0, "neg_three_convex") == b
+                assert bounds(name, F, CUBIC, 0.0, 1.0) == a
+                assert bounds(name, F, neg, 0.0, 1.0) == b
             for variant in ("derivative", "taylor"):
-                a = jensen_gap_bounds(F, CUBIC, 0.0, 1.0, variant, "three_convex")
-                b = jensen_gap_bounds(F, neg, 0.0, 1.0, variant, "neg_three_convex")
+                a = jensen_gap_bounds(F, CUBIC, 0.0, 1.0, variant)
+                b = jensen_gap_bounds(F, neg, 0.0, 1.0, variant)
                 assert (b.lower, b.mid, b.upper) == (-a.lower, -a.mid, -a.upper)
 
 
@@ -206,7 +278,7 @@ class TestScalarChainConsistency:
             scalar = ((M - x) * CUBIC.deriv(0, m)
                       + (x - m) * CUBIC.deriv(0, M)) / (M - m) - x**3
             for theorem in THEOREMS:
-                r = bounds(theorem, F, CUBIC, m, M, "three_convex")
+                r = bounds(theorem, F, CUBIC, m, M)
                 assert r.mid == pytest.approx(scalar, abs=1e-13)
 
 
@@ -218,7 +290,7 @@ class TestBracketFuzzSmall:
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError, match="degenerate interval"):
-            bounds("secant", POINT_MASS, CUBIC, 0.5, 0.5, "three_convex")
+            bounds("secant", POINT_MASS, CUBIC, 0.5, 0.5)
 
 
 class TestEndpointRead:
@@ -285,10 +357,10 @@ class TestEndpointRead:
                                      ((2, 2),))
             for bundle in bundles:
                 passes = [
-                    *(partial(bounds, theorem, F, bundle, -1.0, 2.0, "neg_three_convex")
+                    *(partial(bounds, theorem, F, bundle, -1.0, 2.0)
                       for theorem in THEOREMS),
-                    *(partial(jensen_gap_bounds, F, bundle, -1.0, 2.0, variant,
-                              "neg_three_convex") for variant in ("derivative", "taylor")),
+                    *(partial(jensen_gap_bounds, F, bundle, -1.0, 2.0, variant)
+                      for variant in ("derivative", "taylor")),
                     partial(elr_difference, F, bundle, -1.0, 2.0),
                     partial(moments, F, bundle, -1.0, 2.0),
                     partial(moments, F, bundle, -1.0, 2.0, phi_vals=np.ones(2)),
@@ -393,7 +465,7 @@ class TestWideInterval:
             with pytest.raises(ValueError, match=re.escape(
                     f"interval [{-half}, {half}] is too wide: the moments of "
                     "the functional on it overflow")):
-                bounds(theorem, self.NODE, self.LINEAR, -half, half, "three_convex")
+                bounds(theorem, self.NODE, self.LINEAR, -half, half)
 
     @pytest.mark.parametrize("half", [1e200, 8e307])
     @pytest.mark.filterwarnings("error")
@@ -401,8 +473,7 @@ class TestWideInterval:
         message = re.escape(f"interval [{-half}, {half}] is too wide: the moments "
                             "of the functional on it overflow")
         with pytest.raises(ValueError, match=message):
-            jensen_gap_bounds(self.NODE, self.LINEAR, -half, half, "taylor",
-                              "three_convex")
+            jensen_gap_bounds(self.NODE, self.LINEAR, -half, half, "taylor")
         with pytest.raises(ValueError, match=message):
             elr_difference(self.NODE, self.LINEAR, -half, half)
 
@@ -418,10 +489,10 @@ class TestWideInterval:
     def test_precomputed_moments_are_no_option(self):
         ms = moments(self.NODE, CUBIC, 0.0, 1.0)
         with pytest.raises(TypeError):
-            bounds("secant", self.NODE, CUBIC, 0.0, 1.0, "three_convex", precomputed=ms)
+            bounds("secant", self.NODE, CUBIC, 0.0, 1.0, precomputed=ms)
 
     @pytest.mark.filterwarnings("error")
     def test_wide_but_finite_interval_is_reported(self):
         for theorem in THEOREMS:
-            r = bounds(theorem, self.NODE, self.LINEAR, -1e150, 1e150, "three_convex")
+            r = bounds(theorem, self.NODE, self.LINEAR, -1e150, 1e150)
             assert all(map(math.isfinite, (r.lower, r.mid, r.upper)))

@@ -58,8 +58,7 @@ class TestGamma:
             assert gamma(worked_ctx(index), SQUARE) == pytest.approx(0.0, abs=1e-13), index
 
     def test_matches_bound_reports(self):
-        r = bounds("secant", make_functional([0.5], [1.0]), CUBIC, 0.0, 1.0,
-                   "three_convex")
+        r = bounds("secant", make_functional([0.5], [1.0]), CUBIC, 0.0, 1.0)
         assert gamma(worked_ctx(1), CUBIC) == pytest.approx(r.mid - r.lower, abs=1e-15)
         assert gamma(worked_ctx(2), CUBIC) == pytest.approx(r.upper - r.mid, abs=1e-15)
 

@@ -287,7 +287,7 @@ class TestHandBuiltFunctional:
         for run in (lambda: moments(batch, CUBIC, 0.0, 1.0),
                     lambda: functionals.moment_basis(batch, 0.0, 1.0),
                     lambda: apply(batch, lambda x: x),
-                    lambda: bounds("derivative", batch, CUBIC, 0.0, 1.0, "three_convex")):
+                    lambda: bounds("derivative", batch, CUBIC, 0.0, 1.0)):
             with pytest.raises(ValueError, match=message):
                 run()
 

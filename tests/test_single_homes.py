@@ -1,9 +1,11 @@
 """Rules that have one home in the source: the sampled sign rule of a third
 derivative lives in divided_diff (``SIGN_TOL`` and ``certify_3convex``),
 the refusal of an interval whose length overflows is written once, in
-``FunctionBundle._check_interval``, and each node rule of a functional
-once, in the field check of functionals.py.  A second copy of any, in any
-module of the package, fails here."""
+``FunctionBundle._check_interval``, the refusal of a degenerate interval
+once, in ``divided_diff._check_order``, the refusal of a bundle with no
+certified direction once, in ``elr_bounds._certified``, and each node rule
+of a functional once, in the field check of functionals.py.  A second copy
+of any, in any module of the package, fails here."""
 
 import re
 from pathlib import Path
@@ -39,3 +41,13 @@ def test_functional_field_rule_is_written_once(message):
     copies = [name for name, text in SOURCES.items()
               for _ in re.finditer(re.escape(message), text)]
     assert copies == ["functionals.py"]
+
+
+@pytest.mark.parametrize("message,home", [
+    ("degenerate interval: m must lie strictly below M", "divided_diff.py"),
+    ("in either direction", "elr_bounds.py"),
+])
+def test_interval_and_direction_rules_are_written_once(message, home):
+    copies = [name for name, text in SOURCES.items()
+              for _ in re.finditer(re.escape(message), text)]
+    assert copies == [home]
