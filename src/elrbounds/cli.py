@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .divergences import DIVERGENCE_THEOREMS, divergence_pass
-from .elr_bounds import THEOREMS, BoundReport, _certified, _pair_reports, _resolve_orientation
+from .elr_bounds import THEOREMS, BoundReport, _certified, _pair_reports
 from .expconv import divergence_context, elr_context
 from .functionals import make_functional, moments
 from .fuzzing import bracket_fuzz
@@ -158,10 +158,10 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
     functional = _parse_functional(payload)
     m, M = _parse_interval(payload)
     bundle = resolve_phi(_need_object(payload, "phi"))
-    cert = _certified(bundle, m, M)
+    cert, orientation = _certified(bundle, m, M)
     theorems = _parse_theorems(payload)
     reports = _pair_reports(moments(functional, bundle, m, M), bundle, m, M,
-                            theorems, _resolve_orientation(cert))
+                            theorems, orientation)
     return 0, {
         "command": "bounds",
         "inputs": payload,

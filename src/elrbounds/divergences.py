@@ -15,13 +15,12 @@ built in, each with analytic derivatives:
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, THREE_CONVEX, _eval, certify_3convex
-from .elr_bounds import ORIENT_DIRECT, ORIENT_REVERSED, BoundReport, _pair_reports
+from .divided_diff import FunctionBundle, _eval
+from .elr_bounds import ORIENT_DIRECT, ORIENT_REVERSED, BoundReport, _certified, _pair_reports
 from .functionals import (DiscreteFunctional, _functional, _land_row, check_weights,
                           moments)
 
@@ -50,38 +49,29 @@ DIVERGENCE_THEOREMS = ("derivative", "taylor")
 
 @dataclass(frozen=True)
 class GeneratorFunction:
-    """A divergence generator: bundle, 3-convexity direction, and the
-    boundary limits needed by the zero-mass conventions.
+    """A divergence generator: bundle, name, parameters, and the boundary
+    limits needed by the zero-mass conventions.
 
     ``value_at_zero`` is lim f(t) as t -> 0+ and ``slope_at_inf`` is
     lim f(t)/t as t -> inf; either may be ``math.inf`` or, for custom
-    generators that never meet zero masses, ``None``.
+    generators that never meet zero masses, ``None``.  ``direction`` is the
+    3-convexity direction that ``generator()`` proves from a named
+    generator's closed-form third derivative.  It is not a constructor
+    argument, so a hand-built or ``replace``d generator has ``None``, and
+    its bundle is certified on each interval instead.
     """
 
     bundle: FunctionBundle
-    direction: str
+    direction: str | None = field(default=None, init=False)
     name: str
     params: tuple[float, ...] = ()
     value_at_zero: float | None = None
     slope_at_inf: float | None = None
 
-    def __post_init__(self):
-        if self.direction not in (F_3CONVEX, NEG_F_3CONVEX):
-            raise ValueError(f"unknown direction {self.direction!r}")
-
 
 def _positive_bundle(f, d1, d2, d3, name) -> FunctionBundle:
     return FunctionBundle(domain_lo=0.0, domain_hi=math.inf, f=f, d1=d1,
                           d2=d2, d3=d3, name=name)
-
-
-# The 3-convexity direction that the closed-form third derivative of each
-# named generator's bundle proves on (0, inf): the signs of the docstring's
-# d3, and for renyi the sign of a(a-1)(a-2), the constant of c*t^(a-3)
-# (d3 is identically 0 for a in {0, 1, 2}).  Keyed by the bundle, not the
-# name: a hand-built generator on another bundle, or a replace()d bundle,
-# has no entry whatever it is called, and _spot_check_direction certifies it.
-_PROVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
@@ -95,7 +85,7 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
                 lambda t: 1.0 / t,
                 lambda t: -1.0 / t ** 2,
                 "t*log(t)"),
-            direction=NEG_F_3CONVEX, name="kl",
+            name="kl",
             value_at_zero=0.0, slope_at_inf=math.inf)
     elif name == "hellinger":
         gen = GeneratorFunction(
@@ -105,7 +95,7 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
                 lambda t: 0.25 * t ** -1.5,
                 lambda t: -0.375 * t ** -2.5,
                 "(1-sqrt(t))^2/2"),
-            direction=NEG_F_3CONVEX, name="hellinger",
+            name="hellinger",
             value_at_zero=0.5, slope_at_inf=0.5)
     elif name == "renyi":
         if alpha is None:
@@ -120,8 +110,7 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
             bundle=_positive_bundle(
                 lambda t: t ** a, power(1.0, a), power(2.0, a * (a - 1.0)),
                 power(3.0, a * (a - 1.0) * (a - 2.0)), f"t^{a}"),
-            direction=(F_3CONVEX if 0.0 <= a <= 1.0 or a >= 2.0
-                       else NEG_F_3CONVEX), name="renyi", params=(a,),
+            name="renyi", params=(a,),
             value_at_zero=(0.0 if a > 0 else 1.0 if a == 0 else math.inf),
             slope_at_inf=(0.0 if a < 1 else 1.0 if a == 1 else math.inf))
     elif name == "harmonic":
@@ -132,7 +121,7 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
                 lambda t: -4.0 / (1.0 + t) ** 3,
                 lambda t: 12.0 / (1.0 + t) ** 4,
                 "2t/(1+t)"),
-            direction=F_3CONVEX, name="harmonic",
+            name="harmonic",
             value_at_zero=0.0, slope_at_inf=0.0)
     elif name == "jeffreys":
         gen = GeneratorFunction(
@@ -142,11 +131,15 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
                 lambda t: 1.0 / t + 1.0 / t ** 2,
                 lambda t: -1.0 / t ** 2 - 2.0 / t ** 3,
                 "(t-1)*log(t)"),
-            direction=NEG_F_3CONVEX, name="jeffreys",
+            name="jeffreys",
             value_at_zero=math.inf, slope_at_inf=math.inf)
     else:
         raise ValueError(f"unknown generator {name!r}")
-    _PROVED[gen.bundle] = gen.direction
+    # proved by the closed-form d3 of the module docstring on (0, inf): only
+    # harmonic's is positive, and renyi's has the sign of a(a-1)(a-2), the
+    # constant of c*t^(a-3) (identically 0 for a in {0, 1, 2})
+    convex = (0.0 <= a <= 1.0 or a >= 2.0) if name == "renyi" else name == "harmonic"
+    object.__setattr__(gen, "direction", F_3CONVEX if convex else NEG_F_3CONVEX)
     return gen
 
 
@@ -246,20 +239,6 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
     return _functional(ratios, weights), m, M, masses
 
 
-def _spot_check_direction(gen: GeneratorFunction, m: float, M: float) -> None:
-    """certify_3convex at 33 points of [m, M] must find the declared direction
-    (three_convex of -f if 3-concave), unless _PROVED holds a proof of it."""
-    if _PROVED.get(gen.bundle) == gen.direction:
-        return
-    convex = gen.direction == F_3CONVEX
-    bundle = gen.bundle if convex else gen.bundle.negated()
-    if certify_3convex(bundle, m, M, 33).verdict != THREE_CONVEX:
-        declared, sign = ("convex", "negative") if convex else ("concave", "positive")
-        raise ValueError(
-            f"generator {gen.name!r} declared 3-{declared} but its third "
-            f"derivative is {sign} on [{m}, {M}]")
-
-
 def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
                     M: float | None = None, theorems=DIVERGENCE_THEOREMS
                     ) -> tuple[float, list[BoundReport]]:
@@ -277,10 +256,12 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
         raise ValueError("ratios must stay strictly positive for generator "
                          "bounds")
     gen.bundle._check_interval(m, M)
-    _spot_check_direction(gen, m, M)
+    if gen.direction is None:
+        orientation = _certified(gen.bundle, m, M)[1]
+    else:
+        orientation = ORIENT_DIRECT if gen.direction == F_3CONVEX else ORIENT_REVERSED
     phi_vals = _eval(gen.bundle.f, functional.nodes)
     ms = moments(functional, gen.bundle, m, M, phi_vals=phi_vals)
-    orientation = ORIENT_DIRECT if gen.direction == F_3CONVEX else ORIENT_REVERSED
     reports = _pair_reports(ms, gen.bundle, m, M, theorems, orientation, "divergence_",
                             {"m": m, "M": M, "interval_auto_derived": auto,
                              "generator": gen.name, "params": list(gen.params)})

@@ -40,7 +40,9 @@ NEG_THREE_CONVEX = "neg_three_convex"
 NEITHER = "neither"
 INDETERMINATE = "indeterminate"
 
-# Absolute floor below which a sampled third derivative counts as zero.
+# A sampled third derivative within SIGN_TOL times the largest sample
+# magnitude counts as zero, so that a verdict does not depend on the scale
+# of phi.
 SIGN_TOL = 1e-12
 
 # Sample points of check_bundle's comparison with finite differences.
@@ -422,10 +424,11 @@ def _verdict_from_samples(samples: np.ndarray, locations: np.ndarray,
                           grid_n: int) -> ConvexityCertificate:
     mn_i = int(np.argmin(samples))
     mx_i = int(np.argmax(samples))
-    if samples[mn_i] >= -SIGN_TOL:
+    tol = SIGN_TOL * max(abs(samples[mn_i]), abs(samples[mx_i]))
+    if samples[mn_i] >= -tol:
         return ConvexityCertificate(THREE_CONVEX, grid_n,
                                     float(samples[mn_i]), float(locations[mn_i]))
-    if samples[mx_i] <= SIGN_TOL:
+    if samples[mx_i] <= tol:
         return ConvexityCertificate(NEG_THREE_CONVEX, grid_n,
                                     float(-samples[mx_i]), float(locations[mx_i]))
     return ConvexityCertificate(NEITHER, grid_n,

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divided_diff import (
-    NEG_THREE_CONVEX,
     THREE_CONVEX,
     ConvexityCertificate,
     FunctionBundle,
@@ -49,6 +48,9 @@ __all__ = [
 ORIENT_DIRECT = "direct"
 ORIENT_REVERSED = "reversed"
 
+# Grid points of the one sampled certificate that orients every bracket.
+CERTIFY_POINTS = 201
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -69,6 +71,8 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.orientation not in (ORIENT_DIRECT, ORIENT_REVERSED):
+            raise ValueError(f"unknown orientation {self.orientation!r}")
         # an input that overflows a moment or an endpoint value must not
         # print as a bound (a pair may be finite where a moment is not)
         if not all(map(math.isfinite, (self.lower, self.mid, self.upper))):
@@ -101,24 +105,16 @@ def _excess(lower, mid, upper, orientation: str):
     return 0.0 if 0.0 > worst else worst
 
 
-def _certified(bundle: FunctionBundle, m: float, M: float) -> ConvexityCertificate:
-    """The hypothesis of every bound pair: certify_3convex of the bundle at
-    201 points of [m, M], refused unless it finds a direction."""
-    cert = certify_3convex(bundle, m, M, 201)
+def _certified(bundle: FunctionBundle, m: float, M: float
+               ) -> tuple[ConvexityCertificate, str]:
+    """The hypothesis of every bound pair and the orientation it gives:
+    certify_3convex of the bundle at CERTIFY_POINTS points of [m, M],
+    refused unless it finds a direction."""
+    cert = certify_3convex(bundle, m, M, CERTIFY_POINTS)
     if not cert.is_directed:
         raise ValueError(f"{bundle.name!r} is not 3-convex on [{m}, {M}] "
                          f"in either direction (verdict {cert.verdict!r})")
-    return cert
-
-
-def _resolve_orientation(cert: ConvexityCertificate) -> str:
-    """The chain orientation of a certificate's verdict."""
-    if cert.verdict == THREE_CONVEX:
-        return ORIENT_DIRECT
-    if cert.verdict == NEG_THREE_CONVEX:
-        return ORIENT_REVERSED
-    raise ValueError(
-        f"theorem hypotheses unmet: 3-convexity direction is {cert.verdict!r}")
+    return cert, ORIENT_DIRECT if cert.verdict == THREE_CONVEX else ORIENT_REVERSED
 
 
 def _endpoint_values(bundle: FunctionBundle, m: float, M: float,
@@ -243,7 +239,7 @@ def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
     """Report of the bound pair named ``theorem`` (one of THEOREMS) from one
     moment pass, oriented by the bundle's certificate on [m, M]."""
     _check_theorem(theorem)
-    orientation = _resolve_orientation(_certified(bundle, m, M))
+    orientation = _certified(bundle, m, M)[1]
     return _pair_reports(moments(functional, bundle, m, M), bundle, m, M,
                          (theorem,), orientation)[0]
 
@@ -256,7 +252,7 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
     unsimplified and oriented by the bundle's certificate on [m, M]."""
     if variant not in ("derivative", "taylor"):
         raise ValueError(f"unknown Jensen-gap variant {variant!r}")
-    orientation = _resolve_orientation(_certified(bundle, m, M))
+    orientation = _certified(bundle, m, M)[1]
     ms = moments(functional, bundle, m, M)
     phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, m, M, 1 + (variant == "taylor"))
     secant = (phi_M - phi_m) / (M - m)

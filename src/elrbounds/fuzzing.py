@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, certify_3convex
-from .elr_bounds import THEOREMS, _excess, _resolve_orientation, theorem_triple
+from .divided_diff import FunctionBundle
+from .elr_bounds import THEOREMS, _certified, _excess, theorem_triple
 from .functionals import (
     DiscreteFunctional,
     FunctionalBatch,
@@ -303,9 +303,8 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = 1e-9) -> FuzzRepo
         name = _POOL[int(rng.integers(len(_POOL)))]
         m, M = draw_interval(rng, name)
         bundle = draw_bundle(rng, name, m, M)
-        neg = bundle.negated()
-        targets = [(target, _resolve_orientation(certify_3convex(target, m, M, 65)))
-                   for target in (bundle, neg)]
+        targets = [(target, _certified(target, m, M)[1])
+                   for target in (bundle, bundle.negated())]
         functionals = random_functionals(rng, m, M, take)
         ms = moments_batch(functionals, bundle, m, M)
         triples = np.array([theorem_triple(theorem, ms, bundle, m, M)

@@ -28,3 +28,13 @@ def test_private_fields_are_not_constructor_arguments():
               for cls in DATACLASSES for field in dataclasses.fields(cls)
               if field.name.startswith("_") and field.init]
     assert passed == []
+
+
+def test_generator_direction_is_not_a_constructor_argument():
+    """Only generator() sets a generator's proved direction, so neither a
+    hand-built generator nor a replace()d one carries a proof."""
+    from elrbounds.divergences import GeneratorFunction
+
+    direction = {f.name: f for f in dataclasses.fields(GeneratorFunction)}["direction"]
+    assert not direction.init
+    assert direction.default is None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from elrbounds import (
+    FunctionBundle,
     apply,
     divergence_bounds,
     f_divergence,
@@ -14,7 +15,6 @@ from elrbounds import (
     zm_distribution,
 )
 from elrbounds.divergences import (
-    _PROVED,
     DIVERGENCE_THEOREMS,
     F_3CONVEX,
     NEG_F_3CONVEX,
@@ -22,6 +22,7 @@ from elrbounds.divergences import (
     divergence_pass,
     ratio_functional,
 )
+from elrbounds.elr_bounds import CERTIFY_POINTS
 from elrbounds.functionals import make_functionals
 
 from counting import counted, counting_bundle
@@ -217,28 +218,32 @@ class TestDivergenceBounds:
                     r = divergence_bounds(p, q, gen, theorem=theorem)
                     assert r.violation() <= 1e-9, (gen.name, gen.params)
 
-    def test_mismatched_declaration_rejected(self):
-        wrong = GeneratorFunction(
-            bundle=generator("kl").bundle,
-            direction=F_3CONVEX, name="custom")
-        with pytest.raises(ValueError, match="declared 3-convex"):
-            divergence_bounds([0.4, 0.6], [0.5, 0.5], wrong, theorem="derivative")
+    def test_sign_changing_generator_is_refused(self):
+        """A hand-built generator of (t-1)^4, whose d3 = 24(t-1) changes sign
+        on [0.8, 1.2], has no direction there to orient its brackets."""
+        quartic = FunctionBundle(
+            domain_lo=0.0, domain_hi=math.inf, f=lambda t: (t - 1.0) ** 4,
+            d1=lambda t: 4.0 * (t - 1.0) ** 3, d2=lambda t: 12.0 * (t - 1.0) ** 2,
+            d3=lambda t: 24.0 * (t - 1.0), name="(t-1)^4")
+        custom = GeneratorFunction(bundle=quartic, name="custom")
+        with pytest.raises(ValueError, match=re.escape(
+                "'(t-1)^4' is not 3-convex on [0.8, 1.2] in either direction "
+                "(verdict 'neither')")):
+            divergence_bounds([0.4, 0.6], [0.5, 0.5], custom, theorem="derivative")
 
     @pytest.mark.filterwarnings("error")
     def test_interval_outside_the_domain_refused_before_any_read(self):
         """A custom generator on kl's t*log(t) or the counted bundle, both
         on [0.5, 4]: an interval that leaves it below (the derived [0.25,
-        1.75]) or above ([0.5, 5]) is refused before the spot check samples
+        1.75]) or above ([0.5, 5]) is refused before its certificate samples
         d3 or f is read at the ratios."""
         calls = []
         cases = [([0.125, 0.875], None, None, "[0.25, 1.75]"),
                  ([0.75, 0.25], 0.5, 5.0, "[0.5, 5.0]")]
-        for bundle, direction in (
-                (counted(generator("kl").bundle, calls, arrays=True), NEG_F_3CONVEX),
-                (counting_bundle(calls, arrays=True), F_3CONVEX)):
+        for bundle in (counted(generator("kl").bundle, calls, arrays=True),
+                       counting_bundle(calls, arrays=True)):
             custom = GeneratorFunction(
-                bundle=replace(bundle, domain_lo=0.5, domain_hi=4.0),
-                direction=direction, name="custom")
+                bundle=replace(bundle, domain_lo=0.5, domain_hi=4.0), name="custom")
             for p, m, M, interval in cases:
                 with pytest.raises(ValueError, match=re.escape(
                         f"interval {interval} escapes the domain of {bundle.name!r}")):
@@ -246,37 +251,30 @@ class TestDivergenceBounds:
         assert calls == []
 
     def test_declaration_without_third_derivative_is_certified(self):
-        """With no d3 the declared direction goes to certify_3convex's
-        divided differences: on kl's bundle without d3 the 3-concave
-        declaration gives kl's pass bit for bit, and the 3-convex one,
-        whose brackets the divergence would escape, is refused."""
+        """With no d3 a hand-built generator is oriented by certify_3convex's
+        divided differences: on kl's bundle without d3 it gives kl's pass
+        bit for bit."""
         kl = generator("kl")
         bare = replace(kl.bundle, d3=None)
         p, q = [0.1, 0.2, 0.7], [0.5, 0.3, 0.2]
         value, reports = divergence_pass(p, q, kl)
-        right = GeneratorFunction(bundle=bare, direction=NEG_F_3CONVEX, name="custom")
-        got_value, got = divergence_pass(p, q, right)
+        custom = GeneratorFunction(bundle=bare, name="custom")
+        got_value, got = divergence_pass(p, q, custom)
         assert got_value.hex() == value.hex()
         assert [(r.lower.hex(), r.mid.hex(), r.upper.hex(), r.orientation)
                 for r in got] == [(r.lower.hex(), r.mid.hex(), r.upper.hex(),
                                    r.orientation) for r in reports]
-        wrong = GeneratorFunction(bundle=bare, direction=F_3CONVEX, name="custom")
-        with pytest.raises(ValueError, match=re.escape(
-                "generator 'custom' declared 3-convex but its third derivative "
-                "is negative on [0.2, 3.4999999999999996]")):
-            divergence_pass(p, q, wrong)
 
     @pytest.mark.filterwarnings("error")
     def test_third_derivative_not_finite_is_refused(self):
         """A d3 sample that is inf (kl's -1/t^2 overflows at the ratio
-        2e-200) or nan has no sign to check against the declaration: an
-        unproved generator is refused there as certify_3convex refuses it,
-        while named kl, whose direction is proved, is not sampled."""
+        2e-200) or nan has no sign to orient the brackets: a hand-built
+        generator is refused there as certify_3convex refuses it, while
+        named kl, whose direction is proved, is not sampled."""
         kl = generator("kl")
         with_nan = lambda t: np.where(t > 1.1, np.nan, -1.0 / t ** 2)
         for d3, p in ((kl.bundle.d3, [1e-200, 1.0 - 1e-200]), (with_nan, [0.4, 0.6])):
-            custom = GeneratorFunction(bundle=replace(kl.bundle, d3=d3),
-                                       direction=NEG_F_3CONVEX, name="custom")
+            custom = GeneratorFunction(bundle=replace(kl.bundle, d3=d3), name="custom")
             with pytest.raises(ValueError, match="^third derivative not finite on the grid$"):
                 divergence_pass(p, [0.5, 0.5], custom)
             divergence_pass(p, [0.5, 0.5], kl)
@@ -418,14 +416,16 @@ class TestRatioOneRowPath:
 
 
 class TestProvedDirection:
-    """A named generator's direction is proved from its closed-form d3 and
-    recorded for its bundle; the spot check samples only a bundle with no
-    proof of the declared direction, whatever the generator is called."""
+    """A named generator's direction is proved by ``generator()`` from its
+    closed-form d3 and orients its brackets unsampled; a hand-built or
+    ``replace``d generator has no direction, and its bundle is certified
+    once, at CERTIFY_POINTS points of [m, M], whatever it is called."""
 
     GRID = np.logspace(-8.0, 8.0, 801)
     NAMED = [("kl", None), ("hellinger", None), ("harmonic", None),
              ("jeffreys", None)] + [
         ("renyi", alpha) for alpha in (-2.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 7.5)]
+    CERTIFIED_GRID = np.linspace(0.8, 1.2, CERTIFY_POINTS).tolist()
 
     @staticmethod
     def sampled_grids(monkeypatch):
@@ -442,11 +442,17 @@ class TestProvedDirection:
         monkeypatch.setattr(divided_diff, "_eval", recording)
         return grids
 
+    @staticmethod
+    def pass_bits(p, q, gen):
+        value, reports = divergence_pass(p, q, gen)
+        return value.hex(), [(r.lower.hex(), r.mid.hex(), r.upper.hex(), r.orientation)
+                             for r in reports]
+
     @pytest.mark.parametrize("name,alpha", NAMED,
                              ids=[f"{n}-{a}" if a is not None else n for n, a in NAMED])
     def test_proof_agrees_with_d3_on_a_log_grid(self, name, alpha):
         gen = generator(name, alpha=alpha)
-        assert _PROVED[gen.bundle] == gen.direction
+        assert gen.direction in (F_3CONVEX, NEG_F_3CONVEX)
         d3 = gen.bundle.d3(self.GRID)
         assert not np.isnan(d3).any()
         if gen.direction == F_3CONVEX:
@@ -459,43 +465,36 @@ class TestProvedDirection:
         gen = generator("kl")
         divergence_pass([0.4, 0.6], [0.5, 0.5], gen)
         assert sampled == []
-        # the proof is of the bundle: a custom generator on it declaring the
-        # proved direction is not sampled either
-        custom = GeneratorFunction(bundle=gen.bundle, direction=NEG_F_3CONVEX,
-                                   name="custom")
+        # the proof is the generator's: a hand-built one on the same bundle
+        # has none, and its bundle is certified
+        custom = GeneratorFunction(bundle=gen.bundle, name="custom")
+        assert custom.direction is None
         divergence_pass([0.4, 0.6], [0.5, 0.5], custom)
-        assert sampled == []
+        assert [grid.tolist() for grid in sampled] == [self.CERTIFIED_GRID]
 
     def test_replaced_bundle_is_sampled(self, monkeypatch):
+        """replace() does not carry the proof, even onto the named bundle."""
         sampled = self.sampled_grids(monkeypatch)
         kl = generator("kl")
-        copy = replace(kl.bundle)
-        assert copy not in _PROVED
-        divergence_pass([0.4, 0.6], [0.5, 0.5], replace(kl, bundle=copy))
-        assert [grid.tolist() for grid in sampled] == [np.linspace(0.8, 1.2, 33).tolist()]
+        for copy in (replace(kl, bundle=replace(kl.bundle)), replace(kl, name="x")):
+            assert copy.direction is None
+            sampled.clear()
+            divergence_pass([0.4, 0.6], [0.5, 0.5], copy)
+            assert [grid.tolist() for grid in sampled] == [self.CERTIFIED_GRID]
 
-    def test_hand_built_kl_with_the_wrong_direction_is_refused(self):
-        wrong = GeneratorFunction(bundle=generator("kl").bundle,
-                                  direction=F_3CONVEX, name="kl")
-        with pytest.raises(ValueError, match="generator 'kl' declared 3-convex "
-                                             "but its third derivative is negative"):
-            divergence_pass([0.4, 0.6], [0.5, 0.5], wrong)
-
-    def test_replaced_named_bundle_with_the_wrong_direction_is_refused(self):
-        harmonic = generator("harmonic")
-        wrong = replace(harmonic, bundle=replace(harmonic.bundle),
-                        direction=NEG_F_3CONVEX)
-        with pytest.raises(ValueError, match="generator 'harmonic' declared "
-                                             "3-concave but its third derivative "
-                                             "is positive"):
-            divergence_pass([0.4, 0.6], [0.5, 0.5], wrong)
-
-    def test_record_does_not_keep_a_bundle_alive(self):
-        import gc
-
-        gen = generator("jeffreys")
-        gc.collect()  # drop an earlier test's garbage before counting
-        count = len(_PROVED)
-        del gen
-        gc.collect()
-        assert len(_PROVED) == count - 1
+    def test_hand_built_generators_give_the_named_pass(self):
+        """On Dirichlet pairs a hand-built generator on each named bundle,
+        oriented by its certificate, gives the named generator's pass bit
+        for bit: divergence, triples and orientation."""
+        rng = np.random.default_rng(27)
+        named = [generator(name) for name in ("kl", "hellinger", "harmonic", "jeffreys")]
+        named += [generator("renyi", alpha=a) for a in (-0.5, 0.0, 1.5, 3.0)]
+        for gen in named:
+            custom = GeneratorFunction(bundle=gen.bundle, name=gen.name, params=gen.params,
+                                       value_at_zero=gen.value_at_zero,
+                                       slope_at_inf=gen.slope_at_inf)
+            for _ in range(40):
+                k = int(rng.integers(2, 9))
+                p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+                assert (self.pass_bits(p, q, custom)
+                        == self.pass_bits(p, q, gen)), (gen.name, gen.params)

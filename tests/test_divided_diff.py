@@ -22,12 +22,7 @@ from elrbounds import (
     make_functional,
     moments,
 )
-from elrbounds.divergences import (
-    F_3CONVEX,
-    NEG_F_3CONVEX,
-    GeneratorFunction,
-    divergence_pass,
-)
+from elrbounds.divergences import GeneratorFunction, divergence_pass
 from elrbounds.elr_bounds import theorem_triple
 from elrbounds.fuzzing import random_three_convex_bundle
 from elrbounds.registry import poly_bundle, resolve_phi
@@ -197,6 +192,17 @@ class TestCertify:
         cert = certify_3convex(mixed, -1.0, 1.0, 101)
         assert cert.verdict == "neither"
 
+    def test_sign_rule_is_relative_to_the_samples(self):
+        """A d3 that is only rounding noise around 0 (cos^2 + sin^2 - 1,
+        about 2e-16 of either sign) has no direction, while an identically
+        zero d3 stays three_convex with witness 0."""
+        noise = FunctionBundle(domain_lo=-10, domain_hi=10, f=lambda x: x,
+                               d3=lambda x: np.cos(x) ** 2 + np.sin(x) ** 2 - 1.0)
+        assert certify_3convex(noise, 0.0, 3.0, 201).verdict == "neither"
+        zero = FunctionBundle(domain_lo=-10, domain_hi=10, f=lambda x: x, d3=np.zeros_like)
+        cert = certify_3convex(zero, 0.0, 3.0, 201)
+        assert (cert.verdict, cert.min_witness) == ("three_convex", 0.0)
+
     def test_negation_flips_verdict(self):
         for bundle in (CUBIC, XLOGX):
             direct = certify_3convex(bundle, 0.1, 2.0, 101)
@@ -256,11 +262,10 @@ class TestCertify:
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     run()
         kl = counted(generator("kl").bundle, calls, arrays=True)
-        for direction in (F_3CONVEX, NEG_F_3CONVEX):
-            custom = GeneratorFunction(bundle=kl, direction=direction, name="custom")
-            with pytest.raises(ValueError, match=re.escape(
-                    "interval [0.5, inf] is too wide: its length overflows")):
-                divergence_pass([0.4, 0.6], [0.5, 0.5], custom, 0.5, math.inf)
+        custom = GeneratorFunction(bundle=kl, name="custom")
+        with pytest.raises(ValueError, match=re.escape(
+                "interval [0.5, inf] is too wide: its length overflows")):
+            divergence_pass([0.4, 0.6], [0.5, 0.5], custom, 0.5, math.inf)
         assert calls == []
 
     def test_indeterminate_when_no_samples_possible(self):

@@ -224,6 +224,27 @@ class TestCertifiedOrientation:
             assert r.orientation == "reversed"
             assert r.violation() == 0.0, variant
 
+    def test_tiny_three_concave_cubic_is_reversed(self, capsys):
+        """-c*x^3/6 with c = 1e-12 is 3-concave however small c is: an
+        absolute sign floor once certified it three_convex, and each pair
+        then excluded its own mid (secant: lower -2.08e-14, mid -3.02e-14,
+        upper -4.17e-14)."""
+        payload = {"phi": {"poly": [0, 0, 0, -1.6666666666666667e-13]},
+                   "interval": [0, 1],
+                   "functional": {"nodes": [0.2, 0.9], "weights": [0.5, 0.5]}}
+        bundle = resolve_phi(payload["phi"])
+        F = make_functional([0.2, 0.9], [0.5, 0.5])
+        for theorem in THEOREMS:
+            r = bounds(theorem, F, bundle, 0.0, 1.0)
+            assert r.orientation == "reversed"
+            assert r.violation() == 0.0, theorem
+        assert main(["bounds", "--input", json.dumps(payload)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["convexity"]["verdict"] == "neg_three_convex"
+        for r in report["reports"]:
+            assert r["orientation"] == "reversed"
+            assert r["upper"] <= r["mid"] <= r["lower"], r["theorem"]
+
     def test_jensen_gap_brackets_certified_draws(self):
         """Both variants bracket the gap for 3-convex and 3-concave bundles
         on random intervals under functionals of 1-7 nodes."""
@@ -449,6 +470,14 @@ class TestExcessPaths:
                             theorem_tag="t")
             assert r.violation() == (0.0 if orientation == "direct" else 1.0)
             assert type(r.violation()) is float
+
+    @pytest.mark.parametrize("orientation", ["Direct", "", "neg_three_convex", None])
+    def test_unknown_orientation_refused(self, orientation):
+        """Every orientation but direct is read as reversed, so a report
+        with any other one is refused where it is built."""
+        with pytest.raises(ValueError, match=f"^unknown orientation {re.escape(repr(orientation))}$"):
+            BoundReport(lower=1.0, upper=3.0, mid=2.0, orientation=orientation,
+                        theorem_tag="t")
 
 
 class TestWideInterval:
