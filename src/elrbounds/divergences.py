@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +47,10 @@ GENERATOR_NAMES = ("kl", "hellinger", "renyi", "harmonic", "jeffreys")
 # The bound pairs that the divergence corollaries specialize.
 DIVERGENCE_THEOREMS = ("derivative", "taylor")
 
+# Named generators kept by ``generator()``: renyi's alpha is the one
+# open-ended key, so a sweep over alphas holds at most this many of them.
+GENERATOR_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class GeneratorFunction:
@@ -75,8 +80,30 @@ def _positive_bundle(f, d1, d2, d3, name) -> FunctionBundle:
 
 
 def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
-    """Build a named generator; ``renyi`` needs ``alpha``.  A custom
-    generator is a ``GeneratorFunction`` built by hand."""
+    """The named generator; ``renyi`` needs ``alpha``.  A custom generator
+    is a ``GeneratorFunction`` built by hand.
+
+    Each name, and each ``float(alpha)`` of renyi, is built once and then
+    returned as the same frozen object (the GENERATOR_CACHE_SIZE most
+    recent); a refused input is refused on every call."""
+    if name not in GENERATOR_NAMES:
+        raise ValueError(f"unknown generator {name!r}")
+    # the cache key is the name as spelled here: the one given may be unhashable
+    name = GENERATOR_NAMES[GENERATOR_NAMES.index(name)]
+    if name != "renyi":
+        return _named(name, None)
+    if alpha is None:
+        raise ValueError("renyi generator requires alpha")
+    a = float(alpha)
+    if not math.isfinite(a * (a - 1.0) * (a - 2.0)):
+        raise ValueError(f"renyi alpha {alpha!r} overflows its third derivative")
+    # -0.0 == 0.0, but each prints its own sign in the bundle name and params
+    return _named(name, (a, math.copysign(1.0, a)))
+
+
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _named(name: str, key: tuple[float, float] | None) -> GeneratorFunction:
+    """Build the generator ``name``, renyi's with alpha ``key[0]``."""
     if name == "kl":
         gen = GeneratorFunction(
             bundle=_positive_bundle(
@@ -98,11 +125,7 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
             name="hellinger",
             value_at_zero=0.5, slope_at_inf=0.5)
     elif name == "renyi":
-        if alpha is None:
-            raise ValueError("renyi generator requires alpha")
-        a = float(alpha)
-        if not math.isfinite(a * (a - 1.0) * (a - 2.0)):
-            raise ValueError(f"renyi alpha {alpha!r} overflows its third derivative")
+        a = key[0]
         # the k-th derivative c*t^(a-k), identically 0 when c is: t^(a-k)
         # may be inf at t = 0, and 0*inf is a nan
         power = lambda k, c: (lambda t: c * t ** (a - k)) if c else np.zeros_like
@@ -133,8 +156,6 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
                 "(t-1)*log(t)"),
             name="jeffreys",
             value_at_zero=math.inf, slope_at_inf=math.inf)
-    else:
-        raise ValueError(f"unknown generator {name!r}")
     # proved by the closed-form d3 of the module docstring on (0, inf): only
     # harmonic's is positive, and renyi's has the sign of a(a-1)(a-2), the
     # constant of c*t^(a-3) (identically 0 for a in {0, 1, 2})

@@ -230,13 +230,15 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
                  hi: float | None = None) -> None:
     """Verify derivative data against finite differences; raise on failure.
 
-    At CHECK_POINTS points spread over the window's inner 90%, interior
-    first derivatives must agree with a central difference of f to
-    1e-6*(1+|d1|); stored one-sided endpoint values must agree with
-    one-sided second-order differences to 1e-5 relative.  Higher
-    derivatives, when present, are checked against central differences of
-    the next lower one at the interior tolerance.  The window must be
-    finite, with lo < hi inside the domain.
+    At CHECK_POINTS points spread over the window's inner 90%, each
+    derivative d_k (d_0 = f) must agree with a central difference of
+    d_(k-1) to 1e-6*(s_k + |d_k|), where s_k = max|d_k| + max|d_(k-1)|/(hi - lo)
+    over those points is the window's scale of order k.  A stored one-sided
+    endpoint value of d_k must agree with a second-order one-sided
+    difference of d_(k-1) with step h to 1e-5*(|stored| + |h|*s_(k+1)),
+    plus 1e-12 of the difference's summed terms for its rounding.  Every
+    tolerance is read off phi's own samples, so 2^j*phi passes exactly when
+    phi does.  The window must be finite, with lo < hi inside the domain.
     """
     lo = bundle.domain_lo if lo is None else lo
     hi = bundle.domain_hi if hi is None else hi
@@ -247,38 +249,46 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
 
     span = hi - lo
     xs = np.linspace(lo + 0.05 * span, hi - 0.05 * span, CHECK_POINTS)
+    derivs = (bundle.f, bundle.d1, bundle.d2, bundle.d3)
+    samples = [None if g is None else _eval(g, xs) for g in derivs]
+    # the largest finite |sample| of each order, 0.0 for none
+    peaks = [0.0 if v is None else float(np.abs(v[np.isfinite(v)]).max(initial=0.0))
+             for v in samples]
+    scale = {k: peaks[k] + peaks[k - 1] / span for k in (1, 2, 3)}
 
-    pairs = [(bundle.f, bundle.d1, "d1"), (bundle.d1, bundle.d2, "d2"),
-             (bundle.d2, bundle.d3, "d3")]
-    for base, deriv, label in pairs:
-        if base is None or deriv is None:
+    h = 6e-6 * (1.0 + np.abs(xs))
+    for k in (1, 2, 3):
+        base, exact = derivs[k - 1], samples[k]
+        if base is None or exact is None:
             continue
-        h = 6e-6 * (1.0 + np.abs(xs))
         approx = (_eval(base, xs + h) - _eval(base, xs - h)) / (2.0 * h)
-        exact = _eval(deriv, xs)
-        tol = 1e-6 * (1.0 + np.abs(exact))
+        tol = 1e-6 * (scale[k] + np.abs(exact))
         bad = np.abs(approx - exact) > tol
         if bad.any():
             i = int(np.argmax(np.abs(approx - exact) - tol))
             raise ValueError(
-                f"bundle {bundle.name!r}: {label} disagrees with finite "
+                f"bundle {bundle.name!r}: d{k} disagrees with finite "
                 f"difference at x={xs[i]:.6g} ({exact[i]:.6g} vs {approx[i]:.6g})"
             )
 
-    for g, x, toward, stored, label in (
-            (bundle.f, lo, 1.0, bundle.d1_plus_at_lo, "d1 at left endpoint"),
-            (bundle.f, hi, -1.0, bundle.d1_minus_at_hi, "d1 at right endpoint"),
-            (bundle.d1, lo, 1.0, bundle.d2_plus_at_lo, "d2 at left endpoint"),
-            (bundle.d1, hi, -1.0, bundle.d2_minus_at_hi, "d2 at right endpoint")):
+    for k, x, toward, stored, label in (
+            (1, lo, 1.0, bundle.d1_plus_at_lo, "d1 at left endpoint"),
+            (1, hi, -1.0, bundle.d1_minus_at_hi, "d1 at right endpoint"),
+            (2, lo, 1.0, bundle.d2_plus_at_lo, "d2 at left endpoint"),
+            (2, hi, -1.0, bundle.d2_minus_at_hi, "d2 at right endpoint")):
+        g = derivs[k - 1]
         # a stored value is checked only where the window reaches its end
         at_end = x == (bundle.domain_lo if toward > 0 else bundle.domain_hi)
         if g is None or stored is None or not at_end:
             continue
         # second-order one-sided slope; h is sized from x, signed inward
         h = toward * (1e-6 * (1.0 + abs(x)) + 1e-9)
-        approx = (4.0 * float(g(x + h)) - 3.0 * float(g(x))
-                  - float(g(x + 2.0 * h))) / (2.0 * h)
-        if abs(approx - stored) > 1e-5 * (1.0 + abs(stored)):
+        near, at, far = float(g(x + h)), float(g(x)), float(g(x + 2.0 * h))
+        approx = (4.0 * near - 3.0 * at - far) / (2.0 * h)
+        # |h|*s_(k+1) bounds the truncation of even a first-order difference
+        tol = (1e-5 * (abs(stored) + abs(h) * scale[k + 1])
+               + 1e-12 * (4.0 * abs(near) + 3.0 * abs(at) + abs(far)) / abs(2.0 * h))
+        if abs(approx - stored) > tol:
             raise ValueError(
                 f"bundle {bundle.name!r}: stored {label} {stored:.6g} "
                 f"disagrees with one-sided difference {approx:.6g}"

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .divided_diff import FunctionBundle
 from .divergences import GENERATOR_NAMES, GeneratorFunction, generator
@@ -39,6 +39,8 @@ def number(value, what: str, integral: bool = False):
     return int(result) if integral else result
 
 
+# The named bundles take no parameters: each is built once, on first use.
+@cache
 def _quartic() -> FunctionBundle:
     return FunctionBundle(
         f=lambda x: np.asarray(x, dtype=float) ** 4,
@@ -48,9 +50,16 @@ def _quartic() -> FunctionBundle:
         name="quartic", **_REAL_LINE)
 
 
+@cache
 def _exp() -> FunctionBundle:
     return FunctionBundle(f=np.exp, d1=np.exp, d2=np.exp, d3=np.exp,
                           name="exp", **_REAL_LINE)
+
+
+@cache
+def _xlogx() -> FunctionBundle:
+    # t*log(t) is the kl generator's function
+    return replace(generator("kl").bundle, name="xlogx")
 
 
 def poly_bundle(coefficients) -> FunctionBundle:
@@ -62,6 +71,9 @@ def poly_bundle(coefficients) -> FunctionBundle:
     # k^3 bounds the factor that the third derivative puts on coefficient k
     if not all(math.isfinite(c * k ** 3) for k, c in enumerate(coefficients)):
         raise ValueError("poly coefficients overflow its derivatives")
+    # numpy.polynomial is imported here: no other path of the package needs it
+    from numpy.polynomial import Polynomial
+
     p = Polynomial(coefficients)
     d1, d2, d3 = p.deriv(1), p.deriv(2), p.deriv(3)
     return FunctionBundle(f=p, d1=d1, d2=d2, d3=d3,
@@ -69,8 +81,7 @@ def poly_bundle(coefficients) -> FunctionBundle:
 
 
 _BUILDERS = {"cubic": cubic_reference, "quartic": _quartic, "exp": _exp,
-             # t*log(t) is the kl generator's function
-             "xlogx": lambda: replace(generator("kl").bundle, name="xlogx")}
+             "xlogx": _xlogx}
 _FAMILIES = {"upsilon1": upsilon1, "upsilon2": upsilon2}
 BUILTIN_NAMES = (*_BUILDERS, *_FAMILIES)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -103,10 +104,9 @@ class _Exp:
 
 _CLOSED_FORM = (_Power, _Exp)
 
-# The live bundle of each family member (family, t) and of the cubic
-# reference: members built while some caller or GammaContext holds the
-# bundle share it, and with it their Gamma values; a bundle no one holds is
-# dropped.
+# The live bundle of each family member (family, t): members built while
+# some caller or GammaContext holds the bundle share it, and with it their
+# Gamma values; a bundle no one holds is dropped, as t ranges over the reals.
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -282,13 +282,10 @@ def _u2_bundle(t: float) -> FunctionBundle:
     return bundle
 
 
+@cache
 def cubic_reference() -> FunctionBundle:
-    """x^3, the reference whose third-order data is constant 6; callers share
-    the bundle while it is live."""
-    return _shared(("cubic",), _cubic)
-
-
-def _cubic() -> FunctionBundle:
+    """x^3, the reference whose third-order data is constant 6; built once,
+    and every caller shares the bundle."""
     return FunctionBundle(
         domain_lo=-math.inf, domain_hi=math.inf,
         f=lambda x: np.asarray(x, dtype=float) ** 3,

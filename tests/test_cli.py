@@ -243,6 +243,16 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_polynomial(self):
+        """Only poly_bundle uses numpy.polynomial, and it imports it when
+        called, so no other command pays for it."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, elrbounds.cli; "
+             "print('numpy.polynomial' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
     def test_parser_defaults_are_run_config_defaults(self):
         args = build_parser().parse_args(["verify"])

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +19,16 @@ from elrbounds import (
 from elrbounds.divergences import (
     DIVERGENCE_THEOREMS,
     F_3CONVEX,
+    GENERATOR_CACHE_SIZE,
     NEG_F_3CONVEX,
     GeneratorFunction,
+    _named,
     divergence_pass,
     ratio_functional,
 )
 from elrbounds.elr_bounds import CERTIFY_POINTS
 from elrbounds.functionals import make_functionals
+from elrbounds.registry import resolve_generator
 
 from counting import counted, counting_bundle
 
@@ -70,6 +75,74 @@ class TestGenerators:
         for name in ("kl", "hellinger", "harmonic", "jeffreys"):
             check_bundle(generator(name).bundle, 0.2, 3.0)
         check_bundle(generator("renyi", alpha=2.7).bundle, 0.2, 3.0)
+
+
+class TestInterning:
+    """generator() builds each named generator once and then returns the
+    same frozen object; renyi's alpha is keyed by its float value."""
+
+    FIXED = ("kl", "hellinger", "harmonic", "jeffreys")
+
+    @pytest.mark.parametrize("name", FIXED)
+    def test_a_fixed_name_is_one_object(self, name):
+        gen = generator(name)
+        assert generator(name) is gen
+        assert generator(name, alpha=2.5) is gen  # alpha is renyi's alone
+        assert generator(np.array(name)) is gen  # an unhashable spelling
+        assert resolve_generator({"name": name}) is gen
+
+    def test_renyi_alpha_is_keyed_by_its_float(self):
+        gen = generator("renyi", 3)
+        assert generator("renyi", alpha=np.float64(3.0)) is gen
+        assert generator("renyi", 3.0) is gen
+        assert generator("renyi", np.array(3.0)) is gen  # 0-d, unhashable
+        assert resolve_generator({"name": "renyi", "params": [3]}) is gen
+        assert generator("renyi", 3.5) is not gen
+
+    def test_signed_zero_alphas_keep_their_own_generators(self):
+        """-0.0 == 0.0, but each prints its sign in the bundle's name and
+        in the params of every report."""
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            a, b = generator("renyi", first), generator("renyi", second)
+            assert a is not b
+            assert (str(a.params[0]), a.bundle.name) == (str(first), f"t^{first}")
+            assert (str(b.params[0]), b.bundle.name) == (str(second), f"t^{second}")
+
+    @pytest.mark.parametrize("name,alpha,error,message", [
+        ("kullback", None, ValueError, "unknown generator 'kullback'"),
+        (["kl"], None, ValueError, "unknown generator ['kl']"),
+        ("renyi", None, ValueError, "renyi generator requires alpha"),
+        ("renyi", 1e200, ValueError, "renyi alpha 1e+200 overflows its third derivative"),
+        ("renyi", np.float64(math.nan), ValueError,
+         "renyi alpha np.float64(nan) overflows its third derivative"),
+        ("renyi", [3.0], TypeError, None),
+    ])
+    def test_a_refused_input_is_refused_on_every_call(self, name, alpha, error, message):
+        misses = _named.cache_info().misses
+        for _ in range(3):
+            with pytest.raises(error) as err:
+                generator(name, alpha=alpha)
+            assert message is None or str(err.value) == message
+        assert _named.cache_info().misses == misses
+
+    @pytest.mark.parametrize("name", FIXED)
+    def test_copies_are_not_interned(self, name):
+        """A replaced or hand-built generator has no proved direction and
+        is never what generator() returns."""
+        named = generator(name)
+        copies = (replace(named), replace(named, name="x"),
+                  GeneratorFunction(bundle=named.bundle, name=name))
+        for copy in copies:
+            assert copy.direction is None
+            assert generator(name) is named is not copy
+        assert named.direction in (F_3CONVEX, NEG_F_3CONVEX)
+
+    def test_an_alpha_sweep_keeps_at_most_the_bound_alive(self):
+        alphas = 3.0 + np.arange(3 * GENERATOR_CACHE_SIZE) / 1024.0
+        alive = [weakref.ref(generator("renyi", a)) for a in alphas]
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) <= GENERATOR_CACHE_SIZE
+        assert alive[-1]() is generator("renyi", alphas[-1])
 
 
 class TestFDivergence:

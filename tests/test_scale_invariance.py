@@ -1,12 +1,15 @@
 """Scaling phi by a power of two is exact in floating point, so it must
 change nothing but the scale: 2^k*phi gets phi's certified verdict and 2^k
-times its witness, and 2^k times each of its bound triples, bit for bit.
-A sign rule with an absolute floor fails this for a small enough 2^k."""
+times its witness, and 2^k times each of its bound triples, bit for bit,
+and check_bundle refuses it exactly when it refuses phi.  A sign rule or a
+tolerance with an absolute floor fails this for a small enough 2^k."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from elrbounds import FunctionBundle, certify_3convex, generator
+from elrbounds import FunctionBundle, certify_3convex, check_bundle, generator
 from elrbounds.elr_bounds import CERTIFY_POINTS, THEOREMS, theorem_triple
 from elrbounds.functionals import make_functional, moments
 from elrbounds.fuzzing import draw_bundle, draw_interval
@@ -72,6 +75,59 @@ def test_power_of_two_scaling_is_exact(seed):
             triple = theorem_triple(theorem, ms, bundle, m, M)
             assert theorem_triple(theorem, big_ms, big, m, M) == tuple(
                 s * v for v in triple), (theorem, *where)
+
+
+def refused(bundle, m, M) -> bool:
+    try:
+        check_bundle(bundle, m, M)
+    except ValueError as err:
+        assert "disagrees" in str(err)
+        return True
+    return False
+
+
+def wrong_d1(bundle: FunctionBundle) -> FunctionBundle:
+    """The bundle with d1 off by 0.1%, which any scale should refuse."""
+    return replace(bundle, d1=lambda x, d1=bundle.d1: 1.001 * np.asarray(d1(x)),
+                   name=f"wrong d1 of {bundle.name}")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_bundle_refuses_at_every_scale_alike(seed):
+    """2^k*phi is refused exactly when phi is, over the draws and over
+    their planted wrong-d1 copies; the copies are refused at scale 1, so an
+    absolute tolerance lets the small ones through."""
+    rng = np.random.default_rng(seed)
+    planted = 0
+    for bundle, m, M in draws(rng, 90):
+        k = int(rng.integers(-60, 61))
+        for phi in (bundle, wrong_d1(bundle)):
+            verdict = refused(phi, m, M)
+            assert refused(scaled(phi, 2.0 ** k), m, M) == verdict, (phi.name, m, M, k)
+            planted += verdict and phi is not bundle
+    assert planted >= 60
+
+
+def test_check_bundle_refuses_a_tiny_wrong_derivative():
+    """2^-40*x^3 on [0, 1] with d1 = 2^-40*2x^2 is refused, as at scale 1;
+    so is a wrong stored slope at its left end."""
+    s = 2.0 ** -40
+    cube = FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=lambda x: s * x ** 3,
+                          d1=lambda x: s * 3.0 * x ** 2, d2=lambda x: s * 6.0 * x,
+                          d3=lambda x: s * 6.0 + 0.0 * x, name="tiny cube")
+    check_bundle(cube)
+    with pytest.raises(ValueError, match="d1 disagrees with finite difference at x=0.95"):
+        check_bundle(replace(cube, d1=lambda x: s * 2.0 * x ** 2))
+    with pytest.raises(ValueError, match="stored d1 at left endpoint .* disagrees"):
+        check_bundle(replace(cube, d1_plus_at_lo=s))
+    check_bundle(replace(cube, d1_plus_at_lo=0.0, d2_plus_at_lo=0.0))
+
+
+def test_check_bundle_keeps_an_offset_function():
+    """1 + 1e-9*x: its central difference carries rounding of 1 in f far
+    above 1e-6 of its slope, which the scale's max|f|/span covers."""
+    check_bundle(FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=lambda x: 1.0 + 1e-9 * x,
+                                d1=lambda x: 1e-9 + 0.0 * x, name="1+1e-9x"))
 
 
 def test_tiny_three_concave_cubic_keeps_its_verdict():

@@ -436,6 +436,25 @@ class TestGammaReuse:
         assert mvt_xi(ctx, quartic) == first
         assert first.xi == pytest.approx(0.375, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["cubic", "quartic", "exp", "xlogx"])
+    def test_a_registry_name_is_one_bundle(self, name):
+        """A parameterless registry bundle is built once: every resolve of
+        its name returns it, and it stays after its holders are gone."""
+        bundle = resolve_phi({"name": name})
+        assert resolve_phi({"name": name}) is bundle
+        alive = weakref.ref(bundle)
+        del bundle
+        gc.collect()
+        assert alive() is resolve_phi({"name": name})
+
+    def test_cubic_reference_is_not_a_weakly_shared_member(self):
+        """The cubic reference is built once, and the weak sharing holds
+        family members only."""
+        assert cubic_reference() is cubic_reference() is resolve_phi({"name": "cubic"})
+        upsilon1(4.3)
+        assert all(family in ("upsilon1", "upsilon2")
+                   for family, _ in stolarsky_means._LIVE.keys())
+
     def test_no_bundle_outlives_its_contexts(self):
         ctx = elr_context(1, make_functional([0.5, 1.2], [0.4, 0.6]), 0.2, 2.0)
         mean_B1(ctx, 4.3, 2.6)
