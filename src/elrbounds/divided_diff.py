@@ -230,15 +230,16 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
                  hi: float | None = None) -> None:
     """Verify derivative data against finite differences; raise on failure.
 
-    At CHECK_POINTS points spread over the window's inner 90%, each
-    derivative d_k (d_0 = f) must agree with a central difference of
-    d_(k-1) to 1e-6*(s_k + |d_k|), where s_k = max|d_k| + max|d_(k-1)|/(hi - lo)
-    over those points is the window's scale of order k.  A stored one-sided
+    At CHECK_POINTS points x over the window's inner 90%, each d_k (d_0 = f)
+    must agree with the central difference of d_(k-1), the mean of d_k over
+    [x - h, x + h], to 1e-6*|d_k(x)| plus the largest change of d_k from x
+    over the step (the mean value theorem's bound on the truncation) plus 8
+    ulp of the two samples of d_(k-1) over 2h (their rounding).  A stored
     endpoint value of d_k must agree with a second-order one-sided
-    difference of d_(k-1) with step h to 1e-5*(|stored| + |h|*s_(k+1)),
-    plus 1e-12 of the difference's summed terms for its rounding.  Every
-    tolerance is read off phi's own samples, so 2^j*phi passes exactly when
-    phi does.  The window must be finite, with lo < hi inside the domain.
+    difference to 1e-5*|stored| plus such a change and rounding bound.
+    Every tolerance is read at its own point, so 2^j*phi passes exactly when
+    phi does, and a derivative wrong where phi is small is refused however
+    large phi is elsewhere.  The window must be finite, inside the domain.
     """
     lo = bundle.domain_lo if lo is None else lo
     hi = bundle.domain_hi if hi is None else hi
@@ -250,19 +251,20 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
     span = hi - lo
     xs = np.linspace(lo + 0.05 * span, hi - 0.05 * span, CHECK_POINTS)
     derivs = (bundle.f, bundle.d1, bundle.d2, bundle.d3)
-    samples = [None if g is None else _eval(g, xs) for g in derivs]
-    # the largest finite |sample| of each order, 0.0 for none
-    peaks = [0.0 if v is None else float(np.abs(v[np.isfinite(v)]).max(initial=0.0))
-             for v in samples]
-    scale = {k: peaks[k] + peaks[k - 1] / span for k in (1, 2, 3)}
+    ulp8 = 8.0 * np.finfo(float).eps
 
     h = 6e-6 * (1.0 + np.abs(xs))
     for k in (1, 2, 3):
-        base, exact = derivs[k - 1], samples[k]
-        if base is None or exact is None:
+        base, deriv = derivs[k - 1], derivs[k]
+        if base is None or deriv is None:
             continue
-        approx = (_eval(base, xs + h) - _eval(base, xs - h)) / (2.0 * h)
-        tol = 1e-6 * (scale[k] + np.abs(exact))
+        up, down = _eval(base, xs + h), _eval(base, xs - h)
+        approx = (up - down) / (2.0 * h)
+        exact = _eval(deriv, xs)
+        swing = np.maximum(np.abs(_eval(deriv, xs + h) - exact),
+                           np.abs(_eval(deriv, xs - h) - exact))
+        rounding = ulp8 * (np.abs(up) + np.abs(down)) / (2.0 * h)
+        tol = 1e-6 * np.abs(exact) + swing + rounding
         bad = np.abs(approx - exact) > tol
         if bad.any():
             i = int(np.argmax(np.abs(approx - exact) - tol))
@@ -276,7 +278,7 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
             (1, hi, -1.0, bundle.d1_minus_at_hi, "d1 at right endpoint"),
             (2, lo, 1.0, bundle.d2_plus_at_lo, "d2 at left endpoint"),
             (2, hi, -1.0, bundle.d2_minus_at_hi, "d2 at right endpoint")):
-        g = derivs[k - 1]
+        g, deriv = derivs[k - 1], derivs[k]
         # a stored value is checked only where the window reaches its end
         at_end = x == (bundle.domain_lo if toward > 0 else bundle.domain_hi)
         if g is None or stored is None or not at_end:
@@ -285,9 +287,12 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
         h = toward * (1e-6 * (1.0 + abs(x)) + 1e-9)
         near, at, far = float(g(x + h)), float(g(x)), float(g(x + 2.0 * h))
         approx = (4.0 * near - 3.0 * at - far) / (2.0 * h)
-        # |h|*s_(k+1) bounds the truncation of even a first-order difference
-        tol = (1e-5 * (abs(stored) + abs(h) * scale[k + 1])
-               + 1e-12 * (4.0 * abs(near) + 3.0 * abs(at) + abs(far)) / abs(2.0 * h))
+        # the slope is 2*mean(d_k, x..x+h) - mean(d_k, x..x+2h), so 3 times
+        # d_k's change over the step bounds its truncation
+        swing = 0.0 if deriv is None else 3.0 * abs(float(deriv(x + 2.0 * h))
+                                                    - float(deriv(x + h)))
+        tol = (1e-5 * abs(stored) + swing
+               + ulp8 * (4.0 * abs(near) + 3.0 * abs(at) + abs(far)) / abs(2.0 * h))
         if abs(approx - stored) > tol:
             raise ValueError(
                 f"bundle {bundle.name!r}: stored {label} {stored:.6g} "

@@ -125,9 +125,33 @@ def test_check_bundle_refuses_a_tiny_wrong_derivative():
 
 def test_check_bundle_keeps_an_offset_function():
     """1 + 1e-9*x: its central difference carries rounding of 1 in f far
-    above 1e-6 of its slope, which the scale's max|f|/span covers."""
+    above 1e-6 of its slope, which the rounding allowance covers."""
     check_bundle(FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=lambda x: 1.0 + 1e-9 * x,
                                 d1=lambda x: 1e-9 + 0.0 * x, name="1+1e-9x"))
+
+
+def test_check_bundle_refuses_a_wrong_end_slope_under_a_large_offset():
+    """1e6 + x on [0, 1]: the one-sided difference at 0 carries rounding of
+    1e6 in f, about 1e-4 of the slope 1, so the true slope passes and the
+    slope 0 is refused."""
+    offset = FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=lambda x: 1e6 + x,
+                            d1=lambda x: 1.0 + 0.0 * x, d1_plus_at_lo=1.0, name="1e6+x")
+    check_bundle(offset)
+    with pytest.raises(ValueError, match="stored d1 at left endpoint 0 disagrees"):
+        check_bundle(replace(offset, d1_plus_at_lo=0.0))
+
+
+@pytest.mark.parametrize("wrong", [lambda x: np.exp(x) * (x > 10.0),
+                                   lambda x: np.exp(x) * (1.0 + 1e-3 * (x < 5.0))],
+                         ids=["zero-below-10", "off-1e-3-below-5"])
+def test_check_bundle_refuses_a_local_error_on_a_wide_window(wrong):
+    """exp on [0, 30] spans 13 decades: a d1 wrong only where exp is small
+    is refused, as a tolerance read at each point sees it, while the true
+    bundle passes."""
+    exp = resolve_phi({"name": "exp"})
+    check_bundle(exp, 0.0, 30.0)
+    with pytest.raises(ValueError, match="d1 disagrees with finite difference"):
+        check_bundle(replace(exp, d1=wrong), 0.0, 30.0)
 
 
 def test_tiny_three_concave_cubic_keeps_its_verdict():
