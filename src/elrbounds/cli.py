@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 
 from .divergences import DIVERGENCE_THEOREMS, divergence_pass
@@ -214,14 +215,21 @@ def _run_zipf(config: RunConfig) -> tuple[int, dict]:
                                  zm_a=a.params(), zm_b=b.params())
 
 
+# the two-parameter mean of each family that "phi" names
+_MEANS = {"upsilon1": mean_B1, "upsilon2": mean_M2}
+
+
 def _run_means(config: RunConfig) -> tuple[int, dict]:
     payload = config.payload
     index = number(payload.get("gamma_index", 1), "gamma_index", integral=True)
     params = _need_object(payload, "params", ("s", "t"))
     s, t = number(params["s"], "params s"), number(params["t"], "params t")
-    family = _need_object(payload, "phi").get("name")
-    if family not in ("upsilon1", "upsilon2"):
+    phi = _need_object(payload, "phi")
+    family = phi.get("name")
+    if not (isinstance(family, str) and family in _MEANS):
         raise ValueError('means needs "phi" with name "upsilon1" or "upsilon2"')
+    if phi.get("params", []) != []:
+        raise ValueError(f"{family} takes no params in means: s and t pick its members")
     if index <= 6:
         functional = _parse_functional(payload)
         m, M = _parse_interval(payload)
@@ -233,7 +241,7 @@ def _run_means(config: RunConfig) -> tuple[int, dict]:
     if ctx.m <= 0:
         raise ValueError("means require an interval inside the positive "
                          "half line")
-    mean = mean_B1(ctx, s, t) if family == "upsilon1" else mean_M2(ctx, s, t)
+    mean = _MEANS[family](ctx, s, t)
     return 0, {
         "command": "means",
         "inputs": payload,
@@ -312,6 +320,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="elrbounds",

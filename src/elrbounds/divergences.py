@@ -42,7 +42,9 @@ __all__ = [
 F_3CONVEX = "f_3convex"
 NEG_F_3CONVEX = "neg_f_3convex"
 
-GENERATOR_NAMES = ("kl", "hellinger", "renyi", "harmonic", "jeffreys")
+# Each named generator and how many parameters it takes: renyi's alpha.
+_GENERATOR_PARAMS = {"kl": 0, "hellinger": 0, "renyi": 1, "harmonic": 0, "jeffreys": 0}
+GENERATOR_NAMES = tuple(_GENERATOR_PARAMS)
 
 # The bound pairs that the divergence corollaries specialize.
 DIVERGENCE_THEOREMS = ("derivative", "taylor")
@@ -80,8 +82,8 @@ def _positive_bundle(f, d1, d2, d3, name) -> FunctionBundle:
 
 
 def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
-    """The named generator; ``renyi`` needs ``alpha``.  A custom generator
-    is a ``GeneratorFunction`` built by hand.
+    """The named generator; ``renyi`` needs ``alpha`` and the others take
+    none.  A custom generator is a ``GeneratorFunction`` built by hand.
 
     Each name, and each ``float(alpha)`` of renyi, is built once and then
     returned as the same frozen object (the GENERATOR_CACHE_SIZE most
@@ -90,7 +92,9 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
         raise ValueError(f"unknown generator {name!r}")
     # the cache key is the name as spelled here: the one given may be unhashable
     name = GENERATOR_NAMES[GENERATOR_NAMES.index(name)]
-    if name != "renyi":
+    if not _GENERATOR_PARAMS[name]:
+        if alpha is not None:
+            raise ValueError(f"{name} generator takes no alpha")
         return _named(name, None)
     if alpha is None:
         raise ValueError("renyi generator requires alpha")
@@ -101,30 +105,32 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
     return _named(name, (a, math.copysign(1.0, a)))
 
 
+# Each generator but renyi: f, d1, d2 and d3 on (0, inf), the
+# bundle's name, and the limits value_at_zero and slope_at_inf.
+_FIXED = {
+    "kl": (lambda t: t * np.log(t), lambda t: np.log(t) + 1.0, lambda t: 1.0 / t,
+           lambda t: -1.0 / t ** 2, "t*log(t)", 0.0, math.inf),
+    "hellinger": (lambda t: 0.5 * (1.0 - np.sqrt(t)) ** 2,
+                  lambda t: 0.5 * (1.0 - 1.0 / np.sqrt(t)),
+                  lambda t: 0.25 * t ** -1.5, lambda t: -0.375 * t ** -2.5,
+                  "(1-sqrt(t))^2/2", 0.5, 0.5),
+    "harmonic": (lambda t: 2.0 * t / (1.0 + t), lambda t: 2.0 / (1.0 + t) ** 2,
+                 lambda t: -4.0 / (1.0 + t) ** 3, lambda t: 12.0 / (1.0 + t) ** 4,
+                 "2t/(1+t)", 0.0, 0.0),
+    "jeffreys": (lambda t: (t - 1.0) * np.log(t), lambda t: np.log(t) + 1.0 - 1.0 / t,
+                 lambda t: 1.0 / t + 1.0 / t ** 2, lambda t: -1.0 / t ** 2 - 2.0 / t ** 3,
+                 "(t-1)*log(t)", math.inf, math.inf),
+}
+
+
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _named(name: str, key: tuple[float, float] | None) -> GeneratorFunction:
     """Build the generator ``name``, renyi's with alpha ``key[0]``."""
-    if name == "kl":
-        gen = GeneratorFunction(
-            bundle=_positive_bundle(
-                lambda t: t * np.log(t),
-                lambda t: np.log(t) + 1.0,
-                lambda t: 1.0 / t,
-                lambda t: -1.0 / t ** 2,
-                "t*log(t)"),
-            name="kl",
-            value_at_zero=0.0, slope_at_inf=math.inf)
-    elif name == "hellinger":
-        gen = GeneratorFunction(
-            bundle=_positive_bundle(
-                lambda t: 0.5 * (1.0 - np.sqrt(t)) ** 2,
-                lambda t: 0.5 * (1.0 - 1.0 / np.sqrt(t)),
-                lambda t: 0.25 * t ** -1.5,
-                lambda t: -0.375 * t ** -2.5,
-                "(1-sqrt(t))^2/2"),
-            name="hellinger",
-            value_at_zero=0.5, slope_at_inf=0.5)
-    elif name == "renyi":
+    if key is None:
+        *derivatives, label, at_zero, at_inf = _FIXED[name]
+        gen = GeneratorFunction(bundle=_positive_bundle(*derivatives, label), name=name,
+                                value_at_zero=at_zero, slope_at_inf=at_inf)
+    else:
         a = key[0]
         # the k-th derivative c*t^(a-k), identically 0 when c is: t^(a-k)
         # may be inf at t = 0, and 0*inf is a nan
@@ -136,26 +142,6 @@ def _named(name: str, key: tuple[float, float] | None) -> GeneratorFunction:
             name="renyi", params=(a,),
             value_at_zero=(0.0 if a > 0 else 1.0 if a == 0 else math.inf),
             slope_at_inf=(0.0 if a < 1 else 1.0 if a == 1 else math.inf))
-    elif name == "harmonic":
-        gen = GeneratorFunction(
-            bundle=_positive_bundle(
-                lambda t: 2.0 * t / (1.0 + t),
-                lambda t: 2.0 / (1.0 + t) ** 2,
-                lambda t: -4.0 / (1.0 + t) ** 3,
-                lambda t: 12.0 / (1.0 + t) ** 4,
-                "2t/(1+t)"),
-            name="harmonic",
-            value_at_zero=0.0, slope_at_inf=0.0)
-    elif name == "jeffreys":
-        gen = GeneratorFunction(
-            bundle=_positive_bundle(
-                lambda t: (t - 1.0) * np.log(t),
-                lambda t: np.log(t) + 1.0 - 1.0 / t,
-                lambda t: 1.0 / t + 1.0 / t ** 2,
-                lambda t: -1.0 / t ** 2 - 2.0 / t ** 3,
-                "(t-1)*log(t)"),
-            name="jeffreys",
-            value_at_zero=math.inf, slope_at_inf=math.inf)
     # proved by the closed-form d3 of the module docstring on (0, inf): only
     # harmonic's is positive, and renyi's has the sign of a(a-1)(a-2), the
     # constant of c*t^(a-3) (identically 0 for a in {0, 1, 2})

@@ -1,8 +1,8 @@
 """Built-in function bundles addressable by name from the CLI.
 
 Arbitrary user functions cannot carry derivative data through a command
-line, so the CLI accepts either a registry name (with optional numeric
-parameters) or a polynomial given by its coefficient list, whose
+line, so the CLI accepts either a registry name (with the numeric
+parameters it takes) or a polynomial given by its coefficient list, whose
 derivatives are computed analytically.
 """
 
@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
 from .divided_diff import FunctionBundle
-from .divergences import GENERATOR_NAMES, GeneratorFunction, generator
+from .divergences import _GENERATOR_PARAMS, GENERATOR_NAMES, GeneratorFunction, generator
 from .functionals import _is_number
 from .stolarsky_means import cubic_reference, upsilon1, upsilon2
 
@@ -80,10 +80,13 @@ def poly_bundle(coefficients) -> FunctionBundle:
                           name=f"poly{tuple(coefficients)}", **_REAL_LINE)
 
 
-_BUILDERS = {"cubic": cubic_reference, "quartic": _quartic, "exp": _exp,
-             "xlogx": _xlogx}
-_FAMILIES = {"upsilon1": upsilon1, "upsilon2": upsilon2}
-BUILTIN_NAMES = (*_BUILDERS, *_FAMILIES)
+# Each built-in name: what it builds from its params, and how many it takes.
+_NAMED = {"cubic": (cubic_reference, 0), "quartic": (_quartic, 0),
+          "exp": (_exp, 0), "xlogx": (_xlogx, 0),
+          "upsilon1": (upsilon1, 1), "upsilon2": (upsilon2, 1)}
+BUILTIN_NAMES = tuple(_NAMED)
+_NAMED.update((name, (partial(generator, name), count))
+              for name, count in _GENERATOR_PARAMS.items())
 
 
 def _name_and_params(spec: dict) -> tuple[str, list[float]]:
@@ -97,30 +100,31 @@ def _name_and_params(spec: dict) -> tuple[str, list[float]]:
     return name, [number(v, "phi param") for v in params]
 
 
+def _build(name: str, params: list[float]):
+    """What the built-in ``name`` builds from ``params``, refused unless it
+    takes that many."""
+    build, count = _NAMED[name]
+    if len(params) != count:
+        raise ValueError(f"{name} takes no parameters" if count == 0
+                         else f"{name} needs one parameter")
+    return build(*params)
+
+
 def resolve_phi(spec: dict) -> FunctionBundle:
     """Resolve a phi specification {"name": ..., "params": [...]} or
     {"poly": [...]} to a function bundle."""
     if isinstance(spec, dict) and "poly" in spec:
         return poly_bundle(spec["poly"])
     name, params = _name_and_params(spec)
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
-    if name in _FAMILIES:
-        if len(params) != 1:
-            raise ValueError(f"{name} needs one parameter")
-        return _FAMILIES[name](params[0]).bundle
-    if name in GENERATOR_NAMES:
-        return resolve_generator(spec).bundle
-    raise ValueError(f"unknown phi name {name!r}")
+    if name not in _NAMED:
+        raise ValueError(f"unknown phi name {name!r}")
+    built = _build(name, params)
+    # a family member and a generator carry their bundle
+    return getattr(built, "bundle", built)
 
 
 def resolve_generator(spec: dict) -> GeneratorFunction:
     """Resolve a generator specification for divergence commands."""
     name, params = _name_and_params(spec)
-    if name == "renyi":
-        if len(params) != 1:
-            raise ValueError("renyi needs one parameter (alpha)")
-        return generator("renyi", alpha=params[0])
-    if name in GENERATOR_NAMES:
-        return generator(name)
-    raise ValueError(f"unknown generator {name!r}")
+    # generator() refuses every other name
+    return _build(name, params) if name in GENERATOR_NAMES else generator(name)

@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from elrbounds.cli import RunConfig, build_parser, dump_report, main
+from elrbounds.divergences import GENERATOR_NAMES
+from elrbounds.registry import BUILTIN_NAMES
 
 BOUNDS_INPUT = json.dumps({
     "functional": {"nodes": [0.5], "weights": [1.0]},
@@ -259,6 +261,28 @@ class TestEntryPoint:
         config = RunConfig(command="verify", payload={})
         assert ((args.seed, args.instances, args.tolerance)
                 == (config.seed, config.instances, config.tolerance) == (0, 1000, 1e-9))
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        """In-process calls share one parser, and a call's options leave the
+        next call's defaults as RunConfig's."""
+        from elrbounds import cli
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        build_parser.cache_clear()
+        try:
+            assert main(["verify", "--seed", "3", "--instances", "2"]) == 0
+            assert main(["verify", "--instances", "1", "--tolerance", "1e-6"]) == 0
+            args = build_parser().parse_args(["verify"])
+        finally:
+            build_parser.cache_clear()
+        assert len(built) == 1
+        assert (args.seed, args.instances, args.tolerance) == (0, 1000, 1e-9)
 
 
 class TestUnusablePath:
@@ -641,6 +665,53 @@ class TestRefusedFields:
                 ("means", {**MEANS_PAYLOAD, "gamma_index": 7,
                            "distributions": {"p": [1], "q": [1.0]}})):
             assert run_main([command, "--input", json.dumps(payload)], capsys)[0] == 0
+
+
+class TestParamCount:
+    """A built-in name given another count of params than it takes exits 1
+    with one error line that names the function: through bounds for every
+    name, through divergence and zipf for each generator, and through means
+    for each family, whose "phi" carries only its name (s and t pick the
+    members)."""
+
+    TAKES_ONE = ("upsilon1", "upsilon2", "renyi")
+
+    @staticmethod
+    def error_line(command, payload, capsys):
+        status = main([command, "--input", json.dumps(payload)])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert (status, captured.out, len(lines)) == (1, "", 1), captured.err
+        return lines[0]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + GENERATOR_NAMES)
+    @pytest.mark.filterwarnings("error")
+    def test_wrong_count_is_one_error_line_naming_the_function(self, name, capsys):
+        if name in self.TAKES_ONE:
+            wrong, message = ([], [2.5, 3.5]), f"{name} needs one parameter"
+        else:
+            wrong, message = ([3], [7, 8]), f"{name} takes no parameters"
+        for params in wrong:
+            phi = {"name": name, "params": params}
+            runs = [("bounds", {**BOUNDS_PAYLOAD, "phi": phi})]
+            if name in GENERATOR_NAMES:
+                runs += [("divergence", {"distributions": PAIR, "phi": phi}),
+                         ("zipf", {**_law_pair(2), "phi": phi})]
+            for command, payload in runs:
+                assert self.error_line(command, payload, capsys) == f"error: {message}"
+        if name in ("upsilon1", "upsilon2"):
+            payload = {**MEANS_PAYLOAD, "phi": {"name": name, "params": [9, 9]}}
+            assert self.error_line("means", payload, capsys) == (
+                f"error: {name} takes no params in means: s and t pick its members")
+            payload["phi"]["params"] = []
+            assert run_main(["means", "--input", json.dumps(payload)], capsys)[0] == 0
+
+    def test_unknown_name_with_params_is_unknown(self, capsys):
+        phi = {"name": "kullback", "params": [3]}
+        assert self.error_line("bounds", {**BOUNDS_PAYLOAD, "phi": phi},
+                               capsys) == "error: unknown phi name 'kullback'"
+        assert self.error_line("divergence", {"distributions": PAIR, "phi": phi},
+                               capsys) == "error: unknown generator 'kullback'"
 
 
 class TestOnePass:

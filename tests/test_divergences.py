@@ -28,7 +28,7 @@ from elrbounds.divergences import (
 )
 from elrbounds.elr_bounds import CERTIFY_POINTS
 from elrbounds.functionals import make_functionals
-from elrbounds.registry import resolve_generator
+from elrbounds.registry import resolve_generator, resolve_phi
 
 from counting import counted, counting_bundle
 
@@ -89,6 +89,7 @@ class TestInterning:
         assert generator(name) is gen
         assert generator(np.array(name)) is gen  # an unhashable spelling
         assert resolve_generator({"name": name}) is gen
+        assert resolve_phi({"name": name}) is gen.bundle
 
     def test_renyi_alpha_is_keyed_by_its_float(self):
         gen = generator("renyi", 3)
@@ -96,6 +97,7 @@ class TestInterning:
         assert generator("renyi", 3.0) is gen
         assert generator("renyi", np.array(3.0)) is gen  # 0-d, unhashable
         assert resolve_generator({"name": "renyi", "params": [3]}) is gen
+        assert resolve_phi({"name": "renyi", "params": [3]}) is gen.bundle
         assert generator("renyi", 3.5) is not gen
 
     def test_signed_zero_alphas_keep_their_own_generators(self):
@@ -115,6 +117,7 @@ class TestInterning:
         ("renyi", np.float64(math.nan), ValueError,
          "renyi alpha np.float64(nan) overflows its third derivative"),
         ("renyi", [3.0], TypeError, None),
+        *[(name, 2.5, ValueError, f"{name} generator takes no alpha") for name in FIXED],
     ])
     def test_a_refused_input_is_refused_on_every_call(self, name, alpha, error, message):
         misses = _named.cache_info().misses

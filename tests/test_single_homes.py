@@ -4,9 +4,12 @@ the refusal of an interval whose length overflows is written once, in
 ``FunctionBundle._check_interval``, the refusal of a degenerate interval
 once, in ``divided_diff._check_order``, the refusal of a bundle with no
 certified direction once, in ``elr_bounds._certified``, which is also the
-one caller of ``certify_3convex`` and names its point count, and each node
-rule of a functional once, in the field check of functionals.py.  A second
-copy of any, in any module of the package, fails here."""
+one caller of ``certify_3convex`` and names its point count, each node
+rule of a functional once, in the field check of functionals.py, and the
+rules of names: ``generator()`` in divergences.py refuses an unknown
+generator and an alpha renyi lacks or another generator is given, and the
+registry refuses every other count of params.  A second copy of any, in
+any module of the package, fails here."""
 
 import re
 from pathlib import Path
@@ -65,3 +68,16 @@ def test_certificate_is_taken_in_one_place_at_one_point_count():
 
 def test_no_direction_is_declared():
     assert [name for name, text in SOURCES.items() if "declared 3-" in text] == []
+
+
+@pytest.mark.parametrize("message,home", [
+    ("unknown generator", "divergences.py"),
+    ("requires alpha", "divergences.py"),
+    ("takes no alpha", "divergences.py"),
+    ("takes no parameters", "registry.py"),
+    ("needs one parameter", "registry.py"),
+])
+def test_name_rules_are_written_once(message, home):
+    copies = [name for name, text in SOURCES.items()
+              for _ in re.finditer(re.escape(message), text)]
+    assert copies == [home]
