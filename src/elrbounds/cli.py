@@ -28,8 +28,8 @@ from functools import cache
 from pathlib import Path
 
 from .divergences import DIVERGENCE_THEOREMS, divergence_pass
-from .elr_bounds import THEOREMS, BoundReport, _certified, _pair_reports
-from .expconv import divergence_context, elr_context
+from .elr_bounds import THEOREMS, BoundReport, _certified, _check_theorem, _pair_reports
+from .expconv import _check_index, divergence_context, elr_context
 from .functionals import make_functional, moments
 from .fuzzing import bracket_fuzz
 from .registry import number, resolve_generator, resolve_phi
@@ -140,8 +140,7 @@ def _parse_theorems(payload: dict, allowed=THEOREMS):
     requested = payload.get("theorem")
     if requested is None:
         return list(allowed)
-    if requested not in allowed:
-        raise ValueError(f"unknown theorem {requested!r}")
+    _check_theorem(requested, allowed)
     return [requested]
 
 
@@ -159,8 +158,8 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
     functional = _parse_functional(payload)
     m, M = _parse_interval(payload)
     bundle = resolve_phi(_need_object(payload, "phi"))
-    cert, orientation = _certified(bundle, m, M)
     theorems = _parse_theorems(payload)
+    cert, orientation = _certified(bundle, m, M)
     reports = _pair_reports(moments(functional, bundle, m, M), bundle, m, M,
                             theorems, orientation)
     return 0, {
@@ -227,9 +226,11 @@ def _run_means(config: RunConfig) -> tuple[int, dict]:
     phi = _need_object(payload, "phi")
     family = phi.get("name")
     if not (isinstance(family, str) and family in _MEANS):
-        raise ValueError('means needs "phi" with name "upsilon1" or "upsilon2"')
+        raise ValueError('means needs "phi" with name "upsilon1" or "upsilon2", '
+                         f"got {family!r}")
     if phi.get("params", []) != []:
         raise ValueError(f"{family} takes no params in means: s and t pick its members")
+    _check_index(index)
     if index <= 6:
         functional = _parse_functional(payload)
         m, M = _parse_interval(payload)

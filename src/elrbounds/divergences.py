@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .divided_diff import FunctionBundle, _eval
-from .elr_bounds import ORIENT_DIRECT, ORIENT_REVERSED, BoundReport, _certified, _pair_reports
+from .elr_bounds import (ORIENT_DIRECT, ORIENT_REVERSED, BoundReport, _certified,
+                         _check_theorem, _pair_reports)
 from .functionals import (DiscreteFunctional, _functional, _land_row, check_weights,
                           moments)
 
@@ -254,9 +255,8 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
     checks the pair and derives the interval), one evaluation of f at its
     nodes and one MomentSet.  Every kept ratio is positive, so the
     divergence is f_divergence's sum."""
-    unknown = [name for name in theorems if name not in DIVERGENCE_THEOREMS]
-    if unknown:
-        raise ValueError(f"unknown theorem {unknown[0]!r}")
+    for name in theorems:
+        _check_theorem(name, DIVERGENCE_THEOREMS)
     auto = m is None or M is None
     functional, m, M, masses = ratio_functional(p, q, m, M)
     if m <= 0.0:

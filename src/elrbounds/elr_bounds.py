@@ -82,27 +82,27 @@ class BoundReport:
 
     def bracket(self) -> tuple[float, float]:
         """Bracket endpoints ordered so bracket[0] <= mid <= bracket[1]."""
-        if self.orientation == ORIENT_DIRECT:
-            return (self.lower, self.upper)
-        return (self.upper, self.lower)
+        return _oriented(self.lower, self.upper, self.orientation)
 
     def violation(self) -> float:
         """How far mid escapes the oriented bracket (0 when it holds)."""
         return float(_excess(self.lower, self.mid, self.upper, self.orientation))
 
 
+def _oriented(lower, upper, orientation: str):
+    """(lower, upper) of a direct chain, (upper, lower) of a reversed one."""
+    return (lower, upper) if orientation == ORIENT_DIRECT else (upper, lower)
+
+
 def _excess(lower, mid, upper, orientation: str):
     """Elementwise BoundReport.violation: max(lo - mid, mid - hi, 0.0) of
     the oriented bracket (lo, hi), where, as in ``max``, a later candidate
-    wins only when it is strictly greater (so NaN propagates the same).
-    Arrays take np.where, numbers the same choices without numpy."""
-    lo, hi = (lower, upper) if orientation == ORIENT_DIRECT else (upper, lower)
+    wins only when it is strictly greater (so NaN propagates the same);
+    numbers give a number, the 0-d result's scalar."""
+    lo, hi = _oriented(lower, upper, orientation)
     below, above = lo - mid, mid - hi
-    if isinstance(below, np.ndarray):
-        worst = np.where(above > below, above, below)
-        return np.where(0.0 > worst, 0.0, worst)
-    worst = above if above > below else below
-    return 0.0 if 0.0 > worst else worst
+    worst = np.where(above > below, above, below)
+    return np.where(0.0 > worst, 0.0, worst)[()]
 
 
 def _certified(bundle: FunctionBundle, m: float, M: float
@@ -178,11 +178,18 @@ def _refuse_overflow(ms: MomentSet, m: float, M: float) -> None:
                          "of the functional on it overflow") from None
 
 
-def _derivative_moments(ms: MomentSet, bundle: FunctionBundle) -> tuple[float, float]:
+def _check_derivative_moments(ms: MomentSet, bundle: FunctionBundle) -> None:
     if ms.d_lo is None or ms.d_hi is None:
         raise ValueError("insufficient bundle: first derivative moment of "
                          f"{bundle.name!r} unavailable")
-    return ms.d_lo, ms.d_hi
+
+
+THEOREMS = ("secant", "derivative", "taylor")
+
+
+def _check_theorem(theorem: str, allowed=THEOREMS) -> None:
+    if theorem not in allowed:
+        raise ValueError(f"unknown theorem {theorem!r}")
 
 
 def theorem_triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
@@ -196,26 +203,29 @@ def theorem_triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
     functionals are built from, so this kernel is shared across modules.
     """
     _check_theorem(theorem)
-    phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, m, M, 1 + (theorem == "taylor"))
-    secant = (phi_M - phi_m) / (M - m)
-    mid = _mid(ms, phi_m, phi_M, m, M)
-    if theorem == "secant":
-        lower = ms.cross / (M - m) * (secant - d1p)
-        upper = ms.cross / (M - m) * (d1m - secant)
-    elif theorem == "derivative":
-        d_lo, d_hi = _derivative_moments(ms, bundle)
-        lower = (ms.mean - m) * (secant - 0.5 * d1p) - 0.5 * d_lo
-        upper = 0.5 * d_hi - (M - ms.mean) * (secant - 0.5 * d1m)
-    else:
-        d2p, d2m = d2
-        lower = (M - ms.mean) * (d1m - secant) - 0.5 * d2m * ms.sq_hi
-        upper = (ms.mean - m) * (secant - d1p) - 0.5 * d2p * ms.sq_lo
+    ends = _endpoint_values(bundle, m, M, 1 + (theorem == "taylor"))
+    mid = _mid(ms, ends[0], ends[1], m, M)
+    if theorem == "derivative":
+        _check_derivative_moments(ms, bundle)
+    lower, upper = _bound_pair(theorem, ms, ends, m, M)
     return lower, mid, upper
 
 
-def _check_theorem(theorem: str) -> None:
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}")
+def _bound_pair(theorem: str, ms: MomentSet, ends: list[float], m: float, M: float):
+    """(lower, upper) of the bound pair named ``theorem`` for the moments
+    ``ms`` on [m, M] and the endpoint values ``ends`` (_endpoint_values):
+    the one home of the formulas."""
+    phi_m, phi_M, d1p, d1m, *d2 = ends
+    secant = (phi_M - phi_m) / (M - m)
+    if theorem == "secant":
+        return (ms.cross / (M - m) * (secant - d1p),
+                ms.cross / (M - m) * (d1m - secant))
+    if theorem == "derivative":
+        return ((ms.mean - m) * (secant - 0.5 * d1p) - 0.5 * ms.d_lo,
+                0.5 * ms.d_hi - (M - ms.mean) * (secant - 0.5 * d1m))
+    d2p, d2m = d2
+    return ((M - ms.mean) * (d1m - secant) - 0.5 * d2m * ms.sq_hi,
+            (ms.mean - m) * (secant - d1p) - 0.5 * d2p * ms.sq_lo)
 
 
 def elr_difference(functional: DiscreteFunctional, bundle: FunctionBundle,
@@ -229,9 +239,6 @@ def elr_difference(functional: DiscreteFunctional, bundle: FunctionBundle,
         _refuse_overflow(ms, m, M)
         raise ValueError(f"ELR difference of {bundle.name!r} is not finite: {value!r}")
     return value
-
-
-THEOREMS = ("secant", "derivative", "taylor")
 
 
 def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
@@ -248,32 +255,24 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
                       m: float, M: float, variant: str) -> BoundReport:
     """Bounds on the Jensen gap A(phi(f)) - phi(A(f)) = D(delta) - D(A), for
     delta the point mass at the mean of f: the ``derivative`` or ``taylor``
-    pair's lower(delta) - upper(A) and upper(delta) - lower(A), written out
-    unsimplified and oriented by the bundle's certificate on [m, M]."""
+    pair's lower(delta) - upper(A) and upper(delta) - lower(A), oriented by
+    the bundle's certificate on [m, M]."""
     if variant not in ("derivative", "taylor"):
         raise ValueError(f"unknown Jensen-gap variant {variant!r}")
     orientation = _certified(bundle, m, M)[1]
     ms = moments(functional, bundle, m, M)
-    phi_m, phi_M, d1p, d1m, *d2 = _endpoint_values(bundle, m, M, 1 + (variant == "taylor"))
-    secant = (phi_M - phi_m) / (M - m)
-    mean = ms.mean
-    mid = ms.value - bundle.deriv(0, mean)
+    ends = _endpoint_values(bundle, m, M, 1 + (variant == "taylor"))
+    phi_mean = bundle.deriv(0, ms.mean)
+    below, above = ms.mean - m, M - ms.mean
+    d_lo = d_hi = None
     if variant == "derivative":
-        d_lo, d_hi = _derivative_moments(ms, bundle)
-        dmean = bundle.deriv(1, mean)
-        lower = ((mean - m) * (secant - 0.5 * (dmean + d1p))
-                 - 0.5 * d_hi
-                 + (M - mean) * (secant - 0.5 * d1m))
-        upper = ((M - mean) * (0.5 * (dmean + d1m) - secant)
-                 - (mean - m) * (secant - 0.5 * d1p)
-                 + 0.5 * d_lo)
-    else:
-        d2p, d2m = d2
-        lower = ((M - mean) * (d1m - secant - 0.5 * d2m * (M - mean))
-                 - (mean - m) * (secant - d1p)
-                 + 0.5 * d2p * ms.sq_lo)
-        upper = ((mean - m) * (secant - d1p - 0.5 * d2p * (mean - m))
-                 - (M - mean) * (d1m - secant)
-                 + 0.5 * d2m * ms.sq_hi)
-    return _pair_report(ms, m, M, (lower, mid, upper), orientation,
-                        f"jensen_gap_{variant}", {})
+        _check_derivative_moments(ms, bundle)
+        dmean = bundle.deriv(1, ms.mean)
+        d_lo, d_hi = below * dmean, above * dmean
+    delta = MomentSet(ms.mean, above * below, below * below, above * above,
+                      phi_mean, d_lo, d_hi)
+    lower_delta, upper_delta = _bound_pair(variant, delta, ends, m, M)
+    lower, upper = _bound_pair(variant, ms, ends, m, M)
+    return _pair_report(ms, m, M, (lower_delta - upper, ms.value - phi_mean,
+                                   upper_delta - lower),
+                        orientation, f"jensen_gap_{variant}", {})

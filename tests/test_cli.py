@@ -714,6 +714,39 @@ class TestParamCount:
                                capsys) == "error: unknown generator 'kullback'"
 
 
+class TestRefusalOrder:
+    """A name or index that selects the rest of the input is checked before
+    what it selects: the bounds command checks the theorem name before it
+    certifies phi, as bounds() does, and means checks gamma_index before it
+    reads the fields of its context; means names the phi it was given."""
+
+    error_line = staticmethod(TestParamCount.error_line)
+
+    def test_bounds_checks_the_theorem_before_the_certificate(self, capsys):
+        # x**4 has no direction on [-1, 1]: certifying it first refused it
+        payload = {"functional": {"nodes": [0.5], "weights": [1.0]}, "interval": [-1, 1],
+                   "phi": {"poly": [0, 0, 0, 0, 1]}, "theorem": "simpson"}
+        assert self.error_line("bounds", payload, capsys) == "error: unknown theorem 'simpson'"
+
+    @pytest.mark.parametrize("index", [0, 11])
+    @pytest.mark.parametrize("context", ["elr", "divergence"])
+    def test_means_checks_the_index_before_its_context(self, index, context, capsys):
+        payload = {**MEANS_PAYLOAD, "gamma_index": index}
+        if context == "divergence":
+            del payload["functional"], payload["interval"]
+            payload["distributions"] = PAIR
+        assert self.error_line("means", payload, capsys) == (
+            "error: functional index must be in 1..10")
+
+    @pytest.mark.parametrize("phi,given", [({"name": "cubic"}, "'cubic'"),
+                                           ({"name": "kl"}, "'kl'"),
+                                           ({"poly": [0, 1]}, "None")])
+    def test_means_names_the_phi_it_was_given(self, phi, given, capsys):
+        assert self.error_line("means", {**MEANS_PAYLOAD, "phi": phi}, capsys) == (
+            'error: means needs "phi" with name "upsilon1" or "upsilon2", '
+            f"got {given}")
+
+
 class TestOnePass:
     """A command validates its input and computes its moments once, however
     many theorems it reports."""

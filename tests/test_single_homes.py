@@ -8,9 +8,12 @@ one caller of ``certify_3convex`` and names its point count, each node
 rule of a functional once, in the field check of functionals.py, and the
 rules of names: ``generator()`` in divergences.py refuses an unknown
 generator and an alpha renyi lacks or another generator is given, and the
-registry refuses every other count of params.  A second copy of any, in
-any module of the package, fails here."""
+registry refuses every other count of params; ``elr_bounds._check_theorem``
+refuses an unknown theorem name.  A second copy of any, in any module of
+the package, fails here.  The endpoint derivatives of a bound pair are
+named only in ``elr_bounds._bound_pair``, the one home of its formulas."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -76,8 +79,31 @@ def test_no_direction_is_declared():
     ("takes no alpha", "divergences.py"),
     ("takes no parameters", "registry.py"),
     ("needs one parameter", "registry.py"),
+    ("unknown theorem", "elr_bounds.py"),
 ])
 def test_name_rules_are_written_once(message, home):
     copies = [name for name, text in SOURCES.items()
               for _ in re.finditer(re.escape(message), text)]
     assert copies == [home]
+
+
+ENDPOINT_NAMES = {"d1p", "d1m", "d2p", "d2m"}
+
+
+def _endpoint_scopes(node, scope="<module>"):
+    """The innermost function around each name, argument or attribute
+    under ``node`` that is one of ENDPOINT_NAMES."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    name = (node.id if isinstance(node, ast.Name) else node.arg if isinstance(node, ast.arg)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    if name in ENDPOINT_NAMES:
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _endpoint_scopes(child, scope)
+
+
+def test_endpoint_derivatives_are_read_by_one_function():
+    readers = {(name, scope) for name, text in SOURCES.items()
+               for scope in _endpoint_scopes(ast.parse(text))}
+    assert readers == {("elr_bounds.py", "_bound_pair")}
