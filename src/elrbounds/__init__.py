@@ -34,7 +34,6 @@ from .zipf_mandelbrot import (
     ZipfMandelbrot,
     harmonic_sum,
     zm_distribution,
-    zm_divergence_bounds,
     zm_ratio_extrema,
 )
 from .expconv import (
@@ -108,6 +107,5 @@ __all__ = [
     "upsilon1",
     "upsilon2",
     "zm_distribution",
-    "zm_divergence_bounds",
     "zm_ratio_extrema",
 ]

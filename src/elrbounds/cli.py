@@ -28,10 +28,11 @@ from functools import cache
 from pathlib import Path
 
 from .divergences import DIVERGENCE_THEOREMS, divergence_pass
+from .divided_diff import _check_order
 from .elr_bounds import THEOREMS, BoundReport, _certified, _check_theorem, _pair_reports
 from .expconv import _check_index, divergence_context, elr_context
 from .functionals import make_functional, moments
-from .fuzzing import bracket_fuzz
+from .fuzzing import TOLERANCE, bracket_fuzz
 from .registry import number, resolve_generator, resolve_phi
 from .stolarsky_means import mean_B1, mean_M2
 from .zipf_mandelbrot import zm_distribution, zm_divergence_pass
@@ -45,7 +46,7 @@ class RunConfig:
     payload: dict
     seed: int = 0
     instances: int = 1000
-    tolerance: float = 1e-9
+    tolerance: float = TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +127,7 @@ def _parse_interval(payload: dict, required: bool = True):
     if not (isinstance(interval, list) and len(interval) == 2):
         raise ValueError('"interval" must be [m, M]')
     m, M = (number(end, "interval end") for end in interval)
-    if not m < M:
-        raise ValueError("interval must satisfy m < M")
+    _check_order(m, M)
     return m, M
 
 

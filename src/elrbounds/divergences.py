@@ -23,8 +23,7 @@ import numpy as np
 from .divided_diff import FunctionBundle, _eval
 from .elr_bounds import (ORIENT_DIRECT, ORIENT_REVERSED, BoundReport, _certified,
                          _check_theorem, _pair_reports)
-from .functionals import (DiscreteFunctional, _functional, _land_row, check_weights,
-                          moments)
+from .functionals import DiscreteFunctional, _landed_functional, check_weights, moments
 
 __all__ = [
     "GeneratorFunction",
@@ -232,19 +231,17 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
     M = max(hi, 1.0) if M is None else float(M)
     if not (m <= 1.0 <= M):
         raise ValueError("theorem requires m <= 1 <= M")
-    if m == M:
-        raise ValueError("degenerate interval: all ratios coincide; supply a "
-                         "wider [m, M]")
     if lo < m or hi > M:
         outside = (ratios < m) | (ratios > M)
         raise ValueError(f"ratio outside [m, M]: {float(ratios[outside][0])!r}")
+    if m == M:
+        raise ValueError("degenerate interval: all ratios coincide; supply a "
+                         "wider [m, M]")
     # The kept masses need only make_functional's landing: _check_pair has
     # checked every q_i, and dropping exact zeros leaves the real sum of q,
     # which it has checked to lie within WEIGHT_DRIFT_TOL of 1, unchanged;
     # every ratio is finite and the masses are positive.
-    weights = masses.copy()
-    _land_row(weights, float(masses.sum()))
-    return _functional(ratios, weights), m, M, masses
+    return _landed_functional(ratios, masses, float(masses.sum())), m, M, masses
 
 
 def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,

@@ -171,7 +171,8 @@ def exp_convexity_check(curve: GammaCurve, n: int) -> ExpConvexityResult:
     all subsets are checked when there are at most 200, otherwise 200 are
     drawn by ``np.random.default_rng(0)``, so a check repeats exactly.  A
     subset passes when its smallest eigenvalue is at least -1e-10 times
-    max(1, spectral norm).
+    its spectral norm, so 2^k * phi gets phi's verdict (an all-zero Gram
+    matrix passes).
     """
     grid = curve.t_grid
     if grid.size < n:
@@ -193,8 +194,7 @@ def exp_convexity_check(curve: GammaCurve, n: int) -> ExpConvexityResult:
             for k in range(j, n):
                 G[j, k] = G[k, j] = curve.value(0.5 * (ts[j] + ts[k]))
         eigs = np.linalg.eigvalsh(G)
-        scale = max(1.0, float(np.abs(eigs).max()))
-        if eigs[0] < -PSD_FLOOR * scale:
+        if eigs[0] < -PSD_FLOOR * np.abs(eigs).max():
             passed = False
         min_eig = min(min_eig, float(eigs[0]))
     return ExpConvexityResult(passed=passed, min_eigenvalue=min_eig,

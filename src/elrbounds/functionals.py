@@ -235,7 +235,7 @@ def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
     """A batch of functionals from flat nodes and weights laid out as
     FunctionalBatch stores them: validated in one pass (finite nodes, the
     check_weights rule per row, an ``order`` that is a permutation of the
-    row indices), then renormalized row by row."""
+    row indices), then each row renormalized (_normalize)."""
     nodes = np.array(nodes, dtype=float)
     weights = np.array(weights, dtype=float)
     if not nodes.shape == weights.shape == (sum(c * k for c, k in shapes),):
@@ -269,14 +269,10 @@ def _divide_rows(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
     return sizes
 
 
-# Batches of at least this many rows land their weights with exact int64
-# row sums (_land_batch); below it the fsum loop (_land_rows) is faster.
-# The measured break-even of make_functionals on rows of 1 to 50 nodes.
-LIMB_LANDING_ROWS = 48
-
-# In a smaller batch, a row of at least this many entries lands on its own
-# exact int64 total (_land_held); below it the fsum loop is faster.  The
-# measured break-even of the two on rows of Zipf-Mandelbrot masses.
+# A row of at least this many entries, landed on its own (_land_row),
+# lands on its exact int64 total (_land_held); below it the fsum loop is
+# faster.  The measured break-even of the two on rows of Zipf-Mandelbrot
+# masses.
 LIMB_LANDING_ENTRIES = 512
 
 # r < 2**52 is split in halves of 26 bits, so that a row sum of a limb
@@ -295,28 +291,20 @@ def _normalize(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
     measured drift, fsum(row) - 1, is itself rounded, hence up to four
     adjustments, each at the row's current first largest weight.
 
-    The path is chosen by the batch's row count and each row's length.
-    A batch of fewer than LIMB_LANDING_ROWS rows divides and lands row by
-    row (_land_row, which make_functional and ratio_functional run on
-    their one row): each row shorter than LIMB_LANDING_ENTRIES runs the
-    rule as a Python loop of fsum passes (_land_rows), and each longer one
-    on its own exact total (_land_held), with one split into int64 limbs
-    and no second pass over the row.  A batch of LIMB_LANDING_ROWS rows or
-    more divides all rows at once and runs the rule over the whole batch on
-    the limbs (_land_batch).  The limbs are exact: w is
-    h * 2**-52 + r * 2**-104, they add exactly in any order, and fsum(row)
-    is then fl(A * 2**-52 + B * 2**-104) from the carried limb sums A and
-    B, one correctly rounded add of two exact doubles (_limb_sums).  Rows
-    holding a weight with a bit below 2**-104 (the tail of a steep Zipf
-    law, say) take the loop instead.  Every path gives the same bits."""
-    if len(sums) < LIMB_LANDING_ROWS:
-        start = 0
-        for k, total in zip([k for count, k in shapes for _ in range(count)],
-                            sums.tolist()):
-            _land_row(weights[start:start + k], total)
-            start += k
-    else:
-        _land_batch(weights, _divide_rows(weights, shapes, sums))
+    There is one path per caller shape.  A batch divides all rows at once
+    and runs the rule over the whole batch on the limbs of its weights
+    (_land_batch).  The one row of make_functional and ratio_functional
+    (_landed_functional) lands on its own (_land_row): shorter than
+    LIMB_LANDING_ENTRIES entries as a Python loop of fsum passes
+    (_land_rows), longer on its own exact total (_land_held), with one
+    split into limbs and no second pass over the row.  The limbs are
+    exact: w is h * 2**-52 + r * 2**-104, they add exactly in any order,
+    and fsum(row) is then fl(A * 2**-52 + B * 2**-104) from the carried
+    limb sums A and B, one correctly rounded add of two exact doubles
+    (_limb_sums).  Rows holding a weight with a bit below 2**-104 (the
+    tail of a steep Zipf law, say) take the loop instead.  Every path
+    gives the same bits."""
+    _land_batch(weights, _divide_rows(weights, shapes, sums))
     weights.flags.writeable = False
     return weights
 
@@ -452,9 +440,18 @@ def make_functional(nodes: Sequence[float], weights: Sequence[float]) -> Discret
     """
     nodes, weights = _floats(nodes, "nodes"), _floats(weights, "weights")
     total = _check_fields(nodes, weights)
+    return _landed_functional(nodes.copy(), weights, total)
+
+
+def _landed_functional(nodes: np.ndarray, weights: np.ndarray,
+                       total: float) -> DiscreteFunctional:
+    """The functional of checked nodes, which it keeps, and a checked row
+    of weights summing to ``total``, which it copies and lands on its own
+    (_land_row): the one-row builder of make_functional and
+    ratio_functional."""
     weights = weights.copy()
     _land_row(weights, total)
-    return _functional(nodes.copy(), weights)
+    return _functional(nodes, weights)
 
 
 def apply(functional: DiscreteFunctional, g: Callable) -> float:

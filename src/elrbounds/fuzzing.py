@@ -49,6 +49,10 @@ MAX_NODES = 50
 # Functionals drawn per bundle by bracket_fuzz.
 BATCH = 400
 
+# The default tolerance of bracket_fuzz and of verify: an excess at or
+# below it is rounding, not a violation.
+TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class _PiecewisePolynomial:
@@ -279,7 +283,7 @@ class FuzzReport:
         return not self.violations
 
 
-def bracket_fuzz(seed: int, instances: int, tolerance: float = 1e-9) -> FuzzReport:
+def bracket_fuzz(seed: int, instances: int, tolerance: float = TOLERANCE) -> FuzzReport:
     """Run ``instances`` random bracket checks over all three bound pairs,
     in both the direct and the reversed orientation.
 

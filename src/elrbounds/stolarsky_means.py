@@ -399,18 +399,21 @@ def _invert_monotone(fn: Callable[[float], float], m: float, M: float,
     scalar power need not share), checked on those two floats and
     inverted exactly.  Any other map is scanned at 65 points by one array
     call, reduced to the same floats (its values at m and M, its scale
-    max(1, max |fn|) and its spread max fn - min fn), checked for
-    monotonicity on the scan, and bisected.
+    max |fn| and its spread max fn - min fn), checked for monotonicity on
+    the scan, and bisected.  Every tolerance is relative to the scale, so
+    2^k * fn gets fn's point; a map that is 0 at every point read has the
+    scale 1, an absolute slack for its target.
     """
     closed = isinstance(fn, _CLOSED_FORM)
     if closed:
         lo_val, hi_val = _eval(fn, np.array([m, M])).tolist()
-        spread, scale = abs(hi_val - lo_val), max(1.0, abs(lo_val), abs(hi_val))
+        spread, scale = abs(hi_val - lo_val), max(abs(lo_val), abs(hi_val))
     else:
         vals = _eval(fn, np.linspace(m, M, 65))
         top, bottom = float(vals.max()), float(vals.min())
         lo_val, hi_val = float(vals[0]), float(vals[-1])
-        spread, scale = top - bottom, max(1.0, top, -bottom)
+        spread, scale = top - bottom, max(top, -bottom)
+    scale = scale or 1.0
     # the spread is nan or inf exactly when a value is not finite
     if not math.isfinite(spread):
         raise ValueError("inverse undefined: map not finite on [m, M]")

@@ -25,7 +25,6 @@ __all__ = [
     "zm_distribution",
     "zm_ratio_extrema",
     "zm_divergence_pass",
-    "zm_divergence_bounds",
 ]
 
 
@@ -49,14 +48,20 @@ def _terms(N: int, q: float, s: float) -> np.ndarray:
     return (ranks + q) ** (-s)
 
 
+def _left_sum(terms: np.ndarray) -> float:
+    """The sum of the terms added strictly left to right, as cumsum adds
+    them, where np.sum would add pairwise: the accumulation order of the
+    normalizer, fixed for reproducibility."""
+    return float(np.cumsum(terms)[-1])
+
+
 def harmonic_sum(N: int, q: float, s: float) -> float:
     """The normalizer: sum over i = 1..N of (i + q)^(-s).
 
-    Terms decrease in i, so natural order is descending magnitude; the
-    accumulation order is fixed for reproducibility: cumsum adds strictly
-    left to right, where np.sum would add pairwise.
+    Terms decrease in i, so natural order is descending magnitude, and
+    they are added in that order (_left_sum).
     """
-    return float(np.cumsum(_terms(N, q, s))[-1])
+    return _left_sum(_terms(N, q, s))
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class ZipfMandelbrot:
 def zm_distribution(N: int, q: float, s: float) -> ZipfMandelbrot:
     """Materialize the law with parameters (N, q, s)."""
     terms = _terms(N, q, s)
-    normalizer = float(np.cumsum(terms)[-1])  # as in harmonic_sum
+    normalizer = _left_sum(terms)
     law = f"Zipf-Mandelbrot law (N={N}, q={q}, s={s})"
     if not normalizer > 0.0:
         raise ValueError(f"{law} has no positive normalizer: its terms underflow")
@@ -114,10 +119,3 @@ def zm_divergence_pass(a: ZipfMandelbrot, b: ZipfMandelbrot,
         # each report of the pass holds details of its own
         report.details.update(zm_a=a.params(), zm_b=b.params())
     return value, reports
-
-
-def zm_divergence_bounds(a: ZipfMandelbrot, b: ZipfMandelbrot,
-                         gen: GeneratorFunction,
-                         theorem: str = "derivative") -> BoundReport:
-    """The bound pair named ``theorem``: zm_divergence_pass of that one."""
-    return zm_divergence_pass(a, b, gen, (theorem,))[1][0]

@@ -747,6 +747,24 @@ class TestRefusalOrder:
             f"got {given}")
 
 
+class TestPointInterval:
+    """An interval [1, 1] is refused by the one degenerate-interval rule,
+    with its message, by each command that reads "interval"."""
+
+    error_line = staticmethod(TestParamCount.error_line)
+
+    @pytest.mark.parametrize("command,payload", [
+        ("bounds", {"functional": {"nodes": [1.0], "weights": [1.0]},
+                    "phi": {"name": "cubic"}}),
+        ("divergence", {"distributions": PAIR, "phi": {"name": "kl"}}),
+        ("means", MEANS_PAYLOAD),
+    ])
+    def test_point_interval_is_degenerate(self, command, payload, capsys):
+        payload = {**payload, "interval": [1, 1]}
+        assert self.error_line(command, payload, capsys) == (
+            "error: degenerate interval: m must lie strictly below M")
+
+
 class TestOnePass:
     """A command validates its input and computes its moments once, however
     many theorems it reports."""

@@ -259,6 +259,16 @@ class TestDivergenceBounds:
             divergence_bounds(HALF_HALF, HALF_HALF, generator("kl"),
                               theorem="derivative")
 
+    @pytest.mark.parametrize("p,message", [
+        ([0.2, 0.8], "ratio outside [m, M]: 0.4"),
+        (HALF_HALF, "degenerate interval: all ratios coincide; supply a wider [m, M]"),
+    ], ids=["distinct-ratios", "identical-laws"])
+    def test_point_interval_names_what_is_true(self, p, message):
+        """[1, 1] refuses ratios 0.4 and 1.6 as outside it: only identical
+        laws, whose every ratio is 1, are told that the ratios coincide."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            divergence_pass(p, HALF_HALF, generator("kl"), 1.0, 1.0)
+
     def test_nan_entry_rejected(self):
         with pytest.raises(ValueError, match="non-finite weight in p"):
             divergence_bounds([math.nan, 1.0], HALF_HALF, generator("kl"),

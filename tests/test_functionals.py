@@ -413,8 +413,8 @@ def divided(weights):
 
 
 class TestLongRowLanding:
-    """A row of at least LIMB_LANDING_ENTRIES entries, in a batch of fewer
-    than LIMB_LANDING_ROWS rows, lands on its exact limb total
+    """A row of at least LIMB_LANDING_ENTRIES entries, landed on its own
+    (make_functional, ratio_functional), lands on its exact limb total
     (functionals._land_held), held here to the fsum loop bit for bit."""
 
     N = functionals.LIMB_LANDING_ENTRIES

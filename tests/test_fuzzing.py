@@ -473,10 +473,9 @@ def test_other_bit_generators_refused_before_any_draw(make):
     assert rng.random(3).tolist() == make().random(3).tolist()
 
 
-# The batch path of the landing: a batch of LIMB_LANDING_ROWS rows or more
-# lands its weights on exact int64 limb sums (functionals._land_batch),
-# held here to landed_row_by_row bit for bit on rows that reach each of
-# its branches.
+# The batch path of the landing: every batch, of any row count, lands its
+# weights on exact int64 limb sums (functionals._land_batch), held here to
+# landed_row_by_row bit for bit on rows that reach each of its branches.
 
 def normalized_rows(weights, shapes):
     for block in row_blocks(weights, shapes):
@@ -485,7 +484,6 @@ def normalized_rows(weights, shapes):
 
 
 def assert_batch_lands_row_by_row(weights, shapes):
-    assert sum(count for count, _ in shapes) >= functionals.LIMB_LANDING_ROWS
     landed = make_functionals(np.zeros(weights.size), weights, shapes).weights
     assert landed.tobytes() == landed_row_by_row(weights, shapes).tobytes()
 
@@ -576,6 +574,24 @@ def test_batch_landing_at_a_tied_largest_weight():
         tied_and_adjusted += (adjustments_row_by_row(weights, shapes)[np.array(tied)] > 0).sum()
         assert_batch_lands_row_by_row(weights, shapes)
     assert tied_and_adjusted > 50
+
+
+@pytest.mark.parametrize("count", [1, 2, 47])
+def test_batch_landing_on_small_batches(count):
+    """Batches of one, two and 47 rows land on the limbs as verify's
+    batches of 400 do, half of them holding weights below the limbs."""
+    rng = np.random.default_rng(20 + count)
+    adjustments, loose = set(), 0
+    for draw in range(60):
+        weights, shapes = random_rows(rng, count)
+        if draw % 2:
+            tiny = rng.random(weights.size) < 0.05
+            weights[tiny] *= 10.0 ** rng.uniform(-32.0, -28.0, tiny.sum())
+        normalized_rows(weights, shapes)
+        adjustments |= set(adjustments_row_by_row(weights, shapes).tolist())
+        loose += rows_the_limbs_cannot_hold(weights, shapes).sum()
+        assert_batch_lands_row_by_row(weights, shapes)
+    assert adjustments == {0, 1, 2} and loose > 0
 
 
 def test_one_row_callers_land_as_the_loop_on_criterion_4_pairs():

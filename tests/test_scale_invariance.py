@@ -1,7 +1,8 @@
 """Scaling phi by a power of two is exact in floating point, so it must
 change nothing but the scale: 2^k*phi gets phi's certified verdict and 2^k
 times its witness, and 2^k times each of its bound triples, bit for bit,
-and check_bundle refuses it exactly when it refuses phi.  A sign rule or a
+check_bundle refuses it exactly when it refuses phi, and it gets phi's
+mean-value points and exponential-convexity verdict.  A sign rule or a
 tolerance with an absolute floor fails this for a small enough 2^k."""
 
 from dataclasses import replace
@@ -9,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elrbounds import FunctionBundle, certify_3convex, check_bundle, generator
+from elrbounds import (FunctionBundle, GammaCurve, cauchy_xi, certify_3convex, check_bundle,
+                       elr_context, exp_convexity_check, generator, mvt_xi)
 from elrbounds.elr_bounds import CERTIFY_POINTS, THEOREMS, theorem_triple
 from elrbounds.functionals import make_functional, moments
 from elrbounds.fuzzing import draw_bundle, draw_interval
@@ -161,3 +163,64 @@ def test_tiny_three_concave_cubic_keeps_its_verdict():
     for k in (0, -40):
         cert = certify_3convex(scaled(cubic, 2.0 ** k), 0.0, 1.0, CERTIFY_POINTS)
         assert cert.verdict == "neg_three_convex", k
+
+
+def outcome(call):
+    """A mean-value point as (xi, unique), or the kind of its refusal."""
+    try:
+        return tuple(call())
+    except ValueError as err:
+        return str(err).split(":")[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mean_value_points_and_gram_verdicts_are_scale_free(seed):
+    """2^k*phi, its coefficients scaled, for k in [-60, 60]: its MVT and
+    Cauchy points (against x^5) and their uniqueness are phi's, bit for
+    bit, and so is the exponential-convexity verdict of a family of such
+    polynomials, affine in t (its Gram matrices are not PSD) or e^t times
+    one polynomial (rank one, PSD)."""
+    rng = np.random.default_rng(seed)
+    fifth = poly_bundle([0.0] * 5 + [1.0])
+    verdicts = set()
+    for _ in range(40):
+        k = int(rng.integers(-60, 61))
+        m = float(rng.uniform(0.05, 2.0))
+        M = m + float(rng.uniform(0.1, 3.0))
+        n = int(rng.integers(1, 6))
+        weights = rng.uniform(0.05, 1.0, n)
+        ctx = elr_context(int(rng.integers(1, 7)),
+                          make_functional(rng.uniform(m, M, n), weights / weights.sum()), m, M)
+        a, b = rng.normal(size=(2, int(rng.integers(4, 7))))
+        at = lambda scale, c: poly_bundle((scale * np.asarray(c)).tolist())
+        for scale in (1.0, 2.0 ** k):
+            got = (outcome(lambda: mvt_xi(ctx, at(scale, a))),
+                   outcome(lambda: cauchy_xi(ctx, at(scale, a), fifth)))
+            if scale == 1.0:
+                points = got
+            assert got == points, (a.tolist(), m, M, k)
+        for family in (lambda scale, t: at(scale, a + t * b),
+                       lambda scale, t: at(scale, np.exp(t) * a)):
+            grid = np.linspace(0.0, 2.0, 5)
+            passed = [exp_convexity_check(GammaCurve(ctx, lambda t: family(scale, t), grid),
+                                          2).passed for scale in (1.0, 2.0 ** k)]
+            assert passed[0] == passed[1], (a.tolist(), b.tolist(), m, M, k)
+            verdicts.add(passed[0])
+    assert verdicts == {False, True}
+
+
+def test_tiny_multiples_keep_their_mean_value_points_and_gram_verdict():
+    """x^4 and the affine family x^3 + t*x^4, at scales 1, 2^-30 and 2^-60:
+    one unique MVT and Cauchy point each, and a Gram matrix that is not
+    PSD (least eigenvalue -0.038 at scale 1)."""
+    F = make_functional([0.3, 0.55, 0.9], [0.2, 0.5, 0.3])
+    ctx = elr_context(1, F, 0.1, 1.0)
+    fifth = poly_bundle([0.0] * 5 + [1.0])
+    for k in (0, -30, -60):
+        c = 2.0 ** k
+        quartic = poly_bundle([0.0, 0.0, 0.0, 0.0, c])
+        assert mvt_xi(ctx, quartic) == (0.45640211405202535, True), k
+        assert cauchy_xi(ctx, quartic, fifth) == (0.5269039104351125, True), k
+        curve = GammaCurve(ctx, lambda t: poly_bundle([0.0, 0.0, 0.0, c, c * t]),
+                           np.linspace(0.0, 2.0, 5))
+        assert not exp_convexity_check(curve, 2).passed, k

@@ -11,7 +11,9 @@ generator and an alpha renyi lacks or another generator is given, and the
 registry refuses every other count of params; ``elr_bounds._check_theorem``
 refuses an unknown theorem name.  A second copy of any, in any module of
 the package, fails here.  The endpoint derivatives of a bound pair are
-named only in ``elr_bounds._bound_pair``, the one home of its formulas."""
+named only in ``elr_bounds._bound_pair``, the one home of its formulas,
+and how a checked row of weights is landed and becomes a functional is
+known only to functionals.py."""
 
 import ast
 import re
@@ -107,3 +109,21 @@ def test_endpoint_derivatives_are_read_by_one_function():
     readers = {(name, scope) for name, text in SOURCES.items()
                for scope in _endpoint_scopes(ast.parse(text))}
     assert readers == {("elr_bounds.py", "_bound_pair")}
+
+
+LANDING_NAMES = {"_land_row", "_land_rows", "_land_held", "_land_batch", "_functional"}
+
+
+def test_landing_is_used_only_in_functionals():
+    """No other module imports a landing private of functionals.py, or
+    reads one as an attribute: they build through its public builders and
+    ``_landed_functional``."""
+    users = set()
+    for name, text in SOURCES.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                users.update((name, alias.name) for alias in node.names
+                             if alias.name in LANDING_NAMES)
+            elif isinstance(node, ast.Attribute) and node.attr in LANDING_NAMES:
+                users.add((name, node.attr))
+    assert {user for user in users if user[0] != "functionals.py"} == set()

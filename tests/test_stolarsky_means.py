@@ -469,13 +469,14 @@ class TestGammaReuse:
 def _array_invert_monotone(fn, m, M, target):
     """The inversion as it was before its checks ran on floats, kept as the
     oracle: the closed-form maps and the scan share every numpy check.  Its
-    one edit prints the attained range as plain floats, where it printed
-    np.float64 reprs."""
+    edits print the attained range as plain floats, where it printed
+    np.float64 reprs, and take the scale as the largest |value| (1 for an
+    all-zero map), where it was at least 1."""
     closed = isinstance(fn, _CLOSED_FORM)
     vals = _eval(fn, np.array([m, M]) if closed else np.linspace(m, M, 65))
     if not np.isfinite(vals).all():
         raise ValueError("inverse undefined: map not finite on [m, M]")
-    scale = max(1.0, float(np.abs(vals).max()))
+    scale = float(np.abs(vals).max()) or 1.0
     if vals.max() - vals.min() <= 1e-12 * scale:
         if abs(target - vals[0]) > RANGE_SLACK * scale:
             raise ValueError("MVT violated: constant map misses the target")
@@ -558,7 +559,7 @@ class TestTwoFloatInversion:
         m, M = 0.3, 2.1
         for fn in self._maps():
             ends = _eval(fn, np.array([m, M])).tolist()
-            scale = max(1.0, *map(abs, ends))
+            scale = max(map(abs, ends)) or 1.0
             vmin, vmax = min(ends), max(ends)
             targets = [vmin, vmax, 0.5 * (vmin + vmax)]
             for edge, outward in ((vmin, -1.0), (vmax, 1.0)):
