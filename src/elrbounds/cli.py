@@ -57,37 +57,78 @@ _encode_str = json.encoder.encode_basestring_ascii  # what json.dumps(str) retur
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def _dump(obj, pad: str = "") -> str:
-    """``obj`` as indented JSON whose items sit at ``pad`` plus two spaces;
-    floats have 17 significant digits, and nan and +-inf are strings."""
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return format(obj, ".17g")
-        return '"nan"' if math.isnan(obj) else '"inf"' if obj > 0 else '"-inf"'
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        items = [f"{inner}{_encode_str(str(k))}: {_dump(v, inner)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        items = [inner + _dump(v, inner) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return _LITERALS[obj]
-    if isinstance(obj, int):
-        return str(obj)
-    return json.dumps(obj)
+def _write_float(obj, pad: str, out: list) -> None:
+    if math.isfinite(obj):
+        out.append(format(obj, ".17g"))
+    else:
+        out.append('"nan"' if math.isnan(obj) else '"inf"' if obj > 0 else '"-inf"')
+
+
+def _write_str(obj, pad: str, out: list) -> None:
+    out.append(_encode_str(obj))
+
+
+def _write_literal(obj, pad: str, out: list) -> None:
+    out.append(_LITERALS[obj])
+
+
+def _write_int(obj, pad: str, out: list) -> None:
+    out.append(str(obj))
+
+
+def _write_dict(obj, pad: str, out: list) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    inner = pad + "  "
+    sep = "{\n" + inner
+    for k, v in obj.items():
+        out.append(sep + _encode_str(str(k)) + ": ")
+        _WRITERS.get(type(v), _write_other)(v, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + pad + "}")
+
+
+def _write_list(obj, pad: str, out: list) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = "[\n" + inner
+    for v in obj:
+        out.append(sep)
+        _WRITERS.get(type(v), _write_other)(v, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + pad + "]")
+
+
+# the writer of each exact type a report holds
+_WRITERS = {float: _write_float, str: _write_str, dict: _write_dict,
+            list: _write_list, tuple: _write_list, bool: _write_literal,
+            type(None): _write_literal, int: _write_int}
+
+# a subclass writes as the first of these it is an instance of (np.float64
+# as a float, an IntEnum as an int), in the order of the checks they stand for
+_SUBCLASS_WRITERS = ((float, _write_float), (str, _write_str), (dict, _write_dict),
+                     ((list, tuple), _write_list), (int, _write_int))
+
+
+def _write_other(obj, pad: str, out: list) -> None:
+    for kinds, write in _SUBCLASS_WRITERS:
+        if isinstance(obj, kinds):
+            write(obj, pad, out)
+            return
+    out.append(json.dumps(obj))  # raises json's TypeError on any other type
 
 
 def dump_report(report: dict) -> str:
-    return _dump(report) + "\n"
+    """``report`` as indented JSON, two spaces per level, written piece by
+    piece to one list and joined once; floats have 17 significant digits,
+    and nan and +-inf are strings."""
+    out = []
+    _WRITERS.get(type(report), _write_other)(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _bound_report_dict(report: BoundReport) -> dict:

@@ -148,11 +148,24 @@ def _pair_reports(ms: MomentSet, bundle: FunctionBundle, m: float, M: float,
                   details: dict | None = None) -> list[BoundReport]:
     """The report step of every bound pass: the BoundReport, tagged ``tag``
     plus its name, of each bound pair named in ``theorems`` from the one
-    MomentSet ``ms`` of the bundle on [m, M], each with its own copy of
-    ``details``."""
-    return [_pair_report(ms, m, M, theorem_triple(name, ms, bundle, m, M),
-                         orientation, tag + name, dict(details or {}))
-            for name in theorems]
+    MomentSet ``ms`` of the bundle on [m, M] and one endpoint read at the
+    highest order they need, each with its own copy of ``details``.
+
+    A read that fails is made again theorem by theorem, so each refusal
+    comes where a read per theorem gives it: a pair named before the first
+    ``taylor`` is refused before an order-2 value the bundle lacks."""
+    for name in theorems:
+        _check_theorem(name)
+    try:
+        ends = _endpoint_values(bundle, m, M, 1 + ("taylor" in theorems))
+    except (ValueError, ArithmeticError):
+        ends = None
+    reports = []
+    for name in theorems:
+        read = ends or _endpoint_values(bundle, m, M, 1 + (name == "taylor"))
+        reports.append(_pair_report(ms, m, M, _triple(name, ms, bundle, read, m, M),
+                                    orientation, tag + name, dict(details or {})))
+    return reports
 
 
 def _pair_report(ms: MomentSet, m: float, M: float, triple, orientation: str,
@@ -203,7 +216,14 @@ def theorem_triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
     functionals are built from, so this kernel is shared across modules.
     """
     _check_theorem(theorem)
-    ends = _endpoint_values(bundle, m, M, 1 + (theorem == "taylor"))
+    return _triple(theorem, ms, bundle,
+                   _endpoint_values(bundle, m, M, 1 + (theorem == "taylor")), m, M)
+
+
+def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
+            ends: list[float], m: float, M: float):
+    """theorem_triple from the endpoint values ``ends`` (_endpoint_values)
+    read at an order the theorem needs, or higher."""
     mid = _mid(ms, ends[0], ends[1], m, M)
     if theorem == "derivative":
         _check_derivative_moments(ms, bundle)

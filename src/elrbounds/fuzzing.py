@@ -66,25 +66,33 @@ class _PiecewisePolynomial:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        # the inner breaks alone place points beyond an end in its piece
-        piece = np.searchsorted(self.breaks[1:-1], x, side="right")
-        return _horner(self.coef[piece], x - self.breaks[piece])
+        # each point's piece is the count of inner breaks at or below it, so
+        # a point beyond an end lies in its end piece (and a nan in the first)
+        piece = np.zeros(x.shape, dtype=np.intp)
+        for b in self.breaks[1:-1]:
+            piece += x >= b
+        rows = self.coef.T.take(piece, axis=-1)  # one row per power
+        return _horner(rows, x - self.breaks[piece])[()]
 
     def antiderivative(self) -> "_PiecewisePolynomial":
         """The continuous antiderivative with value 0 at breaks[0]."""
         coef = np.zeros((len(self.coef), self.coef.shape[1] + 1))
         coef[:, 1:] = self.coef / np.arange(1, self.coef.shape[1] + 1)
         # each piece starts where the previous one ends
-        ends = _horner(coef, np.diff(self.breaks))
+        ends = _horner(coef.T, np.diff(self.breaks))
         coef[1:, 0] = np.cumsum(ends[:-1])
         return _PiecewisePolynomial(self.breaks, coef)
 
 
-def _horner(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The polynomials with ascending coefficients ``coef[..., :]`` at s."""
-    value = coef[..., -1]
-    for power in range(coef.shape[-1] - 2, -1, -1):
-        value = value * s + coef[..., power]
+def _horner(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The polynomials with ascending coefficients ``rows[0], rows[1], ...``
+    (at least two) at s, computed in place in one new array, so the result
+    holds no reference to ``rows``."""
+    value = rows[-1] * s
+    value += rows[-2]
+    for power in range(len(rows) - 3, -1, -1):
+        value *= s
+        value += rows[power]
     return value
 
 

@@ -2,7 +2,9 @@ import json
 import math
 import subprocess
 import sys
+from collections import OrderedDict
 from dataclasses import replace
+from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -810,13 +812,14 @@ class TestOnePass:
 
     @pytest.mark.parametrize("theorem", [None, "secant", "derivative", "taylor"])
     def test_bounds_makes_one_moment_pass(self, monkeypatch, theorem):
-        """One moments call, then one theorem_triple per reported theorem."""
+        """One moments call, then one triple (elr_bounds._triple) per
+        reported theorem."""
         from elrbounds import cli
 
         payload = json.loads(BOUNDS_INPUT)
         if theorem is not None:
             payload["theorem"] = theorem
-        names = ("functionals.moments", "elr_bounds.theorem_triple")
+        names = ("functionals.moments", "elr_bounds._triple")
         counts = self.count_calls(monkeypatch, names)
         status, report = cli.run(cli.RunConfig(command="bounds", payload=payload))
         assert status == 0
@@ -949,6 +952,37 @@ class TestReportWriter:
             "nested-empty", "keys-and-strings", "numpy-and-big-ints"])
     def test_edge_values(self, value):
         assert dump_report(value) == _reference_dump(value) + "\n"
+
+    class Level(IntEnum):
+        LOW = 3
+
+    class Name(str):
+        pass
+
+    class Items(list):
+        pass
+
+    @pytest.mark.parametrize("value", [
+        np.float64(0.1), [np.float64(-0.0), np.float64(math.inf)],
+        Level.LOW, {"level": Level.LOW},
+        Name("tag"), {Name("key"): Name("ünï")},
+        OrderedDict([("b", 1.5), ("a", OrderedDict())]),
+        Items([1, Items(), (2.5, Items(["x"]))]),
+    ], ids=["float64", "float64-items", "intenum", "intenum-item", "str-subclass",
+            "str-subclass-key-and-item", "ordereddict", "list-subclass"])
+    def test_subclass_writes_as_its_base_type(self, value):
+        """A subclass of a type in the writer's table is outside it and is
+        written as the reference writes it."""
+        assert dump_report(value) == _reference_dump(value) + "\n"
+
+    @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, object(),
+                                       {"inside": [np.int64(3)]}],
+                             ids=["int64", "set", "object", "nested-int64"])
+    def test_value_the_reference_refuses_is_refused(self, value):
+        with pytest.raises(Exception) as expected:
+            _reference_dump(value)
+        with pytest.raises(expected.type):
+            dump_report(value)
 
     def test_goldens_round_trip(self):
         """Every golden report reads back and is written to its own bytes."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -19,7 +20,8 @@ from elrbounds import (
     jensen_gap_bounds,
     make_functional,
 )
-from elrbounds.cli import main
+from elrbounds.cli import RunConfig, dump_report, main, run
+from elrbounds.divergences import divergence_pass
 from elrbounds.elr_bounds import BoundReport, theorem_triple
 from elrbounds.functionals import make_functionals, moments, moments_batch
 from elrbounds.fuzzing import bracket_fuzz
@@ -436,6 +438,78 @@ class TestEndpointRead:
         ms = moments_batch(batch, huge, 0.0, 10.0)
         with pytest.raises(RuntimeWarning, match="overflow"):
             [theorem_triple(theorem, ms, huge, 0.0, 10.0) for theorem in THEOREMS]
+
+
+class TestOnePassRead:
+    """A bound pass reads phi, phi' and phi'' at m and M in one ``derivs``
+    call for all its theorems, besides the moment pass's read of phi' at
+    the nodes on an end, and refuses what it refuses in the order of a read
+    per theorem."""
+
+    P, Q = [0.1, 0.25, 0.3, 0.35], [0.3, 0.2, 0.4, 0.1]  # ratios ~1/3, 1.25, 0.75, 3.5
+    # (command, payload, the ends (0 for m, 1 for M) that hold a node, where
+    # the moment pass reads phi')
+    CASES = [
+        ("divergence", {"distributions": {"p": P, "q": Q}, "phi": {"name": "kl"}},
+         (0, 1)),
+        ("divergence", {"distributions": {"p": P, "q": Q}, "interval": [0.25, 4.0],
+                        "phi": {"name": "renyi", "params": [0.5]}}, ()),
+        ("bounds", {"functional": {"nodes": [0.3, 0.7, 1.6], "weights": [0.2, 0.5, 0.3]},
+                    "interval": [0.3, 2.0], "phi": {"name": "xlogx"}}, (0,)),
+        ("bounds", {"functional": {"nodes": [-0.4, 0.5], "weights": [0.6, 0.4]},
+                    "interval": [-1, 1], "phi": {"name": "cubic"}}, ()),
+    ]
+    # sha256 of the four reports as a read per theorem writes them
+    REPORTS_SHA256 = "fd3f8ee0b9fe415f1fe0e03ef4542cf8c1ed032ed96ba1bde3442dbac6ab04fc"
+
+    def test_every_theorem_from_one_end_read(self, monkeypatch):
+        reads = []
+        derivs = FunctionBundle.derivs
+        monkeypatch.setattr(FunctionBundle, "derivs", lambda self, r: (
+            reads.append(list(r)) or derivs(self, r)))
+        digest = hashlib.sha256()
+        for command, payload, held in self.CASES:
+            reads.clear()
+            status, report = run(RunConfig(command=command, payload=payload))
+            assert status == 0
+            assert len(report["reports"]) == (2 if command == "divergence" else 3)
+            interval = report["interval"]
+            node_read = [[(1, interval[end]) for end in held]] if held else []
+            ends = [(order, x) for order in (0, 1, 2) for x in interval]
+            assert reads == node_read + [ends], payload
+            digest.update(dump_report(report).encode())
+        assert digest.hexdigest() == self.REPORTS_SHA256
+
+    KL = generator("kl")
+
+    def test_missing_d2_refused_at_taylor(self):
+        """Both theorems need phi'' only for taylor: the derivative pair
+        alone is reported, and the pair of both refuses at taylor's read."""
+        gen = replace(self.KL, bundle=replace(self.KL.bundle, d2=None))
+        _, (report,) = divergence_pass(self.P, self.Q, gen, theorems=("derivative",))
+        assert report == divergence_pass(self.P, self.Q, self.KL,
+                                         theorems=("derivative",))[1][0]
+        with pytest.raises(ValueError) as err:
+            divergence_pass(self.P, self.Q, gen)
+        assert str(err.value) == ("insufficient bundle: derivative of order 2 of "
+                                  "'t*log(t)' unavailable at x=0.33333333333333337")
+
+    def test_derivative_refusal_comes_before_taylor_read(self):
+        """d1 refused at the nodes (but read at the ends) and no d2: the
+        derivative pair's missing moment is refused first, as a read per
+        theorem refuses it, not taylor's missing phi''."""
+        d1 = self.KL.bundle.d1
+
+        def ends_only(t):
+            if np.ndim(t) or float(t) not in (0.25, 3.5):
+                raise ValueError("phi' off the ends")
+            return d1(t)
+
+        gen = replace(self.KL, bundle=replace(self.KL.bundle, d1=ends_only, d2=None))
+        with pytest.raises(ValueError) as err:
+            divergence_pass(self.P, self.Q, gen, 0.25, 3.5)
+        assert str(err.value) == ("insufficient bundle: first derivative moment of "
+                                  "'t*log(t)' unavailable")
 
 
 class TestExcessPaths:

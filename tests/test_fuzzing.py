@@ -236,6 +236,38 @@ def test_spline_bundles_pass_check_bundle():
         assert certify_3convex(bundle, lo, hi, 65).verdict == "three_convex"
 
 
+def searchsorted_pieces(pp, x):
+    """The piecewise polynomial ``pp`` at x as first written: each point's
+    piece by ``np.searchsorted`` on the inner breaks, its row of
+    coefficients gathered, then Horner on fresh temporaries."""
+    x = np.asarray(x, dtype=float)
+    piece = np.searchsorted(pp.breaks[1:-1], x, side="right")
+    coef, s = pp.coef[piece], x - pp.breaks[piece]
+    value = coef[..., -1]
+    for power in range(coef.shape[-1] - 2, -1, -1):
+        value = value * s + coef[..., power]
+    return value
+
+
+def test_spline_evaluation_matches_searchsorted_form():
+    """f, d1, d2 and d3 of 600 drawn splines give the oracle's bits, type
+    and shape at random points, on and next to every break, at +-inf and
+    nan, and at a scalar, a 0-d array and a 2-D array."""
+    rng = np.random.default_rng(26)
+    for lo, hi, _, bundle in spline_draws(26, 600):
+        for pp in (bundle.f, bundle.d1, bundle.d2, bundle.d3):
+            breaks = pp.breaks
+            for x in (rng.uniform(lo - 1.0, hi + 1.0, 50), breaks,
+                      np.nextafter(breaks, math.inf), np.nextafter(breaks, -math.inf),
+                      np.array([math.inf, -math.inf, math.nan]),
+                      float(rng.uniform(lo, hi)), np.array(breaks[len(breaks) // 2]),
+                      rng.uniform(lo, hi, (3, 4))):
+                mine, oracle = pp(x), searchsorted_pieces(pp, x)
+                assert type(mine) is type(oracle)
+                assert np.shape(mine) == np.shape(oracle)
+                assert np.asarray(mine).tobytes() == np.asarray(oracle).tobytes()
+
+
 # The draw contract of random_functionals: one bounded integer per row,
 # then one call for the row's 2k + 1 doubles (2 when k = 1), which must be
 # the draws of drawn_functional's separate uniform and random calls.

@@ -12,8 +12,9 @@ registry refuses every other count of params; ``elr_bounds._check_theorem``
 refuses an unknown theorem name.  A second copy of any, in any module of
 the package, fails here.  The endpoint derivatives of a bound pair are
 named only in ``elr_bounds._bound_pair``, the one home of its formulas,
-and how a checked row of weights is landed and becomes a functional is
-known only to functionals.py."""
+and read only in elr_bounds.py (``_endpoint_values``); how a checked row
+of weights is landed and becomes a functional is known only to
+functionals.py; and a report float is formatted only in cli.py."""
 
 import ast
 import re
@@ -127,3 +128,18 @@ def test_landing_is_used_only_in_functionals():
             elif isinstance(node, ast.Attribute) and node.attr in LANDING_NAMES:
                 users.add((name, node.attr))
     assert {user for user in users if user[0] != "functionals.py"} == set()
+
+
+def test_endpoint_values_are_read_only_in_elr_bounds():
+    callers = [name for name, text in SOURCES.items()
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.Call)
+               and "_endpoint_values" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+    assert callers and set(callers) == {"elr_bounds.py"}
+
+
+def test_report_float_format_is_written_only_in_cli():
+    copies = [name for name, text in SOURCES.items()
+              for _ in re.finditer(re.escape(".17g"), text)]
+    assert copies == ["cli.py"]
