@@ -233,40 +233,65 @@ class FunctionalBatch:
 def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
                      order: np.ndarray | None = None) -> FunctionalBatch:
     """A batch of functionals from flat nodes and weights laid out as
-    FunctionalBatch stores them: validated in one pass (finite nodes, the
+    FunctionalBatch stores them: validated in one pass (block shapes that
+    are pairs of integers (rows >= 0, nodes >= 1), finite nodes, the
     check_weights rule per row, an ``order`` that is a permutation of the
     row indices), then each row renormalized (_normalize)."""
+    sizes = _row_sizes(shapes)
     nodes = np.array(nodes, dtype=float)
     weights = np.array(weights, dtype=float)
-    if not nodes.shape == weights.shape == (sum(c * k for c, k in shapes),):
+    if not nodes.shape == weights.shape == (sizes.sum(),):
         raise ValueError("nodes, weights and block shapes differ in size")
     if order is not None:
         order = np.asarray(order)
-        count = sum(c for c, _ in shapes)
+        count = sizes.size
         if not (order.shape == (count,) and order.dtype.kind in "iu"
                 and (np.sort(order) == np.arange(count)).all()):
             raise ValueError(f"order must be a permutation of range({count})")
     _check_finite(nodes)
     _check_entries(weights, "functional")
-    sums = _weight_sums(weights, shapes)
+    sums = _weight_sums(weights, sizes)
     _check_sums(weights, sums, "functional")
     nodes.flags.writeable = False
-    return FunctionalBatch(nodes, _normalize(weights, shapes, sums),
+    return FunctionalBatch(nodes, _normalize(weights, sizes, sums),
                            tuple(shapes), order)
 
 
-def _weight_sums(weights: np.ndarray, shapes) -> np.ndarray:
-    """numpy's pairwise sum of each row, one block at a time (np.add.reduceat
-    adds in another order)."""
-    return np.concatenate([block.sum(axis=1) for block in row_blocks(weights, shapes)])
+def _row_sizes(shapes) -> np.ndarray:
+    """Each row's entry count, in layout order, of the blocks ``shapes``;
+    every block must be a pair of integers (``_is_number``), rows >= 0 and
+    nodes >= 1, and the first that is not is refused."""
+    for shape in shapes:
+        try:
+            count, k = shape
+            if (_is_number(count, numbers.Integral) and _is_number(k, numbers.Integral)
+                    and count >= 0 and k >= 1):
+                continue
+        except (TypeError, ValueError):  # not a pair
+            pass
+        raise ValueError("each block shape must be a pair of integers (rows >= 0, "
+                         f"nodes >= 1), got {shape!r}")
+    return np.repeat(np.array([k for _, k in shapes], dtype=int),
+                     [count for count, _ in shapes])
 
 
-def _divide_rows(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
-    """Each row divided in place by its entry of ``sums``, in one division;
-    returns each row's entry count."""
-    sizes = np.repeat([k for _, k in shapes], [count for count, _ in shapes])
+def _weight_sums(weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """numpy's sum of each row of the flat weights, whose rows have the
+    entry counts ``sizes``, bit for bit, in one reduction: a block's
+    ``sum(axis=1)`` is 0.0 plus the pairwise sum of each row, and
+    np.add.reduceat starts each segment from its first entry, so each row
+    is led by an inserted 0.0 (which also makes a row of -0.0 sum to
+    +0.0, as numpy's does)."""
+    starts = np.cumsum(sizes) - sizes
+    return np.add.reduceat(np.insert(weights, starts, 0.0),
+                           starts + np.arange(sizes.size))
+
+
+def _divide_rows(weights: np.ndarray, sizes: np.ndarray, sums: np.ndarray) -> None:
+    """Each row of the flat weights, whose rows have the entry counts
+    ``sizes``, divided in place by its entry of ``sums``, in one
+    division."""
     weights /= np.repeat(sums, sizes)
-    return sizes
 
 
 # A row of at least this many entries, landed on its own (_land_row),
@@ -281,10 +306,11 @@ _HALF = 26
 _HALF_MASK = (1 << _HALF) - 1
 
 
-def _normalize(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
-    """The checked flat weights, laid out as in FunctionalBatch, made
-    exact: each row divided in place by its sum (``sums`` holds one per
-    row, in layout order), landed on 1, and the array made read-only.
+def _normalize(weights: np.ndarray, sizes: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The checked flat weights, whose rows have the entry counts
+    ``sizes``, made exact: each row divided in place by its sum (``sums``
+    holds one per row, in layout order), landed on 1, and the array made
+    read-only.
 
     Landing puts the exact real-number mass of a row on 1, so that the
     exactly-rounded summation in apply() returns 1.0 on the bit; the
@@ -304,7 +330,8 @@ def _normalize(weights: np.ndarray, shapes, sums: np.ndarray) -> np.ndarray:
     (_limb_sums).  Rows holding a weight with a bit below 2**-104 (the
     tail of a steep Zipf law, say) take the loop instead.  Every path
     gives the same bits."""
-    _land_batch(weights, _divide_rows(weights, shapes, sums))
+    _divide_rows(weights, sizes, sums)
+    _land_batch(weights, sizes)
     weights.flags.writeable = False
     return weights
 
@@ -574,8 +601,12 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = _basis_rows(x, m, M, terms)
         _phi_rows(phi_vals, dvals, lo, hi, terms[4:])
-        parts = [_row_sums(w, block) for w, block in
-                 zip(row_blocks(weights, shapes), row_blocks(terms, shapes))]
+        parts, start = [], 0
+        for count, k in shapes:
+            stop = start + count * k
+            parts.append(_row_sums(weights[start:stop].reshape(count, k),
+                                   terms[:, start:stop].reshape(len(terms), count, k)))
+            start = stop
     sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     if order is not None:
         sums[:, order] = sums.copy()

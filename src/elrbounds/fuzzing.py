@@ -29,6 +29,7 @@ from .functionals import (
     _divide_rows,
     _is_number,
     _weight_sums,
+    make_functional,
     make_functionals,
     moments_batch,
 )
@@ -157,8 +158,11 @@ def random_three_convex_bundle(rng: np.random.Generator, lo: float,
 def random_functional(rng: np.random.Generator, m: float,
                       M: float) -> DiscreteFunctional:
     """Random nodes in [m, M] (1 to MAX_NODES of them, endpoints
-    occasionally included) with random normalized weights."""
-    return random_functionals(rng, m, M, 1).functional(0)
+    occasionally included) with random normalized weights: the draw of
+    ``random_functionals`` for a count of 1, built on make_functional's
+    one-row path."""
+    nodes, weights, _, _ = _draw(rng, m, M, 1)
+    return make_functional(nodes, weights)
 
 
 def random_functionals(rng: np.random.Generator, m: float, M: float,
@@ -186,6 +190,13 @@ def random_functionals(rng: np.random.Generator, m: float, M: float,
     other generator, a count that is not an integer >= 1 and an interval
     with m > M or a non-finite length are refused before any draw.
     """
+    return make_functionals(*_draw(rng, m, M, count))
+
+
+def _draw(rng: np.random.Generator, m: float, M: float, count: int) -> tuple:
+    """The draw of ``random_functionals``, with its refusals: the flat
+    nodes and weights, each row divided by its sum, the block shapes and
+    the order, as make_functionals takes them."""
     if not (_is_number(count, numbers.Integral) and count >= 1):
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
     m, M = float(m), float(M)
@@ -249,9 +260,8 @@ def random_functionals(rng: np.random.Generator, m: float, M: float,
     nodes[pinned] = m
     nodes[pinned + 1] = M
     weights = _doubles(raw[weight_words]) + 1e-12
-    shapes = [(len(group), k) for k, group in rows.items()]
-    _divide_rows(weights, shapes, _weight_sums(weights, shapes))
-    return make_functionals(nodes, weights, shapes, order)
+    _divide_rows(weights, sizes, _weight_sums(weights, sizes))
+    return nodes, weights, [(len(group), k) for k, group in rows.items()], order
 
 
 def _doubles(words: np.ndarray) -> np.ndarray:
@@ -319,13 +329,15 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = TOLERANCE) -> Fuz
                    for target in (bundle, bundle.negated())]
         functionals = random_functionals(rng, m, M, take)
         ms = moments_batch(functionals, bundle, m, M)
+        # (theorem, lower/mid/upper, functional)
         triples = np.array([theorem_triple(theorem, ms, bundle, m, M)
                             for theorem in THEOREMS])
         # excess[i, o, t]: functional i, orientation o (direct, then
         # reversed), theorem t, so that argwhere lists records in the
-        # order of one functional at a time
+        # order of one functional at a time; each orientation is one
+        # _excess pass over all theorems
         excess = np.stack([
-            np.stack([_excess(*(sign * triple), orientation) for triple in triples])
+            _excess(*(sign * triples).swapaxes(0, 1), orientation)
             for sign, (_, orientation) in zip((1.0, -1.0), targets)]).transpose(2, 0, 1)
         for index, o, t in np.argwhere(excess > tolerance):
             target, orientation = targets[o]

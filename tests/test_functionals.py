@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elrbounds import apply, bounds, functionals, make_functional, moments
+from elrbounds import apply, bounds, functionals, fuzzing, make_functional, moments
 from elrbounds.divergences import ratio_functional
 from elrbounds.functionals import check_weights, make_functionals, moments_batch
 from elrbounds.registry import resolve_phi
@@ -333,6 +333,89 @@ class TestBatchOrder:
             batch = make_functionals(self.NODES, self.WEIGHTS, self.SHAPES, order)
             assert moments_batch(batch, cubic, 0.0, 1.0).mean.tolist() == means
             assert batch.functional(order[0]).nodes.tolist() == [0.25, 0.75]
+
+
+class TestBatchShapes:
+    """make_functionals refuses a block shape that is not a pair of
+    integers (rows >= 0, nodes >= 1) before any work, naming the first
+    such pair.  Without the rule a nodes count of -1 failed in a numpy
+    reshape, a float count in slicing, a bool with "an integer is
+    required", and a count of 0 as a weight sum off 1."""
+
+    RULE = "each block shape must be a pair of integers (rows >= 0, nodes >= 1), got "
+
+    @pytest.mark.parametrize("shapes, nodes, bad", [
+        (((1, -1), (1, 2)), 1, "(1, -1)"),
+        (((1, 2.0),), 2, "(1, 2.0)"),
+        (((1, True),), 1, "(1, True)"),
+        (((True, 1),), 1, "(True, 1)"),
+        (((1, 0), (1, 1)), 1, "(1, 0)"),
+        (((-1, 2), (2, 2)), 2, "(-1, 2)"),
+        (((1, 2), (1, 2, 3)), 5, "(1, 2, 3)"),
+        (((1, 2), 3), 2, "3"),
+        ((("1", 2),), 2, "('1', 2)"),
+        ((("ab"),), 2, "'ab'"),
+        (((1, None),), 1, "(1, None)"),
+        (((1, np.int64(-2)),), 1, "(1, np.int64(-2))"),
+    ])
+    def test_message(self, shapes, nodes, bad):
+        with pytest.raises(ValueError) as info:
+            make_functionals(np.full(nodes, 0.5), np.full(nodes, 1.0 / nodes), shapes)
+        assert str(info.value) == self.RULE + bad
+
+    def test_first_bad_pair_named_before_the_size_and_weights(self):
+        with pytest.raises(ValueError) as info:
+            make_functionals([0.5] * 7, [np.nan] * 7, ((1, 2), (2, 0), (1, -1)))
+        assert str(info.value) == self.RULE + "(2, 0)"
+
+    def test_numpy_integers_and_empty_blocks_accepted(self):
+        shapes = ((np.int64(0), 3), (2, np.int32(2)), (0, 1), [1, np.uint8(1)])
+        batch = make_functionals([0.25, 0.75, 0.4, 0.75, 0.5], [0.5] * 4 + [1.0], shapes)
+        assert len(batch) == 3
+        assert moments_batch(batch, CUBIC, 0.0, 1.0).mean.tolist() == [0.5, 0.575, 0.5]
+
+
+class TestWeightSums:
+    """functionals._weight_sums, one zero-led np.add.reduceat over the
+    whole batch, holds numpy's per-block ``sum(axis=1)`` (the oracle below)
+    bit for bit.  The row lengths cover numpy's pairwise summation below 8
+    entries, its 8-accumulator range up to 128 and its recursive halves
+    above; a numpy that sums otherwise fails here."""
+
+    @staticmethod
+    def assert_block_sums(weights, shapes):
+        expected = np.concatenate([block.sum(axis=1) for block in
+                                   functionals.row_blocks(weights, shapes)])
+        got = functionals._weight_sums(weights, functionals._row_sizes(shapes))
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("spread", [0, 4, 300])
+    def test_every_row_length_to_300(self, spread):
+        """Mixed signs, with exponents spread over +-spread decades."""
+        rng = np.random.default_rng(spread)
+        shapes = [(int(rng.integers(1, 8)), k) for k in range(1, 301)]
+        size = sum(count * k for count, k in shapes)
+        weights = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-spread, spread, size)
+        self.assert_block_sums(weights, shapes)
+        for count, k in shapes[::37]:
+            self.assert_block_sums(weights[:count * k], [(count, k)])
+
+    def test_negative_zero_and_nan_rows(self):
+        shapes = [(2, 3), (1, 5), (3, 130), (1, 1)]
+        weights = np.full(2 * 3 + 5 + 3 * 130 + 1, -0.0)
+        self.assert_block_sums(weights, shapes)
+        assert functionals._weight_sums(weights, functionals._row_sizes(shapes)).view(
+            np.int64).tolist() == [0] * 7
+        weights[8] = np.nan
+        weights[6 + 5 + 200] = 0.25
+        weights[-1] = -np.nan
+        self.assert_block_sums(weights, shapes)
+
+    def test_fuzz_batches(self):
+        rng = np.random.default_rng(33)
+        for count in rng.integers(1, 401, 1000).tolist():
+            _, weights, shapes, _ = fuzzing._draw(rng, -1.0, 2.0, count)
+            self.assert_block_sums(weights, shapes)
 
 
 class TestBatchSumMessages:
