@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, _eval
+from .divided_diff import FunctionBundle, _eval, _on_positive_axis
 from .elr_bounds import (ORIENT_DIRECT, ORIENT_REVERSED, BoundReport, _certified,
                          _check_theorem, _pair_reports)
 from .functionals import DiscreteFunctional, _landed_functional, check_weights, moments
@@ -76,11 +76,6 @@ class GeneratorFunction:
     slope_at_inf: float | None = None
 
 
-def _positive_bundle(f, d1, d2, d3, name) -> FunctionBundle:
-    return FunctionBundle(domain_lo=0.0, domain_hi=math.inf, f=f, d1=d1,
-                          d2=d2, d3=d3, name=name)
-
-
 def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
     """The named generator; ``renyi`` needs ``alpha`` and the others take
     none.  A custom generator is a ``GeneratorFunction`` built by hand.
@@ -128,7 +123,7 @@ def _named(name: str, key: tuple[float, float] | None) -> GeneratorFunction:
     """Build the generator ``name``, renyi's with alpha ``key[0]``."""
     if key is None:
         *derivatives, label, at_zero, at_inf = _FIXED[name]
-        gen = GeneratorFunction(bundle=_positive_bundle(*derivatives, label), name=name,
+        gen = GeneratorFunction(bundle=_on_positive_axis(label, *derivatives), name=name,
                                 value_at_zero=at_zero, slope_at_inf=at_inf)
     else:
         a = key[0]
@@ -136,9 +131,9 @@ def _named(name: str, key: tuple[float, float] | None) -> GeneratorFunction:
         # may be inf at t = 0, and 0*inf is a nan
         power = lambda k, c: (lambda t: c * t ** (a - k)) if c else np.zeros_like
         gen = GeneratorFunction(
-            bundle=_positive_bundle(
-                lambda t: t ** a, power(1.0, a), power(2.0, a * (a - 1.0)),
-                power(3.0, a * (a - 1.0) * (a - 2.0)), f"t^{a}"),
+            bundle=_on_positive_axis(
+                f"t^{a}", lambda t: t ** a, power(1.0, a), power(2.0, a * (a - 1.0)),
+                power(3.0, a * (a - 1.0) * (a - 2.0))),
             name="renyi", params=(a,),
             value_at_zero=(0.0 if a > 0 else 1.0 if a == 0 else math.inf),
             slope_at_inf=(0.0 if a < 1 else 1.0 if a == 1 else math.inf))

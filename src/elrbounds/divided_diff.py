@@ -157,6 +157,15 @@ class FunctionBundle:
         )
 
 
+def _on_positive_axis(name: str, f: Callable, d1: Callable, d2: Callable,
+                      d3: Callable) -> FunctionBundle:
+    """The bundle ``name`` of f and its three derivatives on (0, inf): the
+    one home of that domain, for the divergence generators and for the
+    Stolarsky-type family members and their products."""
+    return FunctionBundle(domain_lo=0.0, domain_hi=math.inf, f=f, d1=d1, d2=d2,
+                          d3=d3, name=name)
+
+
 @np.errstate(over="ignore", divide="ignore")
 def _eval(g: Callable, x: np.ndarray) -> np.ndarray:
     """g elementwise on the array x, as floats; a callable that rejects

@@ -149,6 +149,9 @@ class GammaCurve:
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, dtype=float).reshape(-1)
+        bad = self.t_grid[~np.isfinite(self.t_grid)]
+        if bad.size:
+            raise ValueError(f"t_grid must be finite, got {float(bad[0])!r}")
         if self.t_grid.size and (np.diff(self.t_grid) <= 0).any():
             raise ValueError("t_grid must be strictly increasing")
 
@@ -174,6 +177,8 @@ def exp_convexity_check(curve: GammaCurve, n: int) -> ExpConvexityResult:
     its spectral norm, so 2^k * phi gets phi's verdict (an all-zero Gram
     matrix passes).
     """
+    if not _is_number(n, numbers.Integral):
+        raise ValueError(f"order must be an integer, got {n!r}")
     grid = curve.t_grid
     if grid.size < n:
         raise ValueError("grid too small for the requested order")

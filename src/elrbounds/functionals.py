@@ -218,7 +218,10 @@ class FunctionalBatch:
         return sum(count for count, _ in self.shapes)
 
     def functional(self, index: int) -> DiscreteFunctional:
-        """The functional at ``index`` of the sequence."""
+        """The functional at ``index`` of the sequence, an integer
+        (``_is_number``: a bool is no index, nor is a float)."""
+        if not _is_number(index, numbers.Integral):
+            raise TypeError(f"index {index!r} is not an integer")
         if not 0 <= index < len(self):
             raise IndexError(f"index {index} is out of range for a batch of "
                              f"{len(self)} functionals")

@@ -16,6 +16,14 @@ on [m, M]; the resulting two-parameter quotients are monotone means of
 the segment.  Diagonal (s = t) cases are evaluated by the closed limit
 formulas, which involve analytically constructed product bundles.
 
+Each bundle has one construction site, and every one lies on (0, inf)
+through ``divided_diff._on_positive_axis``.  The parameterless bundles
+(the members at t in {0, 1, 2} of the power family and t = 0 of the
+exponential one, and the products of the limit rows there) are one table,
+``_FIXED``, keyed by bundle name.  A member at any other t writes its
+general f, d1 and d2 once and, within ``SMALL_T`` of a singular value,
+replaces only those that the quadratic-reduced form changes.
+
 The inverse lives on the map it inverts: a member's third derivative is a
 ``_Power`` (x^a) or ``_Exp`` (e^(tx)) callable, monotone by theorem, with a
 closed-form ``inverse`` and a quotient of the same kind, so a mean-value
@@ -35,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, _eval
+from .divided_diff import FunctionBundle, _eval, _on_positive_axis
 from .expconv import EQUAL_PARAM_TOL, GammaContext, _quotient, gamma
 
 __all__ = [
@@ -49,9 +57,6 @@ __all__ = [
     "mean_B1",
     "mean_M2",
 ]
-
-_POSITIVE = dict(domain_lo=0.0, domain_hi=math.inf)
-
 
 @dataclass(frozen=True)
 class FamilyMember:
@@ -110,11 +115,15 @@ _CLOSED_FORM = (_Power, _Exp)
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _shared(key: tuple, build: Callable[[], FunctionBundle]) -> FunctionBundle:
-    bundle = _LIVE.get(key)
+def _member(family: str, t: float,
+            build: Callable[[float], FunctionBundle]) -> FamilyMember:
+    """The member of ``family`` at float(t), on the live bundle of that
+    parameter, or on a new one from ``build`` when no one holds it."""
+    t = float(t)
+    bundle = _LIVE.get((family, t))
     if bundle is None:
-        bundle = _LIVE[key] = build()
-    return bundle
+        bundle = _LIVE[family, t] = build(t)
+    return FamilyMember(t=t, bundle=bundle, family_tag=family)
 
 
 # Window around a singular family parameter inside which members switch
@@ -123,8 +132,44 @@ def _shared(key: tuple, build: Callable[[], FunctionBundle]) -> FunctionBundle:
 # blows up at the singular parameter changes no functional value while
 # removing a catastrophic cancellation.
 SMALL_T = 0.05
+# The singular parameters of the power family, the poles of its scale.
+_U1_SINGULAR = (0.0, 1.0, 2.0)
 # Most terms that _series sums before it stops.
 SERIES_TERMS = 80
+
+# The parameterless bundles, each f, d1, d2 and d3 under its bundle name:
+# the members at the singular parameters, and the products of the
+# diagonal limit rows there (phi_0 times phi_0, phi_1 and phi_2 of
+# upsilon1, and x times phi_0 of upsilon2).
+_FIXED = {
+    "upsilon1[0]": (lambda x: 0.5 * np.log(x), lambda x: 0.5 / x,
+                    lambda x: -0.5 / x ** 2, lambda x: x ** -3.0),
+    "upsilon1[1]": (lambda x: -x * np.log(x), lambda x: -np.log(x) - 1.0,
+                    lambda x: -1.0 / x, lambda x: x ** -2.0),
+    "upsilon1[2]": (lambda x: 0.5 * x ** 2 * np.log(x), lambda x: x * np.log(x) + 0.5 * x,
+                    lambda x: np.log(x) + 1.5, lambda x: 1.0 / x),
+    "upsilon2[0]": (lambda x: x ** 3 / 6.0, lambda x: 0.5 * x ** 2,
+                    lambda x: np.asarray(x, dtype=float) * 1.0,
+                    lambda x: np.ones_like(np.asarray(x, dtype=float))),
+    "upsilon1[0]^2": (lambda x: 0.25 * np.log(x) ** 2, lambda x: 0.5 * np.log(x) / x,
+                      lambda x: 0.5 * (1.0 - np.log(x)) / x ** 2,
+                      lambda x: (np.log(x) - 1.5) / x ** 3),
+    "upsilon1[0]*upsilon1[1]": (lambda x: -0.5 * x * np.log(x) ** 2,
+                                lambda x: -0.5 * np.log(x) ** 2 - np.log(x),
+                                lambda x: -(np.log(x) + 1.0) / x,
+                                lambda x: np.log(x) / x ** 2),
+    "upsilon1[0]*upsilon1[2]": (lambda x: 0.25 * x ** 2 * np.log(x) ** 2,
+                                lambda x: 0.5 * x * (np.log(x) ** 2 + np.log(x)),
+                                lambda x: 0.5 * (np.log(x) ** 2 + 3.0 * np.log(x) + 1.0),
+                                lambda x: (2.0 * np.log(x) + 3.0) / (2.0 * x)),
+    "x*upsilon2[0]": (lambda x: x ** 4 / 6.0, lambda x: 2.0 * x ** 3 / 3.0,
+                      lambda x: 2.0 * x ** 2, lambda x: 4.0 * np.asarray(x, dtype=float)),
+}
+
+
+def _fixed(name: str) -> FunctionBundle:
+    """A new bundle of the parameterless entry ``name`` of _FIXED."""
+    return _on_positive_axis(name, *_FIXED[name])
 
 
 def _scale(family: str, t: float, constant: Callable[[], float]) -> float:
@@ -139,34 +184,6 @@ def _scale(family: str, t: float, constant: Callable[[], float]) -> float:
     return c
 
 
-def _u1_reduced(t: float, near: int) -> FunctionBundle:
-    """Power-type member with the polynomial part of degree <= 2 that blows
-    up at the nearby singular parameter removed (invisible to every
-    functional here); expm1 keeps full relative precision in the gap."""
-    c = _scale("upsilon1", t, lambda: 1.0 / (t * (t - 1.0) * (t - 2.0)))
-    if near == 0:
-        # x^t - 1, scaled
-        f = lambda x: c * np.expm1(t * np.log(x))
-        d1 = lambda x: x ** (t - 1.0) / ((t - 1.0) * (t - 2.0))
-        d2 = lambda x: x ** (t - 2.0) / (t - 2.0)
-    elif near == 1:
-        # x^t - x, scaled; t*x^(t-1) - 1 = expm1(log(t) + (t-1)log(x))
-        delta = t - 1.0
-        f = lambda x: c * x * np.expm1(delta * np.log(x))
-        d1 = lambda x: c * np.expm1(math.log1p(delta) + delta * np.log(x))
-        d2 = lambda x: x ** (t - 2.0) / (t - 2.0)
-    else:
-        # x^t - x^2, scaled; t(t-1)/2 = 1 + delta(3+delta)/2 for delta=t-2
-        delta = t - 2.0
-        f = lambda x: c * x ** 2 * np.expm1(delta * np.log(x))
-        d1 = lambda x: 2.0 * c * x * np.expm1(
-            math.log1p(0.5 * delta) + delta * np.log(x))
-        d2 = lambda x: 2.0 * c * np.expm1(
-            math.log1p(0.5 * delta * (3.0 + delta)) + delta * np.log(x))
-    return FunctionBundle(f=f, d1=d1, d2=d2, d3=_Power(t - 3.0),
-                          name=f"upsilon1[{t}]", **_POSITIVE)
-
-
 def upsilon1(t: float) -> FamilyMember:
     """Power-type member with third derivative x^(t-3).
 
@@ -177,45 +194,33 @@ def upsilon1(t: float) -> FamilyMember:
     values.  A scale 1/(t(t-1)(t-2)) that is not finite and nonzero is
     refused.  Members of one t share their bundle while it is live.
     """
-    t = float(t)
-    return FamilyMember(t=t, bundle=_shared(("upsilon1", t), lambda: _u1_bundle(t)),
-                        family_tag="upsilon1")
+    return _member("upsilon1", t, _u1_bundle)
 
 
 def _u1_bundle(t: float) -> FunctionBundle:
-    if t == 0.0:
-        bundle = FunctionBundle(
-            f=lambda x: 0.5 * np.log(x),
-            d1=lambda x: 0.5 / x,
-            d2=lambda x: -0.5 / x ** 2,
-            d3=lambda x: x ** -3.0,
-            name="upsilon1[0]", **_POSITIVE)
-    elif t == 1.0:
-        bundle = FunctionBundle(
-            f=lambda x: -x * np.log(x),
-            d1=lambda x: -np.log(x) - 1.0,
-            d2=lambda x: -1.0 / x,
-            d3=lambda x: x ** -2.0,
-            name="upsilon1[1]", **_POSITIVE)
-    elif t == 2.0:
-        bundle = FunctionBundle(
-            f=lambda x: 0.5 * x ** 2 * np.log(x),
-            d1=lambda x: x * np.log(x) + 0.5 * x,
-            d2=lambda x: np.log(x) + 1.5,
-            d3=lambda x: 1.0 / x,
-            name="upsilon1[2]", **_POSITIVE)
-    elif min(abs(t), abs(t - 1.0), abs(t - 2.0)) <= SMALL_T:
-        near = min((0, 1, 2), key=lambda s0: abs(t - s0))
-        bundle = _u1_reduced(t, near)
-    else:
-        c = _scale("upsilon1", t, lambda: 1.0 / (t * (t - 1.0) * (t - 2.0)))
-        bundle = FunctionBundle(
-            f=lambda x: c * x ** t,
-            d1=lambda x: x ** (t - 1.0) / ((t - 1.0) * (t - 2.0)),
-            d2=lambda x: x ** (t - 2.0) / (t - 2.0),
-            d3=_Power(t - 3.0),
-            name=f"upsilon1[{t}]", **_POSITIVE)
-    return bundle
+    if t in _U1_SINGULAR:
+        return _fixed(f"upsilon1[{int(t)}]")
+    c = _scale("upsilon1", t, lambda: 1.0 / (t * (t - 1.0) * (t - 2.0)))
+    f = lambda x: c * x ** t
+    d1 = lambda x: x ** (t - 1.0) / ((t - 1.0) * (t - 2.0))
+    d2 = lambda x: x ** (t - 2.0) / (t - 2.0)
+    near = min(_U1_SINGULAR, key=lambda s0: abs(t - s0))
+    delta = t - near
+    if abs(delta) <= SMALL_T:
+        # c(x^t - x^near): the part c x^near of degree <= 2 blows up at the
+        # singular value, so it is dropped, and with it each derivative of
+        # x^near that is not 0.  expm1 keeps full relative precision in the
+        # gap, by t x^(t-1) - near x^(near-1) = near x^(near-1)
+        # expm1(log1p(delta/near) + delta log x) and, near 2,
+        # t(t-1)/2 = 1 + delta(3+delta)/2.
+        f = lambda x: c * x ** near * np.expm1(delta * np.log(x))
+        if near:
+            d1 = lambda x: near * c * x ** (near - 1) * np.expm1(
+                math.log1p(delta / near) + delta * np.log(x))
+        if near == 2:
+            d2 = lambda x: 2.0 * c * np.expm1(
+                math.log1p(0.5 * delta * (3.0 + delta)) + delta * np.log(x))
+    return _on_positive_axis(f"upsilon1[{t}]", f, d1, d2, _Power(t - 3.0))
 
 
 def _series(x, first_term, ratio, start: int):
@@ -235,18 +240,6 @@ def _series(x, first_term, ratio, start: int):
     return acc
 
 
-def _u2_reduced(t: float) -> FunctionBundle:
-    """e^(tx)/t^3 minus its quadratic Taylor part, summed as a series."""
-    f = lambda x: _series(x, lambda x: x ** 3 / 6.0,
-                          lambda x, k: t * x / (k + 1), start=3)
-    d1 = lambda x: _series(x, lambda x: x ** 2 / 2.0,
-                           lambda x, k: t * x / k, start=3)
-    d2 = lambda x: _series(x, lambda x: np.asarray(x, dtype=float) * 1.0,
-                           lambda x, k: t * x / (k - 1), start=3)
-    return FunctionBundle(f=f, d1=d1, d2=d2, d3=_Exp(t),
-                          name=f"upsilon2[{t}]", **_POSITIVE)
-
-
 def upsilon2(t: float) -> FamilyMember:
     """Exponential-type member with third derivative e^(t x).
 
@@ -256,30 +249,26 @@ def upsilon2(t: float) -> FamilyMember:
     for t != 0.  A scale 1/t^3 that is not finite and nonzero is refused.
     Members of one t share their bundle while it is live.
     """
-    t = float(t)
-    return FamilyMember(t=t, bundle=_shared(("upsilon2", t), lambda: _u2_bundle(t)),
-                        family_tag="upsilon2")
+    return _member("upsilon2", t, _u2_bundle)
 
 
 def _u2_bundle(t: float) -> FunctionBundle:
     if t == 0.0:
-        bundle = FunctionBundle(
-            f=lambda x: x ** 3 / 6.0,
-            d1=lambda x: 0.5 * x ** 2,
-            d2=lambda x: np.asarray(x, dtype=float) * 1.0,
-            d3=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            name="upsilon2[0]", **_POSITIVE)
-    elif abs(t) <= SMALL_T:
-        bundle = _u2_reduced(t)
+        return _fixed("upsilon2[0]")
+    if abs(t) <= SMALL_T:
+        # e^(tx)/t^3 minus its quadratic Taylor part, summed as a series
+        f = lambda x: _series(x, lambda x: x ** 3 / 6.0,
+                              lambda x, k: t * x / (k + 1), start=3)
+        d1 = lambda x: _series(x, lambda x: x ** 2 / 2.0,
+                               lambda x, k: t * x / k, start=3)
+        d2 = lambda x: _series(x, lambda x: np.asarray(x, dtype=float) * 1.0,
+                               lambda x, k: t * x / (k - 1), start=3)
     else:
         _scale("upsilon2", t, lambda: 1.0 / t ** 3)
-        bundle = FunctionBundle(
-            f=lambda x: np.exp(t * x) / t ** 3,
-            d1=lambda x: np.exp(t * x) / t ** 2,
-            d2=lambda x: np.exp(t * x) / t,
-            d3=_Exp(t),
-            name=f"upsilon2[{t}]", **_POSITIVE)
-    return bundle
+        f = lambda x: np.exp(t * x) / t ** 3
+        d1 = lambda x: np.exp(t * x) / t ** 2
+        d2 = lambda x: np.exp(t * x) / t
+    return _on_positive_axis(f"upsilon2[{t}]", f, d1, d2, _Exp(t))
 
 
 @cache
@@ -296,46 +285,20 @@ def cubic_reference() -> FunctionBundle:
 
 
 # ---------------------------------------------------------------------------
-# product bundles for the diagonal limit formulas
+# product bundles for the diagonal limit formulas (the parameterless ones
+# are in _FIXED)
 # ---------------------------------------------------------------------------
 
 def _u1_log_product(s: float) -> FunctionBundle:
     """phi_s * phi_0 for the power family, s outside {0, 1, 2}."""
     c = 1.0 / (2.0 * s * (s - 1.0) * (s - 2.0))
-    return FunctionBundle(
-        f=lambda x: c * x ** s * np.log(x),
-        d1=lambda x: c * x ** (s - 1.0) * (s * np.log(x) + 1.0),
-        d2=lambda x: c * x ** (s - 2.0) * (s * (s - 1.0) * np.log(x) + 2.0 * s - 1.0),
-        d3=lambda x: c * x ** (s - 3.0) * (s * (s - 1.0) * (s - 2.0) * np.log(x)
-                                           + 3.0 * s ** 2 - 6.0 * s + 2.0),
-        name=f"upsilon1[{s}]*upsilon1[0]", **_POSITIVE)
-
-
-def _u1_phi0_squared() -> FunctionBundle:
-    return FunctionBundle(
-        f=lambda x: 0.25 * np.log(x) ** 2,
-        d1=lambda x: 0.5 * np.log(x) / x,
-        d2=lambda x: 0.5 * (1.0 - np.log(x)) / x ** 2,
-        d3=lambda x: (np.log(x) - 1.5) / x ** 3,
-        name="upsilon1[0]^2", **_POSITIVE)
-
-
-def _u1_phi0_phi1() -> FunctionBundle:
-    return FunctionBundle(
-        f=lambda x: -0.5 * x * np.log(x) ** 2,
-        d1=lambda x: -0.5 * np.log(x) ** 2 - np.log(x),
-        d2=lambda x: -(np.log(x) + 1.0) / x,
-        d3=lambda x: np.log(x) / x ** 2,
-        name="upsilon1[0]*upsilon1[1]", **_POSITIVE)
-
-
-def _u1_phi0_phi2() -> FunctionBundle:
-    return FunctionBundle(
-        f=lambda x: 0.25 * x ** 2 * np.log(x) ** 2,
-        d1=lambda x: 0.5 * x * (np.log(x) ** 2 + np.log(x)),
-        d2=lambda x: 0.5 * (np.log(x) ** 2 + 3.0 * np.log(x) + 1.0),
-        d3=lambda x: (2.0 * np.log(x) + 3.0) / (2.0 * x),
-        name="upsilon1[0]*upsilon1[2]", **_POSITIVE)
+    return _on_positive_axis(
+        f"upsilon1[{s}]*upsilon1[0]",
+        lambda x: c * x ** s * np.log(x),
+        lambda x: c * x ** (s - 1.0) * (s * np.log(x) + 1.0),
+        lambda x: c * x ** (s - 2.0) * (s * (s - 1.0) * np.log(x) + 2.0 * s - 1.0),
+        lambda x: c * x ** (s - 3.0) * (s * (s - 1.0) * (s - 2.0) * np.log(x)
+                                        + 3.0 * s ** 2 - 6.0 * s + 2.0))
 
 
 def _u2_id_product(s: float) -> FunctionBundle:
@@ -345,7 +308,6 @@ def _u2_id_product(s: float) -> FunctionBundle:
     (invisible to the functionals) and the remainder is summed as a
     series; the third derivative keeps its closed form, which is stable.
     """
-    d3 = lambda x: np.exp(s * x) * (3.0 + s * x) / s
     if abs(s) <= SMALL_T:
         f = lambda x: _series(x, lambda x: x ** 3 / (2.0 * s),
                               lambda x, k: s * x / (k + 1), start=2)
@@ -353,23 +315,12 @@ def _u2_id_product(s: float) -> FunctionBundle:
                                lambda x, k: (k + 2) * s * x / ((k + 1) ** 2), start=2)
         d2 = lambda x: _series(x, lambda x: 3.0 * x / s,
                                lambda x, k: (k + 2) * s * x / ((k + 1) * k), start=2)
-        return FunctionBundle(f=f, d1=d1, d2=d2, d3=d3,
-                              name=f"x*upsilon2[{s}]", **_POSITIVE)
-    return FunctionBundle(
-        f=lambda x: x * np.exp(s * x) / s ** 3,
-        d1=lambda x: np.exp(s * x) * (1.0 + s * x) / s ** 3,
-        d2=lambda x: np.exp(s * x) * (2.0 + s * x) / s ** 2,
-        d3=d3,
-        name=f"x*upsilon2[{s}]", **_POSITIVE)
-
-
-def _u2_id_phi0() -> FunctionBundle:
-    return FunctionBundle(
-        f=lambda x: x ** 4 / 6.0,
-        d1=lambda x: 2.0 * x ** 3 / 3.0,
-        d2=lambda x: 2.0 * x ** 2,
-        d3=lambda x: 4.0 * np.asarray(x, dtype=float),
-        name="x*upsilon2[0]", **_POSITIVE)
+    else:
+        f = lambda x: x * np.exp(s * x) / s ** 3
+        d1 = lambda x: np.exp(s * x) * (1.0 + s * x) / s ** 3
+        d2 = lambda x: np.exp(s * x) * (2.0 + s * x) / s ** 2
+    return _on_positive_axis(f"x*upsilon2[{s}]", f, d1, d2,
+                             lambda x: np.exp(s * x) * (3.0 + s * x) / s)
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +456,16 @@ def mean_B1(ctx: GammaContext, s: float, t: float) -> float:
     carried by analytically constructed product bundles.
     """
     def diagonal(s: float, positive: Callable[[float], float]) -> float:
-        nearest = min((0.0, 1.0, 2.0), key=lambda s0: abs(s - s0))
+        nearest = min(_U1_SINGULAR, key=lambda s0: abs(s - s0))
         if 0.0 < abs(s - nearest) <= EQUAL_PARAM_TOL:
             s = nearest  # the general diagonal row is ill-conditioned here
         g = positive(s)
         if s == 0.0:
-            exponent = gamma(ctx, _u1_phi0_squared()) / g + 1.5
+            exponent = gamma(ctx, _fixed("upsilon1[0]^2")) / g + 1.5
         elif s == 1.0:
-            exponent = gamma(ctx, _u1_phi0_phi1()) / g
+            exponent = gamma(ctx, _fixed("upsilon1[0]*upsilon1[1]")) / g
         elif s == 2.0:
-            exponent = gamma(ctx, _u1_phi0_phi2()) / g - 1.5
+            exponent = gamma(ctx, _fixed("upsilon1[0]*upsilon1[2]")) / g - 1.5
         else:
             exponent = (2.0 * gamma(ctx, _u1_log_product(s)) / g
                         - (3.0 * s ** 2 - 6.0 * s + 2.0)
@@ -534,7 +485,7 @@ def mean_M2(ctx: GammaContext, s: float, t: float) -> float:
             s = 0.0  # the general diagonal row is ill-conditioned here
         g = positive(s)
         if s == 0.0:
-            return gamma(ctx, _u2_id_phi0()) / (4.0 * g)
+            return gamma(ctx, _fixed("x*upsilon2[0]")) / (4.0 * g)
         return gamma(ctx, _u2_id_product(s)) / g - 3.0 / s
 
     return _inside(ctx, _quotient(lambda u: gamma(ctx, upsilon2(u).bundle), s, t,

@@ -276,9 +276,10 @@ class TestMomentBasis:
     def test_bit_identical_on_other_bundles(self):
         member = upsilon1(3.7).bundle
         bundles = [
-            stolarsky_means._u1_log_product(3.7), stolarsky_means._u1_phi0_squared(),
-            stolarsky_means._u1_phi0_phi1(), stolarsky_means._u1_phi0_phi2(),
-            stolarsky_means._u2_id_phi0(), stolarsky_means._u2_id_product(1.3),
+            stolarsky_means._u1_log_product(3.7), stolarsky_means._fixed("upsilon1[0]^2"),
+            stolarsky_means._fixed("upsilon1[0]*upsilon1[1]"),
+            stolarsky_means._fixed("upsilon1[0]*upsilon1[2]"),
+            stolarsky_means._fixed("x*upsilon2[0]"), stolarsky_means._u2_id_product(1.3),
             stolarsky_means._u2_id_product(0.01),
             poly_bundle([0.5, -1.0, 0.0, 2.0, 1.0]), stolarsky_means.cubic_reference(),
             member.negated(), upsilon2(-0.7).bundle.negated(),
@@ -442,6 +443,39 @@ class TestExpConvexity:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             GammaCurve(WORKED, lambda t: upsilon1(t).bundle, np.array([3.0, 3.0]))
+
+    @pytest.mark.parametrize("grid", [[3.0, math.nan], [math.nan, 3.0], [3.0, math.inf],
+                                      [-math.inf, 3.0], [math.nan], [math.inf, math.inf]],
+                             ids=repr)
+    def test_grid_must_be_finite(self, grid):
+        """A nan passed the increasing check (nan <= 0 is False) and an inf
+        passed it too, and the first Gamma then failed on upsilon1's range:
+        each is refused where the curve is built, naming the first."""
+        first = next(t for t in grid if not math.isfinite(t))
+        with pytest.raises(ValueError, match=rf"^t_grid must be finite, got {first!r}$"):
+            GammaCurve(WORKED, lambda t: upsilon1(t).bundle, np.array(grid))
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, 1.5, np.float64(2.0), "2", None],
+                             ids=repr)
+    def test_order_that_is_not_an_integer_refused(self, n):
+        """A bool or a non-integer order used to fail inside itertools or
+        math.comb; it is refused before any Gamma is computed."""
+        calls = []
+        curve = GammaCurve(WORKED, lambda t: calls.append(t) or upsilon1(t).bundle,
+                           np.array([3.0, 4.0, 5.0]))
+        with pytest.raises(ValueError, match=rf"^order must be an integer, got {re.escape(repr(n))}$"):
+            exp_convexity_check(curve, n)
+        assert calls == []
+
+    def test_order_below_one_refused(self):
+        curve = GammaCurve(WORKED, lambda t: upsilon1(t).bundle, np.array([3.0, 4.0, 5.0]))
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^order must be at least 1$"):
+                exp_convexity_check(curve, n)
+
+    def test_numpy_integer_order_accepted(self):
+        curve = GammaCurve(WORKED, lambda t: upsilon1(t).bundle, np.array([3.0, 4.0, 5.0]))
+        assert exp_convexity_check(curve, np.int64(2)) == exp_convexity_check(curve, 2)
 
 
 class TestLyapunov:

@@ -306,6 +306,26 @@ class TestFunctionalBatchIndex:
         expected = rows if order is None else [rows[order.index(i)] for i in range(3)]
         assert [batch.functional(i).nodes.tolist() for i in range(3)] == expected
 
+    @pytest.mark.parametrize("order", [None, [2, 0, 1]], ids=["sequence", "ordered"])
+    @pytest.mark.parametrize("index", [True, False, 1.0, 0.5, np.float64(1.0), "1", None],
+                             ids=repr)
+    def test_index_that_is_not_an_integer_refused(self, order, index):
+        """A bool used to index the node blocks as a mask (True gave nodes
+        of shape (1, 2, 2), False an empty block) and a float failed inside
+        numpy: each is refused, naming the index."""
+        batch = make_functionals(self.NODES, self.WEIGHTS, self.SHAPES,
+                                 None if order is None else np.array(order))
+        with pytest.raises(TypeError, match=rf"^index {re.escape(repr(index))} is not an integer$"):
+            batch.functional(index)
+
+    @pytest.mark.parametrize("order", [None, [2, 0, 1]], ids=["sequence", "ordered"])
+    def test_numpy_integer_index_accepted(self, order):
+        batch = make_functionals(self.NODES, self.WEIGHTS, self.SHAPES,
+                                 None if order is None else np.array(order))
+        for kind in (np.int64, np.int32, np.uint8):
+            assert ([batch.functional(kind(i)).nodes.tolist() for i in range(3)]
+                    == [batch.functional(i).nodes.tolist() for i in range(3)])
+
 
 class TestBatchOrder:
     """make_functionals refuses an order that is not a permutation of the

@@ -14,7 +14,10 @@ the package, fails here.  The endpoint derivatives of a bound pair are
 named only in ``elr_bounds._bound_pair``, the one home of its formulas,
 and read only in elr_bounds.py (``_endpoint_values``); how a checked row
 of weights is landed and becomes a functional is known only to
-functionals.py; and a report float is formatted only in cli.py."""
+functionals.py; a report float is formatted only in cli.py; and the
+domain (0, inf) is written once, in ``divided_diff._on_positive_axis``,
+which builds every family member and product bundle of
+stolarsky_means.py but the cubic reference."""
 
 import ast
 import re
@@ -143,3 +146,39 @@ def test_report_float_format_is_written_only_in_cli():
     copies = [name for name, text in SOURCES.items()
               for _ in re.finditer(re.escape(".17g"), text)]
     assert copies == ["cli.py"]
+
+
+def _call_scopes(node, callees, scope="<module>"):
+    """(innermost function, call) for each call under ``node`` of a
+    name in ``callees``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callees:
+        yield scope, node
+    for child in ast.iter_child_nodes(node):
+        yield from _call_scopes(child, callees, scope)
+
+
+def test_family_bundles_have_one_builder():
+    """stolarsky_means.py calls FunctionBundle only for the cubic
+    reference: its members and product bundles come from one builder."""
+    scopes = [scope for scope, _ in _call_scopes(ast.parse(SOURCES["stolarsky_means.py"]),
+                                                 {"FunctionBundle"})]
+    assert scopes == ["cubic_reference"]
+
+
+# the argument that gives a bundle's lower domain end: its keyword, and
+# its position among the builder's arguments
+DOMAIN_LO = {"FunctionBundle": ("domain_lo", 0), "bundle_from_callables": ("lo", 4)}
+
+
+def test_positive_axis_is_written_once():
+    homes = set()
+    for name, text in SOURCES.items():
+        for scope, call in _call_scopes(ast.parse(text), set(DOMAIN_LO)):
+            keyword, position = DOMAIN_LO[call.func.id]
+            lo = next((kw.value for kw in call.keywords if kw.arg == keyword),
+                      call.args[position] if len(call.args) > position else None)
+            if isinstance(lo, ast.Constant) and lo.value == 0:
+                homes.add((name, scope))
+    assert homes == {("divided_diff.py", "_on_positive_axis")}

@@ -31,12 +31,9 @@ from elrbounds.stolarsky_means import (
     BISECT_WIDTH,
     RANGE_SLACK,
     XiResult,
+    _fixed,
     _invert_monotone,
     _u1_log_product,
-    _u1_phi0_phi1,
-    _u1_phi0_phi2,
-    _u1_phi0_squared,
-    _u2_id_phi0,
     _u2_id_product,
     cubic_reference,
 )
@@ -91,8 +88,9 @@ class TestFamilies:
 
     def test_product_bundle_integrity(self):
         for bundle in (_u1_log_product(3.7), _u1_log_product(-1.2),
-                       _u1_phi0_squared(), _u1_phi0_phi1(), _u1_phi0_phi2(),
-                       _u2_id_product(1.3), _u2_id_phi0()):
+                       _fixed("upsilon1[0]^2"), _fixed("upsilon1[0]*upsilon1[1]"),
+                       _fixed("upsilon1[0]*upsilon1[2]"), _u2_id_product(1.3),
+                       _fixed("x*upsilon2[0]")):
             check_bundle(bundle, 0.2, 2.5)
 
     def test_registry_resolves_family_members(self):
