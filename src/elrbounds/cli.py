@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .divergences import DIVERGENCE_THEOREMS, divergence_pass
 from .divided_diff import _check_order
-from .elr_bounds import THEOREMS, BoundReport, _certified, _check_theorem, _pair_reports
+from .elr_bounds import THEOREMS, BoundReport, _certified, _check_theorems, _pair_reports
 from .expconv import _check_index, divergence_context, elr_context
 from .functionals import make_functional, moments
 from .fuzzing import TOLERANCE, bracket_fuzz
@@ -181,7 +181,7 @@ def _parse_theorems(payload: dict, allowed=THEOREMS):
     requested = payload.get("theorem")
     if requested is None:
         return list(allowed)
-    _check_theorem(requested, allowed)
+    _check_theorems((requested,), allowed)
     return [requested]
 
 

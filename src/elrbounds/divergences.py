@@ -22,8 +22,9 @@ import numpy as np
 
 from .divided_diff import FunctionBundle, _eval, _on_positive_axis
 from .elr_bounds import (ORIENT_DIRECT, ORIENT_REVERSED, BoundReport, _certified,
-                         _check_theorem, _pair_reports)
-from .functionals import DiscreteFunctional, _landed_functional, check_weights, moments
+                         _check_theorems, _pair_reports)
+from .functionals import (DiscreteFunctional, _landed_functional, _parameter, check_weights,
+                          moments)
 
 __all__ = [
     "GeneratorFunction",
@@ -80,9 +81,10 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
     """The named generator; ``renyi`` needs ``alpha`` and the others take
     none.  A custom generator is a ``GeneratorFunction`` built by hand.
 
-    Each name, and each ``float(alpha)`` of renyi, is built once and then
-    returned as the same frozen object (the GENERATOR_CACHE_SIZE most
-    recent); a refused input is refused on every call."""
+    Each name, and each ``float(alpha)`` of renyi (``_parameter``: not a
+    bool or a string), is built once and then returned as the same frozen
+    object (the GENERATOR_CACHE_SIZE most recent); a refused input is
+    refused on every call."""
     if name not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {name!r}")
     # the cache key is the name as spelled here: the one given may be unhashable
@@ -93,7 +95,7 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
         return _named(name, None)
     if alpha is None:
         raise ValueError("renyi generator requires alpha")
-    a = float(alpha)
+    a = _parameter(alpha, "renyi alpha")
     if not math.isfinite(a * (a - 1.0) * (a - 2.0)):
         raise ValueError(f"renyi alpha {alpha!r} overflows its third derivative")
     # -0.0 == 0.0, but each prints its own sign in the bundle name and params
@@ -247,8 +249,7 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
     checks the pair and derives the interval), one evaluation of f at its
     nodes and one MomentSet.  Every kept ratio is positive, so the
     divergence is f_divergence's sum."""
-    for name in theorems:
-        _check_theorem(name, DIVERGENCE_THEOREMS)
+    _check_theorems(theorems, DIVERGENCE_THEOREMS)
     auto = m is None or M is None
     functional, m, M, masses = ratio_functional(p, q, m, M)
     if m <= 0.0:

@@ -3,15 +3,16 @@
 A function is 3-convex on an interval when every third-order divided
 difference over four points of the interval is nonnegative; for a three
 times differentiable function this is equivalent to a nonnegative third
-derivative.  This module provides the generic recursive divided difference,
-the closed confluent forms for repeated points (multiplicity patterns
-(2,1,1), (2,2), (3,1) and (4)), and a sampling-based certifier for the
-sign of the third derivative.
+derivative.  This module provides the divided difference over distinct
+points and over repeated ones (multiplicity patterns (2,1,1), (2,2), (3,1)
+and (4)), both by one Newton difference table, and a sampling-based
+certifier for the sign of the third derivative.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Sequence
@@ -101,33 +102,33 @@ class FunctionBundle:
             raise ValueError(f"interval [{m}, {M}] is too wide: its length overflows")
 
     def deriv(self, order: int, x: float) -> float:
-        """phi (order 0) or its first or second derivative (order 1, 2) at
-        x: the one-read case of ``derivs``."""
+        """phi (order 0) or its derivative of order 1, 2 or 3 at x: the
+        one-read case of ``derivs``."""
         return self.derivs(((order, x),))[0]
 
     @np.errstate(over="ignore", divide="ignore")
     def derivs(self, reads) -> list[float]:
-        """phi (order 0) or its first or second derivative (order 1, 2) at x
-        for each (order, x) of ``reads``, as floats, read in that order.
+        """phi (order 0) or its derivative of order 1, 2 or 3 at x for each
+        (order, x) of ``reads``, as floats, read in that order.
 
-        At ``domain_lo`` the stored right value is used and at ``domain_hi``
-        the stored left value, when there is one; anywhere else the
-        two-sided callable, on ``np.float64(x)`` under ``_eval``'s
-        floating-point rule, so that an overflow gives inf and not a Python
-        ``OverflowError``.  A value the bundle cannot supply stops the read
-        with a ValueError.
+        At ``domain_lo`` the stored right value of order 1 or 2 is used and
+        at ``domain_hi`` the stored left value, when there is one; anywhere
+        else the two-sided callable, on ``np.float64(x)`` under ``_eval``'s
+        floating-point rule, so that an overflow or a pole gives inf and not
+        a Python ``OverflowError`` or ``ZeroDivisionError``.  A value the
+        bundle cannot supply stops the read with a ValueError.
         """
         values = []
         for order, x in reads:
-            if order not in (0, 1, 2):
-                raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
+            if order not in (0, 1, 2, 3):
+                raise ValueError(f"derivative order must be 0, 1, 2 or 3, got {order!r}")
             stored = None
             if order and x == self.domain_lo:
-                stored = (self.d1_plus_at_lo, self.d2_plus_at_lo)[order - 1]
+                stored = (self.d1_plus_at_lo, self.d2_plus_at_lo, None)[order - 1]
             elif order and x == self.domain_hi:
-                stored = (self.d1_minus_at_hi, self.d2_minus_at_hi)[order - 1]
+                stored = (self.d1_minus_at_hi, self.d2_minus_at_hi, None)[order - 1]
             if stored is None:
-                g = (self.f, self.d1, self.d2)[order]
+                g = (self.f, self.d1, self.d2, self.d3)[order]
                 if g is None:
                     raise ValueError(
                         f"insufficient bundle: derivative of order {order} of "
@@ -309,6 +310,22 @@ def check_bundle(bundle: FunctionBundle, lo: float | None = None,
             )
 
 
+def _newton_table(points: Sequence, values: Sequence, scaled_derivative) -> float:
+    """[t0,...,tn]f by the Newton (Hermite) table over ``points``, equal ones
+    adjacent, from f(ti), the ``values``: an entry over k + 1 equal points t
+    is ``scaled_derivative(k, t)``, f^(k)(t)/k!, every other the difference
+    quotient of its two neighbours.  Only ``-`` and ``/`` touch the values."""
+    table = list(values)
+    n = len(points)
+    for level in range(1, n):
+        for i in range(n - level):
+            if points[i] == points[i + level]:
+                table[i] = scaled_derivative(level, points[i])
+            else:
+                table[i] = (table[i + 1] - table[i]) / (points[i + level] - points[i])
+    return table[0]
+
+
 def dd_recursive(values: Sequence[tuple]) -> float:
     """Divided difference [t0,...,tn]f of (point, value) pairs.
 
@@ -324,15 +341,8 @@ def dd_recursive(values: Sequence[tuple]) -> float:
         for j in range(i + 1, len(pts)):
             if pts[i] == pts[j]:
                 raise ValueError("coincident points require dd_confluent")
-    table = [v for _, v in values]
-    n = len(pts)
-    for level in range(1, n):
-        for i in range(n - level):
-            table[i] = (table[i + 1] - table[i]) / (pts[i + level] - pts[i])
-    return table[0]
-
-
-_SUPPORTED_SIGNATURES = {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}
+    # distinct points: the table never asks for a derivative
+    return _newton_table(pts, [v for _, v in values], None)
 
 
 @dataclass(frozen=True)
@@ -353,8 +363,6 @@ class MultiplicityPattern:
             raise ValueError("multiplicities must sum to 4")
         if len(set(self.points)) != len(self.points):
             raise ValueError("pattern points must be pairwise distinct")
-        if self.signature not in _SUPPORTED_SIGNATURES:
-            raise ValueError(f"unsupported multiplicity pattern {self.signature}")
 
     @property
     def signature(self) -> tuple[int, ...]:
@@ -371,57 +379,23 @@ class MultiplicityPattern:
 
 
 def dd_confluent(bundle: FunctionBundle, pattern: MultiplicityPattern) -> float:
-    """Third-order divided difference with repeated points, by closed form.
-
-    Patterns and their formulas (t the repeated point, x/y simple ones):
-
-    * (2,1,1):  f'(t)/((t-x)(t-y)) + f(t)(x+y-2t)/((t-x)^2 (t-y)^2)
-                + f(x)/((x-t)^2 (x-y)) + f(y)/((y-t)^2 (y-x))
-    * (2,2):    [(x-t)(f'(x)+f'(t)) + 2(f(t)-f(x))] / (x-t)^3
-    * (3,1):    [f(x) - f(t) - f'(t)(x-t) - f''(t)(x-t)^2/2] / (x-t)^3
-    * (4):      f'''(t)/6
-
-    All distinct points (1,1,1,1) fall back to the recursion.
-    """
+    """Third-order divided difference with repeated points: the Newton
+    (Hermite) table over the pattern's points in their order, each repeated
+    by its multiplicity, so (4) is f^(3)(t)/6.  Its values are one ``derivs``
+    read of f and each derivative below the multiplicity at each point."""
     for p in pattern.points:
         if not bundle.contains(p):
             raise ValueError(f"pattern point {p} escapes the bundle domain")
 
-    sig = pattern.signature
-    if sig == (1, 1, 1, 1):
-        fs = bundle.derivs([(0, p) for p in pattern.points])
-        return dd_recursive(zip(pattern.points, fs))
-
-    by_mult = sorted(zip(pattern.multiplicities, pattern.points), reverse=True)
-    if sig == (2, 1, 1):
-        t = by_mult[0][1]
-        x, y = by_mult[1][1], by_mult[2][1]
-        # evaluate with the farther simple point dividing first
-        if abs(t - x) < abs(t - y):
-            x, y = y, x
-        ft, d1t, fx, fy = bundle.derivs([(0, t), (1, t), (0, x), (0, y)])
-        return (
-            d1t / ((t - x) * (t - y))
-            + ft * (x + y - 2.0 * t) / ((t - x) ** 2 * (t - y) ** 2)
-            + fx / ((x - t) ** 2 * (x - y))
-            + fy / ((y - t) ** 2 * (y - x))
-        )
-    if sig == (2, 2):
-        t, x = by_mult[0][1], by_mult[1][1]
-        gap = x - t
-        d1x, d1t, ft, fx = bundle.derivs([(1, x), (1, t), (0, t), (0, x)])
-        return ((x - t) * (d1x + d1t) + 2.0 * (ft - fx)) / gap ** 3
-    if sig == (3, 1):
-        t = by_mult[0][1]
-        x = by_mult[1][1]
-        gap = x - t
-        ft, d1t, d2t, fx = bundle.derivs([(0, t), (1, t), (2, t), (0, x)])
-        return (fx - (ft + d1t * gap + 0.5 * d2t * gap ** 2)) / gap ** 3
-    # sig == (4,)
-    t = by_mult[0][1]
-    if bundle.d3 is None:
-        raise ValueError(f"insufficient bundle: d3 of {bundle.name!r} unavailable")
-    return float(bundle.d3(t)) / 6.0
+    groups = list(zip(pattern.points, pattern.multiplicities))
+    # f only where a difference quotient takes it: not over the one point
+    # of (4), where it may be a nan at a pole whose f''' is an inf
+    first = 1 if len(groups) == 1 else 0
+    reads = [(order, p) for p, k in groups for order in range(first, k)]
+    read = dict(zip(reads, bundle.derivs(reads)))
+    points = [p for p, k in groups for _ in range(k)]
+    return _newton_table(points, [read.get((0, p)) for p in points],
+                         lambda k, t: read[k, t] / math.factorial(k))
 
 
 @dataclass(frozen=True)
@@ -469,6 +443,9 @@ def certify_3convex(bundle: FunctionBundle, lo: float, hi: float,
     available, otherwise quadruples of distinct points); an empty sample
     set yields ``indeterminate``.
     """
+    # functionals._is_number's rule, which this module cannot import
+    if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral):
+        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 3:
         raise ValueError("grid_n must be at least 3")
     bundle._check_interval(lo, hi)
@@ -485,10 +462,14 @@ def certify_3convex(bundle: FunctionBundle, lo: float, hi: float,
     samples: list[float] = []
     locations: list[float] = []
     if bundle.d1 is not None:
-        for t in sub:
-            for x, y in combinations(sub[sub != t], 2):
-                pattern = MultiplicityPattern((t, x, y), (2, 1, 1))
-                samples.append(dd_confluent(bundle, pattern))
+        # dd_confluent's table on each (t, t, x, y), from one read of f, f'
+        pts = sub.tolist()
+        values = bundle.derivs([(order, t) for order in (0, 1) for t in pts])
+        f, slope = dict(zip(pts, values)), dict(zip(pts, values[len(pts):]))
+        for t in pts:
+            for x, y in combinations([x for x in pts if x != t], 2):
+                samples.append(_newton_table((t, t, x, y), (f[t], f[t], f[x], f[y]),
+                                             lambda k, at: slope[at]))
                 locations.append(t)
     elif len(sub) >= 4:
         fvals = bundle.derivs([(0, float(x)) for x in sub])

@@ -154,8 +154,7 @@ def _pair_reports(ms: MomentSet, bundle: FunctionBundle, m: float, M: float,
     A read that fails is made again theorem by theorem, so each refusal
     comes where a read per theorem gives it: a pair named before the first
     ``taylor`` is refused before an order-2 value the bundle lacks."""
-    for name in theorems:
-        _check_theorem(name)
+    _check_theorems(theorems)
     try:
         ends = _endpoint_values(bundle, m, M, 1 + ("taylor" in theorems))
     except (ValueError, ArithmeticError):
@@ -200,9 +199,14 @@ def _check_derivative_moments(ms: MomentSet, bundle: FunctionBundle) -> None:
 THEOREMS = ("secant", "derivative", "taylor")
 
 
-def _check_theorem(theorem: str, allowed=THEOREMS) -> None:
-    if theorem not in allowed:
-        raise ValueError(f"unknown theorem {theorem!r}")
+def _check_theorems(theorems, allowed=THEOREMS) -> None:
+    """Refuse a name of ``theorems``, a sequence of names, that is not in
+    ``allowed``, and a bare string whole, not read letter by letter."""
+    if isinstance(theorems, str):
+        raise ValueError(f"theorems must be a sequence of names, not the string {theorems!r}")
+    for name in theorems:
+        if name not in allowed:
+            raise ValueError(f"unknown theorem {name!r}")
 
 
 def theorem_triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
@@ -215,7 +219,7 @@ def theorem_triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
     The raw expression values are what the exponential-convexity
     functionals are built from, so this kernel is shared across modules.
     """
-    _check_theorem(theorem)
+    _check_theorems((theorem,))
     return _triple(theorem, ms, bundle,
                    _endpoint_values(bundle, m, M, 1 + (theorem == "taylor")), m, M)
 
@@ -265,7 +269,7 @@ def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
            m: float, M: float) -> BoundReport:
     """Report of the bound pair named ``theorem`` (one of THEOREMS) from one
     moment pass, oriented by the bundle's certificate on [m, M]."""
-    _check_theorem(theorem)
+    _check_theorems((theorem,))
     orientation = _certified(bundle, m, M)[1]
     return _pair_reports(moments(functional, bundle, m, M), bundle, m, M,
                          (theorem,), orientation)[0]

@@ -127,6 +127,15 @@ def _is_number_type(cls: type, kind) -> bool:
     return issubclass(cls, kind) and not issubclass(cls, bool)
 
 
+def _parameter(value, label: str) -> float:
+    """float(value) of a generator or family parameter ``label``, which must
+    be a real number (``_is_number``) or a 0-d numeric array."""
+    if not (_is_number(value, numbers.Real) or isinstance(value, np.ndarray)
+            and value.shape == () and value.dtype.kind in "iuf"):
+        raise ValueError(f"{label} must be a number, got {value!r}")
+    return float(value)
+
+
 def _floats(entries, label: str) -> np.ndarray:
     """The entries as a flat float array, from a number, a list or tuple
     of numbers (``_is_number``) or a numeric array of at most one

@@ -45,6 +45,7 @@ import numpy as np
 
 from .divided_diff import FunctionBundle, _eval, _on_positive_axis
 from .expconv import EQUAL_PARAM_TOL, GammaContext, _quotient, gamma
+from .functionals import _parameter
 
 __all__ = [
     "FamilyMember",
@@ -117,9 +118,10 @@ _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 def _member(family: str, t: float,
             build: Callable[[float], FunctionBundle]) -> FamilyMember:
-    """The member of ``family`` at float(t), on the live bundle of that
-    parameter, or on a new one from ``build`` when no one holds it."""
-    t = float(t)
+    """The member of ``family`` at float(t) (``_parameter``), on the live
+    bundle of that parameter, or on a new one from ``build`` when no one
+    holds it."""
+    t = _parameter(t, f"{family} parameter")
     bundle = _LIVE.get((family, t))
     if bundle is None:
         bundle = _LIVE[family, t] = build(t)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import DIVERGENCE_THEOREMS, GeneratorFunction, divergence_pass
-from .elr_bounds import BoundReport
+from .elr_bounds import BoundReport, _check_theorems
 from .functionals import _is_number
 
 __all__ = [
@@ -113,6 +113,7 @@ def zm_divergence_pass(a: ZipfMandelbrot, b: ZipfMandelbrot,
     """(divergence, reports) between two Zipf-Mandelbrot laws:
     ``divergence_pass`` of the mass vectors on [m, M] from the ratio
     extrema, so identical laws are rejected."""
+    _check_theorems(theorems, DIVERGENCE_THEOREMS)
     m, M = zm_ratio_extrema(a, b)
     value, reports = divergence_pass(a.pmf, b.pmf, gen, m, M, theorems)
     for report in reports:

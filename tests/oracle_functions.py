@@ -21,6 +21,7 @@ import numpy as np
 from elrbounds import FunctionBundle, dd_recursive
 
 ORACLE_DPS = 40
+HERMITE_DPS = 60
 
 
 @dataclass(frozen=True)
@@ -152,3 +153,20 @@ def recursive_oracle(mp_f: Callable, points) -> float:
     with mp.workdps(ORACLE_DPS):
         pairs = [(mp.mpf(float(p)), mp_f(mp.mpf(float(p)))) for p in points]
         return float(dd_recursive(pairs))
+
+
+def hermite_oracle(mp_f: Callable, points, multiplicities) -> float:
+    """[t0, ..., t3]f at HERMITE_DPS digits by the Hermite difference table
+    over the points in the order given, each repeated by its multiplicity:
+    an entry over k + 1 equal points is mpmath's k-th derivative over k!,
+    every other the difference quotient of its two neighbours."""
+    with mp.workdps(HERMITE_DPS):
+        pts = [mp.mpf(float(p)) for p, k in zip(points, multiplicities) for _ in range(k)]
+        table = [mp_f(t) for t in pts]
+        for level in range(1, len(pts)):
+            for i in range(len(pts) - level):
+                if pts[i] == pts[i + level]:
+                    table[i] = mp.diff(mp_f, pts[i], level) / mp.factorial(level)
+                else:
+                    table[i] = (table[i + 1] - table[i]) / (pts[i + level] - pts[i])
+        return float(table[0])

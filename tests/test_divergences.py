@@ -116,7 +116,11 @@ class TestInterning:
         ("renyi", 1e200, ValueError, "renyi alpha 1e+200 overflows its third derivative"),
         ("renyi", np.float64(math.nan), ValueError,
          "renyi alpha np.float64(nan) overflows its third derivative"),
-        ("renyi", [3.0], TypeError, None),
+        ("renyi", [3.0], ValueError, "renyi alpha must be a number, got [3.0]"),
+        ("renyi", True, ValueError, "renyi alpha must be a number, got True"),
+        ("renyi", "2", ValueError, "renyi alpha must be a number, got '2'"),
+        ("renyi", np.array(True), ValueError,
+         "renyi alpha must be a number, got array(True)"),
         *[(name, 2.5, ValueError, f"{name} generator takes no alpha") for name in FIXED],
     ])
     def test_a_refused_input_is_refused_on_every_call(self, name, alpha, error, message):
@@ -390,6 +394,16 @@ class TestReports:
                            for theorem in DIVERGENCE_THEOREMS]
         with pytest.raises(ValueError, match="unknown theorem 'secant'"):
             divergence_pass(p, q, gen, theorems=("taylor", "secant"))
+
+    @pytest.mark.parametrize("theorems", ["taylor", "derivative", ""])
+    def test_a_bare_string_of_theorems_is_refused_whole(self, theorems):
+        """A string is not walked letter by letter ("unknown theorem 't'"),
+        and it is refused before the pair is read: q here is no
+        distribution."""
+        message = ("^theorems must be a sequence of names, not the string "
+                   f"{re.escape(repr(theorems))}$")
+        with pytest.raises(ValueError, match=message):
+            divergence_pass([0.2, 0.8], "q", generator("kl"), theorems=theorems)
 
 
 class TestRetention:

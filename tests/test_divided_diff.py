@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -22,13 +23,14 @@ from elrbounds import (
     make_functional,
     moments,
 )
-from elrbounds.divergences import GeneratorFunction, divergence_pass
+from elrbounds.divergences import GENERATOR_NAMES, GeneratorFunction, divergence_pass
+from elrbounds.divided_diff import _verdict_from_samples
 from elrbounds.elr_bounds import theorem_triple
 from elrbounds.fuzzing import random_three_convex_bundle
 from elrbounds.registry import poly_bundle, resolve_phi
 
 from counting import counted, counting_bundle
-from oracle_functions import SMOOTH_FUNCTIONS, recursive_oracle
+from oracle_functions import SMOOTH_FUNCTIONS, hermite_oracle, recursive_oracle
 
 
 def pairs(f, pts):
@@ -158,6 +160,31 @@ class TestConfluent:
             assert confluent == pytest.approx(recursive, rel=1e-5), entry.name
 
 
+    @pytest.mark.parametrize("signature", [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)])
+    def test_every_ordering_against_the_hermite_oracle(self, signature):
+        """Every order of the points and of their multiplicities, where
+        criterion 1 takes the sorted ones only, is within 1e-8 of a 60-digit
+        Hermite table whose derivatives are mpmath's."""
+        for entry in SMOOTH_FUNCTIONS:
+            for mult in sorted(set(permutations(signature))):
+                for points in permutations(entry.points[:len(mult)]):
+                    value = dd_confluent(entry.bundle, MultiplicityPattern(points, mult))
+                    oracle = hermite_oracle(entry.mp_f, points, mult)
+                    assert value == pytest.approx(oracle, rel=1e-8), (entry.name, points, mult)
+
+    def test_full_multiplicity_reads_d3_as_derivs_does(self):
+        """(4) reads d3 on float64 under the bundle reads' floating-point
+        rule: at kl's pole t = 0 it is -inf, not a ZeroDivisionError, and f
+        there (a nan) is not read; at finite points it keeps the bits of
+        d3(t)/6."""
+        for name in ("kl", "hellinger", "jeffreys"):
+            pattern = MultiplicityPattern((0.0,), (4,))
+            assert dd_confluent(generator(name).bundle, pattern) == -math.inf
+        for entry in SMOOTH_FUNCTIONS:
+            for t in entry.points:
+                value = dd_confluent(entry.bundle, MultiplicityPattern((t,), (4,)))
+                assert value.hex() == (float(entry.bundle.d3(t)) / 6.0).hex()
+
     @pytest.mark.parametrize("points,mult", [
         ((0.1, 0.7, 1.3, 2.0), (1, 1, 1, 1)), ((0.4, 1.1, 1.9), (2, 1, 1)),
         ((0.4, 1.6), (2, 2)), ((0.4, 1.6), (3, 1))])
@@ -276,6 +303,42 @@ class TestCertify:
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError, match="grid_n"):
             certify_3convex(CUBIC, 0.0, 1.0, 2)
+
+    @pytest.mark.parametrize("grid_n", [201.0, True, "201", np.float64(11), None])
+    def test_grid_n_must_be_an_integer(self, grid_n):
+        calls = []
+        message = f"^grid_n must be an integer, got {re.escape(repr(grid_n))}$"
+        with pytest.raises(ValueError, match=message):
+            certify_3convex(counting_bundle(calls, arrays=True), 0.5, 2.0, grid_n)
+        assert calls == []
+        assert certify_3convex(CUBIC, 0.1, 2.0, np.int64(11)).grid_size == 11
+
+    @pytest.mark.filterwarnings("error")
+    def test_doubled_point_fallback_reads_f_and_d1_once(self):
+        """Without d3 the certificate reads f and f' once at each of the 11
+        subgrid points of 201 (a read per (2,1,1) sample made 495 of four
+        values), and its verdict and witness are those of dd_confluent's
+        samples, bit for bit."""
+        rng = np.random.default_rng(35)
+        pool = [generator(name).bundle for name in GENERATOR_NAMES if name != "renyi"]
+        pool += [generator("renyi", a).bundle for a in (0.5, 1.5, 3.0)]
+        for trial in range(14):
+            base = pool[trial % len(pool)]
+            bundle = replace(base.negated() if trial % 2 else base, d3=None)
+            lo, hi = sorted(rng.uniform(0.1, 4.0, 2).tolist())
+            calls = []
+            cert = certify_3convex(counted(bundle, calls), lo, hi, 201)
+            sub = np.linspace(lo, hi, 201)[::20].tolist()
+            assert calls == [(order, t) for order in (0, 1) for t in sub]
+            samples, locations = [], []
+            for t in sub:
+                for x, y in combinations([x for x in sub if x != t], 2):
+                    pattern = MultiplicityPattern((t, x, y), (2, 1, 1))
+                    samples.append(dd_confluent(bundle, pattern))
+                    locations.append(t)
+            assert len(samples) == 495
+            assert cert == _verdict_from_samples(np.asarray(samples),
+                                                 np.asarray(locations), 201)
 
     def test_interval_outside_domain_rejected(self):
         with pytest.raises(ValueError, match="domain"):

@@ -8,7 +8,7 @@ one caller of ``certify_3convex`` and names its point count, each node
 rule of a functional once, in the field check of functionals.py, and the
 rules of names: ``generator()`` in divergences.py refuses an unknown
 generator and an alpha renyi lacks or another generator is given, and the
-registry refuses every other count of params; ``elr_bounds._check_theorem``
+registry refuses every other count of params; ``elr_bounds._check_theorems``
 refuses an unknown theorem name.  A second copy of any, in any module of
 the package, fails here.  The endpoint derivatives of a bound pair are
 named only in ``elr_bounds._bound_pair``, the one home of its formulas,
@@ -17,7 +17,10 @@ of weights is landed and becomes a functional is known only to
 functionals.py; a report float is formatted only in cli.py; and the
 domain (0, inf) is written once, in ``divided_diff._on_positive_axis``,
 which builds every family member and product bundle of
-stolarsky_means.py but the cubic reference."""
+stolarsky_means.py but the cubic reference.  The step of the divided
+difference table is written once, in ``divided_diff._newton_table``, and
+no module builds a ``MultiplicityPattern``: the certificate's fallback
+runs the table itself."""
 
 import ast
 import re
@@ -182,3 +185,18 @@ def test_positive_axis_is_written_once():
             if isinstance(lo, ast.Constant) and lo.value == 0:
                 homes.add((name, scope))
     assert homes == {("divided_diff.py", "_on_positive_axis")}
+
+
+def test_the_difference_quotient_is_written_once():
+    """A difference of neighbours over the gap of their points, the step of
+    the Newton table that dd_recursive, dd_confluent and the doubled-point
+    fallback of certify_3convex share."""
+    quotient = re.compile(r"\((\w+)\[(\w+) \+ 1\] - \1\[\2\]\) / \(")
+    copies = [name for name, text in SOURCES.items() for _ in quotient.finditer(text)]
+    assert copies == ["divided_diff.py"]
+
+
+def test_no_module_builds_a_multiplicity_pattern():
+    builders = [name for name, text in SOURCES.items()
+                for _ in re.finditer(r"(?<!class )\bMultiplicityPattern\(", text)]
+    assert builders == []

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from dataclasses import replace
 
@@ -100,6 +101,24 @@ class TestFamilies:
             for params in ([], [1.0, 2.0]):
                 with pytest.raises(ValueError, match=f"^{name} needs one parameter$"):
                     resolve_phi({"name": name, "params": params})
+
+    @pytest.mark.parametrize("family", [upsilon1, upsilon2])
+    @pytest.mark.parametrize("t", [True, False, "2.5", [2.5], np.array(True)])
+    def test_a_parameter_that_is_no_number_is_refused_on_every_call(self, family, t):
+        """A bool or a string is no parameter, where float() would read 1,
+        0 or 2.5 (and True would be upsilon1's singular member 1)."""
+        live = set(stolarsky_means._LIVE.keys())
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{family.__name__} parameter must "
+                                                 f"be a number, got {re.escape(repr(t))}$"):
+                family(t)
+        assert set(stolarsky_means._LIVE.keys()) <= live
+
+    @pytest.mark.parametrize("family", [upsilon1, upsilon2])
+    def test_numpy_parameters_share_the_float_member(self, family):
+        member = family(2.5)
+        for t in (np.float64(2.5), np.array(2.5), np.float32(2.5)):
+            assert family(t).bundle is member.bundle and family(t).t == 2.5
 
     def test_family_tags(self):
         assert upsilon1(3.0).family_tag == "upsilon1"

@@ -159,6 +159,14 @@ class TestDivergenceBounds:
         with pytest.raises(ValueError, match="degenerate interval"):
             zm_divergence_pass(a, a, generator("kl"), ("derivative",))[1][0]
 
+    def test_a_bare_string_of_theorems_is_refused_whole(self):
+        """Refused as a whole, before the laws are compared: these two
+        differ in length."""
+        a, b = zm_distribution(4, 0.5, 1.5), zm_distribution(5, 0.5, 1.5)
+        with pytest.raises(ValueError, match="^theorems must be a sequence of names, "
+                                             "not the string 'taylor'$"):
+            zm_divergence_pass(a, b, generator("kl"), "taylor")
+
     def test_bit_identical_to_generic_path(self):
         rng = np.random.default_rng(15)
         gens = [generator("kl"), generator("harmonic"), generator("renyi", alpha=3.0)]
