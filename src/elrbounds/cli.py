@@ -107,16 +107,13 @@ _WRITERS = {float: _write_float, str: _write_str, dict: _write_dict,
             list: _write_list, tuple: _write_list, bool: _write_literal,
             type(None): _write_literal, int: _write_int}
 
-# a subclass writes as the first of these it is an instance of (np.float64
-# as a float, an IntEnum as an int), in the order of the checks they stand for
-_SUBCLASS_WRITERS = ((float, _write_float), (str, _write_str), (dict, _write_dict),
-                     ((list, tuple), _write_list), (int, _write_int))
-
 
 def _write_other(obj, pad: str, out: list) -> None:
-    for kinds, write in _SUBCLASS_WRITERS:
-        if isinstance(obj, kinds):
-            write(obj, pad, out)
+    # a subclass writes as its base in _WRITERS (np.float64 as a float, an
+    # IntEnum as an int); their instance layouts clash, so it has at most one
+    for cls in type(obj).__mro__:
+        if cls in _WRITERS:
+            _WRITERS[cls](obj, pad, out)
             return
     out.append(json.dumps(obj))  # raises json's TypeError on any other type
 
@@ -385,9 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         payload = _load_payload(args.input)
-        status, report = run(RunConfig(command=args.command, payload=payload,
-                                       seed=args.seed, instances=args.instances,
-                                       tolerance=args.tolerance))
+        options = {option.name: getattr(args, option.name)
+                   for option in fields(RunConfig)[2:]}
+        status, report = run(RunConfig(command=args.command, payload=payload, **options))
         text = dump_report(report)
         if args.output:
             Path(args.output).write_text(text)

@@ -102,11 +102,11 @@ def generator(name: str, alpha: float | None = None) -> GeneratorFunction:
     return _named(name, (a, math.copysign(1.0, a)))
 
 
-# Each generator but renyi: f, d1, d2 and d3 on (0, inf), the
-# bundle's name, and the limits value_at_zero and slope_at_inf.
+# Each generator but renyi: f, d1, d2 and d3 on (0, inf), the bundle's
+# name, and the limits value_at_zero and slope_at_inf (kl's f is 0 at 0).
 _FIXED = {
-    "kl": (lambda t: t * np.log(t), lambda t: np.log(t) + 1.0, lambda t: 1.0 / t,
-           lambda t: -1.0 / t ** 2, "t*log(t)", 0.0, math.inf),
+    "kl": (lambda t: t * np.log(t + (t == 0.0)), lambda t: np.log(t) + 1.0,
+           lambda t: 1.0 / t, lambda t: -1.0 / t ** 2, "t*log(t)", 0.0, math.inf),
     "hellinger": (lambda t: 0.5 * (1.0 - np.sqrt(t)) ** 2,
                   lambda t: 0.5 * (1.0 - 1.0 / np.sqrt(t)),
                   lambda t: 0.25 * t ** -1.5, lambda t: -0.375 * t ** -2.5,

@@ -6,7 +6,8 @@ times differentiable function this is equivalent to a nonnegative third
 derivative.  This module provides the divided difference over distinct
 points and over repeated ones (multiplicity patterns (2,1,1), (2,2), (3,1)
 and (4)), both by one Newton difference table, and a sampling-based
-certifier for the sign of the third derivative.
+certifier for the sign of the third derivative.  Importing nothing from
+the package, it also holds the named-bundle builders and the number rule.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -165,6 +167,43 @@ def _on_positive_axis(name: str, f: Callable, d1: Callable, d2: Callable,
     Stolarsky-type family members and their products."""
     return FunctionBundle(domain_lo=0.0, domain_hi=math.inf, f=f, d1=d1, d2=d2,
                           d3=d3, name=name)
+
+
+# The named built-ins on the real line, each f, d1, d2 and d3 under its
+# name: x^3 (the mean-value reference, third derivative 6), x^4 and e^x.
+_REAL_LINE_FUNCTIONS = {
+    "cubic": (lambda x: np.asarray(x, dtype=float) ** 3,
+              lambda x: 3.0 * np.asarray(x, dtype=float) ** 2,
+              lambda x: 6.0 * np.asarray(x, dtype=float),
+              lambda x: 6.0 * np.ones_like(np.asarray(x, dtype=float))),
+    "quartic": (lambda x: np.asarray(x, dtype=float) ** 4,
+                lambda x: 4.0 * np.asarray(x, dtype=float) ** 3,
+                lambda x: 12.0 * np.asarray(x, dtype=float) ** 2,
+                lambda x: 24.0 * np.asarray(x, dtype=float)),
+    "exp": (np.exp, np.exp, np.exp, np.exp),
+}
+
+
+@cache
+def _on_real_line(name: str) -> FunctionBundle:
+    """The one shared bundle of _REAL_LINE_FUNCTIONS[name] on (-inf, inf)."""
+    f, d1, d2, d3 = _REAL_LINE_FUNCTIONS[name]
+    return FunctionBundle(domain_lo=-math.inf, domain_hi=math.inf, f=f, d1=d1, d2=d2,
+                          d3=d3, name=name)
+
+
+def _is_number(value, kind) -> bool:
+    """Whether a value from outside is a number of ``kind`` (a ``numbers``
+    ABC): a bool (JSON true and false) is not, nor is a string."""
+    return _is_number_type(type(value), kind)
+
+
+@cache
+def _is_number_type(cls: type, kind) -> bool:
+    """``_is_number`` of the values of type ``cls``, kept per type: an
+    isinstance against an ABC costs about 0.5 us, and a vector asks it of
+    each entry's type."""
+    return issubclass(cls, kind) and not issubclass(cls, bool)
 
 
 @np.errstate(over="ignore", divide="ignore")
@@ -353,8 +392,13 @@ class MultiplicityPattern:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(float(p) for p in self.points))
-        object.__setattr__(self, "multiplicities", tuple(int(k) for k in self.multiplicities))
+        points, multiplicities = tuple(self.points), tuple(self.multiplicities)
+        if not all(_is_number(k, numbers.Integral) for k in multiplicities):
+            raise ValueError(f"multiplicities must be integers, got {multiplicities!r}")
+        if not all(_is_number(p, numbers.Real) for p in points):
+            raise ValueError(f"pattern points must be real numbers, got {points!r}")
+        object.__setattr__(self, "points", tuple(map(float, points)))
+        object.__setattr__(self, "multiplicities", tuple(map(int, multiplicities)))
         if len(self.points) != len(self.multiplicities):
             raise ValueError("points and multiplicities differ in length")
         if any(k < 1 for k in self.multiplicities):
@@ -443,8 +487,7 @@ def certify_3convex(bundle: FunctionBundle, lo: float, hi: float,
     available, otherwise quadruples of distinct points); an empty sample
     set yields ``indeterminate``.
     """
-    # functionals._is_number's rule, which this module cannot import
-    if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral):
+    if not _is_number(grid_n, numbers.Integral):
         raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 3:
         raise ValueError("grid_n must be at least 3")

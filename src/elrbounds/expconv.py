@@ -21,10 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, _check_order
+from .divided_diff import FunctionBundle, _check_order, _is_number
 from .divergences import ratio_functional
 from .elr_bounds import _refuse_overflow, theorem_triple
-from .functionals import DiscreteFunctional, MomentBasis, _is_number, moment_basis
+from .functionals import DiscreteFunctional, MomentBasis, moment_basis
 
 __all__ = [
     "GammaContext",

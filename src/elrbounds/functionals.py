@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, _check_order, _eval
+from .divided_diff import FunctionBundle, _check_order, _eval, _is_number, _is_number_type
 
 __all__ = [
     "DiscreteFunctional",
@@ -111,20 +110,6 @@ def _weight_total(weights: np.ndarray, label: str) -> float:
     if not abs(total - 1.0) <= WEIGHT_DRIFT_TOL:
         _refuse_sum(weights, repr(total), label)
     return total
-
-
-def _is_number(value, kind) -> bool:
-    """Whether a value from outside is a number of ``kind`` (a ``numbers``
-    ABC): a bool (JSON true and false) is not, nor is a string."""
-    return _is_number_type(type(value), kind)
-
-
-@cache
-def _is_number_type(cls: type, kind) -> bool:
-    """``_is_number`` of the values of type ``cls``, kept per type: an
-    isinstance against an ABC costs about 0.5 us, and a vector asks it of
-    each entry's type."""
-    return issubclass(cls, kind) and not issubclass(cls, bool)
 
 
 def _parameter(value, label: str) -> float:
@@ -324,10 +309,11 @@ def _normalize(weights: np.ndarray, sizes: np.ndarray, sums: np.ndarray) -> np.n
     holds one per row, in layout order), landed on 1, and the array made
     read-only.
 
-    Landing puts the exact real-number mass of a row on 1, so that the
-    exactly-rounded summation in apply() returns 1.0 on the bit; the
-    measured drift, fsum(row) - 1, is itself rounded, hence up to four
-    adjustments, each at the row's current first largest weight.
+    Landing puts fsum(row), the correctly rounded sum, on 1, so that the
+    exactly-rounded summation in apply() returns 1.0 on the bit (the exact
+    sum may still miss 1 by an ulp); the drift, fsum(row) - 1, is itself
+    rounded, hence up to four adjustments, each at the row's current
+    first largest weight.
 
     There is one path per caller shape.  A batch divides all rows at once
     and runs the rule over the whole batch on the limbs of its weights

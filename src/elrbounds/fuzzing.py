@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divided_diff import FunctionBundle
+from .divided_diff import FunctionBundle, _is_number
 from .elr_bounds import THEOREMS, _certified, _excess, theorem_triple
 from .functionals import (
     DiscreteFunctional,
     FunctionalBatch,
     _divide_rows,
-    _is_number,
     _weight_sums,
     make_functional,
     make_functionals,

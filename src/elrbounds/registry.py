@@ -13,17 +13,12 @@ import numbers
 from dataclasses import replace
 from functools import cache, partial
 
-import numpy as np
-
-from .divided_diff import FunctionBundle
+from .divided_diff import FunctionBundle, _is_number, _on_real_line
 from .divergences import _GENERATOR_PARAMS, GENERATOR_NAMES, GeneratorFunction, generator
-from .functionals import _is_number
-from .stolarsky_means import cubic_reference, upsilon1, upsilon2
+from .stolarsky_means import upsilon1, upsilon2
 
 __all__ = ["number", "resolve_phi", "resolve_generator", "poly_bundle",
            "BUILTIN_NAMES"]
-
-_REAL_LINE = dict(domain_lo=-math.inf, domain_hi=math.inf)
 
 
 def number(value, what: str, integral: bool = False):
@@ -39,23 +34,7 @@ def number(value, what: str, integral: bool = False):
     return int(result) if integral else result
 
 
-# The named bundles take no parameters: each is built once, on first use.
-@cache
-def _quartic() -> FunctionBundle:
-    return FunctionBundle(
-        f=lambda x: np.asarray(x, dtype=float) ** 4,
-        d1=lambda x: 4.0 * np.asarray(x, dtype=float) ** 3,
-        d2=lambda x: 12.0 * np.asarray(x, dtype=float) ** 2,
-        d3=lambda x: 24.0 * np.asarray(x, dtype=float),
-        name="quartic", **_REAL_LINE)
-
-
-@cache
-def _exp() -> FunctionBundle:
-    return FunctionBundle(f=np.exp, d1=np.exp, d2=np.exp, d3=np.exp,
-                          name="exp", **_REAL_LINE)
-
-
+# xlogx is parameterless: it is built once, on first use.
 @cache
 def _xlogx() -> FunctionBundle:
     # t*log(t) is the kl generator's function
@@ -76,14 +55,13 @@ def poly_bundle(coefficients) -> FunctionBundle:
 
     p = Polynomial(coefficients)
     d1, d2, d3 = p.deriv(1), p.deriv(2), p.deriv(3)
-    return FunctionBundle(f=p, d1=d1, d2=d2, d3=d3,
-                          name=f"poly{tuple(coefficients)}", **_REAL_LINE)
+    return FunctionBundle(domain_lo=-math.inf, domain_hi=math.inf, f=p, d1=d1, d2=d2,
+                          d3=d3, name=f"poly{tuple(coefficients)}")
 
 
 # Each built-in name: what it builds from its params, and how many it takes.
-_NAMED = {"cubic": (cubic_reference, 0), "quartic": (_quartic, 0),
-          "exp": (_exp, 0), "xlogx": (_xlogx, 0),
-          "upsilon1": (upsilon1, 1), "upsilon2": (upsilon2, 1)}
+_NAMED = {name: (partial(_on_real_line, name), 0) for name in ("cubic", "quartic", "exp")}
+_NAMED.update(xlogx=(_xlogx, 0), upsilon1=(upsilon1, 1), upsilon2=(upsilon2, 1))
 BUILTIN_NAMES = tuple(_NAMED)
 _NAMED.update((name, (partial(generator, name), count))
               for name, count in _GENERATOR_PARAMS.items())

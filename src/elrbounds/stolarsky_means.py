@@ -16,13 +16,14 @@ on [m, M]; the resulting two-parameter quotients are monotone means of
 the segment.  Diagonal (s = t) cases are evaluated by the closed limit
 formulas, which involve analytically constructed product bundles.
 
-Each bundle has one construction site, and every one lies on (0, inf)
-through ``divided_diff._on_positive_axis``.  The parameterless bundles
-(the members at t in {0, 1, 2} of the power family and t = 0 of the
-exponential one, and the products of the limit rows there) are one table,
-``_FIXED``, keyed by bundle name.  A member at any other t writes its
-general f, d1 and d2 once and, within ``SMALL_T`` of a singular value,
-replaces only those that the quadratic-reduced form changes.
+Each bundle has one construction site: ``divided_diff._on_positive_axis``
+for every member and product, ``_on_real_line`` for the cubic reference.
+The parameterless bundles (the members at t in {0, 1, 2} of the power
+family and t = 0 of the exponential one, and the products of the limit
+rows there) are one table, ``_FIXED``, keyed by bundle name.  A member at
+any other t writes its general f, d1 and d2 once and, within ``SMALL_T``
+of a singular value, replaces only those that the quadratic-reduced form
+changes.
 
 The inverse lives on the map it inverts: a member's third derivative is a
 ``_Power`` (x^a) or ``_Exp`` (e^(tx)) callable, monotone by theorem, with a
@@ -38,12 +39,11 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, _eval, _on_positive_axis
+from .divided_diff import FunctionBundle, _eval, _on_positive_axis, _on_real_line
 from .expconv import EQUAL_PARAM_TOL, GammaContext, _quotient, gamma
 from .functionals import _parameter
 
@@ -273,17 +273,10 @@ def _u2_bundle(t: float) -> FunctionBundle:
     return _on_positive_axis(f"upsilon2[{t}]", f, d1, d2, _Exp(t))
 
 
-@cache
 def cubic_reference() -> FunctionBundle:
-    """x^3, the reference whose third-order data is constant 6; built once,
-    and every caller shares the bundle."""
-    return FunctionBundle(
-        domain_lo=-math.inf, domain_hi=math.inf,
-        f=lambda x: np.asarray(x, dtype=float) ** 3,
-        d1=lambda x: 3.0 * np.asarray(x, dtype=float) ** 2,
-        d2=lambda x: 6.0 * np.asarray(x, dtype=float),
-        d3=lambda x: 6.0 * np.ones_like(np.asarray(x, dtype=float)),
-        name="cubic")
+    """x^3, the reference whose third-order data is constant 6: the shared
+    bundle of ``divided_diff._on_real_line``."""
+    return _on_real_line("cubic")
 
 
 # ---------------------------------------------------------------------------

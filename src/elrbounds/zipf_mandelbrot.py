@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import DIVERGENCE_THEOREMS, GeneratorFunction, divergence_pass
+from .divided_diff import _is_number
 from .elr_bounds import BoundReport, _check_theorems
-from .functionals import _is_number
 
 __all__ = [
     "ZipfMandelbrot",

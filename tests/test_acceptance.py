@@ -33,6 +33,7 @@ from elrbounds import (
     zm_ratio_extrema,
 )
 from elrbounds.cli import main as cli_main
+from elrbounds.divergences import divergence_pass
 from elrbounds.fuzzing import bracket_fuzz
 from elrbounds.registry import poly_bundle, resolve_phi
 from elrbounds.zipf_mandelbrot import zm_divergence_pass
@@ -117,11 +118,13 @@ def test_criterion_4_divergence_fuzz():
     named = [generator("kl"), generator("hellinger"), generator("harmonic"),
              generator("jeffreys"), generator("renyi", alpha=3.0)]
     worst = 0.0
+    theorems = ("derivative", "taylor")
+    # one divergence_pass per pair gives both of its bound pairs
     for gen in named:
         for _ in range(10_000):
             p, q = _random_pair(rng)
-            for theorem in ("derivative", "taylor"):
-                r = divergence_bounds(p, q, gen, theorem=theorem)
+            reports = divergence_pass(p, q, gen, theorems=theorems)[1]
+            for theorem, r in zip(theorems, reports, strict=True):
                 worst = max(worst, r.violation())
                 assert r.violation() <= 1e-9, (gen.name, theorem)
     # third-derivative-free boundary exponents bracket in both orientations
@@ -129,8 +132,7 @@ def test_criterion_4_divergence_fuzz():
         gen = generator("renyi", alpha=alpha)
         for _ in range(500):
             p, q = _random_pair(rng)
-            for theorem in ("derivative", "taylor"):
-                r = divergence_bounds(p, q, gen, theorem=theorem)
+            for r in divergence_pass(p, q, gen, theorems=theorems)[1]:
                 lo, hi = r.bracket()
                 assert lo - 1e-9 <= r.mid <= hi + 1e-9
                 assert hi - 1e-9 <= r.mid <= lo + 1e-9

@@ -2,8 +2,9 @@ import json
 import math
 import subprocess
 import sys
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import replace
+from decimal import Decimal
 from enum import IntEnum
 from pathlib import Path
 
@@ -962,22 +963,31 @@ class TestReportWriter:
     class Items(list):
         pass
 
+    Point = namedtuple("Point", "x y")
+
+    class Tags(frozenset):
+        pass
+
     @pytest.mark.parametrize("value", [
         np.float64(0.1), [np.float64(-0.0), np.float64(math.inf)],
         Level.LOW, {"level": Level.LOW},
         Name("tag"), {Name("key"): Name("ünï")},
         OrderedDict([("b", 1.5), ("a", OrderedDict())]),
         Items([1, Items(), (2.5, Items(["x"]))]),
+        Point(1.5, Level.LOW), {"at": Point(Name("x"), [Point(0.1, None)])},
     ], ids=["float64", "float64-items", "intenum", "intenum-item", "str-subclass",
-            "str-subclass-key-and-item", "ordereddict", "list-subclass"])
+            "str-subclass-key-and-item", "ordereddict", "list-subclass",
+            "namedtuple", "namedtuple-items"])
     def test_subclass_writes_as_its_base_type(self, value):
         """A subclass of a type in the writer's table is outside it and is
         written as the reference writes it."""
         assert dump_report(value) == _reference_dump(value) + "\n"
 
     @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, object(),
-                                       {"inside": [np.int64(3)]}],
-                             ids=["int64", "set", "object", "nested-int64"])
+                                       {"inside": [np.int64(3)]}, Decimal("0.5"),
+                                       [Tags({1})]],
+                             ids=["int64", "set", "object", "nested-int64", "decimal",
+                                  "frozenset-subclass"])
     def test_value_the_reference_refuses_is_refused(self, value):
         with pytest.raises(Exception) as expected:
             _reference_dump(value)

@@ -9,7 +9,9 @@ import pytest
 
 from elrbounds import (
     FunctionBundle,
+    MultiplicityPattern,
     apply,
+    dd_confluent,
     divergence_bounds,
     f_divergence,
     generator,
@@ -36,6 +38,19 @@ from counting import counted, counting_bundle
 class TestGenerators:
     def test_kl_third_derivative(self):
         assert float(generator("kl").bundle.d3(1.0)) == pytest.approx(-1.0, abs=1e-15)
+
+    def test_kl_at_zero_is_its_limit(self):
+        """0*log(0) is 0, the generator's value_at_zero, with no warning;
+        for t > 0 phi is t*log(t) bit for bit, and below 0 still a nan."""
+        gen = generator("kl")
+        assert gen.bundle.deriv(0, 0.0) == 0.0 == gen.value_at_zero
+        t = np.linspace(0.0, 5.0, 10_001)
+        assert np.array_equal(gen.bundle.f(t)[1:], t[1:] * np.log(t[1:]))
+        assert gen.bundle.f(t)[0] == 0.0
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(gen.bundle.f(np.float64(-1.0)))
+        # f'(0) is -inf, which the table carries to -inf, not a nan
+        assert dd_confluent(gen.bundle, MultiplicityPattern((0.0, 1.0), (2, 2))) == -math.inf
 
     def test_harmonic_third_derivative(self):
         assert float(generator("harmonic").bundle.d3(1.0)) == pytest.approx(0.75, abs=1e-15)

@@ -102,6 +102,25 @@ class TestPattern:
         pat = MultiplicityPattern((0.5, 1.5, 2.5), (2, 1, 1))
         assert pat.signature == (2, 1, 1)
 
+    @pytest.mark.parametrize("points,multiplicities,message", [
+        ((0.5, 1.5), (2.5, 2.5), "multiplicities must be integers"),
+        (("0.5", True), (True, 3), "multiplicities must be integers"),
+        ((0.5, 1.5), (2.0, 2), "multiplicities must be integers"),
+        (("0.5", 1.5), (2, 2), "pattern points must be real numbers"),
+        ((0.5, True), (2, 2), "pattern points must be real numbers"),
+    ])
+    def test_non_numbers_refused(self, points, multiplicities, message):
+        """A fraction is not truncated, nor a bool or a string read as a
+        number; these checks come before the pattern's own rules."""
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            MultiplicityPattern(points, multiplicities)
+
+    def test_numpy_numbers_accepted(self):
+        pat = MultiplicityPattern(np.array([0.5, 1.5]), (np.int64(2), np.int32(2)))
+        assert pat.points == (0.5, 1.5) and pat.multiplicities == (2, 2)
+        assert {type(p) for p in pat.points} == {float}
+        assert {type(k) for k in pat.multiplicities} == {int}
+
     def test_expand_is_centred(self):
         pat = MultiplicityPattern((1.0,), (4,))
         split = pat.expand(1e-4)

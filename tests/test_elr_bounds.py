@@ -52,6 +52,17 @@ class TestElrDifference:
     def test_point_mass_square(self):
         assert elr_difference(POINT_MASS, SQUARE, 0.0, 1.0) == pytest.approx(0.25, abs=1e-15)
 
+    def test_xlogx_reaches_its_end_at_zero(self, capsys):
+        """phi(0) of xlogx is its limit 0, so D on [0, 1] is finite; the CLI's
+        bounds there is still refused, for its third derivative at 0."""
+        F = make_functional([0.2, 0.7], [0.5, 0.5])
+        xlogx = resolve_phi({"name": "xlogx"})
+        assert elr_difference(F, xlogx, 0.0, 1.0) == 0.28578002162196636
+        payload = {"functional": {"nodes": [0.2, 0.7], "weights": [0.5, 0.5]},
+                   "interval": [0, 1], "phi": {"name": "xlogx"}}
+        assert main(["bounds", "--input", json.dumps(payload)]) == 1
+        assert capsys.readouterr().err == "error: third derivative not finite on the grid\n"
+
     def test_replaced_bundle_reads_its_own_ends(self):
         """A bundle made by replace does not read its parent's memoized
         endpoint values."""

@@ -17,18 +17,25 @@ of weights is landed and becomes a functional is known only to
 functionals.py; a report float is formatted only in cli.py; and the
 domain (0, inf) is written once, in ``divided_diff._on_positive_axis``,
 which builds every family member and product bundle of
-stolarsky_means.py but the cubic reference.  The step of the divided
+stolarsky_means.py; x^3, x^4 and e^x are one table of divided_diff.py
+with one builder, ``_on_real_line``, and only a polynomial and the
+fuzzer's spline are built elsewhere.  A bool is told from a number only
+in ``divided_diff._is_number``.  The step of the divided
 difference table is written once, in ``divided_diff._newton_table``, and
 no module builds a ``MultiplicityPattern``: the certificate's fallback
 runs the table itself."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 import elrbounds
+from elrbounds.divided_diff import _REAL_LINE_FUNCTIONS, _on_real_line
+from elrbounds.registry import resolve_phi
+from elrbounds.stolarsky_means import cubic_reference
 
 SOURCES = {path.name: path.read_text()
            for path in sorted(Path(elrbounds.__file__).parent.glob("*.py"))}
@@ -163,11 +170,51 @@ def _call_scopes(node, callees, scope="<module>"):
 
 
 def test_family_bundles_have_one_builder():
-    """stolarsky_means.py calls FunctionBundle only for the cubic
-    reference: its members and product bundles come from one builder."""
+    """stolarsky_means.py never calls FunctionBundle: its members and
+    product bundles come from one builder, and the cubic reference from
+    the real-line one."""
     scopes = [scope for scope, _ in _call_scopes(ast.parse(SOURCES["stolarsky_means.py"]),
                                                  {"FunctionBundle"})]
-    assert scopes == ["cubic_reference"]
+    assert scopes == []
+
+
+def test_bundles_are_built_in_three_places():
+    """Outside divided_diff.py, whose builders make every named bundle on
+    (0, inf) and on the real line, only a polynomial and the fuzzer's
+    spline build a FunctionBundle."""
+    sites = {(name, scope) for name, text in SOURCES.items()
+             for scope, _ in _call_scopes(ast.parse(text), {"FunctionBundle"})
+             if name != "divided_diff.py"}
+    assert sites == {("registry.py", "poly_bundle"),
+                     ("fuzzing.py", "random_three_convex_bundle")}
+
+
+def test_real_line_builtins_come_from_one_table():
+    for name in ("cubic", "quartic", "exp"):
+        built = resolve_phi({"name": name})
+        assert built is _on_real_line(name) is resolve_phi({"name": name})
+        assert (built.domain_lo, built.domain_hi) == (-math.inf, math.inf)
+        assert (built.f, built.d1, built.d2, built.d3) == _REAL_LINE_FUNCTIONS[name]
+    assert cubic_reference() is _on_real_line("cubic")
+
+
+def _bool_tests(node):
+    """Each isinstance or issubclass call under ``node`` whose class
+    argument names bool, alone or in a tuple."""
+    for call in ast.walk(node):
+        if (isinstance(call, ast.Call) and len(call.args) == 2
+                and getattr(call.func, "id", None) in ("isinstance", "issubclass")):
+            kinds = call.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(getattr(kind, "id", None) == "bool" for kind in names):
+                yield call
+
+
+def test_the_number_rule_is_written_once():
+    """A bool is told from a number only in divided_diff.py, the one home
+    of ``_is_number``, below every module that imports it."""
+    homes = [name for name, text in SOURCES.items() for _ in _bool_tests(ast.parse(text))]
+    assert homes == ["divided_diff.py"]
 
 
 # the argument that gives a bundle's lower domain end: its keyword, and
