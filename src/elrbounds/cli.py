@@ -29,9 +29,10 @@ from pathlib import Path
 
 from .divergences import DIVERGENCE_THEOREMS, divergence_pass
 from .divided_diff import _check_order
-from .elr_bounds import THEOREMS, BoundReport, _certified, _check_theorems, _pair_reports
+from .elr_bounds import (THEOREMS, BoundReport, _certified, _check_theorems,
+                         _moments_and_ends, _pair_reports)
 from .expconv import _check_index, divergence_context, elr_context
-from .functionals import make_functional, moments
+from .functionals import make_functional
 from .fuzzing import TOLERANCE, bracket_fuzz
 from .registry import number, resolve_generator, resolve_phi
 from .stolarsky_means import mean_B1, mean_M2
@@ -198,8 +199,8 @@ def _run_bounds(config: RunConfig) -> tuple[int, dict]:
     bundle = resolve_phi(_need_object(payload, "phi"))
     theorems = _parse_theorems(payload)
     cert, orientation = _certified(bundle, m, M)
-    reports = _pair_reports(moments(functional, bundle, m, M), bundle, m, M,
-                            theorems, orientation)
+    reports = _pair_reports(*_moments_and_ends(functional, bundle, m, M, theorems), bundle,
+                            m, M, theorems, orientation)
     return 0, {
         "command": "bounds",
         "inputs": payload,
@@ -336,11 +337,16 @@ def _load_payload(raw: str | None) -> dict:
         text = sys.stdin.read()
     elif raw.lstrip().startswith("{"):
         text = raw
+    elif Path(raw).exists():
+        text = Path(raw).read_text()
     else:
-        path = Path(raw)
-        if not path.exists():
-            raise ValueError(f"input file not found: {raw}")
-        text = path.read_text()
+        # JSON that is not an object ("[1, 2]") is refused as such, not as
+        # a file name
+        try:
+            json.loads(raw)
+        except json.JSONDecodeError:
+            raise ValueError(f"input file not found: {raw}") from None
+        text = raw
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -22,9 +22,8 @@ import numpy as np
 
 from .divided_diff import FunctionBundle, _eval, _on_positive_axis
 from .elr_bounds import (ORIENT_DIRECT, ORIENT_REVERSED, BoundReport, _certified,
-                         _check_theorems, _pair_reports)
-from .functionals import (DiscreteFunctional, _landed_functional, _parameter, check_weights,
-                          moments)
+                         _check_theorems, _moments_and_ends, _pair_reports)
+from .functionals import _landed_functional, _node_values, _parameter, check_weights
 
 __all__ = [
     "GeneratorFunction",
@@ -203,27 +202,32 @@ def f_divergence(p, q, gen: GeneratorFunction) -> float:
     return total
 
 
-def ratio_functional(p, q, m: float | None = None, M: float | None = None
-                     ) -> tuple[DiscreteFunctional, float, float, np.ndarray]:
+def ratio_functional(p, q, m: float | None = None, M: float | None = None, *,
+                     with_extremes: bool = False) -> tuple:
     """(functional, m, M, masses): the functional with nodes p_i/q_i and
     weights q_i (zero-zero pairs dropped), whose mean is 1, on [m, M], and
-    those q_i as given, unrenormalized.
+    those q_i as given, unrenormalized; ``with_extremes`` appends the least
+    and the largest ratio as a pair, for a pass to hand its moment pass.
 
     A missing interval end is taken from the ratio range widened to
     include 1.  The interval must satisfy m <= 1 <= M and m < M and hold
     every ratio.
     """
     p, q = _check_pair(p, q)
-    if np.fmin.reduce(q) > 0.0:  # no zero mass to drop, as in every Dirichlet draw
-        masses = q.copy()  # q may be the caller's own array
-    else:
+    masses = q  # the functional lands a copy: q may be the caller's own array
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = p / q
+        lo, hi = float(ratios.min()), float(ratios.max())
+    # a zero q_i makes its ratio inf or nan, and so does an overflow: with
+    # both extremes finite there is no mass to drop, as in every Dirichlet draw
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         if ((q == 0) & (p > 0)).any():
             raise ValueError("zero q-mass with positive p-mass puts the ratio "
                              "outside every finite interval")
         keep = q > 0
-        masses, p = q[keep], p[keep]
-    ratios, hi = _ratios(p, masses)
-    lo = float(ratios.min())
+        masses = q[keep]
+        ratios, hi = _ratios(p[keep], masses)
+        lo = float(ratios.min())
     m = min(lo, 1.0) if m is None else float(m)
     M = max(hi, 1.0) if M is None else float(M)
     if not (m <= 1.0 <= M):
@@ -238,7 +242,10 @@ def ratio_functional(p, q, m: float | None = None, M: float | None = None
     # checked every q_i, and dropping exact zeros leaves the real sum of q,
     # which it has checked to lie within WEIGHT_DRIFT_TOL of 1, unchanged;
     # every ratio is finite and the masses are positive.
-    return _landed_functional(ratios, masses, float(masses.sum())), m, M, masses
+    functional = _landed_functional(ratios, masses, float(masses.sum()))
+    if with_extremes:
+        return functional, m, M, masses, (lo, hi)
+    return functional, m, M, masses
 
 
 def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
@@ -246,12 +253,14 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
                     ) -> tuple[float, list[BoundReport]]:
     """(divergence, reports): the divergence and the bound pairs named in
     ``theorems`` from one ratio functional (``ratio_functional``, which
-    checks the pair and derives the interval), one evaluation of f at its
-    nodes and one MomentSet.  Every kept ratio is positive, so the
-    divergence is f_divergence's sum."""
+    checks the pair and the ratios against the interval it derives), one
+    check of [m, M] against the bundle's domain, one evaluation of f at the
+    nodes, one endpoint read and one MomentSet (``_moments_and_ends``).
+    Every kept ratio is positive, so the divergence is f_divergence's
+    sum."""
     _check_theorems(theorems, DIVERGENCE_THEOREMS)
     auto = m is None or M is None
-    functional, m, M, masses = ratio_functional(p, q, m, M)
+    functional, m, M, masses, extremes = ratio_functional(p, q, m, M, with_extremes=True)
     if m <= 0.0:
         raise ValueError("ratios must stay strictly positive for generator "
                          "bounds")
@@ -260,11 +269,13 @@ def divergence_pass(p, q, gen: GeneratorFunction, m: float | None = None,
         orientation = _certified(gen.bundle, m, M)[1]
     else:
         orientation = ORIENT_DIRECT if gen.direction == F_3CONVEX else ORIENT_REVERSED
-    phi_vals = _eval(gen.bundle.f, functional.nodes)
-    ms = moments(functional, gen.bundle, m, M, phi_vals=phi_vals)
-    reports = _pair_reports(ms, gen.bundle, m, M, theorems, orientation, "divergence_",
-                            {"m": m, "M": M, "interval_auto_derived": auto,
-                             "generator": gen.name, "params": list(gen.params)})
+    phi_vals = _node_values(gen.bundle.f, functional.nodes)
+    ms, ends = _moments_and_ends(functional, gen.bundle, m, M, theorems, phi_vals,
+                                 extremes)
+    reports = _pair_reports(ms, ends, gen.bundle, m, M, theorems, orientation,
+                            "divergence_", {"m": m, "M": M, "interval_auto_derived": auto,
+                                            "generator": gen.name,
+                                            "params": list(gen.params)})
     return float(masses @ phi_vals), reports
 
 

@@ -32,7 +32,8 @@ from .divided_diff import (
     FunctionBundle,
     certify_3convex,
 )
-from .functionals import DiscreteFunctional, MomentSet, moments
+from .functionals import (DiscreteFunctional, MomentSet, _check_functional, _checked_nodes,
+                          moments)
 
 __all__ = [
     "BoundReport",
@@ -117,14 +118,25 @@ def _certified(bundle: FunctionBundle, m: float, M: float
     return cert, ORIENT_DIRECT if cert.verdict == THREE_CONVEX else ORIENT_REVERSED
 
 
+def _end_reads(m: float, M: float, order: int) -> tuple:
+    """The (order, x) reads of phi and its derivatives up to ``order`` at m
+    and at M, in that order."""
+    return ((0, m), (0, M), (1, m), (1, M), (2, m), (2, M))[:2 * order + 2]
+
+
+def _end_order(theorems) -> int:
+    """The highest derivative order that the bound pairs ``theorems`` read
+    at the ends: phi'' for ``taylor``, phi' for the others."""
+    return 1 + ("taylor" in theorems)
+
+
 def _endpoint_values(bundle: FunctionBundle, m: float, M: float,
                      order: int) -> list[float]:
     """phi and its derivatives up to ``order`` at m and at M, in that order,
-    in one ``bundle.derivs`` read of an [m, M] inside the bundle's domain;
-    phi at the ends must be finite, and a phi that is not is refused before
-    a derivative the bundle lacks."""
-    bundle._check_interval(m, M)
-    reads = ((0, m), (0, M), (1, m), (1, M), (2, m), (2, M))[:2 * order + 2]
+    in one ``bundle.derivs`` read of an [m, M] that has passed the bundle's
+    domain rule; phi at the ends must be finite, and a phi that is not is
+    refused before a derivative the bundle lacks."""
+    reads = _end_reads(m, M, order)
     try:
         values = bundle.derivs(reads)
     except (ValueError, ArithmeticError):  # a missing derivative, or a math error
@@ -134,34 +146,80 @@ def _endpoint_values(bundle: FunctionBundle, m: float, M: float,
     return values
 
 
+def _read_ends(bundle: FunctionBundle, m: float, M: float, theorems) -> list[float] | None:
+    """The one endpoint read of a bound pass of ``theorems``: the values of
+    ``_endpoint_values`` at the highest order they need, not yet checked,
+    or None when the read fails.  The pass hands phi' at m and M to its
+    moment pass (``_slopes``) and all of them to its theorems
+    (``_held_ends``); after a failed read each step reads for itself, as
+    it would with no read made, so that every refusal keeps its message
+    and its place."""
+    try:
+        return bundle.derivs(_end_reads(m, M, _end_order(theorems)))
+    except (ValueError, ArithmeticError):
+        return None
+
+
+def _slopes(ends: list[float] | None) -> list[float] | None:
+    """phi' at m and at M from a pass's one read ``ends``, for its moment
+    pass (None when the read failed)."""
+    return None if ends is None else ends[2:4]
+
+
+def _held_ends(bundle: FunctionBundle, m: float, M: float, theorem: str,
+               ends: list[float] | None) -> list[float]:
+    """``_endpoint_values`` for the bound pair ``theorem`` from a pass's one
+    read ``ends`` (``_read_ends`` of theorems that include it): those
+    values, refused as ``_endpoint_values`` refuses them, or a read here
+    when it failed."""
+    if ends is None:
+        return _endpoint_values(bundle, m, M, _end_order((theorem,)))
+    _finite_ends(ends)
+    return ends
+
+
 def _finite_ends(values: list[float]) -> None:
     if not (math.isfinite(values[0]) and math.isfinite(values[1])):
         raise ValueError("function values at the interval endpoints must be finite")
+
+
+def _moments_and_ends(functional: DiscreteFunctional, bundle: FunctionBundle, m: float,
+                      M: float, theorems, phi_vals=None, extremes=None
+                      ) -> tuple[MomentSet, list[float] | None]:
+    """(moments, ends) of a bound pass of ``theorems``: the MomentSet and
+    the pass's one endpoint read (``_read_ends``), made after the checks of
+    the moment pass (``_checked_nodes``), whose phi' at m and M the moment
+    pass takes.  A caller that holds the nodes' ``extremes`` has run those
+    checks itself and hands over its checked f at the nodes as
+    ``phi_vals``."""
+    if extremes is None:
+        _check_functional(functional)
+        phi_vals, extremes = _checked_nodes(functional.nodes, bundle, m, M, phi_vals)
+    ends = _read_ends(bundle, m, M, theorems)
+    return moments(functional, bundle, m, M, phi_vals=phi_vals, slopes=_slopes(ends),
+                   extremes=extremes), ends
 
 
 def _mid(ms: MomentSet, phi_m: float, phi_M: float, m: float, M: float) -> float:
     return ((M - ms.mean) * phi_m + (ms.mean - m) * phi_M) / (M - m) - ms.value
 
 
-def _pair_reports(ms: MomentSet, bundle: FunctionBundle, m: float, M: float,
-                  theorems, orientation: str, tag: str = "",
+def _pair_reports(ms: MomentSet, ends: list[float] | None, bundle: FunctionBundle,
+                  m: float, M: float, theorems, orientation: str, tag: str = "",
                   details: dict | None = None) -> list[BoundReport]:
     """The report step of every bound pass: the BoundReport, tagged ``tag``
     plus its name, of each bound pair named in ``theorems`` from the one
-    MomentSet ``ms`` of the bundle on [m, M] and one endpoint read at the
-    highest order they need, each with its own copy of ``details``.
+    MomentSet ``ms`` of the bundle on [m, M] and the pass's one endpoint
+    read ``ends`` (``_moments_and_ends``), each with its own copy of
+    ``details``.
 
-    A read that fails is made again theorem by theorem, so each refusal
+    A read that failed is made again theorem by theorem, so each refusal
     comes where a read per theorem gives it: a pair named before the first
     ``taylor`` is refused before an order-2 value the bundle lacks."""
     _check_theorems(theorems)
-    try:
-        ends = _endpoint_values(bundle, m, M, 1 + ("taylor" in theorems))
-    except (ValueError, ArithmeticError):
-        ends = None
     reports = []
     for name in theorems:
-        read = ends or _endpoint_values(bundle, m, M, 1 + (name == "taylor"))
+        read = _held_ends(bundle, m, M, name, ends)
         reports.append(_pair_report(ms, m, M, _triple(name, ms, bundle, read, m, M),
                                     orientation, tag + name, dict(details or {})))
     return reports
@@ -210,18 +268,22 @@ def _check_theorems(theorems, allowed=THEOREMS) -> None:
 
 
 def theorem_triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
-                   m: float, M: float):
+                   m: float, M: float, ends: list[float] | None = None):
     """(lower, mid, upper) of the bound pair named ``theorem`` (one of
     THEOREMS) for the moments ``ms`` of the bundle on [m, M], without
     orientation logic: floats for one functional (``moments``), arrays
-    for a batch (``moments_batch``).
+    for a batch (``moments_batch``).  ``ends`` is the caller's one endpoint
+    read (``_read_ends``), which a pass of several theorems shares; with
+    none, [m, M] must pass the bundle's domain rule and is read here.
 
     The raw expression values are what the exponential-convexity
     functionals are built from, so this kernel is shared across modules.
     """
     _check_theorems((theorem,))
+    if ends is None:
+        bundle._check_interval(m, M)
     return _triple(theorem, ms, bundle,
-                   _endpoint_values(bundle, m, M, 1 + (theorem == "taylor")), m, M)
+                   _held_ends(bundle, m, M, theorem, ends), m, M)
 
 
 def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
@@ -271,8 +333,8 @@ def bounds(theorem: str, functional: DiscreteFunctional, bundle: FunctionBundle,
     moment pass, oriented by the bundle's certificate on [m, M]."""
     _check_theorems((theorem,))
     orientation = _certified(bundle, m, M)[1]
-    return _pair_reports(moments(functional, bundle, m, M), bundle, m, M,
-                         (theorem,), orientation)[0]
+    return _pair_reports(*_moments_and_ends(functional, bundle, m, M, (theorem,)), bundle,
+                         m, M, (theorem,), orientation)[0]
 
 
 def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
@@ -284,8 +346,8 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
     if variant not in ("derivative", "taylor"):
         raise ValueError(f"unknown Jensen-gap variant {variant!r}")
     orientation = _certified(bundle, m, M)[1]
-    ms = moments(functional, bundle, m, M)
-    ends = _endpoint_values(bundle, m, M, 1 + (variant == "taylor"))
+    ms, ends = _moments_and_ends(functional, bundle, m, M, (variant,))
+    ends = _held_ends(bundle, m, M, variant, ends)
     phi_mean = bundle.deriv(0, ms.mean)
     below, above = ms.mean - m, M - ms.mean
     d_lo = d_hi = None

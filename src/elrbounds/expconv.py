@@ -23,8 +23,8 @@ import numpy as np
 
 from .divided_diff import FunctionBundle, _check_order, _is_number
 from .divergences import ratio_functional
-from .elr_bounds import _refuse_overflow, theorem_triple
-from .functionals import DiscreteFunctional, MomentBasis, moment_basis
+from .elr_bounds import _read_ends, _refuse_overflow, _slopes, theorem_triple
+from .functionals import DiscreteFunctional, MomentBasis, _node_values, moment_basis
 
 __all__ = [
     "GammaContext",
@@ -120,18 +120,23 @@ def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
     computed once per bundle and context, from the context's basis and the
     rows its theorem reads: f at the nodes, and phi' there only for the
     derivative pair (indices 3, 4, 7 and 8), after [m, M] passes the
-    bundle's domain rule.  A value that is not finite is refused, for the
-    interval when the moments on it overflow.
+    bundle's domain rule, and one endpoint read, after the node checks,
+    which also gives phi' at the nodes on an end.  A value that is not
+    finite is refused, for the interval when the moments on it overflow.
     """
     value = ctx._gammas.get(bundle)
     if value is None:
-        bundle._check_interval(ctx.m, ctx.M)
+        m, M = ctx.m, ctx.M
+        bundle._check_interval(m, M)
         theorem = THEOREM_BY_INDEX[ctx.index]
-        ms = ctx.basis.moments(bundle, derivative=theorem == "derivative")
-        lower, mid, upper = theorem_triple(theorem, ms, bundle, ctx.m, ctx.M)
+        basis = ctx.basis
+        phi_vals = _node_values(bundle.f, basis.nodes)
+        ends = _read_ends(bundle, m, M, (theorem,))
+        ms = basis.moments(bundle, theorem == "derivative", _slopes(ends), phi_vals)
+        lower, mid, upper = theorem_triple(theorem, ms, bundle, m, M, ends)
         value = mid - lower if ctx.index % 2 == 1 else upper - mid
         if not math.isfinite(value):
-            _refuse_overflow(ms, ctx.m, ctx.M)
+            _refuse_overflow(ms, m, M)
             raise ValueError(f"Gamma_{ctx.index} of {bundle.name!r} is not "
                              f"finite: {value!r}")
         ctx._gammas[bundle] = value

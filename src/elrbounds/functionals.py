@@ -512,21 +512,28 @@ class MomentSet:
 
 
 def moments_batch(batch: FunctionalBatch, bundle: FunctionBundle, m: float,
-                  M: float) -> MomentSet:
+                  M: float, *, slopes: tuple | None = None) -> MomentSet:
     """All moment quantities of each functional of the batch against the
-    bundle on [m, M], as arrays in the batch's sequence order."""
+    bundle on [m, M], as arrays in the batch's sequence order; ``slopes``
+    is phi' at m and at M, when the caller has read it."""
     return MomentSet(*_moment_sums(batch.nodes, batch.weights, batch.shapes,
-                                   batch.order, bundle, m, M))
+                                   batch.order, bundle, m, M, slopes=slopes))
 
 
 def moments(functional: DiscreteFunctional, bundle: FunctionBundle, m: float,
-            M: float, *, phi_vals: np.ndarray | None = None) -> MomentSet:
-    """All moment quantities of the functional against the bundle on [m, M];
-    ``phi_vals`` is f at the nodes, when the caller has evaluated it."""
+            M: float, *, phi_vals: np.ndarray | None = None,
+            slopes: tuple | None = None, extremes: tuple | None = None) -> MomentSet:
+    """All moment quantities of the functional against the bundle on [m, M].
+
+    A bound pass hands over what it holds: ``phi_vals``, f at the nodes;
+    ``slopes``, phi' at m and at M from its endpoint read, which the moment
+    pass then does not make again; and ``extremes``, the least and the
+    largest node, when it has run ``_checked_nodes`` itself, whose checked
+    f at the nodes is then ``phi_vals``."""
     _check_functional(functional)
     sums = _moment_sums(functional.nodes, functional.weights,
                         ((1, functional.nodes.size),), None, bundle, m, M,
-                        phi_vals)
+                        phi_vals, slopes, extremes)
     return MomentSet(*sums[:, 0].tolist())
 
 
@@ -547,13 +554,18 @@ class MomentBasis:
     sums: tuple
     places: tuple | None
 
-    def moments(self, bundle: FunctionBundle, derivative: bool) -> MomentSet:
+    def moments(self, bundle: FunctionBundle, derivative: bool,
+                slopes: tuple | None = None, phi_vals: np.ndarray | None = None
+                ) -> MomentSet:
         """The MomentSet of the bundle, equal to ``moments`` bit for bit;
         with ``derivative`` false phi' is not evaluated and d_lo and d_hi
-        are None."""
+        are None.  A caller hands over what it holds, as to ``moments``:
+        ``slopes``, phi' at m and at M from its endpoint read, and
+        ``phi_vals``, f at the nodes as ``_node_values`` has checked it."""
         x = self.nodes
-        phi_vals = _node_values(bundle.f, x)
-        dvals = _derivative_values(bundle, x, self.places) if derivative else None
+        if phi_vals is None:
+            phi_vals = _node_values(bundle.f, x)
+        dvals = _derivative_values(bundle, x, self.places, slopes) if derivative else None
         terms = np.empty((1 if dvals is None else 3, x.size))
         with np.errstate(over="ignore", invalid="ignore"):
             _phi_rows(phi_vals, dvals, self.lo, self.hi, terms)
@@ -577,35 +589,38 @@ def moment_basis(functional: DiscreteFunctional, m: float, M: float) -> MomentBa
 
 def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
                  bundle: FunctionBundle, m: float, M: float,
-                 phi_vals: np.ndarray | None = None) -> np.ndarray:
+                 phi_vals: np.ndarray | None = None, slopes: tuple | None = None,
+                 extremes: tuple | None = None) -> np.ndarray:
     """(quantity, functional) array of the MomentSet fields of the batch
     with these FunctionalBatch fields, without the derivative moments when
     the bundle cannot supply them.
 
     The bundle is evaluated once over the nodes of the whole batch (f only
-    when ``phi_vals`` does not already hold it); the rows of both writers
-    fill one array, whose blocks then reduce once each; the bundle's
-    domain rule comes first.
+    when ``phi_vals`` does not already hold it, phi' at an end only when
+    ``slopes`` does not), after the checks of ``_checked_nodes`` unless
+    ``extremes`` says the caller has run them (``moments``); the rows of
+    both writers fill one array, whose blocks then reduce once each, each
+    straight into its columns of the result.
     """
-    bundle._check_interval(m, M)
-    extremes = _check_nodes(x, m, M)
-    phi_vals = _node_values(bundle.f, x, phi_vals)
-    dvals = _derivative_values(bundle, x, _node_places(x, m, M, *extremes))
+    if extremes is None:
+        phi_vals, extremes = _checked_nodes(x, bundle, m, M, phi_vals)
+    dvals = _derivative_values(bundle, x, _node_places(x, m, M, *extremes), slopes)
     # terms and the basis rows come after the bundle's evaluations, on
     # purpose: with them first, a 400-row spline moments_batch took
     # 2.0-2.1 ms instead of 1.0-1.4 ms (best of 9 x 200 calls), likely as
     # the live array sits in the way of the spline's temporaries
     terms = np.empty((5 if dvals is None else 7, x.size))
+    sums = np.empty((len(terms), sum(count for count, _ in shapes)))
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = _basis_rows(x, m, M, terms)
         _phi_rows(phi_vals, dvals, lo, hi, terms[4:])
-        parts, start = [], 0
+        start = row = 0
         for count, k in shapes:
             stop = start + count * k
-            parts.append(_row_sums(weights[start:stop].reshape(count, k),
-                                   terms[:, start:stop].reshape(len(terms), count, k)))
-            start = stop
-    sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            _row_sums(weights[start:stop].reshape(count, k),
+                      terms[:, start:stop].reshape(len(terms), count, k),
+                      sums[:, row:row + count])
+            start, row = stop, row + count
     if order is not None:
         sums[:, order] = sums.copy()
     return sums
@@ -617,6 +632,17 @@ def _check_functional(functional: DiscreteFunctional) -> None:
     if not isinstance(functional, DiscreteFunctional):
         raise ValueError("expected a DiscreteFunctional, got "
                          f"{type(functional).__name__}")
+
+
+def _checked_nodes(x: np.ndarray, bundle: FunctionBundle, m: float, M: float,
+                   phi_vals: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+    """The checks of a moment pass, in the order of their messages: the
+    bundle's domain rule on [m, M], every node x in it, then f finite at
+    the nodes (``_node_values`` of ``phi_vals``); returns f at the nodes
+    and the least and the largest node."""
+    bundle._check_interval(m, M)
+    extremes = _check_nodes(x, m, M)
+    return _node_values(bundle.f, x, phi_vals), extremes
 
 
 def _check_nodes(x: np.ndarray, m: float, M: float) -> tuple[float, float]:
@@ -648,16 +674,18 @@ def _node_places(x: np.ndarray, m: float, M: float, least: float,
     """Where the nodes, the least of which is ``least`` and the largest
     ``most`` (_check_nodes), sit on [m, M]: None when every node is
     interior, or the mask of the interior nodes and each end that holds a
-    node with the mask of the nodes on it."""
-    ends = [(end, x == end) for end, held in ((m, least == m), (M, most == M)) if held]
-    return (~(ends[0][1] | ends[-1][1]), ends) if ends else None
+    node as (0 for m or 1 for M, the end, the mask of the nodes on it)."""
+    ends = [(side, end, x == end)
+            for side, end, held in ((0, m, least == m), (1, M, most == M)) if held]
+    return (~(ends[0][2] | ends[-1][2]), ends) if ends else None
 
 
-def _derivative_values(bundle: FunctionBundle, x: np.ndarray,
-                       places: tuple | None) -> np.ndarray | None:
-    """phi' at the nodes, two-sided in the interior and one-sided
-    (one ``derivs`` read) at the ends, given the ``places`` of the nodes
-    (``_node_places``); None when the bundle cannot supply it."""
+def _derivative_values(bundle: FunctionBundle, x: np.ndarray, places: tuple | None,
+                       slopes: tuple | None = None) -> np.ndarray | None:
+    """phi' at the nodes, two-sided in the interior and one-sided at the
+    ends, given the ``places`` of the nodes (``_node_places``): from
+    ``slopes``, phi' at m and at M, when the caller has read them, or else
+    from one ``derivs`` read; None when the bundle cannot supply it."""
     try:
         if places is None:
             return None if bundle.d1 is None else _eval(bundle.d1, x)
@@ -667,8 +695,9 @@ def _derivative_values(bundle: FunctionBundle, x: np.ndarray,
             if bundle.d1 is None:
                 return None
             out[interior] = _eval(bundle.d1, x[interior])
-        values = bundle.derivs([(1, end) for end, _ in ends])
-        for (_, at_end), value in zip(ends, values):
+        values = ([slopes[side] for side, _, _ in ends] if slopes is not None
+                  else bundle.derivs([(1, end) for _, end, _ in ends]))
+        for (_, _, at_end), value in zip(ends, values):
             out[at_end] = value
         return out
     except ValueError:
@@ -702,8 +731,13 @@ def _phi_rows(phi_vals: np.ndarray, dvals: np.ndarray | None, lo: np.ndarray,
         np.multiply(hi, dvals, out=out[2])
 
 
-def _row_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _row_sums(w: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(row, functional) sums of ``rows`` (row, functional, k) under the
-    weights ``w`` (functional, k) of a block: one stacked product, which
-    computes every row exactly as ``w @ v`` computes one functional."""
-    return (w[:, None, :] @ rows[..., None])[..., 0, 0]
+    weights ``w`` (functional, k) of a block, written to ``out`` when given
+    (a view, so a batch's blocks fill one array): one stacked product,
+    which computes every row exactly as ``w @ v`` computes one
+    functional."""
+    if out is None:
+        return (w[:, None, :] @ rows[..., None])[..., 0, 0]
+    np.matmul(w[:, None, :], rows[..., None], out=out[..., None, None])
+    return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divided_diff import FunctionBundle, _is_number
-from .elr_bounds import THEOREMS, _certified, _excess, theorem_triple
+from .elr_bounds import THEOREMS, _certified, _excess, _read_ends, _slopes, theorem_triple
 from .functionals import (
     DiscreteFunctional,
     FunctionalBatch,
@@ -327,9 +327,12 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = TOLERANCE) -> Fuz
         targets = [(target, _certified(target, m, M)[1])
                    for target in (bundle, bundle.negated())]
         functionals = random_functionals(rng, m, M, take)
-        ms = moments_batch(functionals, bundle, m, M)
+        # one endpoint read for the moments (every batch has rows pinned to
+        # m and M) and all three theorems
+        ends = _read_ends(bundle, m, M, THEOREMS)
+        ms = moments_batch(functionals, bundle, m, M, slopes=_slopes(ends))
         # (theorem, lower/mid/upper, functional)
-        triples = np.array([theorem_triple(theorem, ms, bundle, m, M)
+        triples = np.array([theorem_triple(theorem, ms, bundle, m, M, ends)
                             for theorem in THEOREMS])
         # excess[i, o, t]: functional i, orientation o (direct, then
         # reversed), theorem t, so that argwhere lists records in the

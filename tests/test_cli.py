@@ -88,6 +88,26 @@ class TestBounds:
     def test_missing_file_is_input_error(self):
         assert main(["bounds", "--input", "/nonexistent/input.json"]) == 1
 
+    @pytest.mark.parametrize("raw", ["[1, 2]", '"x"', " 3", "null"])
+    def test_inline_json_that_is_not_an_object(self, raw, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where no file has these names
+        assert main(["bounds", "--input", raw]) == 1
+        assert capsys.readouterr().err == "error: input must be a JSON object\n"
+
+    @pytest.mark.parametrize("raw", ["/nonexistent/input.json", "input.json", "[1, 2"])
+    def test_missing_file_that_is_no_json(self, raw, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bounds", "--input", raw]) == 1
+        assert capsys.readouterr().err == f"error: input file not found: {raw}\n"
+
+    def test_file_named_like_json_is_read(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        payload = {"functional": {"nodes": [0.5], "weights": [1.0]},
+                   "interval": [0, 1], "phi": {"name": "cubic"}}
+        (tmp_path / "[1, 2]").write_text(json.dumps(payload))
+        assert main(["bounds", "--input", "[1, 2]"]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"] == payload
+
     def test_bad_weights_is_input_error(self, capsys):
         payload = {
             "functional": {"nodes": [0.5], "weights": [0.5, 0.6]},

@@ -13,6 +13,7 @@ from elrbounds import (
     FunctionBundle,
     bounds,
     certify_3convex,
+    divergence_context,
     elr_context,
     elr_difference,
     gamma,
@@ -24,7 +25,7 @@ from elrbounds.cli import RunConfig, dump_report, main, run
 from elrbounds.divergences import divergence_pass
 from elrbounds.elr_bounds import BoundReport, theorem_triple
 from elrbounds.functionals import make_functionals, moments, moments_batch
-from elrbounds.fuzzing import bracket_fuzz
+from elrbounds.fuzzing import BATCH, bracket_fuzz
 from elrbounds.registry import resolve_phi
 
 from counting import counted, counting_bundle
@@ -453,13 +454,13 @@ class TestEndpointRead:
 
 class TestOnePassRead:
     """A bound pass reads phi, phi' and phi'' at m and M in one ``derivs``
-    call for all its theorems, besides the moment pass's read of phi' at
-    the nodes on an end, and refuses what it refuses in the order of a read
-    per theorem."""
+    call for all its theorems and its moment pass, which takes phi' at the
+    nodes on an end from it, and refuses what it refuses in the order of a
+    read per theorem."""
 
     P, Q = [0.1, 0.25, 0.3, 0.35], [0.3, 0.2, 0.4, 0.1]  # ratios ~1/3, 1.25, 0.75, 3.5
-    # (command, payload, the ends (0 for m, 1 for M) that hold a node, where
-    # the moment pass reads phi')
+    # (command, payload, the ends (0 for m, 1 for M) that hold a node, whose
+    # phi' the moment pass takes from the one read)
     CASES = [
         ("divergence", {"distributions": {"p": P, "q": Q}, "phi": {"name": "kl"}},
          (0, 1)),
@@ -485,9 +486,10 @@ class TestOnePassRead:
             assert status == 0
             assert len(report["reports"]) == (2 if command == "divergence" else 3)
             interval = report["interval"]
-            node_read = [[(1, interval[end]) for end in held]] if held else []
-            ends = [(order, x) for order in (0, 1, 2) for x in interval]
-            assert reads == node_read + [ends], payload
+            nodes = payload.get("functional", {}).get("nodes") or np.divide(
+                *payload["distributions"].values())
+            assert [end for end in (0, 1) if interval[end] in nodes] == list(held)
+            assert reads == [[(order, x) for order in (0, 1, 2) for x in interval]], payload
             digest.update(dump_report(report).encode())
         assert digest.hexdigest() == self.REPORTS_SHA256
 
@@ -521,6 +523,70 @@ class TestOnePassRead:
             divergence_pass(self.P, self.Q, gen, 0.25, 3.5)
         assert str(err.value) == ("insufficient bundle: first derivative moment of "
                                   "'t*log(t)' unavailable")
+
+
+class TestOneReadPerPass:
+    """Every bound pass reads phi, phi' (and phi'') at m and M in one
+    ``FunctionBundle.derivs`` call, which also gives its moment pass phi'
+    at the nodes on an end; a divergence pass runs the bundle's domain
+    rule once."""
+
+    P, Q = TestOnePassRead.P, TestOnePassRead.Q
+    # nodes on both ends of [0.5, 2.5], and one inside
+    F = make_functional([0.5, 1.0, 2.5], [0.25, 0.5, 0.25])
+
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        calls = []
+        derivs = FunctionBundle.derivs
+        monkeypatch.setattr(FunctionBundle, "derivs",
+                            lambda *args: calls.append(1) or derivs(*args))
+        return calls
+
+    def test_divergence_pass(self, entered):
+        for gen in (generator("kl"), generator("renyi", 3.0), generator("harmonic")):
+            for interval in ((), (0.25, 4.0)):  # nodes on both ends, then none
+                for theorems in (("derivative",), ("taylor",), ("derivative", "taylor")):
+                    entered.clear()
+                    divergence_pass(self.P, self.Q, gen, *interval, theorems=theorems)
+                    assert len(entered) == 1, (gen.name, interval, theorems)
+
+    def test_divergence_pass_checks_its_interval_once(self, monkeypatch):
+        checked = []
+        check = FunctionBundle._check_interval
+        monkeypatch.setattr(FunctionBundle, "_check_interval",
+                            lambda *args: checked.append(args[1:]) or check(*args))
+        for interval in ((), (0.25, 4.0)):
+            checked.clear()
+            _, reports = divergence_pass(self.P, self.Q, generator("kl"), *interval)
+            assert checked == [(reports[0].details["m"], reports[0].details["M"])]
+
+    def test_bounds(self, entered):
+        for theorem in THEOREMS:
+            entered.clear()
+            bounds(theorem, self.F, counting_bundle([]), 0.5, 2.5)
+            assert len(entered) == 1, theorem
+
+    def test_cli_bounds(self, entered):
+        payload = {"functional": {"nodes": [-1.0, 0.5, 2.0], "weights": [0.3, 0.4, 0.3]},
+                   "interval": [-1, 2], "phi": {"name": "cubic"}}
+        for theorem in (None, *THEOREMS):
+            entered.clear()
+            status, _ = run(RunConfig(command="bounds", payload=dict(
+                payload, **({} if theorem is None else {"theorem": theorem}))))
+            assert status == 0 and len(entered) == 1, theorem
+
+    def test_gamma(self, entered):
+        contexts = [elr_context(i, self.F, 0.5, 2.5) for i in range(1, 7)]
+        contexts += [divergence_context(i, self.P, self.Q) for i in range(7, 11)]
+        for ctx in contexts:
+            entered.clear()
+            gamma(ctx, QUARTIC)
+            assert len(entered) == 1, ctx.index
+
+    def test_bracket_fuzz_batch(self, entered):
+        bracket_fuzz(seed=3, instances=5 * BATCH)
+        assert len(entered) == 5
 
 
 class TestExcessPaths:
