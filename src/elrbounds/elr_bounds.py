@@ -118,6 +118,26 @@ def _certified(bundle: FunctionBundle, m: float, M: float
     return cert, ORIENT_DIRECT if cert.verdict == THREE_CONVEX else ORIENT_REVERSED
 
 
+def _negated_orientation(bundle: FunctionBundle, m: float, M: float,
+                         cert: ConvexityCertificate) -> str:
+    """The orientation ``_certified`` gives ``bundle.negated()`` on [m, M],
+    read off the bundle's own directed certificate ``cert``.
+
+    -phi's samples are the exact negations of phi's (negation commutes with
+    a sampled d3 and with the divided-difference table's - and /), so a
+    neg_three_convex phi gives a three_convex -phi, and a three_convex phi
+    a neg_three_convex -phi unless every sample is within the tolerance of
+    0.  With d3's samples, which are finite, that is an identically zero
+    d3, three_convex both ways, whose witness is 0; a table's samples may
+    hold an inf, which makes the tolerance infinite and which the
+    certificate does not show.  Both cases certify -phi itself."""
+    if cert.verdict != THREE_CONVEX:
+        return ORIENT_DIRECT
+    if cert.min_witness == 0 or bundle.d3 is None:
+        return _certified(bundle.negated(), m, M)[1]
+    return ORIENT_REVERSED
+
+
 def _end_reads(m: float, M: float, order: int) -> tuple:
     """The (order, x) reads of phi and its derivatives up to ``order`` at m
     and at M, in that order."""

@@ -51,17 +51,24 @@ class DiscreteFunctional:
     weights: np.ndarray
 
     def __post_init__(self):
-        for label in ("nodes", "weights"):
-            values = getattr(self, label)
-            if not (isinstance(values, np.ndarray) and values.ndim == 1
-                    and values.dtype.kind in "iuf"):
-                raise ValueError(f"{label} must be a flat array of numbers")
-            object.__setattr__(self, label, values.astype(float, copy=False))
+        _store_floats(self)
         _check_fields(self.nodes, self.weights)
 
     @property
     def size(self) -> int:
         return self.nodes.size
+
+
+def _store_floats(fields) -> None:
+    """The nodes and weights of a hand-built functional or batch, each
+    of which must be a flat numeric array, stored as float64 (a float64
+    array as given)."""
+    for label in ("nodes", "weights"):
+        values = getattr(fields, label)
+        if not (isinstance(values, np.ndarray) and values.ndim == 1
+                and values.dtype.kind in "iuf"):
+            raise ValueError(f"{label} must be a flat array of numbers")
+        object.__setattr__(fields, label, values.astype(float, copy=False))
 
 
 def _functional(nodes: np.ndarray, weights: np.ndarray) -> DiscreteFunctional:
@@ -201,12 +208,26 @@ class FunctionalBatch:
     another; ``shapes`` gives the (rows, nodes per row) of each block and
     ``order`` the index in the sequence of each row (None: the rows are in
     sequence order).
+
+    Built by hand (or by ``dataclasses.replace``), it is refused with
+    make_functionals' messages unless every row already is a functional:
+    flat numeric arrays, stored as float64 (a float64 array as given), the
+    block shapes and sizes, finite nodes, the check_weights rule per row
+    and an ``order`` that is a permutation; it is never renormalized.  The
+    package's builders, make_functionals and random_functionals, skip this
+    check (``_landed_batch``).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     shapes: tuple
     order: np.ndarray | None = None
+
+    def __post_init__(self):
+        _store_floats(self)
+        order = _check_rows(self.nodes, self.weights, _row_sizes(self.shapes), self.order)
+        object.__setattr__(self, "shapes", tuple(self.shapes))
+        object.__setattr__(self, "order", order)
 
     def __len__(self) -> int:
         return sum(count for count, _ in self.shapes)
@@ -230,13 +251,25 @@ class FunctionalBatch:
 def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
                      order: np.ndarray | None = None) -> FunctionalBatch:
     """A batch of functionals from flat nodes and weights laid out as
-    FunctionalBatch stores them: validated in one pass (block shapes that
-    are pairs of integers (rows >= 0, nodes >= 1), finite nodes, the
-    check_weights rule per row, an ``order`` that is a permutation of the
-    row indices), then each row renormalized (_normalize)."""
+    FunctionalBatch stores them, which it copies: validated in one pass
+    (block shapes that are pairs of integers (rows >= 0, nodes >= 1),
+    finite nodes, the check_weights rule per row, an ``order`` that is a
+    permutation of the row indices), then built by ``_landed_batch``, which
+    renormalizes each row."""
     sizes = _row_sizes(shapes)
     nodes = np.array(nodes, dtype=float)
     weights = np.array(weights, dtype=float)
+    order = _check_rows(nodes, weights, sizes, order)
+    return _landed_batch(nodes, weights, shapes, order)
+
+
+def _check_rows(nodes: np.ndarray, weights: np.ndarray, sizes: np.ndarray,
+                order) -> np.ndarray | None:
+    """The rules of a batch on flat float nodes and weights whose rows have
+    the entry counts ``sizes``, in the order of their messages: the sizes
+    agree, ``order`` (returned as an array) is None or a permutation of
+    the row indices, the nodes are finite and each row of weights meets
+    the check_weights rule."""
     if not nodes.shape == weights.shape == (sizes.sum(),):
         raise ValueError("nodes, weights and block shapes differ in size")
     if order is not None:
@@ -247,11 +280,25 @@ def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
             raise ValueError(f"order must be a permutation of range({count})")
     _check_finite(nodes)
     _check_entries(weights, "functional")
-    sums = _weight_sums(weights, sizes)
-    _check_sums(weights, sums, "functional")
+    _check_sums(weights, _weight_sums(weights, sizes), "functional")
+    return order
+
+
+def _landed_batch(nodes: np.ndarray, weights: np.ndarray, shapes,
+                  order: np.ndarray | None) -> FunctionalBatch:
+    """The batch of flat float nodes and weights that meet make_functionals'
+    rules (checked there, or a fuzz draw, which meets them by
+    construction), which it keeps: each row of weights divided by its sum
+    and landed (_normalize), both arrays made read-only, without
+    __post_init__'s check.  The one builder of a landed batch."""
+    sizes = _block_sizes(shapes)
     nodes.flags.writeable = False
-    return FunctionalBatch(nodes, _normalize(weights, sizes, sums),
-                           tuple(shapes), order)
+    batch = object.__new__(FunctionalBatch)
+    for label, value in (("nodes", nodes),
+                         ("weights", _normalize(weights, sizes, _weight_sums(weights, sizes))),
+                         ("shapes", tuple(shapes)), ("order", order)):
+        object.__setattr__(batch, label, value)
+    return batch
 
 
 def _row_sizes(shapes) -> np.ndarray:
@@ -268,6 +315,12 @@ def _row_sizes(shapes) -> np.ndarray:
             pass
         raise ValueError("each block shape must be a pair of integers (rows >= 0, "
                          f"nodes >= 1), got {shape!r}")
+    return _block_sizes(shapes)
+
+
+def _block_sizes(shapes) -> np.ndarray:
+    """Each row's entry count, in layout order, of the blocks ``shapes``,
+    which meet _row_sizes' rule."""
     return np.repeat(np.array([k for _, k in shapes], dtype=int),
                      [count for count, _ in shapes])
 

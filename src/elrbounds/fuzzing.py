@@ -16,20 +16,20 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divided_diff import FunctionBundle, _is_number
-from .elr_bounds import THEOREMS, _certified, _excess, _read_ends, _slopes, theorem_triple
+from .elr_bounds import (THEOREMS, _certified, _excess, _negated_orientation, _read_ends,
+                         _slopes, theorem_triple)
 from .functionals import (
     DiscreteFunctional,
     FunctionalBatch,
     _divide_rows,
+    _landed_batch,
     _weight_sums,
     make_functional,
-    make_functionals,
     moments_batch,
 )
 from .registry import resolve_phi
@@ -167,8 +167,8 @@ def random_functional(rng: np.random.Generator, m: float,
 def random_functionals(rng: np.random.Generator, m: float, M: float,
                        count: int) -> FunctionalBatch:
     """``count`` draws of ``random_functional``, with the same draws from
-    the generator in the same order, grouped by node count and validated
-    in one pass.
+    the generator in the same order, grouped by node count and landed as
+    one batch.
 
     Each row draws one bounded integer, its node count k, as
     ``rng.integers(1, MAX_NODES + 1)`` does, then 2k + 1 doubles (2 when
@@ -188,14 +188,23 @@ def random_functionals(rng: np.random.Generator, m: float, M: float,
     a Generator on ``np.random.PCG64``, as ``default_rng`` makes.  Any
     other generator, a count that is not an integer >= 1 and an interval
     with m > M or a non-finite length are refused before any draw.
+
+    The draw meets make_functionals' rules by construction, so it is
+    landed (``functionals._landed_batch``) without a second check or copy:
+    its nodes lie in [m, M], its weights are positive rows divided by their
+    sums, its block shapes come from the walk and its order is a
+    permutation.  The batch is make_functionals' batch of the draw, bit
+    for bit.
     """
-    return make_functionals(*_draw(rng, m, M, count))
+    return _landed_batch(*_draw(rng, m, M, count))
 
 
 def _draw(rng: np.random.Generator, m: float, M: float, count: int) -> tuple:
     """The draw of ``random_functionals``, with its refusals: the flat
     nodes and weights, each row divided by its sum, the block shapes and
-    the order, as make_functionals takes them."""
+    the order, as make_functionals takes them.  The rows are grouped in
+    numpy from each row's node count: the blocks in the order of each
+    count's first row, a block's rows in draw order."""
     if not (_is_number(count, numbers.Integral) and count >= 1):
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
     m, M = float(m), float(M)
@@ -215,7 +224,7 @@ def _draw(rng: np.random.Generator, m: float, M: float, count: int) -> tuple:
     per_row = bound + 3  # a little above the mean words of a row
     raw = bit_generator.random_raw(count * per_row + room)
     words, size, pos = memoryview(raw), raw.size, 0
-    rows: dict[int, list] = defaultdict(list)  # row indices by k, in order
+    ks = []  # each row's node count, in draw order
     starts = []  # each row's first double word
     for index in range(count):
         while True:
@@ -236,7 +245,7 @@ def _draw(rng: np.random.Generator, m: float, M: float, count: int) -> tuple:
             if scaled & 0xFFFFFFFF >= threshold:
                 k = 1 + (scaled >> 32)
                 break
-        rows[k].append(index)
+        ks.append(k)
         starts.append(pos)
         pos += 2 * k + (k >= 2)
     bit_generator.state = entry
@@ -245,8 +254,17 @@ def _draw(rng: np.random.Generator, m: float, M: float, count: int) -> tuple:
     after["has_uint32"], after["uinteger"] = buffered, half
     bit_generator.state = after
 
-    order = np.array([index for group in rows.values() for index in group])
-    sizes = np.array([k for k, group in rows.items() for _ in group])
+    ks = np.array(ks, dtype=np.intp)
+    counts = np.bincount(ks)
+    present = np.flatnonzero(counts)
+    # each k's first row heads its run in a stable sort by k; the blocks
+    # follow their first rows, and a block's rows the draw
+    firsts = np.argsort(ks, kind="stable")[np.cumsum(counts[present]) - counts[present]]
+    lead = np.empty_like(counts)
+    lead[present] = firsts
+    order = np.argsort(lead[ks], kind="stable")
+    blocks = present[np.argsort(firsts)]
+    sizes = ks[order]
     first = np.array(starts)[order]
     ends = np.cumsum(sizes)
     row_start = ends - sizes
@@ -260,7 +278,7 @@ def _draw(rng: np.random.Generator, m: float, M: float, count: int) -> tuple:
     nodes[pinned + 1] = M
     weights = _doubles(raw[weight_words]) + 1e-12
     _divide_rows(weights, sizes, _weight_sums(weights, sizes))
-    return nodes, weights, [(len(group), k) for k, group in rows.items()], order
+    return nodes, weights, list(zip(counts[blocks].tolist(), blocks.tolist())), order
 
 
 def _doubles(words: np.ndarray) -> np.ndarray:
@@ -306,7 +324,9 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = TOLERANCE) -> Fuz
 
     Each batch draws one bundle and BATCH functionals and evaluates
     them together; the reversed orientation is the negated bundle, whose
-    triples are the exact negations of the direct ones.  Returns a report
+    triples are the exact negations of the direct ones and whose
+    orientation is read off the bundle's one certificate
+    (``elr_bounds._negated_orientation``).  Returns a report
     whose violations (sorted by magnitude, largest first) carry enough of
     the instance to reproduce it.  ``seed`` must be an integer >= 0.
     """
@@ -324,8 +344,9 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = TOLERANCE) -> Fuz
         name = _POOL[int(rng.integers(len(_POOL)))]
         m, M = draw_interval(rng, name)
         bundle = draw_bundle(rng, name, m, M)
-        targets = [(target, _certified(target, m, M)[1])
-                   for target in (bundle, bundle.negated())]
+        cert, orientation = _certified(bundle, m, M)
+        orientations = (orientation, _negated_orientation(bundle, m, M, cert))
+        names = [bundle.name, None]  # the negated name once a record needs it
         functionals = random_functionals(rng, m, M, take)
         # one endpoint read for the moments (every batch has rows pinned to
         # m and M) and all three theorems
@@ -339,16 +360,17 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = TOLERANCE) -> Fuz
         # order of one functional at a time; each orientation is one
         # _excess pass over all theorems
         excess = np.stack([
-            _excess(*(sign * triples).swapaxes(0, 1), orientation)
-            for sign, (_, orientation) in zip((1.0, -1.0), targets)]).transpose(2, 0, 1)
+            _excess(*(sign * triples).swapaxes(0, 1), oriented)
+            for sign, oriented in zip((1.0, -1.0), orientations)]).transpose(2, 0, 1)
         for index, o, t in np.argwhere(excess > tolerance):
-            target, orientation = targets[o]
+            if names[o] is None:
+                names[o] = bundle.negated().name
             functional = functionals.functional(index)
             violations.append({
                 "theorem": THEOREMS[t],
-                "orientation": orientation,
+                "orientation": orientations[o],
                 "violation": float(excess[index, o, t]),
-                "phi": target.name,
+                "phi": names[o],
                 "interval": [m, M],
                 "nodes": functional.nodes.tolist(),
                 "weights": functional.weights.tolist(),

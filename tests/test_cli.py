@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from counting import count_calls
 from elrbounds.cli import RunConfig, build_parser, dump_report, main
 from elrbounds.divergences import GENERATOR_NAMES
 from elrbounds.registry import BUILTIN_NAMES
@@ -792,27 +793,6 @@ class TestOnePass:
     """A command validates its input and computes its moments once, however
     many theorems it reports."""
 
-    @staticmethod
-    def count_calls(monkeypatch, names):
-        """Wrap each named elrbounds function in every module namespace
-        that holds it, where its callers look it up; the call counts."""
-        counts = dict.fromkeys(names, 0)
-        modules = [mod for key, mod in sys.modules.items()
-                   if key == "elrbounds" or key.startswith("elrbounds.")]
-        for name in names:
-            home, attr = name.rsplit(".", 1)
-            original = getattr(sys.modules[f"elrbounds.{home}"], attr)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            for mod in modules:
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, key, counted)
-        return counts
-
     @pytest.mark.parametrize("command,payload,expected", [
         ("divergence", {"distributions": PAIR, "phi": {"name": "kl"}},
          {"divergences.ratio_functional": 1, "functionals.moments": 1}),
@@ -825,7 +805,7 @@ class TestOnePass:
                                          expected):
         from elrbounds import cli
 
-        counts = self.count_calls(monkeypatch, expected)
+        counts = count_calls(monkeypatch, expected)
         status, report = cli.run(cli.RunConfig(command=command, payload=payload))
         assert status == 0
         assert len(report["reports"]) == (2 if command != "bounds" else 3)
@@ -841,7 +821,7 @@ class TestOnePass:
         if theorem is not None:
             payload["theorem"] = theorem
         names = ("functionals.moments", "elr_bounds._triple")
-        counts = self.count_calls(monkeypatch, names)
+        counts = count_calls(monkeypatch, names)
         status, report = cli.run(cli.RunConfig(command="bounds", payload=payload))
         assert status == 0
         assert len(report["reports"]) == (3 if theorem is None else 1)
@@ -859,7 +839,7 @@ class TestOnePass:
 
         names = ("divergences.check_probability_vector",
                  "divergences.f_divergence")
-        counts = self.count_calls(monkeypatch, names)
+        counts = count_calls(monkeypatch, names)
         status, report = cli.run(cli.RunConfig(command=command, payload=payload))
         assert status == 0
         assert math.isfinite(report["divergence"])
@@ -880,7 +860,7 @@ class TestOnePass:
                  "divergences.f_divergence", "divergences.ratio_functional",
                  "functionals.moments", "functionals.make_functional",
                  "functionals.make_functionals")
-        counts = self.count_calls(monkeypatch, names)
+        counts = count_calls(monkeypatch, names)
         node_evaluations = []
         resolve = cli.resolve_generator
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -393,6 +394,80 @@ class TestBatchShapes:
         batch = make_functionals([0.25, 0.75, 0.4, 0.75, 0.5], [0.5] * 4 + [1.0], shapes)
         assert len(batch) == 3
         assert moments_batch(batch, CUBIC, 0.0, 1.0).mean.tolist() == [0.5, 0.575, 0.5]
+
+
+class TestHandBuiltBatch:
+    """A FunctionalBatch built by hand, or by dataclasses.replace, is refused
+    with make_functionals' messages unless each row already is a
+    functional; it is never renormalized.  Without the check a negative
+    weight reached moments_batch, and functional(0) handed out a
+    DiscreteFunctional with weights [2, -1]; an order [0, 0] reported one
+    row twice; and a nan node was refused only by the moment pass."""
+
+    # rows [0.5, 0.6] and [0.7]
+    NODES, WEIGHTS, SHAPES = np.array([0.5, 0.6, 0.7]), np.array([0.25, 0.75, 1.0]), ((1, 2), (1, 1))
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(weights=np.array([2.0, -1.0, 5.0])), "negative weight in functional"),
+        (dict(weights=np.array([0.25, 0.75, 5.0])),
+         "weights of functional must sum to 1 (got a weight 5.0)"),
+        (dict(weights=np.array([0.25, 0.5, 1.0])), "weights of functional must sum to 1 (got 0.75)"),
+        (dict(weights=np.array([0.25, np.nan, 1.0])), "non-finite weight in functional"),
+        (dict(nodes=np.array([0.5, np.nan, 0.7])), "nodes must be finite"),
+        (dict(order=np.array([0, 0])), "order must be a permutation of range(2)"),
+        (dict(order=np.array([0.0, 1.0])), "order must be a permutation of range(2)"),
+        (dict(order=[1]), "order must be a permutation of range(2)"),
+        (dict(shapes=((1, 2), (1, 0))),
+         "each block shape must be a pair of integers (rows >= 0, nodes >= 1), got (1, 0)"),
+        (dict(shapes=((1, 2),)), "nodes, weights and block shapes differ in size"),
+        (dict(nodes=np.array([0.5, 0.6])), "nodes, weights and block shapes differ in size"),
+        (dict(nodes=np.array([]), weights=np.array([]), shapes=()), "functional has no weights"),
+        (dict(nodes=[0.5, 0.6, 0.7]), "nodes must be a flat array of numbers"),
+        (dict(weights=np.array([[0.25, 0.75, 1.0]])), "weights must be a flat array of numbers"),
+        (dict(weights=np.array([True, True, True])), "weights must be a flat array of numbers"),
+    ], ids=["negative", "weight-above-one", "sum-short", "nan-weight", "nan-node", "repeated-row",
+            "float-order", "short-order", "empty-block", "short-shapes", "short-nodes", "empty",
+            "list-nodes", "two-dimensional", "bool-weights"])
+    def test_refused_with_make_functionals_messages(self, fields, message):
+        given = dict(nodes=self.NODES, weights=self.WEIGHTS, shapes=self.SHAPES, order=None)
+        given.update(fields)
+        builds = [lambda: functionals.FunctionalBatch(**given),
+                  lambda: dataclasses.replace(make_functionals(self.NODES, self.WEIGHTS,
+                                                               self.SHAPES), **fields)]
+        if "flat array" not in message:
+            builds.append(lambda: make_functionals(**given))
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_accepted_as_given(self):
+        """Nothing is renormalized and float64 arrays are kept: a row
+        summing to 1 + 4e-10 stays so, as DiscreteFunctional keeps one."""
+        weights = np.array([0.5, 0.5 + 4e-10, 1.0])
+        order = np.array([1, 0])
+        batch = functionals.FunctionalBatch(self.NODES, weights, [(1, 2), (1, 1)], order)
+        assert batch.nodes is self.NODES and batch.weights is weights and batch.order is order
+        assert batch.shapes == ((1, 2), (1, 1))
+        assert batch.functional(1).weights.tobytes() == weights[:2].tobytes()
+        assert moments_batch(batch, CUBIC, 0.0, 1.0).mean.tolist() == [
+            0.7, float(weights[:2] @ self.NODES[:2])]
+
+    def test_numeric_arrays_stored_as_float64(self):
+        batch = functionals.FunctionalBatch(self.NODES.astype(np.float32),
+                                            np.array([1, 0, 1]), self.SHAPES, [0, 1])
+        assert batch.nodes.dtype == batch.weights.dtype == np.float64
+        assert batch.weights.tolist() == [1.0, 0.0, 1.0]
+        assert batch.order.tolist() == [0, 1]
+
+    def test_builders_skip_the_check(self, monkeypatch):
+        """make_functionals checks its fields once, and random_functionals
+        lands its draw without a check: neither runs __post_init__."""
+        def checked(self):
+            raise AssertionError("a built batch was checked again")
+
+        monkeypatch.setattr(functionals.FunctionalBatch, "__post_init__", checked)
+        make_functionals(self.NODES, self.WEIGHTS, self.SHAPES, [1, 0])
+        fuzzing.random_functionals(np.random.default_rng(1), 0.0, 1.0, 50)
 
 
 class TestWeightSums:

@@ -18,10 +18,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from counting import count_calls
 from elrbounds import functionals, fuzzing
 from elrbounds.divergences import ratio_functional
-from elrbounds.divided_diff import certify_3convex, check_bundle
-from elrbounds.elr_bounds import THEOREMS, bounds, theorem_triple
+from elrbounds.divided_diff import FunctionBundle, certify_3convex, check_bundle
+from elrbounds.elr_bounds import THEOREMS, _certified, _negated_orientation, bounds, theorem_triple
 from elrbounds.functionals import make_functional, make_functionals, moments, moments_batch
 from elrbounds.functionals import row_blocks
 from elrbounds.fuzzing import (
@@ -147,7 +148,7 @@ def test_single_draw_lands_on_the_one_row_path(monkeypatch):
         raise AssertionError("a single draw was landed as a batch")
 
     monkeypatch.setattr(functionals, "_land_batch", no_batch)
-    monkeypatch.setattr(fuzzing, "make_functionals", no_batch)
+    monkeypatch.setattr(fuzzing, "_landed_batch", no_batch)
     rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(200):
         F = random_functional(rng, -2.0, 0.5)
@@ -707,3 +708,147 @@ def test_fsum_and_one_add_round_ties_to_even(row, expected):
         canonical = np.array([[A], [B >> 26], [B & (2**26 - 1)]])
         assert functionals._limb_sums(canonical)[0] == expected
         assert functionals._limb_sums(limbs.sum(axis=1, keepdims=True))[0] == expected
+
+
+# -phi's orientation read off phi's certificate.  Negation commutes with a
+# sampled d3 and with the divided-difference table's - and /, so -phi's
+# samples are the exact negations of phi's, and its orientation is the
+# opposite of phi's, except where phi's d3 samples are all zero: such a phi
+# is three_convex with witness 0, and so is -phi (README, "Notes on
+# semantics").
+
+def opposite_unless_zero(bundle, m, M):
+    """-bundle's orientation on [m, M] as the mirror of bundle's
+    certificate, ``direct`` for a witness of 0."""
+    cert, orientation = _certified(bundle, m, M)
+    if cert.verdict == "three_convex" and cert.min_witness == 0:
+        return "direct"
+    return {"direct": "reversed", "reversed": "direct"}[orientation]
+
+
+def assert_mirrored(bundle, m, M):
+    assert opposite_unless_zero(bundle, m, M) == _certified(bundle.negated(), m, M)[1]
+
+
+@pytest.mark.parametrize("name", fuzzing._POOL)
+def test_reversed_orientation_mirrors_the_direct_certificate(name):
+    rng = np.random.default_rng(39)
+    for _ in range(2000):
+        m, M = fuzzing.draw_interval(rng, name)
+        assert_mirrored(fuzzing.draw_bundle(rng, name, m, M), m, M)
+
+
+@pytest.mark.parametrize("zero", [np.zeros_like, lambda x: 0.0 * x, lambda x: -0.0 * x],
+                         ids=["zeros", "+0", "-0"])
+def test_identically_zero_third_derivative_is_direct_both_ways(zero):
+    bundle = FunctionBundle(domain_lo=-10.0, domain_hi=10.0, f=lambda x: x * x,
+                            d1=lambda x: 2.0 * x, d2=lambda x: 2.0 + 0.0 * x, d3=zero)
+    for m, M in ((-1.0, 2.0), (0.0, 3.0), (0.5, 0.75)):
+        assert _certified(bundle, m, M)[1] == _certified(bundle.negated(), m, M)[1] == "direct"
+        assert_mirrored(bundle, m, M)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-300, 5e-324, 2.0**-1070])
+def test_tiny_negative_cube_is_mirrored(c):
+    """-c x^3 / 6 has d3 = -c, as small as the least subnormal."""
+    bundle = FunctionBundle(domain_lo=-10.0, domain_hi=10.0, f=lambda x: -c * x ** 3 / 6.0,
+                            d1=lambda x: -c * x * x / 2.0, d2=lambda x: -c * x,
+                            d3=lambda x: np.full(np.shape(x), -c))
+    for m, M in ((-1.0, 2.0), (0.1, 0.2)):
+        assert _certified(bundle, m, M)[1] == "reversed"
+        assert_mirrored(bundle, m, M)
+
+
+@pytest.mark.parametrize("name", ["cubic", "quartic", "exp", "xlogx"])
+@pytest.mark.parametrize("keep", ["f, d1", "f"])
+def test_table_fallback_is_mirrored(name, keep):
+    """Without d3 the certificate samples the divided-difference table, on
+    (t, t, x, y) with d1 and on quadruples of points without it."""
+    full = resolve_phi({"name": name})
+    bundle = replace(full, d3=None, d2=None, **({} if keep == "f, d1" else {"d1": None}))
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        m, M = fuzzing.draw_interval(rng, name)
+        assert_mirrored(bundle, m, M)
+
+
+def orientation_cases():
+    """(bundle, m, M) cases for -phi's orientation: the pool over drawn
+    intervals, an identically zero d3, tiny negative cubes and the table
+    without d3."""
+    rng = np.random.default_rng(40)
+    for name in fuzzing._POOL:
+        for _ in range(100):
+            m, M = fuzzing.draw_interval(rng, name)
+            yield fuzzing.draw_bundle(rng, name, m, M), m, M
+    quadratic = FunctionBundle(domain_lo=-10.0, domain_hi=10.0, f=lambda x: x * x,
+                               d1=lambda x: 2.0 * x, d2=lambda x: 2.0 + 0.0 * x,
+                               d3=np.zeros_like)
+    yield quadratic, -1.0, 2.0
+    for c in (1e-300, 5e-324):
+        yield FunctionBundle(domain_lo=-10.0, domain_hi=10.0, f=lambda x, c=c: -c * x ** 3 / 6.0,
+                             d3=lambda x, c=c: np.full(np.shape(x), -c)), 0.1, 0.2
+    for name in ("cubic", "xlogx"):
+        full = resolve_phi({"name": name})
+        for fields in (dict(d2=None, d3=None), dict(d1=None, d2=None, d3=None)):
+            yield replace(full, **fields), 0.25, 2.0
+
+
+def test_negated_orientation_is_the_certified_one():
+    for bundle, m, M in orientation_cases():
+        cert, _ = _certified(bundle, m, M)
+        assert _negated_orientation(bundle, m, M, cert) == _certified(bundle.negated(), m, M)[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_table_with_an_infinite_sample_certifies_the_negation():
+    """x^3 with a jump of 1.7e308 at 2: the table's quadruples through 2
+    are +inf, the others 1, so phi is three_convex with witness 1; -phi's
+    -inf makes the tolerance infinite and -phi three_convex too, which the
+    mirror of phi's certificate would call reversed."""
+    bundle = FunctionBundle(domain_lo=-10.0, domain_hi=10.0,
+                            f=lambda x: x ** 3 + (1.7e308 if x == 2.0 else 0.0))
+    cert, orientation = _certified(bundle, 0.0, 2.0)
+    assert (cert.verdict, orientation) == ("three_convex", "direct") and cert.min_witness > 0
+    assert _certified(bundle.negated(), 0.0, 2.0)[1] == "direct"
+    assert _negated_orientation(bundle, 0.0, 2.0, cert) == "direct"
+
+
+@pytest.mark.parametrize("name", ["cubic", "quartic", "exp", "xlogx", "spline"])
+def test_negated_orientation_builds_no_negation(name, monkeypatch):
+    counts = count_calls(monkeypatch, ["divided_diff.FunctionBundle.negated"])
+    rng = np.random.default_rng(41)
+    m, M = fuzzing.draw_interval(rng, name)
+    bundle = fuzzing.draw_bundle(rng, name, m, M)
+    cert, orientation = _certified(bundle, m, M)
+    expected = {"direct": "reversed", "reversed": "direct"}[orientation]
+    assert _negated_orientation(bundle, m, M, cert) == expected
+    assert counts == {"divided_diff.FunctionBundle.negated": 0}
+
+
+COUNTED = ("elr_bounds.certify_3convex", "functionals.make_functionals",
+           "functionals._row_sizes", "divided_diff.FunctionBundle.negated")
+
+
+@pytest.mark.parametrize("seed", [1, 9001])
+def test_a_clean_batch_is_built_and_oriented_once(seed, monkeypatch):
+    """Per verify batch: one certificate (phi's; -phi's orientation is read
+    off it), no make_functionals check or _row_sizes walk of the draw, and
+    no negated bundle while no reversed record needs its name."""
+    counts = count_calls(monkeypatch, COUNTED)
+    report = bracket_fuzz(seed, 5 * fuzzing.BATCH)
+    assert report.clean
+    assert counts == dict(zip(COUNTED, (5, 0, 0, 0)))
+
+
+def test_reversed_records_build_one_negation_per_batch(monkeypatch):
+    """The broken cubic of test_violations_match_the_scalar_loop: its
+    reversed records all name -phi, built once per batch."""
+    cubic = resolve_phi({"name": "cubic"})
+    monkeypatch.setattr(fuzzing, "draw_bundle", lambda rng, name, lo, hi: replace(
+        cubic, domain_lo=lo, d1_plus_at_lo=3.0 * lo * lo + 0.5, name="broken cubic"))
+    counts = count_calls(monkeypatch, COUNTED)
+    report = bracket_fuzz(1, 3 * fuzzing.BATCH)
+    assert {v["phi"] for v in report.violations if v["orientation"] == "reversed"} == {
+        "-(broken cubic)"}
+    assert counts == dict(zip(COUNTED, (3, 0, 0, 3)))
