@@ -144,12 +144,6 @@ def _end_reads(m: float, M: float, order: int) -> tuple:
     return ((0, m), (0, M), (1, m), (1, M), (2, m), (2, M))[:2 * order + 2]
 
 
-def _end_order(theorems) -> int:
-    """The highest derivative order that the bound pairs ``theorems`` read
-    at the ends: phi'' for ``taylor``, phi' for the others."""
-    return 1 + ("taylor" in theorems)
-
-
 def _endpoint_values(bundle: FunctionBundle, m: float, M: float,
                      order: int) -> list[float]:
     """phi and its derivatives up to ``order`` at m and at M, in that order,
@@ -166,36 +160,22 @@ def _endpoint_values(bundle: FunctionBundle, m: float, M: float,
     return values
 
 
-def _read_ends(bundle: FunctionBundle, m: float, M: float, theorems) -> list[float] | None:
-    """The one endpoint read of a bound pass of ``theorems``: the values of
-    ``_endpoint_values`` at the highest order they need, not yet checked,
-    or None when the read fails.  The pass hands phi' at m and M to its
-    moment pass (``_slopes``) and all of them to its theorems
-    (``_held_ends``); after a failed read each step reads for itself, as
-    it would with no read made, so that every refusal keeps its message
-    and its place."""
+def _read_ends(bundle: FunctionBundle, m: float, M: float, theorems
+               ) -> tuple[list[float], Exception | None]:
+    """The one endpoint read of a bound pass of ``theorems``: (ends,
+    refusal), ``ends`` the values of ``_endpoint_values`` at the highest
+    order they need, phi'' for ``taylor`` and phi' for the others.  When
+    only phi'' is refused, ``ends`` stops at phi' and ``refusal`` is that
+    refusal, which ``_triple`` raises at the first ``taylor``, so a pair
+    named before it is reported or refused first; any other refusal is
+    raised here.  The pass hands phi' at m and M (ends[2:4]) to its moment
+    pass and the pair to its theorems."""
+    if "taylor" not in theorems:
+        return _endpoint_values(bundle, m, M, 1), None
     try:
-        return bundle.derivs(_end_reads(m, M, _end_order(theorems)))
-    except (ValueError, ArithmeticError):
-        return None
-
-
-def _slopes(ends: list[float] | None) -> list[float] | None:
-    """phi' at m and at M from a pass's one read ``ends``, for its moment
-    pass (None when the read failed)."""
-    return None if ends is None else ends[2:4]
-
-
-def _held_ends(bundle: FunctionBundle, m: float, M: float, theorem: str,
-               ends: list[float] | None) -> list[float]:
-    """``_endpoint_values`` for the bound pair ``theorem`` from a pass's one
-    read ``ends`` (``_read_ends`` of theorems that include it): those
-    values, refused as ``_endpoint_values`` refuses them, or a read here
-    when it failed."""
-    if ends is None:
-        return _endpoint_values(bundle, m, M, _end_order((theorem,)))
-    _finite_ends(ends)
-    return ends
+        return _endpoint_values(bundle, m, M, 2), None
+    except (ValueError, ArithmeticError) as refusal:
+        return _endpoint_values(bundle, m, M, 1), refusal
 
 
 def _finite_ends(values: list[float]) -> None:
@@ -205,8 +185,8 @@ def _finite_ends(values: list[float]) -> None:
 
 def _moments_and_ends(functional: DiscreteFunctional, bundle: FunctionBundle, m: float,
                       M: float, theorems, phi_vals=None, extremes=None
-                      ) -> tuple[MomentSet, list[float] | None]:
-    """(moments, ends) of a bound pass of ``theorems``: the MomentSet and
+                      ) -> tuple[MomentSet, tuple]:
+    """(moments, read) of a bound pass of ``theorems``: the MomentSet and
     the pass's one endpoint read (``_read_ends``), made after the checks of
     the moment pass (``_checked_nodes``), whose phi' at m and M the moment
     pass takes.  A caller that holds the nodes' ``extremes`` has run those
@@ -215,34 +195,28 @@ def _moments_and_ends(functional: DiscreteFunctional, bundle: FunctionBundle, m:
     if extremes is None:
         _check_functional(functional)
         phi_vals, extremes = _checked_nodes(functional.nodes, bundle, m, M, phi_vals)
-    ends = _read_ends(bundle, m, M, theorems)
-    return moments(functional, bundle, m, M, phi_vals=phi_vals, slopes=_slopes(ends),
-                   extremes=extremes), ends
+    read = _read_ends(bundle, m, M, theorems)
+    return moments(functional, bundle, m, M, phi_vals=phi_vals, slopes=read[0][2:4],
+                   extremes=extremes), read
 
 
 def _mid(ms: MomentSet, phi_m: float, phi_M: float, m: float, M: float) -> float:
     return ((M - ms.mean) * phi_m + (ms.mean - m) * phi_M) / (M - m) - ms.value
 
 
-def _pair_reports(ms: MomentSet, ends: list[float] | None, bundle: FunctionBundle,
+def _pair_reports(ms: MomentSet, read: tuple, bundle: FunctionBundle,
                   m: float, M: float, theorems, orientation: str, tag: str = "",
                   details: dict | None = None) -> list[BoundReport]:
     """The report step of every bound pass: the BoundReport, tagged ``tag``
-    plus its name, of each bound pair named in ``theorems`` from the one
-    MomentSet ``ms`` of the bundle on [m, M] and the pass's one endpoint
-    read ``ends`` (``_moments_and_ends``), each with its own copy of
-    ``details``.
-
-    A read that failed is made again theorem by theorem, so each refusal
-    comes where a read per theorem gives it: a pair named before the first
-    ``taylor`` is refused before an order-2 value the bundle lacks."""
-    _check_theorems(theorems)
-    reports = []
-    for name in theorems:
-        read = _held_ends(bundle, m, M, name, ends)
-        reports.append(_pair_report(ms, m, M, _triple(name, ms, bundle, read, m, M),
-                                    orientation, tag + name, dict(details or {})))
-    return reports
+    plus its name, of each bound pair named in ``theorems`` (names its
+    caller has checked) from the one MomentSet ``ms`` of the bundle on
+    [m, M] and the pass's one endpoint read ``read`` (``_moments_and_ends``),
+    each with its own copy of ``details``, in the order of ``theorems``: a
+    pair named before the first ``taylor`` is reported, or refused, before
+    a phi'' the read refused."""
+    return [_pair_report(ms, m, M, _triple(name, ms, bundle, read, m, M),
+                         orientation, tag + name, dict(details or {}))
+            for name in theorems]
 
 
 def _pair_report(ms: MomentSet, m: float, M: float, triple, orientation: str,
@@ -288,28 +262,33 @@ def _check_theorems(theorems, allowed=THEOREMS) -> None:
 
 
 def theorem_triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
-                   m: float, M: float, ends: list[float] | None = None):
+                   m: float, M: float, read: tuple | None = None):
     """(lower, mid, upper) of the bound pair named ``theorem`` (one of
     THEOREMS) for the moments ``ms`` of the bundle on [m, M], without
     orientation logic: floats for one functional (``moments``), arrays
-    for a batch (``moments_batch``).  ``ends`` is the caller's one endpoint
-    read (``_read_ends``), which a pass of several theorems shares; with
-    none, [m, M] must pass the bundle's domain rule and is read here.
+    for a batch (``moments_batch``).  ``read`` is the caller's one
+    endpoint read (``_read_ends`` of theorems that include this one),
+    which a pass of several theorems shares; with none, [m, M] must pass
+    the bundle's domain rule and is read here.
 
     The raw expression values are what the exponential-convexity
     functionals are built from, so this kernel is shared across modules.
     """
     _check_theorems((theorem,))
-    if ends is None:
+    if read is None:
         bundle._check_interval(m, M)
-    return _triple(theorem, ms, bundle,
-                   _held_ends(bundle, m, M, theorem, ends), m, M)
+        read = _read_ends(bundle, m, M, (theorem,))
+    return _triple(theorem, ms, bundle, read, m, M)
 
 
-def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
-            ends: list[float], m: float, M: float):
-    """theorem_triple from the endpoint values ``ends`` (_endpoint_values)
-    read at an order the theorem needs, or higher."""
+def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle, read: tuple,
+            m: float, M: float):
+    """theorem_triple from the endpoint read ``read`` (_read_ends) of
+    theorems that include this one: its refusal of phi'' is raised for
+    ``taylor``."""
+    ends, refusal = read
+    if refusal is not None and theorem == "taylor":
+        raise refusal
     mid = _mid(ms, ends[0], ends[1], m, M)
     if theorem == "derivative":
         _check_derivative_moments(ms, bundle)
@@ -366,8 +345,9 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
     if variant not in ("derivative", "taylor"):
         raise ValueError(f"unknown Jensen-gap variant {variant!r}")
     orientation = _certified(bundle, m, M)[1]
-    ms, ends = _moments_and_ends(functional, bundle, m, M, (variant,))
-    ends = _held_ends(bundle, m, M, variant, ends)
+    ms, (ends, refusal) = _moments_and_ends(functional, bundle, m, M, (variant,))
+    if refusal is not None:  # phi'' of the taylor variant
+        raise refusal
     phi_mean = bundle.deriv(0, ms.mean)
     below, above = ms.mean - m, M - ms.mean
     d_lo = d_hi = None

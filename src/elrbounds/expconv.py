@@ -23,7 +23,7 @@ import numpy as np
 
 from .divided_diff import FunctionBundle, _check_order, _is_number
 from .divergences import ratio_functional
-from .elr_bounds import _read_ends, _refuse_overflow, _slopes, theorem_triple
+from .elr_bounds import _read_ends, _refuse_overflow, theorem_triple
 from .functionals import DiscreteFunctional, MomentBasis, _node_values, moment_basis
 
 __all__ = [
@@ -107,7 +107,7 @@ def divergence_context(index: int, p, q, m: float | None = None,
     functional, m, M, _ = ratio_functional(p, q, m, M)
     _check_index(index)
     if index in (1, 2, 3, 4, 5, 6):
-        raise ValueError(f"index {index} requires a elr context, got 'divergence'")
+        raise ValueError(f"index {index} requires an elr context, got 'divergence'")
     return GammaContext(index=index, functional=functional, m=m, M=M)
 
 
@@ -131,9 +131,9 @@ def gamma(ctx: GammaContext, bundle: FunctionBundle) -> float:
         theorem = THEOREM_BY_INDEX[ctx.index]
         basis = ctx.basis
         phi_vals = _node_values(bundle.f, basis.nodes)
-        ends = _read_ends(bundle, m, M, (theorem,))
-        ms = basis.moments(bundle, theorem == "derivative", _slopes(ends), phi_vals)
-        lower, mid, upper = theorem_triple(theorem, ms, bundle, m, M, ends)
+        read = _read_ends(bundle, m, M, (theorem,))
+        ms = basis.moments(bundle, theorem == "derivative", read[0][2:4], phi_vals)
+        lower, mid, upper = theorem_triple(theorem, ms, bundle, m, M, read)
         value = mid - lower if ctx.index % 2 == 1 else upper - mid
         if not math.isfinite(value):
             _refuse_overflow(ms, m, M)

@@ -737,8 +737,10 @@ def _derivative_values(bundle: FunctionBundle, x: np.ndarray, places: tuple | No
                        slopes: tuple | None = None) -> np.ndarray | None:
     """phi' at the nodes, two-sided in the interior and one-sided at the
     ends, given the ``places`` of the nodes (``_node_places``): from
-    ``slopes``, phi' at m and at M, when the caller has read them, or else
-    from one ``derivs`` read; None when the bundle cannot supply it."""
+    ``slopes``, phi' at m and at M, which every bound pass hands over from
+    its one endpoint read, or else, for a direct call of ``moments``,
+    ``moments_batch`` or ``MomentBasis.moments``, from one ``derivs`` read;
+    None when the bundle cannot supply it."""
     try:
         if places is None:
             return None if bundle.d1 is None else _eval(bundle.d1, x)

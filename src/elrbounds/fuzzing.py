@@ -22,7 +22,7 @@ import numpy as np
 
 from .divided_diff import FunctionBundle, _is_number
 from .elr_bounds import (THEOREMS, _certified, _excess, _negated_orientation, _read_ends,
-                         _slopes, theorem_triple)
+                         theorem_triple)
 from .functionals import (
     DiscreteFunctional,
     FunctionalBatch,
@@ -350,10 +350,10 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = TOLERANCE) -> Fuz
         functionals = random_functionals(rng, m, M, take)
         # one endpoint read for the moments (every batch has rows pinned to
         # m and M) and all three theorems
-        ends = _read_ends(bundle, m, M, THEOREMS)
-        ms = moments_batch(functionals, bundle, m, M, slopes=_slopes(ends))
+        read = _read_ends(bundle, m, M, THEOREMS)
+        ms = moments_batch(functionals, bundle, m, M, slopes=read[0][2:4])
         # (theorem, lower/mid/upper, functional)
-        triples = np.array([theorem_triple(theorem, ms, bundle, m, M, ends)
+        triples = np.array([theorem_triple(theorem, ms, bundle, m, M, read)
                             for theorem in THEOREMS])
         # excess[i, o, t]: functional i, orientation o (direct, then
         # reversed), theorem t, so that argwhere lists records in the

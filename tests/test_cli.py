@@ -1,7 +1,10 @@
+import io
 import json
 import math
+import runpy
 import subprocess
 import sys
+import warnings
 from collections import OrderedDict, namedtuple
 from dataclasses import replace
 from decimal import Decimal
@@ -14,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from counting import count_calls
-from elrbounds.cli import RunConfig, build_parser, dump_report, main
+from elrbounds.cli import RunConfig, build_parser, dump_report, main, run
 from elrbounds.divergences import GENERATOR_NAMES
 from elrbounds.registry import BUILTIN_NAMES
 
@@ -258,6 +261,30 @@ class TestEntryPoint:
             [sys.executable, "-m", "elrbounds.cli", "bounds", "--input", "-"],
             input=BOUNDS_INPUT, capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_stdin_input_in_process(self, monkeypatch, capsys):
+        """``--input -`` reads the payload from stdin: the report is the one
+        the same payload gives inline."""
+        expected = run_main(["bounds", "--input", BOUNDS_INPUT], capsys)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(BOUNDS_INPUT))
+        assert run_main(["bounds", "--input", "-"], capsys) == expected
+
+    def test_module_main_in_process(self, monkeypatch, capsys):
+        """Run as ``python -m elrbounds.cli``, the module exits with
+        ``main``'s status after writing its report."""
+        expected = run_main(["bounds", "--input", BOUNDS_INPUT], capsys)
+        monkeypatch.setattr(sys, "argv", ["elrbounds.cli", "bounds", "--input", BOUNDS_INPUT])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as done:
+            # the package has imported the module already, as it does for -m
+            warnings.filterwarnings("ignore", "'elrbounds.cli' found in sys.modules",
+                                    RuntimeWarning)
+            runpy.run_module("elrbounds.cli", run_name="__main__")
+        assert (done.value.code, capsys.readouterr().out) == expected
+
+    def test_run_refuses_an_unknown_command(self):
+        with pytest.raises(ValueError) as err:
+            run(RunConfig(command="fit", payload={}))
+        assert str(err.value) == "unknown command 'fit'"
 
     def test_import_loads_no_scipy(self):
         """The CLI imports the fuzzer at module level; its spline is numpy

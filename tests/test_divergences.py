@@ -612,3 +612,20 @@ class TestProvedDirection:
                 p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
                 assert (self.pass_bits(p, q, custom)
                         == self.pass_bits(p, q, gen)), (gen.name, gen.params)
+
+
+class TestUndeclaredLimits:
+    """A hand-built generator without the limit a zero mass needs is
+    refused by name, not summed as a nan."""
+
+    BARE = GeneratorFunction(bundle=generator("kl").bundle, name="bare")
+
+    def test_no_value_at_zero(self):
+        with pytest.raises(ValueError) as err:
+            f_divergence([0.0, 1.0], [0.5, 0.5], self.BARE)
+        assert str(err.value) == "generator 'bare' has no declared limit at zero"
+
+    def test_no_slope_at_infinity(self):
+        with pytest.raises(ValueError) as err:
+            f_divergence([0.5, 0.5], [0.0, 1.0], self.BARE)
+        assert str(err.value) == "generator 'bare' has no declared slope at infinity"

@@ -509,3 +509,50 @@ class TestPolynomialExactness:
         for points, mult in [((0.3, 1.1), (2, 2)), ((0.3, 1.1), (3, 1)), ((0.7,), (4,))]:
             val = dd_confluent(bundle, MultiplicityPattern(points, mult))
             assert val == pytest.approx(expected, abs=1e-10)
+
+
+class TestBundleRefusals:
+    """The refusals and the one-sided mixing that no other test reaches."""
+
+    SQUARE = poly_bundle([0.0, 0.0, 1.0])
+
+    def test_derivs_refuses_an_order_above_three(self):
+        with pytest.raises(ValueError) as err:
+            self.SQUARE.derivs([(0, 1.0), (4, 1.0)])
+        assert str(err.value) == "derivative order must be 0, 1, 2 or 3, got 4"
+
+    def test_linear_combination_refuses_disjoint_domains(self):
+        left = FunctionBundle(domain_lo=0.0, domain_hi=1.0, f=np.square, name="left")
+        right = FunctionBundle(domain_lo=2.0, domain_hi=3.0, f=np.square, name="right")
+        with pytest.raises(ValueError) as err:
+            linear_combination(1.0, left, 1.0, right)
+        assert str(err.value) == "bundle domains do not overlap"
+
+    def test_linear_combination_lacks_a_derivative_either_lacks(self):
+        bare = FunctionBundle(domain_lo=-1.0, domain_hi=1.0, f=np.square, d2=np.ones_like,
+                              name="bare")
+        mixed = linear_combination(2.0, self.SQUARE, 3.0, bare)
+        assert mixed.d1 is None and mixed.d3 is None
+        assert mixed.deriv(0, 0.5) == 1.25 and mixed.deriv(2, 0.5) == 7.0
+
+    def test_linear_combination_mixes_stored_values_on_a_shared_end(self):
+        first = bundle_from_callables(np.square, d1=lambda x: 2.0 * x, lo=0.0, hi=1.0,
+                                      name="first")
+        second = replace(first, d1_plus_at_lo=0.5, d1_minus_at_hi=4.0, name="second")
+        mixed = linear_combination(2.0, first, 3.0, second)
+        assert (mixed.d1_plus_at_lo, mixed.d1_minus_at_hi) == (1.5, 16.0)
+        # an end that only one domain reaches keeps no stored value
+        narrow = replace(second, domain_hi=2.0)
+        mixed = linear_combination(2.0, first, 3.0, narrow)
+        assert (mixed.d1_plus_at_lo, mixed.d1_minus_at_hi) == (1.5, None)
+
+    def test_check_bundle_needs_a_finite_window(self):
+        with pytest.raises(ValueError) as err:
+            check_bundle(self.SQUARE)
+        assert str(err.value) == ("check_bundle needs a finite sampling window for an "
+                                  "unbounded domain")
+
+    def test_pattern_lengths_must_match(self):
+        with pytest.raises(ValueError) as err:
+            MultiplicityPattern((0.0, 1.0), (2,))
+        assert str(err.value) == "points and multiplicities differ in length"

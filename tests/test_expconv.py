@@ -131,8 +131,8 @@ class TestGamma:
             if index in (0, 11):
                 expected = "functional index must be in 1..10"
             else:
-                other = "divergence" if kind == "elr" else "elr"
-                expected = f"index {index} requires a {other} context, got {kind!r}"
+                other = "a divergence" if kind == "elr" else "an elr"
+                expected = f"index {index} requires {other} context, got {kind!r}"
             with pytest.raises(ValueError) as info:
                 build()
             assert str(info.value) == expected

@@ -20,7 +20,8 @@ regenerate it and review the diff:
 
 One class of inputs is kept out of the table (``DOUBLE_FAULT``): phi
 infinite at M, which holds no node, and a phi' that raises on scalars at
-m, which holds one, so that a pass meets two faults at its ends.
+m, which holds one, so that a pass meets two faults at its ends.  Its own
+test pins it: a pass's one endpoint read refuses phi at the ends first.
 """
 
 import hashlib
@@ -181,6 +182,26 @@ def test_table_covers_every_fault():
     rows = len(CUTS) * len(D1S) * len(D2S) * len(DOMAINS) * len(INTERVALS)
     assert len(expected["rows"]) == rows - len(DOUBLE_FAULT["domain"]) * len(D2S)
     assert len(expected["passes"]) == 42
+
+
+ENDS_NOT_FINITE = "ValueError: function values at the interval endpoints must be finite"
+
+
+def test_double_fault_refuses_phi_at_the_ends_first():
+    """A bound pass reads phi and phi' at m and M in one read, which refuses
+    phi infinite at M before phi' raises at m, as it refuses it before a
+    derivative the bundle lacks.  The public ``moments`` ahead of
+    theorem_triple and elr_difference reads phi' at the node on m first, and
+    the divergence pass on its own interval [0.5, 2.0] has phi finite at
+    both ends: they keep the ZeroDivisionError of phi'."""
+    found, _ = table(blocks(double_fault=True))
+    assert len(found) == len(DOUBLE_FAULT["domain"]) * len(D2S)
+    for row in found.values():
+        for name, got in row:
+            first_moments = name.startswith(
+                ("theorem_triple", "elr_difference", "divergence_pass[auto"))
+            assert got == ("ZeroDivisionError: division by zero" if first_moments
+                           else ENDS_NOT_FINITE), name
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ registry refuses every other count of params; ``elr_bounds._check_theorems``
 refuses an unknown theorem name.  A second copy of any, in any module of
 the package, fails here.  The endpoint derivatives of a bound pair are
 named only in ``elr_bounds._bound_pair``, the one home of its formulas,
-and read only in elr_bounds.py (``_endpoint_values``); how a checked row
+and read only in elr_bounds.py, by ``_endpoint_values`` alone; how a checked row
 of weights is landed and becomes a functional is known only to
 functionals.py; a report float is formatted only in cli.py; and the
 domain (0, inf) is written once, in ``divided_diff._on_positive_axis``,
@@ -150,6 +150,15 @@ def test_endpoint_values_are_read_only_in_elr_bounds():
                and "_endpoint_values" in (getattr(node.func, "id", None),
                                           getattr(node.func, "attr", None))]
     assert callers and set(callers) == {"elr_bounds.py"}
+
+
+def test_the_end_read_is_made_in_one_function():
+    """phi and its derivatives at m and M are asked of a bundle only in
+    ``_endpoint_values``: a bound pass's one read, ``_read_ends``, and its
+    retry after a refused phi'' go through it."""
+    sites = [(name, scope) for name, text in SOURCES.items()
+             for scope, _ in _call_scopes(ast.parse(text), {"_end_reads"})]
+    assert sites == [("elr_bounds.py", "_endpoint_values")]
 
 
 def test_report_float_format_is_written_only_in_cli():
