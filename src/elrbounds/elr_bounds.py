@@ -208,12 +208,13 @@ def _pair_reports(ms: MomentSet, read: tuple, bundle: FunctionBundle,
                   m: float, M: float, theorems, orientation: str, tag: str = "",
                   details: dict | None = None) -> list[BoundReport]:
     """The report step of every bound pass: the BoundReport, tagged ``tag``
-    plus its name, of each bound pair named in ``theorems`` (names its
-    caller has checked) from the one MomentSet ``ms`` of the bundle on
-    [m, M] and the pass's one endpoint read ``read`` (``_moments_and_ends``),
-    each with its own copy of ``details``, in the order of ``theorems``: a
-    pair named before the first ``taylor`` is reported, or refused, before
-    a phi'' the read refused."""
+    plus its name, of each bound pair named in ``theorems`` from the one
+    MomentSet ``ms`` of the bundle on [m, M] and the pass's one endpoint
+    read ``read`` (``_moments_and_ends``), each with its own copy of
+    ``details``, in the order of ``theorems``: a pair named before the
+    first ``taylor`` is reported, or refused, before a phi'' the read
+    refused."""
+    _check_theorems(theorems)
     return [_pair_report(ms, m, M, _triple(name, ms, bundle, read, m, M),
                          orientation, tag + name, dict(details or {}))
             for name in theorems]

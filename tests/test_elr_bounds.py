@@ -676,3 +676,38 @@ class TestWideInterval:
         for theorem in THEOREMS:
             r = bounds(theorem, self.NODE, self.LINEAR, -1e150, 1e150)
             assert all(map(math.isfinite, (r.lower, r.mid, r.upper)))
+
+
+class TestNoStepReadsAgain:
+    """A pass whose phi'' is refused reads its ends in its one read alone:
+    the read of phi, phi' and phi'', phi at the ends to refuse a phi that
+    is not finite first, and phi and phi' again for the pairs before
+    ``taylor`` and the moment pass; the refusal comes at ``taylor``."""
+
+    F = make_functional([0.5, 1.0, 2.5], [0.25, 0.5, 0.25])  # nodes on both ends
+
+    @staticmethod
+    def reads(m, M):
+        return [[(order, x) for order in range(top + 1) for x in (m, M)]
+                for top in (2, 0, 1)]
+
+    def test_bound_passes(self, monkeypatch):
+        reads = []
+        derivs = FunctionBundle.derivs
+        monkeypatch.setattr(FunctionBundle, "derivs", lambda self, r: (
+            reads.append(list(r)) or derivs(self, r)))
+        kl = generator("kl")
+        gen = replace(kl, bundle=replace(kl.bundle, d2=None))
+        no_d2 = counting_bundle([], d2=None)
+        passes = [
+            (lambda: divergence_pass(TestOnePassRead.P, TestOnePassRead.Q, gen, 0.25, 4.0),
+             (0.25, 4.0)),
+            (lambda: bounds("taylor", self.F, no_d2, 0.5, 2.5), (0.5, 2.5)),
+            (lambda: jensen_gap_bounds(self.F, no_d2, 0.5, 2.5, "taylor"), (0.5, 2.5)),
+            (lambda: gamma(elr_context(5, self.F, 0.5, 2.5), no_d2), (0.5, 2.5)),
+        ]
+        for call, interval in passes:
+            reads.clear()
+            with pytest.raises(ValueError, match="derivative of order 2"):
+                call()
+            assert reads == self.reads(*interval)
