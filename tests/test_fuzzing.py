@@ -185,6 +185,32 @@ def test_tolerance_zero_records_keep_their_bits(seed):
     assert got == TOLERANCE_ZERO_DIGESTS[seed]
 
 
+# sha256 of the sorted row records of random_functionals batches, one per
+# _POOL bundle at each seed: a row's node count, nodes, landed weights and
+# its seven moments_batch fields.  Sorting takes the rows' layout out of
+# the digest, so it pins the bits of each row whatever order the batch
+# holds them in.
+BATCH_DIGEST = "48761514626df04c2505e7851e8b0db1d1b08d2222795cc27950ec3029f48dfb"
+
+
+def test_batch_rows_keep_their_bits():
+    records = []
+    for seed in (1, 2, 3):
+        for name in fuzzing._POOL:
+            rng = np.random.default_rng(seed)
+            m, M = fuzzing.draw_interval(rng, name)
+            bundle = fuzzing.draw_bundle(rng, name, m, M)
+            batch = random_functionals(rng, m, M, 400)
+            ms = moments_batch(batch, bundle, m, M)
+            fields = np.array([getattr(ms, f) for f in vars(ms)])
+            for i in range(len(batch)):
+                F = batch.functional(i)
+                records.append(np.concatenate(
+                    ([F.size], F.nodes, F.weights, fields[:, i])).tobytes())
+    assert len(records) == 6000
+    assert hashlib.sha256(b"".join(sorted(records))).hexdigest() == BATCH_DIGEST
+
+
 @pytest.mark.parametrize("kwargs", [
     {"instances": -5}, {"instances": 0}, {"instances": 2.0},
     {"instances": True}, {"instances": "10"}, {"instances": None},
