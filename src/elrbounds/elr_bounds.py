@@ -33,7 +33,7 @@ from .divided_diff import (
     certify_3convex,
 )
 from .functionals import (DiscreteFunctional, MomentSet, _check_functional, _checked_nodes,
-                          moments)
+                          moment_basis, moments)
 
 __all__ = [
     "BoundReport",
@@ -317,8 +317,12 @@ def _bound_pair(theorem: str, ms: MomentSet, ends: list[float], m: float, M: flo
 def elr_difference(functional: DiscreteFunctional, bundle: FunctionBundle,
                    m: float, M: float) -> float:
     """The ELR difference D bracketed by every bound pair; a D that is not
-    finite is refused, for the interval when the moments on it overflow."""
-    ms = moments(functional, bundle, m, M)
+    finite is refused, for the interval when the moments on it overflow.
+    D reads f at the nodes and at the ends only: no phi' at the nodes and
+    no ``derivs`` at an end node."""
+    _check_functional(functional)
+    bundle._check_interval(m, M)
+    ms = moment_basis(functional, m, M).moments(bundle, False)
     phi_m, phi_M = _endpoint_values(bundle, m, M, 0)
     value = _mid(ms, phi_m, phi_M, m, M)
     if not math.isfinite(value):

@@ -26,7 +26,6 @@ __all__ = [
     "make_functional",
     "make_functionals",
     "FunctionalBatch",
-    "row_blocks",
     "apply",
     "moments",
     "moments_batch",
@@ -186,143 +185,97 @@ def _refuse_sum(weights: np.ndarray, got: str, label: str) -> None:
     raise ValueError(f"weights of {label} must sum to 1 (got {got})")
 
 
-def row_blocks(values: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of the last axis of ``values``, laid out block after block as
-    in FunctionalBatch, as (..., rows, k) arrays: one per (rows, k) in
-    ``shapes``."""
-    lead = values.shape[:-1]
-    blocks, start = [], 0
-    for count, k in shapes:
-        stop = start + count * k
-        blocks.append(values[..., start:stop].reshape(lead + (count, k)))
-        start = stop
-    return blocks
-
-
 @dataclass(frozen=True)
 class FunctionalBatch:
-    """A sequence of discrete functionals, grouped in blocks of equal node
-    count so that each block reduces with one stacked product.
-
-    ``nodes`` and ``weights`` hold the rows of all blocks one after
-    another; ``shapes`` gives the (rows, nodes per row) of each block and
-    ``order`` the index in the sequence of each row (None: the rows are in
-    sequence order).
+    """A sequence of discrete functionals, held as rows one after another
+    in the order given: ``nodes`` and ``weights`` hold row after row, and
+    row i has ``sizes[i]`` nodes.  moments_batch reduces each run of
+    neighbouring rows of equal size with one stacked product, so a batch
+    whose rows are grouped by size reduces fastest.
 
     Built by hand (or by ``dataclasses.replace``), it is refused with
     make_functionals' messages unless every row already is a functional:
     flat numeric arrays, stored as float64 (a float64 array as given), the
-    block shapes and sizes, finite nodes, the check_weights rule per row
-    and an ``order`` that is a permutation; it is never renormalized.  The
-    package's builders, make_functionals and random_functionals, skip this
-    check (``_landed_batch``).
+    row sizes, finite nodes and the check_weights rule per row; it is never
+    renormalized.  The package's builders, make_functionals and
+    random_functionals, skip this check (``_landed_batch``).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    shapes: tuple
-    order: np.ndarray | None = None
+    sizes: np.ndarray
 
     def __post_init__(self):
         _store_floats(self)
-        order = _check_rows(self.nodes, self.weights, _row_sizes(self.shapes), self.order)
-        object.__setattr__(self, "shapes", tuple(self.shapes))
-        object.__setattr__(self, "order", order)
+        sizes = _row_sizes(self.sizes)
+        _check_rows(self.nodes, self.weights, sizes)
+        object.__setattr__(self, "sizes", sizes)
 
     def __len__(self) -> int:
-        return sum(count for count, _ in self.shapes)
+        return self.sizes.size
 
     def functional(self, index: int) -> DiscreteFunctional:
-        """The functional at ``index`` of the sequence, an integer
-        (``_is_number``: a bool is no index, nor is a float)."""
+        """The functional of row ``index``, an integer (``_is_number``: a
+        bool is no index, nor is a float)."""
         if not _is_number(index, numbers.Integral):
             raise TypeError(f"index {index!r} is not an integer")
         if not 0 <= index < len(self):
             raise IndexError(f"index {index} is out of range for a batch of "
                              f"{len(self)} functionals")
-        row = index if self.order is None else int(np.flatnonzero(self.order == index)[0])
-        for nodes, weights in zip(row_blocks(self.nodes, self.shapes),
-                                  row_blocks(self.weights, self.shapes)):
-            if row < len(nodes):
-                return _functional(nodes[row], weights[row])
-            row -= len(nodes)
+        start = int(self.sizes[:index].sum())
+        stop = start + int(self.sizes[index])
+        return _functional(self.nodes[start:stop], self.weights[start:stop])
 
 
-def make_functionals(nodes: np.ndarray, weights: np.ndarray, shapes,
-                     order: np.ndarray | None = None) -> FunctionalBatch:
+def make_functionals(nodes: np.ndarray, weights: np.ndarray, sizes) -> FunctionalBatch:
     """A batch of functionals from flat nodes and weights laid out as
     FunctionalBatch stores them, which it copies: validated in one pass
-    (block shapes that are pairs of integers (rows >= 0, nodes >= 1),
-    finite nodes, the check_weights rule per row, an ``order`` that is a
-    permutation of the row indices), then built by ``_landed_batch``, which
-    renormalizes each row."""
-    sizes = _row_sizes(shapes)
+    (row sizes that are integers >= 1, finite nodes, the check_weights rule
+    per row), then built by ``_landed_batch``, which renormalizes each
+    row."""
+    sizes = _row_sizes(sizes)
     nodes = np.array(nodes, dtype=float)
     weights = np.array(weights, dtype=float)
-    order = _check_rows(nodes, weights, sizes, order)
-    return _landed_batch(nodes, weights, shapes, order)
+    _check_rows(nodes, weights, sizes)
+    return _landed_batch(nodes, weights, sizes)
 
 
-def _check_rows(nodes: np.ndarray, weights: np.ndarray, sizes: np.ndarray,
-                order) -> np.ndarray | None:
+def _row_sizes(sizes) -> np.ndarray:
+    """The row sizes as an integer array; each must be an integer
+    (``_is_number``) >= 1, and the first that is not is refused."""
+    for size in sizes:
+        if not (_is_number(size, numbers.Integral) and size >= 1):
+            raise ValueError(f"each row size must be an integer >= 1, got {size!r}")
+    return np.array(sizes, dtype=np.intp)
+
+
+def _check_rows(nodes: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> None:
     """The rules of a batch on flat float nodes and weights whose rows have
     the entry counts ``sizes``, in the order of their messages: the sizes
-    agree, ``order`` (returned as an array) is None or a permutation of
-    the row indices, the nodes are finite and each row of weights meets
-    the check_weights rule."""
+    agree, the nodes are finite and each row of weights meets the
+    check_weights rule."""
     if not nodes.shape == weights.shape == (sizes.sum(),):
-        raise ValueError("nodes, weights and block shapes differ in size")
-    if order is not None:
-        order = np.asarray(order)
-        count = sizes.size
-        if not (order.shape == (count,) and order.dtype.kind in "iu"
-                and (np.sort(order) == np.arange(count)).all()):
-            raise ValueError(f"order must be a permutation of range({count})")
+        raise ValueError("nodes, weights and row sizes differ in size")
     _check_finite(nodes)
     _check_entries(weights, "functional")
     _check_sums(weights, _weight_sums(weights, sizes), "functional")
-    return order
 
 
-def _landed_batch(nodes: np.ndarray, weights: np.ndarray, shapes,
-                  order: np.ndarray | None) -> FunctionalBatch:
-    """The batch of flat float nodes and weights that meet make_functionals'
-    rules (checked there, or a fuzz draw, which meets them by
-    construction), which it keeps: each row of weights divided by its sum
-    and landed (_normalize), both arrays made read-only, without
-    __post_init__'s check.  The one builder of a landed batch."""
-    sizes = _block_sizes(shapes)
-    nodes.flags.writeable = False
+def _landed_batch(nodes: np.ndarray, weights: np.ndarray,
+                  sizes: np.ndarray) -> FunctionalBatch:
+    """The batch of flat float nodes and weights, whose rows have the entry
+    counts ``sizes``, that meet make_functionals' rules (checked there, or
+    a fuzz draw, which meets them by construction), which it keeps: each
+    row of weights divided by its sum and landed (_normalize), all three
+    arrays made read-only, without __post_init__'s check.  The one builder
+    of a landed batch."""
+    nodes.flags.writeable = sizes.flags.writeable = False
     batch = object.__new__(FunctionalBatch)
     for label, value in (("nodes", nodes),
                          ("weights", _normalize(weights, sizes, _weight_sums(weights, sizes))),
-                         ("shapes", tuple(shapes)), ("order", order)):
+                         ("sizes", sizes)):
         object.__setattr__(batch, label, value)
     return batch
-
-
-def _row_sizes(shapes) -> np.ndarray:
-    """Each row's entry count, in layout order, of the blocks ``shapes``;
-    every block must be a pair of integers (``_is_number``), rows >= 0 and
-    nodes >= 1, and the first that is not is refused."""
-    for shape in shapes:
-        try:
-            count, k = shape
-            if (_is_number(count, numbers.Integral) and _is_number(k, numbers.Integral)
-                    and count >= 0 and k >= 1):
-                continue
-        except (TypeError, ValueError):  # not a pair
-            pass
-        raise ValueError("each block shape must be a pair of integers (rows >= 0, "
-                         f"nodes >= 1), got {shape!r}")
-    return _block_sizes(shapes)
-
-
-def _block_sizes(shapes) -> np.ndarray:
-    """Each row's entry count, in layout order, of the blocks ``shapes``,
-    which meet _row_sizes' rule."""
-    return np.repeat(np.array([k for _, k in shapes], dtype=int),
-                     [count for count, _ in shapes])
 
 
 def _weight_sums(weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -359,7 +312,7 @@ _HALF_MASK = (1 << _HALF) - 1
 def _normalize(weights: np.ndarray, sizes: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """The checked flat weights, whose rows have the entry counts
     ``sizes``, made exact: each row divided in place by its sum (``sums``
-    holds one per row, in layout order), landed on 1, and the array made
+    holds one per row, in row order), landed on 1, and the array made
     read-only.
 
     Landing puts fsum(row), the correctly rounded sum, on 1, so that the
@@ -567,10 +520,15 @@ class MomentSet:
 def moments_batch(batch: FunctionalBatch, bundle: FunctionBundle, m: float,
                   M: float, *, slopes: tuple | None = None) -> MomentSet:
     """All moment quantities of each functional of the batch against the
-    bundle on [m, M], as arrays in the batch's sequence order; ``slopes``
-    is phi' at m and at M, when the caller has read it."""
-    return MomentSet(*_moment_sums(batch.nodes, batch.weights, batch.shapes,
-                                   batch.order, bundle, m, M, slopes=slopes))
+    bundle on [m, M], as arrays in row order; ``slopes`` is phi' at m and
+    at M, when the caller has read it.  Each run of neighbouring rows of
+    equal size reduces with one stacked product."""
+    sizes = batch.sizes
+    heads = np.flatnonzero(np.diff(sizes, prepend=0))
+    counts = np.diff(heads, append=sizes.size)
+    return MomentSet(*_moment_sums(batch.nodes, batch.weights,
+                                   list(zip(counts.tolist(), sizes[heads].tolist())),
+                                   bundle, m, M, slopes=slopes))
 
 
 def moments(functional: DiscreteFunctional, bundle: FunctionBundle, m: float,
@@ -585,7 +543,7 @@ def moments(functional: DiscreteFunctional, bundle: FunctionBundle, m: float,
     f at the nodes is then ``phi_vals``."""
     _check_functional(functional)
     sums = _moment_sums(functional.nodes, functional.weights,
-                        ((1, functional.nodes.size),), None, bundle, m, M,
+                        ((1, functional.nodes.size),), bundle, m, M,
                         phi_vals, slopes, extremes)
     return MomentSet(*sums[:, 0].tolist())
 
@@ -640,13 +598,14 @@ def moment_basis(functional: DiscreteFunctional, m: float, M: float) -> MomentBa
                        _node_places(x, m, M, *extremes))
 
 
-def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
+def _moment_sums(x: np.ndarray, weights: np.ndarray, blocks,
                  bundle: FunctionBundle, m: float, M: float,
                  phi_vals: np.ndarray | None = None, slopes: tuple | None = None,
                  extremes: tuple | None = None) -> np.ndarray:
-    """(quantity, functional) array of the MomentSet fields of the batch
-    with these FunctionalBatch fields, without the derivative moments when
-    the bundle cannot supply them.
+    """(quantity, functional) array of the MomentSet fields of the rows of
+    the flat nodes ``x`` and ``weights``, laid out in ``blocks``, one
+    (rows, nodes per row) pair per block, without the derivative moments
+    when the bundle cannot supply them.
 
     The bundle is evaluated once over the nodes of the whole batch (f only
     when ``phi_vals`` does not already hold it, phi' at an end only when
@@ -663,19 +622,17 @@ def _moment_sums(x: np.ndarray, weights: np.ndarray, shapes, order,
     # 2.0-2.1 ms instead of 1.0-1.4 ms (best of 9 x 200 calls), likely as
     # the live array sits in the way of the spline's temporaries
     terms = np.empty((5 if dvals is None else 7, x.size))
-    sums = np.empty((len(terms), sum(count for count, _ in shapes)))
+    sums = np.empty((len(terms), sum(count for count, _ in blocks)))
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = _basis_rows(x, m, M, terms)
         _phi_rows(phi_vals, dvals, lo, hi, terms[4:])
         start = row = 0
-        for count, k in shapes:
+        for count, k in blocks:
             stop = start + count * k
             _row_sums(weights[start:stop].reshape(count, k),
                       terms[:, start:stop].reshape(len(terms), count, k),
                       sums[:, row:row + count])
             start, row = stop, row + count
-    if order is not None:
-        sums[:, order] = sums.copy()
     return sums
 
 

@@ -167,8 +167,10 @@ def random_functional(rng: np.random.Generator, m: float,
 def random_functionals(rng: np.random.Generator, m: float, M: float,
                        count: int) -> FunctionalBatch:
     """``count`` draws of ``random_functional``, with the same draws from
-    the generator in the same order, grouped by node count and landed as
-    one batch.
+    the generator in the same order, landed as one batch whose rows are
+    grouped by node count: the groups in the order of each count's first
+    draw, a group's rows in draw order, so that each group reduces with one
+    stacked product in ``moments_batch``.
 
     Each row draws one bounded integer, its node count k, as
     ``rng.integers(1, MAX_NODES + 1)`` does, then 2k + 1 doubles (2 when
@@ -192,19 +194,20 @@ def random_functionals(rng: np.random.Generator, m: float, M: float,
     The draw meets make_functionals' rules by construction, so it is
     landed (``functionals._landed_batch``) without a second check or copy:
     its nodes lie in [m, M], its weights are positive rows divided by their
-    sums, its block shapes come from the walk and its order is a
-    permutation.  The batch is make_functionals' batch of the draw, bit
-    for bit.
+    sums and its row sizes come from the walk.  The batch is
+    make_functionals' batch of the draw, bit for bit.
     """
-    return _landed_batch(*_draw(rng, m, M, count))
+    nodes, weights, sizes, _ = _draw(rng, m, M, count)
+    return _landed_batch(nodes, weights, sizes)
 
 
 def _draw(rng: np.random.Generator, m: float, M: float, count: int) -> tuple:
     """The draw of ``random_functionals``, with its refusals: the flat
-    nodes and weights, each row divided by its sum, the block shapes and
-    the order, as make_functionals takes them.  The rows are grouped in
-    numpy from each row's node count: the blocks in the order of each
-    count's first row, a block's rows in draw order."""
+    nodes and weights, each row divided by its sum, and the row sizes, as
+    make_functionals takes them, then ``order``, the draw index of each
+    row.  The rows are grouped in numpy from each row's node count: the
+    groups in the order of each count's first row, a group's rows in draw
+    order."""
     if not (_is_number(count, numbers.Integral) and count >= 1):
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
     m, M = float(m), float(M)
@@ -257,13 +260,12 @@ def _draw(rng: np.random.Generator, m: float, M: float, count: int) -> tuple:
     ks = np.array(ks, dtype=np.intp)
     counts = np.bincount(ks)
     present = np.flatnonzero(counts)
-    # each k's first row heads its run in a stable sort by k; the blocks
-    # follow their first rows, and a block's rows the draw
+    # each k's first row heads its run in a stable sort by k; the groups
+    # follow their first rows, and a group's rows the draw
     firsts = np.argsort(ks, kind="stable")[np.cumsum(counts[present]) - counts[present]]
     lead = np.empty_like(counts)
     lead[present] = firsts
     order = np.argsort(lead[ks], kind="stable")
-    blocks = present[np.argsort(firsts)]
     sizes = ks[order]
     first = np.array(starts)[order]
     ends = np.cumsum(sizes)
@@ -278,7 +280,7 @@ def _draw(rng: np.random.Generator, m: float, M: float, count: int) -> tuple:
     nodes[pinned + 1] = M
     weights = _doubles(raw[weight_words]) + 1e-12
     _divide_rows(weights, sizes, _weight_sums(weights, sizes))
-    return nodes, weights, list(zip(counts[blocks].tolist(), blocks.tolist())), order
+    return nodes, weights, sizes, order
 
 
 def _doubles(words: np.ndarray) -> np.ndarray:
@@ -347,7 +349,8 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = TOLERANCE) -> Fuz
         cert, orientation = _certified(bundle, m, M)
         orientations = (orientation, _negated_orientation(bundle, m, M, cert))
         names = [bundle.name, None]  # the negated name once a record needs it
-        functionals = random_functionals(rng, m, M, take)
+        nodes, weights, sizes, order = _draw(rng, m, M, take)
+        functionals = _landed_batch(nodes, weights, sizes)
         # one endpoint read for the moments (every batch has rows pinned to
         # m and M) and all three theorems
         read = _read_ends(bundle, m, M, THEOREMS)
@@ -355,17 +358,18 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = TOLERANCE) -> Fuz
         # (theorem, lower/mid/upper, functional)
         triples = np.array([theorem_triple(theorem, ms, bundle, m, M, read)
                             for theorem in THEOREMS])
-        # excess[i, o, t]: functional i, orientation o (direct, then
-        # reversed), theorem t, so that argwhere lists records in the
-        # order of one functional at a time; each orientation is one
-        # _excess pass over all theorems
+        # excess[i, o, t]: the i-th draw, orientation o (direct, then
+        # reversed), theorem t, so that argwhere lists records in draw
+        # order, one functional at a time; each orientation is one _excess
+        # pass over all theorems
+        rows = np.argsort(order)  # each draw's row of the batch
         excess = np.stack([
             _excess(*(sign * triples).swapaxes(0, 1), oriented)
-            for sign, oriented in zip((1.0, -1.0), orientations)]).transpose(2, 0, 1)
+            for sign, oriented in zip((1.0, -1.0), orientations)]).transpose(2, 0, 1)[rows]
         for index, o, t in np.argwhere(excess > tolerance):
             if names[o] is None:
                 names[o] = bundle.negated().name
-            functional = functionals.functional(index)
+            functional = functionals.functional(rows[index])
             violations.append({
                 "theorem": THEOREMS[t],
                 "orientation": orientations[o],

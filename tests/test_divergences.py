@@ -510,7 +510,7 @@ class TestRatioOneRowPath:
     @staticmethod
     def assert_is_the_batch_of_one(p, q):
         functional, _, _, masses = ratio_functional(p, q)
-        batch = make_functionals(functional.nodes, masses, ((1, masses.size),))
+        batch = make_functionals(functional.nodes, masses, [masses.size])
         assert functional.weights.tobytes() == batch.weights.tobytes()
 
     def test_dirichlet_pairs(self):

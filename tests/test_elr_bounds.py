@@ -71,6 +71,16 @@ class TestElrDifference:
         assert elr_difference(F, CUBIC, 0.0, 2.0) == 2.25
         assert elr_difference(F, replace(CUBIC, f=lambda x: x**3 + 100), 0.0, 2.0) == 2.25
 
+    def test_reads_f_alone(self):
+        """D needs f at the nodes and at the ends: no phi' at the nodes and
+        no derivative at an end node, so a phi' that fails is never met."""
+        calls = []
+        F = make_functional([0.0, 1.5, 3.0], [0.25, 0.5, 0.25])
+        assert elr_difference(F, counting_bundle(calls, arrays=True), 0.0, 3.0) == 0.73828125
+        assert calls == [(0, (3,)), (0, 0.0), (0, 3.0)]
+        failing = counting_bundle([], d1=lambda x: 1.0 / 0.0)
+        assert elr_difference(F, failing, 0.0, 3.0) == 0.73828125
+
 
 class TestSecant:
     def test_worked_instance(self):
@@ -388,8 +398,7 @@ class TestEndpointRead:
                    counting_bundle(calls, arrays=True))
         for nodes in ([0.5, 1.0], [-0.5, 1.0]):
             F = make_functional(nodes, [0.5, 0.5])
-            batch = make_functionals(np.array(nodes + [1.5, 1.0]), np.full(4, 0.5),
-                                     ((2, 2),))
+            batch = make_functionals(np.array(nodes + [1.5, 1.0]), np.full(4, 0.5), [2, 2])
             for bundle in bundles:
                 passes = [
                     *(partial(bounds, theorem, F, bundle, -1.0, 2.0)
@@ -446,7 +455,7 @@ class TestEndpointRead:
         huge = FunctionBundle(domain_lo=-math.inf, domain_hi=math.inf,
                               f=lambda x: 1e308 + 0.0 * x, d1=lambda x: 0.0 * x,
                               d2=lambda x: 0.0 * x, name="huge")
-        batch = make_functionals([5.0, 4.0], [1.0, 1.0], ((2, 1),))
+        batch = make_functionals([5.0, 4.0], [1.0, 1.0], [1, 1])
         ms = moments_batch(batch, huge, 0.0, 10.0)
         with pytest.raises(RuntimeWarning, match="overflow"):
             [theorem_triple(theorem, ms, huge, 0.0, 10.0) for theorem in THEOREMS]

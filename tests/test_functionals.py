@@ -13,6 +13,7 @@ from elrbounds import apply, bounds, functionals, fuzzing, make_functional, mome
 from elrbounds.divergences import ratio_functional
 from elrbounds.functionals import check_weights, make_functionals, moments_batch
 from elrbounds.registry import resolve_phi
+from rows import row_blocks
 
 CUBIC = resolve_phi({"name": "cubic"})
 
@@ -282,8 +283,7 @@ class TestHandBuiltFunctional:
         assert moments(single, CUBIC, 0.0, 1.0) == moments(double, CUBIC, 0.0, 1.0)
 
     def test_batch_is_not_one_functional(self):
-        batch = make_functionals([0.5, 0.9, 0.2, 0.4], [0.5, 0.5, 0.25, 0.75],
-                                 ((2, 2),))
+        batch = make_functionals([0.5, 0.9, 0.2, 0.4], [0.5, 0.5, 0.25, 0.75], [2, 2])
         message = "^expected a DiscreteFunctional, got FunctionalBatch$"
         for run in (lambda: moments(batch, CUBIC, 0.0, 1.0),
                     lambda: functionals.moment_basis(batch, 0.0, 1.0),
@@ -294,17 +294,23 @@ class TestHandBuiltFunctional:
 
 
 class TestFunctionalBatchIndex:
-    NODES, WEIGHTS, SHAPES = [1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.5, 0.5, 0.5, 0.5], ((1, 1), (2, 2))
+    """functional(i) is row i of the batch, with the rows given in sequence
+    or in another order, whose sizes are then not grouped."""
+
+    ROWS = [[1.0], [2.0, 3.0], [4.0, 5.0]]
+
+    def batch(self, order):
+        rows = self.ROWS if order is None else [self.ROWS[i] for i in order]
+        return make_functionals(sum(rows, []), [1.0 / len(row) for row in rows for _ in row],
+                                [len(row) for row in rows])
 
     @pytest.mark.parametrize("order", [None, [2, 0, 1]], ids=["sequence", "ordered"])
     def test_index_outside_the_batch_refused(self, order):
-        batch = make_functionals(self.NODES, self.WEIGHTS, self.SHAPES,
-                                 None if order is None else np.array(order))
+        batch = self.batch(order)
         for index in (-1, -3, 3, 10):
             with pytest.raises(IndexError, match=rf"index {index} .* batch of 3"):
                 batch.functional(index)
-        rows = [[1.0], [2.0, 3.0], [4.0, 5.0]]
-        expected = rows if order is None else [rows[order.index(i)] for i in range(3)]
+        expected = self.ROWS if order is None else [self.ROWS[i] for i in order]
         assert [batch.functional(i).nodes.tolist() for i in range(3)] == expected
 
     @pytest.mark.parametrize("order", [None, [2, 0, 1]], ids=["sequence", "ordered"])
@@ -314,85 +320,99 @@ class TestFunctionalBatchIndex:
         """A bool used to index the node blocks as a mask (True gave nodes
         of shape (1, 2, 2), False an empty block) and a float failed inside
         numpy: each is refused, naming the index."""
-        batch = make_functionals(self.NODES, self.WEIGHTS, self.SHAPES,
-                                 None if order is None else np.array(order))
+        batch = self.batch(order)
         with pytest.raises(TypeError, match=rf"^index {re.escape(repr(index))} is not an integer$"):
             batch.functional(index)
 
     @pytest.mark.parametrize("order", [None, [2, 0, 1]], ids=["sequence", "ordered"])
     def test_numpy_integer_index_accepted(self, order):
-        batch = make_functionals(self.NODES, self.WEIGHTS, self.SHAPES,
-                                 None if order is None else np.array(order))
+        batch = self.batch(order)
         for kind in (np.int64, np.int32, np.uint8):
             assert ([batch.functional(kind(i)).nodes.tolist() for i in range(3)]
                     == [batch.functional(i).nodes.tolist() for i in range(3)])
 
 
 class TestBatchOrder:
-    """make_functionals refuses an order that is not a permutation of the
-    row indices before any work: [0, 0] used to make moments_batch report
-    functional 0 for both rows and functional(1) fail inside numpy, and
-    [0, 5] used to fail inside the moment sums."""
+    """A batch keeps its rows in the order given, and moments_batch reports
+    them in that order."""
 
     # two 2-node rows, with means 0.5 and 0.575
-    NODES, WEIGHTS, SHAPES = [0.25, 0.75, 0.4, 0.75], [0.5] * 4, ((2, 2),)
-
-    @pytest.mark.parametrize("order", [
-        [0, 0], [1, 1], [0, 5], [-1, 0], [0], [0, 1, 2], [[0, 1]], [0.0, 1.0],
-    ])
-    def test_order_that_is_not_a_permutation_refused(self, order):
-        with pytest.raises(ValueError, match=re.escape("order must be a permutation of range(2)")):
-            make_functionals(self.NODES, self.WEIGHTS, self.SHAPES, np.array(order))
-
-    def test_order_refused_before_the_weights_are_read(self):
-        with pytest.raises(ValueError, match="order must be a permutation"):
-            make_functionals(self.NODES, [0.5, 0.5, 0.5, np.nan], self.SHAPES, [0, 0])
+    NODES, WEIGHTS = [0.25, 0.75, 0.4, 0.75], [0.5] * 4
 
     def test_permutation_accepted(self):
         cubic = resolve_phi({"name": "cubic"})
         for order, means in (([0, 1], [0.5, 0.575]), ([1, 0], [0.575, 0.5])):
-            batch = make_functionals(self.NODES, self.WEIGHTS, self.SHAPES, order)
+            nodes = [self.NODES[2 * row + i] for row in order for i in range(2)]
+            batch = make_functionals(nodes, self.WEIGHTS, [2, 2])
             assert moments_batch(batch, cubic, 0.0, 1.0).mean.tolist() == means
-            assert batch.functional(order[0]).nodes.tolist() == [0.25, 0.75]
+            assert batch.functional(order.index(0)).nodes.tolist() == [0.25, 0.75]
 
 
-class TestBatchShapes:
-    """make_functionals refuses a block shape that is not a pair of
-    integers (rows >= 0, nodes >= 1) before any work, naming the first
-    such pair.  Without the rule a nodes count of -1 failed in a numpy
-    reshape, a float count in slicing, a bool with "an integer is
-    required", and a count of 0 as a weight sum off 1."""
+class TestUngroupedRows:
+    """Rows of a batch need not be grouped by size: moments_batch reduces
+    each run of neighbouring rows of equal size with one stacked product
+    and gives every row the bits of its own functional's moments."""
 
-    RULE = "each block shape must be a pair of integers (rows >= 0, nodes >= 1), got "
+    SIZES = [3, 1, 3, 3, 2, 1]
 
-    @pytest.mark.parametrize("shapes, nodes, bad", [
-        (((1, -1), (1, 2)), 1, "(1, -1)"),
-        (((1, 2.0),), 2, "(1, 2.0)"),
-        (((1, True),), 1, "(1, True)"),
-        (((True, 1),), 1, "(True, 1)"),
-        (((1, 0), (1, 1)), 1, "(1, 0)"),
-        (((-1, 2), (2, 2)), 2, "(-1, 2)"),
-        (((1, 2), (1, 2, 3)), 5, "(1, 2, 3)"),
-        (((1, 2), 3), 2, "3"),
-        ((("1", 2),), 2, "('1', 2)"),
-        ((("ab"),), 2, "'ab'"),
-        (((1, None),), 1, "(1, None)"),
-        (((1, np.int64(-2)),), 1, "(1, np.int64(-2))"),
-    ])
-    def test_message(self, shapes, nodes, bad):
+    @pytest.mark.parametrize("name", ["cubic", "exp", "spline"])
+    def test_every_field_is_the_scalar_moments(self, name):
+        rng = np.random.default_rng(41)
+        m, M = -1.5, 2.0
+        bundle = fuzzing.draw_bundle(rng, name, m, M)
+        for sizes in [self.SIZES] + [rng.permutation(self.SIZES * 4).tolist() for _ in range(19)]:
+            nodes = rng.uniform(m, M, sum(sizes))
+            nodes[:2] = m, M  # an end node in the first row
+            weights = rng.uniform(0.0, 1.0, sum(sizes)) + 1e-12
+            weights /= np.repeat(np.add.reduceat(weights, np.cumsum(sizes) - sizes), sizes)
+            batch = make_functionals(nodes, weights, sizes)
+            ms = moments_batch(batch, bundle, m, M)
+            for i in range(len(batch)):
+                scalar = moments(batch.functional(i), bundle, m, M)
+                for field in vars(scalar):
+                    assert getattr(ms, field)[i].tobytes() == \
+                        np.float64(getattr(scalar, field)).tobytes(), (i, field)
+
+
+class TestBatchSizes:
+    """make_functionals refuses a row size that is not an integer >= 1
+    (``_is_number``: a bool or a float is refused) before any work, naming
+    the first such size, and sizes whose total is not the arrays' length."""
+
+    RULE = "each row size must be an integer >= 1, got "
+
+    @pytest.mark.parametrize("sizes, bad", [
+        ([0, 1], "0"),
+        ([-1, 2], "-1"),
+        ([2.0], "2.0"),
+        ([True, 1], "True"),
+        (["2"], "'2'"),
+        ([1, None], "None"),
+        ([1, np.int64(-2)], "np.int64(-2)"),
+        ([(1, 2)], "(1, 2)"),
+        (np.array([2.0]), "np.float64(2.0)"),
+    ], ids=["zero", "negative", "float", "bool", "string", "none", "numpy-negative",
+            "shape-pair", "float-array"])
+    def test_message(self, sizes, bad):
         with pytest.raises(ValueError) as info:
-            make_functionals(np.full(nodes, 0.5), np.full(nodes, 1.0 / nodes), shapes)
+            make_functionals(np.full(2, 0.5), np.full(2, 0.5), sizes)
         assert str(info.value) == self.RULE + bad
 
-    def test_first_bad_pair_named_before_the_size_and_weights(self):
+    def test_first_bad_size_named_before_the_total_and_weights(self):
         with pytest.raises(ValueError) as info:
-            make_functionals([0.5] * 7, [np.nan] * 7, ((1, 2), (2, 0), (1, -1)))
-        assert str(info.value) == self.RULE + "(2, 0)"
+            make_functionals([0.5] * 7, [np.nan] * 7, [2, 0, -1])
+        assert str(info.value) == self.RULE + "0"
 
-    def test_numpy_integers_and_empty_blocks_accepted(self):
-        shapes = ((np.int64(0), 3), (2, np.int32(2)), (0, 1), [1, np.uint8(1)])
-        batch = make_functionals([0.25, 0.75, 0.4, 0.75, 0.5], [0.5] * 4 + [1.0], shapes)
+    @pytest.mark.parametrize("sizes", [[2], [2, 2], [1, 1, 1, 1], []])
+    def test_total_that_misses_the_arrays(self, sizes):
+        with pytest.raises(ValueError, match="^nodes, weights and row sizes differ in size$"):
+            make_functionals([0.25, 0.75, 0.5], [0.5, 0.5, 1.0], sizes)
+
+    def test_numpy_integers_accepted(self):
+        sizes = (np.int64(2), np.int32(2), np.uint8(1))
+        batch = make_functionals([0.25, 0.75, 0.4, 0.75, 0.5], [0.5] * 4 + [1.0], sizes)
         assert len(batch) == 3
+        assert batch.sizes.tolist() == [2, 2, 1]
         assert moments_batch(batch, CUBIC, 0.0, 1.0).mean.tolist() == [0.5, 0.575, 0.5]
 
 
@@ -401,11 +421,11 @@ class TestHandBuiltBatch:
     with make_functionals' messages unless each row already is a
     functional; it is never renormalized.  Without the check a negative
     weight reached moments_batch, and functional(0) handed out a
-    DiscreteFunctional with weights [2, -1]; an order [0, 0] reported one
-    row twice; and a nan node was refused only by the moment pass."""
+    DiscreteFunctional with weights [2, -1]; and a nan node was refused
+    only by the moment pass."""
 
     # rows [0.5, 0.6] and [0.7]
-    NODES, WEIGHTS, SHAPES = np.array([0.5, 0.6, 0.7]), np.array([0.25, 0.75, 1.0]), ((1, 2), (1, 1))
+    NODES, WEIGHTS, SIZES = np.array([0.5, 0.6, 0.7]), np.array([0.25, 0.75, 1.0]), [2, 1]
 
     @pytest.mark.parametrize("fields, message", [
         (dict(weights=np.array([2.0, -1.0, 5.0])), "negative weight in functional"),
@@ -414,26 +434,22 @@ class TestHandBuiltBatch:
         (dict(weights=np.array([0.25, 0.5, 1.0])), "weights of functional must sum to 1 (got 0.75)"),
         (dict(weights=np.array([0.25, np.nan, 1.0])), "non-finite weight in functional"),
         (dict(nodes=np.array([0.5, np.nan, 0.7])), "nodes must be finite"),
-        (dict(order=np.array([0, 0])), "order must be a permutation of range(2)"),
-        (dict(order=np.array([0.0, 1.0])), "order must be a permutation of range(2)"),
-        (dict(order=[1]), "order must be a permutation of range(2)"),
-        (dict(shapes=((1, 2), (1, 0))),
-         "each block shape must be a pair of integers (rows >= 0, nodes >= 1), got (1, 0)"),
-        (dict(shapes=((1, 2),)), "nodes, weights and block shapes differ in size"),
-        (dict(nodes=np.array([0.5, 0.6])), "nodes, weights and block shapes differ in size"),
-        (dict(nodes=np.array([]), weights=np.array([]), shapes=()), "functional has no weights"),
+        (dict(sizes=[2, 0]), "each row size must be an integer >= 1, got 0"),
+        (dict(sizes=[2]), "nodes, weights and row sizes differ in size"),
+        (dict(nodes=np.array([0.5, 0.6])), "nodes, weights and row sizes differ in size"),
+        (dict(nodes=np.array([]), weights=np.array([]), sizes=[]), "functional has no weights"),
         (dict(nodes=[0.5, 0.6, 0.7]), "nodes must be a flat array of numbers"),
         (dict(weights=np.array([[0.25, 0.75, 1.0]])), "weights must be a flat array of numbers"),
         (dict(weights=np.array([True, True, True])), "weights must be a flat array of numbers"),
-    ], ids=["negative", "weight-above-one", "sum-short", "nan-weight", "nan-node", "repeated-row",
-            "float-order", "short-order", "empty-block", "short-shapes", "short-nodes", "empty",
+    ], ids=["negative", "weight-above-one", "sum-short", "nan-weight", "nan-node",
+            "empty-block", "short-sizes", "short-nodes", "empty",
             "list-nodes", "two-dimensional", "bool-weights"])
     def test_refused_with_make_functionals_messages(self, fields, message):
-        given = dict(nodes=self.NODES, weights=self.WEIGHTS, shapes=self.SHAPES, order=None)
+        given = dict(nodes=self.NODES, weights=self.WEIGHTS, sizes=self.SIZES)
         given.update(fields)
         builds = [lambda: functionals.FunctionalBatch(**given),
                   lambda: dataclasses.replace(make_functionals(self.NODES, self.WEIGHTS,
-                                                               self.SHAPES), **fields)]
+                                                               self.SIZES), **fields)]
         if "flat array" not in message:
             builds.append(lambda: make_functionals(**given))
         for build in builds:
@@ -443,21 +459,21 @@ class TestHandBuiltBatch:
     def test_accepted_as_given(self):
         """Nothing is renormalized and float64 arrays are kept: a row
         summing to 1 + 4e-10 stays so, as DiscreteFunctional keeps one."""
-        weights = np.array([0.5, 0.5 + 4e-10, 1.0])
-        order = np.array([1, 0])
-        batch = functionals.FunctionalBatch(self.NODES, weights, [(1, 2), (1, 1)], order)
-        assert batch.nodes is self.NODES and batch.weights is weights and batch.order is order
-        assert batch.shapes == ((1, 2), (1, 1))
-        assert batch.functional(1).weights.tobytes() == weights[:2].tobytes()
+        weights = np.array([1.0, 0.5, 0.5 + 4e-10])
+        nodes = self.NODES[[2, 0, 1]]
+        batch = functionals.FunctionalBatch(nodes, weights, [1, 2])
+        assert batch.nodes is nodes and batch.weights is weights
+        assert batch.sizes.tolist() == [1, 2]
+        assert batch.functional(1).weights.tobytes() == weights[1:].tobytes()
         assert moments_batch(batch, CUBIC, 0.0, 1.0).mean.tolist() == [
-            0.7, float(weights[:2] @ self.NODES[:2])]
+            0.7, float(weights[1:] @ nodes[1:])]
 
     def test_numeric_arrays_stored_as_float64(self):
         batch = functionals.FunctionalBatch(self.NODES.astype(np.float32),
-                                            np.array([1, 0, 1]), self.SHAPES, [0, 1])
+                                            np.array([1, 0, 1]), self.SIZES)
         assert batch.nodes.dtype == batch.weights.dtype == np.float64
         assert batch.weights.tolist() == [1.0, 0.0, 1.0]
-        assert batch.order.tolist() == [0, 1]
+        assert batch.sizes.tolist() == [2, 1]
 
     def test_builders_skip_the_check(self, monkeypatch):
         """make_functionals checks its fields once, and random_functionals
@@ -466,7 +482,7 @@ class TestHandBuiltBatch:
             raise AssertionError("a built batch was checked again")
 
         monkeypatch.setattr(functionals.FunctionalBatch, "__post_init__", checked)
-        make_functionals(self.NODES, self.WEIGHTS, self.SHAPES, [1, 0])
+        make_functionals(self.NODES, self.WEIGHTS, self.SIZES)
         fuzzing.random_functionals(np.random.default_rng(1), 0.0, 1.0, 50)
 
 
@@ -478,39 +494,39 @@ class TestWeightSums:
     above; a numpy that sums otherwise fails here."""
 
     @staticmethod
-    def assert_block_sums(weights, shapes):
-        expected = np.concatenate([block.sum(axis=1) for block in
-                                   functionals.row_blocks(weights, shapes)])
-        got = functionals._weight_sums(weights, functionals._row_sizes(shapes))
+    def assert_block_sums(weights, sizes):
+        expected = np.concatenate([block.sum(axis=1) for block in row_blocks(weights, sizes)])
+        got = functionals._weight_sums(weights, np.array(sizes))
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     @pytest.mark.parametrize("spread", [0, 4, 300])
     def test_every_row_length_to_300(self, spread):
         """Mixed signs, with exponents spread over +-spread decades."""
         rng = np.random.default_rng(spread)
-        shapes = [(int(rng.integers(1, 8)), k) for k in range(1, 301)]
-        size = sum(count * k for count, k in shapes)
+        sizes = [k for k in range(1, 301) for _ in range(int(rng.integers(1, 8)))]
+        size = sum(sizes)
         weights = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-spread, spread, size)
-        self.assert_block_sums(weights, shapes)
-        for count, k in shapes[::37]:
-            self.assert_block_sums(weights[:count * k], [(count, k)])
+        self.assert_block_sums(weights, sizes)
+        for k in range(1, 301, 37):
+            count = sizes.count(k)
+            self.assert_block_sums(weights[:count * k], [k] * count)
 
     def test_negative_zero_and_nan_rows(self):
-        shapes = [(2, 3), (1, 5), (3, 130), (1, 1)]
+        sizes = [3] * 2 + [5] + [130] * 3 + [1]
         weights = np.full(2 * 3 + 5 + 3 * 130 + 1, -0.0)
-        self.assert_block_sums(weights, shapes)
-        assert functionals._weight_sums(weights, functionals._row_sizes(shapes)).view(
+        self.assert_block_sums(weights, sizes)
+        assert functionals._weight_sums(weights, np.array(sizes)).view(
             np.int64).tolist() == [0] * 7
         weights[8] = np.nan
         weights[6 + 5 + 200] = 0.25
         weights[-1] = -np.nan
-        self.assert_block_sums(weights, shapes)
+        self.assert_block_sums(weights, sizes)
 
     def test_fuzz_batches(self):
         rng = np.random.default_rng(33)
         for count in rng.integers(1, 401, 1000).tolist():
-            _, weights, shapes, _ = fuzzing._draw(rng, -1.0, 2.0, count)
-            self.assert_block_sums(weights, shapes)
+            _, weights, sizes, _ = fuzzing._draw(rng, -1.0, 2.0, count)
+            self.assert_block_sums(weights, sizes)
 
 
 class TestBatchSumMessages:
@@ -520,7 +536,7 @@ class TestBatchSumMessages:
     ROWS = np.tile([0.25, 0.5, 0.25], (400, 1))
 
     def check(self, rows):
-        make_functionals(np.zeros(rows.size), rows.ravel(), ((len(rows), 3),))
+        make_functionals(np.zeros(rows.size), rows.ravel(), [3] * len(rows))
 
     def test_first_row_off_one_is_named(self):
         rows = self.ROWS.copy()
@@ -557,7 +573,7 @@ class TestEntryRulePrecedence:
         "check_weights": ("weights", check_weights),
         "make_functional": ("functional", lambda w: make_functional([0.5] * len(w), w)),
         "make_functionals": ("functional", lambda w: make_functionals(
-            np.full(len(w), 0.5), np.array(w), ((1, len(w)),))),
+            np.full(len(w), 0.5), np.array(w), [len(w)])),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -714,7 +730,7 @@ class TestOneRowPath:
     @staticmethod
     def assert_is_the_batch_of_one(nodes, weights):
         F = make_functional(nodes, weights)
-        batch = make_functionals(nodes, weights, ((1, len(weights)),))
+        batch = make_functionals(nodes, weights, [len(weights)])
         assert F.nodes.tobytes() == batch.nodes.tobytes()
         assert F.weights.tobytes() == batch.weights.tobytes()
         assert not (F.nodes.flags.writeable or F.weights.flags.writeable)
@@ -779,7 +795,7 @@ class TestOneCheckPerConstruction:
         assert labels == ["p", "q"]
 
     def test_batch_row(self, labels):
-        batch = make_functionals([0.5, 0.9, 0.2, 0.4], [0.5, 0.5, 0.25, 0.75], ((2, 2),))
+        batch = make_functionals([0.5, 0.9, 0.2, 0.4], [0.5, 0.5, 0.25, 0.75], [2, 2])
         labels.clear()
         assert batch.functional(1).weights.tolist() == [0.25, 0.75]
         assert labels == []

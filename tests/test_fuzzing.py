@@ -24,7 +24,6 @@ from elrbounds.divergences import ratio_functional
 from elrbounds.divided_diff import FunctionBundle, certify_3convex, check_bundle
 from elrbounds.elr_bounds import THEOREMS, _certified, _negated_orientation, bounds, theorem_triple
 from elrbounds.functionals import make_functional, make_functionals, moments, moments_batch
-from elrbounds.functionals import row_blocks
 from elrbounds.fuzzing import (
     bracket_fuzz,
     random_functional,
@@ -33,6 +32,7 @@ from elrbounds.fuzzing import (
 )
 from elrbounds.registry import resolve_phi
 from elrbounds.zipf_mandelbrot import zm_distribution
+from rows import row_blocks
 
 
 def drawn_functional(rng, m, M, max_nodes=50):
@@ -131,8 +131,8 @@ def test_batch_draw_matches_single_draws():
     singles = [random_functional(rngs[1], m, M) for _ in range(take)]
     reference = [drawn_functional(rngs[2], m, M) for _ in range(take)]
     assert len(batch) == take
-    for i in range(take):
-        F = batch.functional(i)
+    for row, i in enumerate(expected_layout(reference)[1]):
+        F = batch.functional(row)
         for other in (singles[i], reference[i]):
             assert np.array_equal(F.nodes, other.nodes)
             assert np.array_equal(F.weights, other.weights)
@@ -242,10 +242,10 @@ def test_batch_layout_must_cover_the_arrays():
     nodes = np.array([0.1, 0.2, 0.3])
     weights = np.array([0.5, 0.5, 1.0])
     with pytest.raises(ValueError, match="differ in size"):
-        make_functionals(nodes, weights, ((1, 2),))
-    batch = make_functionals(nodes, weights, ((1, 2), (1, 1)), np.array([1, 0]))
-    assert batch.functional(0).nodes.tolist() == [0.3]
-    assert batch.functional(1).weights.tolist() == [0.5, 0.5]
+        make_functionals(nodes, weights, [2])
+    batch = make_functionals(nodes, weights, [2, 1])
+    assert batch.functional(1).nodes.tolist() == [0.3]
+    assert batch.functional(0).weights.tolist() == [0.5, 0.5]
 
 
 def drawn_spline(rng, lo, hi):
@@ -346,13 +346,14 @@ def test_spline_evaluation_matches_searchsorted_form():
 # the draws of drawn_functional's separate uniform and random calls.
 
 def expected_layout(reference):
-    """The shapes and order of a batch holding the reference functionals,
-    grouped by node count in order of first appearance."""
+    """The row sizes of a batch holding the reference functionals, grouped
+    by node count in order of first appearance, and the index in
+    ``reference`` of each row."""
     groups = {}
     for index, functional in enumerate(reference):
         groups.setdefault(functional.size, []).append(index)
-    shapes = tuple((len(group), k) for k, group in groups.items())
-    return shapes, [index for group in groups.values() for index in group]
+    order = [index for group in groups.values() for index in group]
+    return [reference[index].size for index in order], order
 
 
 def assert_batch_is_reference(seed, m, M, count, max_nodes=fuzzing.MAX_NODES):
@@ -361,9 +362,8 @@ def assert_batch_is_reference(seed, m, M, count, max_nodes=fuzzing.MAX_NODES):
     batch_rng, reference_rng = (np.random.default_rng([seed, count]) for _ in range(2))
     batch = random_functionals(batch_rng, m, M, count)
     reference = [drawn_functional(reference_rng, m, M, max_nodes) for _ in range(count)]
-    shapes, order = expected_layout(reference)
-    assert batch.shapes == shapes
-    assert batch.order.tolist() == order
+    sizes, order = expected_layout(reference)
+    assert batch.sizes.tolist() == sizes
     in_order = [reference[index] for index in order]
     assert batch.nodes.tobytes() == np.concatenate([F.nodes for F in in_order]).tobytes()
     assert batch.weights.tobytes() == np.concatenate([F.weights for F in in_order]).tobytes()
@@ -387,13 +387,13 @@ def test_one_and_two_node_rows_keep_the_draws(monkeypatch):
     pinned = 0
     for seed in range(20):
         batch = assert_batch_is_reference(seed, m, M, 60, max_nodes=2)
-        assert {k for _, k in batch.shapes} == {1, 2}
+        assert set(batch.sizes.tolist()) == {1, 2}
         pinned += sum(F.nodes.tolist() == [m, M] for F in
                       map(batch.functional, range(len(batch))))
     assert pinned > 100
     monkeypatch.setattr(fuzzing, "MAX_NODES", 1)
     batch = assert_batch_is_reference(3, m, M, 50, max_nodes=1)
-    assert batch.shapes == ((50, 1),)
+    assert batch.sizes.tolist() == [1] * 50
 
 
 def test_uniform_is_the_affine_map_of_random():
@@ -437,12 +437,12 @@ def test_point_interval_still_draws():
     assert (batch.nodes == 0.5).all()
 
 
-def landed_row_by_row(weights, shapes):
+def landed_row_by_row(weights, sizes):
     """make_functionals' normalization as a loop over numpy row views:
     each row divided by its sum, then up to four adjustments of its fsum
     drift at the row's current argmax."""
     weights = np.array(weights, dtype=float)
-    for block in row_blocks(weights, shapes):
+    for block in row_blocks(weights, sizes):
         block /= block.sum(axis=1)[:, None]
         for row in block:
             for _ in range(4):
@@ -457,22 +457,22 @@ def test_landing_matches_the_row_by_row_loop():
     rng = np.random.default_rng(8)
     cases = []
     for _ in range(30):
-        shapes = random_functionals(rng, 0.0, 1.0, 400).shapes
-        weights = rng.uniform(0.0, 1.0, sum(c * k for c, k in shapes)) + 1e-12
-        for block in row_blocks(weights, shapes):
+        sizes = random_functionals(rng, 0.0, 1.0, 400).sizes
+        weights = rng.uniform(0.0, 1.0, sizes.sum()) + 1e-12
+        for block in row_blocks(weights, sizes):
             block /= block.sum(axis=1, keepdims=True)
-        cases.append((weights, shapes))
+        cases.append((weights, sizes))
     # rows whose largest weight is tied, with and without a drift to land
     ties = [np.array(row) / sum(row) for row in
             ([1.0] * 3, [0.3, 0.3, 0.1, 0.2], [1.0] * 49, [0.25, 0.5, 0.25])]
     assert sum(math.fsum(row) != 1.0 for row in ties) == 2
-    cases.append((np.concatenate(ties), tuple((1, row.size) for row in ties)))
+    cases.append((np.concatenate(ties), [row.size for row in ties]))
     adjusted = 0
-    for weights, shapes in cases:
-        expected = landed_row_by_row(weights, shapes)
-        landed = make_functionals(np.zeros(weights.size), weights, shapes).weights
+    for weights, sizes in cases:
+        expected = landed_row_by_row(weights, sizes)
+        landed = make_functionals(np.zeros(weights.size), weights, sizes).weights
         assert landed.tobytes() == expected.tobytes()
-        for block in row_blocks(weights, shapes):
+        for block in row_blocks(weights, sizes):
             rows = block / block.sum(axis=1)[:, None]
             adjusted += sum(math.fsum(row) != 1.0 for row in rows)
     assert adjusted > 1000
@@ -486,9 +486,8 @@ def assert_batch_from_state(state, m, M, count, max_nodes=fuzzing.MAX_NODES):
     batch_rng, reference_rng = generator_at(state), generator_at(state)
     batch = random_functionals(batch_rng, m, M, count)
     reference = [drawn_functional(reference_rng, m, M, max_nodes) for _ in range(count)]
-    shapes, order = expected_layout(reference)
-    assert batch.shapes == shapes
-    assert batch.order.tolist() == order
+    sizes, order = expected_layout(reference)
+    assert batch.sizes.tolist() == sizes
     in_order = [reference[index] for index in order]
     assert batch.nodes.tobytes() == np.concatenate([F.nodes for F in in_order]).tobytes()
     assert batch.weights.tobytes() == np.concatenate([F.weights for F in in_order]).tobytes()
@@ -582,21 +581,21 @@ def test_other_bit_generators_refused_before_any_draw(make):
 # weights on exact int64 limb sums (functionals._land_batch), held here to
 # landed_row_by_row bit for bit on rows that reach each of its branches.
 
-def normalized_rows(weights, shapes):
-    for block in row_blocks(weights, shapes):
+def normalized_rows(weights, sizes):
+    for block in row_blocks(weights, sizes):
         block /= block.sum(axis=1, keepdims=True)
     return weights
 
 
-def assert_batch_lands_row_by_row(weights, shapes):
-    landed = make_functionals(np.zeros(weights.size), weights, shapes).weights
-    assert landed.tobytes() == landed_row_by_row(weights, shapes).tobytes()
+def assert_batch_lands_row_by_row(weights, sizes):
+    landed = make_functionals(np.zeros(weights.size), weights, sizes).weights
+    assert landed.tobytes() == landed_row_by_row(weights, sizes).tobytes()
 
 
-def adjustments_row_by_row(weights, shapes):
+def adjustments_row_by_row(weights, sizes):
     """How many adjustments landed_row_by_row makes on each row."""
     counts = []
-    for block in row_blocks(np.array(weights), shapes):
+    for block in row_blocks(np.array(weights), sizes):
         for row in block / block.sum(axis=1)[:, None]:
             count = 0
             while count < 4 and math.fsum(row) != 1.0:
@@ -606,59 +605,59 @@ def adjustments_row_by_row(weights, shapes):
     return np.array(counts)
 
 
-def rows_the_limbs_cannot_hold(weights, shapes):
+def rows_the_limbs_cannot_hold(weights, sizes):
     """Whether each row holds a weight with a bit below 2**-104."""
     held = functionals._limbs(weights)[1]
-    return np.concatenate([~block.all(axis=1) for block in row_blocks(held, shapes)])
+    return np.concatenate([~block.all(axis=1) for block in row_blocks(held, sizes)])
 
 
 def random_rows(rng, count=400):
-    shapes = random_functionals(rng, 0.0, 1.0, count).shapes
-    weights = rng.uniform(0.0, 1.0, sum(c * k for c, k in shapes)) + 1e-12
-    return weights, shapes
+    sizes = random_functionals(rng, 0.0, 1.0, count).sizes
+    weights = rng.uniform(0.0, 1.0, sizes.sum()) + 1e-12
+    return weights, sizes
 
 
 def test_batch_landing_leaves_rows_the_limbs_cannot_hold_to_the_loop():
     rng = np.random.default_rng(16)
     for _ in range(10):
-        weights, shapes = random_rows(rng)
+        weights, sizes = random_rows(rng)
         tiny = rng.random(weights.size) < 0.02
         weights[tiny] *= 10.0 ** rng.uniform(-32.0, -28.0, tiny.sum())
-        normalized_rows(weights, shapes)
-        loose = rows_the_limbs_cannot_hold(weights, shapes)
+        normalized_rows(weights, sizes)
+        loose = rows_the_limbs_cannot_hold(weights, sizes)
         assert 0 < loose.sum() < loose.size
-        assert (adjustments_row_by_row(weights, shapes)[loose] > 0).any()
-        assert_batch_lands_row_by_row(weights, shapes)
+        assert (adjustments_row_by_row(weights, sizes)[loose] > 0).any()
+        assert_batch_lands_row_by_row(weights, sizes)
     # steep Zipf-Mandelbrot laws, whose tails fall below 2**-104
     laws = [zm_distribution(40, q, s).pmf for q, s in
             zip(rng.uniform(0.0, 5.0, 60), rng.uniform(8.0, 30.0, 60))]
-    weights, shapes = np.concatenate(laws), ((60, 40),)
-    loose = rows_the_limbs_cannot_hold(weights, shapes)
+    weights, sizes = np.concatenate(laws), [40] * 60
+    loose = rows_the_limbs_cannot_hold(weights, sizes)
     assert 0 < loose.sum() < loose.size
-    assert_batch_lands_row_by_row(weights, shapes)
+    assert_batch_lands_row_by_row(weights, sizes)
 
 
 def test_batch_landing_on_rows_whose_plain_limb_sums_overflow_int64():
     """Rows of 5000 entries and more: their r limbs (up to 2**52 each)
     sum past int64, which the 26-bit halves do not."""
     rng = np.random.default_rng(17)
-    shapes = ((6, 5000), (2, 12_000), (60, 7))
-    weights = normalized_rows(rng.uniform(0.0, 1.0, 54_420) + 1e-12, shapes)
+    sizes = [5000] * 6 + [12_000] * 2 + [7] * 60
+    weights = normalized_rows(rng.uniform(0.0, 1.0, 54_420) + 1e-12, sizes)
     limbs = functionals._limbs(weights)[0]
     r = (limbs[1] << 26) | limbs[2]
-    r_sums = [sum(row.tolist()) for block in row_blocks(r, shapes[:2]) for row in block]
+    r_sums = [sum(row.tolist()) for block in row_blocks(r, sizes[:8]) for row in block]
     assert max(r_sums) > 2**63
-    assert (adjustments_row_by_row(weights, shapes)[:8] > 0).any()
-    assert_batch_lands_row_by_row(weights, shapes)
+    assert (adjustments_row_by_row(weights, sizes)[:8] > 0).any()
+    assert_batch_lands_row_by_row(weights, sizes)
 
 
 def test_batch_landing_on_rows_that_take_two_rounds():
     rng = np.random.default_rng(18)
     for _ in range(10):
-        weights, shapes = random_rows(rng)
-        normalized_rows(weights, shapes)
-        assert set(adjustments_row_by_row(weights, shapes).tolist()) == {0, 1, 2}
-        assert_batch_lands_row_by_row(weights, shapes)
+        weights, sizes = random_rows(rng)
+        normalized_rows(weights, sizes)
+        assert set(adjustments_row_by_row(weights, sizes).tolist()) == {0, 1, 2}
+        assert_batch_lands_row_by_row(weights, sizes)
 
 
 def test_batch_landing_at_a_tied_largest_weight():
@@ -667,17 +666,17 @@ def test_batch_landing_at_a_tied_largest_weight():
     rng = np.random.default_rng(19)
     tied_and_adjusted = 0
     for _ in range(5):
-        weights, shapes = random_rows(rng)
+        weights, sizes = random_rows(rng)
         tied = []
-        for block in row_blocks(weights, shapes):
+        for block in row_blocks(weights, sizes):
             for row in block[:4]:
                 if row.size >= 2:
                     row[rng.choice(row.size, min(row.size, 3), replace=False)] = row.max()
                 tied.append(row.size >= 2)
             tied += [False] * (len(block) - len(block[:4]))
-        normalized_rows(weights, shapes)
-        tied_and_adjusted += (adjustments_row_by_row(weights, shapes)[np.array(tied)] > 0).sum()
-        assert_batch_lands_row_by_row(weights, shapes)
+        normalized_rows(weights, sizes)
+        tied_and_adjusted += (adjustments_row_by_row(weights, sizes)[np.array(tied)] > 0).sum()
+        assert_batch_lands_row_by_row(weights, sizes)
     assert tied_and_adjusted > 50
 
 
@@ -688,14 +687,14 @@ def test_batch_landing_on_small_batches(count):
     rng = np.random.default_rng(20 + count)
     adjustments, loose = set(), 0
     for draw in range(60):
-        weights, shapes = random_rows(rng, count)
+        weights, sizes = random_rows(rng, count)
         if draw % 2:
             tiny = rng.random(weights.size) < 0.05
             weights[tiny] *= 10.0 ** rng.uniform(-32.0, -28.0, tiny.sum())
-        normalized_rows(weights, shapes)
-        adjustments |= set(adjustments_row_by_row(weights, shapes).tolist())
-        loose += rows_the_limbs_cannot_hold(weights, shapes).sum()
-        assert_batch_lands_row_by_row(weights, shapes)
+        normalized_rows(weights, sizes)
+        adjustments |= set(adjustments_row_by_row(weights, sizes).tolist())
+        loose += rows_the_limbs_cannot_hold(weights, sizes).sum()
+        assert_batch_lands_row_by_row(weights, sizes)
     assert adjustments == {0, 1, 2} and loose > 0
 
 
@@ -707,10 +706,10 @@ def test_one_row_callers_land_as_the_loop_on_criterion_4_pairs():
         k = int(rng.integers(2, 9))
         p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
         functional, _, _, masses = ratio_functional(p, q)
-        expected = landed_row_by_row(masses, ((1, masses.size),))
+        expected = landed_row_by_row(masses, [masses.size])
         assert functional.weights.tobytes() == expected.tobytes()
         assert make_functional(p, q).weights.tobytes() == \
-            landed_row_by_row(q, ((1, k),)).tobytes()
+            landed_row_by_row(q, [k]).tobytes()
 
 
 @pytest.mark.parametrize("row, expected", [

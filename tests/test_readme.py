@@ -1,14 +1,17 @@
 """README's list of built-in ``phi`` names is the registry's: it names
 each built-in and generator name once, under the count of params that the
 name takes, so a name added, dropped or given another count without the
-README fails here."""
+README fails here.  README's ``make_functionals(...)`` signature is the
+function's, so a parameter added, dropped or renamed fails here too."""
 
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 from elrbounds.divergences import GENERATOR_NAMES
+from elrbounds.functionals import make_functionals
 from elrbounds.registry import BUILTIN_NAMES, resolve_phi
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,3 +37,12 @@ def test_readme_names_each_function_under_its_count():
         resolve_phi({"name": name, "params": [2.5]})
         with pytest.raises(ValueError, match=f"^{name} needs one parameter$"):
             resolve_phi({"name": name})
+
+
+def test_readme_make_functionals_signature_is_the_code():
+    written = re.findall(r"make_functionals\(([^)`]*)\)", README.read_text())
+    assert written
+    signature = ", ".join(
+        name if p.default is p.empty else f"{name}={p.default!r}"
+        for name, p in inspect.signature(make_functionals).parameters.items())
+    assert set(written) == {signature}

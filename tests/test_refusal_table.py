@@ -190,16 +190,15 @@ ENDS_NOT_FINITE = "ValueError: function values at the interval endpoints must be
 def test_double_fault_refuses_phi_at_the_ends_first():
     """A bound pass reads phi and phi' at m and M in one read, which refuses
     phi infinite at M before phi' raises at m, as it refuses it before a
-    derivative the bundle lacks.  The public ``moments`` ahead of
-    theorem_triple and elr_difference reads phi' at the node on m first, and
-    the divergence pass on its own interval [0.5, 2.0] has phi finite at
-    both ends: they keep the ZeroDivisionError of phi'."""
+    derivative the bundle lacks; elr_difference reads no phi' at all.  The
+    public ``moments`` ahead of theorem_triple reads phi' at the node on m
+    first, and the divergence pass on its own interval [0.5, 2.0] has phi
+    finite at both ends: they keep the ZeroDivisionError of phi'."""
     found, _ = table(blocks(double_fault=True))
     assert len(found) == len(DOUBLE_FAULT["domain"]) * len(D2S)
     for row in found.values():
         for name, got in row:
-            first_moments = name.startswith(
-                ("theorem_triple", "elr_difference", "divergence_pass[auto"))
+            first_moments = name.startswith(("theorem_triple", "divergence_pass[auto"))
             assert got == ("ZeroDivisionError: division by zero" if first_moments
                            else ENDS_NOT_FINITE), name
 
