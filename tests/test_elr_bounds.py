@@ -27,8 +27,9 @@ from elrbounds.elr_bounds import BoundReport, theorem_triple
 from elrbounds.functionals import make_functionals, moments, moments_batch
 from elrbounds.fuzzing import BATCH, bracket_fuzz
 from elrbounds.registry import resolve_phi
+from elrbounds.zipf_mandelbrot import zm_distribution, zm_divergence_pass
 
-from counting import counted, counting_bundle
+from counting import count_calls, counted, counting_bundle
 
 CUBIC = resolve_phi({"name": "cubic"})
 QUARTIC = resolve_phi({"name": "quartic"})
@@ -596,6 +597,39 @@ class TestOneReadPerPass:
     def test_bracket_fuzz_batch(self, entered):
         bracket_fuzz(seed=3, instances=5 * BATCH)
         assert len(entered) == 5
+
+
+class TestOneKernelEntry:
+    """Every pass reaches the bound formulas through ``theorem_triple``,
+    once per pair it computes: one per reported theorem of the report step,
+    two for a Jensen gap (A and delta), one for a Gamma and three for a
+    verify batch, one per theorem over the whole batch."""
+
+    P, Q = TestOnePassRead.P, TestOnePassRead.Q
+    F = TestOneReadPerPass.F
+    NAME = "elr_bounds.theorem_triple"
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        return count_calls(monkeypatch, (self.NAME,))
+
+    @pytest.mark.parametrize("call, expected", [
+        (lambda F, P, Q: bounds("taylor", F, QUARTIC, 0.5, 2.5), 1),
+        (lambda F, P, Q: run(RunConfig(command="bounds", payload={
+            "functional": {"nodes": [0.5, 2.0], "weights": [0.5, 0.5]},
+            "interval": [0, 3], "phi": {"name": "cubic"}})), 3),
+        (lambda F, P, Q: divergence_pass(P, Q, generator("kl")), 2),
+        (lambda F, P, Q: zm_divergence_pass(zm_distribution(20, 1.0, 1.5),
+                                            zm_distribution(20, 2.0, 1.0), generator("kl")), 2),
+        (lambda F, P, Q: jensen_gap_bounds(F, QUARTIC, 0.5, 2.5, "derivative"), 2),
+        (lambda F, P, Q: jensen_gap_bounds(F, QUARTIC, 0.5, 2.5, "taylor"), 2),
+        (lambda F, P, Q: gamma(elr_context(3, F, 0.5, 2.5), QUARTIC), 1),
+        (lambda F, P, Q: bracket_fuzz(seed=3, instances=BATCH), 3),
+    ], ids=["bounds", "cli-bounds", "divergence", "zipf", "jensen-derivative",
+            "jensen-taylor", "gamma", "verify-batch"])
+    def test_calls_per_pass(self, counts, call, expected):
+        call(self.F, self.P, self.Q)
+        assert counts == {self.NAME: expected}
 
 
 class TestExcessPaths:

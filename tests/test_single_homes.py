@@ -125,6 +125,18 @@ def test_endpoint_derivatives_are_read_by_one_function():
     assert readers == {("elr_bounds.py", "_bound_pair")}
 
 
+def test_the_bound_formulas_have_one_entry():
+    """``theorem_triple`` is the one caller of ``_bound_pair``, so every
+    pass reaches the formulas, and the read's refusal of phi'', through
+    it; no second entry ``_triple`` is defined."""
+    callers = [(name, scope) for name, text in SOURCES.items()
+               for scope, _ in _call_scopes(ast.parse(text), {"_bound_pair"})]
+    assert callers == [("elr_bounds.py", "theorem_triple")]
+    defined = [name for name, text in SOURCES.items() for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.FunctionDef) and node.name == "_triple"]
+    assert defined == []
+
+
 LANDING_NAMES = {"_land_row", "_land_rows", "_land_held", "_land_batch", "_functional"}
 
 
