@@ -206,6 +206,13 @@ def _is_number_type(cls: type, kind) -> bool:
     return issubclass(cls, kind) and not issubclass(cls, bool)
 
 
+def _check_integer(value, label: str, least: int) -> None:
+    """Refuse a ``value`` that is not an integer (``_is_number``: a bool or
+    a float is not) of at least ``least``, naming it as ``label``."""
+    if not (_is_number(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{label} must be an integer >= {least}, got {value!r}")
+
+
 @np.errstate(over="ignore", divide="ignore")
 def _eval(g: Callable, x: np.ndarray) -> np.ndarray:
     """g elementwise on the array x, as floats; a callable that rejects

@@ -166,9 +166,9 @@ def _read_ends(bundle: FunctionBundle, m: float, M: float, theorems
     refusal), ``ends`` the values of ``_endpoint_values`` at the highest
     order they need, phi'' for ``taylor`` and phi' for the others.  When
     only phi'' is refused, ``ends`` stops at phi' and ``refusal`` is that
-    refusal, which ``_triple`` raises at the first ``taylor``, so a pair
-    named before it is reported or refused first; any other refusal is
-    raised here.  The pass hands phi' at m and M (ends[2:4]) to its moment
+    refusal, which ``theorem_triple`` raises at the first ``taylor``, so a
+    pair named before it is reported or refused first; any other refusal
+    is raised here.  The pass hands phi' at m and M (ends[2:4]) to its moment
     pass and the pair to its theorems."""
     if "taylor" not in theorems:
         return _endpoint_values(bundle, m, M, 1), None
@@ -208,14 +208,13 @@ def _pair_reports(ms: MomentSet, read: tuple, bundle: FunctionBundle,
                   m: float, M: float, theorems, orientation: str, tag: str = "",
                   details: dict | None = None) -> list[BoundReport]:
     """The report step of every bound pass: the BoundReport, tagged ``tag``
-    plus its name, of each bound pair named in ``theorems`` from the one
-    MomentSet ``ms`` of the bundle on [m, M] and the pass's one endpoint
-    read ``read`` (``_moments_and_ends``), each with its own copy of
-    ``details``, in the order of ``theorems``: a pair named before the
-    first ``taylor`` is reported, or refused, before a phi'' the read
-    refused."""
-    _check_theorems(theorems)
-    return [_pair_report(ms, m, M, _triple(name, ms, bundle, read, m, M),
+    plus its name, of each bound pair named in ``theorems`` (which the pass
+    has checked) from ``theorem_triple`` on the one MomentSet ``ms`` of the
+    bundle on [m, M] and the pass's one endpoint read ``read``
+    (``_moments_and_ends``), each with its own copy of ``details``, in the
+    order of ``theorems``: a pair named before the first ``taylor`` is
+    reported, or refused, before a phi'' the read refused."""
+    return [_pair_report(ms, m, M, theorem_triple(name, ms, bundle, m, M, read),
                          orientation, tag + name, dict(details or {}))
             for name in theorems]
 
@@ -243,12 +242,6 @@ def _refuse_overflow(ms: MomentSet, m: float, M: float) -> None:
                          "of the functional on it overflow") from None
 
 
-def _check_derivative_moments(ms: MomentSet, bundle: FunctionBundle) -> None:
-    if ms.d_lo is None or ms.d_hi is None:
-        raise ValueError("insufficient bundle: first derivative moment of "
-                         f"{bundle.name!r} unavailable")
-
-
 THEOREMS = ("secant", "derivative", "taylor")
 
 
@@ -269,30 +262,25 @@ def theorem_triple(theorem: str, ms: MomentSet, bundle: FunctionBundle,
     orientation logic: floats for one functional (``moments``), arrays
     for a batch (``moments_batch``).  ``read`` is the caller's one
     endpoint read (``_read_ends`` of theorems that include this one),
-    which a pass of several theorems shares; with none, [m, M] must pass
-    the bundle's domain rule and is read here.
+    which a pass of several theorems shares and whose refusal of phi'' is
+    raised here for ``taylor``; with none, [m, M] must pass the bundle's
+    domain rule and is read here.
 
-    The raw expression values are what the exponential-convexity
-    functionals are built from, so this kernel is shared across modules.
+    The one entry to the formulas (``_bound_pair``): the report step of
+    every bound pass, both pairs of the Jensen gap, the
+    exponential-convexity functionals and the fuzzer all call it.
     """
     _check_theorems((theorem,))
     if read is None:
         bundle._check_interval(m, M)
         read = _read_ends(bundle, m, M, (theorem,))
-    return _triple(theorem, ms, bundle, read, m, M)
-
-
-def _triple(theorem: str, ms: MomentSet, bundle: FunctionBundle, read: tuple,
-            m: float, M: float):
-    """theorem_triple from the endpoint read ``read`` (_read_ends) of
-    theorems that include this one: its refusal of phi'' is raised for
-    ``taylor``."""
     ends, refusal = read
     if refusal is not None and theorem == "taylor":
         raise refusal
     mid = _mid(ms, ends[0], ends[1], m, M)
-    if theorem == "derivative":
-        _check_derivative_moments(ms, bundle)
+    if theorem == "derivative" and (ms.d_lo is None or ms.d_hi is None):
+        raise ValueError("insufficient bundle: first derivative moment of "
+                         f"{bundle.name!r} unavailable")
     lower, upper = _bound_pair(theorem, ms, ends, m, M)
     return lower, mid, upper
 
@@ -346,24 +334,22 @@ def jensen_gap_bounds(functional: DiscreteFunctional, bundle: FunctionBundle,
     """Bounds on the Jensen gap A(phi(f)) - phi(A(f)) = D(delta) - D(A), for
     delta the point mass at the mean of f: the ``derivative`` or ``taylor``
     pair's lower(delta) - upper(A) and upper(delta) - lower(A), oriented by
-    the bundle's certificate on [m, M]."""
+    the bundle's certificate on [m, M]: ``theorem_triple`` of A, then of
+    delta, on the pass's one endpoint read."""
     if variant not in ("derivative", "taylor"):
         raise ValueError(f"unknown Jensen-gap variant {variant!r}")
     orientation = _certified(bundle, m, M)[1]
-    ms, (ends, refusal) = _moments_and_ends(functional, bundle, m, M, (variant,))
-    if refusal is not None:  # phi'' of the taylor variant
-        raise refusal
+    ms, read = _moments_and_ends(functional, bundle, m, M, (variant,))
+    lower, _, upper = theorem_triple(variant, ms, bundle, m, M, read)
     phi_mean = bundle.deriv(0, ms.mean)
     below, above = ms.mean - m, M - ms.mean
     d_lo = d_hi = None
     if variant == "derivative":
-        _check_derivative_moments(ms, bundle)
         dmean = bundle.deriv(1, ms.mean)
         d_lo, d_hi = below * dmean, above * dmean
     delta = MomentSet(ms.mean, above * below, below * below, above * above,
                       phi_mean, d_lo, d_hi)
-    lower_delta, upper_delta = _bound_pair(variant, delta, ends, m, M)
-    lower, upper = _bound_pair(variant, ms, ends, m, M)
+    lower_delta, _, upper_delta = theorem_triple(variant, delta, bundle, m, M, read)
     return _pair_report(ms, m, M, (lower_delta - upper, ms.value - phi_mean,
                                    upper_delta - lower),
                         orientation, f"jensen_gap_{variant}", {})

@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, _check_order, _eval, _is_number, _is_number_type
+from .divided_diff import (FunctionBundle, _check_integer, _check_order, _eval, _is_number,
+                           _is_number_type)
 
 __all__ = [
     "DiscreteFunctional",
@@ -230,23 +231,27 @@ class FunctionalBatch:
 def make_functionals(nodes: np.ndarray, weights: np.ndarray, sizes) -> FunctionalBatch:
     """A batch of functionals from flat nodes and weights laid out as
     FunctionalBatch stores them, which it copies: validated in one pass
-    (row sizes that are integers >= 1, finite nodes, the check_weights rule
-    per row), then built by ``_landed_batch``, which renormalizes each
-    row."""
+    (row sizes that are integers >= 1, nodes and weights read by
+    make_functional's number rule, finite nodes, the check_weights rule per
+    row), then built by ``_landed_batch``, which renormalizes each row."""
     sizes = _row_sizes(sizes)
-    nodes = np.array(nodes, dtype=float)
-    weights = np.array(weights, dtype=float)
+    nodes = _floats(nodes, "nodes").copy()
+    weights = _floats(weights, "weights").copy()
     _check_rows(nodes, weights, sizes)
     return _landed_batch(nodes, weights, sizes)
 
 
 def _row_sizes(sizes) -> np.ndarray:
-    """The row sizes as an integer array; each must be an integer
-    (``_is_number``) >= 1, and the first that is not is refused."""
-    for size in sizes:
-        if not (_is_number(size, numbers.Integral) and size >= 1):
-            raise ValueError(f"each row size must be an integer >= 1, got {size!r}")
-    return np.array(sizes, dtype=np.intp)
+    """The row sizes as an integer array, from a sequence of them; each
+    must be an integer of at least 1 (``_check_integer``), and the first
+    that is not is refused."""
+    try:
+        listed = list(sizes)
+    except TypeError:
+        raise ValueError(f"sizes must be a list of integers, got {sizes!r}") from None
+    for size in listed:
+        _check_integer(size, "each row size", 1)
+    return np.array(listed, dtype=np.intp)
 
 
 def _check_rows(nodes: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> None:

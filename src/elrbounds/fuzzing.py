@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divided_diff import FunctionBundle, _is_number
+from .divided_diff import FunctionBundle, _check_integer, _is_number
 from .elr_bounds import (THEOREMS, _certified, _excess, _negated_orientation, _read_ends,
                          theorem_triple)
 from .functionals import (
@@ -208,8 +208,7 @@ def _draw(rng: np.random.Generator, m: float, M: float, count: int) -> tuple:
     row.  The rows are grouped in numpy from each row's node count: the
     groups in the order of each count's first row, a group's rows in draw
     order."""
-    if not (_is_number(count, numbers.Integral) and count >= 1):
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    _check_integer(count, "count", 1)
     m, M = float(m), float(M)
     span = M - m
     if not 0.0 <= span < math.inf:
@@ -330,11 +329,11 @@ def bracket_fuzz(seed: int, instances: int, tolerance: float = TOLERANCE) -> Fuz
     orientation is read off the bundle's one certificate
     (``elr_bounds._negated_orientation``).  Returns a report
     whose violations (sorted by magnitude, largest first) carry enough of
-    the instance to reproduce it.  ``seed`` must be an integer >= 0.
+    the instance to reproduce it.  ``seed`` is an integer from 0 on, and
+    ``instances`` from 1 on.
     """
-    for value, label, least in ((seed, "seed", 0), (instances, "instances", 1)):
-        if not (_is_number(value, numbers.Integral) and value >= least):
-            raise ValueError(f"{label} must be an integer >= {least}, got {value!r}")
+    _check_integer(seed, "seed", 0)
+    _check_integer(instances, "instances", 1)
     if not (_is_number(tolerance, numbers.Real) and math.isfinite(tolerance)
             and tolerance >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")

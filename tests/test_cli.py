@@ -840,14 +840,14 @@ class TestOnePass:
 
     @pytest.mark.parametrize("theorem", [None, "secant", "derivative", "taylor"])
     def test_bounds_makes_one_moment_pass(self, monkeypatch, theorem):
-        """One moments call, then one triple (elr_bounds._triple) per
-        reported theorem."""
+        """One moments call, then one triple (elr_bounds.theorem_triple)
+        per reported theorem."""
         from elrbounds import cli
 
         payload = json.loads(BOUNDS_INPUT)
         if theorem is not None:
             payload["theorem"] = theorem
-        names = ("functionals.moments", "elr_bounds._triple")
+        names = ("functionals.moments", "elr_bounds.theorem_triple")
         counts = count_calls(monkeypatch, names)
         status, report = cli.run(cli.RunConfig(command="bounds", payload=payload))
         assert status == 0

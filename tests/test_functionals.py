@@ -61,13 +61,14 @@ class TestMakeFunctional:
 class TestVectorEntries:
     """A vector from outside is a flat list or tuple of numbers, a numeric
     array of at most one dimension, or one number; a bool or a string,
-    alone or as an entry, and a nested or ragged list are refused with
-    the vector's label."""
+    alone or as an entry, a nested or ragged list and an int too large for
+    a float are refused with the vector's label.  make_functional and
+    make_functionals read their nodes and weights by this one rule."""
 
     REFUSED = [[[0.5], [0.5]], [[0.5, 0.5]], [[0.5], 0.5], [[0.5, 0.0], [1.0]],
                ["0.5", "0.5"], "1.0", [True, False], True, (0.5, "0.5"),
                np.array([[0.5, 0.5]]), np.array(["0.5", "0.5"]),
-               np.array([True, False])]
+               np.array([True, False]), ["x", 0.5], [10**400, 0.5]]
 
     @pytest.mark.parametrize("weights", REFUSED)
     def test_check_weights_refuses(self, weights):
@@ -83,6 +84,22 @@ class TestVectorEntries:
     def test_make_functional_refuses_nodes(self, nodes):
         with pytest.raises(ValueError, match="^nodes must be a list of numbers$"):
             make_functional(nodes, [0.5, 0.5])
+
+    @pytest.mark.parametrize("weights", REFUSED)
+    def test_make_functionals_refuses_weights(self, weights):
+        with pytest.raises(ValueError, match="^weights must be a list of numbers$"):
+            make_functionals([0.5, 0.7], weights, [2])
+
+    @pytest.mark.parametrize("nodes", REFUSED)
+    def test_make_functionals_refuses_nodes(self, nodes):
+        with pytest.raises(ValueError, match="^nodes must be a list of numbers$"):
+            make_functionals(nodes, [0.5, 0.5], [2])
+
+    def test_make_functionals_copies_given_arrays(self):
+        nodes, weights = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+        batch = make_functionals(nodes, weights, [2])
+        assert batch.nodes is not nodes and batch.weights is not weights
+        assert nodes.flags.writeable and weights.flags.writeable
 
     def test_nested_booleans_are_not_flat_weights(self):
         with pytest.raises(ValueError, match="^weights must be a list of numbers$"):
@@ -435,6 +452,9 @@ class TestHandBuiltBatch:
         (dict(weights=np.array([0.25, np.nan, 1.0])), "non-finite weight in functional"),
         (dict(nodes=np.array([0.5, np.nan, 0.7])), "nodes must be finite"),
         (dict(sizes=[2, 0]), "each row size must be an integer >= 1, got 0"),
+        (dict(sizes=2), "sizes must be a list of integers, got 2"),
+        (dict(sizes=None), "sizes must be a list of integers, got None"),
+        (dict(sizes=np.array(3)), "sizes must be a list of integers, got array(3)"),
         (dict(sizes=[2]), "nodes, weights and row sizes differ in size"),
         (dict(nodes=np.array([0.5, 0.6])), "nodes, weights and row sizes differ in size"),
         (dict(nodes=np.array([]), weights=np.array([]), sizes=[]), "functional has no weights"),
@@ -442,8 +462,8 @@ class TestHandBuiltBatch:
         (dict(weights=np.array([[0.25, 0.75, 1.0]])), "weights must be a flat array of numbers"),
         (dict(weights=np.array([True, True, True])), "weights must be a flat array of numbers"),
     ], ids=["negative", "weight-above-one", "sum-short", "nan-weight", "nan-node",
-            "empty-block", "short-sizes", "short-nodes", "empty",
-            "list-nodes", "two-dimensional", "bool-weights"])
+            "empty-block", "int-sizes", "none-sizes", "zero-d-sizes", "short-sizes",
+            "short-nodes", "empty", "list-nodes", "two-dimensional", "bool-weights"])
     def test_refused_with_make_functionals_messages(self, fields, message):
         given = dict(nodes=self.NODES, weights=self.WEIGHTS, sizes=self.SIZES)
         given.update(fields)

@@ -12,15 +12,16 @@ registry refuses every other count of params; ``elr_bounds._check_theorems``
 refuses an unknown theorem name.  A second copy of any, in any module of
 the package, fails here.  The endpoint derivatives of a bound pair are
 named only in ``elr_bounds._bound_pair``, the one home of its formulas,
-and read only in elr_bounds.py, by ``_endpoint_values`` alone; how a checked row
-of weights is landed and becomes a functional is known only to
-functionals.py; a report float is formatted only in cli.py; and the
+whose one caller is ``theorem_triple``, and read only in elr_bounds.py,
+by ``_endpoint_values`` alone; how a checked row of weights is landed
+and becomes a functional is known only to functionals.py; a report float is formatted only in cli.py; and the
 domain (0, inf) is written once, in ``divided_diff._on_positive_axis``,
 which builds every family member and product bundle of
 stolarsky_means.py; x^3, x^4 and e^x are one table of divided_diff.py
 with one builder, ``_on_real_line``, and only a polynomial and the
 fuzzer's spline are built elsewhere.  A bool is told from a number only
-in ``divided_diff._is_number``.  The step of the divided
+in ``divided_diff._is_number``, and an integer with a least value is
+refused only by ``divided_diff._check_integer``.  The step of the divided
 difference table is written once, in ``divided_diff._newton_table``, and
 no module builds a ``MultiplicityPattern``: the certificate's fallback
 runs the table itself."""
@@ -229,6 +230,15 @@ def _bool_tests(node):
             names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
             if any(getattr(kind, "id", None) == "bool" for kind in names):
                 yield call
+
+
+def test_the_integer_rule_is_written_once():
+    """"{label} must be an integer >= {least}" is refused in one place,
+    ``divided_diff._check_integer``, for every row size, draw count, seed
+    and instance count."""
+    copies = [name for name, text in SOURCES.items()
+              for _ in re.finditer("must be an integer >=", text)]
+    assert copies == ["divided_diff.py"]
 
 
 def test_the_number_rule_is_written_once():
